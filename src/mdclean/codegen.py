@@ -9,10 +9,15 @@ one clean instance, the residual form drops the disjunction, the `prec`
 machinery, and all constraints, leaving stratified Datalog that computes that
 instance bottom-up.
 
-Similarity, merge, and order tables are materialised as facts (`sim_<dom>`,
-`mf_<dom>`, `pre_<dom>`), so the emitted text is self-contained.  Matchings
-are reified as `mt(...)` terms holding the two tuple versions, which keeps
-`prec` binary even when rules range over relations of different arities.
+Both programs are built as rule ASTs (`AspRule`s over `Literal`s), kept in one
+ordered list of statements tagged with their block.  Similarity, merge, and
+order tables are materialised as ground facts (`sim_<dom>`, `mf_<dom>`,
+`pre_<dom>`), so a program is self-contained; the residual's `Program` takes
+them as fact tuples and its rules as built.  Text is rendered from the
+statements through `datalog.format_rule_ast` only for output and never parsed
+back.  Matchings are reified as `mt(...)` terms holding the two tuple
+versions, which keeps `prec` binary even when rules range over relations of
+different arities.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+from .chase import ChaseEngine
 from .classify import Classification, Verdict
-from .datalog import Program, evaluate, format_term, parse_asp, parse_program
+from .datalog import NEQ, AspRule, Literal, Program, Rule, evaluate, format_rule_ast
 from .errors import NotSci, ValidationError
 from .mdlang import (
     MatchingDependency,
@@ -38,6 +44,7 @@ from .model import (
     SimilarityRelation,
     collect_active_values,
 )
+from .terms import Compound, Var
 
 BLOCK_TITLES = {
     1: "initial tuple versions and value tables",
@@ -49,12 +56,55 @@ BLOCK_TITLES = {
     7: "clean relation collection",
 }
 
+# the residual prints every one of its headers, also over an empty block
+RESIDUAL_TITLES = {
+    1: BLOCK_TITLES[1],
+    2: "matches over current tuples, superseded versions",
+    3: BLOCK_TITLES[3],
+    7: BLOCK_TITLES[7],
+}
+
 
 @dataclass(frozen=True)
 class AspStatement:
+    """One statement of a generated program: a rule, or a `Literal` fact."""
+
     block: int
     kind: str
-    text: str
+    ast: AspRule | Literal
+
+    @property
+    def text(self) -> str:
+        return format_rule_ast(self.ast)
+
+
+def _render(statements, titles: dict[int, str]) -> str:
+    """Statements under a `% <block>. <title>` header at each change of block.
+
+    A block named in `titles` that has no statement still gets its header,
+    in block order.
+    """
+    lines: list[str] = []
+    pending = sorted(titles)
+    last = None
+
+    def header(block: int) -> None:
+        if lines:
+            lines.append("")
+        lines.append(f"% {block}. {titles[block]}")
+
+    for st in statements:
+        if st.block != last:
+            while pending and pending[0] <= st.block:
+                empty = pending.pop(0)
+                if empty != st.block:
+                    header(empty)
+            header(st.block)
+            last = st.block
+        lines.append(st.text)
+    for block in pending:
+        header(block)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -62,16 +112,8 @@ class AspText:
     statements: tuple[AspStatement, ...]
 
     def text(self) -> str:
-        lines = []
-        last_block = None
-        for st in self.statements:
-            if st.block != last_block:
-                if last_block is not None:
-                    lines.append("")
-                lines.append(f"% {st.block}. {BLOCK_TITLES[st.block]}")
-                last_block = st.block
-            lines.append(st.text)
-        return "\n".join(lines) + "\n"
+        titles = {st.block: BLOCK_TITLES[st.block] for st in self.statements}
+        return _render(self.statements, titles)
 
     def of_kind(self, kind: str) -> list[AspStatement]:
         return [st for st in self.statements if st.kind == kind]
@@ -87,14 +129,16 @@ class AspText:
 class ResidualProgram:
     program: Program
     clean_predicates: tuple[tuple[str, str], ...]
-    source: str
+    statements: tuple[AspStatement, ...]
+    # checks that the evaluated instance is stable under the rules
+    engine: ChaseEngine
 
     def text(self) -> str:
-        return self.source
+        return _render(self.statements, RESIDUAL_TITLES)
 
 
 # ---------------------------------------------------------------------------
-# naming
+# naming and AST pieces
 
 
 def _pred(name: str) -> str:
@@ -117,20 +161,17 @@ def _vcap(var: str) -> str:
     return var[0].upper() + var[1:]
 
 
-def _const(value: str) -> str:
-    return format_term(value)
+def _lit(pred: str, names, negated: bool = False) -> Literal:
+    """A literal whose arguments are the variables called `names`."""
+    return Literal(pred, tuple(Var(n) for n in names), negated)
 
 
-def _atom(pred: str, args) -> str:
-    return f"{pred}({', '.join(args)})"
+def _neq(left: str, right: str) -> Literal:
+    return Literal(NEQ, (Var(left), Var(right)))
 
 
-def _rule(head: str, body) -> str:
-    return f"{head} :- {', '.join(body)}."
-
-
-def _constraint(body) -> str:
-    return f":- {', '.join(body)}."
+def _matching(names) -> Compound:
+    return Compound("mt", tuple(Var(n) for n in names))
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -159,10 +200,6 @@ def _lead_args(md: MatchingDependency, side: int, rename=None) -> list[str]:
 
 def _match_args(md: MatchingDependency, rename=None) -> list[str]:
     return _lead_args(md, 0, rename) + _lead_args(md, 1, rename)
-
-
-def _mt(args) -> str:
-    return f"mt({', '.join(args)})"
 
 
 def _rhs_var_on_side(md: MatchingDependency, side: int) -> str:
@@ -216,32 +253,32 @@ def _md_body(
     md: MatchingDependency,
     schema: Schema,
     relation_pred,
-) -> list[str]:
+) -> list[Literal]:
     """Leading atoms, context atoms, similarity literals, and the RHS guard."""
     body = []
     for side in (0, 1):
         atom = md.leading_atoms()[side]
-        body.append(_atom(relation_pred(atom.relation), _lead_args(md, side)))
+        body.append(_lit(relation_pred(atom.relation), _lead_args(md, side)))
     for atom in md.context_atoms():
         args = [_vcap(atom.tid_var), *(_vcap(v) for v in atom.attr_vars)]
-        body.append(_atom(relation_pred(atom.relation), args))
+        body.append(_lit(relation_pred(atom.relation), args))
     for sc in md.similarities:
         dom = sim_domain(md, schema, sc)
-        body.append(_atom(f"sim_{_pred(dom)}", [_vcap(sc.left), _vcap(sc.right)]))
-    body.append(f"{_vcap(md.rhs_left)} != {_vcap(md.rhs_right)}")
+        body.append(_lit(f"sim_{_pred(dom)}", [_vcap(sc.left), _vcap(sc.right)]))
+    body.append(_neq(_vcap(md.rhs_left), _vcap(md.rhs_right)))
     return body
 
 
 def _insertion_rules(
     md: MatchingDependency, schema: Schema, relation_pred
-) -> list[str]:
+) -> list[AspStatement]:
     """One head per leading atom, writing the merged value over the match."""
     dom = rhs_domain(md, schema)
     taken = {_vcap(v) for v in md.variables()}
     merged = _fresh("Mv", taken)
-    match_atom = _atom(f"match_{_pred(md.name)}", _match_args(md))
-    mf_atom = _atom(
-        f"mf_{_pred(dom)}", [_vcap(md.rhs_left), _vcap(md.rhs_right), merged]
+    body = (
+        _lit(f"match_{_pred(md.name)}", _match_args(md)),
+        _lit(f"mf_{_pred(dom)}", [_vcap(md.rhs_left), _vcap(md.rhs_right), merged]),
     )
     rules = []
     targets = dict(rhs_targets(md))
@@ -249,8 +286,8 @@ def _insertion_rules(
         atom = md.leading_atoms()[side]
         head_args = _lead_args(md, side)
         head_args[1 + targets[side]] = merged
-        head = _atom(relation_pred(atom.relation), head_args)
-        rules.append(_rule(head, [match_atom, mf_atom]))
+        head = _lit(relation_pred(atom.relation), head_args)
+        rules.append(AspStatement(3, "insertion", AspRule((head,), body)))
     return rules
 
 
@@ -260,7 +297,7 @@ def _oldversion_rules(
     smf: SaturatedMatchingFunction,
     written: set[int],
     relation_pred,
-) -> list[str]:
+) -> list[AspStatement]:
     """Superseded-version rules, one per position a rule can write.
 
     The version order compares attribute-wise: positions whose domain has a
@@ -271,37 +308,36 @@ def _oldversion_rules(
     rel = schema.relation(rel_name)
     tid = "T"
     first = [_vcap(a) for a in rel.attrs]
-    second = []
-    body = []
-    for i, (attr, dom) in enumerate(zip(rel.attrs, rel.domains)):
-        if smf.has_mf(dom):
-            second.append(first[i] + "q")
-        else:
-            second.append(first[i])
+    second = [v + "q" if smf.has_mf(dom) else v for v, dom in zip(first, rel.domains)]
     pred = relation_pred(rel_name)
-    body.append(_atom(pred, [tid, *first]))
-    body.append(_atom(pred, [tid, *second]))
+    body = [_lit(pred, [tid, *first]), _lit(pred, [tid, *second])]
     for i, dom in enumerate(rel.domains):
         if smf.has_mf(dom):
-            body.append(_atom(f"pre_{_pred(dom)}", [first[i], second[i]]))
-    rules = []
-    for pos in sorted(written):
-        guard = f"{first[pos]} != {second[pos]}"
-        head = _atom(_oldversion_pred(rel_name), [tid, *first])
-        rules.append(_rule(head, body + [guard]))
-    return rules
+            body.append(_lit(f"pre_{_pred(dom)}", [first[i], second[i]]))
+    head = _lit(_oldversion_pred(rel_name), [tid, *first])
+    return [
+        AspStatement(2, "oldversion", AspRule((head,), (*body, _neq(first[pos], second[pos]))))
+        for pos in sorted(written)
+    ]
 
 
-def _table_facts(
+def _initial_facts(
     mds: MDSet,
     schema: Schema,
     instance: Instance,
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
     written_rels,
+    relation_pred,
 ) -> list[AspStatement]:
-    active = collect_active_values(schema, instance, sim)
+    """Block 1: one fact per input tuple, then the value tables."""
     out = []
+    for rel_name in schema.relation_names():
+        pred = relation_pred(rel_name)
+        rows = instance.tuples.get(rel_name, {})
+        for tid in sorted(rows):
+            out.append(AspStatement(1, "version-fact", Literal(pred, (tid, *rows[tid]))))
+    active = collect_active_values(schema, instance, sim)
     mf_domains = sorted({rhs_domain(md, schema) for md in mds})
     pre_domains = sorted(
         {
@@ -319,41 +355,40 @@ def _table_facts(
                 f"instance values; missing {sorted(missing)}"
             )
     for dom in mf_domains:
-        for a, b, c in smf.triples(dom):
-            out.append(
-                AspStatement(
-                    1,
-                    "mf-fact",
-                    _atom(f"mf_{_pred(dom)}", [_const(a), _const(b), _const(c)]) + ".",
-                )
-            )
+        pred = f"mf_{_pred(dom)}"
+        for triple in smf.triples(dom):
+            out.append(AspStatement(1, "mf-fact", Literal(pred, tuple(triple))))
     for dom in pre_domains:
+        pred = f"pre_{_pred(dom)}"
         universe = sorted(smf.values(dom) | active.get(dom, set()))
         for a in universe:
             for b in universe:
                 if smf.precedes(dom, a, b):
-                    out.append(
-                        AspStatement(
-                            1,
-                            "pre-fact",
-                            _atom(f"pre_{_pred(dom)}", [_const(a), _const(b)]) + ".",
-                        )
-                    )
+                    out.append(AspStatement(1, "pre-fact", Literal(pred, (a, b))))
     sim_domains = sorted(
         {sim_domain(md, schema, sc) for md in mds for sc in md.similarities}
     )
     for dom in sim_domains:
+        pred = f"sim_{_pred(dom)}"
         universe = sorted(smf.values(dom) | active.get(dom, set()))
         for a in universe:
             for b in universe:
                 if sim.similar(dom, a, b):
-                    out.append(
-                        AspStatement(
-                            1,
-                            "sim-fact",
-                            _atom(f"sim_{_pred(dom)}", [_const(a), _const(b)]) + ".",
-                        )
-                    )
+                    out.append(AspStatement(1, "sim-fact", Literal(pred, (a, b))))
+    return out
+
+
+def _collect_rules(schema: Schema, written, relation_pred) -> list[AspStatement]:
+    """Block 7: the clean relations, read off versions no merge superseded."""
+    out = []
+    for rel_name in schema.relation_names():
+        rel = schema.relation(rel_name)
+        args = ["T", *(_vcap(a) for a in rel.attrs)]
+        body = [_lit(relation_pred(rel_name), args)]
+        if rel_name in written:
+            body.append(_lit(_oldversion_pred(rel_name), args, negated=True))
+        head = _lit(_clean_pred(rel_name), args)
+        out.append(AspStatement(7, "collect", AspRule((head,), tuple(body))))
     return out
 
 
@@ -377,98 +412,58 @@ def emit_general_asp(
                 f"rule {md.name!r} writes domain {dom!r}, which has no matching function"
             )
     written = _written_positions(mds, schema)
-    statements: list[AspStatement] = []
-
-    for rel_name in schema.relation_names():
-        pred = _version_pred(rel_name)
-        for tid in sorted(instance.tuples.get(rel_name, {})):
-            vals = instance.tuples[rel_name][tid]
-            args = [_const(tid), *(_const(v) for v in vals)]
-            statements.append(AspStatement(1, "version-fact", _atom(pred, args) + "."))
-    statements.extend(_table_facts(mds, schema, instance, sim, smf, sorted(written)))
+    statements = _initial_facts(
+        mds, schema, instance, sim, smf, sorted(written), _version_pred
+    )
 
     for md in mds:
         name = _pred(md.name)
         args = _match_args(md)
-        head = f"{_atom(f'match_{name}', args)} | {_atom(f'notmatch_{name}', args)}"
-        statements.append(
-            AspStatement(
-                2, "disjunctive", _rule(head, _md_body(md, schema, _version_pred))
-            )
-        )
+        heads = (_lit(f"match_{name}", args), _lit(f"notmatch_{name}", args))
+        body = tuple(_md_body(md, schema, _version_pred))
+        statements.append(AspStatement(2, "disjunctive", AspRule(heads, body)))
     for md in mds:
         (s0, p0), (s1, p1) = rhs_targets(md)
         if md.same_relation() and p0 == p1 and _context_symmetric(md):
             name = _pred(md.name)
-            forward = _match_args(md)
-            swapped = _lead_args(md, 1) + _lead_args(md, 0)
-            statements.append(
-                AspStatement(
-                    2,
-                    "symmetry",
-                    _rule(_atom(f"match_{name}", swapped), [_atom(f"match_{name}", forward)]),
-                )
-            )
+            forward = _lit(f"match_{name}", _match_args(md))
+            swapped = _lit(f"match_{name}", _lead_args(md, 1) + _lead_args(md, 0))
+            statements.append(AspStatement(2, "symmetry", AspRule((swapped,), (forward,))))
     for rel_name in sorted(written):
-        for text in _oldversion_rules(rel_name, schema, smf, written[rel_name], _version_pred):
-            statements.append(AspStatement(2, "oldversion", text))
+        statements.extend(
+            _oldversion_rules(rel_name, schema, smf, written[rel_name], _version_pred)
+        )
     for md in mds:
-        name = _pred(md.name)
-        body = [_atom(f"notmatch_{name}", _match_args(md))]
+        body = [_lit(f"notmatch_{_pred(md.name)}", _match_args(md))]
         for side in (0, 1):
             atom = md.leading_atoms()[side]
             body.append(
-                "not " + _atom(_oldversion_pred(atom.relation), _lead_args(md, side))
+                _lit(_oldversion_pred(atom.relation), _lead_args(md, side), negated=True)
             )
-        statements.append(AspStatement(2, "notmatch-constraint", _constraint(body)))
+        statements.append(AspStatement(2, "notmatch-constraint", AspRule((), tuple(body))))
 
     for md in mds:
-        for text in _insertion_rules(md, schema, _version_pred):
-            statements.append(AspStatement(3, "insertion", text))
+        statements.extend(_insertion_rules(md, schema, _version_pred))
 
     statements.extend(_prec_recording(mds, schema, smf, written))
 
     for md in mds:
         args = _match_args(md)
-        statements.append(
-            AspStatement(
-                6,
-                "prec-reflexivity",
-                _rule(
-                    _atom("prec", [_mt(args), _mt(args)]),
-                    [_atom(f"match_{_pred(md.name)}", args)],
-                ),
-            )
-        )
+        head = Literal("prec", (_matching(args), _matching(args)))
+        body = (_lit(f"match_{_pred(md.name)}", args),)
+        statements.append(AspStatement(6, "prec-reflexivity", AspRule((head,), body)))
     if len(mds):
-        statements.append(
-            AspStatement(
-                6,
-                "prec-antisymmetry",
-                _constraint(["prec(M1, M2)", "prec(M2, M1)", "M1 != M2"]),
-            )
+        antisymmetry = (_lit("prec", ["M1", "M2"]), _lit("prec", ["M2", "M1"]), _neq("M1", "M2"))
+        statements.append(AspStatement(6, "prec-antisymmetry", AspRule((), antisymmetry)))
+        transitivity = (
+            _lit("prec", ["M1", "M2"]),
+            _lit("prec", ["M2", "M3"]),
+            _lit("prec", ["M1", "M3"], negated=True),
         )
-        statements.append(
-            AspStatement(
-                6,
-                "prec-transitivity",
-                _constraint(["prec(M1, M2)", "prec(M2, M3)", "not prec(M1, M3)"]),
-            )
-        )
+        statements.append(AspStatement(6, "prec-transitivity", AspRule((), transitivity)))
 
-    for rel_name in schema.relation_names():
-        rel = schema.relation(rel_name)
-        args = ["T", *(_vcap(a) for a in rel.attrs)]
-        body = [_atom(_version_pred(rel_name), args)]
-        if rel_name in written:
-            body.append("not " + _atom(_oldversion_pred(rel_name), args))
-        statements.append(
-            AspStatement(7, "collect", _rule(_atom(_clean_pred(rel_name), args), body))
-        )
-
-    text = AspText(tuple(statements))
-    parse_asp(text.text())
-    return text
+    statements.extend(_collect_rules(schema, written, _version_pred))
+    return AspText(tuple(statements))
 
 
 def _prec_recording(
@@ -509,26 +504,26 @@ def _prec_recording(
                             ren[vk] = _vcap(vj)
                     ren[lead_k.tid_var] = _vcap(lead_j.tid_var)
                     body = [
-                        _atom(f"match_{_pred(mdj.name)}", _match_args(mdj)),
-                        _atom(f"match_{_pred(mdk.name)}", _match_args(mdk, ren)),
+                        _lit(f"match_{_pred(mdj.name)}", _match_args(mdj)),
+                        _lit(f"match_{_pred(mdk.name)}", _match_args(mdk, ren)),
                     ]
                     for pos, (vj, vk) in enumerate(
                         zip(lead_j.attr_vars, lead_k.attr_vars)
                     ):
                         if smf.has_mf(rel.domains[pos]):
                             body.append(
-                                _atom(
-                                    f"pre_{_pred(rel.domains[pos])}",
-                                    [_vcap(vj), ren[vk]],
-                                )
+                                _lit(f"pre_{_pred(rel.domains[pos])}", [_vcap(vj), ren[vk]])
                             )
-                    head = _atom(
-                        "prec", [_mt(_match_args(mdj)), _mt(_match_args(mdk, ren))]
+                    head = Literal(
+                        "prec",
+                        (_matching(_match_args(mdj)), _matching(_match_args(mdk, ren))),
                     )
                     for pos in sorted(written.get(rel_j, ())):
-                        guard = f"{_vcap(lead_j.attr_vars[pos])} != {ren[lead_k.attr_vars[pos]]}"
+                        guard = _neq(_vcap(lead_j.attr_vars[pos]), ren[lead_k.attr_vars[pos]])
                         out.append(
-                            AspStatement(4, "prec-newer-version", _rule(head, body + [guard]))
+                            AspStatement(
+                                4, "prec-newer-version", AspRule((head,), (*body, guard))
+                            )
                         )
 
                     taken = set(first_vars)
@@ -540,16 +535,19 @@ def _prec_recording(
                     shared_rhs = ren5[_rhs_var_on_side(mdk, ip)]
                     other_rhs = ren5[_rhs_var_on_side(mdk, 1 - ip)]
                     dom_k = rhs_domain(mdk, schema)
-                    body5 = [
-                        _atom(f"match_{_pred(mdj.name)}", _match_args(mdj)),
-                        _atom(f"match_{_pred(mdk.name)}", _match_args(mdk, ren5)),
-                        _atom(f"mf_{_pred(dom_k)}", [shared_rhs, other_rhs, merged]),
-                        f"{shared_rhs} != {merged}",
-                    ]
-                    head5 = _atom(
-                        "prec", [_mt(_match_args(mdj)), _mt(_match_args(mdk, ren5))]
+                    body5 = (
+                        _lit(f"match_{_pred(mdj.name)}", _match_args(mdj)),
+                        _lit(f"match_{_pred(mdk.name)}", _match_args(mdk, ren5)),
+                        _lit(f"mf_{_pred(dom_k)}", [shared_rhs, other_rhs, merged]),
+                        _neq(shared_rhs, merged),
                     )
-                    out.append(AspStatement(5, "prec-shared-version", _rule(head5, body5)))
+                    head5 = Literal(
+                        "prec",
+                        (_matching(_match_args(mdj)), _matching(_match_args(mdk, ren5))),
+                    )
+                    out.append(
+                        AspStatement(5, "prec-shared-version", AspRule((head5,), body5))
+                    )
     return out
 
 
@@ -571,54 +569,37 @@ def emit_residual_datalog(
             "rule set and instance classify as general; the residual rewriting "
             "is only sound for converging combinations"
         )
-    validate_mds(mds, schema)
+    engine = ChaseEngine(schema, mds, sim, smf)
     written = _written_positions(mds, schema)
-    lines: list[str] = []
-
-    lines.append("% 1. " + BLOCK_TITLES[1])
-    for rel_name in schema.relation_names():
-        pred = _pred(rel_name)
-        for tid in sorted(instance.tuples.get(rel_name, {})):
-            vals = instance.tuples[rel_name][tid]
-            args = [_const(tid), *(_const(v) for v in vals)]
-            lines.append(_atom(pred, args) + ".")
-    for st in _table_facts(mds, schema, instance, sim, smf, sorted(written)):
-        lines.append(st.text)
-
-    lines.append("")
-    lines.append("% 2. matches over current tuples, superseded versions")
+    statements = _initial_facts(mds, schema, instance, sim, smf, sorted(written), _pred)
     for md in mds:
-        head = _atom(f"match_{_pred(md.name)}", _match_args(md))
-        lines.append(_rule(head, _md_body(md, schema, _pred)))
+        head = _lit(f"match_{_pred(md.name)}", _match_args(md))
+        body = tuple(_md_body(md, schema, _pred))
+        statements.append(AspStatement(2, "match", AspRule((head,), body)))
     for rel_name in sorted(written):
-        lines.extend(
-            _oldversion_rules(rel_name, schema, smf, written[rel_name], _pred)
-        )
-
-    lines.append("")
-    lines.append("% 3. " + BLOCK_TITLES[3])
+        statements.extend(_oldversion_rules(rel_name, schema, smf, written[rel_name], _pred))
     for md in mds:
-        lines.extend(_insertion_rules(md, schema, _pred))
+        statements.extend(_insertion_rules(md, schema, _pred))
+    statements.extend(_collect_rules(schema, written, _pred))
 
-    lines.append("")
-    lines.append("% 7. " + BLOCK_TITLES[7])
-    clean_preds = []
-    for rel_name in schema.relation_names():
-        rel = schema.relation(rel_name)
-        args = ["T", *(_vcap(a) for a in rel.attrs)]
-        body = [_atom(_pred(rel_name), args)]
-        if rel_name in written:
-            body.append("not " + _atom(_oldversion_pred(rel_name), args))
-        lines.append(_rule(_atom(_clean_pred(rel_name), args), body))
-        clean_preds.append((rel_name, _clean_pred(rel_name)))
-
-    source = "\n".join(lines) + "\n"
-    program = parse_program(source)
-    return ResidualProgram(program, tuple(clean_preds), source)
+    rules: list[Rule] = []
+    facts: dict[str, list[tuple[str, ...]]] = {}
+    for st in statements:
+        if isinstance(st.ast, Literal):
+            facts.setdefault(st.ast.pred, []).append(st.ast.args)
+        else:
+            rules.append(Rule(st.ast.heads[0], st.ast.body))
+    clean_preds = tuple((rel, _clean_pred(rel)) for rel in schema.relation_names())
+    return ResidualProgram(Program(rules, facts), clean_preds, tuple(statements), engine)
 
 
 def evaluate_residual(residual: ResidualProgram) -> dict[str, dict[str, tuple[str, ...]]]:
-    """Clean tuples per relation, keyed by tuple identifier."""
+    """Clean tuples per relation, keyed by tuple identifier.
+
+    The result must be stable under the rules.  A merge the matching function
+    leaves undefined raises `UndefinedMatch`, as the chase does; any other
+    step that still applies raises `NotSci`.
+    """
     model = evaluate(residual.program)
     out: dict[str, dict[str, tuple[str, ...]]] = {}
     for rel_name, pred in residual.clean_predicates:
@@ -632,4 +613,10 @@ def evaluate_residual(residual: ResidualProgram) -> dict[str, dict[str, tuple[st
                 )
             rows[tid] = vals
         out[rel_name] = rows
+    engine = residual.engine
+    if not engine.is_stable(Instance(engine.schema, out)):
+        raise NotSci(
+            "the residual program's result is not stable under the rules; "
+            "the combination was not actually convergent"
+        )
     return out

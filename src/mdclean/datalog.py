@@ -497,6 +497,7 @@ def _ground_args(args: Sequence[Term], binding: dict) -> tuple[str, ...]:
 
 
 _CONST_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
+_UNESCAPE_RE = re.compile(r"\\(.)")
 
 
 def format_term(term: Term) -> str:
@@ -507,7 +508,7 @@ def format_term(term: Term) -> str:
         return f"{term.functor}({inner})"
     if _CONST_RE.match(term):
         return term
-    return '"' + term.replace('"', '\\"') + '"'
+    return '"' + term.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def format_literal(lit: Literal) -> str:
@@ -521,13 +522,14 @@ def format_literal(lit: Literal) -> str:
     return f"{prefix}{lit.pred}({args})"
 
 
-def format_rule_ast(rule: Rule | AspRule) -> str:
-    if isinstance(rule, Rule):
-        heads = [rule.head]
-        body = rule.body
+def format_rule_ast(rule: Rule | AspRule | Literal) -> str:
+    """One statement; a bare `Literal` is written as a fact."""
+    if isinstance(rule, Literal):
+        heads, body = [rule], ()
+    elif isinstance(rule, Rule):
+        heads, body = [rule.head], rule.body
     else:
-        heads = list(rule.heads)
-        body = rule.body
+        heads, body = list(rule.heads), rule.body
     head_text = " | ".join(format_literal(h) for h in heads)
     if not body:
         return f"{head_text}."
@@ -535,16 +537,6 @@ def format_rule_ast(rule: Rule | AspRule) -> str:
     if not heads:
         return f":- {body_text}."
     return f"{head_text} :- {body_text}."
-
-
-def format_program(program: Program) -> str:
-    lines = []
-    for pred in sorted(program.facts):
-        for t in sorted(program.facts[pred]):
-            lines.append(format_literal(Literal(pred, t)) + ".")
-    for rule in program.rules:
-        lines.append(format_rule_ast(rule))
-    return "\n".join(lines) + "\n"
 
 
 # -- parsing ----------------------------------------------------------------
@@ -682,7 +674,7 @@ def _parse_literal(lexer: _Lexer, allow_not: bool) -> Literal:
 def _parse_term(lexer: _Lexer) -> Term:
     kind, value, line = lexer.next()
     if kind == "quoted":
-        return value[1:-1].replace('\\"', '"')
+        return _UNESCAPE_RE.sub(r"\1", value[1:-1])
     if kind != "ident":
         raise ParseError(f"expected a term, found {value or 'end of input'!r}", line)
     if lexer.peek()[:2] == ("punct", "("):

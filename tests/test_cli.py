@@ -1,15 +1,33 @@
 """End-to-end command-line runs over the committed fixtures."""
 
 import json
+import shutil
 from pathlib import Path
 
 from mdclean.cli import main
+from mdclean.datalog import Literal, parse_asp, parse_program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fixture_args(name):
     d = FIXTURES / name
+    return [
+        "--schema", str(d / "schema.txt"),
+        "--instance", str(d),
+        "--mds", str(d / "mds.txt"),
+        "--sim", str(d / "sim.txt"),
+        "--mf", str(d / "mf.txt"),
+    ]
+
+
+def edited_fixture_args(tmp_path, name, file, old, new):
+    """Arguments for a copy of fixture `name` with `old` replaced in `file`."""
+    d = tmp_path / name
+    shutil.copytree(FIXTURES / name, d)
+    path = d / file
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
     return [
         "--schema", str(d / "schema.txt"),
         "--instance", str(d),
@@ -152,3 +170,35 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     code, stdout_text, _ = run(capsys, ["emit-asp", *fixture_args("convergent")])
     assert code == 0
     assert target.read_text() == stdout_text
+
+
+def test_solve_and_answer_refuse_an_undefined_merge_like_the_chase(tmp_path, capsys):
+    # without m(b3, b4) the similar pair t3, t4 cannot be merged; the residual
+    # program leaves both values alone, which is not a stable instance
+    args = edited_fixture_args(tmp_path, "convergent", "mf.txt", "domb: m(b3, b4) = b34\n", "")
+    query = tmp_path / "queries.txt"
+    query.write_text("q_b(Y) :- R(T, X, Y).\n")
+    code, out, chase_err = run(capsys, ["chase", "--one", *args])
+    assert code == 2 and "UndefinedMatch" in chase_err
+    for command in (["solve"], ["answer", "--query", str(query)]):
+        code, out, err = run(capsys, [*command, *args])
+        assert code == 2, command
+        assert out == ""
+        assert err == chase_err
+
+
+def test_backslash_value_survives_every_program_command(tmp_path, capsys):
+    args = edited_fixture_args(tmp_path, "convergent", "R.csv", "t4,a4,b4", "t4,a4\\,b4")
+    code, out, _ = run(capsys, ["chase", "--one", *args])
+    assert code == 0
+    endpoint = json.loads(out)["instances"][0]
+    code, out, _ = run(capsys, ["solve", *args])
+    assert code == 0
+    assert json.loads(out) == endpoint
+    code, out, _ = run(capsys, ["emit-datalog", *args])
+    assert code == 0
+    assert ("t4", "a4\\", "b4") in parse_program(out).facts["r"]
+    code, out, _ = run(capsys, ["emit-asp", *args])
+    assert code == 0
+    facts = [rule.heads[0] for rule in parse_asp(out) if rule.is_fact]
+    assert Literal("r_v", ("t4", "a4\\", "b4")) in facts

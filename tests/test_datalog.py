@@ -11,7 +11,6 @@ from mdclean.datalog import (
     Program,
     Rule,
     evaluate,
-    format_program,
     format_rule_ast,
     make_builtins,
     parse_asp,
@@ -80,7 +79,18 @@ def test_parse_asp_disjunction_and_constraint():
 def test_parse_quoted_and_numeric_constants():
     program = parse_program('p("Hello World", 42).')
     assert program.facts == {"p": {("Hello World", "42")}}
-    assert format_program(program) == 'p("Hello World", 42).\n'
+    assert format_rule_ast(Literal("p", ("Hello World", "42"))) == 'p("Hello World", 42).'
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["a\\b", "ends\\", "\\", 'say "hi"', '\\"', "two words", "Upper", "_under", "a.b", ""],
+)
+def test_quoted_constants_round_trip(value):
+    fact = Literal("p", (value, "k"))
+    text = format_rule_ast(fact)
+    assert parse_asp(text) == [AspRule((fact,), ())]
+    assert parse_program(text).facts == {"p": {(value, "k")}}
 
 
 def test_parse_function_terms():
@@ -132,8 +142,8 @@ def test_format_round_trip_is_stable():
     p(X, Y) :- q(X), q(Y), X != Y.
     r(X) :- p(X, Y), not q(Y).
     """
-    once = format_program(parse_program(text))
-    assert format_program(parse_program(once)) == once
+    once = "\n".join(format_rule_ast(rule) for rule in parse_asp(text))
+    assert "\n".join(format_rule_ast(rule) for rule in parse_asp(once)) == once
 
 
 # -- validation ------------------------------------------------------------
