@@ -10,7 +10,6 @@ from .errors import (
     SemilatticeViolation,
     StepLimitExceeded,
     StepNotApplicable,
-    UnboundBuiltin,
     UndefinedMatch,
     UnknownDomain,
     UnsafeRule,
@@ -42,7 +41,6 @@ __all__ = [
     "SimilarityRelation",
     "StepLimitExceeded",
     "StepNotApplicable",
-    "UnboundBuiltin",
     "UndefinedMatch",
     "UnknownDomain",
     "UnsafeRule",

@@ -3,10 +3,14 @@
 A step picks two identified tuples matching the leading atoms of a rule
 (plus a context assignment for any further atoms), checks the left-hand
 similarities on current values, and replaces both right-hand values with
-their merge.  `chase_all` explores every enforcement order and returns the
-distinct stable endpoints; `chase_one` follows one seeded order.  States are
-memoised on current values only, which keeps the exhaustive run exponential
-in the number of reachable value states rather than in step interleavings.
+their merge.  Each rule is compiled once to a Datalog step rule over the
+rule's body (`mdlang.md_body`), and the engine in `datalog` finds every step
+of an instance by evaluating these rules over its tuples; a step's context
+witness is the least one in tuple identifiers.  `chase_all`
+explores every enforcement order and returns the distinct stable endpoints;
+`chase_one` follows one seeded order.  States are memoised on current values
+only, which keeps the exhaustive run exponential in the number of reachable
+value states rather than in step interleavings.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .datalog import Literal, Program, Rule, evaluate, make_builtins
 from .errors import (
     InstanceTooLarge,
     StepLimitExceeded,
@@ -24,12 +29,15 @@ from .errors import (
 from .mdlang import (
     MatchingDependency,
     MDSet,
+    md_body,
     rhs_domain,
     rhs_targets,
-    sim_domain,
     validate_mds,
+    var_name,
 )
 from .model import Instance, SaturatedMatchingFunction, Schema, SimilarityRelation
+from .query import instance_facts, relation_pred
+from .terms import Var
 
 DEFAULT_STEP_LIMIT = 20000
 DEFAULT_ENUMERATION_GATE = 12
@@ -39,9 +47,10 @@ DEFAULT_ENUMERATION_GATE = 12
 class EnforcementStep:
     """One applicable enforcement, identified by rule and leading tuples.
 
-    For rules whose leading atoms share a relation the pair is stored in
-    sorted order; `context_tids` is the first context witness found and
-    `old_values` follow the leading order here.
+    For rules whose leading atoms share a relation and write one position,
+    the pair is stored in sorted order.  `context_tids` is the least context
+    witness, in context atom order, of the least orientation of the pair
+    that matches; `old_values` follow the leading order here.
     """
 
     md: str
@@ -71,24 +80,36 @@ class ChaseResult:
 
 
 class _CompiledMD:
-    """Pre-resolved positions for matching one rule against instances."""
+    """One rule's step rule and the positions enforcement writes.
 
-    def __init__(self, md: MatchingDependency, schema: Schema):
+    The step rule derives `step_<i>(T1, T2, C1..Ck, V1, V2)`: the two leading
+    identifiers, the context identifiers in atom order, and the two current
+    right-hand values, for every match of the rule's body (`md_body`).
+    """
+
+    def __init__(self, md: MatchingDependency, schema: Schema, index: int):
         self.md = md
         self.lead = md.leading_atoms()
-        self.context = md.context_atoms()
-        self.sims = [
-            (sc.left, sc.right, sim_domain(md, schema, sc)) for sc in md.similarities
-        ]
         (s0, p0), (s1, p1) = rhs_targets(md)
         assert (s0, s1) == (0, 1)
         self.rhs_pos = (p0, p1)
         self.rhs_domain = rhs_domain(md, schema)
-        self.same_relation = md.same_relation()
         # both orientations of a same-relation pair write the same cells only
         # when the two right-hand positions coincide; otherwise each ordered
         # pair is its own step
-        self.symmetric_write = self.same_relation and p0 == p1
+        self.symmetric_write = md.same_relation() and p0 == p1
+        lead0, lead1 = self.lead
+        names = [
+            lead0.tid_var,
+            lead1.tid_var,
+            *(atom.tid_var for atom in md.context_atoms()),
+            lead0.attr_vars[p0],
+            lead1.attr_vars[p1],
+        ]
+        self.head = f"step_{index}"
+        head = Literal(self.head, tuple(Var(var_name(v)) for v in names))
+        body = md_body(md, schema, relation_pred, lambda d, x, y: Literal("sim", (d, x, y)))
+        self.rule = Rule(head, tuple(body))
 
 
 class ChaseEngine:
@@ -104,91 +125,34 @@ class ChaseEngine:
         self.mds = mds
         self.sim = sim
         self.smf = smf
-        self._compiled = [_CompiledMD(md, schema) for md in mds]
+        self._compiled = [_CompiledMD(md, schema, i) for i, md in enumerate(mds)]
+        self._program = Program([c.rule for c in self._compiled], builtins=make_builtins(sim))
 
     # -- step discovery ----------------------------------------------------
 
     def applicable_steps(self, instance: Instance) -> list[EnforcementStep]:
-        """Every applicable step, sorted by rule order then leading tuples."""
-        steps: dict[tuple, EnforcementStep] = {}
+        """Every applicable step, sorted by rule order then leading tuples.
+
+        Of the step rule's rows for one step the least in (leading
+        identifiers, context identifiers) is kept, so the context is the
+        least witness.  Merges are computed in the order of those rows.
+        """
+        model = evaluate(self._program, instance_facts(instance))
+        steps = []
         for md_index, compiled in enumerate(self._compiled):
-            for step in self._steps_for(instance, compiled):
-                steps.setdefault((md_index, step.lead_tids), step)
-        return [steps[key] for key in sorted(steps, key=lambda k: (k[0], k[1]))]
-
-    def _steps_for(self, instance: Instance, compiled: _CompiledMD):
-        lead0, lead1 = compiled.lead
-        rows0 = instance.tuples.get(lead0.relation, {})
-        rows1 = instance.tuples.get(lead1.relation, {})
-        for tid0 in sorted(rows0):
-            for tid1 in sorted(rows1):
-                if compiled.same_relation and tid0 == tid1:
-                    continue
-                step = self._try_pair(instance, compiled, tid0, tid1)
-                if step is not None:
-                    yield step
-
-    def _try_pair(
-        self, instance: Instance, compiled: _CompiledMD, tid0: str, tid1: str
-    ) -> EnforcementStep | None:
-        lead0, lead1 = compiled.lead
-        binding: dict[str, str] = {}
-        for atom, tid in ((lead0, tid0), (lead1, tid1)):
-            vals = instance.current(atom.relation, tid)
-            binding[atom.tid_var] = tid
-            for var, val in zip(atom.attr_vars, vals):
-                if binding.setdefault(var, val) != val:
-                    return None
-        context = self._match_context(instance, compiled, binding)
-        if context is None:
-            return None
-        v0 = instance.current(lead0.relation, tid0)[compiled.rhs_pos[0]]
-        v1 = instance.current(lead1.relation, tid1)[compiled.rhs_pos[1]]
-        if v0 == v1:
-            return None
-        if compiled.symmetric_write and tid1 < tid0:
-            tid0, tid1 = tid1, tid0
-            v0, v1 = v1, v0
-        merged = self.smf.match(compiled.rhs_domain, v0, v1)
-        return EnforcementStep(compiled.md.name, (tid0, tid1), context, (v0, v1), merged)
-
-    def _match_context(
-        self, instance: Instance, compiled: _CompiledMD, binding: dict[str, str]
-    ) -> tuple[str, ...] | None:
-        """First assignment of context atoms consistent with the binding."""
-
-        def check_sims(current: dict[str, str]) -> bool:
-            for left, right, dom in compiled.sims:
-                lv, rv = current.get(left), current.get(right)
-                if lv is not None and rv is not None and not self.sim.similar(dom, lv, rv):
-                    return False
-            return True
-
-        def extend(idx: int, current: dict[str, str], chosen: tuple[str, ...]):
-            if not check_sims(current):
-                return None
-            if idx == len(compiled.context):
-                return chosen
-            atom = compiled.context[idx]
-            rows = instance.tuples.get(atom.relation, {})
-            for tid in sorted(rows):
-                trial = dict(current)
-                if trial.setdefault(atom.tid_var, tid) != tid:
-                    continue
-                vals = rows[tid]
-                ok = True
-                for var, val in zip(atom.attr_vars, vals):
-                    if trial.setdefault(var, val) != val:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                found = extend(idx + 1, trial, chosen + (tid,))
-                if found is not None:
-                    return found
-            return None
-
-        return extend(0, binding, ())
+            chosen: dict[tuple[str, str], tuple[str, ...]] = {}
+            for row in sorted(model.get(compiled.head)):
+                pair = (row[0], row[1])
+                if compiled.symmetric_write and pair[1] < pair[0]:
+                    pair = (pair[1], pair[0])
+                chosen.setdefault(pair, row)
+            for pair, row in chosen.items():
+                old = (row[-2], row[-1]) if pair[0] == row[0] else (row[-1], row[-2])
+                merged = self.smf.match(compiled.rhs_domain, *old)
+                step = EnforcementStep(compiled.md.name, pair, row[2:-2], old, merged)
+                steps.append(((md_index, pair), step))
+        steps.sort(key=lambda keyed: keyed[0])
+        return [step for _, step in steps]
 
     # -- enforcement -------------------------------------------------------
 

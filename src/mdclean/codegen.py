@@ -32,10 +32,12 @@ from .errors import NotSci, ValidationError
 from .mdlang import (
     MatchingDependency,
     MDSet,
+    md_body,
     rhs_targets,
     rhs_domain,
     sim_domain,
     validate_mds,
+    var_name,
 )
 from .model import (
     Instance,
@@ -157,10 +159,6 @@ def _oldversion_pred(rel: str) -> str:
     return f"oldversion_{_pred(rel)}"
 
 
-def _vcap(var: str) -> str:
-    return var[0].upper() + var[1:]
-
-
 def _lit(pred: str, names, negated: bool = False) -> Literal:
     """A literal whose arguments are the variables called `names`."""
     return Literal(pred, tuple(Var(n) for n in names), negated)
@@ -186,7 +184,7 @@ def _rename_map(md: MatchingDependency, taken: set[str]) -> dict[str, str]:
     """Fresh capitalised names for every variable of `md`, avoiding `taken`."""
     out = {}
     for v in md.variables():
-        out[v] = _fresh(_vcap(v) + "q", taken)
+        out[v] = _fresh(var_name(v) + "q", taken)
     return out
 
 
@@ -194,7 +192,7 @@ def _lead_args(md: MatchingDependency, side: int, rename=None) -> list[str]:
     atom = md.leading_atoms()[side]
     names = [atom.tid_var, *atom.attr_vars]
     if rename is None:
-        return [_vcap(v) for v in names]
+        return [var_name(v) for v in names]
     return [rename[v] for v in names]
 
 
@@ -249,24 +247,8 @@ def _context_symmetric(md: MatchingDependency) -> bool:
 # shared pieces
 
 
-def _md_body(
-    md: MatchingDependency,
-    schema: Schema,
-    relation_pred,
-) -> list[Literal]:
-    """Leading atoms, context atoms, similarity literals, and the RHS guard."""
-    body = []
-    for side in (0, 1):
-        atom = md.leading_atoms()[side]
-        body.append(_lit(relation_pred(atom.relation), _lead_args(md, side)))
-    for atom in md.context_atoms():
-        args = [_vcap(atom.tid_var), *(_vcap(v) for v in atom.attr_vars)]
-        body.append(_lit(relation_pred(atom.relation), args))
-    for sc in md.similarities:
-        dom = sim_domain(md, schema, sc)
-        body.append(_lit(f"sim_{_pred(dom)}", [_vcap(sc.left), _vcap(sc.right)]))
-    body.append(_neq(_vcap(md.rhs_left), _vcap(md.rhs_right)))
-    return body
+def _sim_table(dom: str, left: Var, right: Var) -> Literal:
+    return Literal(f"sim_{_pred(dom)}", (left, right))
 
 
 def _insertion_rules(
@@ -274,11 +256,11 @@ def _insertion_rules(
 ) -> list[AspStatement]:
     """One head per leading atom, writing the merged value over the match."""
     dom = rhs_domain(md, schema)
-    taken = {_vcap(v) for v in md.variables()}
+    taken = {var_name(v) for v in md.variables()}
     merged = _fresh("Mv", taken)
     body = (
         _lit(f"match_{_pred(md.name)}", _match_args(md)),
-        _lit(f"mf_{_pred(dom)}", [_vcap(md.rhs_left), _vcap(md.rhs_right), merged]),
+        _lit(f"mf_{_pred(dom)}", [var_name(md.rhs_left), var_name(md.rhs_right), merged]),
     )
     rules = []
     targets = dict(rhs_targets(md))
@@ -307,7 +289,7 @@ def _oldversion_rules(
     """
     rel = schema.relation(rel_name)
     tid = "T"
-    first = [_vcap(a) for a in rel.attrs]
+    first = [var_name(a) for a in rel.attrs]
     second = [v + "q" if smf.has_mf(dom) else v for v, dom in zip(first, rel.domains)]
     pred = relation_pred(rel_name)
     body = [_lit(pred, [tid, *first]), _lit(pred, [tid, *second])]
@@ -383,7 +365,7 @@ def _collect_rules(schema: Schema, written, relation_pred) -> list[AspStatement]
     out = []
     for rel_name in schema.relation_names():
         rel = schema.relation(rel_name)
-        args = ["T", *(_vcap(a) for a in rel.attrs)]
+        args = ["T", *(var_name(a) for a in rel.attrs)]
         body = [_lit(relation_pred(rel_name), args)]
         if rel_name in written:
             body.append(_lit(_oldversion_pred(rel_name), args, negated=True))
@@ -420,7 +402,7 @@ def emit_general_asp(
         name = _pred(md.name)
         args = _match_args(md)
         heads = (_lit(f"match_{name}", args), _lit(f"notmatch_{name}", args))
-        body = tuple(_md_body(md, schema, _version_pred))
+        body = tuple(md_body(md, schema, _version_pred, _sim_table))
         statements.append(AspStatement(2, "disjunctive", AspRule(heads, body)))
     for md in mds:
         (s0, p0), (s1, p1) = rhs_targets(md)
@@ -493,7 +475,7 @@ def _prec_recording(
                     rel = schema.relation(rel_j)
                     lead_j = mdj.leading_atoms()[i]
                     lead_k = mdk.leading_atoms()[ip]
-                    first_vars = {_vcap(v) for v in mdj.variables()}
+                    first_vars = {var_name(v) for v in mdj.variables()}
 
                     taken = set(first_vars)
                     ren = _rename_map(mdk, taken)
@@ -501,8 +483,8 @@ def _prec_recording(
                         zip(lead_j.attr_vars, lead_k.attr_vars)
                     ):
                         if not smf.has_mf(rel.domains[pos]):
-                            ren[vk] = _vcap(vj)
-                    ren[lead_k.tid_var] = _vcap(lead_j.tid_var)
+                            ren[vk] = var_name(vj)
+                    ren[lead_k.tid_var] = var_name(lead_j.tid_var)
                     body = [
                         _lit(f"match_{_pred(mdj.name)}", _match_args(mdj)),
                         _lit(f"match_{_pred(mdk.name)}", _match_args(mdk, ren)),
@@ -512,14 +494,14 @@ def _prec_recording(
                     ):
                         if smf.has_mf(rel.domains[pos]):
                             body.append(
-                                _lit(f"pre_{_pred(rel.domains[pos])}", [_vcap(vj), ren[vk]])
+                                _lit(f"pre_{_pred(rel.domains[pos])}", [var_name(vj), ren[vk]])
                             )
                     head = Literal(
                         "prec",
                         (_matching(_match_args(mdj)), _matching(_match_args(mdk, ren))),
                     )
                     for pos in sorted(written.get(rel_j, ())):
-                        guard = _neq(_vcap(lead_j.attr_vars[pos]), ren[lead_k.attr_vars[pos]])
+                        guard = _neq(var_name(lead_j.attr_vars[pos]), ren[lead_k.attr_vars[pos]])
                         out.append(
                             AspStatement(
                                 4, "prec-newer-version", AspRule((head,), (*body, guard))
@@ -529,8 +511,8 @@ def _prec_recording(
                     taken = set(first_vars)
                     ren5 = _rename_map(mdk, taken)
                     for vj, vk in zip(lead_j.attr_vars, lead_k.attr_vars):
-                        ren5[vk] = _vcap(vj)
-                    ren5[lead_k.tid_var] = _vcap(lead_j.tid_var)
+                        ren5[vk] = var_name(vj)
+                    ren5[lead_k.tid_var] = var_name(lead_j.tid_var)
                     merged = _fresh("Mv", taken)
                     shared_rhs = ren5[_rhs_var_on_side(mdk, ip)]
                     other_rhs = ren5[_rhs_var_on_side(mdk, 1 - ip)]
@@ -574,7 +556,7 @@ def emit_residual_datalog(
     statements = _initial_facts(mds, schema, instance, sim, smf, sorted(written), _pred)
     for md in mds:
         head = _lit(f"match_{_pred(md.name)}", _match_args(md))
-        body = tuple(_md_body(md, schema, _pred))
+        body = tuple(md_body(md, schema, _pred, _sim_table))
         statements.append(AspStatement(2, "match", AspRule((head,), body)))
     for rel_name in sorted(written):
         statements.extend(_oldversion_rules(rel_name, schema, smf, written[rel_name], _pred))

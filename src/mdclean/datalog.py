@@ -19,19 +19,19 @@ ordinary literals first.
 from __future__ import annotations
 
 import logging
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     NotStratifiable,
     ParseError,
-    UnboundBuiltin,
     UnsafeRule,
     ValidationError,
 )
 from .model import SaturatedMatchingFunction, SimilarityRelation
-from .terms import Compound, Term, Var, is_var, term_vars
+from .terms import Compound, Term, Var, is_var
 
 logger = logging.getLogger("mdclean.datalog")
 
@@ -43,10 +43,6 @@ class Literal:
     pred: str
     args: tuple[Term, ...]
     negated: bool = False
-
-    def vars(self) -> Iterator[Var]:
-        for arg in self.args:
-            yield from term_vars(arg)
 
 
 @dataclass(frozen=True)
@@ -75,117 +71,56 @@ class AspRule:
 # built-ins
 
 
+@dataclass(frozen=True)
 class Builtin:
+    """A literal computed from its arguments instead of looked up.
+
+    The `required` positions must be bound before the literal runs; `fn` is
+    called on their values, in order.  A built-in without further positions
+    is a test and `fn` says whether it holds.  One with a further (last)
+    position computes its value: `fn` returns it, or None where there is none.
+    """
+
     name: str
     arity: int
-    # positions that must be bound before evaluation; others may bind
     required: tuple[int, ...]
-
-    def ready(self, args: Sequence[Term], bound) -> bool:
-        return all(
-            not is_var(args[i]) or args[i] in bound for i in self.required
-        )
-
-    def solutions(self, args: Sequence[Term], binding: dict) -> Iterator[dict]:
-        raise NotImplementedError
-
-    def _value(self, term: Term, binding: dict) -> str:
-        if is_var(term):
-            if term not in binding:
-                raise UnboundBuiltin(
-                    f"built-in {self.name!r} needs {term.name!r} bound"
-                )
-            return binding[term]
-        if isinstance(term, Compound):
-            raise ValidationError(f"built-in {self.name!r} cannot take a function term")
-        return term
+    fn: Callable[..., object]
 
 
-class NeqBuiltin(Builtin):
-    name = NEQ
-    arity = 2
-    required = (0, 1)
-
-    def solutions(self, args, binding):
-        if self._value(args[0], binding) != self._value(args[1], binding):
-            yield binding
-
-
-class SimBuiltin(Builtin):
-    name = "sim"
-    arity = 3
-    required = (0, 1, 2)
-
-    def __init__(self, sim: SimilarityRelation):
-        self._sim = sim
-
-    def solutions(self, args, binding):
-        dom, a, b = (self._value(t, binding) for t in args)
-        if self._sim.similar(dom, a, b):
-            yield binding
-
-
-class MfBuiltin(Builtin):
-    name = "mf"
-    arity = 4
-    required = (0, 1, 2)
-
-    def __init__(self, smf: SaturatedMatchingFunction):
-        self._smf = smf
-        self._warned: set[tuple[str, str, str]] = set()
-
-    def solutions(self, args, binding):
-        dom, a, b = (self._value(t, binding) for t in args[:3])
-        merged = self._smf.try_match(dom, a, b)
-        if merged is None:
-            key = (dom, a, b)
-            if key not in self._warned:
-                self._warned.add(key)
-                logger.warning(
-                    "matching function on %r undefined for (%r, %r); rule not fired",
-                    dom,
-                    a,
-                    b,
-                )
-            return
-        out = args[3]
-        if is_var(out):
-            if out in binding:
-                if binding[out] == merged:
-                    yield binding
-            else:
-                extended = dict(binding)
-                extended[out] = merged
-                yield extended
-        elif out == merged:
-            yield binding
-
-
-class PreBuiltin(Builtin):
-    name = "pre"
-    arity = 3
-    required = (0, 1, 2)
-
-    def __init__(self, smf: SaturatedMatchingFunction):
-        self._smf = smf
-
-    def solutions(self, args, binding):
-        dom, a, b = (self._value(t, binding) for t in args)
-        if self._smf.precedes(dom, a, b):
-            yield binding
+NEQ_BUILTIN = Builtin(NEQ, 2, (0, 1), operator.ne)
 
 
 def make_builtins(
     sim: SimilarityRelation | None = None,
     smf: SaturatedMatchingFunction | None = None,
 ) -> dict[str, Builtin]:
-    out: dict[str, Builtin] = {NEQ: NeqBuiltin()}
+    out = {NEQ: NEQ_BUILTIN}
     if sim is not None:
-        out["sim"] = SimBuiltin(sim)
+        out["sim"] = Builtin("sim", 3, (0, 1, 2), sim.similar)
     if smf is not None:
-        out["mf"] = MfBuiltin(smf)
-        out["pre"] = PreBuiltin(smf)
+        out["mf"] = Builtin("mf", 4, (0, 1, 2), _MergeOrWarn(smf))
+        out["pre"] = Builtin("pre", 3, (0, 1, 2), smf.precedes)
     return out
+
+
+class _MergeOrWarn:
+    """`smf.try_match`, logging each undefined merge once."""
+
+    def __init__(self, smf: SaturatedMatchingFunction):
+        self._smf = smf
+        self._warned: set[tuple[str, str, str]] = set()
+
+    def __call__(self, dom: str, a: str, b: str) -> str | None:
+        merged = self._smf.try_match(dom, a, b)
+        if merged is None and (dom, a, b) not in self._warned:
+            self._warned.add((dom, a, b))
+            logger.warning(
+                "matching function on %r undefined for (%r, %r); rule not fired",
+                dom,
+                a,
+                b,
+            )
+        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +137,21 @@ class Program:
         builtins: Mapping[str, Builtin] | None = None,
     ):
         self.builtins: dict[str, Builtin] = dict(builtins or {})
-        self.builtins.setdefault(NEQ, NeqBuiltin())
+        self.builtins.setdefault(NEQ, NEQ_BUILTIN)
         self.rules: list[Rule] = list(rules)
         self.facts: dict[str, set[tuple[str, ...]]] = {
             pred: {tuple(t) for t in ts} for pred, ts in (facts or {}).items()
         }
-        self._plans: dict[tuple[int, int | None], list[int]] = {}
+        self._plans: dict[tuple[int, int | None], _Plan] = {}
+        self._strata: list[list[str]] | None = None
         self._validate()
+
+    @property
+    def strata(self) -> list[list[str]]:
+        """`stratify(self)`, computed on first use."""
+        if self._strata is None:
+            self._strata = stratify(self)
+        return self._strata
 
     def idb_preds(self) -> set[str]:
         return {rule.head.pred for rule in self.rules}
@@ -242,62 +185,64 @@ class Program:
                         )
                 if lit.negated and lit.pred in self.builtins:
                     raise ValidationError(f"built-in {lit.pred!r} cannot be negated")
-        for index, rule in enumerate(self.rules):
-            plan = self._make_plan(rule, None)
-            if plan is None:
-                raise UnsafeRule(f"rule {format_rule_ast(rule)!r} cannot be safely evaluated")
-            self._plans[(index, None)] = plan
+        for index in range(len(self.rules)):
+            self.plan(index, None)
 
     # -- planning ----------------------------------------------------------
 
-    def plan(self, index: int, delta_occurrence: int | None) -> list[int]:
+    def plan(self, index: int, delta_occurrence: int | None) -> _Plan:
+        """The compiled body of one rule, reading `delta_occurrence` first."""
         key = (index, delta_occurrence)
         if key not in self._plans:
-            plan = self._make_plan(self.rules[index], delta_occurrence)
-            if plan is None:
-                raise UnsafeRule(
-                    f"rule {format_rule_ast(self.rules[index])!r} cannot be safely evaluated"
-                )
-            self._plans[key] = plan
+            rule = self.rules[index]
+            order = self._make_plan(rule, delta_occurrence)
+            if order is None:
+                raise UnsafeRule(f"rule {format_rule_ast(rule)!r} cannot be safely evaluated")
+            self._plans[key] = _Plan(rule, order, self.builtins)
         return self._plans[key]
 
     def _make_plan(self, rule: Rule, first: int | None) -> list[int] | None:
+        """The order the body runs in, or None when the rule is unsafe.
+
+        A literal whose needed variables are bound runs as soon as they are;
+        otherwise the first positive literal sharing a bound variable, else
+        the first positive literal, is scanned next.
+        """
         body = rule.body
+        lit_vars = [_var_names(lit.args) for lit in body]
+        # what a negated or built-in literal needs bound before it can run
+        needs: dict[int, set[str]] = {}
+        for i, lit in enumerate(body):
+            if lit.negated:
+                needs[i] = lit_vars[i]
+            elif lit.pred in self.builtins:
+                required = self.builtins[lit.pred].required
+                needs[i] = _var_names([lit.args[p] for p in required])
         order: list[int] = []
-        bound: set[Var] = set()
-        remaining = set(range(len(body)))
+        bound: set[str] = set()
+        remaining = list(range(len(body)))
         if first is not None:
             order.append(first)
             remaining.remove(first)
-            bound.update(body[first].vars())
+            bound |= lit_vars[first]
         while remaining:
-            pick = None
-            for i in sorted(remaining):
-                lit = body[i]
-                if lit.negated:
-                    if all(v in bound for v in lit.vars()):
-                        pick = i
-                        break
-                elif lit.pred in self.builtins:
-                    if self.builtins[lit.pred].ready(lit.args, bound):
-                        pick = i
-                        break
+            pick = next((i for i in remaining if i in needs and needs[i] <= bound), None)
             if pick is None:
-                positives = [
-                    i
-                    for i in sorted(remaining)
-                    if not body[i].negated and body[i].pred not in self.builtins
-                ]
+                positives = [i for i in remaining if i not in needs]
                 if not positives:
                     return None
-                sharing = [i for i in positives if set(body[i].vars()) & bound]
-                pick = sharing[0] if bound and sharing else positives[0]
+                sharing = [i for i in positives if lit_vars[i] & bound]
+                pick = sharing[0] if sharing else positives[0]
             order.append(pick)
             remaining.remove(pick)
-            bound.update(body[pick].vars())
-        if any(v not in bound for v in rule.head.vars()):
+            bound |= lit_vars[pick]
+        if not _var_names(rule.head.args) <= bound:
             return None
         return order
+
+
+def _var_names(args: Sequence[Term]) -> set[str]:
+    return {a.name for a in args if isinstance(a, Var)}
 
 
 # ---------------------------------------------------------------------------
@@ -381,115 +326,206 @@ class Model:
         return f"Model({sorted(self.relations)})"
 
 
-def evaluate(program: Program) -> Model:
-    """Minimal model of a stratified program, computed stratum by stratum."""
-    strata = stratify(program)
+def evaluate(
+    program: Program, facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None
+) -> Model:
+    """Minimal model of a stratified program over its own facts and `facts`.
+
+    Strata are computed bottom-up, each by semi-naive iteration.
+    """
     db: dict[str, set[tuple[str, ...]]] = {p: set(ts) for p, ts in program.facts.items()}
-    for stratum in strata:
+    for pred, ts in (facts or {}).items():
+        db.setdefault(pred, set()).update(ts)
+    for stratum in program.strata:
         in_stratum = set(stratum)
         rule_indices = [
             i for i, rule in enumerate(program.rules) if rule.head.pred in in_stratum
         ]
-        delta: dict[str, set[tuple[str, ...]]] = {}
-        for i in rule_indices:
-            rule = program.rules[i]
-            derived = _eval_rule(program, i, db, None, None)
-            fresh = derived - db.get(rule.head.pred, set())
-            if fresh:
-                delta.setdefault(rule.head.pred, set()).update(fresh)
-        for pred, ts in delta.items():
-            db.setdefault(pred, set()).update(ts)
-        while delta:
-            round_delta: dict[str, set[tuple[str, ...]]] = {}
+        # the first round runs every rule in full; each later round runs one
+        # variant per body literal over what the previous round derived (a
+        # negated literal never reads its own stratum)
+        delta: dict[str, set[tuple[str, ...]]] | None = None
+        while delta is None or delta:
+            fresh: dict[str, set[tuple[str, ...]]] = {}
             for i in rule_indices:
                 rule = program.rules[i]
-                for occ, lit in enumerate(rule.body):
-                    if lit.negated or lit.pred in program.builtins:
-                        continue
-                    if lit.pred not in in_stratum or lit.pred not in delta:
-                        continue
-                    derived = _eval_rule(program, i, db, occ, delta[lit.pred])
-                    fresh = derived - db.get(rule.head.pred, set())
-                    if fresh:
-                        round_delta.setdefault(rule.head.pred, set()).update(fresh)
-            for pred, ts in round_delta.items():
+                if delta is None:
+                    reads = [(None, None)]
+                else:
+                    reads = [
+                        (occ, delta[lit.pred])
+                        for occ, lit in enumerate(rule.body)
+                        if lit.pred in delta
+                    ]
+                for occ, rel in reads:
+                    plan = program.plan(i, occ)
+                    rels = [
+                        rel if j == occ else db.get(rule.body[j].pred, _EMPTY)
+                        for j in plan.reads
+                    ]
+                    derived = _fire(plan, rels) - db.get(rule.head.pred, _EMPTY)
+                    if derived:
+                        fresh.setdefault(rule.head.pred, set()).update(derived)
+            for pred, ts in fresh.items():
                 db.setdefault(pred, set()).update(ts)
-            delta = round_delta
-    return Model({p: frozenset(ts) for p, ts in db.items()})
+            delta = fresh
+    return Model(db)
 
 
-def _eval_rule(
-    program: Program,
-    index: int,
-    db: Mapping[str, set],
-    delta_occurrence: int | None,
-    delta_rel: set | None,
-) -> set[tuple[str, ...]]:
-    rule = program.rules[index]
-    plan = program.plan(index, delta_occurrence)
-    bindings: list[dict] = [{}]
-    for step in plan:
-        if not bindings:
-            return set()
-        lit = rule.body[step]
-        if lit.negated:
-            rel = db.get(lit.pred, set())
-            bindings = [
-                b for b in bindings if _ground_args(lit.args, b) not in rel
-            ]
-        elif lit.pred in program.builtins:
-            handler = program.builtins[lit.pred]
-            if len(lit.args) != handler.arity:
-                raise ValidationError(
-                    f"built-in {lit.pred!r} takes {handler.arity} arguments"
-                )
-            bindings = [b2 for b in bindings for b2 in handler.solutions(lit.args, b)]
+_EMPTY: frozenset = frozenset()
+
+# operations a plan runs after binding a level's slots
+_NEQ, _TEST, _COMPUTE, _MEMBER = range(4)
+
+
+def _getter(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function from a sequence to the tuple of its items at `idx`."""
+    if len(idx) == 1:
+        only = idx[0]
+        return lambda seq: (seq[only],)
+    return operator.itemgetter(*idx) if idx else (lambda seq: ())
+
+
+class _Plan:
+    """A rule body in evaluation order, compiled to operations on slots.
+
+    Each variable and each constant of the rule owns one slot of a list;
+    constants are written into theirs once, so every argument is a slot
+    index.  The body splits into levels.  Level 0 holds the operations that
+    need no scan; each further level scans one positive literal that has free
+    positions, through a hash index on its bound positions, binds the free
+    ones, and then runs the operations its bindings made ready: `!=`, the
+    other built-ins, and membership probes of fully bound literals, negated
+    or not.
+    """
+
+    def __init__(self, rule: Rule, order: Sequence[int], builtins: Mapping[str, Builtin]):
+        # slots by variable name and by constant, kept apart
+        slot_of: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        self.initial: list[str | None] = []
+        bound: set[int] = set()
+
+        def slots(args: Sequence[Term]) -> list[int]:
+            out = []
+            for term in args:
+                var = isinstance(term, Var)
+                key = term.name if var else term
+                s = slot_of[var].get(key)
+                if s is None:
+                    s = slot_of[var][key] = len(self.initial)
+                    self.initial.append(None if var else term)
+                    if not var:
+                        bound.add(s)
+                out.append(s)
+            return out
+
+        # body literal index of each relation the plan reads, in read order
+        self.reads: list[int] = []
+        # per level: (scan, operations); a scan is (read, key of a stored
+        # tuple, key of the slots, (position, slot) bindings, (position, slot)
+        # equalities for a variable repeated inside the literal)
+        self.levels: list[tuple[tuple, list[tuple]]] = [((None, None, None, (), ()), [])]
+        for i in order:
+            lit = rule.body[i]
+            args = slots(lit.args)
+            ops = self.levels[-1][1]
+            if lit.pred in builtins:
+                handler = builtins[lit.pred]
+                if handler is NEQ_BUILTIN:
+                    ops.append((_NEQ, args[0], args[1]))
+                    continue
+                inputs = _getter([args[p] for p in handler.required])
+                if len(handler.required) == handler.arity:
+                    ops.append((_TEST, handler.fn, inputs))
+                    continue
+                out = args[-1]
+                ops.append((_COMPUTE, handler.fn, inputs, out, out in bound))
+                bound.add(out)
+                continue
+            read = len(self.reads)
+            self.reads.append(i)
+            keyed = [p for p, s in enumerate(args) if s in bound]
+            if lit.negated or len(keyed) == len(args):
+                ops.append((_MEMBER, read, _getter(args), lit.negated))
+                continue
+            binds, equal = [], []
+            for p, s in enumerate(args):
+                if p not in keyed:
+                    (equal if s in bound else binds).append((p, s))
+                    bound.add(s)
+            tuple_key = operator.itemgetter(*keyed) if keyed else None
+            slot_key = operator.itemgetter(*(args[p] for p in keyed)) if keyed else None
+            scan = (read, tuple_key, slot_key, tuple(binds), tuple(equal))
+            self.levels.append((scan, []))
+        self.head = _getter(slots(rule.head.args))
+
+
+def _holds(ops: list[tuple], slots: list, rels: list) -> bool:
+    """Run a level's operations on the slots; False at the first that fails."""
+    for op in ops:
+        kind = op[0]
+        if kind == _NEQ:
+            if slots[op[1]] == slots[op[2]]:
+                return False
+        elif kind == _TEST:
+            if not op[1](*op[2](slots)):
+                return False
+        elif kind == _COMPUTE:
+            value = op[1](*op[2](slots))
+            if value is None:
+                return False
+            if op[4]:
+                if slots[op[3]] != value:
+                    return False
+            else:
+                slots[op[3]] = value
+        elif (op[2](slots) in rels[op[1]]) == op[3]:
+            return False
+    return True
+
+
+def _fire(plan: _Plan, rels: list) -> set[tuple[str, ...]]:
+    """The head tuples of every solution of the plan's body.
+
+    `rels[k]` is the relation of the plan's k-th read.  The search runs depth
+    first, one iterator per level on an explicit stack (level 0 iterates over
+    one empty tuple); an index is built the first time its level is entered,
+    and all of them are freed on return.
+    """
+    out: set[tuple[str, ...]] = set()
+    slots = list(plan.initial)
+    levels = plan.levels
+    last = len(levels) - 1
+    indexes: list[dict | None] = [None] * len(levels)
+    iters: list = [iter(((),))] + [None] * last
+    depth = 0
+    while depth >= 0:
+        (_, _, _, binds, equal), ops = levels[depth]
+        for tup in iters[depth]:
+            for pos, s in binds:
+                slots[s] = tup[pos]
+            if equal and any(tup[pos] != slots[s] for pos, s in equal):
+                continue
+            if ops and not _holds(ops, slots, rels):
+                continue
+            if depth == last:
+                out.add(plan.head(slots))
+                continue
+            depth += 1
+            read, tuple_key, slot_key, _, _ = levels[depth][0]
+            if tuple_key is None:
+                iters[depth] = iter(rels[read])
+                break
+            index = indexes[depth]
+            if index is None:
+                index = indexes[depth] = {}
+                for stored in rels[read]:
+                    index.setdefault(tuple_key(stored), []).append(stored)
+            iters[depth] = iter(index.get(slot_key(slots), ()))
+            break
         else:
-            rel = delta_rel if step == delta_occurrence else db.get(lit.pred, set())
-            bindings = _join(bindings, lit, rel)
-    return {_ground_args(rule.head.args, b) for b in bindings}
-
-
-def _join(bindings: list[dict], lit: Literal, rel: Iterable[tuple[str, ...]]) -> list[dict]:
-    if not bindings:
-        return []
-    sample = bindings[0]
-    bound_pos = [
-        i for i, a in enumerate(lit.args) if not is_var(a) or a in sample
-    ]
-    index: dict[tuple, list[tuple[str, ...]]] = {}
-    for tup in rel:
-        key = tuple(tup[i] for i in bound_pos)
-        index.setdefault(key, []).append(tup)
-    out = []
-    for b in bindings:
-        key = tuple(
-            lit.args[i] if not is_var(lit.args[i]) else b[lit.args[i]] for i in bound_pos
-        )
-        for tup in index.get(key, ()):
-            new = dict(b)
-            ok = True
-            for arg, val in zip(lit.args, tup):
-                if is_var(arg):
-                    if new.setdefault(arg, val) != val:
-                        ok = False
-                        break
-                elif arg != val:
-                    ok = False
-                    break
-            if ok:
-                out.append(new)
+            depth -= 1
     return out
-
-
-def _ground_args(args: Sequence[Term], binding: dict) -> tuple[str, ...]:
-    out = []
-    for arg in args:
-        if is_var(arg):
-            out.append(binding[arg])
-        else:
-            out.append(arg)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,5 @@ class NotStratifiable(MdcleanError):
     """The program has a cycle through negation."""
 
 
-class UnboundBuiltin(MdcleanError):
-    """A built-in literal was evaluated with an argument it needs bound still free."""
-
-
 class EmptyCleanSet(MdcleanError):
     """Certain answers requested over an empty set of clean instances."""

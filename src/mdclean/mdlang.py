@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
+from .datalog import NEQ, Literal
 from .errors import ParseError, ValidationError
 from .model import MatchingFunction, Schema
+from .terms import Var
 
 _KEYWORDS = {"md", "lead"}
 _PUNCT = {"(", ")", ",", ";", ":", "~"}
@@ -260,6 +262,14 @@ class _Parser:
 
 def _check_structure(md: MatchingDependency, name_tok: Token) -> None:
     """Schema-independent shape checks, reported as parse errors with position."""
+    for v in md.variables():
+        # so that `var_name` spells it as a Datalog variable
+        if not (v[0].isalpha() or v[0] == "_"):
+            raise ParseError(
+                f"rule {md.name!r}: variable {v!r} must start with a letter or '_'",
+                name_tok.line,
+                name_tok.column,
+            )
     tid_vars = [a.tid_var for a in md.atoms]
     if len(set(tid_vars)) != len(tid_vars):
         raise ParseError(f"rule {md.name!r}: identifier variables must be distinct", name_tok.line, name_tok.column)
@@ -447,6 +457,49 @@ def validate_mds(mds: MDSet, schema: Schema, mf: MatchingFunction | None = None)
             raise ValidationError(
                 f"rule {md.name!r}: right-hand domain {dom!r} has no matching function"
             )
+
+
+# ---------------------------------------------------------------------------
+# Datalog bodies
+
+
+def var_name(var: str) -> str:
+    """The Datalog spelling of a rule variable: its initial upper-cased."""
+    return var[0].upper() + var[1:]
+
+
+def md_body(
+    md: MatchingDependency,
+    schema: Schema,
+    relation_pred: Callable[[str], str],
+    sim_literal: Callable[[str, Var, Var], Literal],
+) -> list[Literal]:
+    """The rule's left-hand side as a Datalog body over its `var_name`s.
+
+    Leading and context atoms over `relation_pred(relation)`, identifier
+    first; one `sim_literal(domain, left, right)` per similarity; then the
+    step guards.  The leading identifiers differ when the atoms share a
+    relation written at two positions (a tuple matched with itself would
+    merge two of its own values), and the right-hand values differ, so only
+    a step that changes a value matches; with one written position that
+    also rules out a self-pair.
+    """
+
+    def atom(a: MDAtom) -> Literal:
+        names = (a.tid_var, *a.attr_vars)
+        return Literal(relation_pred(a.relation), tuple(Var(var_name(v)) for v in names))
+
+    lead0, lead1 = md.leading_atoms()
+    body = [atom(lead0), atom(lead1), *(atom(a) for a in md.context_atoms())]
+    for sc in md.similarities:
+        dom = sim_domain(md, schema, sc)
+        body.append(sim_literal(dom, Var(var_name(sc.left)), Var(var_name(sc.right))))
+    (_, p0), (_, p1) = rhs_targets(md)
+    if md.same_relation() and p0 != p1:
+        tids = (Var(var_name(lead0.tid_var)), Var(var_name(lead1.tid_var)))
+        body.append(Literal(NEQ, tids))
+    body.append(Literal(NEQ, (Var(var_name(md.rhs_left)), Var(var_name(md.rhs_right)))))
+    return body
 
 
 # ---------------------------------------------------------------------------

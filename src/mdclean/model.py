@@ -139,19 +139,16 @@ class Schema:
 
 
 class Instance:
-    """Identified tuples plus the version history accumulated by the chase.
+    """Identified tuples, each a vector of current values.
 
     Instances are treated as immutable: tuple updates go through
-    `with_updates`, which records the displaced vectors in the history.
-    History never takes part in instance identity; `canonical_key` covers
-    current values only.
+    `with_updates`, which returns a new instance.
     """
 
     def __init__(
         self,
         schema: Schema,
         tuples: Mapping[str, Mapping[str, Sequence[str]]],
-        history: Mapping[str, Mapping[str, Sequence[tuple[str, ...]]]] | None = None,
     ):
         self.schema = schema
         self.tuples: dict[str, dict[str, tuple[str, ...]]] = {}
@@ -170,17 +167,6 @@ class Instance:
                 seen_tids[tid] = rel_name
                 rows[tid] = vec
             self.tuples[rel_name] = rows
-        self.history: dict[str, dict[str, tuple[tuple[str, ...], ...]]] = {}
-        for rel_name, rows in self.tuples.items():
-            given = (history or {}).get(rel_name, {})
-            self.history[rel_name] = {
-                tid: tuple(tuple(str(x) for x in v) for v in given.get(tid, (vals,)))
-                for tid, vals in rows.items()
-            }
-        for rel_name, hist in self.history.items():
-            for tid, versions in hist.items():
-                if versions[-1] != self.tuples[rel_name][tid]:
-                    raise ValidationError(f"{rel_name}/{tid}: history must end at the current values")
 
     def current(self, rel: str, tid: str) -> tuple[str, ...]:
         return self.tuples[rel][tid]
@@ -199,15 +185,11 @@ class Instance:
     def with_updates(self, updates: Mapping[tuple[str, str], tuple[str, ...]]) -> "Instance":
         """Return a new instance with the given (relation, tid) vectors replaced."""
         new_tuples = {rel: dict(rows) for rel, rows in self.tuples.items()}
-        new_history = {rel: dict(hist) for rel, hist in self.history.items()}
         for (rel, tid), vec in updates.items():
             if tid not in new_tuples[rel]:
                 raise ValidationError(f"{rel}/{tid}: no such tuple")
-            vec = tuple(vec)
-            if vec != new_tuples[rel][tid]:
-                new_tuples[rel][tid] = vec
-                new_history[rel][tid] = new_history[rel][tid] + (vec,)
-        return Instance(self.schema, new_tuples, new_history)
+            new_tuples[rel][tid] = tuple(vec)
+        return Instance(self.schema, new_tuples)
 
     def canonical_key(self) -> tuple:
         return tuple(self.iter_tuples())
@@ -226,11 +208,17 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, schema: Schema, data: Mapping) -> "Instance":
+        if not isinstance(data, Mapping):
+            raise ValidationError("an instance is an object of row lists keyed by relation")
         tuples: dict[str, dict[str, tuple[str, ...]]] = {}
         for rel_name, rows in data.items():
             rel = schema.relation(rel_name)
+            if not isinstance(rows, list):
+                raise ValidationError(f"{rel_name}: rows must be a list")
             out_rows: dict[str, tuple[str, ...]] = {}
             for row in rows:
+                if not isinstance(row, Mapping):
+                    raise ValidationError(f"{rel_name}: each row must be an object")
                 if TID_ATTR not in row:
                     raise ValidationError(f"{rel_name}: row without {TID_ATTR!r} field")
                 extra = set(row) - set(rel.attrs) - {TID_ATTR}
@@ -279,7 +267,11 @@ class Instance:
         path = Path(path)
         if path.is_dir():
             return cls.from_csv_dir(schema, path)
-        return cls.from_json_dict(schema, json.loads(path.read_text()))
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+        return cls.from_json_dict(schema, data)
 
 
 # ---------------------------------------------------------------------------

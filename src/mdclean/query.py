@@ -6,17 +6,19 @@ atom standing for the tuple identifier:
     q(X) :- R(T, X, Y), Y ~domb~ c.
 
 Identifiers starting with an upper-case letter or underscore are variables;
-everything else (or anything double-quoted) is a constant.  Evaluation is a
-direct backtracking search over the instance, small enough to serve as the
-reference the Datalog route is checked against.
+everything else (or anything double-quoted) is a constant.  A query is
+evaluated as one Datalog rule over the instance's tuples: the engine that
+runs the cleaning programs finds its answers and its least witness.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
+from .datalog import NEQ, Literal, Program, Rule, evaluate, make_builtins
 from .errors import EmptyCleanSet, ParseError, ValidationError
 from .model import Instance, Schema, SimilarityRelation
 from .terms import Term, Var, is_var
@@ -52,7 +54,8 @@ class ConjunctiveQuery:
         return list(seen)
 
 
-def validate_query(query: ConjunctiveQuery, schema: Schema) -> None:
+def validate_query(query: ConjunctiveQuery, schema: Schema) -> list[str]:
+    """Check the query against the schema; the domains of its similarities."""
     body_vars = set(query.variables())
     for atom in query.atoms:
         rel = schema.relation(atom.relation)
@@ -65,7 +68,12 @@ def validate_query(query: ConjunctiveQuery, schema: Schema) -> None:
         if v not in body_vars:
             raise ValidationError(f"query {query.name!r}: head variable {v.name!r} not bound by the body")
     for lit in query.sims:
-        resolve_sim_domain(query, schema, lit)
+        for term in (lit.left, lit.right):
+            if is_var(term) and term not in body_vars:
+                raise ValidationError(
+                    f"query {query.name!r}: similarity variable {term.name!r} not bound by an atom"
+                )
+    return [resolve_sim_domain(query, schema, lit) for lit in query.sims]
 
 
 def resolve_sim_domain(query: ConjunctiveQuery, schema: Schema, lit: SimLiteral) -> str:
@@ -93,91 +101,68 @@ def _term_text(term: Term) -> str:
     return term.name if is_var(term) else str(term)
 
 
-def _bindings(
-    instance: Instance,
-    query: ConjunctiveQuery,
-    sim: SimilarityRelation,
-    domains: Mapping[int, str],
-) -> Iterator[dict[Var, str]]:
-    """All satisfying assignments, atoms matched in order, sorted tids first."""
-    sims_by_stage: dict[int, list[tuple[SimLiteral, str]]] = {}
-    for idx, lit in enumerate(query.sims):
-        stage = 0
-        for v in (lit.left, lit.right):
-            if is_var(v):
-                for a_idx, atom in enumerate(query.atoms):
-                    if v in atom.args:
-                        stage = max(stage, a_idx)
-                        break
-        sims_by_stage.setdefault(stage, []).append((lit, domains[idx]))
+# ---------------------------------------------------------------------------
+# evaluation
 
-    # distinctness ranges over distinct identifier terms: a variable shared by
-    # two atoms is one term and never conflicts with itself
-    tid_terms = list(dict.fromkeys(atom.args[0] for atom in query.atoms))
 
-    def value(term: Term, binding: dict[Var, str]) -> str | None:
-        if is_var(term):
-            return binding.get(term)
-        return term
+def relation_pred(name: str) -> str:
+    """The predicate of a relation's tuples in compiled rules.
 
-    def extend(stage: int, binding: dict[Var, str]) -> Iterator[dict[Var, str]]:
-        if stage == len(query.atoms):
-            yield binding
-            return
-        atom = query.atoms[stage]
-        rows = instance.tuples.get(atom.relation, {})
-        for tid in sorted(rows):
-            vals = (tid,) + rows[tid]
-            new = dict(binding)
-            ok = True
-            for arg, val in zip(atom.args, vals):
-                if is_var(arg):
-                    if new.setdefault(arg, val) != val:
-                        ok = False
-                        break
-                elif arg != val:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if query.distinct_tids:
-                bound_tids = [value(t, new) for t in tid_terms]
-                seen = [t for t in bound_tids if t is not None]
-                if len(seen) != len(set(seen)):
-                    continue
-            for lit, dom in sims_by_stage.get(stage, ()):
-                left, right = value(lit.left, new), value(lit.right, new)
-                if left is None or right is None or not sim.similar(dom, left, right):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            yield from extend(stage + 1, new)
+    Its prefix keeps it apart from the built-ins and from rule heads.
+    """
+    return "rel_" + name
 
-    yield from extend(0, {})
+
+def instance_facts(instance: Instance) -> dict[str, list[tuple[str, ...]]]:
+    """Each relation's tuples as facts of `relation_pred`, identifier first."""
+    return {
+        relation_pred(rel): [(tid, *vals) for tid, vals in rows.items()]
+        for rel, rows in instance.tuples.items()
+    }
+
+
+_ANSWER = "answer"
+
+
+def _answers(
+    instance: Instance, query: ConjunctiveQuery, sim: SimilarityRelation, head: tuple[Term, ...]
+) -> frozenset[tuple[str, ...]]:
+    """The `head` tuples of the query's solutions, evaluated as one rule.
+
+    Its body has the atoms, one `sim` literal per similarity and, under
+    `distinct_tids`, a `!=` between every two distinct identifier terms (a
+    variable shared by two atoms is one term).
+    """
+    domains = validate_query(query, instance.schema)
+    body = [Literal(relation_pred(atom.relation), atom.args) for atom in query.atoms]
+    for lit, dom in zip(query.sims, domains):
+        body.append(Literal("sim", (dom, lit.left, lit.right)))
+    if query.distinct_tids:
+        tids = dict.fromkeys(atom.args[0] for atom in query.atoms)
+        body.extend(Literal(NEQ, pair) for pair in itertools.combinations(tids, 2))
+    program = Program([Rule(Literal(_ANSWER, head), tuple(body))], builtins=make_builtins(sim))
+    return evaluate(program, instance_facts(instance)).get(_ANSWER)
 
 
 def eval_cq(
     instance: Instance, query: ConjunctiveQuery, sim: SimilarityRelation
 ) -> set[tuple[str, ...]]:
     """Answer tuples of the query on one instance."""
-    validate_query(query, instance.schema)
-    domains = {i: resolve_sim_domain(query, instance.schema, lit) for i, lit in enumerate(query.sims)}
-    return {
-        tuple(binding[v] for v in query.head)
-        for binding in _bindings(instance, query, sim, domains)
-    }
+    return set(_answers(instance, query, sim, query.head))
 
 
 def find_witness(
     instance: Instance, query: ConjunctiveQuery, sim: SimilarityRelation
 ) -> dict[str, str] | None:
-    """First satisfying assignment (variable name to value), or None."""
-    validate_query(query, instance.schema)
-    domains = {i: resolve_sim_domain(query, instance.schema, lit) for i, lit in enumerate(query.sims)}
-    for binding in _bindings(instance, query, sim, domains):
-        return {v.name: val for v, val in sorted(binding.items(), key=lambda kv: kv[0].name)}
-    return None
+    """The satisfying assignment least in its atom-order identifiers, or None."""
+    names = query.variables()
+    tids = tuple(atom.args[0] for atom in query.atoms)
+    rows = _answers(instance, query, sim, tids + tuple(names))
+    if not rows:
+        return None
+    # the identifiers fix every variable, so the least row has the least ones
+    values = min(rows)[len(tids):]
+    return {v.name: val for v, val in sorted(zip(names, values), key=lambda kv: kv[0].name)}
 
 
 def certain_answers(

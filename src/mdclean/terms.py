@@ -31,11 +31,3 @@ Term = Union[Var, Compound, str]
 def is_var(term: Term) -> bool:
     return isinstance(term, Var)
 
-
-def term_vars(term: Term):
-    """Yield every variable inside a term, depth first."""
-    if isinstance(term, Var):
-        yield term
-    elif isinstance(term, Compound):
-        for arg in term.args:
-            yield from term_vars(arg)

@@ -202,3 +202,62 @@ def test_backslash_value_survives_every_program_command(tmp_path, capsys):
     assert code == 0
     facts = [rule.heads[0] for rule in parse_asp(out) if rule.is_fact]
     assert Literal("r_v", ("t4", "a4\\", "b4")) in facts
+
+
+def write_setting(tmp_path, schema, rows, mds, sim, mf):
+    """Arguments for a setting written out from text, with a CSV per relation."""
+    (tmp_path / "schema.txt").write_text(schema)
+    for rel, text in rows.items():
+        (tmp_path / f"{rel}.csv").write_text(text)
+    (tmp_path / "mds.txt").write_text(mds)
+    (tmp_path / "sim.txt").write_text(sim)
+    (tmp_path / "mf.txt").write_text(mf)
+    return [
+        "--schema", str(tmp_path / "schema.txt"),
+        "--instance", str(tmp_path),
+        "--mds", str(tmp_path / "mds.txt"),
+        "--sim", str(tmp_path / "sim.txt"),
+        "--mf", str(tmp_path / "mf.txt"),
+    ]
+
+
+def test_solve_never_matches_a_tuple_with_itself(tmp_path, capsys):
+    # the rule writes two different positions of one relation, so a tuple
+    # paired with itself would merge its own A and B values
+    args = write_setting(
+        tmp_path,
+        "R(A: d, B: d)\n",
+        {"R": "tid,A,B\nt1,a,b\n"},
+        "md m1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~d~ x2 -> x1 := y2;\n",
+        "d: builtin exact-equality\n",
+        "d: m(a, b) = ab\n",
+    )
+    code, out, _ = run(capsys, ["chase", "--one", *args])
+    assert code == 0
+    chased = json.loads(out)
+    assert chased["steps"] == [[]]
+    code, out, _ = run(capsys, ["solve", *args])
+    assert code == 0
+    assert json.loads(out) == chased["instances"][0]
+    code, out, _ = run(capsys, ["emit-datalog", *args])
+    assert code == 0
+    assert (
+        "match_m1(T1, X1, Y1, T2, X2, Y2) :- r(T1, X1, Y1), r(T2, X2, Y2), "
+        "sim_d(X1, X2), T1 != T2, X1 != Y2.\n"
+    ) in out
+    code, out, _ = run(capsys, ["emit-asp", *args])
+    assert code == 0
+    assert "sim_d(X1, X2), T1 != T2, X1 != Y2.\n" in out
+
+
+def test_malformed_json_instance_is_an_input_error(tmp_path, capsys):
+    for text, kind in (('{"R": [', "ParseError"), ("[1]", "ValidationError"),
+                       ('{"R": 1}', "ValidationError"), ('{"R": ["t1"]}', "ValidationError")):
+        instance = tmp_path / "instance.json"
+        instance.write_text(text)
+        args = fixture_args("convergent")
+        args[args.index("--instance") + 1] = str(instance)
+        code, out, err = run(capsys, ["chase", "--one", *args])
+        assert code == 1, text
+        assert out == ""
+        assert err.startswith(f"error: {kind}: {instance}: "), err

@@ -109,6 +109,19 @@ def test_parse_error_carries_position():
     assert err.value.line is not None
 
 
+def test_variable_starting_with_a_digit_rejected():
+    # `1x` would read as a constant once capitalised into a Datalog variable
+    for text in (
+        "md m: lead R(t1; 1x, y1), lead R(t2; 2x, y2), 1x ~doma~ 2x -> y1 := y2;",
+        "md m: lead R(1t; x1, y1), lead R(t2; x2, y2) -> y1 := y2;",
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_mds(text)
+        assert err.value.line == 1 and err.value.column is not None
+        assert "must start with a letter" in str(err.value)
+    parse_mds("md m: lead R(_t1; x1, y1), lead R(t2; x2, y2), x1 ~ x2 -> y1 := y2;")
+
+
 def test_similarity_over_unknown_variable_rejected():
     with pytest.raises(ParseError):
         parse_mds("md bad: R(t1; x1), R(t2; x2), x1 ~ zz -> x1 := x2;")

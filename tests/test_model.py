@@ -338,8 +338,7 @@ def test_instance_validation_and_updates():
     updated = inst.with_updates({("R", "t1"): ("a1", "b12")})
     assert updated.current("R", "t1") == ("a1", "b12")
     assert inst.current("R", "t1") == ("a1", "b1")  # original untouched
-    assert updated.history["R"]["t1"] == (("a1", "b1"), ("a1", "b12"))
-    assert updated.history["R"]["t2"] == (("a2", "b2"),)
+    assert updated.current("R", "t2") == ("a2", "b2")
     with pytest.raises(ValidationError):
         Instance(schema, {"R": {"t1": ("a1",)}})
     with pytest.raises(ValidationError):

@@ -97,6 +97,15 @@ def test_find_witness_is_deterministic_first_assignment():
     assert find_witness(d, empty, SimilarityRelation()) is None
 
 
+def test_query_without_atoms_checks_its_similarities():
+    d = inst({"t1": ("a1", "b1")})
+    sim = SimilarityRelation({"domb": [("b1", "b2")]})
+    assert eval_cq(d, parse_query("q() :- b1 ~domb~ b9."), sim) == set()
+    assert find_witness(d, parse_query("q() :- b1 ~domb~ b9."), sim) is None
+    assert eval_cq(d, parse_query("q() :- b1 ~domb~ b2."), sim) == {()}
+    assert find_witness(d, parse_query("q() :- b2 ~domb~ b1."), sim) == {}
+
+
 def test_validation_errors():
     d = inst({"t1": ("a1", "b1")})
     with pytest.raises(ValidationError):
@@ -106,6 +115,9 @@ def test_validation_errors():
     # similarity between two constants has no resolvable domain
     with pytest.raises(ValidationError):
         eval_cq(d, parse_query("q() :- R(T, X, Y), b1 ~ b2."), SimilarityRelation())
+    # nor can a similarity range over a variable no atom binds
+    with pytest.raises(ValidationError):
+        eval_cq(d, parse_query("q() :- R(T, X, Y), Z ~domb~ Y."), SimilarityRelation())
 
 
 def test_certain_answers_intersect():
