@@ -15,11 +15,10 @@ value states rather than in step interleavings.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .datalog import Literal, Program, Rule, evaluate, make_builtins
+from .datalog import Literal, Program, Rule, evaluate, value_builtins
 from .errors import (
     InstanceTooLarge,
     StepLimitExceeded,
@@ -32,6 +31,7 @@ from .mdlang import (
     md_body,
     rhs_domain,
     rhs_targets,
+    sim_domain,
     validate_mds,
     var_name,
 )
@@ -108,8 +108,7 @@ class _CompiledMD:
         ]
         self.head = f"step_{index}"
         head = Literal(self.head, tuple(Var(var_name(v)) for v in names))
-        body = md_body(md, schema, relation_pred, lambda d, x, y: Literal("sim", (d, x, y)))
-        self.rule = Rule(head, tuple(body))
+        self.rule = Rule(head, tuple(md_body(md, schema, relation_pred)))
 
 
 class ChaseEngine:
@@ -126,7 +125,9 @@ class ChaseEngine:
         self.sim = sim
         self.smf = smf
         self._compiled = [_CompiledMD(md, schema, i) for i, md in enumerate(mds)]
-        self._program = Program([c.rule for c in self._compiled], builtins=make_builtins(sim))
+        uses = (("sim", sim_domain(md, schema, sc)) for md in mds for sc in md.similarities)
+        builtins = value_builtins(uses, sim)
+        self._program = Program([c.rule for c in self._compiled], builtins=builtins)
 
     # -- step discovery ----------------------------------------------------
 
@@ -241,16 +242,8 @@ class ChaseEngine:
         step_limit: int = DEFAULT_STEP_LIMIT,
     ) -> ChaseResult:
         """One stable instance, following the rule priority drawn from `seed`."""
-        names = self.mds.names()
-        priority: dict[str, int] = {}
-        if names:
-            perms = math.factorial(len(names))
-            chosen = None
-            for idx, perm in enumerate(itertools.permutations(names)):
-                if idx == seed % perms:
-                    chosen = perm
-                    break
-            priority = {name: rank for rank, name in enumerate(chosen)}
+        names = rule_priority(self.mds.names(), seed)
+        priority = {name: rank for rank, name in enumerate(names)}
         current = instance
         path: list[EnforcementStep] = []
         for _ in range(step_limit):
@@ -261,3 +254,14 @@ class ChaseEngine:
             current = self.enforce(current, step)
             path.append(step)
         raise StepLimitExceeded(f"chase exceeded {step_limit} enforcement steps")
+
+
+def rule_priority(names: list[str], seed: int) -> list[str]:
+    """The `seed % k!`-th permutation of the k `names` in `itertools.permutations` order."""
+    pool = list(names)
+    rank = seed % math.factorial(len(pool))
+    out = []
+    while pool:
+        index, rank = divmod(rank, math.factorial(len(pool) - 1))
+        out.append(pool.pop(index))
+    return out

@@ -2,16 +2,13 @@
 
 Exit codes: 0 success, 1 malformed input (syntax or structural validation),
 2 semantic refusal at run time (diverging rule set, undefined merge, limits),
-3 I/O failure.  Set MDCLEAN_LOG=debug (or info, warning) for diagnostics on
-stderr.  Outputs depend only on the inputs and --seed, byte for byte.
+3 I/O failure.  Outputs depend only on the inputs and --seed, byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -311,18 +308,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging():
-    level_name = os.environ.get("MDCLEAN_LOG", "").strip()
-    if level_name:
-        level = getattr(logging, level_name.upper(), None)
-        if not isinstance(level, int):
-            level = logging.WARNING
-        logging.basicConfig(level=level, stream=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    _setup_logging()
     try:
         text = args.run(args)
         if args.out is not None:

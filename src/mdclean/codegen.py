@@ -10,12 +10,13 @@ machinery, and all constraints, leaving stratified Datalog that computes that
 instance bottom-up.
 
 Both programs are built as rule ASTs (`AspRule`s over `Literal`s), kept in one
-ordered list of statements tagged with their block.  Similarity, merge, and
-order tables are materialised as ground facts (`sim_<dom>`, `mf_<dom>`,
-`pre_<dom>`), so a program is self-contained; the residual's `Program` takes
-them as fact tuples and its rules as built.  Text is rendered from the
-statements through `datalog.format_rule_ast` only for output and never parsed
-back.  Matchings are reified as `mt(...)` terms holding the two tuple
+ordered list of statements tagged with their block.  The similarity, merge,
+and order relations (`sim_<dom>`, `mf_<dom>`, `pre_<dom>`) are built-ins of
+`datalog.value_builtins`: the residual's `Program` evaluates them as such over
+the version facts, and the text renders each as a table of ground facts over
+its domain's values, so a program is self-contained.  Text is rendered from
+the statements through `datalog.format_rule_ast` only for output and never
+parsed back.  Matchings are reified as `mt(...)` terms holding the two tuple
 versions, which keeps `prec` binary even when rules range over relations of
 different arities.
 """
@@ -24,10 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable
 
 from .chase import ChaseEngine
 from .classify import Classification, Verdict
-from .datalog import NEQ, AspRule, Literal, Program, Rule, evaluate, format_rule_ast
+from .datalog import (
+    NEQ,
+    AspRule,
+    Builtin,
+    Literal,
+    Program,
+    Rule,
+    evaluate,
+    format_rule_ast,
+    value_builtins,
+    value_pred,
+)
 from .errors import NotSci, ValidationError
 from .mdlang import (
     MatchingDependency,
@@ -131,12 +144,13 @@ class AspText:
 class ResidualProgram:
     program: Program
     clean_predicates: tuple[tuple[str, str], ...]
-    statements: tuple[AspStatement, ...]
     # checks that the evaluated instance is stable under the rules
     engine: ChaseEngine
+    # the text's statements, built when called: evaluation needs no value table
+    statements: Callable[[], list[AspStatement]]
 
     def text(self) -> str:
-        return _render(self.statements, RESIDUAL_TITLES)
+        return _render(self.statements(), RESIDUAL_TITLES)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +261,6 @@ def _context_symmetric(md: MatchingDependency) -> bool:
 # shared pieces
 
 
-def _sim_table(dom: str, left: Var, right: Var) -> Literal:
-    return Literal(f"sim_{_pred(dom)}", (left, right))
-
-
 def _insertion_rules(
     md: MatchingDependency, schema: Schema, relation_pred
 ) -> list[AspStatement]:
@@ -260,7 +270,7 @@ def _insertion_rules(
     merged = _fresh("Mv", taken)
     body = (
         _lit(f"match_{_pred(md.name)}", _match_args(md)),
-        _lit(f"mf_{_pred(dom)}", [var_name(md.rhs_left), var_name(md.rhs_right), merged]),
+        _lit(value_pred("mf", dom), [var_name(md.rhs_left), var_name(md.rhs_right), merged]),
     )
     rules = []
     targets = dict(rhs_targets(md))
@@ -295,7 +305,7 @@ def _oldversion_rules(
     body = [_lit(pred, [tid, *first]), _lit(pred, [tid, *second])]
     for i, dom in enumerate(rel.domains):
         if smf.has_mf(dom):
-            body.append(_lit(f"pre_{_pred(dom)}", [first[i], second[i]]))
+            body.append(_lit(value_pred("pre", dom), [first[i], second[i]]))
     head = _lit(_oldversion_pred(rel_name), [tid, *first])
     return [
         AspStatement(2, "oldversion", AspRule((head,), (*body, _neq(first[pos], second[pos]))))
@@ -303,32 +313,32 @@ def _oldversion_rules(
     ]
 
 
-def _initial_facts(
-    mds: MDSet,
-    schema: Schema,
-    instance: Instance,
-    sim: SimilarityRelation,
-    smf: SaturatedMatchingFunction,
-    written_rels,
-    relation_pred,
-) -> list[AspStatement]:
-    """Block 1: one fact per input tuple, then the value tables."""
+def _version_facts(schema: Schema, instance: Instance, relation_pred) -> list[AspStatement]:
+    """Block 1: one fact per input tuple."""
     out = []
     for rel_name in schema.relation_names():
         pred = relation_pred(rel_name)
         rows = instance.tuples.get(rel_name, {})
         for tid in sorted(rows):
             out.append(AspStatement(1, "version-fact", Literal(pred, (tid, *rows[tid]))))
-    active = collect_active_values(schema, instance, sim)
+    return out
+
+
+def _value_uses(
+    mds: MDSet,
+    schema: Schema,
+    smf: SaturatedMatchingFunction,
+    written_rels,
+    active: dict[str, set[str]],
+) -> list[tuple[str, str]]:
+    """The (kind, domain) of every value relation the rules read, in table order.
+
+    Refuses a domain whose merge or order relation the rules read when its
+    matching function was not saturated over the instance's values.
+    """
     mf_domains = sorted({rhs_domain(md, schema) for md in mds})
-    pre_domains = sorted(
-        {
-            dom
-            for rel_name in written_rels
-            for dom in schema.relation(rel_name).domains
-            if smf.has_mf(dom)
-        }
-    )
+    domains = {dom for rel in written_rels for dom in schema.relation(rel).domains}
+    pre_domains = sorted(dom for dom in domains if smf.has_mf(dom))
     for dom in sorted(set(mf_domains) | set(pre_domains)):
         missing = active.get(dom, set()) - smf.values(dom)
         if missing:
@@ -336,27 +346,28 @@ def _initial_facts(
                 f"matching function for domain {dom!r} was not saturated over the "
                 f"instance values; missing {sorted(missing)}"
             )
-    for dom in mf_domains:
-        pred = f"mf_{_pred(dom)}"
-        for triple in smf.triples(dom):
-            out.append(AspStatement(1, "mf-fact", Literal(pred, tuple(triple))))
-    for dom in pre_domains:
-        pred = f"pre_{_pred(dom)}"
+    sim_domains = sorted({sim_domain(md, schema, sc) for md in mds for sc in md.similarities})
+    kinds = (("mf", mf_domains), ("pre", pre_domains), ("sim", sim_domains))
+    return [(kind, dom) for kind, domains in kinds for dom in domains]
+
+
+def _value_tables(
+    uses: list[tuple[str, str]],
+    builtins: dict[str, Builtin],
+    smf: SaturatedMatchingFunction,
+    active: dict[str, set[str]],
+) -> list[AspStatement]:
+    """Block 1's value tables: each used built-in over its domain's values."""
+    out = []
+    for kind, dom in uses:
+        builtin = builtins[value_pred(kind, dom)]
+        fn = builtin.fn
         universe = sorted(smf.values(dom) | active.get(dom, set()))
-        for a in universe:
-            for b in universe:
-                if smf.precedes(dom, a, b):
-                    out.append(AspStatement(1, "pre-fact", Literal(pred, (a, b))))
-    sim_domains = sorted(
-        {sim_domain(md, schema, sc) for md in mds for sc in md.similarities}
-    )
-    for dom in sim_domains:
-        pred = f"sim_{_pred(dom)}"
-        universe = sorted(smf.values(dom) | active.get(dom, set()))
-        for a in universe:
-            for b in universe:
-                if sim.similar(dom, a, b):
-                    out.append(AspStatement(1, "sim-fact", Literal(pred, (a, b))))
+        if builtin.arity == 2:
+            rows = [(a, b) for a in universe for b in universe if fn(a, b)]
+        else:
+            rows = [(a, b, c) for a in universe for b in universe if (c := fn(a, b)) is not None]
+        out.extend(AspStatement(1, f"{kind}-fact", Literal(builtin.name, row)) for row in rows)
     return out
 
 
@@ -394,15 +405,16 @@ def emit_general_asp(
                 f"rule {md.name!r} writes domain {dom!r}, which has no matching function"
             )
     written = _written_positions(mds, schema)
-    statements = _initial_facts(
-        mds, schema, instance, sim, smf, sorted(written), _version_pred
-    )
+    active = collect_active_values(schema, instance, sim)
+    uses = _value_uses(mds, schema, smf, sorted(written), active)
+    statements = _version_facts(schema, instance, _version_pred)
+    statements += _value_tables(uses, value_builtins(uses, sim, smf), smf, active)
 
     for md in mds:
         name = _pred(md.name)
         args = _match_args(md)
         heads = (_lit(f"match_{name}", args), _lit(f"notmatch_{name}", args))
-        body = tuple(md_body(md, schema, _version_pred, _sim_table))
+        body = tuple(md_body(md, schema, _version_pred))
         statements.append(AspStatement(2, "disjunctive", AspRule(heads, body)))
     for md in mds:
         (s0, p0), (s1, p1) = rhs_targets(md)
@@ -494,7 +506,7 @@ def _prec_recording(
                     ):
                         if smf.has_mf(rel.domains[pos]):
                             body.append(
-                                _lit(f"pre_{_pred(rel.domains[pos])}", [var_name(vj), ren[vk]])
+                                _lit(value_pred("pre", rel.domains[pos]), [var_name(vj), ren[vk]])
                             )
                     head = Literal(
                         "prec",
@@ -520,7 +532,7 @@ def _prec_recording(
                     body5 = (
                         _lit(f"match_{_pred(mdj.name)}", _match_args(mdj)),
                         _lit(f"match_{_pred(mdk.name)}", _match_args(mdk, ren5)),
-                        _lit(f"mf_{_pred(dom_k)}", [shared_rhs, other_rhs, merged]),
+                        _lit(value_pred("mf", dom_k), [shared_rhs, other_rhs, merged]),
                         _neq(shared_rhs, merged),
                     )
                     head5 = Literal(
@@ -553,26 +565,31 @@ def emit_residual_datalog(
         )
     engine = ChaseEngine(schema, mds, sim, smf)
     written = _written_positions(mds, schema)
-    statements = _initial_facts(mds, schema, instance, sim, smf, sorted(written), _pred)
+    active = collect_active_values(schema, instance, sim)
+    uses = _value_uses(mds, schema, smf, sorted(written), active)
+    version_facts = _version_facts(schema, instance, _pred)
+    rules = []
     for md in mds:
         head = _lit(f"match_{_pred(md.name)}", _match_args(md))
-        body = tuple(md_body(md, schema, _pred, _sim_table))
-        statements.append(AspStatement(2, "match", AspRule((head,), body)))
+        body = tuple(md_body(md, schema, _pred))
+        rules.append(AspStatement(2, "match", AspRule((head,), body)))
     for rel_name in sorted(written):
-        statements.extend(_oldversion_rules(rel_name, schema, smf, written[rel_name], _pred))
+        rules.extend(_oldversion_rules(rel_name, schema, smf, written[rel_name], _pred))
     for md in mds:
-        statements.extend(_insertion_rules(md, schema, _pred))
-    statements.extend(_collect_rules(schema, written, _pred))
+        rules.extend(_insertion_rules(md, schema, _pred))
+    rules.extend(_collect_rules(schema, written, _pred))
 
-    rules: list[Rule] = []
     facts: dict[str, list[tuple[str, ...]]] = {}
-    for st in statements:
-        if isinstance(st.ast, Literal):
-            facts.setdefault(st.ast.pred, []).append(st.ast.args)
-        else:
-            rules.append(Rule(st.ast.heads[0], st.ast.body))
+    for st in version_facts:
+        facts.setdefault(st.ast.pred, []).append(st.ast.args)
+    builtins = value_builtins(uses, sim, smf)
+    program = Program([Rule(st.ast.heads[0], st.ast.body) for st in rules], facts, builtins)
     clean_preds = tuple((rel, _clean_pred(rel)) for rel in schema.relation_names())
-    return ResidualProgram(Program(rules, facts), clean_preds, tuple(statements), engine)
+
+    def statements() -> list[AspStatement]:
+        return [*version_facts, *_value_tables(uses, builtins, smf, active), *rules]
+
+    return ResidualProgram(program, clean_preds, engine, statements)
 
 
 def evaluate_residual(residual: ResidualProgram) -> dict[str, dict[str, tuple[str, ...]]]:

@@ -1,4 +1,4 @@
-"""Stratified Datalog with table-backed built-ins, plus the ASP rule syntax.
+"""Stratified Datalog with computed built-ins, plus the ASP rule syntax.
 
 One grammar covers both layers.  Rules look like
 
@@ -9,16 +9,18 @@ for constants that would otherwise read as variables.  Disjunctive heads
 (`a | b :- ...`) and headless constraints are parsed for the ASP layer but
 rejected by `Program`, which only evaluates plain stratified rules.
 
-Built-ins are literals over reserved predicate names: `X != Y`,
-`sim(dom, X, Y)`, `mf(dom, X, Y, Z)`, and `pre(dom, X, Y)`.  The first three
-arguments of `mf` must be bound; it binds its result argument.  Everything
-else requires fully bound arguments, so rule bodies must ground them through
+Built-ins are literals computed from their arguments instead of looked up:
+`X != Y`, and per domain `d` the value relations `sim_d(X, Y)` (similarity),
+`pre_d(X, Y)` (the merge order) and `mf_d(X, Y, Z)` (the merge), named by
+`value_pred` as generated programs spell their tables.  `mf_d` binds its
+result argument and has no row where the merge is undefined; everything else
+requires fully bound arguments, so rule bodies must ground them through
 ordinary literals first.
 """
 
 from __future__ import annotations
 
-import logging
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -32,8 +34,6 @@ from .errors import (
 )
 from .model import SaturatedMatchingFunction, SimilarityRelation
 from .terms import Compound, Term, Var, is_var
-
-logger = logging.getLogger("mdclean.datalog")
 
 NEQ = "!="
 
@@ -75,52 +75,48 @@ class AspRule:
 class Builtin:
     """A literal computed from its arguments instead of looked up.
 
-    The `required` positions must be bound before the literal runs; `fn` is
-    called on their values, in order.  A built-in without further positions
-    is a test and `fn` says whether it holds.  One with a further (last)
-    position computes its value: `fn` returns it, or None where there is none.
+    Its first two arguments must be bound before the literal runs; `fn` is
+    called on their values.  A built-in of arity 2 is a test and `fn` says
+    whether it holds.  One of arity 3 computes its third argument: `fn`
+    returns it, or None where there is none.
     """
 
     name: str
     arity: int
-    required: tuple[int, ...]
-    fn: Callable[..., object]
+    fn: Callable[[str, str], object]
 
 
-NEQ_BUILTIN = Builtin(NEQ, 2, (0, 1), operator.ne)
+NEQ_BUILTIN = Builtin(NEQ, 2, operator.ne)
 
 
-def make_builtins(
+def value_pred(kind: str, domain: str) -> str:
+    """The predicate of a domain's `sim`, `pre` or `mf` relation, lower-cased."""
+    return f"{kind}_{domain.lower()}"
+
+
+def value_builtins(
+    uses: Iterable[tuple[str, str]],
     sim: SimilarityRelation | None = None,
     smf: SaturatedMatchingFunction | None = None,
 ) -> dict[str, Builtin]:
+    """`!=` and the value relation of each (kind, domain) in `uses`.
+
+    `sim` tests similarity and `pre` the merge order on two values; `mf`
+    computes the merge of its first two arguments into its third.  Two
+    domains whose relations would share a predicate are refused.
+    """
     out = {NEQ: NEQ_BUILTIN}
-    if sim is not None:
-        out["sim"] = Builtin("sim", 3, (0, 1, 2), sim.similar)
-    if smf is not None:
-        out["mf"] = Builtin("mf", 4, (0, 1, 2), _MergeOrWarn(smf))
-        out["pre"] = Builtin("pre", 3, (0, 1, 2), smf.precedes)
+    owner: dict[str, str] = {}
+    for kind, dom in uses:
+        name = value_pred(kind, dom)
+        if owner.setdefault(name, dom) != dom:
+            raise ValidationError(f"domains {owner[name]!r} and {dom!r} share predicate {name!r}")
+        if kind == "mf":
+            out[name] = Builtin(name, 3, functools.partial(smf.try_match, dom))
+        else:
+            test = sim.similar if kind == "sim" else smf.precedes
+            out[name] = Builtin(name, 2, functools.partial(test, dom))
     return out
-
-
-class _MergeOrWarn:
-    """`smf.try_match`, logging each undefined merge once."""
-
-    def __init__(self, smf: SaturatedMatchingFunction):
-        self._smf = smf
-        self._warned: set[tuple[str, str, str]] = set()
-
-    def __call__(self, dom: str, a: str, b: str) -> str | None:
-        merged = self._smf.try_match(dom, a, b)
-        if merged is None and (dom, a, b) not in self._warned:
-            self._warned.add((dom, a, b))
-            logger.warning(
-                "matching function on %r undefined for (%r, %r); rule not fired",
-                dom,
-                a,
-                b,
-            )
-        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +212,7 @@ class Program:
             if lit.negated:
                 needs[i] = lit_vars[i]
             elif lit.pred in self.builtins:
-                required = self.builtins[lit.pred].required
-                needs[i] = _var_names([lit.args[p] for p in required])
+                needs[i] = _var_names(lit.args[:2])
         order: list[int] = []
         bound: set[str] = set()
         remaining = list(range(len(body)))
@@ -434,8 +429,8 @@ class _Plan:
                 if handler is NEQ_BUILTIN:
                     ops.append((_NEQ, args[0], args[1]))
                     continue
-                inputs = _getter([args[p] for p in handler.required])
-                if len(handler.required) == handler.arity:
+                inputs = _getter(args[:2])
+                if handler.arity == 2:
                     ops.append((_TEST, handler.fn, inputs))
                     continue
                 out = args[-1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .datalog import NEQ, Literal
+from .datalog import NEQ, Literal, value_pred
 from .errors import ParseError, ValidationError
 from .model import MatchingFunction, Schema
 from .terms import Var
@@ -263,10 +263,12 @@ class _Parser:
 def _check_structure(md: MatchingDependency, name_tok: Token) -> None:
     """Schema-independent shape checks, reported as parse errors with position."""
     for v in md.variables():
-        # so that `var_name` spells it as a Datalog variable
-        if not (v[0].isalpha() or v[0] == "_"):
+        # so that `var_name` spells it as a Datalog variable, which the
+        # Datalog lexer reads in ASCII letters, digits and '_' only
+        if not (v.isascii() and (v[0].isalpha() or v[0] == "_")):
             raise ParseError(
-                f"rule {md.name!r}: variable {v!r} must start with a letter or '_'",
+                f"rule {md.name!r}: variable {v!r} must start with a letter or '_' "
+                "and use only ASCII letters, digits and '_'",
                 name_tok.line,
                 name_tok.column,
             )
@@ -472,13 +474,12 @@ def md_body(
     md: MatchingDependency,
     schema: Schema,
     relation_pred: Callable[[str], str],
-    sim_literal: Callable[[str, Var, Var], Literal],
 ) -> list[Literal]:
     """The rule's left-hand side as a Datalog body over its `var_name`s.
 
     Leading and context atoms over `relation_pred(relation)`, identifier
-    first; one `sim_literal(domain, left, right)` per similarity; then the
-    step guards.  The leading identifiers differ when the atoms share a
+    first; one `sim_<domain>(left, right)` per similarity; then the step
+    guards.  The leading identifiers differ when the atoms share a
     relation written at two positions (a tuple matched with itself would
     merge two of its own values), and the right-hand values differ, so only
     a step that changes a value matches; with one written position that
@@ -493,7 +494,8 @@ def md_body(
     body = [atom(lead0), atom(lead1), *(atom(a) for a in md.context_atoms())]
     for sc in md.similarities:
         dom = sim_domain(md, schema, sc)
-        body.append(sim_literal(dom, Var(var_name(sc.left)), Var(var_name(sc.right))))
+        sides = (Var(var_name(sc.left)), Var(var_name(sc.right)))
+        body.append(Literal(value_pred("sim", dom), sides))
     (_, p0), (_, p1) = rhs_targets(md)
     if md.same_relation() and p0 != p1:
         tids = (Var(var_name(lead0.tid_var)), Var(var_name(lead1.tid_var)))

@@ -82,7 +82,11 @@ class Relation:
 
 
 class Schema:
-    """A fixed collection of relations, indexed by name."""
+    """A fixed collection of relations, indexed by name.
+
+    Generated programs lower-case relation and domain names, so two relation
+    names, or two domain names, that differ only by case are refused.
+    """
 
     def __init__(self, relations: Iterable[Relation]):
         self.relations: dict[str, Relation] = {}
@@ -90,6 +94,14 @@ class Schema:
             if rel.name in self.relations:
                 raise ValidationError(f"duplicate relation {rel.name}")
             self.relations[rel.name] = rel
+        for kind, names in (("relation", self.relations), ("domain", self.domains())):
+            folded: dict[str, str] = {}
+            for name in sorted(names):
+                other = folded.setdefault(name.lower(), name)
+                if other != name:
+                    raise ValidationError(
+                        f"{kind} names {other!r} and {name!r} differ only by case"
+                    )
 
     def relation(self, name: str) -> Relation:
         try:
@@ -486,15 +498,6 @@ class _TableDomain:
     def values(self) -> frozenset[str]:
         return self.value_set
 
-    def triples(self) -> list[tuple[str, str, str]]:
-        out = []
-        for a in sorted(self.value_set):
-            for b in sorted(self.value_set):
-                r = self.match(a, b)
-                if r is not None:
-                    out.append((a, b, r))
-        return out
-
 
 def _saturate_table(
     domain: str, triples: Sequence[tuple[str, str, str]], active: frozenset[str]
@@ -546,27 +549,24 @@ def _saturate_table(
     return _TableDomain(domain, gens)
 
 
+def _token_union_closure(active: frozenset[str]) -> frozenset[str]:
+    """The active values and the spelling of every union of their token sets."""
+    # each set joins every union of the sets before it
+    closed: set[frozenset[str]] = set()
+    for toks in {tokens(v) for v in active}:
+        closed |= {toks} | {toks | other for other in closed}
+    return active | frozenset(token_canonical(s) for s in closed)
+
+
 class _BuiltinDomain:
-    """A built-in matching rule, closed over the active values for enumeration."""
+    """A built-in matching rule; token-union values are closed over the active
+    values only when first asked for, since merging and ordering never need them."""
 
     def __init__(self, name: str, rule: str, active: frozenset[str]):
         self.name = name
         self.rule = rule
         self.active = active
-        if rule == "token-union":
-            sets = {tokens(v) for v in active}
-            closed = set(sets)
-            frontier = list(sets)
-            while frontier:
-                current = frontier.pop()
-                for other in list(closed):
-                    union = current | other
-                    if union not in closed:
-                        closed.add(union)
-                        frontier.append(union)
-            self.value_set = frozenset(active) | frozenset(token_canonical(s) for s in closed)
-        else:
-            self.value_set = frozenset(active)
+        self._values = None if rule == "token-union" else active
 
     def match(self, a: str, b: str) -> str:
         if self.rule == "token-union":
@@ -586,14 +586,9 @@ class _BuiltinDomain:
         return a <= b
 
     def values(self) -> frozenset[str]:
-        return self.value_set
-
-    def triples(self) -> list[tuple[str, str, str]]:
-        out = []
-        for a in sorted(self.value_set):
-            for b in sorted(self.value_set):
-                out.append((a, b, self.match(a, b)))
-        return out
+        if self._values is None:
+            self._values = _token_union_closure(self.active)
+        return self._values
 
 
 class SaturatedMatchingFunction:
@@ -638,10 +633,6 @@ class SaturatedMatchingFunction:
     def values(self, domain: str) -> frozenset[str]:
         dom = self._domains.get(domain)
         return dom.values() if dom is not None else frozenset()
-
-    def triples(self, domain: str) -> list[tuple[str, str, str]]:
-        dom = self._domains.get(domain)
-        return dom.triples() if dom is not None else []
 
 
 def collect_active_values(

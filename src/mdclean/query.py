@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .datalog import NEQ, Literal, Program, Rule, evaluate, make_builtins
+from .datalog import NEQ, Literal, Program, Rule, evaluate, value_builtins, value_pred
 from .errors import EmptyCleanSet, ParseError, ValidationError
 from .model import Instance, Schema, SimilarityRelation
 from .terms import Term, Var, is_var
@@ -129,18 +129,19 @@ def _answers(
 ) -> frozenset[tuple[str, ...]]:
     """The `head` tuples of the query's solutions, evaluated as one rule.
 
-    Its body has the atoms, one `sim` literal per similarity and, under
-    `distinct_tids`, a `!=` between every two distinct identifier terms (a
-    variable shared by two atoms is one term).
+    Its body has the atoms, one `sim_<domain>` literal per similarity and,
+    under `distinct_tids`, a `!=` between every two distinct identifier terms
+    (a variable shared by two atoms is one term).
     """
     domains = validate_query(query, instance.schema)
     body = [Literal(relation_pred(atom.relation), atom.args) for atom in query.atoms]
     for lit, dom in zip(query.sims, domains):
-        body.append(Literal("sim", (dom, lit.left, lit.right)))
+        body.append(Literal(value_pred("sim", dom), (lit.left, lit.right)))
     if query.distinct_tids:
         tids = dict.fromkeys(atom.args[0] for atom in query.atoms)
         body.extend(Literal(NEQ, pair) for pair in itertools.combinations(tids, 2))
-    program = Program([Rule(Literal(_ANSWER, head), tuple(body))], builtins=make_builtins(sim))
+    builtins = value_builtins((("sim", dom) for dom in domains), sim)
+    program = Program([Rule(Literal(_ANSWER, head), tuple(body))], builtins=builtins)
     return evaluate(program, instance_facts(instance)).get(_ANSWER)
 
 

@@ -14,14 +14,21 @@ import random
 from mdclean.datalog import NEQ, Literal, Rule
 from mdclean.terms import Var, is_var
 
-BUILTIN_PREDS = {NEQ, "sim", "mf", "pre"}
+# the value relations of the random programs' domains, as (kind, domain)
+VALUE_USES = [("sim", "doma"), ("sim", "domb"), ("pre", "domb"), ("mf", "domb")]
+
+
+def _value_relation(pred):
+    """(kind, domain) of a `sim_<d>`, `pre_<d>` or `mf_<d>` predicate, else None."""
+    kind, _, dom = pred.partition("_")
+    return (kind, dom) if kind in ("sim", "pre", "mf") and dom else None
 
 
 def _dependency_edges(rules):
     pos, neg = set(), set()
     for rule in rules:
         for lit in rule.body:
-            if lit.pred in BUILTIN_PREDS:
+            if lit.pred == NEQ or _value_relation(lit.pred):
                 continue
             (neg if lit.negated else pos).add((rule.head.pred, lit.pred))
     return pos, neg
@@ -138,23 +145,24 @@ def _derive(rule, db, sim, smf):
             results.add(tuple(ground(a, binding) for a in rule.head.args))
             return
         lit = rule.body[i]
+        kind, dom = _value_relation(lit.pred) or (None, None)
         if lit.pred == NEQ:
             if ground(lit.args[0], binding) != ground(lit.args[1], binding):
                 walk(i + 1, binding)
-        elif lit.pred == "sim":
-            dom, a, b = (ground(t, binding) for t in lit.args)
+        elif kind == "sim":
+            a, b = (ground(t, binding) for t in lit.args)
             if sim.similar(dom, a, b):
                 walk(i + 1, binding)
-        elif lit.pred == "pre":
-            dom, a, b = (ground(t, binding) for t in lit.args)
+        elif kind == "pre":
+            a, b = (ground(t, binding) for t in lit.args)
             if smf.precedes(dom, a, b):
                 walk(i + 1, binding)
-        elif lit.pred == "mf":
-            dom, a, b = (ground(t, binding) for t in lit.args[:3])
+        elif kind == "mf":
+            a, b = (ground(t, binding) for t in lit.args[:2])
             merged = smf.try_match(dom, a, b)
             if merged is None:
                 return
-            out = lit.args[3]
+            out = lit.args[2]
             if is_var(out) and out not in binding:
                 walk(i + 1, {**binding, out: merged})
             elif ground(out, binding) == merged:
@@ -188,8 +196,8 @@ def random_program(rng: random.Random, with_builtins=False):
     Predicates carry a fixed order and bodies only mention predicates at or
     below the head (strictly below when negated), so every draw stratifies.
     When `with_builtins` is set the constant pool matches the four-generator
-    chain matching function on domain `domb`, so sim/mf/pre literals have
-    something to say.
+    chain matching function on domain `domb`, so `sim_domb`/`mf_domb`/`pre_domb`
+    literals have something to say.
     """
     consts = ["b1", "b2", "b3", "b12", "b23"] if with_builtins else [f"c{i}" for i in range(5)]
     edb = [("e0", rng.choice((1, 2))), ("e1", rng.choice((1, 2)))]
@@ -228,10 +236,10 @@ def random_program(rng: random.Random, with_builtins=False):
             b = rng.choice(bound + consts)
             if kind == "mf":
                 out = Var("V9")
-                body.append(Literal("mf", ("domb", a, b, out)))
+                body.append(Literal("mf_domb", (a, b, out)))
                 bound.append(out)
             else:
-                body.append(Literal(kind, ("domb", a, b)))
+                body.append(Literal(f"{kind}_domb", (a, b)))
         if bound and rng.random() < 0.4:
             lower = [p for p, _ in edb + idb if order[p] < order[head_name]]
             if lower:

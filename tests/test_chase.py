@@ -1,8 +1,13 @@
 """Chase enforcement: step discovery, enforcement, exhaustive and seeded runs."""
 
+import itertools
+import math
+import time
+
 import pytest
 
-from mdclean.chase import ChaseEngine, EnforcementStep
+from mdclean import model
+from mdclean.chase import ChaseEngine, EnforcementStep, rule_priority
 from mdclean.errors import (
     InstanceTooLarge,
     StepLimitExceeded,
@@ -189,6 +194,48 @@ def test_chase_one_seed_selects_rule_priority():
     assert by_tid(eng2.chase_one(inst2, seed=0).instances[0]) == by_tid(
         eng2.chase_one(inst2, seed=5).instances[0]
     )
+
+
+def test_rule_priority_unranks_the_permutation_order():
+    for k in range(6):
+        names = [f"m{i}" for i in range(k)]
+        perms = list(itertools.permutations(names))
+        for seed in range(-1, 2 * len(perms)):
+            assert rule_priority(names, seed) == list(perms[seed % len(perms)])
+
+
+def test_chase_one_with_twelve_rules_and_the_last_seed_returns_quickly():
+    rules = "".join(
+        f"md m{i}: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;\n"
+        for i in range(12)
+    )
+    eng, inst = engine({"doma": [("a1", "a2")]}, {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
+                       rules=rules)
+    start = time.perf_counter()
+    result = eng.chase_one(inst, seed=math.factorial(12) - 1)
+    assert time.perf_counter() - start < 1.0
+    # the last seed ranks the rules in reverse
+    assert [step.md for step in result.sequences[0]] == ["m11"]
+    assert by_tid(result.instances[0]) == {"t1": ("a1", "b12"), "t2": ("a2", "b12")}
+
+
+def test_chase_one_never_closes_token_union_values(monkeypatch):
+    def closure(active):
+        raise AssertionError("token-union values closed")
+
+    monkeypatch.setattr(model, "_token_union_closure", closure)
+    schema = Schema.parse("R(A: grp, B: toks)")
+    mds = parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~grp~ x2 -> y1 := y2;")
+    sim = SimilarityRelation()
+    instance = Instance(schema, {"R": {"t1": ("g", "a b"), "t2": ("g", "b c"), "t3": ("h", "d")}})
+    mf = MatchingFunction(builtins={"toks": "token-union"})
+    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    result = ChaseEngine(schema, mds, sim, smf).chase_one(instance)
+    assert by_tid(result.instances[0]) == {
+        "t1": ("g", "a b c"), "t2": ("g", "a b c"), "t3": ("h", "d"),
+    }
+    with pytest.raises(AssertionError, match="closed"):
+        smf.values("toks")
 
 
 def test_chase_one_endpoint_is_stable_and_monotone():

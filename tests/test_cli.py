@@ -4,10 +4,14 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
+from mdclean import codegen
 from mdclean.cli import main
 from mdclean.datalog import Literal, parse_asp, parse_program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fixture_args(name):
@@ -261,3 +265,50 @@ def test_malformed_json_instance_is_an_input_error(tmp_path, capsys):
         assert code == 1, text
         assert out == ""
         assert err.startswith(f"error: {kind}: {instance}: "), err
+
+
+def test_solve_and_answer_build_no_value_table(monkeypatch, capsys):
+    def tables(*args):
+        raise AssertionError("value tables built")
+
+    monkeypatch.setattr(codegen, "_value_tables", tables)
+    args = fixture_args("convergent")
+    code, out, _ = run(capsys, ["solve", "--format", "text", *args])
+    assert code == 0
+    assert out == (GOLDEN / "convergent.solve.txt").read_text()
+    queries = FIXTURES / "divergent" / "queries.txt"
+    code, out, _ = run(capsys, ["answer", "--query", str(queries), *args])
+    assert code == 0
+    assert out == (GOLDEN / "convergent.answer.txt").read_text()
+    with pytest.raises(AssertionError, match="value tables built"):
+        main(["emit-datalog", *args])
+
+
+def test_names_differing_only_by_case_are_refused(tmp_path, capsys):
+    # generated programs lower-case these names: the `Dom` pairs would leak
+    # into `sim_dom`, and the tuples of `R` and `r` would share one predicate
+    (tmp_path / "domains").mkdir()
+    (tmp_path / "relations").mkdir()
+    domains = write_setting(
+        tmp_path / "domains",
+        "R(A: Dom, B: dom)\n",
+        {"R": "tid,A,B\nt1,x,x\nt2,y,y\n"},
+        "md md1: lead R(t1; a1, b1), lead R(t2; a2, b2), b1 ~dom~ b2 -> b1 := b2;\n"
+        "md md2: lead R(t1; a1, b1), lead R(t2; a2, b2), a1 ~Dom~ a2 -> a1 := a2;\n",
+        "Dom: x ~ y\n",
+        "Dom: m(x, y) = xy\ndom: m(x, y) = xy\n",
+    )
+    relations = write_setting(
+        tmp_path / "relations",
+        "R(A: d)\nr(A: d)\n",
+        {"R": "tid,A\nt1,a\n", "r": "tid,A\nt2,b\n"},
+        "",
+        "",
+        "",
+    )
+    for args, message in ((domains, "'Dom' and 'dom'"), (relations, "'R' and 'r'")):
+        for command in (["solve"], ["chase", "--all"], ["chase", "--one"]):
+            code, out, err = run(capsys, [*command, *args])
+            assert code == 1, command
+            assert out == ""
+            assert "ValidationError" in err and message in err

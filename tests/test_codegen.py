@@ -12,7 +12,7 @@ from mdclean.codegen import (
     emit_residual_datalog,
     evaluate_residual,
 )
-from mdclean.datalog import AspRule, Literal, parse_asp, parse_program, stratify
+from mdclean.datalog import AspRule, Literal, evaluate, parse_asp, parse_program, stratify
 from mdclean.errors import NotSci, UndefinedMatch, ValidationError
 from mdclean.mdlang import parse_mds
 from mdclean.model import (
@@ -141,7 +141,9 @@ def test_general_fact_tables():
     asp = emit_general_asp(schema, instance, mds, sim, smf)
     text = asp.text()
     assert "r_v(t1, a1, b1)." in text
-    assert len(asp.of_kind("mf-fact")) == len(smf.triples("domb"))
+    values = smf.values("domb")
+    merges = [(a, b) for a in values for b in values if smf.try_match("domb", a, b) is not None]
+    assert len(asp.of_kind("mf-fact")) == len(merges)
     assert "mf_domb(b1, b2, b12)." in text
     assert "mf_domb(b2, b1, b12)." in text
     assert "pre_domb(b1, b123)." in text
@@ -321,6 +323,9 @@ def test_residual_program_shape_and_strata():
     assert "notmatch" not in text
     assert not any(line.startswith(":-") for line in text.splitlines())
     assert "r(T1, X1, Y1)" in text  # reads current tuples, not versions
+    # the value relations are built-ins; only the text holds their tables
+    assert set(rp.program.facts) == {"r"}
+    assert set(rp.program.builtins) == {"!=", "mf_domb", "pre_domb", "sim_doma", "sim_domb"}
     strata = stratify(rp.program)
     assert len(strata) == 2
     assert strata[1] == ["r_clean"]
@@ -432,5 +437,10 @@ def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
     rp = residual(escaped)
     reparsed = parse_program(rp.text())
     assert reparsed.rules == rp.program.rules
-    assert reparsed.facts == rp.program.facts
-    assert evaluate_residual(rp)["R"]["t1"] == ("a\\1", "b12")
+    # the text, its value tables read as facts, computes the same instance
+    plain = {p: ts for p, ts in reparsed.facts.items() if p not in rp.program.builtins}
+    assert plain == rp.program.facts
+    clean = evaluate_residual(rp)
+    assert clean["R"]["t1"] == ("a\\1", "b12")
+    rows = {(tid, *vals) for tid, vals in clean["R"].items()}
+    assert evaluate(reparsed).get("r_clean") == rows

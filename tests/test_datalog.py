@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import logging
 import random
 
 import pytest
@@ -12,10 +11,10 @@ from mdclean.datalog import (
     Rule,
     evaluate,
     format_rule_ast,
-    make_builtins,
     parse_asp,
     parse_program,
     stratify,
+    value_builtins,
 )
 from mdclean.errors import (
     NotStratifiable,
@@ -26,7 +25,7 @@ from mdclean.errors import (
 from mdclean.model import MatchingFunction, SimilarityRelation
 from mdclean.terms import Compound, Var
 
-from naive_dl import naive_evaluate, random_program
+from naive_dl import VALUE_USES, naive_evaluate, random_program
 
 CHAIN_MF = MatchingFunction(
     {
@@ -158,8 +157,8 @@ def test_mixed_arity_rejected():
 
 def test_builtin_heads_and_negation_rejected():
     with pytest.raises(ValidationError):
-        Program([Rule(Literal("sim", (Var("X"),) * 3), (Literal("p", (Var("X"),)),))],
-                builtins=make_builtins(SimilarityRelation()))
+        Program([Rule(Literal("sim_doma", (Var("X"),) * 2), (Literal("p", (Var("X"),)),))],
+                builtins=value_builtins([("sim", "doma")], SimilarityRelation()))
     with pytest.raises(ValidationError):
         parse_program("p(X) :- q(X), not X != X.")
 
@@ -257,26 +256,23 @@ def test_sim_builtin():
     program = parse_program(
         """
         item(a1). item(a2). item(a3).
-        buddy(X, Y) :- item(X), item(Y), sim(doma, X, Y), X != Y.
+        buddy(X, Y) :- item(X), item(Y), sim_doma(X, Y), X != Y.
         """,
-        make_builtins(sim, smf),
+        value_builtins(VALUE_USES, sim, smf),
     )
     assert evaluate(program).get("buddy") == {("a1", "a2"), ("a2", "a1")}
 
 
-def test_mf_builtin_binds_result(caplog):
+def test_mf_builtin_binds_result():
     sim, smf = chain_env()
     program = parse_program(
         """
         pair(b1, b2). pair(b2, b4). pair(b12, b3).
-        merged(Z) :- pair(X, Y), mf(domb, X, Y, Z).
+        merged(Z) :- pair(X, Y), mf_domb(X, Y, Z).
         """,
-        make_builtins(sim, smf),
+        value_builtins(VALUE_USES, sim, smf),
     )
-    with caplog.at_level(logging.WARNING, logger="mdclean.datalog"):
-        model = evaluate(program)
-    assert model.get("merged") == {("b12",), ("b123",)}
-    assert "undefined" in caplog.text
+    assert evaluate(program).get("merged") == {("b12",), ("b123",)}
 
 
 def test_mf_builtin_checks_bound_result():
@@ -284,9 +280,9 @@ def test_mf_builtin_checks_bound_result():
     program = parse_program(
         """
         pair(b1, b2). pair(b2, b3).
-        hit(X, Y) :- pair(X, Y), mf(domb, X, Y, b12).
+        hit(X, Y) :- pair(X, Y), mf_domb(X, Y, b12).
         """,
-        make_builtins(sim, smf),
+        value_builtins(VALUE_USES, sim, smf),
     )
     assert evaluate(program).get("hit") == {("b1", "b2")}
 
@@ -296,11 +292,20 @@ def test_pre_builtin():
     program = parse_program(
         """
         candidate(b1). candidate(b23). candidate(b34). candidate(b4).
-        below(X) :- candidate(X), pre(domb, X, b123).
+        below(X) :- candidate(X), pre_domb(X, b123).
         """,
-        make_builtins(sim, smf),
+        value_builtins(VALUE_USES, sim, smf),
     )
     assert evaluate(program).get("below") == {("b1",), ("b23",)}
+
+
+def test_value_builtins_cover_the_used_domains_only():
+    sim, smf = chain_env()
+    builtins = value_builtins([("sim", "doma"), ("mf", "domb"), ("sim", "doma")], sim, smf)
+    assert sorted(builtins) == ["!=", "mf_domb", "sim_doma"]
+    assert (builtins["mf_domb"].arity, builtins["sim_doma"].arity) == (3, 2)
+    with pytest.raises(ValidationError, match="'Dom' and 'dom' share predicate 'sim_dom'"):
+        value_builtins([("sim", "Dom"), ("sim", "dom")], SimilarityRelation())
 
 
 def test_model_ignores_empty_relations():
@@ -326,7 +331,7 @@ def test_matches_reference_on_handwritten_programs():
         """,
     ]
     for text in texts:
-        program = parse_program(text, make_builtins(sim, smf))
+        program = parse_program(text, value_builtins(VALUE_USES, sim, smf))
         expected = naive_evaluate(program.rules, program.facts, sim, smf)
         assert evaluate(program).relations == expected
 
@@ -336,7 +341,7 @@ def test_matches_reference_on_random_programs():
     for seed in range(30):
         rng = random.Random(seed)
         rules, facts = random_program(rng)
-        program = Program(rules, facts, make_builtins(sim, smf))
+        program = Program(rules, facts, value_builtins(VALUE_USES, sim, smf))
         expected = naive_evaluate(rules, facts, sim, smf)
         assert evaluate(program).relations == expected, f"seed {seed}"
 
@@ -346,6 +351,6 @@ def test_matches_reference_on_random_builtin_programs():
     for seed in range(20):
         rng = random.Random(1000 + seed)
         rules, facts = random_program(rng, with_builtins=True)
-        program = Program(rules, facts, make_builtins(sim, smf))
+        program = Program(rules, facts, value_builtins(VALUE_USES, sim, smf))
         expected = naive_evaluate(rules, facts, sim, smf)
         assert evaluate(program).relations == expected, f"seed {seed}"

@@ -1,7 +1,9 @@
 """CLI outputs compared byte for byte with recorded goldens.
 
-The files under `tests/golden/` hold the stdout of each command as the
-string-built code generator produced it; the AST-built generator must render
+The files under `tests/golden/` hold the stdout of each command as recorded
+before the code it exercises was last rewritten: the generated programs, the
+classifier's report, the chase's instances and step sequences, and certain
+answers on both the chase and the residual path.  A rewrite must reproduce
 the same bytes.
 """
 
@@ -14,6 +16,7 @@ from mdclean.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = ROOT / "tests" / "golden"
+QUERIES = FIXTURES / "divergent" / "queries.txt"
 
 CASES = [
     ("convergent.emit-asp.txt", "emit-asp", "convergent", False, []),
@@ -27,6 +30,16 @@ CASES = [
     # the ASP program skips them
     ("convergent-norules.emit-asp.txt", "emit-asp", "convergent", True, []),
     ("convergent-norules.emit-datalog.txt", "emit-datalog", "convergent", True, []),
+    ("convergent.classify.txt", "classify", "convergent", False, []),
+    ("divergent.classify.txt", "classify", "divergent", False, []),
+    ("bibliography.classify.txt", "classify", "bibliography", False, []),
+    ("divergent.chase-all.txt", "chase", "divergent", False, ["--all"]),
+    ("bibliography.chase-all.txt", "chase", "bibliography", False, ["--all"]),
+    ("bibliography.chase-one.txt", "chase", "bibliography", False, ["--one"]),
+    # a diverging setting answers over every chase endpoint, a converging one
+    # over the residual program's instance
+    ("divergent.answer.txt", "answer", "divergent", False, ["--query", str(QUERIES)]),
+    ("convergent.answer.txt", "answer", "convergent", False, ["--query", str(QUERIES)]),
 ]
 
 

@@ -110,10 +110,12 @@ def test_parse_error_carries_position():
 
 
 def test_variable_starting_with_a_digit_rejected():
-    # `1x` would read as a constant once capitalised into a Datalog variable
+    # `1x` would read as a constant once capitalised into a Datalog variable,
+    # and the Datalog lexer reads no `Éx` at all
     for text in (
         "md m: lead R(t1; 1x, y1), lead R(t2; 2x, y2), 1x ~doma~ 2x -> y1 := y2;",
         "md m: lead R(1t; x1, y1), lead R(t2; x2, y2) -> y1 := y2;",
+        "md m: lead R(t1; éx, y1), lead R(t2; éy, y2), éx ~doma~ éy -> y1 := y2;",
     ):
         with pytest.raises(ParseError) as err:
             parse_mds(text)

@@ -32,6 +32,15 @@ CHAIN_TRIPLES = {
 }
 
 
+def merge_table(sat, domain):
+    """Every defined merge over the domain's values, as (a, b, m(a, b))."""
+    values = sorted(sat.values(domain))
+    return [
+        (a, b, c) for a in values for b in values
+        if (c := sat.try_match(domain, a, b)) is not None
+    ]
+
+
 def equational_closure(triples):
     """Close a table under idempotence, commutativity, and associativity.
 
@@ -83,7 +92,7 @@ def test_saturation_matches_oracle_exactly_on_chain_table():
     # On this table the equational closure already reaches every defined pair.
     sat = MatchingFunction(CHAIN_TRIPLES).saturate()
     oracle = equational_closure(CHAIN_TRIPLES["domb"])
-    table = {(a, b): c for a, b, c in sat.triples("domb")}
+    table = {(a, b): c for a, b, c in merge_table(sat, "domb")}
     assert table == oracle
 
 
@@ -132,8 +141,8 @@ def test_saturation_rejects_cyclic_definitions():
 
 def test_saturation_is_idempotent():
     sat = MatchingFunction(CHAIN_TRIPLES).saturate()
-    again = MatchingFunction({"domb": sat.triples("domb")}).saturate()
-    assert sat.triples("domb") == again.triples("domb")
+    again = MatchingFunction({"domb": merge_table(sat, "domb")}).saturate()
+    assert merge_table(sat, "domb") == merge_table(again, "domb")
 
 
 def test_saturated_table_satisfies_semilattice_laws():
@@ -230,7 +239,7 @@ def test_random_free_tables_always_saturate_and_respect_laws():
         table, names = random_free_table(rng)
         sat = MatchingFunction(table).saturate()
         by_name = {v: k for k, v in names.items()}
-        for a, b, c in sat.triples("d"):
+        for a, b, c in merge_table(sat, "d"):
             assert by_name[a] | by_name[b] == by_name[c]
         oracle = equational_closure(table["d"])
         for (a, b), c in oracle.items():
@@ -245,6 +254,11 @@ def test_token_union_builtin_merges_by_token_set():
     assert sat.precedes("addr", "main st", "25 main st")
     assert not sat.precedes("addr", "25 main st", "main st")
     assert "25 main springfield st" in sat.values("addr")
+    # every union of the active token sets is a value, spelled in token order
+    sat = mf.saturate({"addr": {"b a", "c", "d e"}})
+    assert sat.values("addr") == {
+        "b a", "a b", "c", "d e", "a b c", "a b d e", "c d e", "a b c d e",
+    }
 
 
 def test_value_min_max_builtins():
@@ -328,6 +342,11 @@ def test_schema_parse_and_validation():
         Relation("R", ("tid", "A"), ("d", "d"))
     with pytest.raises(ValidationError):
         schema.relation("Nope")
+    # generated programs lower-case relation and domain names
+    with pytest.raises(ValidationError, match="domain names 'Dom' and 'dom'"):
+        Schema.parse("R(A: Dom, B: dom)")
+    with pytest.raises(ValidationError, match="relation names 'R' and 'r'"):
+        Schema.parse("R(A: d)\nr(A: d)")
 
 
 def test_instance_validation_and_updates():

@@ -118,6 +118,9 @@ def test_validation_errors():
     # nor can a similarity range over a variable no atom binds
     with pytest.raises(ValidationError):
         eval_cq(d, parse_query("q() :- R(T, X, Y), Z ~domb~ Y."), SimilarityRelation())
+    # two domains whose `sim_<domain>` predicates would coincide
+    with pytest.raises(ValidationError):
+        eval_cq(d, parse_query("q() :- R(T, X, Y), a ~Dom~ b, a ~dom~ b."), SimilarityRelation())
 
 
 def test_certain_answers_intersect():
