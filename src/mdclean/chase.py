@@ -202,7 +202,8 @@ class ChaseEngine:
         step_limit: int = DEFAULT_STEP_LIMIT,
         enumeration_gate: int = DEFAULT_ENUMERATION_GATE,
     ) -> ChaseResult:
-        """All stable endpoints reachable by any enforcement order."""
+        """All stable endpoints reachable by any enforcement order, sorted by
+        `canonical_key()`."""
         if instance.total_tuples() > enumeration_gate:
             raise InstanceTooLarge(
                 f"{instance.total_tuples()} tuples exceed the enumeration gate "

@@ -8,14 +8,16 @@ Exit codes: 0 success, 1 malformed input (syntax or structural validation),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .chase import DEFAULT_STEP_LIMIT, ChaseEngine
 from .classify import Verdict, classify
 from .codegen import emit_general_asp, emit_residual_datalog, evaluate_residual
-from .errors import MdcleanError, ParseError, ValidationError
+from .errors import MdcleanError, ParseError, UnknownDomain, ValidationError
 from .mdlang import MDSet, load_mds, validate_mds
 from .model import (
     Instance,
@@ -24,61 +26,87 @@ from .model import (
     SimilarityRelation,
     collect_active_values,
 )
-from .query import certain_answers, load_queries, validate_query
+from .query import ConjunctiveQuery, certain_answers, load_queries, validate_query
 
 
-def _tag(path, exc: MdcleanError) -> MdcleanError:
-    """Prefix a load-time error with the file it came from, keeping its class."""
-    wrapped = exc.__class__.__new__(exc.__class__)
-    MdcleanError.__init__(wrapped, f"{path}: {exc}")
-    return wrapped
-
-
-def _load(path, loader):
+@contextmanager
+def _blame(path):
+    """Prefix an input error raised inside with the file it came from, keeping
+    its class; with no file, the error passes unchanged."""
     try:
-        return loader(path)
+        yield
     except MdcleanError as exc:
-        raise _tag(path, exc) from exc
+        if path is None:
+            raise
+        wrapped = exc.__class__.__new__(exc.__class__)
+        MdcleanError.__init__(wrapped, f"{path}: {exc}")
+        raise wrapped from exc
 
 
 class Inputs:
-    """Lazy bundle of the input files named on the command line."""
+    """Lazy bundle of the input files named on the command line.
+
+    The one place where inputs are loaded and checked against the schema:
+    every command, `validate` included, goes through these methods.
+    """
 
     def __init__(self, args):
         self.args = args
-        self.schema = _load(args.schema, Schema.load)
+        with _blame(args.schema):
+            self.schema = Schema.load(args.schema)
 
     def instance(self) -> Instance:
-        return _load(self.args.instance, lambda p: Instance.load(self.schema, p))
+        with _blame(self.args.instance):
+            return Instance.load(self.schema, self.args.instance)
 
     def mds(self) -> MDSet:
-        return _load(self.args.mds, load_mds)
+        with _blame(self.args.mds):
+            return load_mds(self.args.mds)
+
+    def check_mds(self, mds: MDSet, mf: MatchingFunction | None) -> None:
+        with _blame(self.args.mds):
+            validate_mds(mds, self.schema, mf)
 
     def sim(self) -> SimilarityRelation:
         if self.args.sim is None:
             return SimilarityRelation()
-        return _load(self.args.sim, SimilarityRelation.load)
+        with _blame(self.args.sim):
+            sim = SimilarityRelation.load(self.args.sim)
+            for dom in self._unknown(sim.declared_domains()):
+                raise UnknownDomain(f"similarity declared on unknown domain {dom!r}")
+        return sim
 
     def mf(self) -> MatchingFunction:
         if self.args.mf is None:
             return MatchingFunction()
-        return _load(self.args.mf, MatchingFunction.load)
+        with _blame(self.args.mf):
+            mf = MatchingFunction.load(self.args.mf)
+            for dom in self._unknown(mf.declared_domains()):
+                raise ValidationError(f"unknown domain {dom!r}")
+        return mf
+
+    def _unknown(self, domains) -> list[str]:
+        known = self.schema.domains()
+        return [dom for dom in domains if dom not in known]
 
     def saturated(self, instance, sim, mf):
         active = collect_active_values(self.schema, instance, sim, mf)
-        try:
+        with _blame(self.args.mf):
             return mf.saturate(active), active
-        except MdcleanError as exc:
-            if self.args.mf is not None:
-                raise _tag(self.args.mf, exc) from exc
-            raise
+
+    def queries(self) -> list[ConjunctiveQuery]:
+        with _blame(self.args.query):
+            queries = load_queries(self.args.query)
+            for query in queries:
+                validate_query(query, self.schema)
+        return queries
 
     def setting(self):
         instance = self.instance()
         mds = self.mds()
         sim = self.sim()
         mf = self.mf()
-        validate_mds(mds, self.schema, mf)
+        self.check_mds(mds, mf)
         smf, active = self.saturated(instance, sim, mf)
         return instance, mds, sim, smf, active
 
@@ -105,35 +133,24 @@ def _render(args, payload, text_lines) -> str:
 
 def cmd_validate(args) -> str:
     inputs = Inputs(args)
-    schema = inputs.schema
-    checked = {"schema": f"{len(schema.relation_names())} relations"}
-    instance = None
+    checked = {"schema": f"{len(inputs.schema.relation_names())} relations"}
+    instance = sim = mf = None
     if args.instance is not None:
         instance = inputs.instance()
         checked["instance"] = f"{instance.total_tuples()} tuples"
-    sim = None
     if args.sim is not None:
-        sim = _load(args.sim, SimilarityRelation.load)
-        _load(args.sim, lambda p: sim.with_known_domains(schema.domains()))
+        sim = inputs.sim()
         checked["sim"] = f"domains {', '.join(sim.declared_domains()) or '(none)'}"
-    mf = None
     if args.mf is not None:
-        mf = _load(args.mf, MatchingFunction.load)
-        for dom in mf.declared_domains():
-            if dom not in schema.domains():
-                raise _tag(args.mf, ValidationError(f"unknown domain {dom!r}"))
-        active = collect_active_values(schema, instance, sim, mf)
-        _load(args.mf, lambda p: mf.saturate(active))
+        mf = inputs.mf()
+        inputs.saturated(instance, sim, mf)
         checked["mf"] = f"domains {', '.join(mf.declared_domains()) or '(none)'}"
     if args.mds is not None:
         mds = inputs.mds()
-        _load(args.mds, lambda p: validate_mds(mds, schema, mf))
+        inputs.check_mds(mds, mf)
         checked["mds"] = f"{len(mds)} rules"
     if args.query is not None:
-        queries = _load(args.query, load_queries)
-        for query in queries:
-            _load(args.query, lambda p: validate_query(query, schema))
-        checked["query"] = f"{len(queries)} queries"
+        checked["query"] = f"{len(inputs.queries())} queries"
     lines = [f"{kind}: ok ({detail})" for kind, detail in checked.items()]
     return _render(args, {"ok": True, "checked": checked}, lines)
 
@@ -152,13 +169,6 @@ def cmd_classify(args) -> str:
     return _render(args, payload, lines)
 
 
-def _sorted_result(result):
-    order = sorted(range(len(result.instances)), key=lambda i: result.instances[i].canonical_key())
-    instances = [result.instances[i] for i in order]
-    sequences = [result.sequences[i] for i in order]
-    return instances, sequences
-
-
 def cmd_chase(args) -> str:
     inputs = Inputs(args)
     instance, mds, sim, smf, _ = inputs.setting()
@@ -167,15 +177,14 @@ def cmd_chase(args) -> str:
         result = engine.chase_all(instance, step_limit=args.step_limit)
     else:
         result = engine.chase_one(instance, seed=args.seed, step_limit=args.step_limit)
-    instances, sequences = _sorted_result(result)
     payload = {
-        "count": len(instances),
-        "instances": [inst.to_json_dict() for inst in instances],
-        "steps": [[step.to_json_dict() for step in seq] for seq in sequences],
+        "count": len(result.instances),
+        "instances": [inst.to_json_dict() for inst in result.instances],
+        "steps": [[step.to_json_dict() for step in seq] for seq in result.sequences],
     }
     lines = []
-    for i, inst in enumerate(instances, start=1):
-        lines.append(f"clean instance {i} ({len(sequences[i - 1])} steps)")
+    for i, (inst, seq) in enumerate(zip(result.instances, result.sequences), start=1):
+        lines.append(f"clean instance {i} ({len(seq)} steps)")
         lines.extend("  " + row for row in _instance_lines(inst))
     return _render(args, payload, lines)
 
@@ -189,18 +198,16 @@ def cmd_emit_asp(args) -> str:
 def _residual(inputs):
     instance, mds, sim, smf, active = inputs.setting()
     verdict = classify(mds, inputs.schema, instance, sim, smf, active)
-    return emit_residual_datalog(inputs.schema, instance, mds, sim, smf, verdict), sim
+    return emit_residual_datalog(inputs.schema, instance, mds, sim, smf, verdict)
 
 
 def cmd_emit_datalog(args) -> str:
-    residual, _ = _residual(Inputs(args))
-    return residual.text()
+    return _residual(Inputs(args)).text()
 
 
 def cmd_solve(args) -> str:
     inputs = Inputs(args)
-    residual, _ = _residual(inputs)
-    clean = evaluate_residual(residual)
+    clean = evaluate_residual(_residual(inputs))
     instance = Instance(inputs.schema, clean)
     return _render(args, instance.to_json_dict(), _instance_lines(instance))
 
@@ -208,9 +215,7 @@ def cmd_solve(args) -> str:
 def cmd_answer(args) -> str:
     inputs = Inputs(args)
     instance, mds, sim, smf, active = inputs.setting()
-    queries = _load(args.query, load_queries)
-    for query in queries:
-        _load(args.query, lambda p: validate_query(query, inputs.schema))
+    queries = inputs.queries()
     verdict = classify(mds, inputs.schema, instance, sim, smf, active)
     if verdict.verdict is Verdict.GENERAL:
         engine = ChaseEngine(inputs.schema, mds, sim, smf)
@@ -255,6 +260,7 @@ def _add_input_flags(parser, *, instance=True, mds=True, query=False):
     parser.add_argument("--query", required=query, metavar="FILE", help="conjunctive queries")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdclean",
@@ -262,7 +268,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("validate", help="load the given inputs and run every structural check")
+    p = sub.add_parser("validate",
+                       help="load the given inputs and run the checks every command runs on them")
     _add_input_flags(p, instance=False, mds=False)
     _add_io_flags(p)
     p.set_defaults(run=cmd_validate)

@@ -54,6 +54,7 @@ from .mdlang import (
 )
 from .model import (
     Instance,
+    Relation,
     SaturatedMatchingFunction,
     Schema,
     SimilarityRelation,
@@ -194,6 +195,13 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
+def _tuple_vars(rel: Relation) -> list[str]:
+    """Distinct variables for a tuple: `T` for its identifier, then one per
+    attribute, named after it."""
+    taken: set[str] = set()
+    return [_fresh("T", taken), *(_fresh(var_name(a), taken) for a in rel.attrs)]
+
+
 def _rename_map(md: MatchingDependency, taken: set[str]) -> dict[str, str]:
     """Fresh capitalised names for every variable of `md`, avoiding `taken`."""
     out = {}
@@ -298,9 +306,11 @@ def _oldversion_rules(
     written positions, so the tuple-inequality guard splits over those.
     """
     rel = schema.relation(rel_name)
-    tid = "T"
-    first = [var_name(a) for a in rel.attrs]
-    second = [v + "q" if smf.has_mf(dom) else v for v, dom in zip(first, rel.domains)]
+    tid, *first = _tuple_vars(rel)
+    taken = {tid, *first}
+    second = [
+        _fresh(v + "q", taken) if smf.has_mf(dom) else v for v, dom in zip(first, rel.domains)
+    ]
     pred = relation_pred(rel_name)
     body = [_lit(pred, [tid, *first]), _lit(pred, [tid, *second])]
     for i, dom in enumerate(rel.domains):
@@ -371,12 +381,39 @@ def _value_tables(
     return out
 
 
+def _check_predicates(
+    schema: Schema, mds: MDSet, written, uses, relation_pred, general: bool
+) -> None:
+    """Refuse a program in which two roles would share one predicate.
+
+    Relation, rule and domain names are lower-cased into the predicates of
+    tuples, clean relations, superseded versions, matches, the general
+    program's non-matches and `prec`, and the value built-ins; a name can
+    spell another role's predicate (relation `sim_d`, rules `m1` and `M1`).
+    """
+    rels = schema.relation_names()
+    roles = [(relation_pred(rel), f"the tuples of relation {rel!r}") for rel in rels]
+    roles += [(_clean_pred(rel), f"the clean relation of {rel!r}") for rel in rels]
+    roles += [(_oldversion_pred(rel), f"the superseded versions of {rel!r}") for rel in written]
+    roles += [(f"match_{_pred(md.name)}", f"the matches of rule {md.name!r}") for md in mds]
+    if general:
+        roles += [
+            (f"notmatch_{_pred(md.name)}", f"the non-matches of rule {md.name!r}") for md in mds
+        ]
+        roles.append(("prec", "the matching order"))
+    roles += [(value_pred(k, dom), f"the {k} built-in of domain {dom!r}") for k, dom in uses]
+    owner: dict[str, str] = {}
+    for pred, role in roles:
+        other = owner.setdefault(pred, role)
+        if other != role:
+            raise ValidationError(f"{other} and {role} share predicate {pred!r}")
+
+
 def _collect_rules(schema: Schema, written, relation_pred) -> list[AspStatement]:
     """Block 7: the clean relations, read off versions no merge superseded."""
     out = []
     for rel_name in schema.relation_names():
-        rel = schema.relation(rel_name)
-        args = ["T", *(var_name(a) for a in rel.attrs)]
+        args = _tuple_vars(schema.relation(rel_name))
         body = [_lit(relation_pred(rel_name), args)]
         if rel_name in written:
             body.append(_lit(_oldversion_pred(rel_name), args, negated=True))
@@ -407,6 +444,7 @@ def emit_general_asp(
     written = _written_positions(mds, schema)
     active = collect_active_values(schema, instance, sim)
     uses = _value_uses(mds, schema, smf, sorted(written), active)
+    _check_predicates(schema, mds, written, uses, _version_pred, general=True)
     statements = _version_facts(schema, instance, _version_pred)
     statements += _value_tables(uses, value_builtins(uses, sim, smf), smf, active)
 
@@ -567,6 +605,7 @@ def emit_residual_datalog(
     written = _written_positions(mds, schema)
     active = collect_active_values(schema, instance, sim)
     uses = _value_uses(mds, schema, smf, sorted(written), active)
+    _check_predicates(schema, mds, written, uses, _pred, general=False)
     version_facts = _version_facts(schema, instance, _pred)
     rules = []
     for md in mds:

@@ -528,15 +528,23 @@ def _fire(plan: _Plan, rels: list) -> set[tuple[str, ...]]:
 
 
 _CONST_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
+_VAR_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z")
 _UNESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _name(name: str, pattern: re.Pattern, kind: str) -> str:
+    """`name`, refused when the parser would not read it back as a `kind`."""
+    if not pattern.match(name) or name == "not":
+        raise ValidationError(f"{kind} {name!r} cannot be written as a Datalog {kind}")
+    return name
 
 
 def format_term(term: Term) -> str:
     if is_var(term):
-        return term.name
+        return _name(term.name, _VAR_RE, "variable")
     if isinstance(term, Compound):
         inner = ", ".join(format_term(a) for a in term.args)
-        return f"{term.functor}({inner})"
+        return f"{_name(term.functor, _CONST_RE, 'functor')}({inner})"
     if _CONST_RE.match(term):
         return term
     return '"' + term.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -547,10 +555,11 @@ def format_literal(lit: Literal) -> str:
     if lit.pred == NEQ:
         left, right = lit.args
         return f"{prefix}{format_term(left)} != {format_term(right)}"
+    pred = _name(lit.pred, _CONST_RE, "predicate")
     if not lit.args:
-        return prefix + lit.pred
+        return prefix + pred
     args = ", ".join(format_term(a) for a in lit.args)
-    return f"{prefix}{lit.pred}({args})"
+    return f"{prefix}{pred}({args})"
 
 
 def format_rule_ast(rule: Rule | AspRule | Literal) -> str:

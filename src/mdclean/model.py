@@ -21,7 +21,6 @@ from .errors import (
     ParseError,
     SemilatticeViolation,
     UndefinedMatch,
-    UnknownDomain,
     ValidationError,
 )
 
@@ -301,7 +300,6 @@ class SimilarityRelation:
         self,
         pairs: Mapping[str, Iterable[tuple[str, str]]] | None = None,
         builtins: Mapping[str, str] | None = None,
-        known_domains: Iterable[str] | None = None,
     ):
         self._pairs: dict[str, set[frozenset[str]]] = {}
         for dom, dom_pairs in (pairs or {}).items():
@@ -313,18 +311,8 @@ class SimilarityRelation:
             if rule not in SIM_BUILTINS:
                 raise ValidationError(f"unknown similarity built-in {rule!r} (expected one of {SIM_BUILTINS})")
             self._builtins[dom] = rule
-        self._known = frozenset(known_domains) if known_domains is not None else None
-        if self._known is not None:
-            for dom in list(self._pairs) + list(self._builtins):
-                if dom not in self._known:
-                    raise UnknownDomain(f"similarity declared on unknown domain {dom!r}")
-
-    def _check_domain(self, domain: str) -> None:
-        if self._known is not None and domain not in self._known:
-            raise UnknownDomain(f"unknown domain {domain!r}")
 
     def similar(self, domain: str, a: str, b: str) -> bool:
-        self._check_domain(domain)
         if a == b:
             return True
         if frozenset((a, b)) in self._pairs.get(domain, ()):
@@ -346,13 +334,6 @@ class SimilarityRelation:
 
     def declared_domains(self) -> list[str]:
         return sorted(set(self._pairs) | set(self._builtins))
-
-    def with_known_domains(self, domains: Iterable[str]) -> "SimilarityRelation":
-        return SimilarityRelation(
-            {d: self.declared_pairs(d) for d in self._pairs},
-            dict(self._builtins),
-            domains,
-        )
 
     @classmethod
     def parse(cls, text: str) -> "SimilarityRelation":

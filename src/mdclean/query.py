@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .datalog import NEQ, Literal, Program, Rule, evaluate, value_builtins, value_pred
-from .errors import EmptyCleanSet, ParseError, ValidationError
+from .errors import EmptyCleanSet, ParseError, UnknownDomain, ValidationError
 from .model import Instance, Schema, SimilarityRelation
 from .terms import Term, Var, is_var
 
@@ -55,7 +55,8 @@ class ConjunctiveQuery:
 
 
 def validate_query(query: ConjunctiveQuery, schema: Schema) -> list[str]:
-    """Check the query against the schema; the domains of its similarities."""
+    """Check the query against the schema; the domains of its similarities,
+    each one of the schema's."""
     body_vars = set(query.variables())
     for atom in query.atoms:
         rel = schema.relation(atom.relation)
@@ -73,7 +74,12 @@ def validate_query(query: ConjunctiveQuery, schema: Schema) -> list[str]:
                 raise ValidationError(
                     f"query {query.name!r}: similarity variable {term.name!r} not bound by an atom"
                 )
-    return [resolve_sim_domain(query, schema, lit) for lit in query.sims]
+    domains = [resolve_sim_domain(query, schema, lit) for lit in query.sims]
+    known = schema.domains()
+    for dom in domains:
+        if dom not in known:
+            raise UnknownDomain(f"query {query.name!r}: similarity on unknown domain {dom!r}")
+    return domains
 
 
 def resolve_sim_domain(query: ConjunctiveQuery, schema: Schema, lit: SimLiteral) -> str:

@@ -14,8 +14,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def fixture_args(name):
-    d = FIXTURES / name
+def dir_args(d):
+    """Arguments for a setting whose files sit in directory `d`."""
     return [
         "--schema", str(d / "schema.txt"),
         "--instance", str(d),
@@ -23,6 +23,10 @@ def fixture_args(name):
         "--sim", str(d / "sim.txt"),
         "--mf", str(d / "mf.txt"),
     ]
+
+
+def fixture_args(name):
+    return dir_args(FIXTURES / name)
 
 
 def edited_fixture_args(tmp_path, name, file, old, new):
@@ -32,13 +36,7 @@ def edited_fixture_args(tmp_path, name, file, old, new):
     path = d / file
     assert old in path.read_text()
     path.write_text(path.read_text().replace(old, new))
-    return [
-        "--schema", str(d / "schema.txt"),
-        "--instance", str(d),
-        "--mds", str(d / "mds.txt"),
-        "--sim", str(d / "sim.txt"),
-        "--mf", str(d / "mf.txt"),
-    ]
+    return dir_args(d)
 
 
 def run(capsys, argv):
@@ -216,13 +214,7 @@ def write_setting(tmp_path, schema, rows, mds, sim, mf):
     (tmp_path / "mds.txt").write_text(mds)
     (tmp_path / "sim.txt").write_text(sim)
     (tmp_path / "mf.txt").write_text(mf)
-    return [
-        "--schema", str(tmp_path / "schema.txt"),
-        "--instance", str(tmp_path),
-        "--mds", str(tmp_path / "mds.txt"),
-        "--sim", str(tmp_path / "sim.txt"),
-        "--mf", str(tmp_path / "mf.txt"),
-    ]
+    return dir_args(tmp_path)
 
 
 def test_solve_never_matches_a_tuple_with_itself(tmp_path, capsys):
@@ -312,3 +304,125 @@ def test_names_differing_only_by_case_are_refused(tmp_path, capsys):
             assert code == 1, command
             assert out == ""
             assert "ValidationError" in err and message in err
+
+
+# every command that reads the file, `validate` first
+READERS = [["classify"], ["chase", "--one"], ["chase", "--all"], ["emit-asp"],
+           ["emit-datalog"], ["solve"], ["answer"]]
+
+
+@pytest.mark.parametrize(
+    "file, line, error, commands",
+    [
+        ("sim.txt", "nodom: q1 ~ q2\n", "UnknownDomain", [["validate"], *READERS]),
+        ("mf.txt", "nodom: m(q1, q2) = q12\n", "ValidationError", [["validate"], *READERS]),
+        ("queries.txt", "q1() :- R(T, X, Y), a1 ~nodom~ a1.\n", "UnknownDomain",
+         [["validate"], ["answer"]]),
+    ],
+    ids=["sim", "mf", "query"],
+)
+def test_every_command_refuses_an_undeclared_domain_like_validate(
+    tmp_path, capsys, file, line, error, commands
+):
+    d = tmp_path / "convergent"
+    shutil.copytree(FIXTURES / "convergent", d)
+    shutil.copy(FIXTURES / "divergent" / "queries.txt", d / "queries.txt")
+    path = d / file
+    path.write_text(path.read_text() + line)
+    for command in commands:
+        code, out, err = run(capsys, [*command, *dir_args(d), "--query", str(d / "queries.txt")])
+        assert code == 1, command
+        assert out == ""
+        assert err.startswith(f"error: {error}: {path}: "), (command, err)
+
+
+@pytest.mark.parametrize(
+    "schema, rows, rule",
+    [
+        # the attribute `t` (or `b`) spells the identifier's (or `B`'s) variable
+        ("R(t: d, B: e)\n", "tid,t,B\nt1,a,b1\nt2,a,b2\n",
+         "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~d~ x2 -> y1 := y2;\n"),
+        ("R(b: d, B: e)\n", "tid,b,B\nt1,a,b1\nt2,a,b2\n",
+         "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~d~ x2 -> y1 := y2;\n"),
+        # `Bq` spells the second version of `B`
+        ("R(B: e, Bq: d)\n", "tid,B,Bq\nt1,b1,a\nt2,b2,a\n",
+         "md m: lead R(t1; y1, x1), lead R(t2; y2, x2), x1 ~d~ x2 -> y1 := y2;\n"),
+    ],
+    ids=["attribute-t", "attributes-b-B", "attributes-B-Bq"],
+)
+def test_solve_agrees_with_the_chase_when_attributes_spell_generated_variables(
+    tmp_path, capsys, schema, rows, rule
+):
+    args = write_setting(tmp_path, schema, {"R": rows}, rule, "", "e: m(b1, b2) = b12\n")
+    code, out, _ = run(capsys, ["chase", "--one", *args])
+    assert code == 0
+    endpoint = json.loads(out)["instances"][0]
+    assert [row["B"] for row in endpoint["R"]] == ["b12", "b12"]
+    code, out, err = run(capsys, ["solve", *args])
+    assert code == 0, err
+    assert json.loads(out) == endpoint
+
+
+@pytest.mark.parametrize(
+    "schema, rows, rules, sim, mf, message, asp_refuses",
+    [
+        ("sim_d(A: d)\nR(A: d, B: e)\n",
+         {"sim_d": "tid,A\ns1,a\n", "R": "tid,A,B\nt1,a,b1\nt2,b,b2\n"},
+         "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~d~ x2 -> y1 := y2;\n",
+         "d: a ~ b\n", "e: m(b1, b2) = b12\n",
+         "the tuples of relation 'sim_d' and the sim built-in of domain 'd' "
+         "share predicate 'sim_d'", False),
+        ("R(A: d, B: e)\nR_clean(A: d)\n",
+         {"R": "tid,A,B\nt1,a,b1\nt2,b,b2\n", "R_clean": "tid,A\nu1,a\n"},
+         "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~d~ x2 -> y1 := y2;\n",
+         "d: a ~ b\n", "e: m(b1, b2) = b12\n",
+         "the tuples of relation 'R_clean' and the clean relation of 'R' "
+         "share predicate 'r_clean'", False),
+        ("R(A: d, B: e, C: f)\n",
+         {"R": "tid,A,B,C\nt1,a1,b1,c1\nt2,a2,b2,c2\n"},
+         "md m1: lead R(t1; x1, y1, z1), lead R(t2; x2, y2, z2), x1 ~d~ x2 -> y1 := y2;\n"
+         "md M1: lead R(t1; x1, y1, z1), lead R(t2; x2, y2, z2), z1 ~f~ z2 -> x1 := x2;\n",
+         "d: a1 ~ a2\n", "e: m(b1, b2) = b12\nd: m(a1, a2) = a12\n",
+         "the matches of rule 'm1' and the matches of rule 'M1' share predicate 'match_m1'",
+         True),
+    ],
+    ids=["relation-sim_d", "relation-R_clean", "rules-m1-M1"],
+)
+def test_programs_refuse_names_that_share_a_generated_predicate(
+    tmp_path, capsys, schema, rows, rules, sim, mf, message, asp_refuses
+):
+    args = write_setting(tmp_path, schema, rows, rules, sim, mf)
+    # no rule's matches spill into another's: the chase keeps every A value
+    a_values = [line.split(",")[1] for line in rows["R"].splitlines()[1:]]
+    for command in (["chase", "--one"], ["chase", "--all"]):
+        code, out, err = run(capsys, [*command, *args])
+        assert code == 0, err
+        for instance in json.loads(out)["instances"]:
+            assert [row["A"] for row in instance["R"]] == a_values
+    refusing = [["solve"], ["emit-datalog"]] + [["emit-asp"]] * asp_refuses
+    for command in refusing:
+        code, out, err = run(capsys, [*command, *args])
+        assert code == 1, command
+        assert out == ""
+        assert err == f"error: ValidationError: {message}\n"
+    if not asp_refuses:
+        code, out, _ = run(capsys, ["emit-asp", *args])
+        assert code == 0
+        parse_asp(out)
+
+
+def test_unreadable_names_refuse_emission_but_solve_answers(tmp_path, capsys):
+    d = tmp_path / "convergent"
+    shutil.copytree(FIXTURES / "convergent", d)
+    for file in ("schema.txt", "sim.txt"):
+        (d / file).write_text((d / file).read_text().replace("doma", "dom-a"))
+    mds = d / "mds.txt"
+    mds.write_text(mds.read_text().replace("x1 ~doma~ x2", "x1 ~ x2"))
+    for command in (["emit-datalog"], ["emit-asp"]):
+        code, out, err = run(capsys, [*command, *dir_args(d)])
+        assert code == 1, command
+        assert out == ""
+        assert "ValidationError: predicate 'sim_dom-a' cannot be written" in err
+    code, out, _ = run(capsys, ["solve", "--format", "text", *dir_args(d)])
+    assert code == 0
+    assert out == (GOLDEN / "convergent.solve.txt").read_text()

@@ -135,6 +135,22 @@ def test_datalog_layer_rejects_asp_forms():
         parse_program("p(mt(a, b)).")
 
 
+@pytest.mark.parametrize(
+    "ast",
+    [
+        Literal("sim_dom-a", ("a1", "a1")),
+        Literal("Upper", ("a",)),
+        Literal("not", ()),
+        Literal("p", (Var("first name"),)),
+        Literal("p", (Compound("m t", ("a",)),)),
+        AspRule((Literal("p", (Var("X"),)),), (Literal("q-r", (Var("X"),)),)),
+    ],
+)
+def test_format_refuses_names_that_do_not_read_back(ast):
+    with pytest.raises(ValidationError, match="cannot be written as a Datalog"):
+        format_rule_ast(ast)
+
+
 def test_format_round_trip_is_stable():
     text = """
     q(a2). q(b).

@@ -7,7 +7,6 @@ import pytest
 from mdclean.errors import (
     SemilatticeViolation,
     UndefinedMatch,
-    UnknownDomain,
     ValidationError,
 )
 from mdclean.model import (
@@ -289,15 +288,6 @@ def test_similarity_token_overlap_builtin():
     assert sim.similar("title", "data cleaning", "cleaning rules")
     assert not sim.similar("title", "data cleaning", "entity matching")
     assert sim.similar("title", "", "")  # reflexivity wins over empty overlap
-
-
-def test_similarity_unknown_domain_check():
-    sim = SimilarityRelation({"doma": [("a1", "a2")]}, known_domains={"doma", "domb"})
-    assert sim.similar("domb", "x", "x")
-    with pytest.raises(UnknownDomain):
-        sim.similar("domc", "x", "y")
-    with pytest.raises(UnknownDomain):
-        SimilarityRelation({"nope": [("a", "b")]}, known_domains={"doma"})
 
 
 def test_sim_and_mf_file_formats_round_trip():

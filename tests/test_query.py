@@ -2,7 +2,7 @@
 
 import pytest
 
-from mdclean.errors import EmptyCleanSet, ParseError, ValidationError
+from mdclean.errors import EmptyCleanSet, ParseError, UnknownDomain, ValidationError
 from mdclean.model import Instance, Schema, SimilarityRelation
 from mdclean.query import (
     ConjunctiveQuery,
@@ -121,6 +121,9 @@ def test_validation_errors():
     # two domains whose `sim_<domain>` predicates would coincide
     with pytest.raises(ValidationError):
         eval_cq(d, parse_query("q() :- R(T, X, Y), a ~Dom~ b, a ~dom~ b."), SimilarityRelation())
+    # a similarity on a domain the schema lacks, even between two constants
+    with pytest.raises(UnknownDomain, match="similarity on unknown domain 'nodom'"):
+        eval_cq(d, parse_query("q() :- R(T, X, Y), a1 ~nodom~ a1."), SimilarityRelation())
 
 
 def test_certain_answers_intersect():
