@@ -200,14 +200,13 @@ class ChaseEngine:
         self,
         instance: Instance,
         step_limit: int = DEFAULT_STEP_LIMIT,
-        enumeration_gate: int = DEFAULT_ENUMERATION_GATE,
     ) -> ChaseResult:
         """All stable endpoints reachable by any enforcement order, sorted by
         `canonical_key()`."""
-        if instance.total_tuples() > enumeration_gate:
+        if instance.total_tuples() > DEFAULT_ENUMERATION_GATE:
             raise InstanceTooLarge(
                 f"{instance.total_tuples()} tuples exceed the enumeration gate "
-                f"({enumeration_gate}); use chase_one for large instances"
+                f"({DEFAULT_ENUMERATION_GATE}); use chase_one for large instances"
             )
         budget = step_limit
         seen: set[tuple] = set()

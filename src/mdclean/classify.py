@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .mdlang import MatchingDependency, MDSet, alhs, arhs, rhs_targets, sim_domain
 from .model import (
@@ -69,15 +69,15 @@ def is_similarity_preserving(
     schema: Schema,
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
-    active: Mapping[str, Iterable[str]] | None = None,
 ) -> tuple[bool, tuple[str, str, str, str, str] | None]:
     """Check a ~ a' implies a ~ m(a', a'') over every written domain.
 
-    Quantifies over the active values of each domain written by some rule,
-    including every reflexive pair, since similarity itself is reflexive.
+    Quantifies over the saturated values of each domain written by some rule
+    (they include the domain's active values), including every reflexive
+    pair, since similarity itself is reflexive.  A written domain without a
+    matching function merges nothing, so it yields no counterexample.
     Returns (True, None) or (False, (domain, a, a2, a3, merged)).
     """
-    active = active or {}
     domains = sorted(
         {
             schema.relation(rel).domain_of(attr)
@@ -86,7 +86,7 @@ def is_similarity_preserving(
         }
     )
     for dom in domains:
-        values = sorted(smf.values(dom) | set(active.get(dom, ())))
+        values = sorted(smf.values(dom))
         for a in values:
             for a2 in values:
                 if not sim.similar(dom, a, a2):
@@ -315,10 +315,9 @@ def classify(
     instance: Instance,
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
-    active: Mapping[str, Iterable[str]] | None = None,
 ) -> Classification:
     pairs = tuple(interaction_pairs(mds, schema))
-    preserving, counterexample = is_similarity_preserving(mds, schema, sim, smf, active)
+    preserving, counterexample = is_similarity_preserving(mds, schema, sim, smf)
     sfai, checks = is_sfai(mds, schema, instance, sim)
     if not pairs:
         verdict = Verdict.NON_INTERACTING

@@ -92,7 +92,7 @@ class Inputs:
     def saturated(self, instance, sim, mf):
         active = collect_active_values(self.schema, instance, sim, mf)
         with _blame(self.args.mf):
-            return mf.saturate(active), active
+            return mf.saturate(active)
 
     def queries(self) -> list[ConjunctiveQuery]:
         with _blame(self.args.query):
@@ -107,8 +107,7 @@ class Inputs:
         sim = self.sim()
         mf = self.mf()
         self.check_mds(mds, mf)
-        smf, active = self.saturated(instance, sim, mf)
-        return instance, mds, sim, smf, active
+        return instance, mds, sim, self.saturated(instance, sim, mf)
 
 
 def _instance_lines(instance: Instance) -> list[str]:
@@ -157,8 +156,8 @@ def cmd_validate(args) -> str:
 
 def cmd_classify(args) -> str:
     inputs = Inputs(args)
-    instance, mds, sim, smf, active = inputs.setting()
-    report = classify(mds, inputs.schema, instance, sim, smf, active)
+    instance, mds, sim, smf = inputs.setting()
+    report = classify(mds, inputs.schema, instance, sim, smf)
     payload = report.to_json_dict()
     lines = [f"verdict: {payload['verdict']}"]
     for pair in payload["interaction_pairs"]:
@@ -171,7 +170,7 @@ def cmd_classify(args) -> str:
 
 def cmd_chase(args) -> str:
     inputs = Inputs(args)
-    instance, mds, sim, smf, _ = inputs.setting()
+    instance, mds, sim, smf = inputs.setting()
     engine = ChaseEngine(inputs.schema, mds, sim, smf)
     if args.all:
         result = engine.chase_all(instance, step_limit=args.step_limit)
@@ -191,13 +190,13 @@ def cmd_chase(args) -> str:
 
 def cmd_emit_asp(args) -> str:
     inputs = Inputs(args)
-    instance, mds, sim, smf, _ = inputs.setting()
+    instance, mds, sim, smf = inputs.setting()
     return emit_general_asp(inputs.schema, instance, mds, sim, smf).text()
 
 
 def _residual(inputs):
-    instance, mds, sim, smf, active = inputs.setting()
-    verdict = classify(mds, inputs.schema, instance, sim, smf, active)
+    instance, mds, sim, smf = inputs.setting()
+    verdict = classify(mds, inputs.schema, instance, sim, smf)
     return emit_residual_datalog(inputs.schema, instance, mds, sim, smf, verdict)
 
 
@@ -214,9 +213,9 @@ def cmd_solve(args) -> str:
 
 def cmd_answer(args) -> str:
     inputs = Inputs(args)
-    instance, mds, sim, smf, active = inputs.setting()
+    instance, mds, sim, smf = inputs.setting()
     queries = inputs.queries()
-    verdict = classify(mds, inputs.schema, instance, sim, smf, active)
+    verdict = classify(mds, inputs.schema, instance, sim, smf)
     if verdict.verdict is Verdict.GENERAL:
         engine = ChaseEngine(inputs.schema, mds, sim, smf)
         clean_instances = list(engine.chase_all(instance, step_limit=args.step_limit).instances)

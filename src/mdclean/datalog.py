@@ -24,7 +24,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     NotStratifiable,
@@ -582,58 +582,78 @@ def format_rule_ast(rule: Rule | AspRule | Literal) -> str:
 # -- parsing ----------------------------------------------------------------
 
 
-class _Lexer:
-    _TOKEN_RE = re.compile(
-        r"""
-        (?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<implication>:-)
-      | (?P<neq>!=)
-      | (?P<punct>[(),.|])
-      | (?P<quoted>"(?:[^"\\]|\\.)*")
-      | (?P<ident>[A-Za-z0-9_][A-Za-z0-9_]*)
-        """,
-        re.VERBOSE,
-    )
+class Token(NamedTuple):
+    kind: str  # the name of the pattern group that matched, or "eof"
+    text: str
+    line: int
+    column: int
 
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        line = 1
+
+class Lexer:
+    """The tokens of `text` under `pattern`, a compiled regex of named groups.
+
+    Matches of the `ws` and `comment` groups are skipped, and an `eof` token
+    ends the list.  Each token carries the line and column it starts at; the
+    pattern must not match the empty string.
+    """
+
+    def __init__(self, text: str, pattern: re.Pattern):
+        self.tokens: list[Token] = []
+        pos, line, line_start = 0, 1, 0
         while pos < len(text):
-            match = self._TOKEN_RE.match(text, pos)
+            match = pattern.match(text, pos)
             if match is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line)
-            kind = match.lastgroup
-            value = match.group()
-            line += value.count("\n")
+                raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+            kind, value = match.lastgroup, match.group()
             if kind not in ("ws", "comment"):
-                self.tokens.append((kind, value, line))
+                self.tokens.append(Token(kind, value, line, pos - line_start + 1))
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = pos + value.rindex("\n") + 1
             pos = match.end()
-        self.tokens.append(("eof", "", line))
+        self.tokens.append(Token("eof", "", line, pos - line_start + 1))
         self.pos = 0
 
-    def peek(self):
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self):
+    def next(self) -> Token:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def expect(self, kind: str, value: str | None = None):
+    def expect(self, kind: str, value: str | None = None, what: str | None = None) -> Token:
+        """The next token, which must be of `kind` (and spell `value`); `what`
+        names the expectation in the error, by default `value` or `kind`."""
         token = self.next()
-        if token[0] != kind or (value is not None and token[1] != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {token[1] or 'end of input'!r}", token[2])
+        if token.kind != kind or (value is not None and token.text != value):
+            if what is None:
+                what = repr(value if value is not None else kind)
+            raise ParseError(
+                f"expected {what}, found {token.text or 'end of input'!r}", token.line, token.column
+            )
         return token
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>%[^\n]*)
+  | (?P<implication>:-)
+  | (?P<neq>!=)
+  | (?P<punct>[(),.|])
+  | (?P<quoted>"(?:[^"\\]|\\.)*")
+  | (?P<ident>[A-Za-z0-9_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
 
 
 def parse_asp(text: str) -> list[AspRule]:
     """Every statement, keeping disjunctions and constraints."""
-    lexer = _Lexer(text)
+    lexer = Lexer(text, _TOKEN_RE)
     rules = []
-    while lexer.peek()[0] != "eof":
+    while lexer.peek().kind != "eof":
         rules.append(_parse_statement(lexer))
     return rules
 
@@ -661,10 +681,9 @@ def parse_program(
     return Program(rules, facts, builtins)
 
 
-def _parse_statement(lexer: _Lexer) -> AspRule:
+def _parse_statement(lexer: Lexer) -> AspRule:
     heads: list[Literal] = []
-    kind, value, _ = lexer.peek()
-    if kind == "implication":
+    if lexer.peek().kind == "implication":
         lexer.next()
         body = _parse_body(lexer)
         lexer.expect("punct", ".")
@@ -673,17 +692,17 @@ def _parse_statement(lexer: _Lexer) -> AspRule:
     while lexer.peek()[:2] == ("punct", "|"):
         lexer.next()
         heads.append(_parse_literal(lexer, allow_not=False))
-    kind, value, line = lexer.next()
-    if (kind, value) == ("punct", "."):
+    token = lexer.next()
+    if token[:2] == ("punct", "."):
         return AspRule(tuple(heads), ())
-    if kind != "implication":
-        raise ParseError(f"expected ':-' or '.', found {value!r}", line)
+    if token.kind != "implication":
+        raise ParseError(f"expected ':-' or '.', found {token.text!r}", token.line, token.column)
     body = _parse_body(lexer)
     lexer.expect("punct", ".")
     return AspRule(tuple(heads), tuple(body))
 
 
-def _parse_body(lexer: _Lexer) -> list[Literal]:
+def _parse_body(lexer: Lexer) -> list[Literal]:
     body = [_parse_literal(lexer, allow_not=True)]
     while lexer.peek()[:2] == ("punct", ","):
         lexer.next()
@@ -691,32 +710,34 @@ def _parse_body(lexer: _Lexer) -> list[Literal]:
     return body
 
 
-def _parse_literal(lexer: _Lexer, allow_not: bool) -> Literal:
+def _parse_literal(lexer: Lexer, allow_not: bool) -> Literal:
     negated = False
-    kind, value, line = lexer.peek()
-    if kind == "ident" and value == "not":
+    start = lexer.peek()
+    if start[:2] == ("ident", "not"):
         if not allow_not:
-            raise ParseError("negation is not allowed here", line)
+            raise ParseError("negation is not allowed here", start.line, start.column)
         lexer.next()
         negated = True
     term = _parse_term(lexer)
-    if lexer.peek()[0] == "neq":
+    if lexer.peek().kind == "neq":
         lexer.next()
         right = _parse_term(lexer)
         return Literal(NEQ, (term, right), negated)
     if isinstance(term, Compound):
         return Literal(term.functor, term.args, negated)
     if is_var(term):
-        raise ParseError(f"predicate name expected, found variable {term.name!r}", line)
+        raise ParseError(
+            f"predicate name expected, found variable {term.name!r}", start.line, start.column
+        )
     return Literal(term, (), negated)
 
 
-def _parse_term(lexer: _Lexer) -> Term:
-    kind, value, line = lexer.next()
+def _parse_term(lexer: Lexer) -> Term:
+    kind, value, line, column = lexer.next()
     if kind == "quoted":
         return _UNESCAPE_RE.sub(r"\1", value[1:-1])
     if kind != "ident":
-        raise ParseError(f"expected a term, found {value or 'end of input'!r}", line)
+        raise ParseError(f"expected a term, found {value or 'end of input'!r}", line, column)
     if lexer.peek()[:2] == ("punct", "("):
         lexer.next()
         args = []

@@ -15,65 +15,30 @@ names one attribute variable from each leading atom.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .datalog import NEQ, Literal, value_pred
+from .datalog import NEQ, Lexer, Literal, Token, value_pred
 from .errors import ParseError, ValidationError
 from .model import MatchingFunction, Schema
 from .terms import Var
 
 _KEYWORDS = {"md", "lead"}
-_PUNCT = {"(", ")", ",", ";", ":", "~"}
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "punct", "arrow", "assign", "eof"
-    text: str
-    line: int
-    column: int
-
-
-def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif text.startswith("->", i):
-            tokens.append(Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-        elif text.startswith(":=", i):
-            tokens.append(Token("assign", ":=", line, col))
-            i += 2
-            col += 2
-        elif ch in _PUNCT or ch == ":":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isalnum() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, col))
-            col += i - start
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+# `\w` is `str.isalnum()` plus '_'; whitespace is only these four characters
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<assign>:=)
+  | (?P<punct>[(),;:~])
+  | (?P<ident>\w+)
+    """,
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -148,31 +113,9 @@ class MDSet:
         return [md.name for md in self.mds]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _lex(text)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return tok
-
+class _Parser(Lexer):
     def ident(self, what: str) -> Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return tok
+        return self.expect("ident", what=what)
 
     def parse_file(self) -> MDSet:
         mds = []
@@ -341,7 +284,7 @@ def _rhs_side(md: MatchingDependency, var: str) -> int:
 
 
 def parse_mds(text: str) -> MDSet:
-    return _Parser(text).parse_file()
+    return _Parser(text, _TOKEN_RE).parse_file()
 
 
 def load_mds(path: str | Path) -> MDSet:
@@ -502,22 +445,3 @@ def md_body(
         body.append(Literal(NEQ, tids))
     body.append(Literal(NEQ, (Var(var_name(md.rhs_left)), Var(var_name(md.rhs_right)))))
     return body
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def format_md(md: MatchingDependency) -> str:
-    parts = []
-    for atom in md.atoms:
-        prefix = "lead " if atom.leading else ""
-        parts.append(f"{prefix}{atom.relation}({atom.tid_var}; {', '.join(atom.attr_vars)})")
-    for sc in md.similarities:
-        tie = f"~{sc.domain}~" if sc.domain is not None else "~"
-        parts.append(f"{sc.left} {tie} {sc.right}")
-    return f"md {md.name}: {', '.join(parts)} -> {md.rhs_left} := {md.rhs_right};"
-
-
-def format_mds(mds: MDSet) -> str:
-    return "\n".join(format_md(md) for md in mds) + "\n"

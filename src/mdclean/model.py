@@ -329,9 +329,6 @@ class SimilarityRelation:
             out.append((a, b))
         return sorted(out)
 
-    def builtin_rule(self, domain: str) -> str | None:
-        return self._builtins.get(domain)
-
     def declared_domains(self) -> list[str]:
         return sorted(set(self._pairs) | set(self._builtins))
 
@@ -605,11 +602,6 @@ class SaturatedMatchingFunction:
         if dom is None:
             return a == b
         return dom.precedes(a, b)
-
-    def tuple_precedes(self, domains: Sequence[str], xs: Sequence[str], ys: Sequence[str]) -> bool:
-        if len(xs) != len(ys) or len(xs) != len(domains):
-            raise ValidationError("tuple_precedes needs equally long vectors")
-        return all(self.precedes(d, x, y) for d, x, y in zip(domains, xs, ys))
 
     def values(self, domain: str) -> frozenset[str]:
         dom = self._domains.get(domain)

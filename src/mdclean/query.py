@@ -201,38 +201,21 @@ def parse_query(text: str) -> ConjunctiveQuery:
 
 
 def parse_queries(text: str) -> list[ConjunctiveQuery]:
-    stripped = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
-    statements = []
-    depth, start, in_quote = 0, 0, False
-    for i, ch in enumerate(stripped):
-        if ch == '"':
-            in_quote = not in_quote
-        elif in_quote:
-            continue
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "." and depth == 0:
-            statements.append(stripped[start:i] + ".")
-            start = i + 1
-    if stripped[start:].strip():
+    *statements, rest = _split_top("\n".join(text.splitlines()), ".")
+    if rest.strip():
         raise ParseError("query does not end with '.'")
-    return [_parse_statement(s.strip()) for s in statements if s.strip()]
+    return [_parse_statement(s.lstrip()) for s in statements]
 
 
 def _parse_statement(text: str) -> ConjunctiveQuery:
+    """One statement as written, without its final '.'."""
     if ":-" not in text:
-        raise ParseError(f"missing ':-' in {text!r}")
+        raise ParseError(f"missing ':-' in {text + '.'!r}")
     head_text, body_text = text.split(":-", 1)
-    body_text = body_text.strip()
-    if not body_text.endswith("."):
-        raise ParseError("query does not end with '.'")
-    body_text = body_text[:-1]
     name, head_vars = _parse_head(head_text.strip())
     atoms: list[QueryAtom] = []
     sims: list[SimLiteral] = []
-    for chunk in _split_commas(body_text):
+    for chunk in _split_top(body_text, ","):
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty literal in query body")
@@ -258,7 +241,7 @@ def _parse_head(text: str) -> tuple[str, list[str]]:
         raise ParseError(f"malformed query head {text!r}")
     name, inner = text[:-1].split("(", 1)
     name = name.strip()
-    args = [a.strip() for a in _split_commas(inner) if a.strip()]
+    args = [a.strip() for a in _split_top(inner, ",") if a.strip()]
     for arg in args:
         if not _is_var_name(arg):
             raise ParseError(f"query head argument {arg!r} must be a variable")
@@ -270,7 +253,7 @@ def _parse_atom(chunk: str) -> QueryAtom:
         raise ParseError(f"malformed atom {chunk!r}")
     rel, inner = chunk[:-1].split("(", 1)
     rel = rel.strip()
-    args = tuple(_parse_term(a.strip()) for a in _split_commas(inner))
+    args = tuple(_parse_term(a.strip()) for a in _split_top(inner, ","))
     if not args:
         raise ParseError(f"atom {rel!r} needs at least the identifier argument")
     return QueryAtom(rel, args)
@@ -294,22 +277,33 @@ def _parse_term(text: str) -> Term:
     return text
 
 
-def _split_commas(text: str) -> list[str]:
-    """Split on commas that are not inside parentheses or quotes."""
-    parts, depth, start, in_quote = [], 0, 0, False
-    for i, ch in enumerate(text):
-        if ch == '"':
+def _split_top(text: str, sep: str) -> list[str]:
+    """The pieces of `text` between the `sep` characters that are outside
+    parentheses and quotes, with each `#` comment outside quotes dropped up
+    to its line's end; the text after the last `sep` is the last piece."""
+    parts, piece, depth, in_quote, in_comment = [], [], 0, False, False
+    for ch in text:
+        if in_comment:
+            if ch != "\n":
+                continue
+            in_comment = False
+        elif ch == '"':
             in_quote = not in_quote
         elif in_quote:
+            pass
+        elif ch == "#":
+            in_comment = True
             continue
         elif ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
+        elif ch == sep and depth == 0:
+            parts.append("".join(piece))
+            piece = []
+            continue
+        piece.append(ch)
+    parts.append("".join(piece))
     return parts
 
 

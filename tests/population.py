@@ -58,7 +58,6 @@ class Setting:
     mds: MDSet
     sim: SimilarityRelation
     smf: "object"
-    active: dict
     mds_text: str
     sim_pairs: dict
     mf_flavor: str
@@ -139,6 +138,5 @@ def random_setting(rng: random.Random) -> Setting:
     else:
         mf = MatchingFunction(builtins={"domb": flavor})
     validate_mds(mds, schema, mf)
-    active = collect_active_values(schema, instance, sim, mf)
-    smf = mf.saturate(active)
-    return Setting(schema, instance, mds, sim, smf, active, mds_text, sim_pairs, flavor)
+    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    return Setting(schema, instance, mds, sim, smf, mds_text, sim_pairs, flavor)

@@ -57,11 +57,12 @@ class Fixture:
         self.mds = load_mds(d / "mds.txt")
         self.sim = SimilarityRelation.load(d / "sim.txt")
         self.mf = MatchingFunction.load(d / "mf.txt")
-        self.active = collect_active_values(self.schema, self.instance, self.sim, self.mf)
-        self.smf = self.mf.saturate(self.active)
+        self.smf = self.mf.saturate(
+            collect_active_values(self.schema, self.instance, self.sim, self.mf)
+        )
 
     def report(self):
-        return classify(self.mds, self.schema, self.instance, self.sim, self.smf, self.active)
+        return classify(self.mds, self.schema, self.instance, self.sim, self.smf)
 
     def engine(self) -> ChaseEngine:
         return ChaseEngine(self.schema, self.mds, self.sim, self.smf)
@@ -139,7 +140,7 @@ def test_residual_program_equals_chase_on_converging_random_settings():
     checked = 0
     for _ in range(SOAK_DRAWS):
         s = random_setting(rng)
-        report = classify(s.mds, s.schema, s.instance, s.sim, s.smf, s.active)
+        report = classify(s.mds, s.schema, s.instance, s.sim, s.smf)
         if report.verdict is Verdict.GENERAL:
             continue
         result = ChaseEngine(s.schema, s.mds, s.sim, s.smf).chase_all(s.instance)
@@ -167,7 +168,7 @@ def test_clean_instance_count_follows_the_verdict():
     multi = 0
     for _ in range(SOAK_DRAWS):
         s = random_setting(rng)
-        report = classify(s.mds, s.schema, s.instance, s.sim, s.smf, s.active)
+        report = classify(s.mds, s.schema, s.instance, s.sim, s.smf)
         result = ChaseEngine(s.schema, s.mds, s.sim, s.smf).chase_all(s.instance)
         if report.verdict is not Verdict.GENERAL:
             assert len(result.instances) == 1, s.describe()

@@ -49,8 +49,7 @@ def setting(sim_pairs, rows, rules=TWO_RULES, mf_table=None):
     sim = SimilarityRelation(sim_pairs)
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
-    active = collect_active_values(schema, instance, sim, mf)
-    return schema, mds, instance, sim, mf.saturate(active), active
+    return schema, mds, instance, sim, mf.saturate(collect_active_values(schema, instance, sim, mf))
 
 
 def interacting_setting():
@@ -115,7 +114,7 @@ def test_isomorphic_embeddings_collapse_within_a_pair_only():
 
 
 def test_interaction_query_satisfied_on_chained_instance():
-    schema, mds, instance, sim, smf, active = interacting_setting()
+    schema, mds, instance, sim, smf = interacting_setting()
     sfai, checks = is_sfai(mds, schema, instance, sim)
     assert not sfai
     by_name = {c.query.name: c for c in checks}
@@ -127,7 +126,7 @@ def test_interaction_query_satisfied_on_chained_instance():
 
 
 def test_interaction_queries_unsatisfied_on_separated_instance():
-    schema, mds, instance, sim, smf, active = sfai_setting()
+    schema, mds, instance, sim, smf = sfai_setting()
     sfai, checks = is_sfai(mds, schema, instance, sim)
     assert sfai
     assert all(not c.satisfied for c in checks)
@@ -136,7 +135,7 @@ def test_interaction_queries_unsatisfied_on_separated_instance():
 def test_interaction_queries_respect_distinct_identifiers():
     # with b2 ~ b2 reflexivity a two-tuple binding would satisfy the chained
     # query; distinctness of the three identifiers must prevent that
-    schema, mds, instance, sim, smf, active = setting(
+    schema, mds, instance, sim, smf = setting(
         {"doma": [("a1", "a2")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
     )
@@ -150,8 +149,8 @@ def test_interaction_queries_respect_distinct_identifiers():
 
 
 def test_similarity_preservation_fails_for_plain_tables():
-    schema, mds, instance, sim, smf, active = interacting_setting()
-    preserving, cex = is_similarity_preserving(mds, schema, sim, smf, active)
+    schema, mds, instance, sim, smf = interacting_setting()
+    preserving, cex = is_similarity_preserving(mds, schema, sim, smf)
     assert not preserving
     dom, a, a2, a3, merged = cex
     assert dom == "domb"
@@ -163,23 +162,23 @@ def test_similarity_preservation_fails_for_plain_tables():
 def test_similarity_preservation_includes_reflexive_pairs():
     # no declared pairs at all: a ~ a still requires a ~ m(a, a''),
     # which a plain table immediately breaks
-    schema, mds, instance, sim, smf, active = setting(
+    schema, mds, instance, sim, smf = setting(
         {},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
     )
-    preserving, cex = is_similarity_preserving(mds, schema, sim, smf, active)
+    preserving, cex = is_similarity_preserving(mds, schema, sim, smf)
     assert not preserving
     dom, a, a2, a3, merged = cex
     assert a == a2  # reflexive pair is the earliest counterexample
 
 
 def test_similarity_preservation_trivial_when_nothing_merges():
-    schema, mds, instance, sim, smf, active = setting(
+    schema, mds, instance, sim, smf = setting(
         {},
         {"t1": ("a1", "b1")},
         mf_table={"domb": []},
     )
-    preserving, cex = is_similarity_preserving(mds, schema, sim, smf, {})
+    preserving, cex = is_similarity_preserving(mds, schema, sim, smf)
     assert preserving and cex is None
 
 
@@ -195,35 +194,34 @@ def test_token_union_with_token_overlap_preserves_similarity():
         {"R": {"t1": ("a1", "main st"), "t2": ("a2", "main ave"), "t3": ("a3", "elm rd")}},
     )
     mf = MatchingFunction(builtins={"toks": "token-union"})
-    active = collect_active_values(schema, instance, sim, mf)
-    smf = mf.saturate(active)
-    preserving, cex = is_similarity_preserving(mds, schema, sim, smf, active)
+    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    preserving, cex = is_similarity_preserving(mds, schema, sim, smf)
     assert preserving, cex
-    result = classify(mds, schema, instance, sim, smf, active)
+    result = classify(mds, schema, instance, sim, smf)
     assert result.verdict is Verdict.SIMILARITY_PRESERVING
     assert result.pairs  # interacting, but safely so
 
 
 def test_classify_verdicts():
-    schema, mds, instance, sim, smf, active = interacting_setting()
-    assert classify(mds, schema, instance, sim, smf, active).verdict is Verdict.GENERAL
+    schema, mds, instance, sim, smf = interacting_setting()
+    assert classify(mds, schema, instance, sim, smf).verdict is Verdict.GENERAL
 
-    schema, mds, instance, sim, smf, active = sfai_setting()
-    result = classify(mds, schema, instance, sim, smf, active)
+    schema, mds, instance, sim, smf = sfai_setting()
+    result = classify(mds, schema, instance, sim, smf)
     assert result.verdict is Verdict.SFAI
     assert len(result.queries) == 2
 
     only_md1 = parse_mds("md md1: R(t1; x1, y1), R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
-    schema2, _, instance2, sim2, smf2, active2 = interacting_setting()
-    result2 = classify(only_md1, schema2, instance2, sim2, smf2, active2)
+    schema2, _, instance2, sim2, smf2 = interacting_setting()
+    result2 = classify(only_md1, schema2, instance2, sim2, smf2)
     assert result2.verdict is Verdict.NON_INTERACTING
     assert result2.pairs == ()
     assert result2.queries == ()
 
 
 def test_classification_json_report():
-    schema, mds, instance, sim, smf, active = interacting_setting()
-    report = classify(mds, schema, instance, sim, smf, active).to_json_dict()
+    schema, mds, instance, sim, smf = interacting_setting()
+    report = classify(mds, schema, instance, sim, smf).to_json_dict()
     assert report["verdict"] == "general"
     assert report["interaction_pairs"] == [
         {"writer": "md1", "reader": "md2", "attribute": "R[B]"},
@@ -235,8 +233,8 @@ def test_classification_json_report():
     assert "witness" not in report["queries"][1]
     assert "preservation_counterexample" in report
 
-    schema, mds, instance, sim, smf, active = sfai_setting()
-    report = classify(mds, schema, instance, sim, smf, active).to_json_dict()
+    schema, mds, instance, sim, smf = sfai_setting()
+    report = classify(mds, schema, instance, sim, smf).to_json_dict()
     assert report["verdict"] == "sfai"
     assert all(not q["satisfied"] for q in report["queries"])
 

@@ -246,6 +246,23 @@ def test_solve_never_matches_a_tuple_with_itself(tmp_path, capsys):
     assert "sim_d(X1, X2), T1 != T2, X1 != Y2.\n" in out
 
 
+def test_answer_reads_a_hash_inside_a_quoted_constant(tmp_path, capsys):
+    args = write_setting(
+        tmp_path,
+        "R(A: doma, B: domb)\n",
+        {"R": "tid,A,B\nt1,a1,b#1\nt2,a2,b2\n"},
+        "md md1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;\n",
+        "doma: a1 ~ a3\n",
+        "domb: m(b2, b3) = b23\n",
+    )
+    query = tmp_path / "queries.txt"
+    query.write_text('q1(T) :- R(T, X, "b#1").  # the value holds a hash\n')
+    code, out, err = run(capsys, ["validate", *args, "--query", str(query)])
+    assert code == 0, err
+    code, out, err = run(capsys, ["answer", *args, "--query", str(query), "--format", "text"])
+    assert (code, out) == (0, "q1(t1)\n"), err
+
+
 def test_malformed_json_instance_is_an_input_error(tmp_path, capsys):
     for text, kind in (('{"R": [', "ParseError"), ("[1]", "ValidationError"),
                        ('{"R": 1}', "ValidationError"), ('{"R": ["t1"]}', "ValidationError")):

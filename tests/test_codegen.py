@@ -292,8 +292,7 @@ def test_general_rejects_unsaturated_merge_tables():
 
 def residual(setting_fn):
     schema, mds, instance, sim, smf = setting_fn()
-    active = collect_active_values(schema, instance, sim)
-    verdict = classify(mds, schema, instance, sim, smf, active)
+    verdict = classify(mds, schema, instance, sim, smf)
     return emit_residual_datalog(schema, instance, mds, sim, smf, verdict)
 
 
@@ -361,8 +360,7 @@ def test_residual_single_rule_on_chained_values():
 
 def test_residual_refuses_divergent_combination():
     schema, mds, instance, sim, smf = divergent_setting()
-    active = collect_active_values(schema, instance, sim)
-    verdict = classify(mds, schema, instance, sim, smf, active)
+    verdict = classify(mds, schema, instance, sim, smf)
     assert verdict.verdict is Verdict.GENERAL
     with pytest.raises(NotSci):
         emit_residual_datalog(schema, instance, mds, sim, smf, verdict)

@@ -22,6 +22,7 @@ from mdclean.errors import (
     UnsafeRule,
     ValidationError,
 )
+from mdclean.mdlang import parse_mds
 from mdclean.model import MatchingFunction, SimilarityRelation
 from mdclean.terms import Compound, Var
 
@@ -122,6 +123,28 @@ def test_parse_errors():
     except ParseError as e:
         err = e
     assert err is not None and err.line == 2
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, column",
+    [
+        # end of input after a trailing comment: the column counts the comment
+        (parse_mds, "md m: # note", 1, 13),
+        (parse_mds, "md m: R(t1; x1, y1),\n  R(t2; x2, y2) -> y1 = y2;", 2, 23),
+        (parse_mds, "md m: R(t1; x1)\nR(t2; x2) -> x1 := x2;", 2, 1),
+        (parse_mds, "md lead: R(t1; x1, y1), R(t2; x2, y2) -> y1 := y2;", 1, 4),
+        (parse_mds, "md m:\f", 1, 6),
+        # a token that spans lines is placed where it starts
+        (parse_asp, 'p "x\ny".', 1, 3),
+        (parse_asp, "p(a).\nq(b) :- $.", 2, 9),
+        (parse_asp, "p(a).\n  X :- a.", 2, 3),
+        (parse_asp, "p(a) :- not q(a), r(a)\n", 2, 1),
+    ],
+)
+def test_parse_errors_carry_line_and_column(parse, text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (type(err.value), err.value.line, err.value.column) == (ParseError, line, column)
 
 
 def test_datalog_layer_rejects_asp_forms():

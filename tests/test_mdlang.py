@@ -1,4 +1,4 @@
-"""Rule language: parsing, validation, attribute sets, printing."""
+"""Rule language: parsing, validation, attribute sets."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from mdclean.mdlang import (
     MDAtom,
     alhs,
     arhs,
-    format_md,
-    format_mds,
     parse_mds,
     rhs_domain,
     rhs_targets,
@@ -207,20 +205,10 @@ def test_equality_join_lands_in_alhs():
     assert alhs(md, schema) == {("R", "A"), ("S", "C")}
 
 
-def test_format_round_trip_is_stable():
-    for text in (TWO_RULES, RELATIONAL):
-        first = parse_mds(text)
-        printed = format_mds(first)
-        second = parse_mds(printed)
-        assert second.mds == first.mds
-        assert format_mds(second) == printed
-
-
-def test_format_single_rule_shape():
-    md = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;").by_name["m"]
-    assert format_md(md) == (
-        "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;"
-    )
+def test_two_atoms_without_lead_are_both_leading():
+    unmarked = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
+    marked = parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
+    assert unmarked.mds == marked.mds
 
 
 def test_atom_constructor_guards():

@@ -182,15 +182,6 @@ def test_precedes_without_mf_is_equality():
     sat = MatchingFunction({}).saturate()
     assert sat.precedes("doma", "a1", "a1")
     assert not sat.precedes("doma", "a1", "a2")
-    assert sat.tuple_precedes(["doma", "doma"], ("a1", "a2"), ("a1", "a2"))
-    assert not sat.tuple_precedes(["doma", "doma"], ("a1", "a2"), ("a1", "a3"))
-
-
-def test_tuple_precedes_with_mixed_domains():
-    sat = MatchingFunction(CHAIN_TRIPLES).saturate()
-    assert sat.tuple_precedes(["doma", "domb"], ("a1", "b1"), ("a1", "b12"))
-    assert not sat.tuple_precedes(["doma", "domb"], ("a1", "b1"), ("a2", "b12"))
-    assert not sat.tuple_precedes(["doma", "domb"], ("a1", "b12"), ("a1", "b1"))
 
 
 def random_free_table(rng, domain="d"):
@@ -301,7 +292,8 @@ def test_sim_and_mf_file_formats_round_trip():
     )
     assert sim.similar("doma", "a1", "a2")
     assert sim.similar("name", "j smith", "john smith")
-    assert sim.builtin_rule("title") == "token-overlap"
+    assert sim.similar("title", "data cleaning", "cleaning rules")
+    assert not sim.similar("title", "data cleaning", "query answering")
     assert sim.declared_pairs("name") == [("j smith", "john smith")]
 
     mf = MatchingFunction.parse(

@@ -51,6 +51,8 @@ def test_parse_query_multi_and_errors():
 def test_quoted_constants_keep_spaces():
     q = parse_query('q(T) :- Author(T, "j smith", P, B).')
     assert q.atoms[0].args[1] == "j smith"
+    q = parse_query('q(T) :- R(T, X, "b#1").  # a comment outside the quotes')
+    assert q.atoms[0].args[2] == "b#1"
 
 
 def test_eval_simple_selection():
