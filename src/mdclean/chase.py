@@ -23,18 +23,10 @@ from .errors import (
     InstanceTooLarge,
     StepLimitExceeded,
     StepNotApplicable,
+    UndefinedMatch,
     ValidationError,
 )
-from .mdlang import (
-    MatchingDependency,
-    MDSet,
-    md_body,
-    rhs_domain,
-    rhs_targets,
-    sim_domain,
-    validate_mds,
-    var_name,
-)
+from .mdlang import BoundMD, MDSet, md_body, validate_mds, var_name
 from .model import Instance, SaturatedMatchingFunction, Schema, SimilarityRelation
 from .query import instance_facts, relation_pred
 from .terms import Var
@@ -50,14 +42,16 @@ class EnforcementStep:
     For rules whose leading atoms share a relation and write one position,
     the pair is stored in sorted order.  `context_tids` is the least context
     witness, in context atom order, of the least orientation of the pair
-    that matches; `old_values` follow the leading order here.
+    that matches; `old_values` follow the leading order here.  `new_value`
+    is None when the matching function leaves the merge undefined, and
+    enforcing such a step raises `UndefinedMatch`.
     """
 
     md: str
     lead_tids: tuple[str, str]
     context_tids: tuple[str, ...]
     old_values: tuple[str, str]
-    new_value: str
+    new_value: str | None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -80,35 +74,26 @@ class ChaseResult:
 
 
 class _CompiledMD:
-    """One rule's step rule and the positions enforcement writes.
+    """One bound rule and its step rule.
 
     The step rule derives `step_<i>(T1, T2, C1..Ck, V1, V2)`: the two leading
     identifiers, the context identifiers in atom order, and the two current
     right-hand values, for every match of the rule's body (`md_body`).
     """
 
-    def __init__(self, md: MatchingDependency, schema: Schema, index: int):
-        self.md = md
-        self.lead = md.leading_atoms()
-        (s0, p0), (s1, p1) = rhs_targets(md)
-        assert (s0, s1) == (0, 1)
-        self.rhs_pos = (p0, p1)
-        self.rhs_domain = rhs_domain(md, schema)
-        # both orientations of a same-relation pair write the same cells only
-        # when the two right-hand positions coincide; otherwise each ordered
-        # pair is its own step
-        self.symmetric_write = md.same_relation() and p0 == p1
-        lead0, lead1 = self.lead
+    def __init__(self, bound: BoundMD, index: int):
+        self.bound = bound
+        lead0, lead1 = bound.lead
         names = [
             lead0.tid_var,
             lead1.tid_var,
-            *(atom.tid_var for atom in md.context_atoms()),
-            lead0.attr_vars[p0],
-            lead1.attr_vars[p1],
+            *(atom.tid_var for atom in bound.md.context_atoms()),
+            lead0.attr_vars[bound.rhs[0]],
+            lead1.attr_vars[bound.rhs[1]],
         ]
         self.head = f"step_{index}"
         head = Literal(self.head, tuple(Var(var_name(v)) for v in names))
-        self.rule = Rule(head, tuple(md_body(md, schema, relation_pred)))
+        self.rule = Rule(head, tuple(md_body(bound, relation_pred)))
 
 
 class ChaseEngine:
@@ -119,13 +104,13 @@ class ChaseEngine:
         sim: SimilarityRelation,
         smf: SaturatedMatchingFunction,
     ):
-        validate_mds(mds, schema)
+        rules = validate_mds(mds, schema)
         self.schema = schema
         self.mds = mds
         self.sim = sim
         self.smf = smf
-        self._compiled = [_CompiledMD(md, schema, i) for i, md in enumerate(mds)]
-        uses = (("sim", sim_domain(md, schema, sc)) for md in mds for sc in md.similarities)
+        self._compiled = [_CompiledMD(rule, i) for i, rule in enumerate(rules)]
+        uses = (("sim", dom) for rule in rules for dom in rule.sim_domains)
         builtins = value_builtins(uses, sim)
         self._program = Program([c.rule for c in self._compiled], builtins=builtins)
 
@@ -136,21 +121,25 @@ class ChaseEngine:
 
         Of the step rule's rows for one step the least in (leading
         identifiers, context identifiers) is kept, so the context is the
-        least witness.  Merges are computed in the order of those rows.
+        least witness.  A merge the matching function leaves undefined is
+        listed with `new_value` None and refused only when enforced.
         """
         model = evaluate(self._program, instance_facts(instance))
         steps = []
         for md_index, compiled in enumerate(self._compiled):
+            # a pair's two orientations are one step only when they write the
+            # same cells; otherwise each ordered pair is its own step
+            symmetric = compiled.bound.symmetric_write()
             chosen: dict[tuple[str, str], tuple[str, ...]] = {}
             for row in sorted(model.get(compiled.head)):
                 pair = (row[0], row[1])
-                if compiled.symmetric_write and pair[1] < pair[0]:
+                if symmetric and pair[1] < pair[0]:
                     pair = (pair[1], pair[0])
                 chosen.setdefault(pair, row)
             for pair, row in chosen.items():
                 old = (row[-2], row[-1]) if pair[0] == row[0] else (row[-1], row[-2])
-                merged = self.smf.match(compiled.rhs_domain, *old)
-                step = EnforcementStep(compiled.md.name, pair, row[2:-2], old, merged)
+                merged = self.smf.try_match(compiled.bound.rhs_domain, *old)
+                step = EnforcementStep(compiled.bound.md.name, pair, row[2:-2], old, merged)
                 steps.append(((md_index, pair), step))
         steps.sort(key=lambda keyed: keyed[0])
         return [step for _, step in steps]
@@ -161,15 +150,16 @@ class ChaseEngine:
         return not self.applicable_steps(instance)
 
     def enforce(self, instance: Instance, step: EnforcementStep) -> Instance:
-        compiled = self._find(step.md)
-        lead0, lead1 = compiled.lead
+        bound = self._find(step.md)
+        lead0, lead1 = bound.lead
+        p0, p1 = bound.rhs
         tid0, tid1 = step.lead_tids
         try:
             vals0 = instance.current(lead0.relation, tid0)
             vals1 = instance.current(lead1.relation, tid1)
         except KeyError:
             raise StepNotApplicable(f"step {step.md} on missing tuples {step.lead_tids}") from None
-        v0, v1 = vals0[compiled.rhs_pos[0]], vals1[compiled.rhs_pos[1]]
+        v0, v1 = vals0[p0], vals1[p1]
         if (v0, v1) != step.old_values:
             raise StepNotApplicable(
                 f"step {step.md} on {step.lead_tids}: values are now ({v0!r}, {v1!r}), "
@@ -179,19 +169,21 @@ class ChaseEngine:
             raise StepNotApplicable(
                 f"step {step.md} on {step.lead_tids}: values already agree on {v0!r}"
             )
+        if step.new_value is None:
+            raise UndefinedMatch(bound.rhs_domain, v0, v1)
         new0 = list(vals0)
-        new0[compiled.rhs_pos[0]] = step.new_value
+        new0[p0] = step.new_value
         updates = {(lead0.relation, tid0): tuple(new0)}
         base1 = updates.get((lead1.relation, tid1), vals1)
         new1 = list(base1)
-        new1[compiled.rhs_pos[1]] = step.new_value
+        new1[p1] = step.new_value
         updates[(lead1.relation, tid1)] = tuple(new1)
         return instance.with_updates(updates)
 
-    def _find(self, md_name: str) -> _CompiledMD:
+    def _find(self, md_name: str) -> BoundMD:
         for compiled in self._compiled:
-            if compiled.md.name == md_name:
-                return compiled
+            if compiled.bound.md.name == md_name:
+                return compiled.bound
         raise ValidationError(f"unknown rule {md_name!r}")
 
     # -- chase -------------------------------------------------------------

@@ -5,7 +5,8 @@ another rule reads (non-interacting); merging never breaks similarity on any
 written domain (similarity-preserving); and, per interacting pair, a Boolean
 query asking whether a merge could feed a rule body is unsatisfied on the
 instance at hand (similarity-free attribute intersection).  Anything else is
-reported as the general case, where enforcement order can matter.
+reported as the general case, where enforcement order can matter.  The
+checks read the rules as bound to the schema by `mdlang.validate_mds`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .mdlang import MatchingDependency, MDSet, alhs, arhs, rhs_targets, sim_domain
+from .mdlang import BoundMD, MatchingDependency, MDSet, validate_mds
 from .model import (
     Instance,
     SaturatedMatchingFunction,
@@ -48,15 +49,13 @@ class InteractionPair:
         }
 
 
-def interaction_pairs(mds: MDSet, schema: Schema) -> list[InteractionPair]:
+def interaction_pairs(rules: list[BoundMD]) -> list[InteractionPair]:
     """Ordered rule pairs (self-pairs included) sharing a written/read attribute."""
     out = []
-    for writer in mds:
-        written = arhs(writer, schema)
-        for reader in mds:
-            read = alhs(reader, schema)
-            for rel, attr in sorted(written & read):
-                out.append(InteractionPair(writer.name, reader.name, rel, attr))
+    for writer in rules:
+        for reader in rules:
+            for rel, attr in sorted(writer.arhs & reader.alhs):
+                out.append(InteractionPair(writer.md.name, reader.md.name, rel, attr))
     return out
 
 
@@ -65,8 +64,7 @@ def interaction_pairs(mds: MDSet, schema: Schema) -> list[InteractionPair]:
 
 
 def is_similarity_preserving(
-    mds: MDSet,
-    schema: Schema,
+    rules: list[BoundMD],
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
 ) -> tuple[bool, tuple[str, str, str, str, str] | None]:
@@ -78,14 +76,7 @@ def is_similarity_preserving(
     matching function merges nothing, so it yields no counterexample.
     Returns (True, None) or (False, (domain, a, a2, a3, merged)).
     """
-    domains = sorted(
-        {
-            schema.relation(rel).domain_of(attr)
-            for md in mds
-            for rel, attr in arhs(md, schema)
-        }
-    )
-    for dom in domains:
+    for dom in sorted({rule.rhs_domain for rule in rules}):
         values = sorted(smf.values(dom))
         for a in values:
             for a2 in values:
@@ -102,7 +93,7 @@ def is_similarity_preserving(
 # interaction queries
 
 
-def sfai_queries(mds: MDSet, schema: Schema) -> list[ConjunctiveQuery]:
+def sfai_queries(rules: list[BoundMD], schema: Schema) -> list[ConjunctiveQuery]:
     """Boolean queries, one per interaction pair per shared attribute.
 
     Each query embeds a written atom of the first rule into an occurrence of
@@ -111,10 +102,11 @@ def sfai_queries(mds: MDSet, schema: Schema) -> list[ConjunctiveQuery]:
     equal embeddings (up to renaming) collapse; distinct pairs keep their own
     query even when isomorphic across pairs.
     """
+    by_name = {rule.md.name: rule for rule in rules}
     queries: list[ConjunctiveQuery] = []
-    for pair in interaction_pairs(mds, schema):
-        writer = mds.by_name[pair.writer]
-        reader = mds.by_name[pair.reader]
+    for pair in interaction_pairs(rules):
+        writer = by_name[pair.writer]
+        reader = by_name[pair.reader]
         group: dict[tuple, tuple] = {}
         for merged in _embeddings(writer, reader, pair, schema):
             atoms, sims = merged
@@ -127,35 +119,34 @@ def sfai_queries(mds: MDSet, schema: Schema) -> list[ConjunctiveQuery]:
     return queries
 
 
-def _rename_md(md: MatchingDependency, schema: Schema, prefix: str):
+def _rename_md(rule: BoundMD, prefix: str):
     """The rule body as query structures over prefixed variables."""
+    md = rule.md
     fresh = {v: Var(prefix + v) for v in md.variables()}
     atoms = [
         QueryAtom(a.relation, (fresh[a.tid_var],) + tuple(fresh[v] for v in a.attr_vars))
         for a in md.atoms
     ]
     sims = [
-        SimLiteral(fresh[sc.left], fresh[sc.right], sim_domain(md, schema, sc))
-        for sc in md.similarities
+        SimLiteral(fresh[sc.left], fresh[sc.right], dom)
+        for sc, dom in zip(md.similarities, rule.sim_domains)
     ]
     return atoms, sims
 
 
 def _embeddings(writer, reader, pair, schema):
-    rel = schema.relation(pair.relation)
-    attr_pos = rel.position(pair.attribute)
-    writer_atoms, writer_sims = _rename_md(writer, schema, "w_")
-    targets = rhs_targets(writer)
-    lead_indices = [idx for idx, a in enumerate(writer.atoms) if a.leading]
-    written_atoms = []
-    for side, pos in targets:
-        atom = writer.leading_atoms()[side]
-        if atom.relation == pair.relation and pos == attr_pos:
-            written_atoms.append(writer_atoms[lead_indices[side]])
-    reader_occurrences = _compared_occurrences(reader, pair, attr_pos)
+    attr_pos = schema.relation(pair.relation).position(pair.attribute)
+    writer_atoms, writer_sims = _rename_md(writer, "w_")
+    lead_indices = [idx for idx, a in enumerate(writer.md.atoms) if a.leading]
+    written_atoms = [
+        writer_atoms[index]
+        for index, atom, pos in zip(lead_indices, writer.lead, writer.rhs)
+        if atom.relation == pair.relation and pos == attr_pos
+    ]
+    reader_occurrences = _compared_occurrences(reader.md, pair, attr_pos)
     for written in written_atoms:
         for occ_index in reader_occurrences:
-            reader_atoms, reader_sims = _rename_md(reader, schema, "r_")
+            reader_atoms, reader_sims = _rename_md(reader, "r_")
             sub = _unify(reader_atoms[occ_index], written)
             if sub is None:
                 continue
@@ -300,11 +291,11 @@ class Classification:
 
 
 def is_sfai(
-    mds: MDSet, schema: Schema, instance: Instance, sim: SimilarityRelation
+    rules: list[BoundMD], schema: Schema, instance: Instance, sim: SimilarityRelation
 ) -> tuple[bool, list[QueryCheck]]:
     """True when every interaction query is unsatisfied on the instance."""
     checks = []
-    for query in sfai_queries(mds, schema):
+    for query in sfai_queries(rules, schema):
         checks.append(QueryCheck(query, find_witness(instance, query, sim)))
     return all(not c.satisfied for c in checks), checks
 
@@ -316,9 +307,10 @@ def classify(
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
 ) -> Classification:
-    pairs = tuple(interaction_pairs(mds, schema))
-    preserving, counterexample = is_similarity_preserving(mds, schema, sim, smf)
-    sfai, checks = is_sfai(mds, schema, instance, sim)
+    rules = validate_mds(mds, schema)
+    pairs = tuple(interaction_pairs(rules))
+    preserving, counterexample = is_similarity_preserving(rules, sim, smf)
+    sfai, checks = is_sfai(rules, schema, instance, sim)
     if not pairs:
         verdict = Verdict.NON_INTERACTING
     elif preserving:

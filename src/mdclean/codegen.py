@@ -42,16 +42,7 @@ from .datalog import (
     value_pred,
 )
 from .errors import NotSci, ValidationError
-from .mdlang import (
-    MatchingDependency,
-    MDSet,
-    md_body,
-    rhs_targets,
-    rhs_domain,
-    sim_domain,
-    validate_mds,
-    var_name,
-)
+from .mdlang import BoundMD, MatchingDependency, MDAtom, MDSet, md_body, validate_mds, var_name
 from .model import (
     Instance,
     Relation,
@@ -210,29 +201,22 @@ def _rename_map(md: MatchingDependency, taken: set[str]) -> dict[str, str]:
     return out
 
 
-def _lead_args(md: MatchingDependency, side: int, rename=None) -> list[str]:
-    atom = md.leading_atoms()[side]
+def _lead_args(atom: MDAtom, rename=None) -> list[str]:
     names = [atom.tid_var, *atom.attr_vars]
     if rename is None:
         return [var_name(v) for v in names]
     return [rename[v] for v in names]
 
 
-def _match_args(md: MatchingDependency, rename=None) -> list[str]:
-    return _lead_args(md, 0, rename) + _lead_args(md, 1, rename)
+def _match_args(rule: BoundMD, rename=None) -> list[str]:
+    return _lead_args(rule.lead[0], rename) + _lead_args(rule.lead[1], rename)
 
 
-def _rhs_var_on_side(md: MatchingDependency, side: int) -> str:
-    pos = dict(rhs_targets(md))[side]
-    return md.leading_atoms()[side].attr_vars[pos]
-
-
-def _written_positions(mds: MDSet, schema: Schema) -> dict[str, set[int]]:
+def _written_positions(rules: list[BoundMD]) -> dict[str, set[int]]:
     out: dict[str, set[int]] = {}
-    for md in mds:
-        lead = md.leading_atoms()
-        for side, pos in rhs_targets(md):
-            out.setdefault(lead[side].relation, set()).add(pos)
+    for rule in rules:
+        for atom, pos in zip(rule.lead, rule.rhs):
+            out.setdefault(atom.relation, set()).add(pos)
     return out
 
 
@@ -269,23 +253,19 @@ def _context_symmetric(md: MatchingDependency) -> bool:
 # shared pieces
 
 
-def _insertion_rules(
-    md: MatchingDependency, schema: Schema, relation_pred
-) -> list[AspStatement]:
+def _insertion_rules(rule: BoundMD, relation_pred) -> list[AspStatement]:
     """One head per leading atom, writing the merged value over the match."""
-    dom = rhs_domain(md, schema)
+    md, dom = rule.md, rule.rhs_domain
     taken = {var_name(v) for v in md.variables()}
     merged = _fresh("Mv", taken)
     body = (
-        _lit(f"match_{_pred(md.name)}", _match_args(md)),
+        _lit(f"match_{_pred(md.name)}", _match_args(rule)),
         _lit(value_pred("mf", dom), [var_name(md.rhs_left), var_name(md.rhs_right), merged]),
     )
     rules = []
-    targets = dict(rhs_targets(md))
-    for side in (0, 1):
-        atom = md.leading_atoms()[side]
-        head_args = _lead_args(md, side)
-        head_args[1 + targets[side]] = merged
+    for atom, pos in zip(rule.lead, rule.rhs):
+        head_args = _lead_args(atom)
+        head_args[1 + pos] = merged
         head = _lit(relation_pred(atom.relation), head_args)
         rules.append(AspStatement(3, "insertion", AspRule((head,), body)))
     return rules
@@ -335,7 +315,7 @@ def _version_facts(schema: Schema, instance: Instance, relation_pred) -> list[As
 
 
 def _value_uses(
-    mds: MDSet,
+    rules: list[BoundMD],
     schema: Schema,
     smf: SaturatedMatchingFunction,
     written_rels,
@@ -346,7 +326,7 @@ def _value_uses(
     Refuses a domain whose merge or order relation the rules read when its
     matching function was not saturated over the instance's values.
     """
-    mf_domains = sorted({rhs_domain(md, schema) for md in mds})
+    mf_domains = sorted({rule.rhs_domain for rule in rules})
     domains = {dom for rel in written_rels for dom in schema.relation(rel).domains}
     pre_domains = sorted(dom for dom in domains if smf.has_mf(dom))
     for dom in sorted(set(mf_domains) | set(pre_domains)):
@@ -356,7 +336,7 @@ def _value_uses(
                 f"matching function for domain {dom!r} was not saturated over the "
                 f"instance values; missing {sorted(missing)}"
             )
-    sim_domains = sorted({sim_domain(md, schema, sc) for md in mds for sc in md.similarities})
+    sim_domains = sorted({dom for rule in rules for dom in rule.sim_domains})
     kinds = (("mf", mf_domains), ("pre", pre_domains), ("sim", sim_domains))
     return [(kind, dom) for kind, domains in kinds for dom in domains]
 
@@ -434,57 +414,53 @@ def emit_general_asp(
     smf: SaturatedMatchingFunction,
 ) -> AspText:
     """The disjunctive cleaning program; stable models are the clean instances."""
-    validate_mds(mds, schema)
-    for md in mds:
-        dom = rhs_domain(md, schema)
+    rules = validate_mds(mds, schema)
+    for rule in rules:
+        dom = rule.rhs_domain
         if not smf.has_mf(dom):
             raise ValidationError(
-                f"rule {md.name!r} writes domain {dom!r}, which has no matching function"
+                f"rule {rule.md.name!r} writes domain {dom!r}, which has no matching function"
             )
-    written = _written_positions(mds, schema)
+    written = _written_positions(rules)
     active = collect_active_values(schema, instance, sim)
-    uses = _value_uses(mds, schema, smf, sorted(written), active)
+    uses = _value_uses(rules, schema, smf, sorted(written), active)
     _check_predicates(schema, mds, written, uses, _version_pred, general=True)
     statements = _version_facts(schema, instance, _version_pred)
     statements += _value_tables(uses, value_builtins(uses, sim, smf), smf, active)
 
-    for md in mds:
-        name = _pred(md.name)
-        args = _match_args(md)
+    for rule in rules:
+        name = _pred(rule.md.name)
+        args = _match_args(rule)
         heads = (_lit(f"match_{name}", args), _lit(f"notmatch_{name}", args))
-        body = tuple(md_body(md, schema, _version_pred))
+        body = tuple(md_body(rule, _version_pred))
         statements.append(AspStatement(2, "disjunctive", AspRule(heads, body)))
-    for md in mds:
-        (s0, p0), (s1, p1) = rhs_targets(md)
-        if md.same_relation() and p0 == p1 and _context_symmetric(md):
-            name = _pred(md.name)
-            forward = _lit(f"match_{name}", _match_args(md))
-            swapped = _lit(f"match_{name}", _lead_args(md, 1) + _lead_args(md, 0))
+    for rule in rules:
+        if rule.symmetric_write() and _context_symmetric(rule.md):
+            name = _pred(rule.md.name)
+            forward = _lit(f"match_{name}", _match_args(rule))
+            swapped = _lit(f"match_{name}", _lead_args(rule.lead[1]) + _lead_args(rule.lead[0]))
             statements.append(AspStatement(2, "symmetry", AspRule((swapped,), (forward,))))
     for rel_name in sorted(written):
         statements.extend(
             _oldversion_rules(rel_name, schema, smf, written[rel_name], _version_pred)
         )
-    for md in mds:
-        body = [_lit(f"notmatch_{_pred(md.name)}", _match_args(md))]
-        for side in (0, 1):
-            atom = md.leading_atoms()[side]
-            body.append(
-                _lit(_oldversion_pred(atom.relation), _lead_args(md, side), negated=True)
-            )
+    for rule in rules:
+        body = [_lit(f"notmatch_{_pred(rule.md.name)}", _match_args(rule))]
+        for atom in rule.lead:
+            body.append(_lit(_oldversion_pred(atom.relation), _lead_args(atom), negated=True))
         statements.append(AspStatement(2, "notmatch-constraint", AspRule((), tuple(body))))
 
-    for md in mds:
-        statements.extend(_insertion_rules(md, schema, _version_pred))
+    for rule in rules:
+        statements.extend(_insertion_rules(rule, _version_pred))
 
-    statements.extend(_prec_recording(mds, schema, smf, written))
+    statements.extend(_prec_recording(rules, schema, smf, written))
 
-    for md in mds:
-        args = _match_args(md)
+    for rule in rules:
+        args = _match_args(rule)
         head = Literal("prec", (_matching(args), _matching(args)))
-        body = (_lit(f"match_{_pred(md.name)}", args),)
+        body = (_lit(f"match_{_pred(rule.md.name)}", args),)
         statements.append(AspStatement(6, "prec-reflexivity", AspRule((head,), body)))
-    if len(mds):
+    if rules:
         antisymmetry = (_lit("prec", ["M1", "M2"]), _lit("prec", ["M2", "M1"]), _neq("M1", "M2"))
         statements.append(AspStatement(6, "prec-antisymmetry", AspRule((), antisymmetry)))
         transitivity = (
@@ -499,7 +475,7 @@ def emit_general_asp(
 
 
 def _prec_recording(
-    mds: MDSet,
+    rules: list[BoundMD],
     schema: Schema,
     smf: SaturatedMatchingFunction,
     written: dict[str, set[int]],
@@ -514,17 +490,14 @@ def _prec_recording(
     changes the tuple goes last).
     """
     out = []
-    for mdj in mds:
-        for mdk in mds:
-            for i in (0, 1):
-                for ip in (0, 1):
-                    rel_j = mdj.leading_atoms()[i].relation
-                    rel_k = mdk.leading_atoms()[ip].relation
-                    if rel_j != rel_k:
+    for rj in rules:
+        for rk in rules:
+            mdj, mdk = rj.md, rk.md
+            for lead_j in rj.lead:
+                for ip, lead_k in enumerate(rk.lead):
+                    if lead_j.relation != lead_k.relation:
                         continue
-                    rel = schema.relation(rel_j)
-                    lead_j = mdj.leading_atoms()[i]
-                    lead_k = mdk.leading_atoms()[ip]
+                    rel = schema.relation(lead_j.relation)
                     first_vars = {var_name(v) for v in mdj.variables()}
 
                     taken = set(first_vars)
@@ -536,8 +509,8 @@ def _prec_recording(
                             ren[vk] = var_name(vj)
                     ren[lead_k.tid_var] = var_name(lead_j.tid_var)
                     body = [
-                        _lit(f"match_{_pred(mdj.name)}", _match_args(mdj)),
-                        _lit(f"match_{_pred(mdk.name)}", _match_args(mdk, ren)),
+                        _lit(f"match_{_pred(mdj.name)}", _match_args(rj)),
+                        _lit(f"match_{_pred(mdk.name)}", _match_args(rk, ren)),
                     ]
                     for pos, (vj, vk) in enumerate(
                         zip(lead_j.attr_vars, lead_k.attr_vars)
@@ -548,9 +521,9 @@ def _prec_recording(
                             )
                     head = Literal(
                         "prec",
-                        (_matching(_match_args(mdj)), _matching(_match_args(mdk, ren))),
+                        (_matching(_match_args(rj)), _matching(_match_args(rk, ren))),
                     )
-                    for pos in sorted(written.get(rel_j, ())):
+                    for pos in sorted(written.get(lead_j.relation, ())):
                         guard = _neq(var_name(lead_j.attr_vars[pos]), ren[lead_k.attr_vars[pos]])
                         out.append(
                             AspStatement(
@@ -564,18 +537,17 @@ def _prec_recording(
                         ren5[vk] = var_name(vj)
                     ren5[lead_k.tid_var] = var_name(lead_j.tid_var)
                     merged = _fresh("Mv", taken)
-                    shared_rhs = ren5[_rhs_var_on_side(mdk, ip)]
-                    other_rhs = ren5[_rhs_var_on_side(mdk, 1 - ip)]
-                    dom_k = rhs_domain(mdk, schema)
+                    rhs_k = [ren5[a.attr_vars[pos]] for a, pos in zip(rk.lead, rk.rhs)]
+                    shared_rhs, other_rhs = rhs_k[ip], rhs_k[1 - ip]
                     body5 = (
-                        _lit(f"match_{_pred(mdj.name)}", _match_args(mdj)),
-                        _lit(f"match_{_pred(mdk.name)}", _match_args(mdk, ren5)),
-                        _lit(value_pred("mf", dom_k), [shared_rhs, other_rhs, merged]),
+                        _lit(f"match_{_pred(mdj.name)}", _match_args(rj)),
+                        _lit(f"match_{_pred(mdk.name)}", _match_args(rk, ren5)),
+                        _lit(value_pred("mf", rk.rhs_domain), [shared_rhs, other_rhs, merged]),
                         _neq(shared_rhs, merged),
                     )
                     head5 = Literal(
                         "prec",
-                        (_matching(_match_args(mdj)), _matching(_match_args(mdk, ren5))),
+                        (_matching(_match_args(rj)), _matching(_match_args(rk, ren5))),
                     )
                     out.append(
                         AspStatement(5, "prec-shared-version", AspRule((head5,), body5))
@@ -602,31 +574,32 @@ def emit_residual_datalog(
             "is only sound for converging combinations"
         )
     engine = ChaseEngine(schema, mds, sim, smf)
-    written = _written_positions(mds, schema)
+    rules = validate_mds(mds, schema)
+    written = _written_positions(rules)
     active = collect_active_values(schema, instance, sim)
-    uses = _value_uses(mds, schema, smf, sorted(written), active)
+    uses = _value_uses(rules, schema, smf, sorted(written), active)
     _check_predicates(schema, mds, written, uses, _pred, general=False)
     version_facts = _version_facts(schema, instance, _pred)
-    rules = []
-    for md in mds:
-        head = _lit(f"match_{_pred(md.name)}", _match_args(md))
-        body = tuple(md_body(md, schema, _pred))
-        rules.append(AspStatement(2, "match", AspRule((head,), body)))
+    derived = []
+    for rule in rules:
+        head = _lit(f"match_{_pred(rule.md.name)}", _match_args(rule))
+        body = tuple(md_body(rule, _pred))
+        derived.append(AspStatement(2, "match", AspRule((head,), body)))
     for rel_name in sorted(written):
-        rules.extend(_oldversion_rules(rel_name, schema, smf, written[rel_name], _pred))
-    for md in mds:
-        rules.extend(_insertion_rules(md, schema, _pred))
-    rules.extend(_collect_rules(schema, written, _pred))
+        derived.extend(_oldversion_rules(rel_name, schema, smf, written[rel_name], _pred))
+    for rule in rules:
+        derived.extend(_insertion_rules(rule, _pred))
+    derived.extend(_collect_rules(schema, written, _pred))
 
     facts: dict[str, list[tuple[str, ...]]] = {}
     for st in version_facts:
         facts.setdefault(st.ast.pred, []).append(st.ast.args)
     builtins = value_builtins(uses, sim, smf)
-    program = Program([Rule(st.ast.heads[0], st.ast.body) for st in rules], facts, builtins)
+    program = Program([Rule(st.ast.heads[0], st.ast.body) for st in derived], facts, builtins)
     clean_preds = tuple((rel, _clean_pred(rel)) for rel in schema.relation_names())
 
     def statements() -> list[AspStatement]:
-        return [*version_facts, *_value_tables(uses, builtins, smf, active), *rules]
+        return [*version_facts, *_value_tables(uses, builtins, smf, active), *derived]
 
     return ResidualProgram(program, clean_preds, engine, statements)
 
@@ -652,7 +625,12 @@ def evaluate_residual(residual: ResidualProgram) -> dict[str, dict[str, tuple[st
             rows[tid] = vals
         out[rel_name] = rows
     engine = residual.engine
-    if not engine.is_stable(Instance(engine.schema, out)):
+    clean = Instance(engine.schema, out)
+    steps = engine.applicable_steps(clean)
+    for step in steps:
+        if step.new_value is None:
+            engine.enforce(clean, step)  # raises UndefinedMatch
+    if steps:
         raise NotSci(
             "the residual program's result is not stable under the rules; "
             "the combination was not actually convergent"

@@ -11,6 +11,10 @@ current instance.  With exactly two atoms the `lead` markers may be dropped.
 Repeating a variable across attribute positions is an equality join; `~` with
 an optional explicit domain is a similarity requirement.  The right-hand side
 names one attribute variable from each leading atom.
+
+`validate_mds` checks a rule set against a schema and returns each rule bound
+to it (`BoundMD`): the positions it writes, its domains and its attribute
+sets, resolved once for the chase, the classifier and the program emitters.
 """
 
 from __future__ import annotations
@@ -292,116 +296,106 @@ def load_mds(path: str | Path) -> MDSet:
 
 
 # ---------------------------------------------------------------------------
-# schema-aware validation and derived attribute sets
+# schema-aware validation: rules bound to the schema
 
 
-def rhs_targets(md: MatchingDependency) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(leading side, attribute position) for the two right-hand variables.
+@dataclass(frozen=True)
+class BoundMD:
+    """A rule bound to the schema it was validated against.
 
-    Ordered so the first entry belongs to leading atom 0.
+    `lead` are its leading atoms and `rhs` the position each of them writes,
+    both in leading order; `rhs_domain` is the written domain and
+    `sim_domains` the domain of each similarity, in rule order.  `alhs` are
+    the (relation, attribute) pairs the left-hand side compares, through a
+    similarity or an equality join, and `arhs` the ones the rule writes.
     """
-    a = (_rhs_side(md, md.rhs_left), _position_in_lead(md, md.rhs_left))
-    b = (_rhs_side(md, md.rhs_right), _position_in_lead(md, md.rhs_right))
-    return (a, b) if a[0] == 0 else (b, a)
+
+    md: MatchingDependency
+    lead: tuple[MDAtom, MDAtom]
+    rhs: tuple[int, int]
+    rhs_domain: str
+    sim_domains: tuple[str, ...]
+    alhs: frozenset[tuple[str, str]]
+    arhs: frozenset[tuple[str, str]]
+
+    def symmetric_write(self) -> bool:
+        """Whether both orientations of a pair write the same cells: the
+        leading atoms share a relation and write one position."""
+        return self.lead[0].relation == self.lead[1].relation and self.rhs[0] == self.rhs[1]
 
 
-def _position_in_lead(md: MatchingDependency, var: str) -> int:
-    side = _rhs_side(md, var)
-    atom = md.leading_atoms()[side]
-    return atom.attr_vars.index(var)
-
-
-def _var_positions(md: MatchingDependency) -> dict[str, list[tuple[MDAtom, int]]]:
-    positions: dict[str, list[tuple[MDAtom, int]]] = {}
+def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
+    """Check one rule against the schema and resolve its positions and domains."""
+    # every attribute occurrence of each variable, as (relation, attribute, domain)
+    occurrences: dict[str, list[tuple[str, str, str]]] = {}
     for atom in md.atoms:
-        for pos, v in enumerate(atom.attr_vars):
-            positions.setdefault(v, []).append((atom, pos))
-    return positions
-
-
-def sim_domain(md: MatchingDependency, schema: Schema, sc: SimilarityConstraint) -> str:
-    """Resolve (and cross-check) the domain a similarity constraint ranges over."""
-    positions = _var_positions(md)
-    domains = set()
-    for v in (sc.left, sc.right):
-        for atom, pos in positions.get(v, ()):
-            domains.add(schema.relation(atom.relation).domains[pos])
-    if sc.domain is not None:
-        domains.add(sc.domain)
-    if len(domains) != 1:
-        raise ValidationError(
-            f"rule {md.name!r}: similarity {sc.left} ~ {sc.right} mixes domains {sorted(domains)}"
-        )
-    return domains.pop()
-
-
-def alhs(md: MatchingDependency, schema: Schema) -> frozenset[tuple[str, str]]:
-    """Attributes the left-hand side compares, via similarity or equality joins."""
-    out: set[tuple[str, str]] = set()
-    positions = _var_positions(md)
-    compared = {v for sc in md.similarities for v in (sc.left, sc.right)}
-    for v, occs in positions.items():
-        if v in compared or len(occs) > 1:
-            for atom, pos in occs:
-                rel = schema.relation(atom.relation)
-                out.add((atom.relation, rel.attrs[pos]))
-    return frozenset(out)
-
-
-def arhs(md: MatchingDependency, schema: Schema) -> frozenset[tuple[str, str]]:
-    """Attributes the rule writes."""
-    out = set()
-    for side, pos in rhs_targets(md):
-        atom = md.leading_atoms()[side]
         rel = schema.relation(atom.relation)
-        out.add((atom.relation, rel.attrs[pos]))
-    return frozenset(out)
-
-
-def rhs_domain(md: MatchingDependency, schema: Schema) -> str:
-    (s0, p0), (s1, p1) = rhs_targets(md)
+        if len(atom.attr_vars) != rel.arity:
+            raise ValidationError(
+                f"rule {md.name!r}: atom {atom.relation} has {len(atom.attr_vars)} "
+                f"attribute variables, schema says {rel.arity}"
+            )
+        for v, attr, dom in zip(atom.attr_vars, rel.attrs, rel.domains):
+            occurrences.setdefault(v, []).append((atom.relation, attr, dom))
+    lowered = {}
+    for v in md.variables():
+        other = lowered.setdefault(v.lower(), v)
+        if other != v:
+            raise ValidationError(
+                f"rule {md.name!r}: variables {other!r} and {v!r} differ only by case"
+            )
+    for v, occs in occurrences.items():
+        domains = {dom for _, _, dom in occs}
+        if len(domains) > 1:
+            raise ValidationError(
+                f"rule {md.name!r}: variable {v!r} joins attributes of different "
+                f"domains {sorted(domains)}"
+            )
+    sim_domains = []
+    for sc in md.similarities:
+        domains = {occurrences[v][0][2] for v in (sc.left, sc.right)}
+        if sc.domain is not None:
+            domains.add(sc.domain)
+        if len(domains) != 1:
+            raise ValidationError(
+                f"rule {md.name!r}: similarity {sc.left} ~ {sc.right} mixes domains {sorted(domains)}"
+            )
+        sim_domains.append(domains.pop())
     lead = md.leading_atoms()
-    d0 = schema.relation(lead[s0].relation).domains[p0]
-    d1 = schema.relation(lead[s1].relation).domains[p1]
+    rhs_vars = (md.rhs_left, md.rhs_right)
+    if md.rhs_left not in lead[0].attr_vars:
+        rhs_vars = rhs_vars[::-1]
+    written = [occurrences[v][0] for v in rhs_vars]
+    (_, _, d0), (_, _, d1) = written
     if d0 != d1:
         raise ValidationError(
             f"rule {md.name!r}: right-hand attributes live in different domains "
             f"({d0!r} vs {d1!r})"
         )
-    return d0
+    compared = {v for sc in md.similarities for v in (sc.left, sc.right)}
+    alhs = {
+        (rel, attr)
+        for v, occs in occurrences.items()
+        if v in compared or len(occs) > 1
+        for rel, attr, _ in occs
+    }
+    rhs = tuple(atom.attr_vars.index(v) for atom, v in zip(lead, rhs_vars))
+    arhs = frozenset((rel, attr) for rel, attr, _ in written)
+    return BoundMD(md, lead, rhs, d0, tuple(sim_domains), frozenset(alhs), arhs)
 
 
-def validate_mds(mds: MDSet, schema: Schema, mf: MatchingFunction | None = None) -> None:
-    """Schema (and optionally matching-function) conformance for a rule set."""
+def validate_mds(mds: MDSet, schema: Schema, mf: MatchingFunction | None = None) -> list[BoundMD]:
+    """Schema (and optionally matching-function) conformance for a rule set;
+    returns the rules bound to the schema, in rule order."""
+    bound = []
     for md in mds:
-        for atom in md.atoms:
-            rel = schema.relation(atom.relation)
-            if len(atom.attr_vars) != rel.arity:
-                raise ValidationError(
-                    f"rule {md.name!r}: atom {atom.relation} has {len(atom.attr_vars)} "
-                    f"attribute variables, schema says {rel.arity}"
-                )
-        lowered = {}
-        for v in md.variables():
-            other = lowered.setdefault(v.lower(), v)
-            if other != v:
-                raise ValidationError(
-                    f"rule {md.name!r}: variables {other!r} and {v!r} differ only by case"
-                )
-        for v, occs in _var_positions(md).items():
-            domains = {schema.relation(a.relation).domains[p] for a, p in occs}
-            if len(domains) > 1:
-                raise ValidationError(
-                    f"rule {md.name!r}: variable {v!r} joins attributes of different "
-                    f"domains {sorted(domains)}"
-                )
-        for sc in md.similarities:
-            sim_domain(md, schema, sc)
-        dom = rhs_domain(md, schema)
-        if mf is not None and dom not in mf.declared_domains():
+        rule = _bind(md, schema)
+        if mf is not None and rule.rhs_domain not in mf.declared_domains():
             raise ValidationError(
-                f"rule {md.name!r}: right-hand domain {dom!r} has no matching function"
+                f"rule {md.name!r}: right-hand domain {rule.rhs_domain!r} has no matching function"
             )
+        bound.append(rule)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +407,7 @@ def var_name(var: str) -> str:
     return var[0].upper() + var[1:]
 
 
-def md_body(
-    md: MatchingDependency,
-    schema: Schema,
-    relation_pred: Callable[[str], str],
-) -> list[Literal]:
+def md_body(rule: BoundMD, relation_pred: Callable[[str], str]) -> list[Literal]:
     """The rule's left-hand side as a Datalog body over its `var_name`s.
 
     Leading and context atoms over `relation_pred(relation)`, identifier
@@ -433,14 +423,13 @@ def md_body(
         names = (a.tid_var, *a.attr_vars)
         return Literal(relation_pred(a.relation), tuple(Var(var_name(v)) for v in names))
 
-    lead0, lead1 = md.leading_atoms()
+    md = rule.md
+    lead0, lead1 = rule.lead
     body = [atom(lead0), atom(lead1), *(atom(a) for a in md.context_atoms())]
-    for sc in md.similarities:
-        dom = sim_domain(md, schema, sc)
+    for sc, dom in zip(md.similarities, rule.sim_domains):
         sides = (Var(var_name(sc.left)), Var(var_name(sc.right)))
         body.append(Literal(value_pred("sim", dom), sides))
-    (_, p0), (_, p1) = rhs_targets(md)
-    if md.same_relation() and p0 != p1:
+    if lead0.relation == lead1.relation and rule.rhs[0] != rule.rhs[1]:
         tids = (Var(var_name(lead0.tid_var)), Var(var_name(lead1.tid_var)))
         body.append(Literal(NEQ, tids))
     body.append(Literal(NEQ, (Var(var_name(md.rhs_left)), Var(var_name(md.rhs_right)))))

@@ -149,6 +149,13 @@ class Schema:
 # instances
 
 
+def _add_row(rows: dict, tid: str, value) -> None:
+    """Store `value` under a tuple identifier not used before."""
+    if tid in rows:
+        raise ValidationError(f"tuple identifier {tid!r} used more than once")
+    rows[tid] = value
+
+
 class Instance:
     """Identified tuples, each a vector of current values.
 
@@ -173,9 +180,7 @@ class Instance:
                     raise ValidationError(
                         f"{rel_name}/{tid}: expected {rel.arity} values, got {len(vec)}"
                     )
-                if tid in seen_tids:
-                    raise ValidationError(f"tuple identifier {tid!r} used more than once")
-                seen_tids[tid] = rel_name
+                _add_row(seen_tids, tid, rel_name)
                 rows[tid] = vec
             self.tuples[rel_name] = rows
 
@@ -238,7 +243,7 @@ class Instance:
                 missing = set(rel.attrs) - set(row)
                 if missing:
                     raise ValidationError(f"{rel_name}: missing fields {sorted(missing)}")
-                out_rows[str(row[TID_ATTR])] = tuple(str(row[a]) for a in rel.attrs)
+                _add_row(out_rows, str(row[TID_ATTR]), tuple(str(row[a]) for a in rel.attrs))
             tuples[rel_name] = out_rows
         return cls(schema, tuples)
 
@@ -269,7 +274,7 @@ class Instance:
                         continue
                     if len(row) != 1 + rel.arity:
                         raise ValidationError(f"{path}:{lineno}: expected {1 + rel.arity} fields")
-                    rows[row[0].strip()] = tuple(v.strip() for v in row[1:])
+                    _add_row(rows, row[0].strip(), tuple(v.strip() for v in row[1:]))
                 tuples[rel_name] = rows
         return cls(schema, tuples)
 

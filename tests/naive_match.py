@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from mdclean.chase import EnforcementStep
-from mdclean.mdlang import rhs_domain, rhs_targets, sim_domain
 from mdclean.query import resolve_sim_domain
 from mdclean.terms import is_var
 
@@ -117,7 +116,8 @@ def _try_pair(schema, md, sim, smf, instance, tid0, tid1):
     context = _match_context(schema, md, sim, instance, binding)
     if context is None:
         return None
-    (_, p0), (_, p1) = rhs_targets(md)
+    rhs = (md.rhs_left, md.rhs_right)
+    p0, p1 = (next(i for i, v in enumerate(a.attr_vars) if v in rhs) for a in (lead0, lead1))
     v0 = instance.current(lead0.relation, tid0)[p0]
     v1 = instance.current(lead1.relation, tid1)[p1]
     if v0 == v1:
@@ -125,13 +125,19 @@ def _try_pair(schema, md, sim, smf, instance, tid0, tid1):
     if md.same_relation() and p0 == p1 and tid1 < tid0:
         tid0, tid1 = tid1, tid0
         v0, v1 = v1, v0
-    merged = smf.match(rhs_domain(md, schema), v0, v1)
+    merged = smf.try_match(schema.relation(lead0.relation).domains[p0], v0, v1)
     return EnforcementStep(md.name, (tid0, tid1), context, (v0, v1), merged)
+
+
+def _domain(schema, md, var):
+    """The domain of the first attribute position holding `var`."""
+    atom = next(a for a in md.atoms if var in a.attr_vars)
+    return schema.relation(atom.relation).domains[atom.attr_vars.index(var)]
 
 
 def _match_context(schema, md, sim, instance, binding):
     """First assignment of context atoms consistent with the binding."""
-    sims = [(sc.left, sc.right, sim_domain(md, schema, sc)) for sc in md.similarities]
+    sims = [(sc.left, sc.right, _domain(schema, md, sc.left)) for sc in md.similarities]
     context = md.context_atoms()
 
     def check_sims(current):

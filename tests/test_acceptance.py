@@ -26,7 +26,7 @@ from mdclean.datalog import (
     value_builtins,
 )
 from mdclean.errors import NotStratifiable, SemilatticeViolation
-from mdclean.mdlang import load_mds, parse_mds
+from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -123,12 +123,12 @@ md to_b: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;
 
 def test_interaction_pairs_for_chained_and_crossed_rules_are_exact():
     fx = Fixture("divergent")
-    assert interaction_pairs(fx.mds, fx.schema) == [
+    assert interaction_pairs(validate_mds(fx.mds, fx.schema)) == [
         InteractionPair("md1", "md2", "R", "B"),
         InteractionPair("md2", "md2", "R", "B"),
     ]
     crossed = parse_mds(CROSSED_RULES)
-    assert interaction_pairs(crossed, fx.schema) == [
+    assert interaction_pairs(validate_mds(crossed, fx.schema)) == [
         InteractionPair("to_a", "to_b", "R", "A"),
         InteractionPair("to_b", "to_a", "R", "B"),
     ]

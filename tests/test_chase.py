@@ -270,10 +270,14 @@ def test_undefined_match_aborts_with_pair():
         {"domb": [("b1", "b4")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b4")},
     )
-    with pytest.raises(UndefinedMatch) as err:
-        eng.applicable_steps(inst)
-    assert err.value.pair == ("b1", "b4")
-    assert err.value.domain == "domb"
+    # the step is listed, and refused only when enforced
+    (step,) = eng.applicable_steps(inst)
+    assert step.old_values == ("b1", "b4") and step.new_value is None
+    for run in (lambda: eng.enforce(inst, step), lambda: eng.chase_one(inst)):
+        with pytest.raises(UndefinedMatch) as err:
+            run()
+        assert err.value.pair == ("b1", "b4")
+        assert err.value.domain == "domb"
 
 
 def test_relational_context_join_gates_enforcement():

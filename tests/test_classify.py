@@ -9,7 +9,7 @@ from mdclean.classify import (
     is_similarity_preserving,
     sfai_queries,
 )
-from mdclean.mdlang import parse_mds
+from mdclean.mdlang import parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -68,7 +68,7 @@ def sfai_setting():
 
 def test_interaction_pairs_for_chained_rules():
     schema, mds = r_schema(), parse_mds(TWO_RULES)
-    assert interaction_pairs(mds, schema) == [
+    assert interaction_pairs(validate_mds(mds, schema)) == [
         InteractionPair("md1", "md2", "R", "B"),
         InteractionPair("md2", "md2", "R", "B"),
     ]
@@ -76,7 +76,7 @@ def test_interaction_pairs_for_chained_rules():
 
 def test_interaction_pairs_for_crossed_rules():
     schema, mds = r_schema(), parse_mds(CROSSED_RULES)
-    assert interaction_pairs(mds, schema) == [
+    assert interaction_pairs(validate_mds(mds, schema)) == [
         InteractionPair("to_a", "to_b", "R", "A"),
         InteractionPair("to_b", "to_a", "R", "B"),
     ]
@@ -85,15 +85,15 @@ def test_interaction_pairs_for_crossed_rules():
 def test_single_rule_does_not_interact_with_itself_across_attributes():
     schema = r_schema()
     only_md1 = parse_mds("md md1: R(t1; x1, y1), R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
-    assert interaction_pairs(only_md1, schema) == []
+    assert interaction_pairs(validate_mds(only_md1, schema)) == []
     # a rule reading what it writes interacts with itself
     only_md2 = parse_mds("md md2: R(t1; x1, y1), R(t2; x2, y2), y1 ~domb~ y2 -> y1 := y2;")
-    assert interaction_pairs(only_md2, schema) == [InteractionPair("md2", "md2", "R", "B")]
+    assert interaction_pairs(validate_mds(only_md2, schema)) == [InteractionPair("md2", "md2", "R", "B")]
 
 
 def test_sfai_queries_shapes():
     schema, mds = r_schema(), parse_mds(TWO_RULES)
-    queries = sfai_queries(mds, schema)
+    queries = sfai_queries(validate_mds(mds, schema), schema)
     assert [q.name for q in queries] == ["md1__md2__R_B", "md2__md2__R_B"]
     for q in queries:
         assert q.head == ()
@@ -108,14 +108,14 @@ def test_sfai_queries_shapes():
 def test_isomorphic_embeddings_collapse_within_a_pair_only():
     schema = r_schema()
     crossed = parse_mds(CROSSED_RULES)
-    queries = sfai_queries(crossed, schema)
+    queries = sfai_queries(validate_mds(crossed, schema), schema)
     # the two pairs yield isomorphic queries, and both are kept
     assert [q.name for q in queries] == ["to_a__to_b__R_A", "to_b__to_a__R_B"]
 
 
 def test_interaction_query_satisfied_on_chained_instance():
     schema, mds, instance, sim, smf = interacting_setting()
-    sfai, checks = is_sfai(mds, schema, instance, sim)
+    sfai, checks = is_sfai(validate_mds(mds, schema), schema, instance, sim)
     assert not sfai
     by_name = {c.query.name: c for c in checks}
     first = by_name["md1__md2__R_B"]
@@ -127,7 +127,7 @@ def test_interaction_query_satisfied_on_chained_instance():
 
 def test_interaction_queries_unsatisfied_on_separated_instance():
     schema, mds, instance, sim, smf = sfai_setting()
-    sfai, checks = is_sfai(mds, schema, instance, sim)
+    sfai, checks = is_sfai(validate_mds(mds, schema), schema, instance, sim)
     assert sfai
     assert all(not c.satisfied for c in checks)
 
@@ -139,18 +139,18 @@ def test_interaction_queries_respect_distinct_identifiers():
         {"doma": [("a1", "a2")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
     )
-    sfai, checks = is_sfai(mds, schema, instance, sim)
+    sfai, checks = is_sfai(validate_mds(mds, schema), schema, instance, sim)
     assert sfai
     relaxed = [
         type(q)(q.name, q.head, q.atoms, q.sims, distinct_tids=False)
-        for q in sfai_queries(mds, schema)
+        for q in sfai_queries(validate_mds(mds, schema), schema)
     ]
     assert any(eval_cq(instance, q, sim) for q in relaxed)
 
 
 def test_similarity_preservation_fails_for_plain_tables():
     schema, mds, instance, sim, smf = interacting_setting()
-    preserving, cex = is_similarity_preserving(mds, schema, sim, smf)
+    preserving, cex = is_similarity_preserving(validate_mds(mds, schema), sim, smf)
     assert not preserving
     dom, a, a2, a3, merged = cex
     assert dom == "domb"
@@ -166,7 +166,7 @@ def test_similarity_preservation_includes_reflexive_pairs():
         {},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
     )
-    preserving, cex = is_similarity_preserving(mds, schema, sim, smf)
+    preserving, cex = is_similarity_preserving(validate_mds(mds, schema), sim, smf)
     assert not preserving
     dom, a, a2, a3, merged = cex
     assert a == a2  # reflexive pair is the earliest counterexample
@@ -178,7 +178,7 @@ def test_similarity_preservation_trivial_when_nothing_merges():
         {"t1": ("a1", "b1")},
         mf_table={"domb": []},
     )
-    preserving, cex = is_similarity_preserving(mds, schema, sim, smf)
+    preserving, cex = is_similarity_preserving(validate_mds(mds, schema), sim, smf)
     assert preserving and cex is None
 
 
@@ -195,7 +195,7 @@ def test_token_union_with_token_overlap_preserves_similarity():
     )
     mf = MatchingFunction(builtins={"toks": "token-union"})
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    preserving, cex = is_similarity_preserving(mds, schema, sim, smf)
+    preserving, cex = is_similarity_preserving(validate_mds(mds, schema), sim, smf)
     assert preserving, cex
     result = classify(mds, schema, instance, sim, smf)
     assert result.verdict is Verdict.SIMILARITY_PRESERVING
@@ -250,5 +250,5 @@ def test_relational_rule_with_disjoint_write_read_is_non_interacting():
         " x1 ~name~ x2, y1 ~title~ y2, y1 ~title~ p1, y2 ~title~ p2"
         " -> bl1 := bl2;"
     )
-    assert interaction_pairs(mds, schema) == []
-    assert sfai_queries(mds, schema) == []
+    assert interaction_pairs(validate_mds(mds, schema)) == []
+    assert sfai_queries(validate_mds(mds, schema), schema) == []

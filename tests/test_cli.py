@@ -246,6 +246,44 @@ def test_solve_never_matches_a_tuple_with_itself(tmp_path, capsys):
     assert "sim_d(X1, X2), T1 != T2, X1 != Y2.\n" in out
 
 
+def test_chase_one_needs_only_the_merges_its_order_makes(tmp_path, capsys):
+    # m(b1, b2) is undefined, but the seeded order merges t1 with t2 first and
+    # then needs only m(b13, b2); the exhaustive chase also tries (b1, b2)
+    args = write_setting(
+        tmp_path,
+        "R(A: doma, B: domb)\n",
+        {"R": "tid,A,B\nt1,a1,b1\nt2,a1,b3\nt3,a1,b2\n"},
+        "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;\n",
+        "",
+        "domb: m(b1, b3) = b13\ndomb: m(b13, b2) = b123\n",
+    )
+    code, solved, err = run(capsys, ["solve", "--format", "text", *args])
+    assert (code, err) == (0, "")
+    assert solved == "R(t1, a1, b123)\nR(t2, a1, b123)\nR(t3, a1, b123)\n"
+    code, out, err = run(capsys, ["chase", "--one", "--format", "text", *args])
+    assert (code, err) == (0, "")
+    assert out == "clean instance 1 (3 steps)\n" + "".join("  " + row for row in solved.splitlines(True))
+    code, out, err = run(capsys, ["chase", "--all", *args])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: UndefinedMatch: ") and err.endswith("('b1', 'b2')\n")
+
+
+def test_a_tuple_identifier_repeated_within_a_relation_is_refused(tmp_path, capsys):
+    rows = [{"tid": "t1", "A": "a1", "B": "b1"}, {"tid": "t1", "A": "a1", "B": "b3"}]
+    (tmp_path / "instance.json").write_text(json.dumps({"R": rows}))
+    (tmp_path / "csv").mkdir()
+    (tmp_path / "csv" / "R.csv").write_text("tid,A,B\nt1,a1,b1\nt1,a1,b3\n")
+    for instance in (tmp_path / "instance.json", tmp_path / "csv"):
+        args = fixture_args("convergent")
+        args[args.index("--instance") + 1] = str(instance)
+        for command in ("validate", "chase"):
+            code, out, err = run(capsys, [command, *args])
+            assert (code, out) == (1, ""), (instance, command)
+            assert err == (
+                f"error: ValidationError: {instance}: tuple identifier 't1' used more than once\n"
+            )
+
+
 def test_answer_reads_a_hash_inside_a_quoted_constant(tmp_path, capsys):
     args = write_setting(
         tmp_path,

@@ -40,6 +40,21 @@ CASES = [
     # over the residual program's instance
     ("divergent.answer.txt", "answer", "divergent", False, ["--query", str(QUERIES)]),
     ("convergent.answer.txt", "answer", "convergent", False, ["--query", str(QUERIES)]),
+    # rules that list the t2 atom first or name the second leading atom's
+    # variable left of `:=`, and a rule over two relations writing a
+    # different position in each
+    *(
+        (f"{fixture}.{name}.txt", command, fixture, False, extra)
+        for fixture in ("reversed", "crossrel")
+        for name, command, extra in (
+            ("classify", "classify", []),
+            ("chase-one", "chase", ["--one"]),
+            ("chase-all", "chase", ["--all"]),
+            ("emit-asp", "emit-asp", []),
+            ("emit-datalog", "emit-datalog", []),
+            ("solve", "solve", ["--format", "text"]),
+        )
+    ),
 ]
 
 

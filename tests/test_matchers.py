@@ -13,7 +13,7 @@ import pytest
 
 from mdclean.chase import ChaseEngine
 from mdclean.classify import sfai_queries
-from mdclean.mdlang import load_mds, parse_mds
+from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -69,7 +69,7 @@ def check_every_state(eng: ChaseEngine, instance: Instance) -> int:
 def test_sfai_queries_match_backtracking_over_the_population(population):
     satisfied = 0
     for s in population:
-        for query in sfai_queries(s.mds, s.schema):
+        for query in sfai_queries(validate_mds(s.mds, s.schema), s.schema):
             witness = find_witness(s.instance, query, s.sim)
             assert witness == naive_match.find_witness(s.instance, query, s.sim), query
             satisfied += witness is not None

@@ -3,16 +3,7 @@
 import pytest
 
 from mdclean.errors import ParseError, ValidationError
-from mdclean.mdlang import (
-    MDAtom,
-    alhs,
-    arhs,
-    parse_mds,
-    rhs_domain,
-    rhs_targets,
-    sim_domain,
-    validate_mds,
-)
+from mdclean.mdlang import MDAtom, parse_mds, validate_mds
 from mdclean.model import MatchingFunction, Schema
 
 TWO_RULES = """
@@ -151,58 +142,68 @@ def test_validate_requires_mf_on_written_domain():
 
 def test_rhs_domain_and_targets():
     schema = r_schema()
-    mds = parse_mds(TWO_RULES)
-    md1 = mds.by_name["md1"]
-    assert rhs_domain(md1, schema) == "domb"
-    assert rhs_targets(md1) == ((0, 1), (1, 1))
+    md1, _ = validate_mds(parse_mds(TWO_RULES), schema)
+    assert md1.rhs_domain == "domb"
+    assert md1.lead == md1.md.leading_atoms()
+    assert md1.rhs == (1, 1)
+    assert md1.symmetric_write()
+    # a right-hand side naming the second leading atom first, over two
+    # relations written at different positions: positions in leading order
+    schema = Schema.parse("R(A: doma, B: domb)\nS(C: domb, D: doma)")
+    (cross,) = validate_mds(
+        parse_mds("md m: lead R(t1; x1, y1), lead S(t2; y2, x2), x1 ~ x2 -> y2 := y1;"), schema
+    )
+    assert cross.rhs == (1, 0)
+    assert cross.rhs_domain == "domb"
+    assert cross.arhs == {("R", "B"), ("S", "C")}
+    assert not cross.symmetric_write()
 
 
 def test_sim_domain_resolution_and_mismatch():
     schema = r_schema()
-    md = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ x2 -> y1 := y2;").by_name["m"]
-    assert sim_domain(md, schema, md.similarities[0]) == "doma"
-    bad = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ y2 -> y1 := y2;").by_name["m"]
-    with pytest.raises(ValidationError):
-        sim_domain(bad, schema, bad.similarities[0])
-    wrong = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~domb~ x2 -> y1 := y2;").by_name["m"]
-    with pytest.raises(ValidationError):
-        sim_domain(wrong, schema, wrong.similarities[0])
+    (rule,) = validate_mds(
+        parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ x2, y1 ~domb~ y2 -> y1 := y2;"), schema
+    )
+    assert rule.sim_domains == ("doma", "domb")
+    bad = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ y2 -> y1 := y2;")
+    with pytest.raises(ValidationError, match="mixes domains"):
+        validate_mds(bad, schema)
+    wrong = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~domb~ x2 -> y1 := y2;")
+    with pytest.raises(ValidationError, match="mixes domains"):
+        validate_mds(wrong, schema)
 
 
 def test_alhs_arhs_classical():
-    schema = r_schema()
-    mds = parse_mds(TWO_RULES)
-    assert alhs(mds.by_name["md1"], schema) == {("R", "A")}
-    assert arhs(mds.by_name["md1"], schema) == {("R", "B")}
-    assert alhs(mds.by_name["md2"], schema) == {("R", "B")}
-    assert arhs(mds.by_name["md2"], schema) == {("R", "B")}
+    md1, md2 = validate_mds(parse_mds(TWO_RULES), r_schema())
+    assert md1.alhs == {("R", "A")}
+    assert md1.arhs == {("R", "B")}
+    assert md2.alhs == {("R", "B")}
+    assert md2.arhs == {("R", "B")}
 
 
 def test_alhs_arhs_relational_with_joins():
-    schema = bib_schema()
-    md = parse_mds(RELATIONAL).by_name["coblock"]
-    validate_mds(parse_mds(RELATIONAL), schema)
-    assert alhs(md, schema) == {
+    (rule,) = validate_mds(parse_mds(RELATIONAL), bib_schema())
+    assert rule.alhs == {
         ("Author", "Name"),
         ("Author", "PTitle"),
         ("Paper", "PTitle"),
         ("Paper", "PBlock"),
     }
-    assert arhs(md, schema) == {("Author", "ABlock")}
+    assert rule.arhs == {("Author", "ABlock")}
 
 
 def test_identifier_attributes_never_appear_in_attribute_sets():
     schema = bib_schema()
-    md = parse_mds(RELATIONAL).by_name["coblock"]
-    for rel, attr in alhs(md, schema) | arhs(md, schema):
+    (rule,) = validate_mds(parse_mds(RELATIONAL), schema)
+    for rel, attr in rule.alhs | rule.arhs:
         assert attr != "tid"
         assert attr in schema.relation(rel).attrs
 
 
 def test_equality_join_lands_in_alhs():
     schema = Schema.parse("R(A: d, B: e)\nS(C: d, E: e)")
-    md = parse_mds("md m: lead R(t1; x, y1), lead S(t2; x, y2) -> y1 := y2;").by_name["m"]
-    assert alhs(md, schema) == {("R", "A"), ("S", "C")}
+    (rule,) = validate_mds(parse_mds("md m: lead R(t1; x, y1), lead S(t2; x, y2) -> y1 := y2;"), schema)
+    assert rule.alhs == {("R", "A"), ("S", "C")}
 
 
 def test_two_atoms_without_lead_are_both_leading():
