@@ -238,14 +238,13 @@ class ChaseEngine:
         priority = {name: rank for rank, name in enumerate(names)}
         current = instance
         path: list[EnforcementStep] = []
-        for _ in range(step_limit):
-            steps = self.applicable_steps(current)
-            if not steps:
-                return ChaseResult((current,), (tuple(path),))
+        while steps := self.applicable_steps(current):
+            if len(path) >= step_limit:
+                raise StepLimitExceeded(f"chase exceeded {step_limit} enforcement steps")
             step = min(steps, key=lambda s: (priority.get(s.md, 0), s.lead_tids))
             current = self.enforce(current, step)
             path.append(step)
-        raise StepLimitExceeded(f"chase exceeded {step_limit} enforcement steps")
+        return ChaseResult((current,), (tuple(path),))
 
 
 def rule_priority(names: list[str], seed: int) -> list[str]:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .mdlang import BoundMD, MatchingDependency, MDSet, validate_mds
+from .mdlang import BoundMD, MDSet, validate_mds
 from .model import (
     Instance,
     SaturatedMatchingFunction,
@@ -143,7 +143,11 @@ def _embeddings(writer, reader, pair, schema):
         for index, atom, pos in zip(lead_indices, writer.lead, writer.rhs)
         if atom.relation == pair.relation and pos == attr_pos
     ]
-    reader_occurrences = _compared_occurrences(reader.md, pair, attr_pos)
+    reader_occurrences = [
+        idx
+        for idx, atom in enumerate(reader.md.atoms)
+        if atom.relation == pair.relation and atom.attr_vars[attr_pos] in reader.compared
+    ]
     for written in written_atoms:
         for occ_index in reader_occurrences:
             reader_atoms, reader_sims = _rename_md(reader, "r_")
@@ -158,22 +162,6 @@ def _embeddings(writer, reader, pair, schema):
             atoms = [_apply_atom(a, sub) for a in writer_atoms] + kept
             sims = [_apply_sim(s, sub) for s in writer_sims + reader_sims]
             yield tuple(atoms), tuple(sims)
-
-
-def _compared_occurrences(reader: MatchingDependency, pair, attr_pos: int) -> list[int]:
-    compared = {v for sc in reader.similarities for v in (sc.left, sc.right)}
-    counts: dict[str, int] = {}
-    for atom in reader.atoms:
-        for v in atom.attr_vars:
-            counts[v] = counts.get(v, 0) + 1
-    out = []
-    for idx, atom in enumerate(reader.atoms):
-        if atom.relation != pair.relation:
-            continue
-        var = atom.attr_vars[attr_pos]
-        if var in compared or counts.get(var, 0) > 1:
-            out.append(idx)
-    return out
 
 
 def _unify(atom_a: QueryAtom, atom_b: QueryAtom) -> dict[Var, Term] | None:

@@ -24,7 +24,6 @@ different arities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable
 
 from .chase import ChaseEngine
@@ -221,32 +220,57 @@ def _written_positions(rules: list[BoundMD]) -> dict[str, set[int]]:
 
 
 def _context_symmetric(md: MatchingDependency) -> bool:
-    """Whether swapping the two leading tuples maps the context onto itself."""
+    """Whether swapping the two leading tuples maps the context onto itself.
+
+    The swap of the leading variables is extended one context atom at a
+    time, onto an unused atom of the same relation whose arguments agree
+    with the mapping so far, and undone where no later atom fits.  The atom
+    with the fewest such images goes next, so one that has none fails the
+    branch at once.
+    """
     context = md.context_atoms()
-    if not context:
-        return True
     lead0, lead1 = md.leading_atoms()
-    swap = {lead0.tid_var: lead1.tid_var, lead1.tid_var: lead0.tid_var}
+    mapping = {lead0.tid_var: lead1.tid_var, lead1.tid_var: lead0.tid_var}
     for a, b in zip(lead0.attr_vars, lead1.attr_vars):
-        swap[a] = b
-        swap[b] = a
-    for perm in permutations(range(len(context))):
-        mapping = dict(swap)
-        ok = True
-        for i, j in enumerate(perm):
-            src, dst = context[i], context[j]
-            if src.relation != dst.relation:
-                ok = False
-                break
-            for x, y in zip((src.tid_var, *src.attr_vars), (dst.tid_var, *dst.attr_vars)):
-                if mapping.setdefault(x, y) != y:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        mapping[a] = b
+        mapping[b] = a
+    free = set(range(len(context)))
+
+    def extend(todo: frozenset[int]) -> bool:
+        if not todo:
             return True
-    return False
+        images = {i: [] for i in todo}
+        for i in todo:
+            for j in free:
+                new = _extension(mapping, context[i], context[j])
+                if new is not None:
+                    images[i].append((j, new))
+        i = min(images, key=lambda i: len(images[i]))
+        for j, new in images[i]:
+            mapping.update(new)
+            free.remove(j)
+            if extend(todo - {i}):
+                return True
+            free.add(j)
+            for x in new:
+                del mapping[x]
+        return False
+
+    return extend(frozenset(free))
+
+
+def _extension(mapping: dict[str, str], src: MDAtom, dst: MDAtom) -> dict[str, str] | None:
+    """The bindings `mapping` needs to map atom `src` onto `dst`, or None if it cannot."""
+    if src.relation != dst.relation:
+        return None
+    new: dict[str, str] = {}
+    for x, y in zip((src.tid_var, *src.attr_vars), (dst.tid_var, *dst.attr_vars)):
+        bound = mapping.get(x, new.get(x))
+        if bound is None:
+            new[x] = y
+        elif bound != y:
+            return None
+    return new
 
 
 # ---------------------------------------------------------------------------

@@ -238,14 +238,13 @@ def _check_structure(md: MatchingDependency, name_tok: Token) -> None:
                     name_tok.line,
                     name_tok.column,
                 )
-    first, second = md.leading_atoms()
-    lead_positions = {
-        v: (idx, pos)
-        for idx, atom in enumerate((first, second))
-        for pos, v in enumerate(atom.attr_vars)
+    # the leading atom, 0 or 1, of each occurrence of each right-hand variable
+    lead_sides = {
+        v: [side for side, atom in enumerate(md.leading_atoms()) for w in atom.attr_vars if w == v]
+        for v in (md.rhs_left, md.rhs_right)
     }
     for v in (md.rhs_left, md.rhs_right):
-        if v not in lead_positions:
+        if not lead_sides[v]:
             raise ParseError(
                 f"rule {md.name!r}: right-hand variable {v!r} does not occur in a leading atom",
                 name_tok.line,
@@ -257,34 +256,22 @@ def _check_structure(md: MatchingDependency, name_tok: Token) -> None:
             name_tok.line,
             name_tok.column,
         )
-    sides = {_rhs_side(md, md.rhs_left), _rhs_side(md, md.rhs_right)}
-    if sides != {0, 1}:
+    for v in (md.rhs_left, md.rhs_right):
+        if any(v in atom.attr_vars for atom in md.context_atoms()):
+            raise ValidationError(
+                f"rule {md.name!r}: right-hand variable {v!r} also occurs in a context atom"
+            )
+        if len(lead_sides[v]) != 1:
+            raise ValidationError(
+                f"rule {md.name!r}: right-hand variable {v!r} must occur exactly once "
+                "among the leading atoms' attributes"
+            )
+    if {lead_sides[md.rhs_left][0], lead_sides[md.rhs_right][0]} != {0, 1}:
         raise ParseError(
             f"rule {md.name!r}: right-hand side needs one variable from each leading atom",
             name_tok.line,
             name_tok.column,
         )
-
-
-def _rhs_side(md: MatchingDependency, var: str) -> int:
-    """0 or 1 depending on which leading atom holds the variable (unique occurrence)."""
-    first, second = md.leading_atoms()
-    occurrences = []
-    for side, atom in enumerate((first, second)):
-        for pos, v in enumerate(atom.attr_vars):
-            if v == var:
-                occurrences.append((side, pos))
-    for atom in md.context_atoms():
-        if var in atom.attr_vars:
-            raise ValidationError(
-                f"rule {md.name!r}: right-hand variable {var!r} also occurs in a context atom"
-            )
-    if len(occurrences) != 1:
-        raise ValidationError(
-            f"rule {md.name!r}: right-hand variable {var!r} must occur exactly once "
-            "among the leading atoms' attributes"
-        )
-    return occurrences[0][0]
 
 
 def parse_mds(text: str) -> MDSet:
@@ -305,9 +292,10 @@ class BoundMD:
 
     `lead` are its leading atoms and `rhs` the position each of them writes,
     both in leading order; `rhs_domain` is the written domain and
-    `sim_domains` the domain of each similarity, in rule order.  `alhs` are
-    the (relation, attribute) pairs the left-hand side compares, through a
-    similarity or an equality join, and `arhs` the ones the rule writes.
+    `sim_domains` the domain of each similarity, in rule order.  `compared`
+    are the attribute variables the left-hand side compares, through a
+    similarity or an equality join, and `alhs` their (relation, attribute)
+    pairs; `arhs` are the ones the rule writes.
     """
 
     md: MatchingDependency
@@ -315,6 +303,7 @@ class BoundMD:
     rhs: tuple[int, int]
     rhs_domain: str
     sim_domains: tuple[str, ...]
+    compared: frozenset[str]
     alhs: frozenset[tuple[str, str]]
     arhs: frozenset[tuple[str, str]]
 
@@ -372,16 +361,12 @@ def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
             f"rule {md.name!r}: right-hand attributes live in different domains "
             f"({d0!r} vs {d1!r})"
         )
-    compared = {v for sc in md.similarities for v in (sc.left, sc.right)}
-    alhs = {
-        (rel, attr)
-        for v, occs in occurrences.items()
-        if v in compared or len(occs) > 1
-        for rel, attr, _ in occs
-    }
+    in_sims = {v for sc in md.similarities for v in (sc.left, sc.right)}
+    compared = frozenset(v for v, occs in occurrences.items() if v in in_sims or len(occs) > 1)
+    alhs = frozenset((rel, attr) for v in compared for rel, attr, _ in occurrences[v])
     rhs = tuple(atom.attr_vars.index(v) for atom, v in zip(lead, rhs_vars))
     arhs = frozenset((rel, attr) for rel, attr, _ in written)
-    return BoundMD(md, lead, rhs, d0, tuple(sim_domains), frozenset(alhs), arhs)
+    return BoundMD(md, lead, rhs, d0, tuple(sim_domains), compared, alhs, arhs)
 
 
 def validate_mds(mds: MDSet, schema: Schema, mf: MatchingFunction | None = None) -> list[BoundMD]:

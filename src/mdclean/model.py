@@ -15,7 +15,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ParseError,
@@ -26,9 +26,6 @@ from .errors import (
 
 TID_ATTR = "tid"
 
-SIM_BUILTINS = ("exact-equality", "token-overlap")
-MF_BUILTINS = ("token-union", "value-min", "value-max")
-
 
 def tokens(value: str) -> frozenset[str]:
     """Whitespace-separated token set of a value."""
@@ -37,6 +34,42 @@ def tokens(value: str) -> frozenset[str]:
 
 def token_canonical(toks: frozenset[str]) -> str:
     return " ".join(sorted(toks))
+
+
+# ---------------------------------------------------------------------------
+# declaration files
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each non-blank line with its number, `#` comment cut and stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _read_domains(cls, text: str, kind: str, rules: Mapping, is_entry, read_entry):
+    """`cls(entries, builtins)` from `domain: ...` lines.  A line `domain: builtin <rule>`
+    names one of `rules` unless `is_entry` claims it; `read_entry(rest, line)` reads the rest."""
+    entries: dict[str, list] = {}
+    builtins: dict[str, str] = {}
+    for lineno, line in _lines(text):
+        if ":" not in line:
+            raise ParseError("expected `domain: ...`", lineno)
+        dom, rest = line.split(":", 1)
+        dom, rest = dom.strip(), rest.strip()
+        if is_entry(rest) or not rest.startswith("builtin"):
+            entries.setdefault(dom, []).append(read_entry(rest, lineno))
+            continue
+        rule = rest[len("builtin"):].strip()
+        if rule not in rules:
+            raise ParseError(f"unknown {kind} built-in {rule!r}", lineno)
+        if builtins.setdefault(dom, rule) != rule:
+            raise ParseError(f"conflicting built-in for domain {dom!r}", lineno)
+    try:
+        return cls(entries, builtins)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +151,7 @@ class Schema:
     def parse(cls, text: str) -> "Schema":
         """Parse lines of the form `R(A: doma, B: domb)`.  `#` starts a comment."""
         relations = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in _lines(text):
             if "(" not in line or not line.endswith(")"):
                 raise ParseError("expected `Name(attr: domain, ...)`", lineno)
             name, body = line[:-1].split("(", 1)
@@ -294,6 +324,23 @@ class Instance:
 # similarity
 
 
+# each similarity built-in's test of two distinct undeclared values (None: never)
+SIM_RULES: dict[str, Callable[[str, str], bool] | None] = {
+    "exact-equality": None,
+    "token-overlap": lambda a, b: not tokens(a).isdisjoint(tokens(b)),
+}
+
+
+def _read_pair(rest: str, lineno: int) -> tuple[str, str]:
+    if "~" not in rest:
+        raise ParseError("expected `v1 ~ v2` or `builtin <rule>`", lineno)
+    left, right = rest.split("~", 1)
+    left, right = left.strip(), right.strip()
+    if not left or not right:
+        raise ParseError("similarity needs two values", lineno)
+    return left, right
+
+
 class SimilarityRelation:
     """Reflexive symmetric similarity, given by pairs and per-domain built-in rules.
 
@@ -311,11 +358,11 @@ class SimilarityRelation:
             bucket = self._pairs.setdefault(dom, set())
             for a, b in dom_pairs:
                 bucket.add(frozenset((str(a), str(b))))
-        self._builtins: dict[str, str] = {}
+        self._builtins: dict[str, Callable[[str, str], bool] | None] = {}
         for dom, rule in (builtins or {}).items():
-            if rule not in SIM_BUILTINS:
-                raise ValidationError(f"unknown similarity built-in {rule!r} (expected one of {SIM_BUILTINS})")
-            self._builtins[dom] = rule
+            if rule not in SIM_RULES:
+                raise ValidationError(f"unknown similarity built-in {rule!r} (expected one of {tuple(SIM_RULES)})")
+            self._builtins[dom] = SIM_RULES[rule]
 
     def similar(self, domain: str, a: str, b: str) -> bool:
         if a == b:
@@ -323,49 +370,19 @@ class SimilarityRelation:
         if frozenset((a, b)) in self._pairs.get(domain, ()):
             return True
         rule = self._builtins.get(domain)
-        if rule == "token-overlap":
-            return bool(tokens(a) & tokens(b))
-        return False
+        return rule is not None and rule(a, b)
 
     def declared_pairs(self, domain: str) -> list[tuple[str, str]]:
-        out = []
-        for pair in self._pairs.get(domain, ()):
-            a, b = sorted(pair) if len(pair) == 2 else (next(iter(pair)), next(iter(pair)))
-            out.append((a, b))
-        return sorted(out)
+        return sorted((min(pair), max(pair)) for pair in self._pairs.get(domain, ()))
 
     def declared_domains(self) -> list[str]:
         return sorted(set(self._pairs) | set(self._builtins))
 
     @classmethod
     def parse(cls, text: str) -> "SimilarityRelation":
-        """Parse lines `dom: v1 ~ v2` and `dom: builtin token-overlap`."""
-        pairs: dict[str, list[tuple[str, str]]] = {}
-        builtins: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ParseError("expected `domain: ...`", lineno)
-            dom, rest = line.split(":", 1)
-            dom, rest = dom.strip(), rest.strip()
-            if rest.startswith("builtin"):
-                rule = rest[len("builtin"):].strip()
-                if rule not in SIM_BUILTINS:
-                    raise ParseError(f"unknown similarity built-in {rule!r}", lineno)
-                if builtins.get(dom, rule) != rule:
-                    raise ParseError(f"conflicting built-in for domain {dom!r}", lineno)
-                builtins[dom] = rule
-            else:
-                if "~" not in rest:
-                    raise ParseError("expected `v1 ~ v2` or `builtin <rule>`", lineno)
-                left, right = rest.split("~", 1)
-                left, right = left.strip(), right.strip()
-                if not left or not right:
-                    raise ParseError("similarity needs two values", lineno)
-                pairs.setdefault(dom, []).append((left, right))
-        return cls(pairs, builtins)
+        """Parse lines `dom: v1 ~ v2` and `dom: builtin token-overlap`; a line
+        holding `~` is a pair even when its first value begins with `builtin`."""
+        return _read_domains(cls, text, "similarity", SIM_RULES, lambda rest: "~" in rest, _read_pair)
 
     @classmethod
     def load(cls, path: str | Path) -> "SimilarityRelation":
@@ -374,6 +391,47 @@ class SimilarityRelation:
 
 # ---------------------------------------------------------------------------
 # matching functions
+
+
+def _token_union_closure(active: frozenset[str]) -> frozenset[str]:
+    """The active values and the spelling of every union of their token sets."""
+    # each set joins every union of the sets before it
+    closed: set[frozenset[str]] = set()
+    for toks in {tokens(v) for v in active}:
+        closed |= {toks} | {toks | other for other in closed}
+    return active | frozenset(token_canonical(s) for s in closed)
+
+
+# each matching built-in: its merge, its order, and its values given the active ones
+MF_RULES: dict[str, tuple[Callable, Callable, Callable]] = {
+    # token values compare by token set: merge results are canonical
+    # spellings, so requiring match(a, b) == b literally would make the
+    # order irreflexive on unnormalised input values
+    "token-union": (
+        lambda a, b: token_canonical(tokens(a) | tokens(b)),
+        lambda a, b: tokens(a) <= tokens(b),
+        lambda active: _token_union_closure(active),  # read at call time, so it can be stubbed
+    ),
+    "value-min": (min, lambda a, b: b <= a, lambda active: active),
+    "value-max": (max, lambda a, b: a <= b, lambda active: active),
+}
+
+
+def _read_equation(rest: str, lineno: int) -> tuple[str, str, str]:
+    if not rest.startswith("m(") or "=" not in rest:
+        raise ParseError("expected `m(v1, v2) = v3` or `builtin <rule>`", lineno)
+    call, result = rest.split("=", 1)
+    call = call.strip()
+    if not call.startswith("m(") or not call.endswith(")"):
+        raise ParseError("expected `m(v1, v2)` on the left of `=`", lineno)
+    inner = call[2:-1]
+    if "," not in inner:
+        raise ParseError("m(...) takes two comma-separated values", lineno)
+    left, right = inner.split(",", 1)
+    left, right, result = left.strip(), right.strip(), result.strip()
+    if not left or not right or not result:
+        raise ParseError("empty value in matching equation", lineno)
+    return left, right, result
 
 
 class MatchingFunction:
@@ -389,8 +447,8 @@ class MatchingFunction:
         }
         self.builtins: dict[str, str] = {}
         for dom, rule in (builtins or {}).items():
-            if rule not in MF_BUILTINS:
-                raise ValidationError(f"unknown matching built-in {rule!r} (expected one of {MF_BUILTINS})")
+            if rule not in MF_RULES:
+                raise ValidationError(f"unknown matching built-in {rule!r} (expected one of {tuple(MF_RULES)})")
             if dom in self.triples:
                 raise ValidationError(f"domain {dom!r} has both a table and a built-in rule")
             self.builtins[dom] = rule
@@ -411,42 +469,9 @@ class MatchingFunction:
     @classmethod
     def parse(cls, text: str) -> "MatchingFunction":
         """Parse lines `dom: m(v1, v2) = v3` and `dom: builtin token-union`."""
-        triples: dict[str, list[tuple[str, str, str]]] = {}
-        builtins: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ParseError("expected `domain: ...`", lineno)
-            dom, rest = line.split(":", 1)
-            dom, rest = dom.strip(), rest.strip()
-            if rest.startswith("builtin"):
-                rule = rest[len("builtin"):].strip()
-                if rule not in MF_BUILTINS:
-                    raise ParseError(f"unknown matching built-in {rule!r}", lineno)
-                if builtins.get(dom, rule) != rule:
-                    raise ParseError(f"conflicting built-in for domain {dom!r}", lineno)
-                builtins[dom] = rule
-                continue
-            if not rest.startswith("m(") or "=" not in rest:
-                raise ParseError("expected `m(v1, v2) = v3` or `builtin <rule>`", lineno)
-            call, result = rest.split("=", 1)
-            call = call.strip()
-            if not call.startswith("m(") or not call.endswith(")"):
-                raise ParseError("expected `m(v1, v2)` on the left of `=`", lineno)
-            inner = call[2:-1]
-            if "," not in inner:
-                raise ParseError("m(...) takes two comma-separated values", lineno)
-            left, right = inner.split(",", 1)
-            left, right, result = left.strip(), right.strip(), result.strip()
-            if not left or not right or not result:
-                raise ParseError("empty value in matching equation", lineno)
-            triples.setdefault(dom, []).append((left, right, result))
-        try:
-            return cls(triples, builtins)
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from exc
+        return _read_domains(
+            cls, text, "matching", MF_RULES, lambda rest: rest.startswith("m("), _read_equation
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "MatchingFunction":
@@ -532,45 +557,19 @@ def _saturate_table(
     return _TableDomain(domain, gens)
 
 
-def _token_union_closure(active: frozenset[str]) -> frozenset[str]:
-    """The active values and the spelling of every union of their token sets."""
-    # each set joins every union of the sets before it
-    closed: set[frozenset[str]] = set()
-    for toks in {tokens(v) for v in active}:
-        closed |= {toks} | {toks | other for other in closed}
-    return active | frozenset(token_canonical(s) for s in closed)
-
-
 class _BuiltinDomain:
-    """A built-in matching rule; token-union values are closed over the active
-    values only when first asked for, since merging and ordering never need them."""
+    """A built-in matching rule.  Its values are closed over the active values
+    only when first asked for, since merging and ordering never need them."""
 
     def __init__(self, name: str, rule: str, active: frozenset[str]):
         self.name = name
-        self.rule = rule
+        self.match, self.precedes, self._close = MF_RULES[rule]
         self.active = active
-        self._values = None if rule == "token-union" else active
-
-    def match(self, a: str, b: str) -> str:
-        if self.rule == "token-union":
-            return token_canonical(tokens(a) | tokens(b))
-        if self.rule == "value-min":
-            return min(a, b)
-        return max(a, b)
-
-    def precedes(self, a: str, b: str) -> bool:
-        # token values compare by token set: merge results are canonical
-        # spellings, so requiring match(a, b) == b literally would make the
-        # order irreflexive on unnormalised input values.
-        if self.rule == "token-union":
-            return tokens(a) <= tokens(b)
-        if self.rule == "value-min":
-            return b <= a
-        return a <= b
+        self._values: frozenset[str] | None = None
 
     def values(self) -> frozenset[str]:
         if self._values is None:
-            self._values = _token_union_closure(self.active)
+            self._values = self._close(self.active)
         return self._values
 
 

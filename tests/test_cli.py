@@ -481,3 +481,36 @@ def test_unreadable_names_refuse_emission_but_solve_answers(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", "--format", "text", *dir_args(d)])
     assert code == 0
     assert out == (GOLDEN / "convergent.solve.txt").read_text()
+
+
+def test_a_similarity_value_may_begin_with_builtin(tmp_path, capsys):
+    # a line holding `~` declares a pair, whatever its first value spells
+    args = write_setting(
+        tmp_path,
+        "R(A: doma, B: domb)\n",
+        {"R": "tid,A,B\nt1,builtinA,b1\nt2,a2,b2\nt3,builtin,b3\nt4,a3,b4\n"},
+        "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;\n",
+        "doma: builtinA ~ a2\ndoma: builtin ~ a3\ndomb: builtin exact-equality\n",
+        "domb: m(b1, b2) = b12\ndomb: m(b3, b4) = b34\n",
+    )
+    code, out, err = run(capsys, ["validate", *args])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, ["chase", "--one", "--format", "text", *args])
+    assert (code, err) == (0, "")
+    assert out == (
+        "clean instance 1 (2 steps)\n"
+        "  R(t1, builtinA, b12)\n  R(t2, a2, b12)\n  R(t3, builtin, b34)\n  R(t4, a3, b34)\n"
+    )
+
+
+def test_chase_one_step_limit_admits_a_chase_of_exactly_that_many_steps(capsys):
+    args = ["chase", "--one", "--format", "text", *fixture_args("convergent")]
+    code, out, err = run(capsys, [*args, "--step-limit", "2"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "clean instance 1 (2 steps)\n"
+        "  R(t1, a1, b12)\n  R(t2, a2, b12)\n  R(t3, a3, b34)\n  R(t4, a4, b34)\n"
+    )
+    code, out, err = run(capsys, [*args, "--step-limit", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: StepLimitExceeded: chase exceeded 1 enforcement steps\n"

@@ -183,6 +183,8 @@ def test_alhs_arhs_classical():
 
 def test_alhs_arhs_relational_with_joins():
     (rule,) = validate_mds(parse_mds(RELATIONAL), bib_schema())
+    # the similarity variables, and bl4 for its equality join
+    assert rule.compared == {"x1", "x2", "y1", "y2", "p1", "p2", "bl4"}
     assert rule.alhs == {
         ("Author", "Name"),
         ("Author", "PTitle"),
@@ -203,6 +205,7 @@ def test_identifier_attributes_never_appear_in_attribute_sets():
 def test_equality_join_lands_in_alhs():
     schema = Schema.parse("R(A: d, B: e)\nS(C: d, E: e)")
     (rule,) = validate_mds(parse_mds("md m: lead R(t1; x, y1), lead S(t2; x, y2) -> y1 := y2;"), schema)
+    assert rule.compared == {"x"}
     assert rule.alhs == {("R", "A"), ("S", "C")}
 
 
