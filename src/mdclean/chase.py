@@ -4,21 +4,28 @@ A step picks two identified tuples matching the leading atoms of a rule
 (plus a context assignment for any further atoms), checks the left-hand
 similarities on current values, and replaces both right-hand values with
 their merge.  Each rule is compiled once to a Datalog step rule over the
-rule's body (`mdlang.md_body`), and the engine in `datalog` finds every step
-of an instance by evaluating these rules over its tuples; a step's context
-witness is the least one in tuple identifiers.  `chase_all`
-explores every enforcement order and returns the distinct stable endpoints;
-`chase_one` follows one seeded order.  States are memoised on current values
-only, which keeps the exhaustive run exponential in the number of reachable
-value states rather than in step interleavings.
+rule's body (`mdlang.md_body`), whose rows name every tuple they read; a
+step's context witness is the least one in tuple identifiers.
+
+`applicable_steps` evaluates the step rules over an instance from scratch.
+A chase does that once, for its start, and then keeps the rows as an
+agenda, in the manner of delete-and-rederive: an enforcement rewrites two
+tuples, so the rows naming either go and the rows reading their new
+versions come (`datalog.evaluate_delta`).  A chase state is the tuples'
+value vectors in `Instance.iter_tuples` order.  `chase_all` explores every
+enforcement order and memoises states on those vectors, which keeps it
+exponential in the number of reachable value states rather than in step
+interleavings, and builds an `Instance` only for each stable endpoint;
+`chase_one` follows one seeded order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import AbstractSet, Mapping
 
-from .datalog import Literal, Program, Rule, evaluate, value_builtins
+from .datalog import Literal, Program, Rule, evaluate, evaluate_delta, value_builtins
 from .errors import (
     InstanceTooLarge,
     StepLimitExceeded,
@@ -96,6 +103,57 @@ class _CompiledMD:
         self.rule = Rule(head, tuple(md_body(bound, relation_pred)))
 
 
+class _Layout:
+    """The tuples of a chase's start instance, in `iter_tuples` order.
+
+    A chase state is the tuple of their value vectors in this order, so
+    states compare and sort as the `canonical_key()`s of their instances do.
+    """
+
+    def __init__(self, instance: Instance):
+        self.start = instance
+        tuples = list(instance.iter_tuples())
+        self.tids = [tid for _, tid, _ in tuples]
+        self.preds = [relation_pred(rel) for rel, _, _ in tuples]
+        self.position = {tid: i for i, tid in enumerate(self.tids)}
+        self.vectors = tuple(vals for _, _, vals in tuples)
+
+    def facts(self, state: tuple) -> dict[str, set[tuple[str, ...]]]:
+        """The state's tuples as facts of `relation_pred`, identifier first."""
+        out: dict[str, set[tuple[str, ...]]] = {}
+        for pred, tid, vals in zip(self.preds, self.tids, state):
+            out.setdefault(pred, set()).add((tid, *vals))
+        return out
+
+    def instance(self, state: tuple) -> Instance:
+        """The state as an instance, with the start's relations and tuples in their order."""
+        if state == self.vectors:
+            return self.start
+        position = self.position
+        tuples = {
+            rel: {tid: state[position[tid]] for tid in rows}
+            for rel, rows in self.start.tuples.items()
+        }
+        return Instance(self.start.schema, tuples)
+
+
+class _Node:
+    """A chase state and its agenda: the step rules' rows over it, by head."""
+
+    def __init__(
+        self,
+        layout: _Layout,
+        state: tuple[tuple[str, ...], ...],
+        rows: Mapping[str, AbstractSet[tuple[str, ...]]],
+    ):
+        self.layout = layout
+        self.state = state
+        self.rows = rows
+
+    def instance(self) -> Instance:
+        return self.layout.instance(self.state)
+
+
 class ChaseEngine:
     def __init__(
         self,
@@ -110,6 +168,7 @@ class ChaseEngine:
         self.sim = sim
         self.smf = smf
         self._compiled = [_CompiledMD(rule, i) for i, rule in enumerate(rules)]
+        self._rules = {rule.md.name: rule for rule in rules}
         uses = (("sim", dom) for rule in rules for dom in rule.sim_domains)
         builtins = value_builtins(uses, sim)
         self._program = Program([c.rule for c in self._compiled], builtins=builtins)
@@ -117,21 +176,26 @@ class ChaseEngine:
     # -- step discovery ----------------------------------------------------
 
     def applicable_steps(self, instance: Instance) -> list[EnforcementStep]:
-        """Every applicable step, sorted by rule order then leading tuples.
+        """Every applicable step, sorted by rule order then leading tuples,
+        from the step rules evaluated over `instance` from scratch."""
+        return self._select(evaluate(self._program, instance_facts(instance)).relations)
 
-        Of the step rule's rows for one step the least in (leading
-        identifiers, context identifiers) is kept, so the context is the
-        least witness.  A merge the matching function leaves undefined is
-        listed with `new_value` None and refused only when enforced.
+    def _select(self, rows: Mapping[str, AbstractSet[tuple[str, ...]]]) -> list[EnforcementStep]:
+        """The steps of the step rules' `rows`, sorted by rule order then
+        leading tuples.
+
+        Of the rows for one step the least in (leading identifiers, context
+        identifiers) is kept, so the context is the least witness.  A merge
+        the matching function leaves undefined is listed with `new_value`
+        None and refused only when enforced.
         """
-        model = evaluate(self._program, instance_facts(instance))
         steps = []
         for md_index, compiled in enumerate(self._compiled):
             # a pair's two orientations are one step only when they write the
             # same cells; otherwise each ordered pair is its own step
             symmetric = compiled.bound.symmetric_write()
             chosen: dict[tuple[str, str], tuple[str, ...]] = {}
-            for row in sorted(model.get(compiled.head)):
+            for row in sorted(rows.get(compiled.head, ())):
                 pair = (row[0], row[1])
                 if symmetric and pair[1] < pair[0]:
                     pair = (pair[1], pair[0])
@@ -144,21 +208,76 @@ class ChaseEngine:
         steps.sort(key=lambda keyed: keyed[0])
         return [step for _, step in steps]
 
+    def _steps(self, node: _Node) -> list[EnforcementStep]:
+        """The steps of a state the chase visits, read off its agenda."""
+        return self._select(node.rows)
+
+    def _start(self, instance: Instance) -> _Node:
+        """The start of a chase, its agenda evaluated from scratch."""
+        layout = _Layout(instance)
+        rows = evaluate(self._program, instance_facts(instance)).relations
+        return _Node(layout, layout.vectors, rows)
+
+    def _successor(self, node: _Node, step: EnforcementStep) -> tuple:
+        """The state that enforcing `step` leads to from `node`'s."""
+        position = node.layout.position
+        i, j = (position[tid] for tid in step.lead_tids)
+        state = list(node.state)
+        state[i], state[j] = self._rewrite(self._rules[step.md], step, state[i], state[j])
+        return tuple(state)
+
+    def _advance(self, node: _Node, state: tuple, step: EnforcementStep) -> _Node:
+        """The node of `state`, which `step` reaches from `node`.
+
+        The rows naming either rewritten tuple are dropped, and the rows
+        reading at least one of their new versions are added.  Tuple
+        identifiers are unique across relations, so a row names a tuple only
+        if it read it.
+        """
+        layout = node.layout
+        changed = set(step.lead_tids)
+        rows = {
+            head: {row for row in held if changed.isdisjoint(row[:-2])}
+            for head, held in node.rows.items()
+        }
+        delta: dict[str, set[tuple[str, ...]]] = {}
+        for tid in changed:
+            i = layout.position[tid]
+            delta.setdefault(layout.preds[i], set()).add((tid, *state[i]))
+        added = evaluate_delta(self._program, layout.facts(state), delta)
+        for head, new in added.relations.items():
+            rows.setdefault(head, set()).update(new)
+        return _Node(layout, state, rows)
+
     # -- enforcement -------------------------------------------------------
 
     def is_stable(self, instance: Instance) -> bool:
         return not self.applicable_steps(instance)
 
     def enforce(self, instance: Instance, step: EnforcementStep) -> Instance:
-        bound = self._find(step.md)
+        bound = self._rules.get(step.md)
+        if bound is None:
+            raise ValidationError(f"unknown rule {step.md!r}")
         lead0, lead1 = bound.lead
-        p0, p1 = bound.rhs
         tid0, tid1 = step.lead_tids
         try:
             vals0 = instance.current(lead0.relation, tid0)
             vals1 = instance.current(lead1.relation, tid1)
         except KeyError:
             raise StepNotApplicable(f"step {step.md} on missing tuples {step.lead_tids}") from None
+        new0, new1 = self._rewrite(bound, step, vals0, vals1)
+        return instance.with_updates({(lead0.relation, tid0): new0, (lead1.relation, tid1): new1})
+
+    @staticmethod
+    def _rewrite(
+        bound: BoundMD, step: EnforcementStep, vals0: tuple[str, ...], vals1: tuple[str, ...]
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The two leading tuples' vectors after `step`, given their current ones.
+
+        A step whose values moved on or already agree is not applicable, and
+        one whose merge is undefined raises `UndefinedMatch`.
+        """
+        p0, p1 = bound.rhs
         v0, v1 = vals0[p0], vals1[p1]
         if (v0, v1) != step.old_values:
             raise StepNotApplicable(
@@ -169,22 +288,13 @@ class ChaseEngine:
             raise StepNotApplicable(
                 f"step {step.md} on {step.lead_tids}: values already agree on {v0!r}"
             )
-        if step.new_value is None:
+        new = step.new_value
+        if new is None:
             raise UndefinedMatch(bound.rhs_domain, v0, v1)
-        new0 = list(vals0)
-        new0[p0] = step.new_value
-        updates = {(lead0.relation, tid0): tuple(new0)}
-        base1 = updates.get((lead1.relation, tid1), vals1)
-        new1 = list(base1)
-        new1[p1] = step.new_value
-        updates[(lead1.relation, tid1)] = tuple(new1)
-        return instance.with_updates(updates)
-
-    def _find(self, md_name: str) -> BoundMD:
-        for compiled in self._compiled:
-            if compiled.bound.md.name == md_name:
-                return compiled.bound
-        raise ValidationError(f"unknown rule {md_name!r}")
+        new0 = (*vals0[:p0], new, *vals0[p0 + 1:])
+        if step.lead_tids[0] == step.lead_tids[1]:
+            vals1 = new0
+        return new0, (*vals1[:p1], new, *vals1[p1 + 1:])
 
     # -- chase -------------------------------------------------------------
 
@@ -201,18 +311,21 @@ class ChaseEngine:
                 f"({DEFAULT_ENUMERATION_GATE}); use chase_one for large instances"
             )
         budget = step_limit
+        start = self._start(instance)
         seen: set[tuple] = set()
-        results: dict[tuple, tuple[Instance, tuple[EnforcementStep, ...]]] = {}
-        stack: list[tuple[Instance, tuple[EnforcementStep, ...]]] = [(instance, ())]
+        endpoints: dict[tuple, tuple[EnforcementStep, ...]] = {}
+        # (state, path to it, node it is reached from, step taken); a state's
+        # agenda is advanced only when it is first popped
+        stack: list[tuple] = [(start.state, (), start, None)]
         while stack:
-            current, path = stack.pop()
-            key = current.canonical_key()
-            if key in seen:
+            state, path, parent, step = stack.pop()
+            if state in seen:
                 continue
-            seen.add(key)
-            steps = self.applicable_steps(current)
+            seen.add(state)
+            node = parent if step is None else self._advance(parent, state, step)
+            steps = self._steps(node)
             if not steps:
-                results.setdefault(key, (current, path))
+                endpoints[state] = path
                 continue
             for step in steps:
                 if budget <= 0:
@@ -220,11 +333,11 @@ class ChaseEngine:
                         f"chase exceeded {step_limit} enforcement steps"
                     )
                 budget -= 1
-                stack.append((self.enforce(current, step), path + (step,)))
-        ordered = sorted(results)
+                stack.append((self._successor(node, step), path + (step,), node, step))
+        ordered = sorted(endpoints)
         return ChaseResult(
-            tuple(results[key][0] for key in ordered),
-            tuple(results[key][1] for key in ordered),
+            tuple(start.layout.instance(state) for state in ordered),
+            tuple(endpoints[state] for state in ordered),
         )
 
     def chase_one(
@@ -236,15 +349,15 @@ class ChaseEngine:
         """One stable instance, following the rule priority drawn from `seed`."""
         names = rule_priority(self.mds.names(), seed)
         priority = {name: rank for rank, name in enumerate(names)}
-        current = instance
+        node = self._start(instance)
         path: list[EnforcementStep] = []
-        while steps := self.applicable_steps(current):
+        while steps := self._steps(node):
             if len(path) >= step_limit:
                 raise StepLimitExceeded(f"chase exceeded {step_limit} enforcement steps")
             step = min(steps, key=lambda s: (priority.get(s.md, 0), s.lead_tids))
-            current = self.enforce(current, step)
+            node = self._advance(node, self._successor(node, step), step)
             path.append(step)
-        return ChaseResult((current,), (tuple(path),))
+        return ChaseResult((node.instance(),), (tuple(path),))
 
 
 def rule_priority(names: list[str], seed: int) -> list[str]:

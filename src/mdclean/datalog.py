@@ -187,10 +187,17 @@ class Program:
     # -- planning ----------------------------------------------------------
 
     def plan(self, index: int, delta_occurrence: int | None) -> _Plan:
-        """The compiled body of one rule, reading `delta_occurrence` first."""
+        """The compiled body of one rule, reading `delta_occurrence` first.
+
+        A literal in the full plan's `outer` keeps the full plan: a plan that
+        read it first would cross it with the full plan's first scan as well.
+        """
         key = (index, delta_occurrence)
         if key not in self._plans:
             rule = self.rules[index]
+            if delta_occurrence is not None and delta_occurrence in self.plan(index, None).outer:
+                self._plans[key] = self._plans[index, None]
+                return self._plans[key]
             order = self._make_plan(rule, delta_occurrence)
             if order is None:
                 raise UnsafeRule(f"rule {format_rule_ast(rule)!r} cannot be safely evaluated")
@@ -321,6 +328,16 @@ class Model:
         return f"Model({sorted(self.relations)})"
 
 
+def _database(
+    program: Program, facts: Mapping[str, Iterable[tuple[str, ...]]] | None
+) -> dict[str, set[tuple[str, ...]]]:
+    """The program's own facts together with `facts`, by predicate."""
+    db: dict[str, set[tuple[str, ...]]] = {p: set(ts) for p, ts in program.facts.items()}
+    for pred, ts in (facts or {}).items():
+        db.setdefault(pred, set()).update(ts)
+    return db
+
+
 def evaluate(
     program: Program, facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None
 ) -> Model:
@@ -328,43 +345,91 @@ def evaluate(
 
     Strata are computed bottom-up, each by semi-naive iteration.
     """
-    db: dict[str, set[tuple[str, ...]]] = {p: set(ts) for p, ts in program.facts.items()}
-    for pred, ts in (facts or {}).items():
-        db.setdefault(pred, set()).update(ts)
+    db = _database(program, facts)
     for stratum in program.strata:
         in_stratum = set(stratum)
         rule_indices = [
             i for i, rule in enumerate(program.rules) if rule.head.pred in in_stratum
         ]
-        # the first round runs every rule in full; each later round runs one
-        # variant per body literal over what the previous round derived (a
-        # negated literal never reads its own stratum)
+        # the first round runs every rule in full; each later round reads
+        # what the previous round derived (a negated literal never reads its
+        # own stratum)
         delta: dict[str, set[tuple[str, ...]]] | None = None
         while delta is None or delta:
-            fresh: dict[str, set[tuple[str, ...]]] = {}
-            for i in rule_indices:
-                rule = program.rules[i]
-                if delta is None:
-                    reads = [(None, None)]
-                else:
-                    reads = [
-                        (occ, delta[lit.pred])
-                        for occ, lit in enumerate(rule.body)
-                        if lit.pred in delta
-                    ]
-                for occ, rel in reads:
-                    plan = program.plan(i, occ)
-                    rels = [
-                        rel if j == occ else db.get(rule.body[j].pred, _EMPTY)
-                        for j in plan.reads
-                    ]
-                    derived = _fire(plan, rels) - db.get(rule.head.pred, _EMPTY)
-                    if derived:
-                        fresh.setdefault(rule.head.pred, set()).update(derived)
+            fresh = _fire_rules(program, rule_indices, db, delta)
+            delta = {}
             for pred, ts in fresh.items():
+                ts -= db.get(pred, _EMPTY)
+                if ts:
+                    delta[pred] = ts
+            for pred, ts in delta.items():
                 db.setdefault(pred, set()).update(ts)
-            delta = fresh
     return Model(db)
+
+
+def evaluate_delta(
+    program: Program,
+    facts: Mapping[str, Iterable[tuple[str, ...]]],
+    delta: Mapping[str, Iterable[tuple[str, ...]]],
+) -> Model:
+    """The rows of the program's rules that read at least one fact of `delta`.
+
+    `delta` is a part of `facts`.  Each body literal whose predicate has
+    facts in `delta` reads them in turn, while the other literals read the
+    program's facts and `facts`, as a round of `evaluate` reads what the
+    round before derived.  The rows over `facts` are the rows over `facts`
+    less `delta` plus these, so rows that name the facts they read are
+    maintained under a change by dropping the rows that name an old version
+    and adding these for the new ones.  Rule bodies must not read a derived
+    predicate or negate a relation: on such a program one round does not
+    give these rows.
+    """
+    derived = program.idb_preds()
+    for rule in program.rules:
+        for lit in rule.body:
+            if lit.pred in program.builtins:
+                continue
+            if lit.negated or lit.pred in derived:
+                raise ValidationError(
+                    f"rule {format_rule_ast(rule)!r} reads {lit.pred!r} "
+                    f"{'under negation' if lit.negated else 'as a derived predicate'}"
+                )
+    for pred in delta:
+        if pred in program.builtins:
+            raise ValidationError(f"built-in {pred!r} has no facts")
+    changed = {pred: set(ts) for pred, ts in delta.items()}
+    return Model(_fire_rules(program, range(len(program.rules)), _database(program, facts), changed))
+
+
+def _fire_rules(
+    program: Program,
+    rule_indices: Iterable[int],
+    db: Mapping[str, set[tuple[str, ...]]],
+    delta: Mapping[str, set[tuple[str, ...]]] | None,
+) -> dict[str, set[tuple[str, ...]]]:
+    """The head rows of the rules at `rule_indices` over the relations of `db`.
+
+    With `delta` None every rule runs in full.  Otherwise each rule runs one
+    variant per body literal whose predicate is in `delta`, reading that
+    literal's relation from `delta` and the others from `db`, so only rows
+    that read a fact of `delta` come out.
+    """
+    fresh: dict[str, set[tuple[str, ...]]] = {}
+    for i in rule_indices:
+        rule = program.rules[i]
+        if delta is None:
+            reads = [(None, None)]
+        else:
+            reads = [
+                (occ, delta[lit.pred]) for occ, lit in enumerate(rule.body) if lit.pred in delta
+            ]
+        for occ, rel in reads:
+            plan = program.plan(i, occ)
+            rels = [rel if j == occ else db.get(rule.body[j].pred, _EMPTY) for j in plan.reads]
+            derived = _fire(plan, rels)
+            if derived:
+                fresh.setdefault(rule.head.pred, set()).update(derived)
+    return fresh
 
 
 _EMPTY: frozenset = frozenset()
@@ -395,6 +460,9 @@ class _Plan:
     """
 
     def __init__(self, rule: Rule, order: Sequence[int], builtins: Mapping[str, Builtin]):
+        # the body literals of the outer loops: the first scan, and the
+        # second when it has no bound position
+        self.outer: list[int] = []
         # slots by variable name and by constant, kept apart
         slot_of: tuple[dict[str, int], dict[str, int]] = ({}, {})
         self.initial: list[str | None] = []
@@ -451,6 +519,8 @@ class _Plan:
             tuple_key = operator.itemgetter(*keyed) if keyed else None
             slot_key = operator.itemgetter(*(args[p] for p in keyed)) if keyed else None
             scan = (read, tuple_key, slot_key, tuple(binds), tuple(equal))
+            if len(self.levels) == 1 or (len(self.levels) == 2 and not keyed):
+                self.outer.append(i)
             self.levels.append((scan, []))
         self.head = _getter(slots(rule.head.args))
 

@@ -12,6 +12,7 @@ programs use to tell old tuple versions from current ones.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,6 +114,14 @@ class Relation:
         return self.domains[self.position(attr)]
 
 
+def _plain_name(name: str, lineno: int) -> str:
+    """`name`, refused when it holds a character of the schema syntax."""
+    for char in name:
+        if char in "():,":
+            raise ParseError(f"unexpected {char!r} in name {name!r}", lineno)
+    return name
+
+
 class Schema:
     """A fixed collection of relations, indexed by name.
 
@@ -155,7 +164,7 @@ class Schema:
             if "(" not in line or not line.endswith(")"):
                 raise ParseError("expected `Name(attr: domain, ...)`", lineno)
             name, body = line[:-1].split("(", 1)
-            name = name.strip()
+            name = _plain_name(name.strip(), lineno)
             attrs, domains = [], []
             if body.strip():
                 for part in body.split(","):
@@ -165,8 +174,8 @@ class Schema:
                     attr, dom = attr.strip(), dom.strip()
                     if not attr or not dom:
                         raise ParseError("empty attribute or domain name", lineno)
-                    attrs.append(attr)
-                    domains.append(dom)
+                    attrs.append(_plain_name(attr, lineno))
+                    domains.append(_plain_name(dom, lineno))
             relations.append(Relation(name, tuple(attrs), tuple(domains)))
         return cls(relations)
 
@@ -324,11 +333,20 @@ class Instance:
 # similarity
 
 
-# each similarity built-in's test of two distinct undeclared values (None: never)
-SIM_RULES: dict[str, Callable[[str, str], bool] | None] = {
+# each similarity built-in's test of two distinct undeclared values (None:
+# never), given the token sets of values
+SIM_RULES: dict[str, Callable[[Mapping[str, frozenset[str]], str, str], bool] | None] = {
     "exact-equality": None,
-    "token-overlap": lambda a, b: not tokens(a).isdisjoint(tokens(b)),
+    "token-overlap": lambda toks, a, b: not toks[a].isdisjoint(toks[b]),
 }
+
+
+class _TokenSets(dict):
+    """Each value's `tokens`, split on first use."""
+
+    def __missing__(self, value: str) -> frozenset[str]:
+        toks = self[value] = tokens(value)
+        return toks
 
 
 def _read_pair(rest: str, lineno: int) -> tuple[str, str]:
@@ -345,7 +363,8 @@ class SimilarityRelation:
     """Reflexive symmetric similarity, given by pairs and per-domain built-in rules.
 
     Declared pairs are stored unordered; reflexivity and symmetry are applied
-    at query time rather than materialised.
+    at query time rather than materialised.  The built-in rules share one
+    cache of token sets, which lives as long as the relation.
     """
 
     def __init__(
@@ -359,10 +378,12 @@ class SimilarityRelation:
             for a, b in dom_pairs:
                 bucket.add(frozenset((str(a), str(b))))
         self._builtins: dict[str, Callable[[str, str], bool] | None] = {}
+        token_sets = _TokenSets()
         for dom, rule in (builtins or {}).items():
             if rule not in SIM_RULES:
                 raise ValidationError(f"unknown similarity built-in {rule!r} (expected one of {tuple(SIM_RULES)})")
-            self._builtins[dom] = SIM_RULES[rule]
+            test = SIM_RULES[rule]
+            self._builtins[dom] = None if test is None else functools.partial(test, token_sets)
 
     def similar(self, domain: str, a: str, b: str) -> bool:
         if a == b:
@@ -425,12 +446,15 @@ def _read_equation(rest: str, lineno: int) -> tuple[str, str, str]:
     if not call.startswith("m(") or not call.endswith(")"):
         raise ParseError("expected `m(v1, v2)` on the left of `=`", lineno)
     inner = call[2:-1]
-    if "," not in inner:
+    if inner.count(",") != 1:
         raise ParseError("m(...) takes two comma-separated values", lineno)
-    left, right = inner.split(",", 1)
+    left, right = inner.split(",")
     left, right, result = left.strip(), right.strip(), result.strip()
     if not left or not right or not result:
         raise ParseError("empty value in matching equation", lineno)
+    for char in result:
+        if char in ",=":
+            raise ParseError(f"unexpected {char!r} in value {result!r}", lineno)
     return left, right, result
 
 

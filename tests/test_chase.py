@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from mdclean.errors import (
     StepNotApplicable,
     UndefinedMatch,
 )
-from mdclean.mdlang import parse_mds
+from mdclean.mdlang import load_mds, parse_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -22,6 +24,10 @@ from mdclean.model import (
     SimilarityRelation,
     collect_active_values,
 )
+
+from population import random_setting
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 TWO_RULES = """
 md md1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;
@@ -38,14 +44,14 @@ MF_TABLE = {
 }
 
 
-def engine(sim_pairs, rows, mf_table=None, rules=TWO_RULES):
+def engine(sim_pairs, rows, mf_table=None, rules=TWO_RULES, engine_class=ChaseEngine):
     schema = Schema.parse("R(A: doma, B: domb)")
     mds = parse_mds(rules)
     sim = SimilarityRelation(sim_pairs)
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return ChaseEngine(schema, mds, sim, smf), instance
+    return engine_class(schema, mds, sim, smf), instance
 
 
 def interacting():
@@ -163,9 +169,10 @@ def test_chase_all_empty_rule_set_returns_input():
 
 
 def test_chase_all_is_exploration_order_independent():
+    # `_steps` hands both chase loops the steps of each state they visit
     class ReversedEngine(ChaseEngine):
-        def applicable_steps(self, instance):
-            return list(reversed(super().applicable_steps(instance)))
+        def _steps(self, node):
+            return list(reversed(super()._steps(node)))
 
     eng, inst = interacting()
     schema, mds, sim, smf = eng.schema, eng.mds, eng.sim, eng.smf
@@ -353,3 +360,157 @@ def test_step_json_shape():
         "new": "b12",
         "context": ["p1"],
     }
+
+
+# -- the agenda against evaluation from scratch -----------------------------
+
+
+class AgendaOracle(ChaseEngine):
+    """Checks the steps each chase reads off its agenda, at every state it
+    visits, against the step rules evaluated over that state from scratch."""
+
+    visited = 0
+
+    def _steps(self, node):
+        steps = super()._steps(node)
+        assert steps == self.applicable_steps(node.instance())
+        self.visited += 1
+        return steps
+
+
+def chase_every_way(eng, instance) -> None:
+    """`chase_one` under every rule order, and `chase_all`."""
+    for seed in range(math.factorial(len(eng.mds.names()))):
+        eng.chase_one(instance, seed=seed)
+    eng.chase_all(instance)
+
+
+def fixture_engine(name):
+    d = FIXTURES / name
+    schema = Schema.load(d / "schema.txt")
+    instance = Instance.load(schema, d)
+    sim = SimilarityRelation.load(d / "sim.txt")
+    mf = MatchingFunction.load(d / "mf.txt")
+    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    return AgendaOracle(schema, load_mds(d / "mds.txt"), sim, smf), instance
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_agenda_equals_discovery_from_scratch_on_the_fixtures(name):
+    eng, instance = fixture_engine(name)
+    chase_every_way(eng, instance)
+    assert eng.visited > 2
+
+
+def test_agenda_equals_discovery_from_scratch_over_the_population():
+    # the acceptance tests' random population
+    rng = random.Random(20260823)
+    visited = 0
+    for _ in range(745):
+        s = random_setting(rng)
+        eng = AgendaOracle(s.schema, s.mds, s.sim, s.smf)
+        chase_every_way(eng, s.instance)
+        visited += eng.visited
+    assert visited > 10000
+
+
+def test_agenda_lists_context_witnesses_and_undefined_merges():
+    eng, instance = fixture_engine("bibliography")
+    moved = instance.with_updates({("Paper", "p2"): ("entity matching", "v2", "pb1")})
+    chase_every_way(eng, moved)
+    assert eng.visited > 2
+    # the first merge makes a similarity whose merge the table leaves undefined
+    eng, inst = engine(
+        {"domb": [("b1", "b2"), ("b12", "b4")]},
+        {"t1": ("a1", "b1"), "t2": ("a2", "b2"), "t3": ("a3", "b4")},
+        engine_class=AgendaOracle,
+    )
+    with pytest.raises(UndefinedMatch) as err:
+        eng.chase_all(inst)
+    assert err.value.pair == ("b12", "b4")
+    assert eng.visited == 2
+
+
+def test_agenda_drops_rows_whose_context_tuple_is_rewritten():
+    # `ms` moves s1 off the value that made it `mr`'s context witness
+    schema = Schema.parse("R(A: doma, B: domb)\nS(A: doma, C: domc)")
+    mds = parse_mds(
+        "md mr: lead R(t1; x1, y1), lead R(t2; x2, y2), S(t3; x1, c3), x1 ~doma~ x2"
+        " -> y1 := y2;\n"
+        "md ms: lead S(t1; u1, c1), lead S(t2; u2, c2), c1 ~domc~ c2 -> u1 := u2;"
+    )
+    sim = SimilarityRelation({"doma": [("a3", "a2")], "domc": [("c1", "c2")]})
+    instance = Instance(schema, {
+        "R": {"r1": ("a3", "b3"), "r2": ("a2", "b2")},
+        "S": {"s1": ("a3", "c1"), "s2": ("a1", "c2")},
+    })
+    mf = MatchingFunction(builtins={"doma": "value-min", "domb": "value-min"})
+    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    eng = AgendaOracle(schema, mds, sim, smf)
+    assert [(s.md, s.context_tids) for s in eng.applicable_steps(instance)] == [
+        ("mr", ("s1",)), ("ms", ()),
+    ]
+    chase_every_way(eng, instance)
+    result = eng.chase_all(instance)
+    assert [by_tid(i) for i in result.instances] == [
+        {"r1": ("a3", "b2"), "r2": ("a2", "b2"), "s1": ("a1", "c1"), "s2": ("a1", "c2")},
+        {"r1": ("a3", "b3"), "r2": ("a2", "b2"), "s1": ("a1", "c1"), "s2": ("a1", "c2")},
+    ]
+
+
+# -- work per step -----------------------------------------------------------
+
+
+COAUTHOR_RULE = """
+md coblock: lead Author(t1; x1, y1, bl1), Paper(t3; p1, z1, bl4),
+            lead Author(t2; x2, y2, bl2), Paper(t4; p2, z2, bl4),
+            x1 ~name~ x2, y1 ~title~ y2, y1 ~title~ p1, y2 ~title~ p2
+            -> bl1 := bl2;
+"""
+
+
+def coauthor(authors):
+    """`authors` authors in coauthor pairs, one paper per pair.
+
+    Author j of pair i has name `f<j % 16> s<i>` and title `t<i> g<j % 16>`;
+    paper i has title `t<i> h<i % 4>` and block `pb<i // 2>`.  Each pair
+    merges once; authors of different pairs that agree modulo 16 pass both
+    leading similarities, and their context join fails.
+    """
+    schema = Schema.parse(
+        "Author(Name: name, PTitle: title, ABlock: blk)\n"
+        "Paper(PTitle: title, Venue: venue, PBlock: blk)\n"
+    )
+    authors_rows = {
+        f"a{j:04d}": (f"f{j % 16} s{j // 2}", f"t{j // 2} g{j % 16}", f"ab{j:04d}")
+        for j in range(authors)
+    }
+    papers = {
+        f"p{i:04d}": (f"t{i} h{i % 4}", f"v{i % 4}", f"pb{i // 2}") for i in range(authors // 2)
+    }
+    instance = Instance(schema, {"Author": authors_rows, "Paper": papers})
+    sim = SimilarityRelation(builtins={"name": "token-overlap", "title": "token-overlap"})
+    mf = MatchingFunction(builtins={"blk": "value-min"})
+    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    return schema, instance, sim, smf
+
+
+def test_chase_one_probes_grow_less_than_cubically(monkeypatch):
+    probes = []
+    similar = SimilarityRelation.similar
+
+    def counted(self, domain, a, b):
+        probes[-1] += 1
+        return similar(self, domain, a, b)
+
+    monkeypatch.setattr(SimilarityRelation, "similar", counted)
+    for authors in (32, 64):
+        schema, instance, sim, smf = coauthor(authors)
+        eng = ChaseEngine(schema, parse_mds(COAUTHOR_RULE), sim, smf)
+        probes.append(0)
+        result = eng.chase_one(instance)
+        assert len(result.sequences[0]) == authors // 2
+        blocks = {vals[2] for _, _, vals in result.instances[0].iter_tuples() if vals[2][0] == "a"}
+        assert len(blocks) == authors // 2
+    # rescanning every pair after each of the N/2 steps is O(N^3): 8x per doubling
+    assert probes[1] < 8 * probes[0]

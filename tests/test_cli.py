@@ -514,3 +514,23 @@ def test_chase_one_step_limit_admits_a_chase_of_exactly_that_many_steps(capsys):
     code, out, err = run(capsys, [*args, "--step-limit", "1"])
     assert (code, out) == (2, "")
     assert err == "error: StepLimitExceeded: chase exceeded 1 enforcement steps\n"
+
+
+@pytest.mark.parametrize("file, text, message", [
+    ("schema.txt", "R(A: d)(B: e)\n", "line 1: unexpected ')' in name 'd)(B: e'"),
+    ("mf.txt", "domb: m(b1, b2) = b12\ndomb: m(b1, b2, b3) = x\n",
+     "line 2: m(...) takes two comma-separated values"),
+    ("mf.txt", "domb: m(b1, b2) = b12 = x\n", "line 1: unexpected '=' in value 'b12 = x'"),
+])
+def test_validate_refuses_a_declaration_line_with_extra_separators(
+    tmp_path, capsys, file, text, message
+):
+    # each line used to be read as one name or value holding the rest
+    (tmp_path / file).write_text(text)
+    args = ["--schema", str(tmp_path / "schema.txt")]
+    if file == "mf.txt":
+        (tmp_path / "schema.txt").write_text("R(A: doma, B: domb)\n")
+        args += ["--mf", str(tmp_path / "mf.txt")]
+    code, out, err = run(capsys, ["validate", *args])
+    assert (code, out) == (1, "")
+    assert err == f"error: ParseError: {tmp_path / file}: {message}\n"

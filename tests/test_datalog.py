@@ -10,6 +10,7 @@ from mdclean.datalog import (
     Program,
     Rule,
     evaluate,
+    evaluate_delta,
     format_rule_ast,
     parse_asp,
     parse_program,
@@ -393,3 +394,152 @@ def test_matches_reference_on_random_builtin_programs():
         program = Program(rules, facts, value_builtins(VALUE_USES, sim, smf))
         expected = naive_evaluate(rules, facts, sim, smf)
         assert evaluate(program).relations == expected, f"seed {seed}"
+
+
+# -- rows that read changed facts ---------------------------------------------
+
+
+EDB = ("e0", "e1")
+
+
+def non_recursive(rules):
+    """The rules whose bodies read only the base relations, positively."""
+    builtins = {"!=", *(f"{kind}_{dom}" for kind, dom in VALUE_USES)}
+    return [
+        rule for rule in rules
+        if all(lit.pred in builtins or (lit.pred in EDB and not lit.negated) for lit in rule.body)
+    ]
+
+
+def rows_reading(rules, facts, delta, sim, smf):
+    """The reference: per body literal over a changed relation, the rule with
+    that literal renamed to a relation holding only the changed facts."""
+    out = {}
+    for rule in rules:
+        for i, lit in enumerate(rule.body):
+            if lit.pred not in delta or lit.pred not in EDB:
+                continue
+            body = list(rule.body)
+            body[i] = Literal("changed_" + lit.pred, lit.args)
+            variant = Rule(rule.head, tuple(body))
+            db = naive_evaluate([variant], {**facts, "changed_" + lit.pred: delta[lit.pred]}, sim, smf)
+            out.setdefault(rule.head.pred, set()).update(db.get(rule.head.pred, ()))
+    return {pred: frozenset(ts) for pred, ts in out.items() if ts}
+
+
+def change_facts(rng, facts, consts):
+    """(kept, old versions, new versions) for a random part of `facts`."""
+    kept, old, new = {}, {}, {}
+    for pred, ts in facts.items():
+        for t in sorted(ts):
+            if rng.random() < 0.5:
+                old.setdefault(pred, set()).add(t)
+                new.setdefault(pred, set()).add(tuple(rng.choice(consts) for _ in t))
+            else:
+                kept.setdefault(pred, set()).add(t)
+    return kept, old, new
+
+
+def union(*parts):
+    out = {}
+    for part in parts:
+        for pred, ts in part.items():
+            out.setdefault(pred, set()).update(ts)
+    return out
+
+
+def test_delta_rows_match_the_reference_on_random_non_recursive_programs():
+    sim, smf = chain_env()
+    tested = changed_rows = 0
+    for seed in range(200):
+        rng = random.Random(5000 + seed)
+        with_builtins = seed % 2 == 1
+        rules, facts = random_program(rng, with_builtins=with_builtins)
+        rules = non_recursive(rules)
+        if not rules:
+            continue
+        tested += 1
+        consts = ["b1", "b2", "b3", "b12", "b23"] if with_builtins else [f"c{i}" for i in range(5)]
+        kept, old, new = change_facts(rng, facts, consts)
+        program = Program(rules, builtins=value_builtins(VALUE_USES, sim, smf))
+        before, after = union(kept, old), union(kept, new)
+        rows_before, rows_after = evaluate(program, before), evaluate(program, after)
+        rows_kept = evaluate(program, kept)
+        dropped = evaluate_delta(program, before, old)
+        added = evaluate_delta(program, after, new)
+        assert dropped.relations == rows_reading(rules, before, old, sim, smf), f"seed {seed}"
+        assert added.relations == rows_reading(rules, after, new, sim, smf), f"seed {seed}"
+        changed_rows += bool(dropped.relations) + bool(added.relations)
+        # every row either reads a changed fact or is derived without one
+        for full, delta in ((rows_before, dropped), (rows_after, added)):
+            for pred in program.idb_preds():
+                assert full.get(pred) == rows_kept.get(pred) | delta.get(pred), f"seed {seed}"
+    assert tested > 100 and changed_rows > 60
+
+
+def test_delta_rows_maintain_rows_that_name_their_facts():
+    # every fact has its own identifier and every head names the identifiers
+    # of the facts it read, as the chase's step rows do: then the rows that
+    # read a changed fact are the ones naming it, and dropping those and
+    # adding the delta gives the rows over the new facts
+    sim, smf = chain_env()
+    values = ["b1", "b2", "b3", "b12"]
+    for seed in range(100):
+        rng = random.Random(7000 + seed)
+        rules = []
+        for k in range(rng.randint(1, 3)):
+            body, ids = [], []
+            for j in range(rng.randint(1, 3)):
+                pred = rng.choice(EDB)
+                ident = Var(f"I{j}")
+                ids.append(ident)
+                args = [rng.choice([Var("X"), Var("Y"), Var(f"F{j}"), "b1"])]
+                if pred == "e1":
+                    args.append(rng.choice([Var("X"), Var(f"G{j}")]))
+                body.append(Literal(pred, (ident, *args)))
+            bound = sorted({a for lit in body for a in lit.args[1:] if isinstance(a, Var)}, key=str)
+            if len(bound) >= 2 and rng.random() < 0.5:
+                body.append(Literal("sim_domb", tuple(rng.sample(bound, 2))))
+            rules.append(Rule(Literal(f"h{k}", tuple(ids)), tuple(body)))
+        program = Program(rules, builtins=value_builtins(VALUE_USES, sim, smf))
+        facts = {"e0": set(), "e1": set()}
+        for n in range(rng.randint(2, 8)):
+            pred = rng.choice(EDB)
+            facts[pred].add((f"id{n}", *(rng.choice(values) for _ in range(1 if pred == "e0" else 2))))
+        old_rows = evaluate(program, facts)
+        # rewrite the values of one or two facts, keeping their identifiers
+        changed = rng.sample(sorted((pred, t) for pred, ts in facts.items() for t in ts), rng.randint(1, 2))
+        delta = {}
+        for pred, t in changed:
+            facts[pred].discard(t)
+            fresh = (t[0], *(rng.choice(values) for _ in t[1:]))
+            facts[pred].add(fresh)
+            delta.setdefault(pred, set()).add(fresh)
+        names = {t[0] for _, t in changed}
+        added = evaluate_delta(program, facts, delta)
+        new_rows = evaluate(program, facts)
+        for rule in rules:
+            head = rule.head.pred
+            kept = {row for row in old_rows.get(head) if names.isdisjoint(row)}
+            assert new_rows.get(head) == kept | added.get(head), f"seed {seed}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p(X) :- e(X). q(X) :- p(X).", "rule 'q(X) :- p(X).' reads 'p' as a derived predicate"),
+    ("p(X) :- e(X, Y). p(X) :- p(Y), e(X, Y).",
+     "rule 'p(X) :- p(Y), e(X, Y).' reads 'p' as a derived predicate"),
+    ("p(X) :- e(X, Y), not f(Y).", "rule 'p(X) :- e(X, Y), not f(Y).' reads 'f' under negation"),
+])
+def test_delta_rows_refuse_derived_and_negated_reads(text, message):
+    program = parse_program(text)
+    with pytest.raises(ValidationError) as info:
+        evaluate_delta(program, {"e": {("a", "b")}}, {"e": {("a", "b")}})
+    assert str(info.value) == message
+
+
+def test_delta_rows_refuse_a_builtin_delta():
+    sim, smf = chain_env()
+    program = parse_program("p(X) :- e(X, Y), sim_domb(X, Y).", value_builtins(VALUE_USES, sim, smf))
+    with pytest.raises(ValidationError, match="built-in 'sim_domb' has no facts"):
+        evaluate_delta(program, {"e": {("b1", "b2")}}, {"sim_domb": {("b1", "b2")}})
+    assert evaluate_delta(program, {"e": {("b1", "b2")}}, {"e": {("b1", "b2")}}).get("p") == {("b1",)}

@@ -9,6 +9,7 @@ from mdclean.errors import (
     UndefinedMatch,
     ValidationError,
 )
+from mdclean import model
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -279,6 +280,22 @@ def test_similarity_token_overlap_builtin():
     assert sim.similar("title", "data cleaning", "cleaning rules")
     assert not sim.similar("title", "data cleaning", "entity matching")
     assert sim.similar("title", "", "")  # reflexivity wins over empty overlap
+
+
+def test_token_overlap_splits_each_value_once_per_relation(monkeypatch):
+    split = []
+    monkeypatch.setattr(model, "tokens", lambda value: split.append(value) or frozenset(value.split()))
+    sim = SimilarityRelation(builtins={"name": "token-overlap", "title": "token-overlap"})
+    values = ["data cleaning", "cleaning rules", "entity matching"]
+    for _ in range(3):
+        for dom in ("name", "title"):
+            for a in values:
+                for b in values:
+                    assert sim.similar(dom, a, b) == (a == b or "cleaning" in a and "cleaning" in b)
+    assert sorted(split) == sorted(values)
+    # another relation splits afresh
+    SimilarityRelation(builtins={"name": "token-overlap"}).similar("name", "a b", "b c")
+    assert sorted(split) == sorted(values + ["a b", "b c"])
 
 
 def test_sim_and_mf_file_formats_round_trip():

@@ -43,6 +43,11 @@ REFUSED = [
     ("schema", "R(: d)\n", ParseError, "empty attribute or domain name", 1),
     ("schema", "R(A: d)\nR(B: e)\n", ValidationError, "duplicate relation R", None),
     ("schema", "(A: d)\n", ValidationError, "relation name must be non-empty", None),
+    ("schema", "R(A: d)(B: e)\n", ParseError, "unexpected ')' in name 'd)(B: e'", 1),
+    ("schema", "R(A: d)\nR)(A: d)\n", ParseError, "unexpected ')' in name 'R)'", 2),
+    ("schema", "R:S(A: d)\n", ParseError, "unexpected ':' in name 'R:S'", 1),
+    ("schema", "R(A(: d)\n", ParseError, "unexpected '(' in name 'A('", 1),
+    ("schema", "R(A: d: e)\n", ParseError, "unexpected ':' in name 'd: e'", 1),
     # similarity
     ("sim", "a1 ~ a2\n", ParseError, "expected `domain: ...`", 1),
     ("sim", "\n# c\ndoma a1 ~ a2\n", ParseError, "expected `domain: ...`", 3),
@@ -70,6 +75,9 @@ REFUSED = [
     ("mf", "domb: m(b1, b2 = b12\n", ParseError, "expected `m(v1, v2)` on the left of `=`", 1),
     ("mf", "domb: m(b1) = b1\n", ParseError, "m(...) takes two comma-separated values", 1),
     ("mf", "domb: m(b1, ) = b1\n", ParseError, "empty value in matching equation", 1),
+    ("mf", "domb: m(b1, b2, b3) = x\n", ParseError, "m(...) takes two comma-separated values", 1),
+    ("mf", "domb: m(b1, b2) = b12 = x\n", ParseError, "unexpected '=' in value 'b12 = x'", 1),
+    ("mf", "\ndomb: m(b1, b2) = b12, x\n", ParseError, "unexpected ',' in value 'b12, x'", 2),
     ("mf", "\ndomb: m(b1, b2) =  # b12\n", ParseError, "empty value in matching equation", 2),
     ("mf", "domb: builtin token-overlap\n", ParseError,
      "unknown matching built-in 'token-overlap'", 1),
