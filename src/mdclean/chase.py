@@ -7,23 +7,25 @@ their merge.  Each rule is compiled once to a Datalog step rule over the
 rule's body (`mdlang.md_body`), whose rows name every tuple they read; a
 step's context witness is the least one in tuple identifiers.
 
-`applicable_steps` evaluates the step rules over an instance from scratch.
-A chase does that once, for its start, and then keeps the rows as an
+A chase state is the tuples' value vectors in `Instance.iter_tuples` order.
+`chase_all` and `chase_one` run one exploration over these states, which
+follows every step of a state or, for `chase_one`, the least under a seeded
+rule priority.  It memoises states, which keeps `chase_all` exponential in
+the number of reachable value states rather than in step interleavings,
+charges every step it follows to one budget, and builds an `Instance` only
+for each stable endpoint.  It evaluates the step rules from scratch once,
+at its start (as `applicable_steps` does), and then keeps their rows as an
 agenda, in the manner of delete-and-rederive: an enforcement rewrites two
 tuples, so the rows naming either go and the rows reading their new
-versions come (`datalog.evaluate_delta`).  A chase state is the tuples'
-value vectors in `Instance.iter_tuples` order.  `chase_all` explores every
-enforcement order and memoises states on those vectors, which keeps it
-exponential in the number of reachable value states rather than in step
-interleavings, and builds an `Instance` only for each stable endpoint;
-`chase_one` follows one seeded order.
+versions come (`datalog.evaluate_delta`).  `enforce` steps an instance
+through the exploration's successor function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Callable, Mapping
 
 from .datalog import Literal, Program, Rule, evaluate, evaluate_delta, value_builtins
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .mdlang import BoundMD, MDSet, md_body, validate_mds, var_name
 from .model import Instance, SaturatedMatchingFunction, Schema, SimilarityRelation
-from .query import instance_facts, relation_pred
+from .query import relation_pred
 from .terms import Var
 
 DEFAULT_STEP_LIMIT = 20000
@@ -150,9 +152,6 @@ class _Node:
         self.state = state
         self.rows = rows
 
-    def instance(self) -> Instance:
-        return self.layout.instance(self.state)
-
 
 class ChaseEngine:
     def __init__(
@@ -178,7 +177,7 @@ class ChaseEngine:
     def applicable_steps(self, instance: Instance) -> list[EnforcementStep]:
         """Every applicable step, sorted by rule order then leading tuples,
         from the step rules evaluated over `instance` from scratch."""
-        return self._select(evaluate(self._program, instance_facts(instance)).relations)
+        return self._select(self._start(instance).rows)
 
     def _select(self, rows: Mapping[str, AbstractSet[tuple[str, ...]]]) -> list[EnforcementStep]:
         """The steps of the step rules' `rows`, sorted by rule order then
@@ -195,7 +194,7 @@ class ChaseEngine:
             # same cells; otherwise each ordered pair is its own step
             symmetric = compiled.bound.symmetric_write()
             chosen: dict[tuple[str, str], tuple[str, ...]] = {}
-            for row in sorted(rows.get(compiled.head, ())):
+            for row in sorted(rows[compiled.head]):
                 pair = (row[0], row[1])
                 if symmetric and pair[1] < pair[0]:
                     pair = (pair[1], pair[0])
@@ -215,16 +214,36 @@ class ChaseEngine:
     def _start(self, instance: Instance) -> _Node:
         """The start of a chase, its agenda evaluated from scratch."""
         layout = _Layout(instance)
-        rows = evaluate(self._program, instance_facts(instance)).relations
+        model = evaluate(self._program, layout.facts(layout.vectors))
+        rows = {compiled.head: model.get(compiled.head) for compiled in self._compiled}
         return _Node(layout, layout.vectors, rows)
 
-    def _successor(self, node: _Node, step: EnforcementStep) -> tuple:
-        """The state that enforcing `step` leads to from `node`'s."""
-        position = node.layout.position
-        i, j = (position[tid] for tid in step.lead_tids)
-        state = list(node.state)
-        state[i], state[j] = self._rewrite(self._rules[step.md], step, state[i], state[j])
-        return tuple(state)
+    def _successor(self, layout: _Layout, state: tuple, step: EnforcementStep) -> tuple:
+        """The state that enforcing `step` leads to from `state`.
+
+        A step whose values moved on or already agree is not applicable, and
+        one whose merge is undefined raises `UndefinedMatch`.
+        """
+        bound = self._rules[step.md]
+        i, j = (layout.position[tid] for tid in step.lead_tids)
+        p0, p1 = bound.rhs
+        v0, v1 = state[i][p0], state[j][p1]
+        if (v0, v1) != step.old_values:
+            raise StepNotApplicable(
+                f"step {step.md} on {step.lead_tids}: values are now ({v0!r}, {v1!r}), "
+                f"expected {step.old_values}"
+            )
+        if v0 == v1:
+            raise StepNotApplicable(
+                f"step {step.md} on {step.lead_tids}: values already agree on {v0!r}"
+            )
+        new = step.new_value
+        if new is None:
+            raise UndefinedMatch(bound.rhs_domain, v0, v1)
+        out = list(state)
+        out[i] = (*out[i][:p0], new, *out[i][p0 + 1:])
+        out[j] = (*out[j][:p1], new, *out[j][p1 + 1:])
+        return tuple(out)
 
     def _advance(self, node: _Node, state: tuple, step: EnforcementStep) -> _Node:
         """The node of `state`, which `step` reaches from `node`.
@@ -246,55 +265,21 @@ class ChaseEngine:
             delta.setdefault(layout.preds[i], set()).add((tid, *state[i]))
         added = evaluate_delta(self._program, layout.facts(state), delta)
         for head, new in added.relations.items():
-            rows.setdefault(head, set()).update(new)
+            rows[head].update(new)
         return _Node(layout, state, rows)
 
     # -- enforcement -------------------------------------------------------
 
-    def is_stable(self, instance: Instance) -> bool:
-        return not self.applicable_steps(instance)
-
     def enforce(self, instance: Instance, step: EnforcementStep) -> Instance:
+        """`instance` after `step`, which must be applicable to it."""
         bound = self._rules.get(step.md)
         if bound is None:
             raise ValidationError(f"unknown rule {step.md!r}")
-        lead0, lead1 = bound.lead
-        tid0, tid1 = step.lead_tids
-        try:
-            vals0 = instance.current(lead0.relation, tid0)
-            vals1 = instance.current(lead1.relation, tid1)
-        except KeyError:
-            raise StepNotApplicable(f"step {step.md} on missing tuples {step.lead_tids}") from None
-        new0, new1 = self._rewrite(bound, step, vals0, vals1)
-        return instance.with_updates({(lead0.relation, tid0): new0, (lead1.relation, tid1): new1})
-
-    @staticmethod
-    def _rewrite(
-        bound: BoundMD, step: EnforcementStep, vals0: tuple[str, ...], vals1: tuple[str, ...]
-    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The two leading tuples' vectors after `step`, given their current ones.
-
-        A step whose values moved on or already agree is not applicable, and
-        one whose merge is undefined raises `UndefinedMatch`.
-        """
-        p0, p1 = bound.rhs
-        v0, v1 = vals0[p0], vals1[p1]
-        if (v0, v1) != step.old_values:
-            raise StepNotApplicable(
-                f"step {step.md} on {step.lead_tids}: values are now ({v0!r}, {v1!r}), "
-                f"expected {step.old_values}"
-            )
-        if v0 == v1:
-            raise StepNotApplicable(
-                f"step {step.md} on {step.lead_tids}: values already agree on {v0!r}"
-            )
-        new = step.new_value
-        if new is None:
-            raise UndefinedMatch(bound.rhs_domain, v0, v1)
-        new0 = (*vals0[:p0], new, *vals0[p0 + 1:])
-        if step.lead_tids[0] == step.lead_tids[1]:
-            vals1 = new0
-        return new0, (*vals1[:p1], new, *vals1[p1 + 1:])
+        for atom, tid in zip(bound.lead, step.lead_tids):
+            if tid not in instance.tuples.get(atom.relation, {}):
+                raise StepNotApplicable(f"step {step.md} on missing tuples {step.lead_tids}")
+        layout = _Layout(instance)
+        return layout.instance(self._successor(layout, layout.vectors, step))
 
     # -- chase -------------------------------------------------------------
 
@@ -310,6 +295,33 @@ class ChaseEngine:
                 f"{instance.total_tuples()} tuples exceed the enumeration gate "
                 f"({DEFAULT_ENUMERATION_GATE}); use chase_one for large instances"
             )
+        return self._explore(instance, step_limit, lambda steps: steps)
+
+    def chase_one(
+        self,
+        instance: Instance,
+        seed: int = 0,
+        step_limit: int = DEFAULT_STEP_LIMIT,
+    ) -> ChaseResult:
+        """One stable instance, following the rule priority drawn from `seed`."""
+        names = rule_priority(self.mds.names(), seed)
+        priority = {name: rank for rank, name in enumerate(names)}
+
+        def least(steps: list[EnforcementStep]) -> list[EnforcementStep]:
+            return [min(steps, key=lambda s: (priority.get(s.md, 0), s.lead_tids))]
+
+        return self._explore(instance, step_limit, least)
+
+    def _explore(
+        self,
+        instance: Instance,
+        step_limit: int,
+        follow: Callable[[list[EnforcementStep]], list[EnforcementStep]],
+    ) -> ChaseResult:
+        """The stable endpoints reached from `instance` by following, in each
+        state, the steps `follow` picks of its steps, sorted by
+        `canonical_key()`, with one witnessing sequence each.  Every step
+        followed is charged to `step_limit`."""
         budget = step_limit
         start = self._start(instance)
         seen: set[tuple] = set()
@@ -327,37 +339,16 @@ class ChaseEngine:
             if not steps:
                 endpoints[state] = path
                 continue
-            for step in steps:
+            for step in follow(steps):
                 if budget <= 0:
-                    raise StepLimitExceeded(
-                        f"chase exceeded {step_limit} enforcement steps"
-                    )
+                    raise StepLimitExceeded(f"chase exceeded {step_limit} enforcement steps")
                 budget -= 1
-                stack.append((self._successor(node, step), path + (step,), node, step))
+                stack.append((self._successor(start.layout, state, step), path + (step,), node, step))
         ordered = sorted(endpoints)
         return ChaseResult(
             tuple(start.layout.instance(state) for state in ordered),
             tuple(endpoints[state] for state in ordered),
         )
-
-    def chase_one(
-        self,
-        instance: Instance,
-        seed: int = 0,
-        step_limit: int = DEFAULT_STEP_LIMIT,
-    ) -> ChaseResult:
-        """One stable instance, following the rule priority drawn from `seed`."""
-        names = rule_priority(self.mds.names(), seed)
-        priority = {name: rank for rank, name in enumerate(names)}
-        node = self._start(instance)
-        path: list[EnforcementStep] = []
-        while steps := self._steps(node):
-            if len(path) >= step_limit:
-                raise StepLimitExceeded(f"chase exceeded {step_limit} enforcement steps")
-            step = min(steps, key=lambda s: (priority.get(s.md, 0), s.lead_tids))
-            node = self._advance(node, self._successor(node, step), step)
-            path.append(step)
-        return ChaseResult((node.instance(),), (tuple(path),))
 
 
 def rule_priority(names: list[str], seed: int) -> list[str]:

@@ -148,12 +148,10 @@ def _embeddings(writer, reader, pair, schema):
         for idx, atom in enumerate(reader.md.atoms)
         if atom.relation == pair.relation and atom.attr_vars[attr_pos] in reader.compared
     ]
+    reader_atoms, reader_sims = _rename_md(reader, "r_")
     for written in written_atoms:
         for occ_index in reader_occurrences:
-            reader_atoms, reader_sims = _rename_md(reader, "r_")
             sub = _unify(reader_atoms[occ_index], written)
-            if sub is None:
-                continue
             kept = [
                 _apply_atom(a, sub)
                 for i, a in enumerate(reader_atoms)
@@ -164,18 +162,22 @@ def _embeddings(writer, reader, pair, schema):
             yield tuple(atoms), tuple(sims)
 
 
-def _unify(atom_a: QueryAtom, atom_b: QueryAtom) -> dict[Var, Term] | None:
-    """Positionwise substitution making atom_a equal to atom_b."""
-    if atom_a.relation != atom_b.relation or len(atom_a.args) != len(atom_b.args):
-        return None
+def _unify(atom_a: QueryAtom, atom_b: QueryAtom) -> dict[Var, Term]:
+    """The substitution making two atoms of one relation, which hold only
+    variables, equal: variables that meet positionwise become one, so a
+    variable of `atom_a` that meets two of `atom_b` makes those one too."""
     sub: dict[Var, Term] = {}
+
+    def find(var: Term) -> Term:
+        while var in sub:
+            var = sub[var]
+        return var
+
     for left, right in zip(atom_a.args, atom_b.args):
-        if is_var(left):
-            if sub.setdefault(left, right) != right:
-                return None
-        elif left != right:
-            return None
-    return sub
+        left, right = find(left), find(right)
+        if left != right:
+            sub[left] = right
+    return {var: find(var) for var in sub}
 
 
 def _apply_term(term: Term, sub: Mapping[Var, Term]) -> Term:

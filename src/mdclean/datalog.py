@@ -653,7 +653,7 @@ def format_rule_ast(rule: Rule | AspRule | Literal) -> str:
 
 
 class Token(NamedTuple):
-    kind: str  # the name of the pattern group that matched, or "eof"
+    kind: str  # the name of the pattern group that matched
     text: str
     line: int
     column: int
@@ -662,26 +662,31 @@ class Token(NamedTuple):
 class Lexer:
     """The tokens of `text` under `pattern`, a compiled regex of named groups.
 
-    Matches of the `ws` and `comment` groups are skipped, and an `eof` token
-    ends the list.  Each token carries the line and column it starts at; the
-    pattern must not match the empty string.
+    Each match of `pattern` skips whitespace and comments and then takes one
+    token, of the kind of the group that matched: the `eof` group matches at
+    the end of the text and ends the list, and the `error` group takes a
+    character no token starts with.  Each token carries the line and column
+    it starts at.
     """
 
     def __init__(self, text: str, pattern: re.Pattern):
         self.tokens: list[Token] = []
-        pos, line, line_start = 0, 1, 0
-        while pos < len(text):
-            match = pattern.match(text, pos)
-            if match is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-            kind, value = match.lastgroup, match.group()
-            if kind not in ("ws", "comment"):
-                self.tokens.append(Token(kind, value, line, pos - line_start + 1))
-            if "\n" in value:
-                line += value.count("\n")
-                line_start = pos + value.rindex("\n") + 1
-            pos = match.end()
-        self.tokens.append(Token("eof", "", line, pos - line_start + 1))
+        last = line_start = 0
+        line = 1
+        for match in pattern.finditer(text):
+            kind = match.lastgroup
+            start = match.start(kind)
+            newlines = text.count("\n", last, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", last, start) + 1
+            if kind == "error":
+                raise ParseError(f"unexpected character {text[start]!r}", line, start - line_start + 1)
+            # `tuple.__new__` skips the named tuple's constructor, which is Python code
+            self.tokens.append(tuple.__new__(Token, (kind, match[kind], line, start - line_start + 1)))
+            if kind == "eof":
+                break
+            last = start
         self.pos = 0
 
     def peek(self) -> Token:
@@ -707,13 +712,15 @@ class Lexer:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<implication>:-)
-  | (?P<neq>!=)
-  | (?P<punct>[(),.|])
-  | (?P<quoted>"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z0-9_][A-Za-z0-9_]*)
+    (?:\s+|%[^\n]*)*
+    (?: (?P<implication>:-)
+      | (?P<neq>!=)
+      | (?P<punct>[(),.|])
+      | (?P<quoted>"(?:[^"\\]|\\.)*")
+      | (?P<ident>[A-Za-z0-9_][A-Za-z0-9_]*)
+      | (?P<eof>\Z)
+      | (?P<error>(?s:.))
+    )
     """,
     re.VERBOSE,
 )

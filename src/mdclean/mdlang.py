@@ -34,12 +34,14 @@ _KEYWORDS = {"md", "lead"}
 # `\w` is `str.isalnum()` plus '_'; whitespace is only these four characters
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<assign>:=)
-  | (?P<punct>[(),;:~])
-  | (?P<ident>\w+)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?: (?P<arrow>->)
+      | (?P<assign>:=)
+      | (?P<punct>[(),;:~])
+      | (?P<ident>\w+)
+      | (?P<eof>\Z)
+      | (?P<error>(?s:.))
+    )
     """,
     re.VERBOSE,
 )

@@ -198,8 +198,8 @@ def _add_row(rows: dict, tid: str, value) -> None:
 class Instance:
     """Identified tuples, each a vector of current values.
 
-    Instances are treated as immutable: tuple updates go through
-    `with_updates`, which returns a new instance.
+    Instances are treated as immutable: the chase builds a new instance for
+    each state it returns.
     """
 
     def __init__(
@@ -223,9 +223,6 @@ class Instance:
                 rows[tid] = vec
             self.tuples[rel_name] = rows
 
-    def current(self, rel: str, tid: str) -> tuple[str, ...]:
-        return self.tuples[rel][tid]
-
     def value_of(self, rel: str, tid: str, attr: str) -> str:
         return self.tuples[rel][tid][self.schema.relation(rel).position(attr)]
 
@@ -236,15 +233,6 @@ class Instance:
 
     def total_tuples(self) -> int:
         return sum(len(rows) for rows in self.tuples.values())
-
-    def with_updates(self, updates: Mapping[tuple[str, str], tuple[str, ...]]) -> "Instance":
-        """Return a new instance with the given (relation, tid) vectors replaced."""
-        new_tuples = {rel: dict(rows) for rel, rows in self.tuples.items()}
-        for (rel, tid), vec in updates.items():
-            if tid not in new_tuples[rel]:
-                raise ValidationError(f"{rel}/{tid}: no such tuple")
-            new_tuples[rel][tid] = tuple(vec)
-        return Instance(self.schema, new_tuples)
 
     def canonical_key(self) -> tuple:
         return tuple(self.iter_tuples())

@@ -110,7 +110,7 @@ def _try_pair(schema, md, sim, smf, instance, tid0, tid1):
     binding: dict[str, str] = {}
     for atom, tid in ((lead0, tid0), (lead1, tid1)):
         binding[atom.tid_var] = tid
-        for var, val in zip(atom.attr_vars, instance.current(atom.relation, tid)):
+        for var, val in zip(atom.attr_vars, instance.tuples[atom.relation][tid]):
             if binding.setdefault(var, val) != val:
                 return None
     context = _match_context(schema, md, sim, instance, binding)
@@ -118,8 +118,8 @@ def _try_pair(schema, md, sim, smf, instance, tid0, tid1):
         return None
     rhs = (md.rhs_left, md.rhs_right)
     p0, p1 = (next(i for i, v in enumerate(a.attr_vars) if v in rhs) for a in (lead0, lead1))
-    v0 = instance.current(lead0.relation, tid0)[p0]
-    v1 = instance.current(lead1.relation, tid1)[p1]
+    v0 = instance.tuples[lead0.relation][tid0][p0]
+    v1 = instance.tuples[lead1.relation][tid1][p1]
     if v0 == v1:
         return None
     if md.same_relation() and p0 == p1 and tid1 < tid0:

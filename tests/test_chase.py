@@ -15,6 +15,7 @@ from mdclean.errors import (
     StepLimitExceeded,
     StepNotApplicable,
     UndefinedMatch,
+    ValidationError,
 )
 from mdclean.mdlang import load_mds, parse_mds
 from mdclean.model import (
@@ -25,6 +26,7 @@ from mdclean.model import (
     collect_active_values,
 )
 
+from fixture_edits import with_p2_in_first_block
 from population import random_setting
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -117,18 +119,35 @@ def test_enforcement_chain_through_merged_values():
     ]
     final = eng.enforce(mid, follow[0])
     assert by_tid(final) == {"t1": ("a1", "b123"), "t2": ("a2", "b123"), "t3": ("a3", "b23")}
-    assert eng.is_stable(final)
+    assert eng.applicable_steps(final) == []
 
 
 def test_enforce_rejects_stale_or_agreeing_steps():
     eng, inst = interacting()
     step = eng.applicable_steps(inst)[0]
     after = eng.enforce(inst, step)
-    with pytest.raises(StepNotApplicable):
+    with pytest.raises(StepNotApplicable, match="values are now"):
         eng.enforce(after, step)  # values moved on
     agree = EnforcementStep("md1", ("t1", "t2"), (), ("b12", "b12"), "b12")
-    with pytest.raises(StepNotApplicable):
+    with pytest.raises(StepNotApplicable, match="already agree"):
         eng.enforce(after, agree)
+    unknown = EnforcementStep("md9", ("t1", "t2"), (), ("b1", "b2"), "b12")
+    with pytest.raises(ValidationError, match="unknown rule 'md9'"):
+        eng.enforce(inst, unknown)
+    missing = EnforcementStep("md1", ("t1", "t9"), (), ("b1", "b2"), "b12")
+    with pytest.raises(StepNotApplicable, match="missing tuples"):
+        eng.enforce(inst, missing)
+
+
+def test_enforce_rejects_a_leading_tuple_of_the_other_relation():
+    eng, instance = fixture_engine("crossrel")
+    step = eng.applicable_steps(instance)[0]
+    assert (step.md, step.lead_tids) == ("cross", ("r1", "s1"))
+    swapped = EnforcementStep("cross", ("s1", "r1"), (), step.old_values[::-1], step.new_value)
+    with pytest.raises(StepNotApplicable, match="missing tuples"):
+        eng.enforce(instance, swapped)
+    after = eng.enforce(instance, step)
+    assert after.tuples["R"]["r1"] == ("a1", "b12") and after.tuples["S"]["s1"] == ("b12", "a2")
 
 
 def test_chase_all_interacting_yields_two_endpoints():
@@ -139,7 +158,7 @@ def test_chase_all_interacting_yields_two_endpoints():
         (("t1", ("a1", "b12")), ("t2", ("a2", "b12")), ("t3", ("a3", "b3"))),
         (("t1", ("a1", "b123")), ("t2", ("a2", "b123")), ("t3", ("a3", "b23"))),
     ]
-    assert all(eng.is_stable(i) for i in result.instances)
+    assert all(eng.applicable_steps(i) == [] for i in result.instances)
     # each witness sequence replays to its endpoint
     for endpoint, seq in zip(result.instances, result.sequences):
         replay = inst
@@ -248,7 +267,7 @@ def test_chase_one_never_closes_token_union_values(monkeypatch):
 def test_chase_one_endpoint_is_stable_and_monotone():
     eng, inst = interacting()
     result = eng.chase_one(inst, seed=1)
-    assert eng.is_stable(result.instances[0])
+    assert eng.applicable_steps(result.instances[0]) == []
     for step in result.sequences[0]:
         for old in step.old_values:
             assert eng.smf.precedes("domb", old, step.new_value)
@@ -260,6 +279,17 @@ def test_step_limit_guard():
         eng.chase_all(inst, step_limit=1)
     with pytest.raises(StepLimitExceeded):
         eng.chase_one(inst, seed=0, step_limit=0)
+
+
+def test_both_chases_charge_one_step_budget_alike():
+    # every state has at most one step, so both chases follow the same path
+    eng, inst = engine({"doma": [("a1", "a2")]}, {"t1": ("a1", "b1"), "t2": ("a2", "b2")})
+    for run in (eng.chase_all, eng.chase_one):
+        with pytest.raises(StepLimitExceeded, match="exceeded 0 enforcement steps"):
+            run(inst, step_limit=0)
+        result = run(inst, step_limit=1)
+        assert [len(seq) for seq in result.sequences] == [1]
+        assert by_tid(result.instances[0]) == {"t1": ("a1", "b12"), "t2": ("a2", "b12")}
 
 
 def test_enumeration_gate():
@@ -344,7 +374,7 @@ def test_relational_context_join_gates_enforcement():
     assert clean.value_of("Author", "a4", "ABlock") == "k4"
 
     # moving the second paper into the first block enables the second merge
-    moved = instance.with_updates({("Paper", "p2"): ("entity matching", "v2", "pb1")})
+    moved = with_p2_in_first_block(instance)
     result2 = eng.chase_all(moved)
     assert len(result2.instances) == 1
     assert result2.instances[0].value_of("Author", "a3", "ABlock") == "k34"
@@ -367,13 +397,15 @@ def test_step_json_shape():
 
 class AgendaOracle(ChaseEngine):
     """Checks the steps each chase reads off its agenda, at every state it
-    visits, against the step rules evaluated over that state from scratch."""
+    visits, against the step rules evaluated over that state from scratch,
+    and that the agenda holds the step rules' rows only."""
 
     visited = 0
 
     def _steps(self, node):
+        assert set(node.rows) == {compiled.head for compiled in self._compiled}
         steps = super()._steps(node)
-        assert steps == self.applicable_steps(node.instance())
+        assert steps == self.applicable_steps(node.layout.instance(node.state))
         self.visited += 1
         return steps
 
@@ -416,7 +448,7 @@ def test_agenda_equals_discovery_from_scratch_over_the_population():
 
 def test_agenda_lists_context_witnesses_and_undefined_merges():
     eng, instance = fixture_engine("bibliography")
-    moved = instance.with_updates({("Paper", "p2"): ("entity matching", "v2", "pb1")})
+    moved = with_p2_in_first_block(instance)
     chase_every_way(eng, moved)
     assert eng.visited > 2
     # the first merge makes a similarity whose merge the table leaves undefined

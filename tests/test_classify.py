@@ -252,3 +252,15 @@ def test_relational_rule_with_disjoint_write_read_is_non_interacting():
     )
     assert interaction_pairs(validate_mds(mds, schema)) == []
     assert sfai_queries(validate_mds(mds, schema), schema) == []
+
+
+def test_a_reader_variable_that_meets_two_writer_variables_makes_them_one():
+    schema = Schema.parse("R(A: d, B: d, C: e)")
+    rules = validate_mds(parse_mds(
+        "md w: lead R(t1; a1, b1, c1), lead R(t2; a2, b2, c2), c1 ~e~ c2 -> b1 := b2;\n"
+        "md r: lead R(t1; x1, x1, z1), lead R(t2; x2, y2, z2), x1 ~d~ x2 -> z1 := z2;\n"
+    ), schema)
+    queries = {q.name: q for q in sfai_queries(rules, schema)}
+    assert "w__r__R_B" in queries
+    written = queries["w__r__R_B"].atoms[0]
+    assert written.args[1] == written.args[2]

@@ -534,3 +534,29 @@ def test_validate_refuses_a_declaration_line_with_extra_separators(
     code, out, err = run(capsys, ["validate", *args])
     assert (code, out) == (1, "")
     assert err == f"error: ParseError: {tmp_path / file}: {message}\n"
+
+
+def test_classify_queries_a_reader_atom_that_repeats_a_variable(tmp_path, capsys):
+    # `r` reads R[B] through x1, which it also compares at A; `w` writes B, so
+    # its written atom meets x1 at two variables, which become one
+    args = write_setting(
+        tmp_path,
+        "R(A: d, B: d, C: e, D: f)\n",
+        {"R": "tid,A,B,C,D\nt1,c,c,g,p\nt2,c,b,f,q\nt3,b,b,g,q\n"},
+        "md w: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2), u1 ~f~ u2"
+        " -> b1 := b2;\n"
+        "md r: lead R(t1; x1, x1, z1, v1), lead R(t2; x2, y2, z2, v2), x1 ~d~ x2"
+        " -> z1 := z2;\n",
+        "f: p ~ q\n",
+        "d: builtin value-min\ne: builtin value-min\n",
+    )
+    code, out, _ = run(capsys, ["classify", *args])
+    assert code == 0
+    payload = json.loads(out)
+    assert [(q["name"], q["satisfied"]) for q in payload["queries"]] == [("w__r__R_B", True)]
+    assert payload["verdict"] == "general"
+    # merging t1's B with t2's before `r` pairs t1 with t2 keeps t1's C
+    code, out, _ = run(capsys, ["chase", "--all", *args])
+    assert code == 0 and json.loads(out)["count"] == 2
+    code, out, err = run(capsys, ["solve", *args])
+    assert (code, out) == (2, "") and err.startswith("error: NotSci: ")

@@ -24,6 +24,7 @@ from mdclean.model import (
 from mdclean.query import ConjunctiveQuery, certain_answers, eval_cq, find_witness, parse_query
 
 import naive_match
+from fixture_edits import with_p2_in_first_block
 from population import random_setting
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -120,7 +121,7 @@ md by_venue: lead Paper(t1; p1, v1, b1), lead Paper(t2; p2, v2, b2),
 def test_steps_match_the_pair_loop_on_context_atoms():
     eng, instance = bibliography()
     assert check_every_state(eng, instance) == 2
-    moved = instance.with_updates({("Paper", "p2"): ("entity matching", "v2", "pb1")})
+    moved = with_p2_in_first_block(instance)
     assert check_every_state(eng, moved) > 2
 
     eng, instance = bibliography(ONE_SIDED)

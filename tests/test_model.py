@@ -348,15 +348,11 @@ def test_schema_parse_and_validation():
         Schema.parse("R(A: d)\nr(A: d)")
 
 
-def test_instance_validation_and_updates():
+def test_instance_validation():
     schema = Schema.parse("R(A: doma, B: domb)")
     inst = Instance(schema, {"R": {"t1": ("a1", "b1"), "t2": ("a2", "b2")}})
-    assert inst.current("R", "t1") == ("a1", "b1")
+    assert inst.tuples["R"]["t1"] == ("a1", "b1")
     assert inst.value_of("R", "t2", "B") == "b2"
-    updated = inst.with_updates({("R", "t1"): ("a1", "b12")})
-    assert updated.current("R", "t1") == ("a1", "b12")
-    assert inst.current("R", "t1") == ("a1", "b1")  # original untouched
-    assert updated.current("R", "t2") == ("a2", "b2")
     with pytest.raises(ValidationError):
         Instance(schema, {"R": {"t1": ("a1",)}})
     with pytest.raises(ValidationError):
@@ -370,12 +366,12 @@ def test_instance_csv_and_json_loading(tmp_path):
     schema = Schema.parse("R(A: doma, B: domb)")
     (tmp_path / "R.csv").write_text("tid,A,B\nt1,a1,b1\nt2,a2,b2\n")
     inst = Instance.load(schema, tmp_path)
-    assert inst.current("R", "t2") == ("a2", "b2")
+    assert inst.tuples["R"]["t2"] == ("a2", "b2")
 
     json_path = tmp_path / "inst.json"
     json_path.write_text('{"R": [{"tid": "t3", "A": "a3", "B": "b3"}]}')
     inst2 = Instance.load(schema, json_path)
-    assert inst2.current("R", "t3") == ("a3", "b3")
+    assert inst2.tuples["R"]["t3"] == ("a3", "b3")
     assert inst2.to_json_dict() == {"R": [{"tid": "t3", "A": "a3", "B": "b3"}]}
 
     (tmp_path / "R.csv").write_text("tid,B,A\nt1,b1,a1\n")
