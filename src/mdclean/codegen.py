@@ -4,7 +4,10 @@ Two related outputs.  The general form targets answer-set solvers: tuple
 versions accumulate in `<rel>_v` predicates, every applicable rule pair opens
 a disjunctive match-or-not choice, and constraints over a `prec` relation on
 matchings discard models whose merges cannot be ordered into a valid
-enforcement sequence.  When the classifier shows the rule set converges to
+enforcement sequence.  Projected onto `<rel>_clean`, its stable models are
+clean instances the chase enumerates; a pair whose two orientations the
+chase counts as one step may be matched in either, so several stable models
+can share one projection.  When the classifier shows the rule set converges to
 one clean instance, the residual form drops the disjunction, the `prec`
 machinery, and all constraints, leaving stratified Datalog that computes that
 instance bottom-up.
@@ -219,60 +222,6 @@ def _written_positions(rules: list[BoundMD]) -> dict[str, set[int]]:
     return out
 
 
-def _context_symmetric(md: MatchingDependency) -> bool:
-    """Whether swapping the two leading tuples maps the context onto itself.
-
-    The swap of the leading variables is extended one context atom at a
-    time, onto an unused atom of the same relation whose arguments agree
-    with the mapping so far, and undone where no later atom fits.  The atom
-    with the fewest such images goes next, so one that has none fails the
-    branch at once.
-    """
-    context = md.context_atoms()
-    lead0, lead1 = md.leading_atoms()
-    mapping = {lead0.tid_var: lead1.tid_var, lead1.tid_var: lead0.tid_var}
-    for a, b in zip(lead0.attr_vars, lead1.attr_vars):
-        mapping[a] = b
-        mapping[b] = a
-    free = set(range(len(context)))
-
-    def extend(todo: frozenset[int]) -> bool:
-        if not todo:
-            return True
-        images = {i: [] for i in todo}
-        for i in todo:
-            for j in free:
-                new = _extension(mapping, context[i], context[j])
-                if new is not None:
-                    images[i].append((j, new))
-        i = min(images, key=lambda i: len(images[i]))
-        for j, new in images[i]:
-            mapping.update(new)
-            free.remove(j)
-            if extend(todo - {i}):
-                return True
-            free.add(j)
-            for x in new:
-                del mapping[x]
-        return False
-
-    return extend(frozenset(free))
-
-
-def _extension(mapping: dict[str, str], src: MDAtom, dst: MDAtom) -> dict[str, str] | None:
-    """The bindings `mapping` needs to map atom `src` onto `dst`, or None if it cannot."""
-    if src.relation != dst.relation:
-        return None
-    new: dict[str, str] = {}
-    for x, y in zip((src.tid_var, *src.attr_vars), (dst.tid_var, *dst.attr_vars)):
-        bound = mapping.get(x, new.get(x))
-        if bound is None:
-            new[x] = y
-        elif bound != y:
-            return None
-    return new
-
-
 # ---------------------------------------------------------------------------
 # shared pieces
 
@@ -437,7 +386,7 @@ def emit_general_asp(
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
 ) -> AspText:
-    """The disjunctive cleaning program; stable models are the clean instances."""
+    """The disjunctive cleaning program; its stable models project onto clean instances."""
     rules = validate_mds(mds, schema)
     for rule in rules:
         dom = rule.rhs_domain
@@ -458,12 +407,6 @@ def emit_general_asp(
         heads = (_lit(f"match_{name}", args), _lit(f"notmatch_{name}", args))
         body = tuple(md_body(rule, _version_pred))
         statements.append(AspStatement(2, "disjunctive", AspRule(heads, body)))
-    for rule in rules:
-        if rule.symmetric_write() and _context_symmetric(rule.md):
-            name = _pred(rule.md.name)
-            forward = _lit(f"match_{name}", _match_args(rule))
-            swapped = _lit(f"match_{name}", _lead_args(rule.lead[1]) + _lead_args(rule.lead[0]))
-            statements.append(AspStatement(2, "symmetry", AspRule((swapped,), (forward,))))
     for rel_name in sorted(written):
         statements.extend(
             _oldversion_rules(rel_name, schema, smf, written[rel_name], _version_pred)

@@ -219,8 +219,9 @@ def _parse_statement(text: str) -> ConjunctiveQuery:
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty literal in query body")
-        if "~" in chunk and "(" not in chunk.split("~", 1)[0]:
-            sims.append(_parse_sim(chunk))
+        parts = _split_top(chunk, "~")
+        if len(parts) > 1 and "(" not in "".join(parts[0].split('"')[::2]):
+            sims.append(_parse_sim(parts))
         else:
             atoms.append(_parse_atom(chunk))
     head = tuple(Var(v) for v in head_vars)
@@ -259,12 +260,13 @@ def _parse_atom(chunk: str) -> QueryAtom:
     return QueryAtom(rel, args)
 
 
-def _parse_sim(chunk: str) -> SimLiteral:
-    left, rest = chunk.split("~", 1)
-    if "~" in rest:
-        dom, right = rest.split("~", 1)
-        return SimLiteral(_parse_term(left.strip()), _parse_term(right.strip()), dom.strip())
-    return SimLiteral(_parse_term(left.strip()), _parse_term(rest.strip()), None)
+def _parse_sim(parts: list[str]) -> SimLiteral:
+    """A similarity from its literal's pieces between `~`s outside quotes and
+    parentheses: `left ~ right`, or `left ~dom~ right` whose right side keeps
+    any further `~`."""
+    dom = parts[1].strip() if len(parts) > 2 else None
+    right = "~".join(parts[1:] if dom is None else parts[2:])
+    return SimLiteral(_parse_term(parts[0].strip()), _parse_term(right.strip()), dom)
 
 
 def _parse_term(text: str) -> Term:

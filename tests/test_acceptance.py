@@ -256,7 +256,6 @@ def test_emitted_asp_census_reparses_and_is_byte_stable():
     census = {k: v for k, v in asp.counts().items() if not k.endswith("-fact")}
     assert census == {
         "disjunctive": 2,
-        "symmetry": 2,
         "oldversion": 1,
         "notmatch-constraint": 2,
         "insertion": 4,

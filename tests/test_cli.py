@@ -301,6 +301,18 @@ def test_answer_reads_a_hash_inside_a_quoted_constant(tmp_path, capsys):
     assert (code, out) == (0, "q1(t1)\n"), err
 
 
+def test_answer_reads_a_tilde_or_parenthesis_inside_a_quoted_left_constant(tmp_path, capsys):
+    args = fixture_args("convergent")
+    outputs = []
+    for literal in ('"b~2" ~domb~ Y', '"b(2" ~domb~ Y', 'Y ~domb~ "b~2"'):
+        query = tmp_path / "queries.txt"
+        query.write_text(f"q(T) :- R(T, X, Y), {literal}.\n")
+        code, out, err = run(capsys, ["answer", *args, "--query", str(query), "--format", "text"])
+        assert (code, err) == (0, ""), literal
+        outputs.append(out)
+    assert outputs == ["q: no certain answers\n"] * 3
+
+
 def test_malformed_json_instance_is_an_input_error(tmp_path, capsys):
     for text, kind in (('{"R": [', "ParseError"), ("[1]", "ValidationError"),
                        ('{"R": 1}', "ValidationError"), ('{"R": ["t1"]}', "ValidationError")):

@@ -1,23 +1,16 @@
 """Emission of the disjunctive cleaning program and its stratified residual."""
 
 import dataclasses
-import random
-from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from mdclean.chase import ChaseEngine
 from mdclean.classify import Verdict, classify
-from mdclean.codegen import (
-    _context_symmetric,
-    emit_general_asp,
-    emit_residual_datalog,
-    evaluate_residual,
-)
+from mdclean.codegen import emit_general_asp, emit_residual_datalog, evaluate_residual
 from mdclean.datalog import AspRule, Literal, evaluate, parse_asp, parse_program, stratify
 from mdclean.errors import NotSci, UndefinedMatch, ValidationError
-from mdclean.mdlang import MatchingDependency, MDAtom, parse_mds
+from mdclean.mdlang import parse_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -126,7 +119,6 @@ def test_general_statement_counts():
     counts = asp.counts()
     assert counts["version-fact"] == 3
     assert counts["disjunctive"] == 2
-    assert counts["symmetry"] == 2
     assert counts["oldversion"] == 1
     assert counts["notmatch-constraint"] == 2
     assert counts["insertion"] == 4
@@ -167,14 +159,6 @@ def test_general_disjunctive_rule_shape():
     assert first.heads[0].args == reads[0].args + reads[1].args
     second = rules[1]
     assert body_preds(second) == ["!=", "r_v", "r_v", "sim_domb"]
-
-
-def test_general_symmetry_rule_swaps_components():
-    asp = emitted()
-    rule = parse_asp(asp.of_kind("symmetry")[0].text)[0]
-    head, body = rule.heads[0], rule.body[0]
-    assert head.pred == body.pred == "match_md1"
-    assert head.args == body.args[3:] + body.args[:3]
 
 
 def test_general_oldversion_collect_and_notmatch():
@@ -445,82 +429,3 @@ def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
     assert clean["R"]["t1"] == ("a\\1", "b12")
     rows = {(tid, *vals) for tid, vals in clean["R"].items()}
     assert evaluate(reparsed).get("r_clean") == rows
-
-
-def context_symmetric_by_permutation(md):
-    """Oracle for `_context_symmetric`: try every pairing of the context
-    atoms, in order, against the leading swap."""
-    context = md.context_atoms()
-    if not context:
-        return True
-    lead0, lead1 = md.leading_atoms()
-    swap = {lead0.tid_var: lead1.tid_var, lead1.tid_var: lead0.tid_var}
-    for a, b in zip(lead0.attr_vars, lead1.attr_vars):
-        swap[a] = b
-        swap[b] = a
-    for perm in permutations(range(len(context))):
-        mapping = dict(swap)
-        ok = True
-        for i, j in enumerate(perm):
-            src, dst = context[i], context[j]
-            if src.relation != dst.relation:
-                ok = False
-                break
-            for x, y in zip((src.tid_var, *src.attr_vars), (dst.tid_var, *dst.attr_vars)):
-                if mapping.setdefault(x, y) != y:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
-def random_symmetry_body(rng):
-    """Two leading R atoms that may share variables across positions, and
-    0-6 context atoms over P and Q, half the time drawn as mirrored pairs."""
-    pool = ["u", "v", "w", "x"]
-    arity = rng.choice([1, 2, 3])
-    lead = [MDAtom("R", t, tuple(rng.choice(pool) for _ in range(arity)), True) for t in ("t1", "t2")]
-    swap = {}
-    for a, b in zip(lead[0].attr_vars, lead[1].attr_vars):
-        swap[a] = b
-        swap[b] = a
-    arities = dict(rng.sample([("P", 1), ("Q", 2)], rng.choice([1, 2])))
-    mirrored = rng.random() < 0.5
-    size = rng.randint(0, 6)
-    context = []
-    while len(context) < size:
-        rel = rng.choice(sorted(arities))
-        args = tuple(rng.choice(pool + ["z1", "z2"]) for _ in range(arities[rel]))
-        context.append(MDAtom(rel, rng.choice(["c1", "c2", "c3", "c4"]), args, False))
-        if mirrored:
-            image = tuple(swap.get(v, v) for v in args)
-            context.append(MDAtom(rel, rng.choice(["c1", "c2", "c3", "c4"]), image, False))
-    rng.shuffle(context)
-    return MatchingDependency("m", (lead[0], lead[1], *context[:size]), (), "u", "v")
-
-
-def test_context_symmetry_agrees_with_the_permutation_oracle():
-    rng = random.Random(8)
-    verdicts = {True: 0, False: 0}
-    for _ in range(10_000):
-        md = random_symmetry_body(rng)
-        expected = context_symmetric_by_permutation(md)
-        assert _context_symmetric(md) == expected, md
-        verdicts[expected] += 1
-    assert min(verdicts.values()) > 4_000, verdicts
-
-
-def test_context_symmetry_answers_many_interchangeable_atoms_at_once():
-    # every P(ci; x1) needs a P(cj; x2), which the body lacks; every
-    # P(ci; z) maps onto any other
-    lead = [MDAtom("R", "t1", ("x1", "y1"), True), MDAtom("R", "t2", ("x2", "y2"), True)]
-    refused = [MDAtom("P", f"c{i}", ("x1",), False) for i in range(30)]
-    free = [MDAtom("P", f"c{i}", ("z",), False) for i in range(30)]
-    assert not _context_symmetric(MatchingDependency("m", (*lead, *refused), (), "y1", "y2"))
-    assert _context_symmetric(MatchingDependency("m", (*lead, *free), (), "y1", "y2"))
-    # one atom without an image, listed after 29 that map onto each other
-    late = [*free[:29], refused[0]]
-    assert not _context_symmetric(MatchingDependency("m", (*lead, *late), (), "y1", "y2"))

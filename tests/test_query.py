@@ -55,6 +55,19 @@ def test_quoted_constants_keep_spaces():
     assert q.atoms[0].args[2] == "b#1"
 
 
+def test_similarity_reads_quoted_tildes_and_parentheses_as_constants():
+    q = parse_query('q(T) :- R(T, X, Y), "b~2" ~domb~ Y, "b(2" ~domb~ Y, Y ~domb~ "b~2".')
+    assert q.sims == (
+        SimLiteral("b~2", Var("Y"), "domb"),
+        SimLiteral("b(2", Var("Y"), "domb"),
+        SimLiteral(Var("Y"), "b~2", "domb"),
+    )
+    # unquoted, the right side keeps every `~` after the domain
+    q = parse_query("q(T) :- R(T, X, Y), X ~d~ b ~ c, X ~ Y.")
+    assert q.sims == (SimLiteral(Var("X"), "b ~ c", "d"), SimLiteral(Var("X"), Var("Y"), None))
+    assert parse_query('q(T) :- R(T, X, "a~b").').atoms[0].args[2] == "a~b"
+
+
 def test_eval_simple_selection():
     d = inst({"t1": ("a1", "b12"), "t2": ("a2", "b12"), "t3": ("a3", "b3")})
     sim = SimilarityRelation()
