@@ -276,7 +276,7 @@ class ChaseEngine:
         if bound is None:
             raise ValidationError(f"unknown rule {step.md!r}")
         for atom, tid in zip(bound.lead, step.lead_tids):
-            if tid not in instance.tuples.get(atom.relation, {}):
+            if tid not in instance.tuples[atom.relation]:
                 raise StepNotApplicable(f"step {step.md} on missing tuples {step.lead_tids}")
         layout = _Layout(instance)
         return layout.instance(self._successor(layout, layout.vectors, step))

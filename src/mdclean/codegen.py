@@ -2,15 +2,16 @@
 
 Two related outputs.  The general form targets answer-set solvers: tuple
 versions accumulate in `<rel>_v` predicates, every applicable rule pair opens
-a disjunctive match-or-not choice, and constraints over a `prec` relation on
-matchings discard models whose merges cannot be ordered into a valid
-enforcement sequence.  Projected onto `<rel>_clean`, its stable models are
-clean instances the chase enumerates; a pair whose two orientations the
-chase counts as one step may be matched in either, so several stable models
-can share one projection.  When the classifier shows the rule set converges to
-one clean instance, the residual form drops the disjunction, the `prec`
-machinery, and all constraints, leaving stratified Datalog that computes that
-instance bottom-up.
+a disjunctive match-or-not choice, and an order `prec` on matchings discards
+models whose merges cannot be ordered into a valid enforcement sequence: it
+is recorded between matchings that share a tuple, closed transitively by a
+rule, and must be antisymmetric.  Projected onto `<rel>_clean`, its stable
+models are the clean instances the chase enumerates; a pair whose two
+orientations the chase counts as one step may be matched in either, so
+several stable models can share one projection.  When the classifier shows
+the rule set converges to one clean instance, the residual form drops the
+disjunction, the `prec` machinery, and all constraints, leaving stratified
+Datalog that computes that instance bottom-up.
 
 Both programs are built as rule ASTs (`AspRule`s over `Literal`s), kept in one
 ordered list of statements tagged with their block.  The similarity, merge,
@@ -27,6 +28,7 @@ different arities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 from .chase import ChaseEngine
@@ -44,7 +46,7 @@ from .datalog import (
     value_pred,
 )
 from .errors import NotSci, ValidationError
-from .mdlang import BoundMD, MatchingDependency, MDAtom, MDSet, md_body, validate_mds, var_name
+from .mdlang import BoundMD, MDAtom, MDSet, md_body, validate_mds, var_name
 from .model import (
     Instance,
     Relation,
@@ -195,14 +197,6 @@ def _tuple_vars(rel: Relation) -> list[str]:
     return [_fresh("T", taken), *(_fresh(var_name(a), taken) for a in rel.attrs)]
 
 
-def _rename_map(md: MatchingDependency, taken: set[str]) -> dict[str, str]:
-    """Fresh capitalised names for every variable of `md`, avoiding `taken`."""
-    out = {}
-    for v in md.variables():
-        out[v] = _fresh(var_name(v) + "q", taken)
-    return out
-
-
 def _lead_args(atom: MDAtom, rename=None) -> list[str]:
     names = [atom.tid_var, *atom.attr_vars]
     if rename is None:
@@ -281,7 +275,7 @@ def _version_facts(schema: Schema, instance: Instance, relation_pred) -> list[As
     out = []
     for rel_name in schema.relation_names():
         pred = relation_pred(rel_name)
-        rows = instance.tuples.get(rel_name, {})
+        rows = instance.tuples[rel_name]
         for tid in sorted(rows):
             out.append(AspStatement(1, "version-fact", Literal(pred, (tid, *rows[tid]))))
     return out
@@ -421,24 +415,36 @@ def emit_general_asp(
         statements.extend(_insertion_rules(rule, _version_pred))
 
     statements.extend(_prec_recording(rules, schema, smf, written))
-
-    for rule in rules:
-        args = _match_args(rule)
-        head = Literal("prec", (_matching(args), _matching(args)))
-        body = (_lit(f"match_{_pred(rule.md.name)}", args),)
-        statements.append(AspStatement(6, "prec-reflexivity", AspRule((head,), body)))
     if rules:
         antisymmetry = (_lit("prec", ["M1", "M2"]), _lit("prec", ["M2", "M1"]), _neq("M1", "M2"))
         statements.append(AspStatement(6, "prec-antisymmetry", AspRule((), antisymmetry)))
-        transitivity = (
-            _lit("prec", ["M1", "M2"]),
-            _lit("prec", ["M2", "M3"]),
-            _lit("prec", ["M1", "M3"], negated=True),
-        )
-        statements.append(AspStatement(6, "prec-transitivity", AspRule((), transitivity)))
+        closure = (_lit("prec", ["M1", "M2"]), _lit("prec", ["M2", "M3"]))
+        transitivity = AspRule((_lit("prec", ["M1", "M3"]),), closure)
+        statements.append(AspStatement(6, "prec-transitivity", transitivity))
 
     statements.extend(_collect_rules(schema, written, _version_pred))
     return AspText(tuple(statements))
+
+
+def _ordered_pair(rj: BoundMD, rk: BoundMD, lead_j: MDAtom, lead_k: MDAtom, shared):
+    """What an ordering rule for a matching of `rj` before one of `rk` starts from.
+
+    `rk`'s variables are renamed apart from `rj`'s, except that `lead_k`'s
+    identifier and its attributes at the positions `shared` take `lead_j`'s
+    names.  Returns the renaming, the names taken, the two `match_` literals
+    and the `prec` head.
+    """
+    taken = {var_name(v) for v in rj.md.variables()}
+    ren = {v: _fresh(var_name(v) + "q", taken) for v in rk.md.variables()}
+    for pos in shared:
+        ren[lead_k.attr_vars[pos]] = var_name(lead_j.attr_vars[pos])
+    ren[lead_k.tid_var] = var_name(lead_j.tid_var)
+    first, second = _match_args(rj), _match_args(rk, ren)
+    matches = (
+        _lit(f"match_{_pred(rj.md.name)}", first),
+        _lit(f"match_{_pred(rk.md.name)}", second),
+    )
+    return ren, taken, matches, Literal("prec", (_matching(first), _matching(second)))
 
 
 def _prec_recording(
@@ -454,71 +460,35 @@ def _prec_recording(
     variants whose components live in different relations are skipped.
     Block 4 covers matchings of two comparable versions (the earlier version
     matches first), block 5 matchings sharing one version (the matching that
-    changes the tuple goes last).
+    changes the tuple goes last).  Block 6 closes these pairs transitively,
+    which orders matchings that share no tuple.
     """
     out = []
-    for rj in rules:
-        for rk in rules:
-            mdj, mdk = rj.md, rk.md
-            for lead_j in rj.lead:
-                for ip, lead_k in enumerate(rk.lead):
-                    if lead_j.relation != lead_k.relation:
-                        continue
-                    rel = schema.relation(lead_j.relation)
-                    first_vars = {var_name(v) for v in mdj.variables()}
+    for rj, rk in product(rules, rules):
+        for lead_j, (ip, lead_k) in product(rj.lead, enumerate(rk.lead)):
+            if lead_j.relation != lead_k.relation:
+                continue
+            doms = schema.relation(lead_j.relation).domains
+            ordered = [pos for pos, dom in enumerate(doms) if smf.has_mf(dom)]
+            unordered = [pos for pos, dom in enumerate(doms) if not smf.has_mf(dom)]
+            ren, _, matches, head = _ordered_pair(rj, rk, lead_j, lead_k, unordered)
+            names = zip(lead_j.attr_vars, lead_k.attr_vars)
+            pairs = [(var_name(vj), ren[vk]) for vj, vk in names]
+            pre = [_lit(value_pred("pre", doms[pos]), pairs[pos]) for pos in ordered]
+            for pos in sorted(written[lead_j.relation]):
+                rule = AspRule((head,), (*matches, *pre, _neq(*pairs[pos])))
+                out.append(AspStatement(4, "prec-newer-version", rule))
 
-                    taken = set(first_vars)
-                    ren = _rename_map(mdk, taken)
-                    for pos, (vj, vk) in enumerate(
-                        zip(lead_j.attr_vars, lead_k.attr_vars)
-                    ):
-                        if not smf.has_mf(rel.domains[pos]):
-                            ren[vk] = var_name(vj)
-                    ren[lead_k.tid_var] = var_name(lead_j.tid_var)
-                    body = [
-                        _lit(f"match_{_pred(mdj.name)}", _match_args(rj)),
-                        _lit(f"match_{_pred(mdk.name)}", _match_args(rk, ren)),
-                    ]
-                    for pos, (vj, vk) in enumerate(
-                        zip(lead_j.attr_vars, lead_k.attr_vars)
-                    ):
-                        if smf.has_mf(rel.domains[pos]):
-                            body.append(
-                                _lit(value_pred("pre", rel.domains[pos]), [var_name(vj), ren[vk]])
-                            )
-                    head = Literal(
-                        "prec",
-                        (_matching(_match_args(rj)), _matching(_match_args(rk, ren))),
-                    )
-                    for pos in sorted(written.get(lead_j.relation, ())):
-                        guard = _neq(var_name(lead_j.attr_vars[pos]), ren[lead_k.attr_vars[pos]])
-                        out.append(
-                            AspStatement(
-                                4, "prec-newer-version", AspRule((head,), (*body, guard))
-                            )
-                        )
-
-                    taken = set(first_vars)
-                    ren5 = _rename_map(mdk, taken)
-                    for vj, vk in zip(lead_j.attr_vars, lead_k.attr_vars):
-                        ren5[vk] = var_name(vj)
-                    ren5[lead_k.tid_var] = var_name(lead_j.tid_var)
-                    merged = _fresh("Mv", taken)
-                    rhs_k = [ren5[a.attr_vars[pos]] for a, pos in zip(rk.lead, rk.rhs)]
-                    shared_rhs, other_rhs = rhs_k[ip], rhs_k[1 - ip]
-                    body5 = (
-                        _lit(f"match_{_pred(mdj.name)}", _match_args(rj)),
-                        _lit(f"match_{_pred(mdk.name)}", _match_args(rk, ren5)),
-                        _lit(value_pred("mf", rk.rhs_domain), [shared_rhs, other_rhs, merged]),
-                        _neq(shared_rhs, merged),
-                    )
-                    head5 = Literal(
-                        "prec",
-                        (_matching(_match_args(rj)), _matching(_match_args(rk, ren5))),
-                    )
-                    out.append(
-                        AspStatement(5, "prec-shared-version", AspRule((head5,), body5))
-                    )
+            ren, taken, matches, head = _ordered_pair(rj, rk, lead_j, lead_k, range(len(doms)))
+            merged = _fresh("Mv", taken)
+            rhs_k = [ren[a.attr_vars[pos]] for a, pos in zip(rk.lead, rk.rhs)]
+            shared, other = rhs_k[ip], rhs_k[1 - ip]
+            body = (
+                *matches,
+                _lit(value_pred("mf", rk.rhs_domain), [shared, other, merged]),
+                _neq(shared, merged),
+            )
+            out.append(AspStatement(5, "prec-shared-version", AspRule((head,), body)))
     return out
 
 

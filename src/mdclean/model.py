@@ -196,7 +196,8 @@ def _add_row(rows: dict, tid: str, value) -> None:
 
 
 class Instance:
-    """Identified tuples, each a vector of current values.
+    """Identified tuples, each a vector of current values, with an entry for
+    every relation of the schema.
 
     Instances are treated as immutable: the chase builds a new instance for
     each state it returns.
@@ -222,6 +223,8 @@ class Instance:
                 _add_row(seen_tids, tid, rel_name)
                 rows[tid] = vec
             self.tuples[rel_name] = rows
+        for rel_name in schema.relation_names():
+            self.tuples.setdefault(rel_name, {})
 
     def value_of(self, rel: str, tid: str, attr: str) -> str:
         return self.tuples[rel][tid][self.schema.relation(rel).position(attr)]
@@ -276,8 +279,13 @@ class Instance:
 
     @classmethod
     def from_csv_dir(cls, schema: Schema, directory: str | Path) -> "Instance":
-        """Load one `<relation>.csv` per relation; the header names the columns."""
+        """Load one `<relation>.csv` per relation; the header names the columns.
+
+        A CSV file named after no relation is refused, as a JSON key is.
+        """
         directory = Path(directory)
+        for path in sorted(directory.glob("*.csv")):
+            schema.relation(path.stem)
         tuples: dict[str, dict[str, tuple[str, ...]]] = {}
         for rel_name in schema.relation_names():
             path = directory / f"{rel_name}.csv"

@@ -21,8 +21,11 @@ derived are exactly the ones decided, run at the leaves.
 
 `datalog.Program` refuses function terms, so every literal with `mt(...)`
 arguments is evaluated under a flat predicate that spells the term's
-arguments in place, and the constraints, which read the order relation
-through plain variables, are checked here over the rebuilt terms.
+arguments in place.  A rule that reads such a relation through plain
+variables (the transitive closure of the order) is first expanded once per
+combination of the term shapes written at those positions.  The constraints
+read the order relation through plain variables too and are checked here
+over the rebuilt terms.
 
 Run `PYTHONPATH=src:tests python -m naive_asp --max-tuples 4` to compare
 the stable models with `chase_all` on the randomized acceptance population.
@@ -33,10 +36,11 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from itertools import product
 
 from mdclean.chase import ChaseEngine
 from mdclean.codegen import emit_general_asp
-from mdclean.datalog import NEQ, Literal, Program, Rule, evaluate, parse_asp
+from mdclean.datalog import NEQ, AspRule, Literal, Program, Rule, evaluate, parse_asp
 from mdclean.terms import Compound, Var
 
 from population import random_setting
@@ -82,6 +86,45 @@ def _unflat(pred: str, row: tuple[str, ...]) -> tuple[str, tuple]:
     return name, tuple(args)
 
 
+def _expand_term_variables(statements: list[AspRule]) -> list[AspRule]:
+    """Each rule with a plain variable where some statement writes a function
+    term, once per combination of the term shapes written at its positions.
+
+    In each copy the variable is a term of its chosen shape over fresh
+    variables, so `_flat` puts its literals under the predicates that the
+    rules writing those terms use.  Constraints stay as they are.
+    """
+    shapes: dict[tuple[str, int], set[tuple[str, int]]] = {}
+    for st in statements:
+        for lit in (*st.heads, *st.body):
+            for i, arg in enumerate(lit.args):
+                if isinstance(arg, Compound):
+                    shapes.setdefault((lit.pred, i), set()).add((arg.functor, len(arg.args)))
+    out = []
+    for st in statements:
+        options: dict[str, set[tuple[str, int]]] = {}
+        for lit in (*st.heads, *st.body):
+            for i, arg in enumerate(lit.args):
+                if isinstance(arg, Var) and (lit.pred, i) in shapes:
+                    options.setdefault(arg.name, set()).update(shapes[lit.pred, i])
+        if st.is_constraint or not options:
+            out.append(st)
+            continue
+        names = sorted(options)
+        for choice in product(*(sorted(options[name]) for name in names)):
+            env = {
+                name: Compound(functor, tuple(Var(f"{name}.{k}") for k in range(arity)))
+                for name, (functor, arity) in zip(names, choice)
+            }
+
+            def subst(lit: Literal) -> Literal:
+                args = tuple(env.get(a.name, a) if isinstance(a, Var) else a for a in lit.args)
+                return Literal(lit.pred, args, lit.negated)
+
+            out.append(AspRule(tuple(map(subst, st.heads)), tuple(map(subst, st.body))))
+    return out
+
+
 def _var_names(args) -> list[str]:
     out: list[str] = []
     for arg in args:
@@ -109,7 +152,7 @@ class ShiftedProgram:
     """A head-cycle-free disjunctive program, shifted and ready to search."""
 
     def __init__(self, text: str):
-        statements = parse_asp(text)
+        statements = _expand_term_variables(parse_asp(text))
         facts: dict[str, set[tuple]] = {}
         normal: list[Rule] = []
         self.choices: list[tuple[tuple[Literal, ...], tuple[str, ...]]] = []

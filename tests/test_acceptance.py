@@ -261,7 +261,6 @@ def test_emitted_asp_census_reparses_and_is_byte_stable():
         "insertion": 4,
         "prec-newer-version": 16,
         "prec-shared-version": 16,
-        "prec-reflexivity": 2,
         "prec-antisymmetry": 1,
         "prec-transitivity": 1,
         "collect": 1,

@@ -572,3 +572,33 @@ def test_classify_queries_a_reader_atom_that_repeats_a_variable(tmp_path, capsys
     assert code == 0 and json.loads(out)["count"] == 2
     code, out, err = run(capsys, ["solve", *args])
     assert (code, out) == (2, "") and err.startswith("error: NotSci: ")
+
+
+def test_every_command_prints_a_relation_the_instance_omits(tmp_path, capsys):
+    args = write_setting(
+        tmp_path,
+        "R(A: d, B: e)\nS(A: d, B: e)\n",
+        {},
+        "md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~d~ x2 -> y1 := y2;\n",
+        "d: builtin exact-equality\n",
+        "e: builtin value-min\n",
+    )
+    rows = [{"tid": "t1", "A": "a", "B": "b1"}, {"tid": "t2", "A": "a", "B": "b2"}]
+    (tmp_path / "instance.json").write_text(json.dumps({"R": rows}))
+    args[args.index("--instance") + 1] = str(tmp_path / "instance.json")
+    clean = {"R": [{**row, "B": "b1"} for row in rows], "S": []}
+    code, out, err = run(capsys, ["solve", *args])
+    assert (code, err) == (0, "") and json.loads(out) == clean
+    for flag in ("--one", "--all"):
+        code, out, err = run(capsys, ["chase", flag, *args])
+        assert (code, err) == (0, "") and json.loads(out)["instances"] == [clean], flag
+
+
+def test_a_csv_file_named_after_no_relation_is_refused(tmp_path, capsys):
+    d = tmp_path / "setting"
+    shutil.copytree(FIXTURES / "convergent", d)
+    (d / "R.csv").rename(d / "r.csv")
+    for command in ("validate", "solve"):
+        code, out, err = run(capsys, [command, *dir_args(d)])
+        assert (code, out) == (1, ""), command
+        assert err == f"error: ValidationError: {d}: unknown relation 'r'\n"

@@ -125,7 +125,6 @@ def test_general_statement_counts():
     # 2x2 rule pairs, 4 placements of the shared tuple each
     assert counts["prec-newer-version"] == 16
     assert counts["prec-shared-version"] == 16
-    assert counts["prec-reflexivity"] == 2
     assert counts["prec-antisymmetry"] == 1
     assert counts["prec-transitivity"] == 1
     assert counts["collect"] == 1
@@ -216,9 +215,9 @@ def test_general_prec_rules_share_one_tuple_id():
                 matches[1].args[3],
             }
             assert shared, st.text
-    ordered = parse_asp(asp.of_kind("prec-transitivity")[0].text)[0]
-    assert ordered.heads == ()
-    assert [lit.negated for lit in ordered.body] == [False, False, True]
+    closure = parse_asp(asp.of_kind("prec-transitivity")[0].text)[0]
+    assert [h.pred for h in closure.heads] == ["prec"]
+    assert [(lit.pred, lit.negated) for lit in closure.body] == [("prec", False)] * 2
 
 
 def test_general_reparses_and_is_byte_stable():

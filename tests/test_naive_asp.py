@@ -6,7 +6,7 @@ import pytest
 
 from mdclean.chase import ChaseEngine
 from mdclean.codegen import emit_general_asp
-from mdclean.mdlang import MDSet, load_mds
+from mdclean.mdlang import MDSet, load_mds, parse_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -51,6 +51,29 @@ def test_stable_models_project_onto_the_chase_endpoints(name):
     text = emit_general_asp(schema, instance, mds, sim, smf).text()
     models = ShiftedProgram(text).stable_models()
     endpoints = ChaseEngine(schema, mds, sim, smf).chase_all(instance).instances
+    assert clean_projections(models, schema.relation_names()) == endpoint_sets(endpoints)
+
+
+def test_stable_models_reach_an_endpoint_only_a_chain_of_matchings_orders():
+    # only (t3, t4), (t2, t3), (t1, t2) applies, in that order, and its first
+    # and last matchings share no tuple: only the closure of `prec` orders them
+    schema = Schema.parse("R(A: doma, B: domb)")
+    rows = {"t1": ("a1", "b4"), "t2": ("a2", "b3"), "t3": ("a3", "b2"), "t4": ("a4", "b1")}
+    instance = Instance(schema, {"R": rows})
+    mds = parse_mds(
+        "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2, y1 ~domb~ y2 -> y1 := y2;"
+    )
+    sim = SimilarityRelation.parse(
+        "doma: a1 ~ a2\ndoma: a2 ~ a3\ndoma: a3 ~ a4\n"
+        "domb: b1 ~ b2\ndomb: b1 ~ b3\ndomb: b1 ~ b4\n"
+    )
+    mf = MatchingFunction.parse("domb: builtin value-min\n")
+    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    endpoints = ChaseEngine(schema, mds, sim, smf).chase_all(instance).instances
+    assert len(endpoints) == 1
+    text = emit_general_asp(schema, instance, mds, sim, smf).text()
+    models = ShiftedProgram(text).stable_models()
+    assert len(models) == 8
     assert clean_projections(models, schema.relation_names()) == endpoint_sets(endpoints)
 
 
