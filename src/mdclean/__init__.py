@@ -2,7 +2,6 @@
 
 from .errors import (
     EmptyCleanSet,
-    InstanceTooLarge,
     MdcleanError,
     NotSci,
     NotStratifiable,
@@ -28,7 +27,6 @@ from .model import (
 __all__ = [
     "EmptyCleanSet",
     "Instance",
-    "InstanceTooLarge",
     "MatchingFunction",
     "MdcleanError",
     "NotSci",

@@ -12,8 +12,9 @@ A chase state is the tuples' value vectors in `Instance.iter_tuples` order.
 follows every step of a state or, for `chase_one`, the least under a seeded
 rule priority.  It memoises states, which keeps `chase_all` exponential in
 the number of reachable value states rather than in step interleavings,
-charges every step it follows to one budget, and builds an `Instance` only
-for each stable endpoint.  It evaluates the step rules from scratch once,
+charges every step it follows to one budget, the one bound on either chase
+however many tuples the instance holds, and builds an `Instance` only for
+each stable endpoint.  It evaluates the step rules from scratch once,
 at its start (as `applicable_steps` does), and then keeps their rows as an
 agenda, in the manner of delete-and-rederive: an enforcement rewrites two
 tuples, so the rows naming either go and the rows reading their new
@@ -28,20 +29,13 @@ from dataclasses import dataclass
 from typing import AbstractSet, Callable, Mapping
 
 from .datalog import Literal, Program, Rule, evaluate, evaluate_delta, value_builtins
-from .errors import (
-    InstanceTooLarge,
-    StepLimitExceeded,
-    StepNotApplicable,
-    UndefinedMatch,
-    ValidationError,
-)
+from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
 from .mdlang import BoundMD, MDSet, md_body, validate_mds, var_name
 from .model import Instance, SaturatedMatchingFunction, Schema, SimilarityRelation
 from .query import relation_pred
 from .terms import Var
 
 DEFAULT_STEP_LIMIT = 20000
-DEFAULT_ENUMERATION_GATE = 12
 
 
 @dataclass(frozen=True)
@@ -289,12 +283,8 @@ class ChaseEngine:
         step_limit: int = DEFAULT_STEP_LIMIT,
     ) -> ChaseResult:
         """All stable endpoints reachable by any enforcement order, sorted by
-        `canonical_key()`."""
-        if instance.total_tuples() > DEFAULT_ENUMERATION_GATE:
-            raise InstanceTooLarge(
-                f"{instance.total_tuples()} tuples exceed the enumeration gate "
-                f"({DEFAULT_ENUMERATION_GATE}); use chase_one for large instances"
-            )
+        `canonical_key()`.  Every step followed is charged to `step_limit`,
+        which is what bounds the enumeration, whatever the instance's size."""
         return self._explore(instance, step_limit, lambda steps: steps)
 
     def chase_one(
@@ -321,7 +311,9 @@ class ChaseEngine:
         """The stable endpoints reached from `instance` by following, in each
         state, the steps `follow` picks of its steps, sorted by
         `canonical_key()`, with one witnessing sequence each.  Every step
-        followed is charged to `step_limit`."""
+        followed is charged to `step_limit`, which may not be negative."""
+        if step_limit < 0:
+            raise ValidationError(f"step limit must not be negative, got {step_limit}")
         budget = step_limit
         start = self._start(instance)
         seen: set[tuple] = set()

@@ -90,32 +90,12 @@ class AspStatement:
 
 
 def _render(statements, titles: dict[int, str]) -> str:
-    """Statements under a `% <block>. <title>` header at each change of block.
-
-    A block named in `titles` that has no statement still gets its header,
-    in block order.
-    """
-    lines: list[str] = []
-    pending = sorted(titles)
-    last = None
-
-    def header(block: int) -> None:
-        if lines:
-            lines.append("")
-        lines.append(f"% {block}. {titles[block]}")
-
+    """One section per block of `titles`, in block order: its `% <block>.
+    <title>` header, then its statements in their order."""
+    sections = {block: [f"% {block}. {title}"] for block, title in sorted(titles.items())}
     for st in statements:
-        if st.block != last:
-            while pending and pending[0] <= st.block:
-                empty = pending.pop(0)
-                if empty != st.block:
-                    header(empty)
-            header(st.block)
-            last = st.block
-        lines.append(st.text)
-    for block in pending:
-        header(block)
-    return "\n".join(lines) + "\n"
+        sections[st.block].append(st.text)
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 @dataclass(frozen=True)
@@ -423,7 +403,7 @@ def emit_general_asp(
         statements.append(AspStatement(6, "prec-transitivity", transitivity))
 
     statements.extend(_collect_rules(schema, written, _version_pred))
-    return AspText(tuple(statements))
+    return AspText(tuple(sorted(statements, key=lambda st: st.block)))
 
 
 def _ordered_pair(rj: BoundMD, rk: BoundMD, lead_j: MDAtom, lead_k: MDAtom, shared):
@@ -559,7 +539,6 @@ def evaluate_residual(residual: ResidualProgram) -> dict[str, dict[str, tuple[st
                     f"clean relation {rel_name!r} keeps two versions of {tid!r}; "
                     "the combination was not actually convergent"
                 )
-            rows[tid] = vals
         out[rel_name] = rows
     engine = residual.engine
     clean = Instance(engine.schema, out)

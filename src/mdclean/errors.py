@@ -52,10 +52,6 @@ class StepLimitExceeded(MdcleanError):
     """The chase gave up after the configured number of enforcement steps."""
 
 
-class InstanceTooLarge(MdcleanError):
-    """Exhaustive chase enumeration refused because the instance exceeds the gate."""
-
-
 class NotSci(MdcleanError):
     """Datalog generation requested for a rule set not certified single-clean-instance."""
 

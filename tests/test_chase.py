@@ -11,7 +11,6 @@ import pytest
 from mdclean import model
 from mdclean.chase import ChaseEngine, EnforcementStep, rule_priority
 from mdclean.errors import (
-    InstanceTooLarge,
     StepLimitExceeded,
     StepNotApplicable,
     UndefinedMatch,
@@ -292,14 +291,27 @@ def test_both_chases_charge_one_step_budget_alike():
         assert by_tid(result.instances[0]) == {"t1": ("a1", "b12"), "t2": ("a2", "b12")}
 
 
-def test_enumeration_gate():
-    rows = {f"t{i}": (f"a{i}", f"b{i}") for i in range(13)}
-    eng, inst = engine({}, rows, mf_table={"domb": []})
-    with pytest.raises(InstanceTooLarge):
-        eng.chase_all(inst)
-    del rows["t12"]
-    eng, inst = engine({}, rows, mf_table={"domb": []})
-    assert len(eng.chase_all(inst).instances) == 1
+def test_the_step_budget_alone_bounds_chase_all():
+    # tuples sharing an `A` value form one block, in which the value-min
+    # merges of `B` can happen in any order
+    schema = Schema.parse("R(A: doma, B: domb)")
+    mds = parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
+    sim, mf = SimilarityRelation({}), MatchingFunction(builtins={"domb": "value-min"})
+
+    def chase_all(blocks):
+        rows = {f"t{i:02}": (f"a{block}", f"b{i:02}") for i, block in enumerate(blocks)}
+        instance = Instance(schema, {"R": rows})
+        smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+        return ChaseEngine(schema, mds, sim, smf).chase_all(instance)
+
+    # 13 tuples with no step between them
+    assert len(chase_all(range(13)).instances) == 1
+    # 7 independent two-tuple blocks: 2^7 states, one endpoint
+    (clean,) = chase_all([i // 2 for i in range(14)]).instances
+    assert set(by_tid(clean).values()) == {(f"a{i}", f"b{2 * i:02}") for i in range(7)}
+    # one block of 13 tuples needs more steps than the default budget
+    with pytest.raises(StepLimitExceeded):
+        chase_all([0] * 13)
 
 
 def test_undefined_match_aborts_with_pair():

@@ -528,6 +528,40 @@ def test_chase_one_step_limit_admits_a_chase_of_exactly_that_many_steps(capsys):
     assert err == "error: StepLimitExceeded: chase exceeded 1 enforcement steps\n"
 
 
+def test_a_negative_step_limit_is_refused_as_invalid_input(capsys):
+    # it used to read as a budget already spent ("exceeded -3 enforcement
+    # steps", exit 2), or answer where no step applies
+    query = ["--query", str(FIXTURES / "divergent" / "queries.txt")]
+    for command in (["chase", "--all"], ["chase", "--one"], ["answer", *query]):
+        code, out, err = run(capsys, [*command, *fixture_args("divergent"), "--step-limit", "-3"])
+        assert (code, out) == (1, "")
+        assert err == "error: ValidationError: step limit must not be negative, got -3\n"
+    code, out, err = run(capsys, ["chase", "--all", *fixture_args("divergent"), "--step-limit", "0"])
+    assert (code, err) == (2, "error: StepLimitExceeded: chase exceeded 0 enforcement steps\n")
+
+
+def test_chase_all_and_answer_enumerate_more_than_twelve_tuples(tmp_path, capsys):
+    # the diverging fixture plus eleven tuples no rule touches: an instance
+    # of 14 tuples used to be refused before the chase started (exit 2)
+    idle = "".join(f"t{i},c{i},d{i}\n" for i in range(4, 15))
+    args = edited_fixture_args(tmp_path, "divergent", "R.csv", "t3,a3,b3\n", "t3,a3,b3\n" + idle)
+    code, out, err = run(capsys, ["classify", *args])
+    assert (code, err) == (0, "") and json.loads(out)["verdict"] == "general"
+    code, out, err = run(capsys, ["chase", "--all", *args])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["count"] == 2
+    assert [len(steps) for steps in payload["steps"]] == [1, 2]
+    query = str(FIXTURES / "divergent" / "queries.txt")
+    code, out, err = run(capsys, ["answer", *args, "--query", query])
+    assert (code, err) == (0, "")
+    # the idle tuples' values are certain; of the fixture's, only `A`'s are
+    assert json.loads(out) == [
+        {"query": "q_b", "answers": sorted([f"d{i}"] for i in range(4, 15))},
+        {"query": "q_a", "answers": sorted([[f"a{i}"] for i in range(1, 4)] + [[f"c{i}"] for i in range(4, 15)])},
+    ]
+
+
 @pytest.mark.parametrize("file, text, message", [
     ("schema.txt", "R(A: d)(B: e)\n", "line 1: unexpected ')' in name 'd)(B: e'"),
     ("mf.txt", "domb: m(b1, b2) = b12\ndomb: m(b1, b2, b3) = x\n",
