@@ -38,6 +38,12 @@ from .terms import Var
 DEFAULT_STEP_LIMIT = 20000
 
 
+def check_step_limit(step_limit: int) -> None:
+    """Refuse a negative step budget as invalid input."""
+    if step_limit < 0:
+        raise ValidationError(f"step limit must not be negative, got {step_limit}")
+
+
 @dataclass(frozen=True)
 class EnforcementStep:
     """One applicable enforcement, identified by rule and leading tuples.
@@ -312,8 +318,7 @@ class ChaseEngine:
         state, the steps `follow` picks of its steps, sorted by
         `canonical_key()`, with one witnessing sequence each.  Every step
         followed is charged to `step_limit`, which may not be negative."""
-        if step_limit < 0:
-            raise ValidationError(f"step limit must not be negative, got {step_limit}")
+        check_step_limit(step_limit)
         budget = step_limit
         start = self._start(instance)
         seen: set[tuple] = set()

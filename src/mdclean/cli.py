@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .chase import DEFAULT_STEP_LIMIT, ChaseEngine
+from .chase import DEFAULT_STEP_LIMIT, ChaseEngine, check_step_limit
 from .classify import Verdict, classify
 from .codegen import emit_general_asp, emit_residual_datalog, evaluate_residual
 from .errors import MdcleanError, ParseError, UnknownDomain, ValidationError
@@ -215,6 +215,8 @@ def cmd_answer(args) -> str:
     inputs = Inputs(args)
     instance, mds, sim, smf = inputs.setting()
     queries = inputs.queries()
+    # the residual route runs no chase, so it would never check the budget
+    check_step_limit(args.step_limit)
     verdict = classify(mds, inputs.schema, instance, sim, smf)
     if verdict.verdict is Verdict.GENERAL:
         engine = ChaseEngine(inputs.schema, mds, sim, smf)

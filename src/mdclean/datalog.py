@@ -16,6 +16,13 @@ Built-ins are literals computed from their arguments instead of looked up:
 result argument and has no row where the merge is undefined; everything else
 requires fully bound arguments, so rule bodies must ground them through
 ordinary literals first.
+
+Bodies are joined through indexes built per evaluation: a hash index on the
+positions a scan shares with what is already bound, and otherwise, when a
+`sim_d` literal compares a free position of the scan with a bound value, a
+blocking-key index on that position.  Each value has keys such that two
+similar values share one, so the candidates under the bound value's keys
+include every partner; the `sim_d` test still runs on each of them.
 """
 
 from __future__ import annotations
@@ -79,11 +86,17 @@ class Builtin:
     called on their values.  A built-in of arity 2 is a test and `fn` says
     whether it holds.  One of arity 3 computes its third argument: `fn`
     returns it, or None where there is none.
+
+    A test may have blocking `keys`, a function from a value to a tuple of
+    keys such that `fn(a, b)` implies that `keys(a)` and `keys(b)` share one.
+    The planner then reaches the partners of a bound value through an index
+    on these keys instead of scanning every tuple; the test still runs.
     """
 
     name: str
     arity: int
     fn: Callable[[str, str], object]
+    keys: Callable[[str], tuple] | None = None
 
 
 NEQ_BUILTIN = Builtin(NEQ, 2, operator.ne)
@@ -101,9 +114,10 @@ def value_builtins(
 ) -> dict[str, Builtin]:
     """`!=` and the value relation of each (kind, domain) in `uses`.
 
-    `sim` tests similarity and `pre` the merge order on two values; `mf`
-    computes the merge of its first two arguments into its third.  Two
-    domains whose relations would share a predicate are refused.
+    `sim` tests similarity, with the domain's `SimilarityRelation.keys` as
+    blocking keys, and `pre` the merge order on two values; `mf` computes the
+    merge of its first two arguments into its third.  Two domains whose
+    relations would share a predicate are refused.
     """
     out = {NEQ: NEQ_BUILTIN}
     owner: dict[str, str] = {}
@@ -113,9 +127,10 @@ def value_builtins(
             raise ValidationError(f"domains {owner[name]!r} and {dom!r} share predicate {name!r}")
         if kind == "mf":
             out[name] = Builtin(name, 3, functools.partial(smf.try_match, dom))
+        elif kind == "sim":
+            out[name] = Builtin(name, 2, functools.partial(sim.similar, dom), sim.keys(dom))
         else:
-            test = sim.similar if kind == "sim" else smf.precedes
-            out[name] = Builtin(name, 2, functools.partial(test, dom))
+            out[name] = Builtin(name, 2, functools.partial(smf.precedes, dom))
     return out
 
 
@@ -453,10 +468,11 @@ class _Plan:
     constants are written into theirs once, so every argument is a slot
     index.  The body splits into levels.  Level 0 holds the operations that
     need no scan; each further level scans one positive literal that has free
-    positions, through a hash index on its bound positions, binds the free
-    ones, and then runs the operations its bindings made ready: `!=`, the
-    other built-ins, and membership probes of fully bound literals, negated
-    or not.
+    positions, binds the free ones, and then runs the operations its bindings
+    made ready: `!=`, the other built-ins, and membership probes of fully
+    bound literals, negated or not.  A scan reads a hash index on its bound
+    positions; with none, a blocking-key index on a free position that a
+    built-in with keys compares with a bound slot; else every tuple.
     """
 
     def __init__(self, rule: Rule, order: Sequence[int], builtins: Mapping[str, Builtin]):
@@ -482,12 +498,30 @@ class _Plan:
                 out.append(s)
             return out
 
+        # the slots that built-ins with blocking keys compare, with the keys
+        blockers = [
+            (*slots(lit.args[:2]), builtins[lit.pred].keys)
+            for lit in rule.body
+            if lit.pred in builtins and builtins[lit.pred].keys is not None
+        ]
+
+        def blocking(args: list[int]) -> tuple:
+            """(position, slot, keys) for a scan of `args`: a built-in with
+            keys compares its free position with the bound slot."""
+            for a, b, keys in blockers:
+                for mine, other in ((a, b), (b, a)):
+                    if other in bound and mine not in bound and mine in args:
+                        return args.index(mine), other, keys
+            return None, None, None
+
         # body literal index of each relation the plan reads, in read order
         self.reads: list[int] = []
         # per level: (scan, operations); a scan is (read, key of a stored
         # tuple, key of the slots, (position, slot) bindings, (position, slot)
-        # equalities for a variable repeated inside the literal)
-        self.levels: list[tuple[tuple, list[tuple]]] = [((None, None, None, (), ()), [])]
+        # equalities for a variable repeated inside the literal, blocking
+        # keys); a scan through blocking keys holds the position whose keys
+        # index a stored tuple and the slot whose keys probe the index
+        self.levels: list[tuple[tuple, list[tuple]]] = [((None, None, None, (), (), None), [])]
         for i in order:
             lit = rule.body[i]
             args = slots(lit.args)
@@ -511,14 +545,18 @@ class _Plan:
             if lit.negated or len(keyed) == len(args):
                 ops.append((_MEMBER, read, _getter(args), lit.negated))
                 continue
+            if keyed:
+                tuple_key = operator.itemgetter(*keyed)
+                slot_key = operator.itemgetter(*(args[p] for p in keyed))
+                keys = None
+            else:
+                tuple_key, slot_key, keys = blocking(args)
             binds, equal = [], []
             for p, s in enumerate(args):
                 if p not in keyed:
                     (equal if s in bound else binds).append((p, s))
                     bound.add(s)
-            tuple_key = operator.itemgetter(*keyed) if keyed else None
-            slot_key = operator.itemgetter(*(args[p] for p in keyed)) if keyed else None
-            scan = (read, tuple_key, slot_key, tuple(binds), tuple(equal))
+            scan = (read, tuple_key, slot_key, tuple(binds), tuple(equal), keys)
             if len(self.levels) == 1 or (len(self.levels) == 2 and not keyed):
                 self.outer.append(i)
             self.levels.append((scan, []))
@@ -555,7 +593,9 @@ def _fire(plan: _Plan, rels: list) -> set[tuple[str, ...]]:
     `rels[k]` is the relation of the plan's k-th read.  The search runs depth
     first, one iterator per level on an explicit stack (level 0 iterates over
     one empty tuple); an index is built the first time its level is entered,
-    and all of them are freed on return.
+    and all of them are freed on return.  A blocking-key probe reads the
+    index under each key of the bound value, and a stored tuple that more
+    than one of them reaches is read once.
     """
     out: set[tuple[str, ...]] = set()
     slots = list(plan.initial)
@@ -565,7 +605,7 @@ def _fire(plan: _Plan, rels: list) -> set[tuple[str, ...]]:
     iters: list = [iter(((),))] + [None] * last
     depth = 0
     while depth >= 0:
-        (_, _, _, binds, equal), ops = levels[depth]
+        (_, _, _, binds, equal, _), ops = levels[depth]
         for tup in iters[depth]:
             for pos, s in binds:
                 slots[s] = tup[pos]
@@ -577,16 +617,25 @@ def _fire(plan: _Plan, rels: list) -> set[tuple[str, ...]]:
                 out.add(plan.head(slots))
                 continue
             depth += 1
-            read, tuple_key, slot_key, _, _ = levels[depth][0]
+            read, tuple_key, slot_key, _, _, keys = levels[depth][0]
             if tuple_key is None:
                 iters[depth] = iter(rels[read])
                 break
             index = indexes[depth]
             if index is None:
                 index = indexes[depth] = {}
-                for stored in rels[read]:
-                    index.setdefault(tuple_key(stored), []).append(stored)
-            iters[depth] = iter(index.get(slot_key(slots), ()))
+                if keys is None:
+                    for stored in rels[read]:
+                        index.setdefault(tuple_key(stored), []).append(stored)
+                else:
+                    for stored in rels[read]:
+                        for key in keys(stored[tuple_key]):
+                            index.setdefault(key, []).append(stored)
+            if keys is None:
+                iters[depth] = iter(index.get(slot_key(slots), ()))
+            else:
+                hits = [index[key] for key in keys(slots[slot_key]) if key in index]
+                iters[depth] = iter(hits[0] if len(hits) == 1 else set().union(*hits))
             break
         else:
             depth -= 1

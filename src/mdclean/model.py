@@ -330,10 +330,11 @@ class Instance:
 
 
 # each similarity built-in's test of two distinct undeclared values (None:
-# never), given the token sets of values
-SIM_RULES: dict[str, Callable[[Mapping[str, frozenset[str]], str, str], bool] | None] = {
-    "exact-equality": None,
-    "token-overlap": lambda toks, a, b: not toks[a].isdisjoint(toks[b]),
+# never) and the blocking keys it adds to a value's, given the token sets of
+# values; two values the test relates share one of these keys
+SIM_RULES: dict[str, tuple[Callable[..., bool] | None, Callable[..., Iterable[str]]]] = {
+    "exact-equality": (None, lambda toks, v: ()),
+    "token-overlap": (lambda toks, a, b: not toks[a].isdisjoint(toks[b]), lambda toks, v: toks[v]),
 }
 
 
@@ -343,6 +344,25 @@ class _TokenSets(dict):
     def __missing__(self, value: str) -> frozenset[str]:
         toks = self[value] = tokens(value)
         return toks
+
+
+class _Keys(dict):
+    """A domain's blocking keys of each value, found on first use: the value,
+    each declared pair holding it, then what the domain's built-in rule adds."""
+
+    def __init__(self, pairs: Iterable[frozenset[str]], rule_keys: Callable[[str], Iterable[str]]):
+        super().__init__()
+        self.pairs: dict[str, list[frozenset[str]]] = {}
+        for pair in pairs:
+            for value in pair:
+                self.pairs.setdefault(value, []).append(pair)
+        self.rule_keys = rule_keys
+
+    def __missing__(self, value: str) -> tuple:
+        keys = self[value] = tuple(
+            dict.fromkeys((value, *self.pairs.get(value, ()), *self.rule_keys(value)))
+        )
+        return keys
 
 
 def _read_pair(rest: str, lineno: int) -> tuple[str, str]:
@@ -360,7 +380,8 @@ class SimilarityRelation:
 
     Declared pairs are stored unordered; reflexivity and symmetry are applied
     at query time rather than materialised.  The built-in rules share one
-    cache of token sets, which lives as long as the relation.
+    cache of token sets, which lives as long as the relation, and so do the
+    blocking keys of `keys`.
     """
 
     def __init__(
@@ -374,12 +395,15 @@ class SimilarityRelation:
             for a, b in dom_pairs:
                 bucket.add(frozenset((str(a), str(b))))
         self._builtins: dict[str, Callable[[str, str], bool] | None] = {}
+        self._rule_keys: dict[str, Callable[[str], Iterable[str]]] = {}
+        self._keys: dict[str, _Keys] = {}
         token_sets = _TokenSets()
         for dom, rule in (builtins or {}).items():
             if rule not in SIM_RULES:
                 raise ValidationError(f"unknown similarity built-in {rule!r} (expected one of {tuple(SIM_RULES)})")
-            test = SIM_RULES[rule]
+            test, keys = SIM_RULES[rule]
             self._builtins[dom] = None if test is None else functools.partial(test, token_sets)
+            self._rule_keys[dom] = functools.partial(keys, token_sets)
 
     def similar(self, domain: str, a: str, b: str) -> bool:
         if a == b:
@@ -388,6 +412,18 @@ class SimilarityRelation:
             return True
         rule = self._builtins.get(domain)
         return rule is not None and rule(a, b)
+
+    def keys(self, domain: str) -> Callable[[str], tuple]:
+        """The blocking keys of a value of `domain`, memoised per value.
+
+        Two values `similar` relates share a key: a value keys itself, each
+        declared pair holding it, and under `token-overlap` each of its tokens.
+        """
+        keys = self._keys.get(domain)
+        if keys is None:
+            rule_keys = self._rule_keys.get(domain, lambda value: ())
+            keys = self._keys[domain] = _Keys(self._pairs.get(domain, ()), rule_keys)
+        return keys.__getitem__
 
     def declared_pairs(self, domain: str) -> list[tuple[str, str]]:
         return sorted((min(pair), max(pair)) for pair in self._pairs.get(domain, ()))

@@ -190,16 +190,20 @@ def _derive(rule, db, sim, smf):
     return results
 
 
-def random_program(rng: random.Random, with_builtins=False):
+def random_program(rng: random.Random, with_builtins=False, token_values=None):
     """A small stratifiable program; bodies are written binding-first.
 
     Predicates carry a fixed order and bodies only mention predicates at or
     below the head (strictly below when negated), so every draw stratifies.
     When `with_builtins` is set the constant pool matches the four-generator
     chain matching function on domain `domb`, so `sim_domb`/`mf_domb`/`pre_domb`
-    literals have something to say.
+    literals have something to say.  When `token_values` are given they are
+    the constant pool instead, and every built-in literal is `sim_doma`.
     """
-    consts = ["b1", "b2", "b3", "b12", "b23"] if with_builtins else [f"c{i}" for i in range(5)]
+    if token_values is not None:
+        consts, with_builtins = list(token_values), True
+    else:
+        consts = ["b1", "b2", "b3", "b12", "b23"] if with_builtins else [f"c{i}" for i in range(5)]
     edb = [("e0", rng.choice((1, 2))), ("e1", rng.choice((1, 2)))]
     idb = [(f"i{i}", rng.choice((1, 2))) for i in range(3)]
     order = {name: i for i, (name, _) in enumerate(edb + idb)}
@@ -231,7 +235,8 @@ def random_program(rng: random.Random, with_builtins=False):
                     bound.append(term)
             body.append(Literal(name, tuple(args)))
         if with_builtins and bound and rng.random() < 0.5:
-            kind = rng.choice(("sim", "pre", "mf"))
+            kind = "sim" if token_values is not None else rng.choice(("sim", "pre", "mf"))
+            dom = "doma" if token_values is not None else "domb"
             a = rng.choice(bound + consts)
             b = rng.choice(bound + consts)
             if kind == "mf":
@@ -239,7 +244,7 @@ def random_program(rng: random.Random, with_builtins=False):
                 body.append(Literal("mf_domb", (a, b, out)))
                 bound.append(out)
             else:
-                body.append(Literal(f"{kind}_domb", (a, b)))
+                body.append(Literal(f"{kind}_{dom}", (a, b)))
         if bound and rng.random() < 0.4:
             lower = [p for p, _ in edb + idb if order[p] < order[head_name]]
             if lower:

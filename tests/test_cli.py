@@ -540,6 +540,18 @@ def test_a_negative_step_limit_is_refused_as_invalid_input(capsys):
     assert (code, err) == (2, "error: StepLimitExceeded: chase exceeded 0 enforcement steps\n")
 
 
+def test_answer_refuses_a_negative_step_limit_on_a_converging_setting(tmp_path, capsys):
+    # the residual route runs no chase, so it used to print the answers (exit 0)
+    query = tmp_path / "queries.txt"
+    query.write_text("q(X, Y) :- R(T, X, Y).\n")
+    argv = ["answer", *fixture_args("convergent"), "--query", str(query)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and out
+    code, out, err = run(capsys, [*argv, "--step-limit", "-3"])
+    assert (code, out) == (1, "")
+    assert err == "error: ValidationError: step limit must not be negative, got -3\n"
+
+
 def test_chase_all_and_answer_enumerate_more_than_twelve_tuples(tmp_path, capsys):
     # the diverging fixture plus eleven tuples no rule touches: an instance
     # of 14 tuples used to be refused before the chase started (exit 2)

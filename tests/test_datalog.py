@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +24,14 @@ from mdclean.errors import (
     UnsafeRule,
     ValidationError,
 )
-from mdclean.mdlang import parse_mds
-from mdclean.model import MatchingFunction, SimilarityRelation
+from mdclean.chase import ChaseEngine
+from mdclean.mdlang import load_mds, parse_mds
+from mdclean.model import MatchingFunction, Schema, SimilarityRelation
 from mdclean.terms import Compound, Var
 
 from naive_dl import VALUE_USES, naive_evaluate, random_program
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 CHAIN_MF = MatchingFunction(
     {
@@ -45,6 +49,25 @@ def chain_env():
     sim = SimilarityRelation({"domb": [("b1", "b2"), ("b2", "b3")], "doma": [("a1", "a2")]})
     smf = CHAIN_MF.saturate()
     return sim, smf
+
+
+# multi-token values: "x" is a token of two others, and the declared pair
+# relates two values that share no token
+TOKEN_VALUES = ["a1 x", "x a2", "a3", "x", "b y"]
+
+
+def token_env():
+    sim = SimilarityRelation({"doma": [("a3", "b y")]}, {"doma": "token-overlap"})
+    return sim, CHAIN_MF.saturate()
+
+
+def scan_kinds(plan):
+    """How each scan of a compiled rule body reads its relation: through a
+    hash index ("hash"), through blocking keys ("keys") or in full ("full")."""
+    return [
+        "keys" if keys is not None else "full" if tuple_key is None else "hash"
+        for (_, tuple_key, _, _, _, keys), _ in plan.levels[1:]
+    ]
 
 
 # -- parsing ---------------------------------------------------------------
@@ -387,13 +410,51 @@ def test_matches_reference_on_random_programs():
 
 
 def test_matches_reference_on_random_builtin_programs():
-    sim, smf = chain_env()
-    for seed in range(20):
-        rng = random.Random(1000 + seed)
-        rules, facts = random_program(rng, with_builtins=True)
-        program = Program(rules, facts, value_builtins(VALUE_USES, sim, smf))
-        expected = naive_evaluate(rules, facts, sim, smf)
-        assert evaluate(program).relations == expected, f"seed {seed}"
+    # the reference tests each similarity and knows nothing of blocking keys,
+    # through which the token environment's scans mostly read
+    keyed = 0
+    for (sim, smf), token_values in ((chain_env(), None), (token_env(), TOKEN_VALUES)):
+        for seed in range(40):
+            rng = random.Random(1000 + seed)
+            rules, facts = random_program(rng, with_builtins=True, token_values=token_values)
+            program = Program(rules, facts, value_builtins(VALUE_USES, sim, smf))
+            expected = naive_evaluate(rules, facts, sim, smf)
+            assert evaluate(program).relations == expected, f"seed {seed}"
+            keyed += sum(scan_kinds(program.plan(i, None)).count("keys") for i in range(len(rules)))
+    assert keyed > 20
+
+
+def test_a_similarity_literal_tests_only_the_candidates_its_keys_reach(monkeypatch):
+    # "a x" shares two tokens with "x a" and is tested once; "b" shares none
+    calls = []
+    similar = SimilarityRelation.similar
+    monkeypatch.setattr(
+        SimilarityRelation, "similar", lambda self, d, a, b: calls.append((a, b)) or similar(self, d, a, b)
+    )
+    sim, smf = token_env()
+    program = parse_program(
+        """
+        e("x a"). f("a x"). f(b).
+        p(X, Y) :- e(X), f(Y), sim_doma(X, Y).
+        """,
+        value_builtins(VALUE_USES, sim, smf),
+    )
+    assert scan_kinds(program.plan(0, None)) == ["full", "keys"]
+    assert evaluate(program).get("p") == {("x a", "a x")}
+    assert calls == [("x a", "a x")]
+
+
+def test_the_step_rule_reaches_the_second_leading_tuple_through_blocking_keys():
+    d = FIXTURES / "bibliography"
+    schema, sim = Schema.load(d / "schema.txt"), SimilarityRelation.load(d / "sim.txt")
+    engine = ChaseEngine(schema, load_mds(d / "mds.txt"), sim, MatchingFunction.load(d / "mf.txt").saturate())
+    program = engine._program
+    plan = program.plan(0, None)
+    reads = [program.rules[0].body[i].pred for i in plan.reads]
+    assert reads == ["rel_Author", "rel_Author", "rel_Paper", "rel_Paper"]
+    # the second author is a partner of the first by `x1 ~name~ x2`, the
+    # first paper by `y1 ~title~ p1`, and the second shares the first's block
+    assert scan_kinds(plan) == ["full", "keys", "keys", "hash"]
 
 
 # -- rows that read changed facts ---------------------------------------------
@@ -449,32 +510,35 @@ def union(*parts):
 
 
 def test_delta_rows_match_the_reference_on_random_non_recursive_programs():
-    sim, smf = chain_env()
-    tested = changed_rows = 0
-    for seed in range(200):
-        rng = random.Random(5000 + seed)
-        with_builtins = seed % 2 == 1
-        rules, facts = random_program(rng, with_builtins=with_builtins)
-        rules = non_recursive(rules)
-        if not rules:
-            continue
-        tested += 1
-        consts = ["b1", "b2", "b3", "b12", "b23"] if with_builtins else [f"c{i}" for i in range(5)]
-        kept, old, new = change_facts(rng, facts, consts)
-        program = Program(rules, builtins=value_builtins(VALUE_USES, sim, smf))
-        before, after = union(kept, old), union(kept, new)
-        rows_before, rows_after = evaluate(program, before), evaluate(program, after)
-        rows_kept = evaluate(program, kept)
-        dropped = evaluate_delta(program, before, old)
-        added = evaluate_delta(program, after, new)
-        assert dropped.relations == rows_reading(rules, before, old, sim, smf), f"seed {seed}"
-        assert added.relations == rows_reading(rules, after, new, sim, smf), f"seed {seed}"
-        changed_rows += bool(dropped.relations) + bool(added.relations)
-        # every row either reads a changed fact or is derived without one
-        for full, delta in ((rows_before, dropped), (rows_after, added)):
-            for pred in program.idb_preds():
-                assert full.get(pred) == rows_kept.get(pred) | delta.get(pred), f"seed {seed}"
-    assert tested > 100 and changed_rows > 60
+    for (sim, smf), token_values in ((chain_env(), None), (token_env(), TOKEN_VALUES)):
+        tested = changed_rows = 0
+        for seed in range(200):
+            rng = random.Random(5000 + seed)
+            with_builtins = seed % 2 == 1
+            rules, facts = random_program(rng, with_builtins=with_builtins, token_values=token_values)
+            rules = non_recursive(rules)
+            if not rules:
+                continue
+            tested += 1
+            if token_values is not None:
+                consts = token_values
+            else:
+                consts = ["b1", "b2", "b3", "b12", "b23"] if with_builtins else [f"c{i}" for i in range(5)]
+            kept, old, new = change_facts(rng, facts, consts)
+            program = Program(rules, builtins=value_builtins(VALUE_USES, sim, smf))
+            before, after = union(kept, old), union(kept, new)
+            rows_before, rows_after = evaluate(program, before), evaluate(program, after)
+            rows_kept = evaluate(program, kept)
+            dropped = evaluate_delta(program, before, old)
+            added = evaluate_delta(program, after, new)
+            assert dropped.relations == rows_reading(rules, before, old, sim, smf), f"seed {seed}"
+            assert added.relations == rows_reading(rules, after, new, sim, smf), f"seed {seed}"
+            changed_rows += bool(dropped.relations) + bool(added.relations)
+            # every row either reads a changed fact or is derived without one
+            for full, delta in ((rows_before, dropped), (rows_after, added)):
+                for pred in program.idb_preds():
+                    assert full.get(pred) == rows_kept.get(pred) | delta.get(pred), f"seed {seed}"
+        assert tested > 100 and changed_rows > 60
 
 
 def test_delta_rows_maintain_rows_that_name_their_facts():

@@ -282,6 +282,32 @@ def test_similarity_token_overlap_builtin():
     assert sim.similar("title", "", "")  # reflexivity wins over empty overlap
 
 
+def test_similar_values_share_a_blocking_key():
+    vocabulary = ["x", "y", "a1", "b2"]
+    for seed in range(20):
+        rng = random.Random(seed)
+        # multi-token values, repeated tokens, stray spaces, the empty value,
+        # and each token also a value of its own
+        values = {
+            rng.choice(("", " ")).join(rng.choice(vocabulary) for _ in range(rng.randint(1, 3)))
+            + rng.choice(("", " "))
+            for _ in range(8)
+        }
+        values = sorted(values | set(vocabulary) | {""})
+        pairs = [tuple(rng.sample(values, 2)) for _ in range(3)]
+        sim = SimilarityRelation(
+            {"eq": pairs, "tok": pairs, "declared": pairs},
+            {"eq": "exact-equality", "tok": "token-overlap"},
+        )
+        for dom in ("eq", "tok", "declared", "undeclared"):
+            keys = sim.keys(dom)
+            for a in values:
+                assert keys(a)[0] == a and len(set(keys(a))) == len(keys(a)), (seed, dom, a)
+                for b in values:
+                    if sim.similar(dom, a, b):
+                        assert set(keys(a)) & set(keys(b)), (seed, dom, a, b)
+
+
 def test_token_overlap_splits_each_value_once_per_relation(monkeypatch):
     split = []
     monkeypatch.setattr(model, "tokens", lambda value: split.append(value) or frozenset(value.split()))
