@@ -82,27 +82,16 @@ class ChaseResult:
     sequences: tuple[tuple[EnforcementStep, ...], ...]
 
 
-class _CompiledMD:
-    """One bound rule and its step rule.
-
-    The step rule derives `step_<i>(T1, T2, C1..Ck, V1, V2)`: the two leading
-    identifiers, the context identifiers in atom order, and the two current
-    right-hand values, for every match of the rule's body (`md_body`).
-    """
-
-    def __init__(self, bound: BoundMD, index: int):
-        self.bound = bound
-        lead0, lead1 = bound.lead
-        names = [
-            lead0.tid_var,
-            lead1.tid_var,
-            *(atom.tid_var for atom in bound.md.context_atoms()),
-            lead0.attr_vars[bound.rhs[0]],
-            lead1.attr_vars[bound.rhs[1]],
-        ]
-        self.head = f"step_{index}"
-        head = Literal(self.head, tuple(Var(var_name(v)) for v in names))
-        self.rule = Rule(head, tuple(md_body(bound, relation_pred)))
+def _step_rule(bound: BoundMD, index: int) -> Rule:
+    """The step rule of the `index`-th rule.  It derives
+    `step_<index>(T1, T2, C1..Ck, V1, V2)`: the two leading identifiers, the
+    context identifiers in atom order, and the two current right-hand values,
+    for every match of the rule's body (`md_body`)."""
+    (lead0, lead1), (p0, p1) = bound.lead, bound.rhs
+    names = [lead0.tid_var, lead1.tid_var, *(a.tid_var for a in bound.md.context_atoms())]
+    names += [lead0.attr_vars[p0], lead1.attr_vars[p1]]
+    head = Literal(f"step_{index}", tuple(Var(var_name(v)) for v in names))
+    return Rule((head,), tuple(md_body(bound, relation_pred)))
 
 
 class _Layout:
@@ -166,11 +155,11 @@ class ChaseEngine:
         self.mds = mds
         self.sim = sim
         self.smf = smf
-        self._compiled = [_CompiledMD(rule, i) for i, rule in enumerate(rules)]
         self._rules = {rule.md.name: rule for rule in rules}
         uses = (("sim", dom) for rule in rules for dom in rule.sim_domains)
-        builtins = value_builtins(uses, sim)
-        self._program = Program([c.rule for c in self._compiled], builtins=builtins)
+        steps = [_step_rule(rule, i) for i, rule in enumerate(rules)]
+        self._program = Program(steps, value_builtins(uses, sim))
+        self._heads = [step.head.pred for step in steps]
 
     # -- step discovery ----------------------------------------------------
 
@@ -189,20 +178,20 @@ class ChaseEngine:
         None and refused only when enforced.
         """
         steps = []
-        for md_index, compiled in enumerate(self._compiled):
+        for md_index, (bound, head) in enumerate(zip(self._rules.values(), self._heads)):
             # a pair's two orientations are one step only when they write the
             # same cells; otherwise each ordered pair is its own step
-            symmetric = compiled.bound.symmetric_write()
+            symmetric = bound.symmetric_write()
             chosen: dict[tuple[str, str], tuple[str, ...]] = {}
-            for row in sorted(rows[compiled.head]):
+            for row in sorted(rows[head]):
                 pair = (row[0], row[1])
                 if symmetric and pair[1] < pair[0]:
                     pair = (pair[1], pair[0])
                 chosen.setdefault(pair, row)
             for pair, row in chosen.items():
                 old = (row[-2], row[-1]) if pair[0] == row[0] else (row[-1], row[-2])
-                merged = self.smf.try_match(compiled.bound.rhs_domain, *old)
-                step = EnforcementStep(compiled.bound.md.name, pair, row[2:-2], old, merged)
+                merged = self.smf.try_match(bound.rhs_domain, *old)
+                step = EnforcementStep(bound.md.name, pair, row[2:-2], old, merged)
                 steps.append(((md_index, pair), step))
         steps.sort(key=lambda keyed: keyed[0])
         return [step for _, step in steps]
@@ -215,7 +204,7 @@ class ChaseEngine:
         """The start of a chase, its agenda evaluated from scratch."""
         layout = _Layout(instance)
         model = evaluate(self._program, layout.facts(layout.vectors))
-        rows = {compiled.head: model.get(compiled.head) for compiled in self._compiled}
+        rows = {head: model.get(head) for head in self._heads}
         return _Node(layout, layout.vectors, rows)
 
     def _successor(self, layout: _Layout, state: tuple, step: EnforcementStep) -> tuple:

@@ -32,13 +32,15 @@ from .query import ConjunctiveQuery, certain_answers, load_queries, validate_que
 @contextmanager
 def _blame(path):
     """Prefix an input error raised inside with the file it came from, keeping
-    its class; with no file, the error passes unchanged."""
+    its class (a file that does not decode is a `ParseError`); with no file,
+    the error passes unchanged."""
     try:
         yield
-    except MdcleanError as exc:
+    except (MdcleanError, UnicodeDecodeError) as exc:
         if path is None:
             raise
-        wrapped = exc.__class__.__new__(exc.__class__)
+        cls = exc.__class__ if isinstance(exc, MdcleanError) else ParseError
+        wrapped = cls.__new__(cls)
         MdcleanError.__init__(wrapped, f"{path}: {exc}")
         raise wrapped from exc
 

@@ -13,12 +13,13 @@ the rule set converges to one clean instance, the residual form drops the
 disjunction, the `prec` machinery, and all constraints, leaving stratified
 Datalog that computes that instance bottom-up.
 
-Both programs are built as rule ASTs (`AspRule`s over `Literal`s), kept in one
-ordered list of statements tagged with their block.  The similarity, merge,
-and order relations (`sim_<dom>`, `mf_<dom>`, `pre_<dom>`) are built-ins of
-`datalog.value_builtins`: the residual's `Program` evaluates them as such over
-the version facts, and the text renders each as a table of ground facts over
-its domain's values, so a program is self-contained.  Text is rendered from
+Both programs are built as rule ASTs, kept in one ordered list of statements
+tagged with their block; each is a `datalog.Rule`, a fact being a rule with no
+body.  The similarity, merge, and order relations (`sim_<dom>`, `mf_<dom>`,
+`pre_<dom>`) are built-ins of `datalog.value_builtins`: the residual's
+`Program`, built from its version facts and rules, evaluates them as such,
+and the text renders each as a table of ground facts over its domain's
+values, so a program is self-contained.  Text is rendered from
 the statements through `datalog.format_rule_ast` only for output and never
 parsed back.  Matchings are reified as `mt(...)` terms holding the two tuple
 versions, which keeps `prec` binary even when rules range over relations of
@@ -35,7 +36,6 @@ from .chase import ChaseEngine
 from .classify import Classification, Verdict
 from .datalog import (
     NEQ,
-    AspRule,
     Builtin,
     Literal,
     Program,
@@ -78,11 +78,11 @@ RESIDUAL_TITLES = {
 
 @dataclass(frozen=True)
 class AspStatement:
-    """One statement of a generated program: a rule, or a `Literal` fact."""
+    """One statement of a generated program."""
 
     block: int
     kind: str
-    ast: AspRule | Literal
+    ast: Rule
 
     @property
     def text(self) -> str:
@@ -214,7 +214,7 @@ def _insertion_rules(rule: BoundMD, relation_pred) -> list[AspStatement]:
         head_args = _lead_args(atom)
         head_args[1 + pos] = merged
         head = _lit(relation_pred(atom.relation), head_args)
-        rules.append(AspStatement(3, "insertion", AspRule((head,), body)))
+        rules.append(AspStatement(3, "insertion", Rule((head,), body)))
     return rules
 
 
@@ -245,7 +245,7 @@ def _oldversion_rules(
             body.append(_lit(value_pred("pre", dom), [first[i], second[i]]))
     head = _lit(_oldversion_pred(rel_name), [tid, *first])
     return [
-        AspStatement(2, "oldversion", AspRule((head,), (*body, _neq(first[pos], second[pos]))))
+        AspStatement(2, "oldversion", Rule((head,), (*body, _neq(first[pos], second[pos]))))
         for pos in sorted(written)
     ]
 
@@ -257,7 +257,7 @@ def _version_facts(schema: Schema, instance: Instance, relation_pred) -> list[As
         pred = relation_pred(rel_name)
         rows = instance.tuples[rel_name]
         for tid in sorted(rows):
-            out.append(AspStatement(1, "version-fact", Literal(pred, (tid, *rows[tid]))))
+            out.append(AspStatement(1, "version-fact", Rule((Literal(pred, (tid, *rows[tid])),))))
     return out
 
 
@@ -304,7 +304,9 @@ def _value_tables(
             rows = [(a, b) for a in universe for b in universe if fn(a, b)]
         else:
             rows = [(a, b, c) for a in universe for b in universe if (c := fn(a, b)) is not None]
-        out.extend(AspStatement(1, f"{kind}-fact", Literal(builtin.name, row)) for row in rows)
+        out.extend(
+            AspStatement(1, f"{kind}-fact", Rule((Literal(builtin.name, row),))) for row in rows
+        )
     return out
 
 
@@ -345,7 +347,7 @@ def _collect_rules(schema: Schema, written, relation_pred) -> list[AspStatement]
         if rel_name in written:
             body.append(_lit(_oldversion_pred(rel_name), args, negated=True))
         head = _lit(_clean_pred(rel_name), args)
-        out.append(AspStatement(7, "collect", AspRule((head,), tuple(body))))
+        out.append(AspStatement(7, "collect", Rule((head,), tuple(body))))
     return out
 
 
@@ -380,7 +382,7 @@ def emit_general_asp(
         args = _match_args(rule)
         heads = (_lit(f"match_{name}", args), _lit(f"notmatch_{name}", args))
         body = tuple(md_body(rule, _version_pred))
-        statements.append(AspStatement(2, "disjunctive", AspRule(heads, body)))
+        statements.append(AspStatement(2, "disjunctive", Rule(heads, body)))
     for rel_name in sorted(written):
         statements.extend(
             _oldversion_rules(rel_name, schema, smf, written[rel_name], _version_pred)
@@ -389,7 +391,7 @@ def emit_general_asp(
         body = [_lit(f"notmatch_{_pred(rule.md.name)}", _match_args(rule))]
         for atom in rule.lead:
             body.append(_lit(_oldversion_pred(atom.relation), _lead_args(atom), negated=True))
-        statements.append(AspStatement(2, "notmatch-constraint", AspRule((), tuple(body))))
+        statements.append(AspStatement(2, "notmatch-constraint", Rule((), tuple(body))))
 
     for rule in rules:
         statements.extend(_insertion_rules(rule, _version_pred))
@@ -397,9 +399,9 @@ def emit_general_asp(
     statements.extend(_prec_recording(rules, schema, smf, written))
     if rules:
         antisymmetry = (_lit("prec", ["M1", "M2"]), _lit("prec", ["M2", "M1"]), _neq("M1", "M2"))
-        statements.append(AspStatement(6, "prec-antisymmetry", AspRule((), antisymmetry)))
+        statements.append(AspStatement(6, "prec-antisymmetry", Rule((), antisymmetry)))
         closure = (_lit("prec", ["M1", "M2"]), _lit("prec", ["M2", "M3"]))
-        transitivity = AspRule((_lit("prec", ["M1", "M3"]),), closure)
+        transitivity = Rule((_lit("prec", ["M1", "M3"]),), closure)
         statements.append(AspStatement(6, "prec-transitivity", transitivity))
 
     statements.extend(_collect_rules(schema, written, _version_pred))
@@ -456,7 +458,7 @@ def _prec_recording(
             pairs = [(var_name(vj), ren[vk]) for vj, vk in names]
             pre = [_lit(value_pred("pre", doms[pos]), pairs[pos]) for pos in ordered]
             for pos in sorted(written[lead_j.relation]):
-                rule = AspRule((head,), (*matches, *pre, _neq(*pairs[pos])))
+                rule = Rule((head,), (*matches, *pre, _neq(*pairs[pos])))
                 out.append(AspStatement(4, "prec-newer-version", rule))
 
             ren, taken, matches, head = _ordered_pair(rj, rk, lead_j, lead_k, range(len(doms)))
@@ -468,7 +470,7 @@ def _prec_recording(
                 _lit(value_pred("mf", rk.rhs_domain), [shared, other, merged]),
                 _neq(shared, merged),
             )
-            out.append(AspStatement(5, "prec-shared-version", AspRule((head,), body)))
+            out.append(AspStatement(5, "prec-shared-version", Rule((head,), body)))
     return out
 
 
@@ -501,18 +503,15 @@ def emit_residual_datalog(
     for rule in rules:
         head = _lit(f"match_{_pred(rule.md.name)}", _match_args(rule))
         body = tuple(md_body(rule, _pred))
-        derived.append(AspStatement(2, "match", AspRule((head,), body)))
+        derived.append(AspStatement(2, "match", Rule((head,), body)))
     for rel_name in sorted(written):
         derived.extend(_oldversion_rules(rel_name, schema, smf, written[rel_name], _pred))
     for rule in rules:
         derived.extend(_insertion_rules(rule, _pred))
     derived.extend(_collect_rules(schema, written, _pred))
 
-    facts: dict[str, list[tuple[str, ...]]] = {}
-    for st in version_facts:
-        facts.setdefault(st.ast.pred, []).append(st.ast.args)
     builtins = value_builtins(uses, sim, smf)
-    program = Program([Rule(st.ast.heads[0], st.ast.body) for st in derived], facts, builtins)
+    program = Program([st.ast for st in (*version_facts, *derived)], builtins)
     clean_preds = tuple((rel, _clean_pred(rel)) for rel in schema.relation_names())
 
     def statements() -> list[AspStatement]:

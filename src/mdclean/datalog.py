@@ -5,9 +5,9 @@ One grammar covers both layers.  Rules look like
     r_clean(T, X, Y) :- r(T, X, Y), not oldversion_r(T, X, Y).
 
 with `%` comments, upper-case/underscore initials for variables, and quoting
-for constants that would otherwise read as variables.  Disjunctive heads
-(`a | b :- ...`) and headless constraints are parsed for the ASP layer but
-rejected by `Program`, which only evaluates plain stratified rules.
+for constants that would otherwise read as variables.  Every statement is a
+`Rule`, a fact being one with no body; disjunctive heads (`a | b :- ...`) and
+headless constraints are parsed for the ASP layer but rejected by `Program`.
 
 Built-ins are literals computed from their arguments instead of looked up:
 `X != Y`, and per domain `d` the value relations `sim_d(X, Y)` (similarity),
@@ -54,16 +54,18 @@ class Literal:
 
 @dataclass(frozen=True)
 class Rule:
-    head: Literal
-    body: tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
-class AspRule:
-    """A rule as written: possibly disjunctive, possibly a constraint."""
+    """A statement as written: a rule, a fact (one head, no body), a
+    disjunctive rule (several heads) or a constraint (no head)."""
 
     heads: tuple[Literal, ...]
-    body: tuple[Literal, ...]
+    body: tuple[Literal, ...] = ()
+
+    @property
+    def head(self) -> Literal:
+        """The one head; a constraint or a disjunction has none."""
+        if len(self.heads) != 1:
+            raise ValidationError(f"{format_rule_ast(self)!r} does not have exactly one head")
+        return self.heads[0]
 
     @property
     def is_constraint(self) -> bool:
@@ -139,20 +141,31 @@ def value_builtins(
 
 
 class Program:
-    """Facts plus single-head rules, validated for safety and plannability."""
+    """Ground facts plus single-head rules, validated for safety and
+    plannability; the facts of `statements` go to `facts`, the rest to `rules`."""
 
-    def __init__(
-        self,
-        rules: Iterable[Rule],
-        facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None,
-        builtins: Mapping[str, Builtin] | None = None,
-    ):
+    def __init__(self, statements: Iterable[Rule], builtins: Mapping[str, Builtin] | None = None):
         self.builtins: dict[str, Builtin] = dict(builtins or {})
         self.builtins.setdefault(NEQ, NEQ_BUILTIN)
-        self.rules: list[Rule] = list(rules)
-        self.facts: dict[str, set[tuple[str, ...]]] = {
-            pred: {tuple(t) for t in ts} for pred, ts in (facts or {}).items()
-        }
+        self.rules: list[Rule] = []
+        self.facts: dict[str, set[tuple[str, ...]]] = {}
+        for st in statements:
+            if st.is_constraint:
+                raise ValidationError("constraints are not part of the Datalog layer")
+            if len(st.heads) > 1:
+                raise ValidationError("disjunctive heads are not part of the Datalog layer")
+            if st.head.negated:
+                raise ValidationError("rule head cannot be negated")
+            if st.head.pred in self.builtins:
+                raise ValidationError(f"rule head {st.head.pred!r} is a built-in")
+            if not st.is_fact:
+                self.rules.append(st)
+            elif any(is_var(a) or isinstance(a, Compound) for a in st.head.args):
+                raise ValidationError(
+                    f"fact {format_literal(st.head)!r} must be ground and function-free"
+                )
+            else:
+                self.facts.setdefault(st.head.pred, set()).add(st.head.args)
         self._plans: dict[tuple[int, int | None], _Plan] = {}
         self._strata: list[list[str]] | None = None
         self._validate()
@@ -182,10 +195,6 @@ class Program:
                 if arities.setdefault(pred, len(t)) != len(t):
                     raise ValidationError(f"predicate {pred!r} used with mixed arities")
         for rule in self.rules:
-            if rule.head.pred in self.builtins:
-                raise ValidationError(f"rule head {rule.head.pred!r} is a built-in")
-            if rule.head.negated:
-                raise ValidationError("rule head cannot be negated")
             for lit in (rule.head, *rule.body):
                 if arities.setdefault(lit.pred, len(lit.args)) != len(lit.args):
                     raise ValidationError(f"predicate {lit.pred!r} used with mixed arities")
@@ -681,19 +690,13 @@ def format_literal(lit: Literal) -> str:
     return f"{prefix}{pred}({args})"
 
 
-def format_rule_ast(rule: Rule | AspRule | Literal) -> str:
-    """One statement; a bare `Literal` is written as a fact."""
-    if isinstance(rule, Literal):
-        heads, body = [rule], ()
-    elif isinstance(rule, Rule):
-        heads, body = [rule.head], rule.body
-    else:
-        heads, body = list(rule.heads), rule.body
-    head_text = " | ".join(format_literal(h) for h in heads)
-    if not body:
+def format_rule_ast(rule: Rule) -> str:
+    """One statement, as `parse_asp` reads it back."""
+    head_text = " | ".join(format_literal(h) for h in rule.heads)
+    if not rule.body:
         return f"{head_text}."
-    body_text = ", ".join(format_literal(lit) for lit in body)
-    if not heads:
+    body_text = ", ".join(format_literal(lit) for lit in rule.body)
+    if not rule.heads:
         return f":- {body_text}."
     return f"{head_text} :- {body_text}."
 
@@ -775,7 +778,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def parse_asp(text: str) -> list[AspRule]:
+def parse_asp(text: str) -> list[Rule]:
     """Every statement, keeping disjunctions and constraints."""
     lexer = Lexer(text, _TOKEN_RE)
     rules = []
@@ -784,48 +787,30 @@ def parse_asp(text: str) -> list[AspRule]:
     return rules
 
 
-def parse_program(
-    text: str, builtins: Mapping[str, Builtin] | None = None
-) -> Program:
+def parse_program(text: str, builtins: Mapping[str, Builtin] | None = None) -> Program:
     """A plain Datalog program: ground facts and single-head rules."""
-    rules: list[Rule] = []
-    facts: dict[str, list[tuple[str, ...]]] = {}
-    for asp_rule in parse_asp(text):
-        if asp_rule.is_constraint:
-            raise ValidationError("constraints are not part of the Datalog layer")
-        if len(asp_rule.heads) > 1:
-            raise ValidationError("disjunctive heads are not part of the Datalog layer")
-        head = asp_rule.heads[0]
-        if asp_rule.is_fact:
-            if any(is_var(a) or isinstance(a, Compound) for a in head.args):
-                raise ValidationError(
-                    f"fact {format_literal(head)!r} must be ground and function-free"
-                )
-            facts.setdefault(head.pred, []).append(tuple(head.args))
-        else:
-            rules.append(Rule(head, asp_rule.body))
-    return Program(rules, facts, builtins)
+    return Program(parse_asp(text), builtins)
 
 
-def _parse_statement(lexer: Lexer) -> AspRule:
+def _parse_statement(lexer: Lexer) -> Rule:
     heads: list[Literal] = []
     if lexer.peek().kind == "implication":
         lexer.next()
         body = _parse_body(lexer)
         lexer.expect("punct", ".")
-        return AspRule((), tuple(body))
+        return Rule((), tuple(body))
     heads.append(_parse_literal(lexer, allow_not=False))
     while lexer.peek()[:2] == ("punct", "|"):
         lexer.next()
         heads.append(_parse_literal(lexer, allow_not=False))
     token = lexer.next()
     if token[:2] == ("punct", "."):
-        return AspRule(tuple(heads), ())
+        return Rule(tuple(heads))
     if token.kind != "implication":
         raise ParseError(f"expected ':-' or '.', found {token.text!r}", token.line, token.column)
     body = _parse_body(lexer)
     lexer.expect("punct", ".")
-    return AspRule(tuple(heads), tuple(body))
+    return Rule(tuple(heads), tuple(body))
 
 
 def _parse_body(lexer: Lexer) -> list[Literal]:

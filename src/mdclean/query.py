@@ -147,7 +147,7 @@ def _answers(
         tids = dict.fromkeys(atom.args[0] for atom in query.atoms)
         body.extend(Literal(NEQ, pair) for pair in itertools.combinations(tids, 2))
     builtins = value_builtins((("sim", dom) for dom in domains), sim)
-    program = Program([Rule(Literal(_ANSWER, head), tuple(body))], builtins=builtins)
+    program = Program([Rule((Literal(_ANSWER, head),), tuple(body))], builtins)
     return evaluate(program, instance_facts(instance)).get(_ANSWER)
 
 

@@ -40,7 +40,7 @@ from itertools import product
 
 from mdclean.chase import ChaseEngine
 from mdclean.codegen import emit_general_asp
-from mdclean.datalog import NEQ, AspRule, Literal, Program, Rule, evaluate, parse_asp
+from mdclean.datalog import NEQ, Literal, Program, Rule, evaluate, parse_asp
 from mdclean.terms import Compound, Var
 
 from population import random_setting
@@ -86,7 +86,7 @@ def _unflat(pred: str, row: tuple[str, ...]) -> tuple[str, tuple]:
     return name, tuple(args)
 
 
-def _expand_term_variables(statements: list[AspRule]) -> list[AspRule]:
+def _expand_term_variables(statements: list[Rule]) -> list[Rule]:
     """Each rule with a plain variable where some statement writes a function
     term, once per combination of the term shapes written at its positions.
 
@@ -121,7 +121,7 @@ def _expand_term_variables(statements: list[AspRule]) -> list[AspRule]:
                 args = tuple(env.get(a.name, a) if isinstance(a, Var) else a for a in lit.args)
                 return Literal(lit.pred, args, lit.negated)
 
-            out.append(AspRule(tuple(map(subst, st.heads)), tuple(map(subst, st.body))))
+            out.append(Rule(tuple(map(subst, st.heads)), tuple(map(subst, st.body))))
     return out
 
 
@@ -153,30 +153,26 @@ class ShiftedProgram:
 
     def __init__(self, text: str):
         statements = _expand_term_variables(parse_asp(text))
-        facts: dict[str, set[tuple]] = {}
         normal: list[Rule] = []
         self.choices: list[tuple[tuple[Literal, ...], tuple[str, ...]]] = []
         self.constraints = []
         for st in statements:
             if st.is_constraint:
                 self.constraints.append(st.body)
-            elif st.is_fact:
-                head = _flat(st.heads[0])
-                facts.setdefault(head.pred, set()).add(head.args)
             elif len(st.heads) == 1:
-                normal.append(Rule(_flat(st.heads[0]), tuple(_flat(lit) for lit in st.body)))
+                normal.append(Rule((_flat(st.heads[0]),), tuple(_flat(lit) for lit in st.body)))
             else:
                 names = tuple(_var_names(a for h in st.heads for a in h.args))
                 self.choices.append((st.heads, names))
                 index = len(self.choices) - 1
                 body = tuple(_flat(lit) for lit in st.body)
                 key = tuple(Var(v) for v in names)
-                normal.append(Rule(Literal(f"#open{index}", key), body))
+                normal.append(Rule((Literal(f"#open{index}", key),), body))
                 for j, head in enumerate(st.heads):
                     guess = Literal(f"#guess{index}_{j}", key)
-                    normal.append(Rule(_flat(head), (guess, *body)))
+                    normal.append(Rule((_flat(head),), (guess, *body)))
         self._check(statements, normal)
-        self.program = Program(normal, facts)
+        self.program = Program(normal)
 
     def _check(self, statements, normal: list[Rule]) -> None:
         """Refuse a program with a head cycle, or whose disjunctive bodies

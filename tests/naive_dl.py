@@ -257,5 +257,5 @@ def random_program(rng: random.Random, with_builtins=False, token_values=None):
             rng.choice(bound) if bound and rng.random() < 0.8 else rng.choice(consts)
             for _ in range(head_arity)
         )
-        rules.append(Rule(Literal(head_name, head_args), tuple(body)))
+        rules.append(Rule((Literal(head_name, head_args),), tuple(body)))
     return rules, facts

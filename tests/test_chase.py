@@ -415,7 +415,7 @@ class AgendaOracle(ChaseEngine):
     visited = 0
 
     def _steps(self, node):
-        assert set(node.rows) == {compiled.head for compiled in self._compiled}
+        assert set(node.rows) == set(self._heads)
         steps = super()._steps(node)
         assert steps == self.applicable_steps(node.layout.instance(node.state))
         self.visited += 1

@@ -648,3 +648,33 @@ def test_a_csv_file_named_after_no_relation_is_refused(tmp_path, capsys):
         code, out, err = run(capsys, [command, *dir_args(d)])
         assert (code, out) == (1, ""), command
         assert err == f"error: ValidationError: {d}: unknown relation 'r'\n"
+
+
+@pytest.mark.parametrize(
+    "option, file",
+    [
+        ("--schema", "schema.txt"),
+        ("--instance", "instance.json"),
+        ("--instance", "R.csv"),
+        ("--mds", "mds.txt"),
+        ("--sim", "sim.txt"),
+        ("--mf", "mf.txt"),
+        ("--query", "queries.txt"),
+    ],
+)
+def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, option, file):
+    d = tmp_path / "divergent"
+    shutil.copytree(FIXTURES / "divergent", d)
+    instance = d / "instance.json"
+    instance.write_text('{"R": {"t1": ["a1", "b1"], "t2": ["a2", "b2"]}}')
+    path = d / file
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    args = [*dir_args(d), "--query", str(d / "queries.txt")]
+    if file == "instance.json":
+        args[args.index("--instance") + 1] = str(instance)
+    code, out, err = run(capsys, ["validate", *args])
+    blamed = args[args.index(option) + 1]
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: ParseError: {blamed}: "), err
+    assert "codec can't decode byte 0xff" in err
+    assert "Traceback" not in err

@@ -8,9 +8,9 @@ import pytest
 from mdclean.chase import ChaseEngine
 from mdclean.classify import Verdict, classify
 from mdclean.codegen import emit_general_asp, emit_residual_datalog, evaluate_residual
-from mdclean.datalog import AspRule, Literal, evaluate, parse_asp, parse_program, stratify
+from mdclean.datalog import evaluate, parse_asp, parse_program, stratify
 from mdclean.errors import NotSci, UndefinedMatch, ValidationError
-from mdclean.mdlang import parse_mds
+from mdclean.mdlang import load_mds, parse_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -20,6 +20,7 @@ from mdclean.model import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 TWO_RULES = """
 md md1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;
@@ -99,11 +100,6 @@ def biblio_setting():
 def emitted(setting_fn=divergent_setting):
     schema, mds, instance, sim, smf = setting_fn()
     return emit_general_asp(schema, instance, mds, sim, smf)
-
-
-def as_asp_rule(ast):
-    """An emitted statement as `parse_asp` reads it back; facts are bare literals."""
-    return AspRule((ast,), ()) if isinstance(ast, Literal) else ast
 
 
 def body_preds(rule):
@@ -225,7 +221,7 @@ def test_general_reparses_and_is_byte_stable():
     one = emit_general_asp(schema, instance, mds, sim, smf)
     two = emit_general_asp(schema, instance, mds, sim, smf)
     assert one.text() == two.text()
-    assert parse_asp(one.text()) == [as_asp_rule(st.ast) for st in one.statements]
+    assert parse_asp(one.text()) == [st.ast for st in one.statements]
 
 
 def test_general_empty_rule_set_is_facts_plus_collection():
@@ -408,6 +404,26 @@ def test_evaluate_residual_refuses_an_unstable_result():
     assert "not stable" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["bibliography", "convergent", "crossrel", "divergent", "reversed"])
+def test_fixture_programs_reparse_to_their_statements_value_tables_included(name):
+    d = FIXTURES / name
+    schema = Schema.load(d / "schema.txt")
+    instance = Instance.load(schema, d)
+    mds = load_mds(d / "mds.txt")
+    sim = SimilarityRelation.load(d / "sim.txt")
+    mf = MatchingFunction.load(d / "mf.txt")
+    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    asp = emit_general_asp(schema, instance, mds, sim, smf)
+    assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
+    report = classify(mds, schema, instance, sim, smf)
+    if report.verdict is Verdict.GENERAL:
+        return
+    rp = emit_residual_datalog(schema, instance, mds, sim, smf, report)
+    statements = rp.statements()
+    assert any(st.kind.endswith("-fact") and st.kind != "version-fact" for st in statements)
+    assert parse_asp(rp.text()) == [st.ast for st in statements]
+
+
 def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
     def escaped():
         return setting(
@@ -417,7 +433,7 @@ def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
 
     schema, mds, instance, sim, smf = escaped()
     asp = emit_general_asp(schema, instance, mds, sim, smf)
-    assert parse_asp(asp.text()) == [as_asp_rule(st.ast) for st in asp.statements]
+    assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
     rp = residual(escaped)
     reparsed = parse_program(rp.text())
     assert reparsed.rules == rp.program.rules

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from mdclean.datalog import (
-    AspRule,
     Literal,
     Program,
     Rule,
@@ -94,7 +93,7 @@ def test_parse_asp_disjunction_and_constraint():
     assert [len(r.heads) for r in rules] == [2, 0, 1]
     assert rules[1].is_constraint
     assert rules[2].is_fact
-    assert rules[0] == AspRule(
+    assert rules[0] == Rule(
         (Literal("a", (Var("X"),)), Literal("b", (Var("X"),))),
         (Literal("c", (Var("X"),)),),
     )
@@ -103,7 +102,7 @@ def test_parse_asp_disjunction_and_constraint():
 def test_parse_quoted_and_numeric_constants():
     program = parse_program('p("Hello World", 42).')
     assert program.facts == {"p": {("Hello World", "42")}}
-    assert format_rule_ast(Literal("p", ("Hello World", "42"))) == 'p("Hello World", 42).'
+    assert format_rule_ast(Rule((Literal("p", ("Hello World", "42")),))) == 'p("Hello World", 42).'
 
 
 @pytest.mark.parametrize(
@@ -111,9 +110,9 @@ def test_parse_quoted_and_numeric_constants():
     ["a\\b", "ends\\", "\\", 'say "hi"', '\\"', "two words", "Upper", "_under", "a.b", ""],
 )
 def test_quoted_constants_round_trip(value):
-    fact = Literal("p", (value, "k"))
+    fact = Rule((Literal("p", (value, "k")),))
     text = format_rule_ast(fact)
-    assert parse_asp(text) == [AspRule((fact,), ())]
+    assert parse_asp(text) == [fact]
     assert parse_program(text).facts == {"p": {(value, "k")}}
 
 
@@ -182,20 +181,65 @@ def test_datalog_layer_rejects_asp_forms():
         parse_program("p(mt(a, b)).")
 
 
+X = Var("X")
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        (Rule((), (Literal("a", (X,)),)), "constraints are not part of the Datalog layer"),
+        (
+            Rule((Literal("a", (X,)), Literal("b", (X,))), (Literal("c", (X,)),)),
+            "disjunctive heads are not part of the Datalog layer",
+        ),
+        (Rule((Literal("p", (X,)),)), "fact 'p[(]X[)]' must be ground and function-free"),
+        (
+            Rule((Literal("p", (Compound("mt", ("a", "b")),)),)),
+            "fact 'p[(]mt[(]a, b[)][)]' must be ground and function-free",
+        ),
+        (Rule((Literal("p", ("a",), negated=True),)), "rule head cannot be negated"),
+        # a built-in computes its rows, so a fact of one would be ignored
+        (Rule((Literal("sim_doma", ("x", "y")),)), "rule head 'sim_doma' is a built-in"),
+    ],
+)
+def test_a_program_built_from_statements_refuses_what_it_cannot_evaluate(statement, message):
+    # the parser never writes a negated head, but a statement built directly can
+    builtins = value_builtins([("sim", "doma")], SimilarityRelation())
+    with pytest.raises(ValidationError, match=message):
+        Program([Rule((Literal("c", ("k",)),)), statement], builtins)
+
+
+def test_a_statement_without_exactly_one_head_has_no_head():
+    constraint, disjunction, fact = parse_asp(":- a(X). a(X) | b(X) :- c(X). d(k).")
+    for statement in (constraint, disjunction):
+        with pytest.raises(ValidationError, match="does not have exactly one head"):
+            statement.head
+    assert fact.head == Literal("d", ("k",))
+    assert Program([fact]).facts == {"d": {("k",)}}
+
+
 @pytest.mark.parametrize(
     "ast",
     [
-        Literal("sim_dom-a", ("a1", "a1")),
-        Literal("Upper", ("a",)),
-        Literal("not", ()),
-        Literal("p", (Var("first name"),)),
-        Literal("p", (Compound("m t", ("a",)),)),
-        AspRule((Literal("p", (Var("X"),)),), (Literal("q-r", (Var("X"),)),)),
+        Rule((Literal("sim_dom-a", ("a1", "a1")),)),
+        Rule((Literal("Upper", ("a",)),)),
+        Rule((Literal("not", ()),)),
+        Rule((Literal("p", (Var("first name"),)),)),
+        Rule((Literal("p", (Compound("m t", ("a",)),)),)),
+        Rule((Literal("p", (Var("X"),)),), (Literal("q-r", (Var("X"),)),)),
     ],
 )
 def test_format_refuses_names_that_do_not_read_back(ast):
     with pytest.raises(ValidationError, match="cannot be written as a Datalog"):
         format_rule_ast(ast)
+
+
+def test_every_random_rule_and_fact_reads_back_as_itself():
+    for seed in range(100):
+        rules, facts = random_program(random.Random(seed), with_builtins=seed % 2 == 1)
+        facts = [Rule((Literal(pred, t),)) for pred, ts in facts.items() for t in sorted(ts)]
+        for rule in (*rules, *facts):
+            assert parse_asp(format_rule_ast(rule)) == [rule], f"seed {seed}"
 
 
 def test_format_round_trip_is_stable():
@@ -220,7 +264,7 @@ def test_mixed_arity_rejected():
 
 def test_builtin_heads_and_negation_rejected():
     with pytest.raises(ValidationError):
-        Program([Rule(Literal("sim_doma", (Var("X"),) * 2), (Literal("p", (Var("X"),)),))],
+        Program([Rule((Literal("sim_doma", (Var("X"),) * 2),), (Literal("p", (Var("X"),)),))],
                 builtins=value_builtins([("sim", "doma")], SimilarityRelation()))
     with pytest.raises(ValidationError):
         parse_program("p(X) :- q(X), not X != X.")
@@ -404,9 +448,9 @@ def test_matches_reference_on_random_programs():
     for seed in range(30):
         rng = random.Random(seed)
         rules, facts = random_program(rng)
-        program = Program(rules, facts, value_builtins(VALUE_USES, sim, smf))
+        program = Program(rules, value_builtins(VALUE_USES, sim, smf))
         expected = naive_evaluate(rules, facts, sim, smf)
-        assert evaluate(program).relations == expected, f"seed {seed}"
+        assert evaluate(program, facts).relations == expected, f"seed {seed}"
 
 
 def test_matches_reference_on_random_builtin_programs():
@@ -417,9 +461,9 @@ def test_matches_reference_on_random_builtin_programs():
         for seed in range(40):
             rng = random.Random(1000 + seed)
             rules, facts = random_program(rng, with_builtins=True, token_values=token_values)
-            program = Program(rules, facts, value_builtins(VALUE_USES, sim, smf))
+            program = Program(rules, value_builtins(VALUE_USES, sim, smf))
             expected = naive_evaluate(rules, facts, sim, smf)
-            assert evaluate(program).relations == expected, f"seed {seed}"
+            assert evaluate(program, facts).relations == expected, f"seed {seed}"
             keyed += sum(scan_kinds(program.plan(i, None)).count("keys") for i in range(len(rules)))
     assert keyed > 20
 
@@ -482,7 +526,7 @@ def rows_reading(rules, facts, delta, sim, smf):
                 continue
             body = list(rule.body)
             body[i] = Literal("changed_" + lit.pred, lit.args)
-            variant = Rule(rule.head, tuple(body))
+            variant = Rule((rule.head,), tuple(body))
             db = naive_evaluate([variant], {**facts, "changed_" + lit.pred: delta[lit.pred]}, sim, smf)
             out.setdefault(rule.head.pred, set()).update(db.get(rule.head.pred, ()))
     return {pred: frozenset(ts) for pred, ts in out.items() if ts}
@@ -525,7 +569,7 @@ def test_delta_rows_match_the_reference_on_random_non_recursive_programs():
             else:
                 consts = ["b1", "b2", "b3", "b12", "b23"] if with_builtins else [f"c{i}" for i in range(5)]
             kept, old, new = change_facts(rng, facts, consts)
-            program = Program(rules, builtins=value_builtins(VALUE_USES, sim, smf))
+            program = Program(rules, value_builtins(VALUE_USES, sim, smf))
             before, after = union(kept, old), union(kept, new)
             rows_before, rows_after = evaluate(program, before), evaluate(program, after)
             rows_kept = evaluate(program, kept)
@@ -564,8 +608,8 @@ def test_delta_rows_maintain_rows_that_name_their_facts():
             bound = sorted({a for lit in body for a in lit.args[1:] if isinstance(a, Var)}, key=str)
             if len(bound) >= 2 and rng.random() < 0.5:
                 body.append(Literal("sim_domb", tuple(rng.sample(bound, 2))))
-            rules.append(Rule(Literal(f"h{k}", tuple(ids)), tuple(body)))
-        program = Program(rules, builtins=value_builtins(VALUE_USES, sim, smf))
+            rules.append(Rule((Literal(f"h{k}", tuple(ids)),), tuple(body)))
+        program = Program(rules, value_builtins(VALUE_USES, sim, smf))
         facts = {"e0": set(), "e1": set()}
         for n in range(rng.randint(2, 8)):
             pred = rng.choice(EDB)
