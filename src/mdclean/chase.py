@@ -14,25 +14,26 @@ rule priority.  It memoises states, which keeps `chase_all` exponential in
 the number of reachable value states rather than in step interleavings,
 charges every step it follows to one budget, the one bound on either chase
 however many tuples the instance holds, and builds an `Instance` only for
-each stable endpoint.  It evaluates the step rules from scratch once,
-at its start (as `applicable_steps` does), and then keeps their rows as an
-agenda, in the manner of delete-and-rederive: an enforcement rewrites two
-tuples, so the rows naming either go and the rows reading their new
-versions come (`datalog.evaluate_delta`).  `enforce` steps an instance
-through the exploration's successor function.
+each stable endpoint.  It keeps one `datalog.Database` holding the state it
+visits and the step rules' rows over it, evaluated from scratch only at its
+start (as `applicable_steps` does).  Moving to another state rewrites the
+tuples whose values differ, in the manner of delete-and-rederive: their old
+facts and the rows naming them go, and the rows reading their new versions
+come.  `enforce` steps an instance through the exploration's successor
+function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Mapping
+from typing import Callable
 
-from .datalog import Literal, Program, Rule, evaluate, evaluate_delta, value_builtins
+from .datalog import Database, Literal, Program, Rule, evaluate, value_builtins
 from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
 from .mdlang import BoundMD, MDSet, md_body, validate_mds, var_name
 from .model import Instance, SaturatedMatchingFunction, Schema, SimilarityRelation
-from .query import relation_pred
+from .query import instance_facts, relation_pred
 from .terms import Var
 
 DEFAULT_STEP_LIMIT = 20000
@@ -109,13 +110,6 @@ class _Layout:
         self.position = {tid: i for i, tid in enumerate(self.tids)}
         self.vectors = tuple(vals for _, _, vals in tuples)
 
-    def facts(self, state: tuple) -> dict[str, set[tuple[str, ...]]]:
-        """The state's tuples as facts of `relation_pred`, identifier first."""
-        out: dict[str, set[tuple[str, ...]]] = {}
-        for pred, tid, vals in zip(self.preds, self.tids, state):
-            out.setdefault(pred, set()).add((tid, *vals))
-        return out
-
     def instance(self, state: tuple) -> Instance:
         """The state as an instance, with the start's relations and tuples in their order."""
         if state == self.vectors:
@@ -126,20 +120,6 @@ class _Layout:
             for rel, rows in self.start.tuples.items()
         }
         return Instance(self.start.schema, tuples)
-
-
-class _Node:
-    """A chase state and its agenda: the step rules' rows over it, by head."""
-
-    def __init__(
-        self,
-        layout: _Layout,
-        state: tuple[tuple[str, ...], ...],
-        rows: Mapping[str, AbstractSet[tuple[str, ...]]],
-    ):
-        self.layout = layout
-        self.state = state
-        self.rows = rows
 
 
 class ChaseEngine:
@@ -166,11 +146,11 @@ class ChaseEngine:
     def applicable_steps(self, instance: Instance) -> list[EnforcementStep]:
         """Every applicable step, sorted by rule order then leading tuples,
         from the step rules evaluated over `instance` from scratch."""
-        return self._select(self._start(instance).rows)
+        return self._select(evaluate(self._program, instance_facts(instance)))
 
-    def _select(self, rows: Mapping[str, AbstractSet[tuple[str, ...]]]) -> list[EnforcementStep]:
-        """The steps of the step rules' `rows`, sorted by rule order then
-        leading tuples.
+    def _select(self, db: Database) -> list[EnforcementStep]:
+        """The steps of the step rules' rows in `db`, sorted by rule order
+        then leading tuples.
 
         Of the rows for one step the least in (leading identifiers, context
         identifiers) is kept, so the context is the least witness.  A merge
@@ -183,7 +163,7 @@ class ChaseEngine:
             # same cells; otherwise each ordered pair is its own step
             symmetric = bound.symmetric_write()
             chosen: dict[tuple[str, str], tuple[str, ...]] = {}
-            for row in sorted(rows[head]):
+            for row in sorted(db.get(head)):
                 pair = (row[0], row[1])
                 if symmetric and pair[1] < pair[0]:
                     pair = (pair[1], pair[0])
@@ -196,16 +176,30 @@ class ChaseEngine:
         steps.sort(key=lambda keyed: keyed[0])
         return [step for _, step in steps]
 
-    def _steps(self, node: _Node) -> list[EnforcementStep]:
-        """The steps of a state the chase visits, read off its agenda."""
-        return self._select(node.rows)
+    def _steps(self, layout: _Layout, state: tuple, db: Database) -> list[EnforcementStep]:
+        """The steps of `state`, a state of `layout` the chase visits, read
+        off the step rows of `db`, which holds it."""
+        return self._select(db)
 
-    def _start(self, instance: Instance) -> _Node:
-        """The start of a chase, its agenda evaluated from scratch."""
-        layout = _Layout(instance)
-        model = evaluate(self._program, layout.facts(layout.vectors))
-        rows = {head: model.get(head) for head in self._heads}
-        return _Node(layout, layout.vectors, rows)
+    def _move(self, layout: _Layout, db: Database, held: tuple, state: tuple) -> None:
+        """Make `db`, which holds the state `held` and its step rows, hold
+        `state` and its step rows.
+
+        The tuples whose values differ lose their old facts and the rows
+        naming them, and the rows reading their new versions are derived.
+        Tuple identifiers are unique across relations, so a row names a tuple
+        only if it read it.
+        """
+        tids: set[str] = set()
+        new_versions: dict[str, list[tuple[str, ...]]] = {}
+        for tid, pred, old, new in zip(layout.tids, layout.preds, held, state):
+            if old != new:
+                tids.add(tid)
+                db.discard(pred, [(tid, *old)])
+                new_versions.setdefault(pred, []).append((tid, *new))
+        for head in self._heads:
+            db.discard(head, [row for row in db.get(head) if not tids.isdisjoint(row[:-2])])
+        evaluate(self._program, new_versions, db)
 
     def _successor(self, layout: _Layout, state: tuple, step: EnforcementStep) -> tuple:
         """The state that enforcing `step` leads to from `state`.
@@ -233,29 +227,6 @@ class ChaseEngine:
         out[i] = (*out[i][:p0], new, *out[i][p0 + 1:])
         out[j] = (*out[j][:p1], new, *out[j][p1 + 1:])
         return tuple(out)
-
-    def _advance(self, node: _Node, state: tuple, step: EnforcementStep) -> _Node:
-        """The node of `state`, which `step` reaches from `node`.
-
-        The rows naming either rewritten tuple are dropped, and the rows
-        reading at least one of their new versions are added.  Tuple
-        identifiers are unique across relations, so a row names a tuple only
-        if it read it.
-        """
-        layout = node.layout
-        changed = set(step.lead_tids)
-        rows = {
-            head: {row for row in held if changed.isdisjoint(row[:-2])}
-            for head, held in node.rows.items()
-        }
-        delta: dict[str, set[tuple[str, ...]]] = {}
-        for tid in changed:
-            i = layout.position[tid]
-            delta.setdefault(layout.preds[i], set()).add((tid, *state[i]))
-        added = evaluate_delta(self._program, layout.facts(state), delta)
-        for head, new in added.relations.items():
-            rows[head].update(new)
-        return _Node(layout, state, rows)
 
     # -- enforcement -------------------------------------------------------
 
@@ -309,19 +280,21 @@ class ChaseEngine:
         followed is charged to `step_limit`, which may not be negative."""
         check_step_limit(step_limit)
         budget = step_limit
-        start = self._start(instance)
+        layout = _Layout(instance)
+        # the state the database holds, with the step rules' rows over it
+        db = evaluate(self._program, instance_facts(instance))
+        held = layout.vectors
         seen: set[tuple] = set()
         endpoints: dict[tuple, tuple[EnforcementStep, ...]] = {}
-        # (state, path to it, node it is reached from, step taken); a state's
-        # agenda is advanced only when it is first popped
-        stack: list[tuple] = [(start.state, (), start, None)]
+        stack: list[tuple] = [(layout.vectors, ())]
         while stack:
-            state, path, parent, step = stack.pop()
+            state, path = stack.pop()
             if state in seen:
                 continue
             seen.add(state)
-            node = parent if step is None else self._advance(parent, state, step)
-            steps = self._steps(node)
+            self._move(layout, db, held, state)
+            held = state
+            steps = self._steps(layout, state, db)
             if not steps:
                 endpoints[state] = path
                 continue
@@ -329,10 +302,10 @@ class ChaseEngine:
                 if budget <= 0:
                     raise StepLimitExceeded(f"chase exceeded {step_limit} enforcement steps")
                 budget -= 1
-                stack.append((self._successor(start.layout, state, step), path + (step,), node, step))
+                stack.append((self._successor(layout, state, step), path + (step,)))
         ordered = sorted(endpoints)
         return ChaseResult(
-            tuple(start.layout.instance(state) for state in ordered),
+            tuple(layout.instance(state) for state in ordered),
             tuple(endpoints[state] for state in ordered),
         )
 

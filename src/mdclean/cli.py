@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     try:
         text = args.run(args)
         if args.out is not None:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
     except (ParseError, ValidationError) as exc:

@@ -17,12 +17,16 @@ result argument and has no row where the merge is undefined; everything else
 requires fully bound arguments, so rule bodies must ground them through
 ordinary literals first.
 
-Bodies are joined through indexes built per evaluation: a hash index on the
-positions a scan shares with what is already bound, and otherwise, when a
-`sim_d` literal compares a free position of the scan with a bound value, a
-blocking-key index on that position.  Each value has keys such that two
-similar values share one, so the candidates under the bound value's keys
-include every partner; the `sim_d` test still runs on each of them.
+`evaluate` computes a program's model into a `Database`, or adds facts to a
+database that holds one and derives only what reads them.  Bodies are
+joined through the database's indexes, each built the first time a scan
+reads it and kept current under `add` and `discard`, so it outlives the
+evaluation that built it: a hash index on the positions a scan shares with
+what is already bound, and otherwise, when a `sim_d` literal compares a free
+position of the scan with a bound value, a blocking-key index on that
+position.  Each value has keys such that two similar values share one, so
+the candidates under the bound value's keys include every partner; the
+`sim_d` test still runs on each of them.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     NotStratifiable,
@@ -177,11 +181,8 @@ class Program:
             self._strata = stratify(self)
         return self._strata
 
-    def idb_preds(self) -> set[str]:
-        return {rule.head.pred for rule in self.rules}
-
     def all_preds(self) -> set[str]:
-        preds = set(self.facts) | self.idb_preds()
+        preds = set(self.facts) | {rule.head.pred for rule in self.rules}
         for rule in self.rules:
             for lit in rule.body:
                 if lit.pred not in self.builtins:
@@ -211,17 +212,10 @@ class Program:
     # -- planning ----------------------------------------------------------
 
     def plan(self, index: int, delta_occurrence: int | None) -> _Plan:
-        """The compiled body of one rule, reading `delta_occurrence` first.
-
-        A literal in the full plan's `outer` keeps the full plan: a plan that
-        read it first would cross it with the full plan's first scan as well.
-        """
+        """The compiled body of one rule, reading `delta_occurrence` first."""
         key = (index, delta_occurrence)
         if key not in self._plans:
             rule = self.rules[index]
-            if delta_occurrence is not None and delta_occurrence in self.plan(index, None).outer:
-                self._plans[key] = self._plans[index, None]
-                return self._plans[key]
             order = self._make_plan(rule, delta_occurrence)
             if order is None:
                 raise UnsafeRule(f"rule {format_rule_ast(rule)!r} cannot be safely evaluated")
@@ -332,125 +326,156 @@ def _find_negative_cycle(preds, edges) -> list[str]:
 # evaluation
 
 
-class Model:
-    """Computed relations; empty and absent predicates compare equal."""
+class Database:
+    """Relations by predicate, with the indexes that scans read of them.
 
-    def __init__(self, relations: Mapping[str, Iterable[tuple[str, ...]]]):
-        self.relations: dict[str, frozenset[tuple[str, ...]]] = {
-            pred: frozenset(ts) for pred, ts in relations.items() if ts
-        }
+    An index is built the first time a scan asks for it, and `add` and
+    `discard` keep every index built so far current.  It maps each key to the
+    set of tuples under it: a hash index keys a tuple by its values at the
+    positions `key`, a blocking-key index by each of `keys(value)` of its
+    value at the position `key`.  Empty and absent relations compare equal.
+    """
 
-    def get(self, pred: str) -> frozenset[tuple[str, ...]]:
-        return self.relations.get(pred, frozenset())
+    def __init__(self, facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None):
+        self._relations: dict[str, set[tuple[str, ...]]] = {}
+        # by predicate, then by (key, keys): (the keys of a tuple, index)
+        self._indexes: dict[str, dict[tuple, tuple[Callable, dict]]] = {}
+        for pred, ts in (facts or {}).items():
+            self.add(pred, ts)
+
+    @property
+    def relations(self) -> dict[str, set[tuple[str, ...]]]:
+        """The non-empty relations by predicate, the sets the database holds."""
+        return {pred: ts for pred, ts in self._relations.items() if ts}
+
+    def get(self, pred: str) -> AbstractSet[tuple[str, ...]]:
+        return self._relations.get(pred, _EMPTY)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Model):
+        if not isinstance(other, Database):
             return NotImplemented
         return self.relations == other.relations
 
     def __repr__(self) -> str:
-        return f"Model({sorted(self.relations)})"
+        return f"Database({self.relations})"
+
+    def add(self, pred: str, tuples: Iterable[tuple[str, ...]]) -> set[tuple[str, ...]]:
+        """Store `tuples` under `pred`; returns those it did not hold."""
+        rel = self._relations.setdefault(pred, set())
+        new = set(tuples) - rel
+        rel |= new
+        for keys_of, index in self._indexes.get(pred, {}).values():
+            _insert(index, keys_of, new)
+        return new
+
+    def discard(self, pred: str, tuples: Iterable[tuple[str, ...]]) -> None:
+        """Remove those of `tuples` that `pred` holds."""
+        rel = self._relations.get(pred, set())
+        gone = rel.intersection(tuples)
+        rel -= gone
+        for keys_of, index in self._indexes.get(pred, {}).values():
+            for stored in gone:
+                for key in keys_of(stored):
+                    bucket = index.get(key)
+                    if bucket is not None:
+                        bucket.discard(stored)
+                        if not bucket:
+                            del index[key]
+
+    def index(
+        self, pred: str, key: tuple[int, ...] | int, keys: Callable[[str], tuple] | None = None
+    ) -> dict:
+        """The hash index of `pred` on the positions `key` (a tuple) or, with
+        `keys`, its blocking-key index on the position `key` (an int)."""
+        built = self._indexes.setdefault(pred, {})
+        entry = built.get((key, keys))
+        if entry is None:
+            if keys is None:
+                getter = operator.itemgetter(*key)
+                keys_of = lambda stored: (getter(stored),)
+            else:
+                keys_of = lambda stored: keys(stored[key])
+            entry = built[key, keys] = keys_of, {}
+            _insert(entry[1], keys_of, self.get(pred))
+        return entry[1]
 
 
-def _database(
-    program: Program, facts: Mapping[str, Iterable[tuple[str, ...]]] | None
-) -> dict[str, set[tuple[str, ...]]]:
-    """The program's own facts together with `facts`, by predicate."""
-    db: dict[str, set[tuple[str, ...]]] = {p: set(ts) for p, ts in program.facts.items()}
-    for pred, ts in (facts or {}).items():
-        db.setdefault(pred, set()).update(ts)
-    return db
+def _insert(index: dict, keys_of: Callable, tuples: Iterable[tuple[str, ...]]) -> None:
+    for stored in tuples:
+        for key in keys_of(stored):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {stored}
+            else:
+                bucket.add(stored)
 
 
 def evaluate(
-    program: Program, facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None
-) -> Model:
-    """Minimal model of a stratified program over its own facts and `facts`.
-
-    Strata are computed bottom-up, each by semi-naive iteration.
-    """
-    db = _database(program, facts)
-    for stratum in program.strata:
-        in_stratum = set(stratum)
-        rule_indices = [
-            i for i, rule in enumerate(program.rules) if rule.head.pred in in_stratum
-        ]
-        # the first round runs every rule in full; each later round reads
-        # what the previous round derived (a negated literal never reads its
-        # own stratum)
-        delta: dict[str, set[tuple[str, ...]]] | None = None
-        while delta is None or delta:
-            fresh = _fire_rules(program, rule_indices, db, delta)
-            delta = {}
-            for pred, ts in fresh.items():
-                ts -= db.get(pred, _EMPTY)
-                if ts:
-                    delta[pred] = ts
-            for pred, ts in delta.items():
-                db.setdefault(pred, set()).update(ts)
-    return Model(db)
-
-
-def evaluate_delta(
     program: Program,
-    facts: Mapping[str, Iterable[tuple[str, ...]]],
-    delta: Mapping[str, Iterable[tuple[str, ...]]],
-) -> Model:
-    """The rows of the program's rules that read at least one fact of `delta`.
+    facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None,
+    db: Database | None = None,
+) -> Database:
+    """The minimal model of a stratified program over its own facts and `facts`.
 
-    `delta` is a part of `facts`.  Each body literal whose predicate has
-    facts in `delta` reads them in turn, while the other literals read the
-    program's facts and `facts`, as a round of `evaluate` reads what the
-    round before derived.  The rows over `facts` are the rows over `facts`
-    less `delta` plus these, so rows that name the facts they read are
-    maintained under a change by dropping the rows that name an old version
-    and adding these for the new ones.  Rule bodies must not read a derived
-    predicate or negate a relation: on such a program one round does not
-    give these rows.
+    Without `db`, a new database takes the program's facts and `facts`, and
+    the strata are computed bottom-up, each by semi-naive rounds of which the
+    first runs every rule in full.  `db` must hold such a model already: then
+    `facts` are added to it and only what reads them is derived, by
+    semi-naive rounds that start from the facts `db` did not hold, and `db`
+    is returned.  A program that negates a literal is refused there, since a
+    new fact could take away what reads it negated.
     """
-    derived = program.idb_preds()
-    for rule in program.rules:
-        for lit in rule.body:
-            if lit.pred in program.builtins:
-                continue
-            if lit.negated or lit.pred in derived:
-                raise ValidationError(
-                    f"rule {format_rule_ast(rule)!r} reads {lit.pred!r} "
-                    f"{'under negation' if lit.negated else 'as a derived predicate'}"
-                )
-    for pred in delta:
+    facts = facts or {}
+    for pred in facts:
         if pred in program.builtins:
             raise ValidationError(f"built-in {pred!r} has no facts")
-    changed = {pred: set(ts) for pred, ts in delta.items()}
-    return Model(_fire_rules(program, range(len(program.rules)), _database(program, facts), changed))
+    if db is None:
+        db = Database(program.facts)
+        for pred, ts in facts.items():
+            db.add(pred, ts)
+        # per stratum, the rules and a first round that runs them in full
+        passes = [
+            ([i for i, rule in enumerate(program.rules) if rule.head.pred in stratum], None)
+            for stratum in map(set, program.strata)
+        ]
+    else:
+        for rule, lit in ((r, lit) for r in program.rules for lit in r.body if lit.negated):
+            raise ValidationError(f"rule {format_rule_ast(rule)!r} reads {lit.pred!r} under negation")
+        passes = [(range(len(program.rules)), Database({p: db.add(p, ts) for p, ts in facts.items()}))]
+    # each round reads what the round before added (a negated literal never
+    # reads its own stratum)
+    for rule_indices, delta in passes:
+        while delta is None or delta.relations:
+            fresh = _fire_rules(program, rule_indices, db, delta)
+            delta = Database()
+            for pred, ts in fresh.items():
+                delta.add(pred, db.add(pred, ts))
+    return db
 
 
 def _fire_rules(
     program: Program,
     rule_indices: Iterable[int],
-    db: Mapping[str, set[tuple[str, ...]]],
-    delta: Mapping[str, set[tuple[str, ...]]] | None,
+    db: Database,
+    delta: Database | None,
 ) -> dict[str, set[tuple[str, ...]]]:
     """The head rows of the rules at `rule_indices` over the relations of `db`.
 
     With `delta` None every rule runs in full.  Otherwise each rule runs one
-    variant per body literal whose predicate is in `delta`, reading that
-    literal's relation from `delta` and the others from `db`, so only rows
-    that read a fact of `delta` come out.
+    variant per body literal whose relation `delta` holds, reading that
+    literal from `delta` and the others from `db`, so only rows that read a
+    fact of `delta` come out.
     """
     fresh: dict[str, set[tuple[str, ...]]] = {}
     for i in rule_indices:
         rule = program.rules[i]
         if delta is None:
-            reads = [(None, None)]
+            reads = [None]
         else:
-            reads = [
-                (occ, delta[lit.pred]) for occ, lit in enumerate(rule.body) if lit.pred in delta
-            ]
-        for occ, rel in reads:
+            reads = [occ for occ, lit in enumerate(rule.body) if delta.get(lit.pred)]
+        for occ in reads:
             plan = program.plan(i, occ)
-            rels = [rel if j == occ else db.get(rule.body[j].pred, _EMPTY) for j in plan.reads]
-            derived = _fire(plan, rels)
+            derived = _fire(plan, [delta if j == occ else db for j in plan.reads])
             if derived:
                 fresh.setdefault(rule.head.pred, set()).update(derived)
     return fresh
@@ -485,9 +510,6 @@ class _Plan:
     """
 
     def __init__(self, rule: Rule, order: Sequence[int], builtins: Mapping[str, Builtin]):
-        # the body literals of the outer loops: the first scan, and the
-        # second when it has no bound position
-        self.outer: list[int] = []
         # slots by variable name and by constant, kept apart
         slot_of: tuple[dict[str, int], dict[str, int]] = ({}, {})
         self.initial: list[str | None] = []
@@ -523,10 +545,11 @@ class _Plan:
                         return args.index(mine), other, keys
             return None, None, None
 
-        # body literal index of each relation the plan reads, in read order
+        # body literal index and predicate of each read, in read order
         self.reads: list[int] = []
-        # per level: (scan, operations); a scan is (read, key of a stored
-        # tuple, key of the slots, (position, slot) bindings, (position, slot)
+        self.preds: list[str] = []
+        # per level: (scan, operations); a scan is (read, `Database.index` key,
+        # key of the slots, (position, slot) bindings, (position, slot)
         # equalities for a variable repeated inside the literal, blocking
         # keys); a scan through blocking keys holds the position whose keys
         # index a stored tuple and the slot whose keys probe the index
@@ -550,24 +573,23 @@ class _Plan:
                 continue
             read = len(self.reads)
             self.reads.append(i)
+            self.preds.append(lit.pred)
             keyed = [p for p, s in enumerate(args) if s in bound]
             if lit.negated or len(keyed) == len(args):
                 ops.append((_MEMBER, read, _getter(args), lit.negated))
                 continue
             if keyed:
-                tuple_key = operator.itemgetter(*keyed)
+                index_key = tuple(keyed)
                 slot_key = operator.itemgetter(*(args[p] for p in keyed))
                 keys = None
             else:
-                tuple_key, slot_key, keys = blocking(args)
+                index_key, slot_key, keys = blocking(args)
             binds, equal = [], []
             for p, s in enumerate(args):
                 if p not in keyed:
                     (equal if s in bound else binds).append((p, s))
                     bound.add(s)
-            scan = (read, tuple_key, slot_key, tuple(binds), tuple(equal), keys)
-            if len(self.levels) == 1 or (len(self.levels) == 2 and not keyed):
-                self.outer.append(i)
+            scan = (read, index_key, slot_key, tuple(binds), tuple(equal), keys)
             self.levels.append((scan, []))
         self.head = _getter(slots(rule.head.args))
 
@@ -596,17 +618,18 @@ def _holds(ops: list[tuple], slots: list, rels: list) -> bool:
     return True
 
 
-def _fire(plan: _Plan, rels: list) -> set[tuple[str, ...]]:
+def _fire(plan: _Plan, sources: list[Database]) -> set[tuple[str, ...]]:
     """The head tuples of every solution of the plan's body.
 
-    `rels[k]` is the relation of the plan's k-th read.  The search runs depth
-    first, one iterator per level on an explicit stack (level 0 iterates over
-    one empty tuple); an index is built the first time its level is entered,
-    and all of them are freed on return.  A blocking-key probe reads the
-    index under each key of the bound value, and a stored tuple that more
-    than one of them reaches is read once.
+    The plan's k-th read reads its relation from `sources[k]`, and a scan
+    through an index borrows it from there.  The search runs depth first, one
+    iterator per level on an explicit stack (level 0 iterates over one empty
+    tuple).  A blocking-key probe reads the index under each key of the
+    bound value, and a stored tuple that more than one of them reaches is
+    read once.
     """
     out: set[tuple[str, ...]] = set()
+    rels = [source.get(pred) for source, pred in zip(sources, plan.preds)]
     slots = list(plan.initial)
     levels = plan.levels
     last = len(levels) - 1
@@ -626,20 +649,13 @@ def _fire(plan: _Plan, rels: list) -> set[tuple[str, ...]]:
                 out.add(plan.head(slots))
                 continue
             depth += 1
-            read, tuple_key, slot_key, _, _, keys = levels[depth][0]
-            if tuple_key is None:
+            read, index_key, slot_key, _, _, keys = levels[depth][0]
+            if index_key is None:
                 iters[depth] = iter(rels[read])
                 break
             index = indexes[depth]
             if index is None:
-                index = indexes[depth] = {}
-                if keys is None:
-                    for stored in rels[read]:
-                        index.setdefault(tuple_key(stored), []).append(stored)
-                else:
-                    for stored in rels[read]:
-                        for key in keys(stored[tuple_key]):
-                            index.setdefault(key, []).append(stored)
+                index = indexes[depth] = sources[read].index(plan.preds[read], index_key, keys)
             if keys is None:
                 iters[depth] = iter(index.get(slot_key(slots), ()))
             else:

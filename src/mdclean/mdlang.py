@@ -281,7 +281,7 @@ def parse_mds(text: str) -> MDSet:
 
 
 def load_mds(path: str | Path) -> MDSet:
-    return parse_mds(Path(path).read_text())
+    return parse_mds(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------

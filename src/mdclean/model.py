@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,7 +182,7 @@ class Schema:
 
     @classmethod
     def load(cls, path: str | Path) -> "Schema":
-        return cls.parse(Path(path).read_text())
+        return cls.parse(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +293,28 @@ class Instance:
             if not path.exists():
                 continue
             rel = schema.relation(rel_name)
-            with open(path, newline="") as handle:
-                reader = csv.reader(handle)
-                try:
-                    header = next(reader)
-                except StopIteration:
-                    raise ValidationError(f"{path}: empty file") from None
-                header = [h.strip() for h in header]
-                if header != [TID_ATTR, *rel.attrs]:
-                    raise ValidationError(
-                        f"{path}: header {header} does not match [{TID_ATTR}, {', '.join(rel.attrs)}]"
-                    )
-                rows: dict[str, tuple[str, ...]] = {}
-                for lineno, row in enumerate(reader, start=2):
-                    if not row or (len(row) == 1 and not row[0].strip()):
-                        continue
-                    if len(row) != 1 + rel.arity:
-                        raise ValidationError(f"{path}:{lineno}: expected {1 + rel.arity} fields")
-                    _add_row(rows, row[0].strip(), tuple(v.strip() for v in row[1:]))
-                tuples[rel_name] = rows
+            try:
+                text = path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: {exc}") from None
+            reader = csv.reader(io.StringIO(text, newline=""))
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if header != [TID_ATTR, *rel.attrs]:
+                raise ValidationError(
+                    f"{path}: header {header} does not match [{TID_ATTR}, {', '.join(rel.attrs)}]"
+                )
+            rows: dict[str, tuple[str, ...]] = {}
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 1 + rel.arity:
+                    raise ValidationError(f"{path}:{lineno}: expected {1 + rel.arity} fields")
+                _add_row(rows, row[0].strip(), tuple(v.strip() for v in row[1:]))
+            tuples[rel_name] = rows
         return cls(schema, tuples)
 
     @classmethod
@@ -319,7 +323,7 @@ class Instance:
         if path.is_dir():
             return cls.from_csv_dir(schema, path)
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from None
         return cls.from_json_dict(schema, data)
@@ -439,7 +443,7 @@ class SimilarityRelation:
 
     @classmethod
     def load(cls, path: str | Path) -> "SimilarityRelation":
-        return cls.parse(Path(path).read_text())
+        return cls.parse(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +535,7 @@ class MatchingFunction:
 
     @classmethod
     def load(cls, path: str | Path) -> "MatchingFunction":
-        return cls.parse(Path(path).read_text())
+        return cls.parse(Path(path).read_text(encoding="utf-8"))
 
 
 class _TableDomain:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .datalog import NEQ, Literal, Program, Rule, evaluate, value_builtins, value_pred
 from .errors import EmptyCleanSet, ParseError, UnknownDomain, ValidationError
@@ -132,7 +132,7 @@ _ANSWER = "answer"
 
 def _answers(
     instance: Instance, query: ConjunctiveQuery, sim: SimilarityRelation, head: tuple[Term, ...]
-) -> frozenset[tuple[str, ...]]:
+) -> AbstractSet[tuple[str, ...]]:
     """The `head` tuples of the query's solutions, evaluated as one rule.
 
     Its body has the atoms, one `sim_<domain>` literal per similarity and,
@@ -310,4 +310,4 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 
 def load_queries(path: str | Path) -> list[ConjunctiveQuery]:
-    return parse_queries(Path(path).read_text())
+    return parse_queries(Path(path).read_text(encoding="utf-8"))

@@ -10,6 +10,7 @@ import pytest
 
 from mdclean import model
 from mdclean.chase import ChaseEngine, EnforcementStep, rule_priority
+from mdclean.datalog import evaluate
 from mdclean.errors import (
     StepLimitExceeded,
     StepNotApplicable,
@@ -24,6 +25,7 @@ from mdclean.model import (
     SimilarityRelation,
     collect_active_values,
 )
+from mdclean.query import instance_facts
 
 from fixture_edits import with_p2_in_first_block
 from population import random_setting
@@ -189,8 +191,8 @@ def test_chase_all_empty_rule_set_returns_input():
 def test_chase_all_is_exploration_order_independent():
     # `_steps` hands both chase loops the steps of each state they visit
     class ReversedEngine(ChaseEngine):
-        def _steps(self, node):
-            return list(reversed(super()._steps(node)))
+        def _steps(self, layout, state, db):
+            return list(reversed(super()._steps(layout, state, db)))
 
     eng, inst = interacting()
     schema, mds, sim, smf = eng.schema, eng.mds, eng.sim, eng.smf
@@ -408,16 +410,21 @@ def test_step_json_shape():
 
 
 class AgendaOracle(ChaseEngine):
-    """Checks the steps each chase reads off its agenda, at every state it
-    visits, against the step rules evaluated over that state from scratch,
-    and that the agenda holds the step rules' rows only."""
+    """Checks the chase's database at every state it visits: its `rel_*`
+    relations are exactly that state's tuples, so no old version is left,
+    its other relations are step rule heads, its step rows are those of the
+    step rules evaluated over the state from scratch, and so are its steps."""
 
     visited = 0
 
-    def _steps(self, node):
-        assert set(node.rows) == set(self._heads)
-        steps = super()._steps(node)
-        assert steps == self.applicable_steps(node.layout.instance(node.state))
+    def _steps(self, layout, state, db):
+        instance = layout.instance(state)
+        facts = {pred: set(ts) for pred, ts in instance_facts(instance).items() if ts}
+        assert {pred: db.get(pred) for pred in facts} == facts
+        assert db.relations.keys() - facts.keys() <= set(self._heads)
+        assert db == evaluate(self._program, facts)
+        steps = super()._steps(layout, state, db)
+        assert steps == self.applicable_steps(instance)
         self.visited += 1
         return steps
 

@@ -1,7 +1,10 @@
 """End-to-end command-line runs over the committed fixtures."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from mdclean.datalog import Literal, parse_asp, parse_program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dir_args(d):
@@ -678,3 +682,30 @@ def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, option, fi
     assert err.startswith(f"error: ParseError: {blamed}: "), err
     assert "codec can't decode byte 0xff" in err
     assert "Traceback" not in err
+    if file == "R.csv":
+        # a CSV of an instance directory is named, as its other errors are
+        assert err.startswith(f"error: ParseError: {blamed}: {path}: "), err
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"],
+    ["chase", "--one"],
+    ["chase", "--all"],
+    ["solve"],
+    ["answer", "--query", str(FIXTURES / "divergent" / "queries.txt")],
+    ["emit-datalog", "--out", "{out}"],
+])
+def test_inputs_and_outputs_are_utf8_whatever_the_locale(tmp_path, command):
+    # a file opened without an encoding warns under `warn_default_encoding`
+    out = tmp_path / "residual.dl"
+    argv = [arg.format(out=out) for arg in command]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "mdclean", *argv, *fixture_args("convergent")],
+        capture_output=True, text=True, encoding="utf-8", env=env,
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    if "--out" in command:
+        assert out.read_text(encoding="utf-8") == (GOLDEN / "convergent.emit-datalog.txt").read_text(
+            encoding="utf-8")

@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 from mdclean.datalog import (
+    Database,
     Literal,
     Program,
     Rule,
     evaluate,
-    evaluate_delta,
     format_rule_ast,
     parse_asp,
     parse_program,
@@ -501,48 +501,15 @@ def test_the_step_rule_reaches_the_second_leading_tuple_through_blocking_keys():
     assert scan_kinds(plan) == ["full", "keys", "keys", "hash"]
 
 
-# -- rows that read changed facts ---------------------------------------------
+# -- a database that outlives an evaluation ----------------------------------
 
 
 EDB = ("e0", "e1")
 
 
-def non_recursive(rules):
-    """The rules whose bodies read only the base relations, positively."""
-    builtins = {"!=", *(f"{kind}_{dom}" for kind, dom in VALUE_USES)}
-    return [
-        rule for rule in rules
-        if all(lit.pred in builtins or (lit.pred in EDB and not lit.negated) for lit in rule.body)
-    ]
-
-
-def rows_reading(rules, facts, delta, sim, smf):
-    """The reference: per body literal over a changed relation, the rule with
-    that literal renamed to a relation holding only the changed facts."""
-    out = {}
-    for rule in rules:
-        for i, lit in enumerate(rule.body):
-            if lit.pred not in delta or lit.pred not in EDB:
-                continue
-            body = list(rule.body)
-            body[i] = Literal("changed_" + lit.pred, lit.args)
-            variant = Rule((rule.head,), tuple(body))
-            db = naive_evaluate([variant], {**facts, "changed_" + lit.pred: delta[lit.pred]}, sim, smf)
-            out.setdefault(rule.head.pred, set()).update(db.get(rule.head.pred, ()))
-    return {pred: frozenset(ts) for pred, ts in out.items() if ts}
-
-
-def change_facts(rng, facts, consts):
-    """(kept, old versions, new versions) for a random part of `facts`."""
-    kept, old, new = {}, {}, {}
-    for pred, ts in facts.items():
-        for t in sorted(ts):
-            if rng.random() < 0.5:
-                old.setdefault(pred, set()).add(t)
-                new.setdefault(pred, set()).add(tuple(rng.choice(consts) for _ in t))
-            else:
-                kept.setdefault(pred, set()).add(t)
-    return kept, old, new
+def positive(rules):
+    """The rules with their negated literals left out, which keeps them safe."""
+    return [Rule(rule.heads, tuple(lit for lit in rule.body if not lit.negated)) for rule in rules]
 
 
 def union(*parts):
@@ -553,45 +520,42 @@ def union(*parts):
     return out
 
 
-def test_delta_rows_match_the_reference_on_random_non_recursive_programs():
+def test_adding_facts_to_a_model_gives_the_model_of_all_the_facts():
+    # recursive rules and new facts of derived predicates included
+    recursive = 0
     for (sim, smf), token_values in ((chain_env(), None), (token_env(), TOKEN_VALUES)):
-        tested = changed_rows = 0
         for seed in range(200):
             rng = random.Random(5000 + seed)
             with_builtins = seed % 2 == 1
             rules, facts = random_program(rng, with_builtins=with_builtins, token_values=token_values)
-            rules = non_recursive(rules)
-            if not rules:
-                continue
-            tested += 1
+            rules = positive(rules)
+            recursive += any(lit.pred == rule.head.pred for rule in rules for lit in rule.body)
             if token_values is not None:
                 consts = token_values
             else:
                 consts = ["b1", "b2", "b3", "b12", "b23"] if with_builtins else [f"c{i}" for i in range(5)]
-            kept, old, new = change_facts(rng, facts, consts)
+            arity = {pred: len(t) for pred, ts in facts.items() for t in ts}
+            arity.update((rule.head.pred, len(rule.head.args)) for rule in rules)
+            kept, new = {}, {}
+            for pred, ts in facts.items():
+                for t in sorted(ts):
+                    (kept if rng.random() < 0.5 else new).setdefault(pred, set()).add(t)
+            for pred in rng.sample(sorted(arity), 2):
+                new.setdefault(pred, set()).add(tuple(rng.choice(consts) for _ in range(arity[pred])))
             program = Program(rules, value_builtins(VALUE_USES, sim, smf))
-            before, after = union(kept, old), union(kept, new)
-            rows_before, rows_after = evaluate(program, before), evaluate(program, after)
-            rows_kept = evaluate(program, kept)
-            dropped = evaluate_delta(program, before, old)
-            added = evaluate_delta(program, after, new)
-            assert dropped.relations == rows_reading(rules, before, old, sim, smf), f"seed {seed}"
-            assert added.relations == rows_reading(rules, after, new, sim, smf), f"seed {seed}"
-            changed_rows += bool(dropped.relations) + bool(added.relations)
-            # every row either reads a changed fact or is derived without one
-            for full, delta in ((rows_before, dropped), (rows_after, added)):
-                for pred in program.idb_preds():
-                    assert full.get(pred) == rows_kept.get(pred) | delta.get(pred), f"seed {seed}"
-        assert tested > 100 and changed_rows > 60
+            grown = evaluate(program, new, evaluate(program, kept))
+            assert grown == evaluate(program, union(kept, new)), f"seed {seed}"
+            assert grown.relations == naive_evaluate(rules, union(kept, new), sim, smf), f"seed {seed}"
+    assert recursive > 100
 
 
 def test_delta_rows_maintain_rows_that_name_their_facts():
     # every fact has its own identifier and every head names the identifiers
     # of the facts it read, as the chase's step rows do: then the rows that
-    # read a changed fact are the ones naming it, and dropping those and
-    # adding the delta gives the rows over the new facts
+    # read a changed fact are the ones naming it
     sim, smf = chain_env()
     values = ["b1", "b2", "b3", "b12"]
+    changed_rows = 0
     for seed in range(100):
         rng = random.Random(7000 + seed)
         rules = []
@@ -614,40 +578,86 @@ def test_delta_rows_maintain_rows_that_name_their_facts():
         for n in range(rng.randint(2, 8)):
             pred = rng.choice(EDB)
             facts[pred].add((f"id{n}", *(rng.choice(values) for _ in range(1 if pred == "e0" else 2))))
-        old_rows = evaluate(program, facts)
+        db = evaluate(program, facts)
+        before = {rule.head.pred: set(db.get(rule.head.pred)) for rule in rules}
         # rewrite the values of one or two facts, keeping their identifiers
         changed = rng.sample(sorted((pred, t) for pred, ts in facts.items() for t in ts), rng.randint(1, 2))
-        delta = {}
+        names = {t[0] for _, t in changed}
+        new = {}
         for pred, t in changed:
             facts[pred].discard(t)
+            db.discard(pred, [t])
             fresh = (t[0], *(rng.choice(values) for _ in t[1:]))
             facts[pred].add(fresh)
-            delta.setdefault(pred, set()).add(fresh)
-        names = {t[0] for _, t in changed}
-        added = evaluate_delta(program, facts, delta)
-        new_rows = evaluate(program, facts)
+            new.setdefault(pred, set()).add(fresh)
         for rule in rules:
             head = rule.head.pred
-            kept = {row for row in old_rows.get(head) if names.isdisjoint(row)}
-            assert new_rows.get(head) == kept | added.get(head), f"seed {seed}"
+            db.discard(head, [row for row in db.get(head) if not names.isdisjoint(row)])
+        evaluate(program, new, db)
+        assert db == evaluate(program, facts), f"seed {seed}"
+        changed_rows += any(db.get(head) != rows for head, rows in before.items())
+    assert changed_rows > 30
 
 
-@pytest.mark.parametrize("text, message", [
-    ("p(X) :- e(X). q(X) :- p(X).", "rule 'q(X) :- p(X).' reads 'p' as a derived predicate"),
-    ("p(X) :- e(X, Y). p(X) :- p(Y), e(X, Y).",
-     "rule 'p(X) :- p(Y), e(X, Y).' reads 'p' as a derived predicate"),
-    ("p(X) :- e(X, Y), not f(Y).", "rule 'p(X) :- e(X, Y), not f(Y).' reads 'f' under negation"),
-])
-def test_delta_rows_refuse_derived_and_negated_reads(text, message):
-    program = parse_program(text)
+def test_adding_facts_refuses_a_program_that_negates():
+    program = parse_program("p(X) :- e(X, Y), not f(Y).")
+    db = evaluate(program, {"e": {("a", "b")}})
     with pytest.raises(ValidationError) as info:
-        evaluate_delta(program, {"e": {("a", "b")}}, {"e": {("a", "b")}})
-    assert str(info.value) == message
+        evaluate(program, {"e": {("b", "c")}}, db)
+    assert str(info.value) == "rule 'p(X) :- e(X, Y), not f(Y).' reads 'f' under negation"
 
 
 def test_delta_rows_refuse_a_builtin_delta():
     sim, smf = chain_env()
     program = parse_program("p(X) :- e(X, Y), sim_domb(X, Y).", value_builtins(VALUE_USES, sim, smf))
-    with pytest.raises(ValidationError, match="built-in 'sim_domb' has no facts"):
-        evaluate_delta(program, {"e": {("b1", "b2")}}, {"sim_domb": {("b1", "b2")}})
-    assert evaluate_delta(program, {"e": {("b1", "b2")}}, {"e": {("b1", "b2")}}).get("p") == {("b1",)}
+    for db in (None, evaluate(program)):
+        with pytest.raises(ValidationError, match="built-in 'sim_domb' has no facts"):
+            evaluate(program, {"sim_domb": {("b1", "b2")}}, db)
+    assert evaluate(program, {"e": {("b1", "b2")}}, evaluate(program)).get("p") == {("b1",)}
+
+
+def index_from_scratch(tuples, key, keys):
+    """What `Database.index(pred, key, keys)` holds over `tuples`: a hash
+    index keys a tuple by its values at `key` (one value at one position),
+    a blocking-key index by each blocking key of its value at `key`."""
+    index = {}
+    for stored in tuples:
+        if keys is not None:
+            found = keys(stored[key])
+        elif len(key) == 1:
+            found = [stored[key[0]]]
+        else:
+            found = [tuple(stored[p] for p in key)]
+        for k in found:
+            index.setdefault(k, set()).add(stored)
+    return index
+
+
+def test_a_database_keeps_every_index_it_built_current():
+    sim = SimilarityRelation({"toks": [("a", "d e")]}, {"toks": "token-overlap"})
+    keys = sim.keys("toks")
+    values = ["a", "b", "a b", "b c", "c", "a c", "d e", "e"]
+    specs = [(0,), (1,), (0, 2), (2, 1), 0, 1, 2]
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(9000 + seed)
+        db = Database()
+        built = {}
+        for _ in range(80):
+            pred = rng.choice(("p", "q"))
+            roll = rng.random()
+            if roll < 0.15:
+                spec = rng.choice(specs)
+                spec = (pred, spec, keys if isinstance(spec, int) else None)
+                built.setdefault(spec, db.index(*spec))
+            elif roll < 0.6:
+                db.add(pred, [tuple(rng.choice(values) for _ in range(3)) for _ in range(rng.randint(1, 3))])
+            else:
+                held = sorted(db.get(pred))
+                gone = rng.sample(held, min(len(held), rng.randint(0, 2)))
+                db.discard(pred, gone + [tuple(rng.choice(values) for _ in range(3))])
+            for spec, index in built.items():
+                assert db.index(*spec) is index
+                assert index == index_from_scratch(db.get(spec[0]), *spec[1:]), f"seed {seed}"
+                checked += 1
+    assert checked > 10000
