@@ -7,12 +7,16 @@ query asking whether a merge could feed a rule body is unsatisfied on the
 instance at hand (similarity-free attribute intersection).  Anything else is
 reported as the general case, where enforcement order can matter.  The
 checks read the rules as bound to the schema by `mdlang.validate_mds`.
+
+A pair gets one query per isomorphism class of its embeddings.  The classes
+are found by testing each embedding for isomorphism with the first of each
+class so far, and ordered, when there are several, by a canonical key that
+a branch-and-bound search computes; neither enumerates atom permutations.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -94,28 +98,35 @@ def is_similarity_preserving(
 
 
 def sfai_queries(rules: list[BoundMD], schema: Schema) -> list[ConjunctiveQuery]:
-    """Boolean queries, one per interaction pair per shared attribute.
+    """Boolean queries, one per isomorphism class of each interaction pair's
+    embeddings.
 
-    Each query embeds a written atom of the first rule into an occurrence of
-    the shared attribute in the second rule's body and asks whether the
-    combined body can match with pairwise-distinct identifiers.  Structurally
-    equal embeddings (up to renaming) collapse; distinct pairs keep their own
-    query even when isomorphic across pairs.
+    Each embedding puts a written atom of the first rule in place of an
+    occurrence of the shared attribute in the second rule's body, and its
+    query asks whether the combined body can match with pairwise-distinct
+    identifiers.  Embeddings equal up to renaming and the order of atoms and
+    literals form one class, which the first of them stands for; distinct
+    pairs keep their own queries even when isomorphic across pairs.  A pair
+    with one class names its query `<writer>__<reader>__<relation>_<attr>`;
+    with several, the names take the suffixes `_1`, `_2`, ... in the order
+    of the classes' canonical keys (see `_Body`).
     """
     by_name = {rule.md.name: rule for rule in rules}
     queries: list[ConjunctiveQuery] = []
     for pair in interaction_pairs(rules):
         writer = by_name[pair.writer]
         reader = by_name[pair.reader]
-        group: dict[tuple, tuple] = {}
-        for merged in _embeddings(writer, reader, pair, schema):
-            atoms, sims = merged
-            group.setdefault(_canonical_key(atoms, sims), merged)
+        classes: list[_Body] = []
+        for atoms, sims in _embeddings(writer, reader, pair, schema):
+            body = _Body(atoms, sims)
+            if not any(body.isomorphic_to(first) for first in classes):
+                classes.append(body)
+        if len(classes) > 1:
+            classes.sort(key=_Body.key)
         base = f"{pair.writer}__{pair.reader}__{pair.relation}_{pair.attribute}"
-        for index, key in enumerate(sorted(group)):
-            atoms, sims = group[key]
-            name = base if len(group) == 1 else f"{base}_{index + 1}"
-            queries.append(_readable_query(name, atoms, sims))
+        for index, body in enumerate(classes):
+            name = base if len(classes) == 1 else f"{base}_{index + 1}"
+            queries.append(_readable_query(name, body.atoms, body.sims))
     return queries
 
 
@@ -192,29 +203,212 @@ def _apply_sim(lit: SimLiteral, sub: Mapping[Var, Term]) -> SimLiteral:
     return SimLiteral(_apply_term(lit.left, sub), _apply_term(lit.right, sub), lit.domain)
 
 
-def _canonical_key(atoms, sims):
-    """Isomorphism-invariant key: best serialization over atom orderings."""
-    best = None
-    for perm in itertools.permutations(range(len(atoms))):
-        mapping: dict[Var, str] = {}
+class _Body:
+    """An embedding's atoms and similarity literals, searched for orderings.
 
-        def rn(term):
-            if is_var(term):
-                if term not in mapping:
-                    mapping[term] = f"v{len(mapping)}"
-                return ("var", mapping[term])
-            return ("const", term)
+    The canonical key of a body is its least serialisation over all orderings
+    of its atoms: the atoms in order, each as its relation and arguments,
+    variables renamed `v0`, `v1`, ... in order of first occurrence, then the
+    sorted similarity literals under that renaming.  Names compare as
+    strings, so `v10` sorts before `v2`.  When every variable of a literal
+    is held by an atom, as in an embedding, two bodies are isomorphic
+    exactly when their keys are equal, and exactly when one has an ordering
+    whose serialisation is the other's in its own order.
 
-        atom_part = tuple(
-            (atoms[i].relation, tuple(rn(t) for t in atoms[i].args)) for i in perm
+    Both questions are answered by one depth-first search that grows an
+    ordering one atom at a time and follows only the atoms whose
+    serialisation under the renaming so far is the least (for the key, by
+    branch and bound) or is the target's next atom (for the test, which
+    also leaves an ordering once it names both sides of a similarity
+    literal the target lacks).  Of tied atoms it tries one of each pair of
+    twins: two atoms of one relation that a swap of their own variables
+    exchanges while it maps the similarity literals onto themselves lead to
+    equal serialisations (McKay & Piperno, "Practical graph isomorphism,
+    II", 2014, prune automorphic branches the same way).
+
+    The search reads each term as an integer: the variables numbered from 0
+    in order of first occurrence, and the constants from -1 downwards.
+    """
+
+    def __init__(self, atoms, sims):
+        self.atoms, self.sims = atoms, sims
+        ids: dict[str, int] = {}
+        consts: dict[str, int] = {}
+
+        def number(term):
+            if term.__class__ is Var:
+                return ids.setdefault(term.name, len(ids))
+            return ~consts.setdefault(term, len(consts))
+
+        self._atoms = [(a.relation, tuple(number(t) for t in a.args)) for a in atoms]
+        self._sims = [(lit.domain or "", number(lit.left), number(lit.right)) for lit in sims]
+        self._count = len(ids)
+        self._names = [("var", f"v{k}") for k in range(len(ids))]
+        self._consts = [("const", c) for c in consts]
+        self._sims_of: dict[int, list[tuple]] = {}
+        for sim in self._sims:
+            for term in {sim[1], sim[2]}:
+                if term >= 0:
+                    self._sims_of.setdefault(term, []).append(sim)
+        self._holders: dict[int, set[int]] | None = None
+        self._twins: dict[tuple[int, int], bool] = {}
+        self._own: tuple | None = None
+
+    def _entry(self, index, rename, count):
+        """Atom `index` serialised under `rename`, and the names its new
+        variables take, numbered on from `count`."""
+        relation, args = self._atoms[index]
+        fresh: dict[int, int] = {}
+        out = []
+        for term in args:
+            if term < 0:
+                out.append(self._consts[~term])
+            else:
+                k = rename[term]
+                if k < 0:
+                    k = fresh.setdefault(term, count + len(fresh))
+                out.append(self._names[k])
+        return (relation, tuple(out)), fresh
+
+    def _sim_entry(self, sim, rename):
+        """A similarity literal serialised under `rename`, or None while one
+        of its variables is unnamed."""
+        dom, left, right = sim
+        pair = []
+        for term in (left, right):
+            if term < 0:
+                pair.append(self._consts[~term])
+            elif rename[term] < 0:
+                return None
+            else:
+                pair.append(self._names[rename[term]])
+        return dom, tuple(sorted(pair))
+
+    def _sim_part(self, rename, count):
+        rename = list(rename)
+        for _, left, right in self._sims:
+            for term in (left, right):
+                if term >= 0 and rename[term] < 0:  # held by no atom
+                    rename[term] = count
+                    count += 1
+        return tuple(sorted(self._sim_entry(sim, rename) for sim in self._sims))
+
+    def _leaves(self, pick, sims=None):
+        """Depth-first, the renamings and name counts of the orderings whose
+        atom at each depth serialises as `pick(depth, entries)` (None
+        prunes), where `entries` are the remaining atoms' serialisations;
+        with `sims`, only orderings whose named literals all lie in it."""
+
+        def walk(depth, remaining, rename, count):
+            if not remaining:
+                yield rename, count
+                return
+            entries = [(self._entry(i, rename, count), i) for i in remaining]
+            want = pick(depth, entries)
+            tried: list[int] = []
+            for (entry, fresh), i in entries:
+                if entry != want or tried and any(self._twin(k, i) for k in tried):
+                    continue
+                tried.append(i)
+                new = rename
+                if fresh:
+                    new = list(rename)
+                    for var, k in fresh.items():
+                        new[var] = k
+                    if sims is not None and self._strays(new, fresh, sims):
+                        continue
+                rest = tuple(j for j in remaining if j != i)
+                yield from walk(depth + 1, rest, new, count + len(fresh))
+
+        return walk(0, tuple(range(len(self._atoms))), [-1] * self._count, 0)
+
+    def _strays(self, rename, fresh, sims) -> bool:
+        """Whether a literal reading a variable of `fresh` is named in full
+        under `rename` and lies outside `sims`."""
+        for var in fresh:
+            for sim in self._sims_of.get(var, ()):
+                entry = self._sim_entry(sim, rename)
+                if entry is not None and entry not in sims:
+                    return True
+        return False
+
+    def _twin(self, a, b) -> bool:
+        """Whether swapping the variables that only atoms `a` and `b` hold
+        exchanges the two and maps the similarity literals onto themselves."""
+        if (a, b) not in self._twins:
+            self._twins[a, b] = self._twins[b, a] = self._swapped_by_own_variables(a, b)
+        return self._twins[a, b]
+
+    def _swapped_by_own_variables(self, a, b) -> bool:
+        (rel_a, args_a), (rel_b, args_b) = self._atoms[a], self._atoms[b]
+        if rel_a != rel_b:
+            return False
+        swap: dict[int, int] = {}
+        for x, y in zip(args_a, args_b):
+            if x < 0 or y < 0:
+                if x != y:
+                    return False
+            elif swap.setdefault(x, y) != y or swap.setdefault(y, x) != x:
+                return False
+        if self._holders is None:
+            self._holders = {}
+            for index, (_, args) in enumerate(self._atoms):
+                for term in args:
+                    self._holders.setdefault(term, set()).add(index)
+        pair = {a, b}
+        moved = {x for x, y in swap.items() if x != y}
+        if any(not self._holders[x] <= pair for x in moved):
+            return False
+        touched = [sim for sim in self._sims if sim[1] in moved or sim[2] in moved]
+        swapped = [(dom, swap.get(l, l), swap.get(r, r)) for dom, l, r in touched]
+        return sorted((d, min(l, r), max(l, r)) for d, l, r in touched) == sorted(
+            (d, min(l, r), max(l, r)) for d, l, r in swapped
         )
-        sim_part = tuple(
-            sorted((lit.domain or "", tuple(sorted((rn(lit.left), rn(lit.right))))) for lit in sims)
-        )
-        key = (atom_part, sim_part)
-        if best is None or key < best:
-            best = key
-    return best
+
+    def key(self) -> tuple:
+        """The canonical key: the least serialisation over atom orderings."""
+        part: list = []  # the least atom serialisations found so far
+        best: list = [None]  # the least literal part under `part`
+
+        def pick(depth, entries):
+            least = min(entry for (entry, _), _ in entries)
+            if depth < len(part):
+                if least > part[depth]:
+                    return None
+                if least == part[depth]:
+                    return least
+            del part[depth:]
+            part.append(least)
+            best[0] = None
+            return least
+
+        for rename, count in self._leaves(pick):
+            sim_part = self._sim_part(rename, count)
+            if best[0] is None or sim_part < best[0]:
+                best[0] = sim_part
+        return tuple(part), best[0]
+
+    def serialisation(self) -> tuple:
+        """The serialisation in the body's own atom order."""
+        if self._own is None:
+            rename, count, part = [-1] * self._count, 0, []
+            for index in range(len(self._atoms)):
+                entry, fresh = self._entry(index, rename, count)
+                for var, k in fresh.items():
+                    rename[var] = k
+                count += len(fresh)
+                part.append(entry)
+            self._own = (tuple(part), self._sim_part(rename, count))
+        return self._own
+
+    def isomorphic_to(self, other: "_Body") -> bool:
+        if (len(self._atoms), self._count, len(self._sims)) != (
+            len(other._atoms), other._count, len(other._sims)
+        ):
+            return False
+        atom_part, sim_part = other.serialisation()
+        leaves = self._leaves(lambda depth, entries: atom_part[depth], set(sim_part))
+        return any(self._sim_part(rename, count) == sim_part for rename, count in leaves)
 
 
 def _readable_query(name: str, atoms, sims) -> ConjunctiveQuery:

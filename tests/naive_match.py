@@ -7,15 +7,33 @@ similarity once the atoms binding it are matched, so it needs a query with
 at least one atom.  `applicable_steps` tries every ordered pair of leading
 tuples and searches the context atoms the same way; it must list exactly the
 steps, witnesses and merges of `ChaseEngine.applicable_steps`.
+
+`canonical_key` serialises an interaction query's body under every ordering
+of its atoms and keeps the least; `classify._Body.key` must return the same
+tuple.  `sfai_queries_by_key` groups each pair's embeddings by that key, and
+`classify.sfai_queries`, which groups them by an isomorphism test, must
+return the same queries.
+
+Run `PYTHONPATH=src:tests python -m naive_match --draws 745 --bodies 10000`
+to compare the classifier's keys, isomorphism verdicts and queries with
+these on the acceptance population and on random bodies; it prints the
+first disagreement.
 """
 
 from __future__ import annotations
 
+import argparse
+import itertools
+import random
 from typing import Iterator
 
 from mdclean.chase import EnforcementStep
-from mdclean.query import resolve_sim_domain
-from mdclean.terms import is_var
+from mdclean.classify import _Body, _embeddings, _readable_query, interaction_pairs, sfai_queries
+from mdclean.mdlang import validate_mds
+from mdclean.query import QueryAtom, SimLiteral, resolve_sim_domain
+from mdclean.terms import Var, is_var
+
+from population import random_setting
 
 
 def bindings(instance, query, sim) -> Iterator[dict]:
@@ -172,3 +190,214 @@ def _match_context(schema, md, sim, instance, binding):
 
     return extend(0, binding, ())
 
+
+def canonical_key(atoms, sims):
+    """Isomorphism-invariant key: best serialization over atom orderings."""
+    best = None
+    for perm in itertools.permutations(range(len(atoms))):
+        mapping: dict[Var, str] = {}
+
+        def rn(term):
+            if is_var(term):
+                if term not in mapping:
+                    mapping[term] = f"v{len(mapping)}"
+                return ("var", mapping[term])
+            return ("const", term)
+
+        atom_part = tuple(
+            (atoms[i].relation, tuple(rn(t) for t in atoms[i].args)) for i in perm
+        )
+        sim_part = tuple(
+            sorted((lit.domain or "", tuple(sorted((rn(lit.left), rn(lit.right))))) for lit in sims)
+        )
+        key = (atom_part, sim_part)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def sfai_queries_by_key(rules, schema, key=canonical_key):
+    """The interaction queries with each pair's embeddings grouped by `key`
+    (atoms, sims), the first of each group kept, groups in key order."""
+    by_name = {rule.md.name: rule for rule in rules}
+    queries = []
+    for pair in interaction_pairs(rules):
+        group: dict[tuple, tuple] = {}
+        for merged in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, schema):
+            group.setdefault(key(*merged), merged)
+        base = f"{pair.writer}__{pair.reader}__{pair.relation}_{pair.attribute}"
+        for index, least in enumerate(sorted(group)):
+            name = base if len(group) == 1 else f"{base}_{index + 1}"
+            queries.append(_readable_query(name, *group[least]))
+    return queries
+
+
+# random bodies: relations with their arities, similarity domains (None is
+# an undeclared domain) and constants
+_RELATIONS = {"R": 3, "S": 2, "P": 4}
+_DOMAINS = ["d", "e", None]
+_CONSTANTS = ["c1", "c2"]
+
+
+def random_body(rng: random.Random, max_atoms: int = 7):
+    """Atoms and similarity literals with constants, repeated variables, up
+    to 16 variables and copies of atoms whose private variables are renamed
+    apart, together with the literals that read them.  Every variable of a
+    literal is held by some atom, as in an interaction query."""
+    pool = [Var(f"x{i}") for i in range(rng.randint(2, 16))]
+    atoms = []
+    for _ in range(rng.randint(1, max_atoms)):
+        rel = rng.choice(sorted(_RELATIONS))
+        atoms.append(QueryAtom(rel, tuple(
+            rng.choice(_CONSTANTS) if rng.random() < 0.1 else rng.choice(pool)
+            for _ in range(_RELATIONS[rel])
+        )))
+    held = sorted({t for a in atoms for t in a.args if is_var(t)}, key=lambda v: v.name)
+    sims = [
+        SimLiteral(
+            rng.choice(held) if held and rng.random() < 0.9 else rng.choice(_CONSTANTS),
+            rng.choice(held) if held and rng.random() < 0.9 else rng.choice(_CONSTANTS),
+            rng.choice(_DOMAINS),
+        )
+        for _ in range(rng.randint(0, 4))
+    ]
+    fresh = len(pool)
+    while len(atoms) < max_atoms and rng.random() < 0.6:
+        original = rng.choice(atoms)
+        private = {t for t in original.args if is_var(t)} - {
+            t for a in atoms if a is not original for t in a.args
+        }
+        renamed = {}
+        for var in sorted(private, key=lambda v: v.name):
+            renamed[var] = Var(f"x{fresh}")
+            fresh += 1
+        atoms.append(QueryAtom(original.relation, tuple(renamed.get(t, t) for t in original.args)))
+        sims += [
+            SimLiteral(renamed.get(lit.left, lit.left), renamed.get(lit.right, lit.right), lit.domain)
+            for lit in sims
+            if lit.left in renamed or lit.right in renamed
+        ]
+    return tuple(atoms), tuple(sims)
+
+
+def relabelled(rng: random.Random, atoms, sims):
+    """An isomorphic copy: variables renamed, atoms and literals shuffled,
+    literal sides swapped at random."""
+    names = sorted({t.name for a in atoms for t in a.args if is_var(t)})
+    targets = [f"y{i}" for i in range(len(names))]
+    rng.shuffle(targets)
+    sub = {Var(n): Var(t) for n, t in zip(names, targets)}
+    atoms = [QueryAtom(a.relation, tuple(sub.get(t, t) for t in a.args)) for a in atoms]
+    sims = [
+        SimLiteral(*((sub.get(lit.left, lit.left), sub.get(lit.right, lit.right))[::rng.choice((1, -1))]),
+                   lit.domain)
+        for lit in sims
+    ]
+    rng.shuffle(atoms)
+    rng.shuffle(sims)
+    return tuple(atoms), tuple(sims)
+
+
+def perturbed(rng: random.Random, atoms, sims):
+    """A relabelled copy with one argument or one literal domain changed,
+    which may or may not stay isomorphic."""
+    atoms, sims = relabelled(rng, atoms, sims)
+    if sims and rng.random() < 0.3:
+        index = rng.randrange(len(sims))
+        lit = sims[index]
+        lit = SimLiteral(lit.left, lit.right, rng.choice(_DOMAINS))
+        return atoms, sims[:index] + (lit,) + sims[index + 1:]
+    index = rng.randrange(len(atoms))
+    atom = atoms[index]
+    terms = sorted({t for a in atoms for t in a.args if is_var(t)}, key=lambda v: v.name)
+    pos = rng.randrange(len(atom.args))
+    args = list(atom.args)
+    args[pos] = rng.choice(terms + _CONSTANTS)
+    atom = QueryAtom(atom.relation, tuple(args))
+    return atoms[:index] + (atom,) + atoms[index + 1:], sims
+
+
+def check_body(rng: random.Random, body) -> tuple[str | None, list[bool]]:
+    """Compare the classifier's keys of `body` and of a relabelled and a
+    perturbed copy with `canonical_key`, and its verdict on whether each
+    copy is isomorphic to `body` with the equality of their keys.  Returns
+    the first disagreement, as text with the bodies (None when there is
+    none), and whether each copy is isomorphic."""
+    key = canonical_key(*body)
+    if _Body(*body).key() != key:
+        return f"key differs from canonical_key on\n  {_show(*body)}", []
+    isomorphic = []
+    for copy in (relabelled, perturbed):
+        other = copy(rng, *body)
+        other_key = canonical_key(*other)
+        if _Body(*other).key() != other_key:
+            return f"key differs from canonical_key on\n  {_show(*other)}", isomorphic
+        verdict = _Body(*other).isomorphic_to(_Body(*body))
+        if verdict != (other_key == key):
+            return (
+                f"isomorphism test says {verdict} where the keys are "
+                f"{'un' * (other_key != key)}equal on\n  {_show(*body)}\nand its "
+                f"{copy.__name__} copy\n  {_show(*other)}"
+            ), isomorphic
+        isomorphic.append(verdict)
+    return None, isomorphic
+
+
+def _show(atoms, sims) -> str:
+    def term(t):
+        return t.name if is_var(t) else repr(t)
+
+    text = [f"{a.relation}({', '.join(term(t) for t in a.args)})" for a in atoms]
+    text += [
+        f"{term(lit.left)} {f'~{lit.domain}~' if lit.domain else '~'} {term(lit.right)}"
+        for lit in sims
+    ]
+    return ", ".join(text)
+
+
+def _scan(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Compare interaction-query keys with canonical_key.")
+    parser.add_argument("--seed", type=int, default=20260823)
+    parser.add_argument("--draws", type=int, default=745)
+    parser.add_argument("--bodies", type=int, default=10000)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    embeddings: list = []
+    wrong: list = []
+
+    def checked_key(atoms, sims):
+        key = canonical_key(atoms, sims)
+        embeddings.append(atoms)
+        if _Body(atoms, sims).key() != key:
+            wrong.append(_show(atoms, sims))
+        return key
+
+    for draw in range(args.draws):
+        s = random_setting(rng)
+        rules = validate_mds(s.mds, s.schema)
+        expected = sfai_queries_by_key(rules, s.schema, checked_key)
+        if wrong:
+            print(f"draw {draw}: key differs from canonical_key on\n  {wrong[0]}")
+            return 1
+        if sfai_queries(rules, s.schema) != expected:
+            print(f"draw {draw}: interaction queries differ\n{s.describe()}")
+            return 1
+    print(f"{args.draws} draws, {len(embeddings)} embeddings: keys and queries agree", flush=True)
+    rng = random.Random(args.seed)
+    isomorphic = {True: 0, False: 0}
+    for count in range(args.bodies):
+        problem, verdicts = check_body(rng, random_body(rng))
+        if problem:
+            print(f"body {count}: {problem}")
+            return 1
+        for verdict in verdicts:
+            isomorphic[verdict] += 1
+    print(
+        f"{args.bodies} random bodies: keys and isomorphism verdicts agree "
+        f"({isomorphic[True]} isomorphic copies, {isomorphic[False]} not)"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(_scan())

@@ -1,5 +1,6 @@
 """End-to-end command-line runs over the committed fixtures."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -622,6 +623,72 @@ def test_classify_queries_a_reader_atom_that_repeats_a_variable(tmp_path, capsys
     assert code == 0 and json.loads(out)["count"] == 2
     code, out, err = run(capsys, ["solve", *args])
     assert (code, out) == (2, "") and err.startswith("error: NotSci: ")
+
+
+def test_classify_numbers_a_pairs_query_classes_in_key_order(tmp_path, capsys):
+    # each pair's embeddings fall into two isomorphism classes; the classes'
+    # queries are suffixed in the order of their least serialisations
+    args = write_setting(
+        tmp_path,
+        "R(A: doma, B: domb, C: domb)\n",
+        {"R": "tid,A,B,C\nt1,a1,b1,b2\nt2,a2,b5,b6\nt3,a3,b2,b9\n"},
+        "md w: lead R(t1; a1, b1, c1), lead R(t2; a2, b2, c2), a1 ~doma~ a2 -> b1 := b2;\n"
+        "md r: lead R(t1; x1, y1, z1), lead R(t2; x2, y2, z2), y1 ~domb~ z2, y2 ~domb~ z2"
+        " -> x1 := x2;\n",
+        "doma: a1 ~ a2\ndomb: b1 ~ b2\n",
+        "doma: builtin value-min\ndomb: builtin value-min\n",
+    )
+    code, out, err = run(capsys, ["classify", "--format", "text", *args])
+    assert (code, err) == (0, "")
+    assert out == (
+        "verdict: general\n"
+        "pair: w writes R[B] read by r\n"
+        "pair: r writes R[A] read by w\n"
+        "query w__r__R_B_1: unsatisfied\n"
+        "query w__r__R_B_2: satisfied\n"
+        "query r__w__R_A_1: unsatisfied\n"
+        "query r__w__R_A_2: satisfied\n"
+    )
+
+
+def context_family_args(tmp_path, j):
+    """The bibliography inputs under one rule that reads j Paper atoms beside
+    its two Author atoms, paper k similar to y1 for odd k and to y2 for even
+    k, and writes y1 := y2 (token-union)."""
+    d = tmp_path / f"context{j}"
+    shutil.copytree(FIXTURES / "bibliography", d)
+    (d / "mf.txt").write_text("blk: builtin value-min\ntitle: builtin token-union\n")
+    papers = "".join(f", Paper(t{k + 2}; p{k}, z{k}, bl4)" for k in range(1, j + 1))
+    sims = "".join(f", y{2 - k % 2} ~title~ p{k}" for k in range(1, j + 1))
+    (d / "mds.txt").write_text(
+        f"md ctx: lead Author(t1; x1, y1, bl1), lead Author(t2; x2, y2, bl2){papers},"
+        f" x1 ~name~ x2, y1 ~title~ y2{sims} -> y1 := y2;\n"
+    )
+    return dir_args(d)
+
+
+# sha256 of `classify` stdout at j = 3, recorded from the permutation keys,
+# which took over a minute to print it
+CONTEXT_3_CLASSIFY = "a33f4a3828d90fd0b306017d538dd8734930c6c8b24ba68df3316657eb0fd069"
+
+
+@pytest.mark.parametrize("j, classes", [(3, 3), (4, 1), (5, 3), (6, 1)])
+def test_classify_reads_many_context_atoms_without_a_factorial_search(tmp_path, j, classes):
+    # in a child process, so that a search that does not end fails the test
+    # at the timeout instead of stalling the suite
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "mdclean", "classify", *context_family_args(tmp_path, j)],
+        capture_output=True, env=env, timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    payload = json.loads(done.stdout)
+    assert payload["verdict"] == "sfai"
+    base = "ctx__ctx__Author_PTitle"
+    names = [base] if classes == 1 else [f"{base}_{k}" for k in range(1, classes + 1)]
+    assert [q["name"] for q in payload["queries"]] == names
+    if j == 3:
+        assert hashlib.sha256(done.stdout).hexdigest() == CONTEXT_3_CLASSIFY
 
 
 def test_every_command_prints_a_relation_the_instance_omits(tmp_path, capsys):

@@ -3,16 +3,19 @@
 Chase steps and queries are Datalog rules evaluated by `datalog`;
 `naive_match` keeps the backtracking searches that found them before, and
 these checks require the same step lists (with context witnesses and
-merges), the same least witnesses and the same answer sets.
+merges), the same least witnesses and the same answer sets.  It also keeps
+the permutation search for an interaction query's canonical key, which the
+classifier's keys, isomorphism verdicts and queries must agree with.
 """
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 from mdclean.chase import ChaseEngine
-from mdclean.classify import sfai_queries
+from mdclean.classify import _Body, sfai_queries
 from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
@@ -21,7 +24,16 @@ from mdclean.model import (
     SimilarityRelation,
     collect_active_values,
 )
-from mdclean.query import ConjunctiveQuery, certain_answers, eval_cq, find_witness, parse_query
+from mdclean.query import (
+    ConjunctiveQuery,
+    QueryAtom,
+    SimLiteral,
+    certain_answers,
+    eval_cq,
+    find_witness,
+    parse_query,
+)
+from mdclean.terms import Var
 
 import naive_match
 from fixture_edits import with_p2_in_first_block
@@ -79,6 +91,60 @@ def test_sfai_queries_match_backtracking_over_the_population(population):
                 s.instance, full, s.sim
             ), query
     assert satisfied > 100
+
+
+def test_interaction_queries_match_the_permutation_keys_over_the_population(population):
+    keyed = 0
+
+    def checked_key(atoms, sims):
+        nonlocal keyed
+        keyed += 1
+        key = naive_match.canonical_key(atoms, sims)
+        assert _Body(atoms, sims).key() == key, (atoms, sims)
+        return key
+
+    for s in population:
+        rules = validate_mds(s.mds, s.schema)
+        expected = naive_match.sfai_queries_by_key(rules, s.schema, checked_key)
+        assert sfai_queries(rules, s.schema) == expected, s.describe()
+    assert keyed > 7000
+
+
+def test_keys_and_isomorphism_match_the_permutation_keys_on_random_bodies():
+    rng = random.Random(20261019)
+    bodies = [naive_match.random_body(rng, 5) for _ in range(150)]
+    bodies += [naive_match.random_body(rng, 7) for _ in range(4)]
+    isomorphic = []
+    for body in bodies:
+        problem, verdicts = naive_match.check_body(rng, body)
+        assert problem is None, problem
+        isomorphic += verdicts
+    assert isomorphic.count(True) > 150 and isomorphic.count(False) > 30
+    assert any(len({t for a in atoms for t in a.args if isinstance(t, Var)}) > 10
+               for atoms, _ in bodies)
+    assert any(len(atoms) == 7 for atoms, _ in bodies)
+    # copies of an atom with its private variables renamed apart are twins
+    assert sum(
+        any(_Body(*body)._twin(i, j) for i, j in itertools.combinations(range(len(body[0])), 2))
+        for body in bodies
+    ) > 30
+
+
+def test_the_search_follows_one_of_each_set_of_twin_atoms():
+    # six atoms that differ only in their private variables, each compared
+    # with the shared one, serialise alike in every order: the search
+    # follows one ordering where the permutations number 6! = 720
+    x = Var("x")
+    atoms = tuple(QueryAtom("R", (Var(f"t{i}"), x, Var(f"y{i}"))) for i in range(6))
+    sims = tuple(SimLiteral(x, Var(f"y{i}"), "d") for i in range(6))
+    body = _Body(atoms, sims)
+
+    def least(depth, entries):
+        return min(entry for (entry, _), _ in entries)
+
+    assert sum(1 for _ in body._leaves(least)) == 1
+    assert body.key() == naive_match.canonical_key(atoms, sims)
+    assert _Body(*naive_match.relabelled(random.Random(1), atoms, sims)).isomorphic_to(body)
 
 
 def test_steps_match_the_pair_loop_along_chase_paths_of_the_population(population):
