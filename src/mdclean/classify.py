@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
 
 from .mdlang import BoundMD, MDSet, validate_mds
 from .model import (
@@ -28,7 +27,7 @@ from .model import (
     SimilarityRelation,
 )
 from .query import ConjunctiveQuery, QueryAtom, SimLiteral, find_witness
-from .terms import Term, Var, is_var
+from .terms import Var
 
 
 class Verdict(enum.Enum):
@@ -130,24 +129,17 @@ def sfai_queries(rules: list[BoundMD], schema: Schema) -> list[ConjunctiveQuery]
     return queries
 
 
-def _rename_md(rule: BoundMD, prefix: str):
-    """The rule body as query structures over prefixed variables."""
-    md = rule.md
-    fresh = {v: Var(prefix + v) for v in md.variables()}
-    atoms = [
-        QueryAtom(a.relation, (fresh[a.tid_var],) + tuple(fresh[v] for v in a.attr_vars))
-        for a in md.atoms
-    ]
-    sims = [
-        SimLiteral(fresh[sc.left], fresh[sc.right], dom)
-        for sc, dom in zip(md.similarities, rule.sim_domains)
-    ]
-    return atoms, sims
-
-
 def _embeddings(writer, reader, pair, schema):
+    """Each written atom of `writer` unified with each occurrence of the
+    shared attribute in `reader`'s body, as atoms `(relation, terms)` and
+    literals `(domain, left, right)` over integer variables: the writer's
+    numbered from 0 in `md.variables()` order, then the reader's.  Variables
+    that meet positionwise become one, so a reader variable that meets two
+    writer variables makes those one too."""
     attr_pos = schema.relation(pair.relation).position(pair.attribute)
-    writer_atoms, writer_sims = _rename_md(writer, "w_")
+    offset = len(writer.md.variables())
+    writer_atoms, writer_sims = _numbered_body(writer, 0)
+    reader_atoms, reader_sims = _numbered_body(reader, offset)
     lead_indices = [idx for idx, a in enumerate(writer.md.atoms) if a.leading]
     written_atoms = [
         writer_atoms[index]
@@ -159,48 +151,32 @@ def _embeddings(writer, reader, pair, schema):
         for idx, atom in enumerate(reader.md.atoms)
         if atom.relation == pair.relation and atom.attr_vars[attr_pos] in reader.compared
     ]
-    reader_atoms, reader_sims = _rename_md(reader, "r_")
-    for written in written_atoms:
+    for _, written in written_atoms:
         for occ_index in reader_occurrences:
-            sub = _unify(reader_atoms[occ_index], written)
-            kept = [
-                _apply_atom(a, sub)
-                for i, a in enumerate(reader_atoms)
-                if i != occ_index
-            ]
-            atoms = [_apply_atom(a, sub) for a in writer_atoms] + kept
-            sims = [_apply_sim(s, sub) for s in writer_sims + reader_sims]
-            yield tuple(atoms), tuple(sims)
+            parent: dict[int, int] = {}
+
+            def find(var: int) -> int:
+                while var in parent:
+                    var = parent[var]
+                return var
+
+            for left, right in zip(reader_atoms[occ_index][1], written):
+                left, right = find(left), find(right)
+                if left != right:
+                    parent[left] = right
+            kept = writer_atoms + reader_atoms[:occ_index] + reader_atoms[occ_index + 1:]
+            atoms = tuple((rel, tuple(find(t) for t in terms)) for rel, terms in kept)
+            sims = tuple((dom, find(l), find(r)) for dom, l, r in writer_sims + reader_sims)
+            yield atoms, sims
 
 
-def _unify(atom_a: QueryAtom, atom_b: QueryAtom) -> dict[Var, Term]:
-    """The substitution making two atoms of one relation, which hold only
-    variables, equal: variables that meet positionwise become one, so a
-    variable of `atom_a` that meets two of `atom_b` makes those one too."""
-    sub: dict[Var, Term] = {}
-
-    def find(var: Term) -> Term:
-        while var in sub:
-            var = sub[var]
-        return var
-
-    for left, right in zip(atom_a.args, atom_b.args):
-        left, right = find(left), find(right)
-        if left != right:
-            sub[left] = right
-    return {var: find(var) for var in sub}
-
-
-def _apply_term(term: Term, sub: Mapping[Var, Term]) -> Term:
-    return sub.get(term, term) if is_var(term) else term
-
-
-def _apply_atom(atom: QueryAtom, sub: Mapping[Var, Term]) -> QueryAtom:
-    return QueryAtom(atom.relation, tuple(_apply_term(t, sub) for t in atom.args))
-
-
-def _apply_sim(lit: SimLiteral, sub: Mapping[Var, Term]) -> SimLiteral:
-    return SimLiteral(_apply_term(lit.left, sub), _apply_term(lit.right, sub), lit.domain)
+def _numbered_body(rule: BoundMD, offset: int):
+    """The rule body's atoms and literals, its variables numbered from `offset`."""
+    md = rule.md
+    ids = {var: offset + k for k, var in enumerate(md.variables())}
+    atoms = [(a.relation, tuple(ids[v] for v in (a.tid_var, *a.attr_vars))) for a in md.atoms]
+    sims = [(dom, ids[sc.left], ids[sc.right]) for sc, dom in zip(md.similarities, rule.sim_domains)]
+    return atoms, sims
 
 
 class _Body:
@@ -210,10 +186,10 @@ class _Body:
     of its atoms: the atoms in order, each as its relation and arguments,
     variables renamed `v0`, `v1`, ... in order of first occurrence, then the
     sorted similarity literals under that renaming.  Names compare as
-    strings, so `v10` sorts before `v2`.  When every variable of a literal
-    is held by an atom, as in an embedding, two bodies are isomorphic
-    exactly when their keys are equal, and exactly when one has an ordering
-    whose serialisation is the other's in its own order.
+    strings, so `v10` sorts before `v2`.  Since every variable of a literal
+    is held by an atom, two bodies are isomorphic exactly when their keys
+    are equal, and exactly when one has an ordering whose serialisation is
+    the other's in its own order.
 
     Both questions are answered by one depth-first search that grows an
     ordering one atom at a time and follows only the atoms whose
@@ -226,30 +202,19 @@ class _Body:
     equal serialisations (McKay & Piperno, "Practical graph isomorphism,
     II", 2014, prune automorphic branches the same way).
 
-    The search reads each term as an integer: the variables numbered from 0
-    in order of first occurrence, and the constants from -1 downwards.
+    A body is given in `_embeddings`' form: atoms `(relation, terms)` and
+    literals `(domain, left, right)`, every term a variable numbered by a
+    non-negative integer.
     """
 
     def __init__(self, atoms, sims):
         self.atoms, self.sims = atoms, sims
-        ids: dict[str, int] = {}
-        consts: dict[str, int] = {}
-
-        def number(term):
-            if term.__class__ is Var:
-                return ids.setdefault(term.name, len(ids))
-            return ~consts.setdefault(term, len(consts))
-
-        self._atoms = [(a.relation, tuple(number(t) for t in a.args)) for a in atoms]
-        self._sims = [(lit.domain or "", number(lit.left), number(lit.right)) for lit in sims]
-        self._count = len(ids)
-        self._names = [("var", f"v{k}") for k in range(len(ids))]
-        self._consts = [("const", c) for c in consts]
+        self._count = 1 + max(t for _, terms in atoms for t in terms)  # renaming size
+        self._names = [("var", f"v{k}") for k in range(self._count)]
         self._sims_of: dict[int, list[tuple]] = {}
-        for sim in self._sims:
+        for sim in sims:
             for term in {sim[1], sim[2]}:
-                if term >= 0:
-                    self._sims_of.setdefault(term, []).append(sim)
+                self._sims_of.setdefault(term, []).append(sim)
         self._holders: dict[int, set[int]] | None = None
         self._twins: dict[tuple[int, int], bool] = {}
         self._own: tuple | None = None
@@ -257,51 +222,36 @@ class _Body:
     def _entry(self, index, rename, count):
         """Atom `index` serialised under `rename`, and the names its new
         variables take, numbered on from `count`."""
-        relation, args = self._atoms[index]
+        relation, args = self.atoms[index]
         fresh: dict[int, int] = {}
         out = []
         for term in args:
-            if term < 0:
-                out.append(self._consts[~term])
-            else:
-                k = rename[term]
-                if k < 0:
-                    k = fresh.setdefault(term, count + len(fresh))
-                out.append(self._names[k])
+            k = rename[term]
+            if k < 0:
+                k = fresh.setdefault(term, count + len(fresh))
+            out.append(self._names[k])
         return (relation, tuple(out)), fresh
 
     def _sim_entry(self, sim, rename):
         """A similarity literal serialised under `rename`, or None while one
         of its variables is unnamed."""
         dom, left, right = sim
-        pair = []
-        for term in (left, right):
-            if term < 0:
-                pair.append(self._consts[~term])
-            elif rename[term] < 0:
-                return None
-            else:
-                pair.append(self._names[rename[term]])
-        return dom, tuple(sorted(pair))
+        if rename[left] < 0 or rename[right] < 0:
+            return None
+        return dom, tuple(sorted((self._names[rename[left]], self._names[rename[right]])))
 
-    def _sim_part(self, rename, count):
-        rename = list(rename)
-        for _, left, right in self._sims:
-            for term in (left, right):
-                if term >= 0 and rename[term] < 0:  # held by no atom
-                    rename[term] = count
-                    count += 1
-        return tuple(sorted(self._sim_entry(sim, rename) for sim in self._sims))
+    def _sim_part(self, rename):
+        return tuple(sorted(self._sim_entry(sim, rename) for sim in self.sims))
 
     def _leaves(self, pick, sims=None):
-        """Depth-first, the renamings and name counts of the orderings whose
-        atom at each depth serialises as `pick(depth, entries)` (None
-        prunes), where `entries` are the remaining atoms' serialisations;
-        with `sims`, only orderings whose named literals all lie in it."""
+        """Depth-first, the renamings of the orderings whose atom at each
+        depth serialises as `pick(depth, entries)` (None prunes), where
+        `entries` are the remaining atoms' serialisations; with `sims`, only
+        orderings whose named literals all lie in it."""
 
         def walk(depth, remaining, rename, count):
             if not remaining:
-                yield rename, count
+                yield rename
                 return
             entries = [(self._entry(i, rename, count), i) for i in remaining]
             want = pick(depth, entries)
@@ -320,7 +270,7 @@ class _Body:
                 rest = tuple(j for j in remaining if j != i)
                 yield from walk(depth + 1, rest, new, count + len(fresh))
 
-        return walk(0, tuple(range(len(self._atoms))), [-1] * self._count, 0)
+        return walk(0, tuple(range(len(self.atoms))), [-1] * self._count, 0)
 
     def _strays(self, rename, fresh, sims) -> bool:
         """Whether a literal reading a variable of `fresh` is named in full
@@ -340,26 +290,23 @@ class _Body:
         return self._twins[a, b]
 
     def _swapped_by_own_variables(self, a, b) -> bool:
-        (rel_a, args_a), (rel_b, args_b) = self._atoms[a], self._atoms[b]
+        (rel_a, args_a), (rel_b, args_b) = self.atoms[a], self.atoms[b]
         if rel_a != rel_b:
             return False
         swap: dict[int, int] = {}
         for x, y in zip(args_a, args_b):
-            if x < 0 or y < 0:
-                if x != y:
-                    return False
-            elif swap.setdefault(x, y) != y or swap.setdefault(y, x) != x:
+            if swap.setdefault(x, y) != y or swap.setdefault(y, x) != x:
                 return False
         if self._holders is None:
             self._holders = {}
-            for index, (_, args) in enumerate(self._atoms):
+            for index, (_, args) in enumerate(self.atoms):
                 for term in args:
                     self._holders.setdefault(term, set()).add(index)
         pair = {a, b}
         moved = {x for x, y in swap.items() if x != y}
         if any(not self._holders[x] <= pair for x in moved):
             return False
-        touched = [sim for sim in self._sims if sim[1] in moved or sim[2] in moved]
+        touched = [sim for sim in self.sims if sim[1] in moved or sim[2] in moved]
         swapped = [(dom, swap.get(l, l), swap.get(r, r)) for dom, l, r in touched]
         return sorted((d, min(l, r), max(l, r)) for d, l, r in touched) == sorted(
             (d, min(l, r), max(l, r)) for d, l, r in swapped
@@ -382,8 +329,8 @@ class _Body:
             best[0] = None
             return least
 
-        for rename, count in self._leaves(pick):
-            sim_part = self._sim_part(rename, count)
+        for rename in self._leaves(pick):
+            sim_part = self._sim_part(rename)
             if best[0] is None or sim_part < best[0]:
                 best[0] = sim_part
         return tuple(part), best[0]
@@ -392,41 +339,39 @@ class _Body:
         """The serialisation in the body's own atom order."""
         if self._own is None:
             rename, count, part = [-1] * self._count, 0, []
-            for index in range(len(self._atoms)):
+            for index in range(len(self.atoms)):
                 entry, fresh = self._entry(index, rename, count)
                 for var, k in fresh.items():
                     rename[var] = k
                 count += len(fresh)
                 part.append(entry)
-            self._own = (tuple(part), self._sim_part(rename, count))
+            self._own = (tuple(part), self._sim_part(rename))
         return self._own
 
     def isomorphic_to(self, other: "_Body") -> bool:
-        if (len(self._atoms), self._count, len(self._sims)) != (
-            len(other._atoms), other._count, len(other._sims)
-        ):
+        if (len(self.atoms), len(self.sims)) != (len(other.atoms), len(other.sims)):
             return False
         atom_part, sim_part = other.serialisation()
         leaves = self._leaves(lambda depth, entries: atom_part[depth], set(sim_part))
-        return any(self._sim_part(rename, count) == sim_part for rename, count in leaves)
+        return any(self._sim_part(rename) == sim_part for rename in leaves)
 
 
 def _readable_query(name: str, atoms, sims) -> ConjunctiveQuery:
-    """Rename to T1.., X1.. in first-occurrence order; Boolean, distinct tids."""
-    mapping: dict[Var, Var] = {}
+    """Name the variables T1.., X1.. in first-occurrence order; Boolean, distinct tids."""
+    names: dict[int, Var] = {}
     tids = attrs = 0
-    for atom in atoms:
-        for pos, term in enumerate(atom.args):
-            if is_var(term) and term not in mapping:
+    for _, terms in atoms:
+        for pos, term in enumerate(terms):
+            if term not in names:
                 if pos == 0:
                     tids += 1
-                    mapping[term] = Var(f"T{tids}")
+                    names[term] = Var(f"T{tids}")
                 else:
                     attrs += 1
-                    mapping[term] = Var(f"X{attrs}")
-    new_atoms = tuple(_apply_atom(a, mapping) for a in atoms)
-    new_sims = tuple(_apply_sim(s, mapping) for s in sims)
-    return ConjunctiveQuery(name, (), new_atoms, new_sims, distinct_tids=True)
+                    names[term] = Var(f"X{attrs}")
+    query_atoms = tuple(QueryAtom(rel, tuple(names[t] for t in terms)) for rel, terms in atoms)
+    query_sims = tuple(SimLiteral(names[left], names[right], dom) for dom, left, right in sims)
+    return ConjunctiveQuery(name, (), query_atoms, query_sims, distinct_tids=True)
 
 
 # ---------------------------------------------------------------------------

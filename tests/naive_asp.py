@@ -28,7 +28,8 @@ read the order relation through plain variables too and are checked here
 over the rebuilt terms.
 
 Run `PYTHONPATH=src:tests python -m naive_asp --max-tuples 4` to compare
-the stable models with `chase_all` on the randomized acceptance population.
+the stable models with `chase_all` on the randomized acceptance population;
+it exits 1 when a draw's models disagree.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ def endpoint_sets(instances) -> set[frozenset]:
     }
 
 
-def _scan(argv=None) -> None:
+def _scan(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=20260823)
     parser.add_argument("--draws", type=int, default=745)
@@ -374,7 +375,8 @@ def _scan(argv=None) -> None:
                 flush=True,
             )
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
+    return 1 if counts["mismatch"] else 0
 
 
 if __name__ == "__main__":
-    _scan()
+    raise SystemExit(_scan())

@@ -10,7 +10,8 @@ steps, witnesses and merges of `ChaseEngine.applicable_steps`.
 
 `canonical_key` serialises an interaction query's body under every ordering
 of its atoms and keeps the least; `classify._Body.key` must return the same
-tuple.  `sfai_queries_by_key` groups each pair's embeddings by that key, and
+tuple for the body's `numbered` form.  `sfai_queries_by_key` groups each
+pair's embeddings by the key of their query form, and
 `classify.sfai_queries`, which groups them by an isomorphism test, must
 return the same queries.
 
@@ -216,15 +217,29 @@ def canonical_key(atoms, sims):
     return best
 
 
+def numbered(atoms, sims):
+    """A body of `QueryAtom`s and `SimLiteral`s over variables in
+    `classify._Body`'s form: atoms `(relation, terms)` and literals
+    `(domain, left, right)`, each variable numbered in order of first
+    occurrence in the atoms."""
+    ids: dict[Var, int] = {}
+    return (
+        tuple((a.relation, tuple(ids.setdefault(t, len(ids)) for t in a.args)) for a in atoms),
+        tuple((lit.domain, ids[lit.left], ids[lit.right]) for lit in sims),
+    )
+
+
 def sfai_queries_by_key(rules, schema, key=canonical_key):
     """The interaction queries with each pair's embeddings grouped by `key`
-    (atoms, sims), the first of each group kept, groups in key order."""
+    (atoms, sims) of their query form, which does not depend on variable
+    names; the first of each group kept, groups in key order."""
     by_name = {rule.md.name: rule for rule in rules}
     queries = []
     for pair in interaction_pairs(rules):
         group: dict[tuple, tuple] = {}
         for merged in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, schema):
-            group.setdefault(key(*merged), merged)
+            query = _readable_query("", *merged)
+            group.setdefault(key(query.atoms, query.sims), merged)
         base = f"{pair.writer}__{pair.reader}__{pair.relation}_{pair.attribute}"
         for index, least in enumerate(sorted(group)):
             name = base if len(group) == 1 else f"{base}_{index + 1}"
@@ -232,39 +247,31 @@ def sfai_queries_by_key(rules, schema, key=canonical_key):
     return queries
 
 
-# random bodies: relations with their arities, similarity domains (None is
-# an undeclared domain) and constants
+# random bodies: relations with their arities and similarity domains
 _RELATIONS = {"R": 3, "S": 2, "P": 4}
-_DOMAINS = ["d", "e", None]
-_CONSTANTS = ["c1", "c2"]
+_DOMAINS = ["d", "e"]
 
 
 def random_body(rng: random.Random, max_atoms: int = 7):
-    """Atoms and similarity literals with constants, repeated variables, up
-    to 16 variables and copies of atoms whose private variables are renamed
-    apart, together with the literals that read them.  Every variable of a
-    literal is held by some atom, as in an interaction query."""
+    """Atoms and similarity literals with repeated variables, up to 16
+    variables and copies of atoms whose private variables are renamed
+    apart, together with the literals that read them.  As in an interaction
+    query, every term is a variable, every variable of a literal is held by
+    some atom, and every literal has a domain."""
     pool = [Var(f"x{i}") for i in range(rng.randint(2, 16))]
     atoms = []
     for _ in range(rng.randint(1, max_atoms)):
         rel = rng.choice(sorted(_RELATIONS))
-        atoms.append(QueryAtom(rel, tuple(
-            rng.choice(_CONSTANTS) if rng.random() < 0.1 else rng.choice(pool)
-            for _ in range(_RELATIONS[rel])
-        )))
-    held = sorted({t for a in atoms for t in a.args if is_var(t)}, key=lambda v: v.name)
+        atoms.append(QueryAtom(rel, tuple(rng.choice(pool) for _ in range(_RELATIONS[rel]))))
+    held = sorted({t for a in atoms for t in a.args}, key=lambda v: v.name)
     sims = [
-        SimLiteral(
-            rng.choice(held) if held and rng.random() < 0.9 else rng.choice(_CONSTANTS),
-            rng.choice(held) if held and rng.random() < 0.9 else rng.choice(_CONSTANTS),
-            rng.choice(_DOMAINS),
-        )
+        SimLiteral(rng.choice(held), rng.choice(held), rng.choice(_DOMAINS))
         for _ in range(rng.randint(0, 4))
     ]
     fresh = len(pool)
     while len(atoms) < max_atoms and rng.random() < 0.6:
         original = rng.choice(atoms)
-        private = {t for t in original.args if is_var(t)} - {
+        private = set(original.args) - {
             t for a in atoms if a is not original for t in a.args
         }
         renamed = {}
@@ -283,7 +290,7 @@ def random_body(rng: random.Random, max_atoms: int = 7):
 def relabelled(rng: random.Random, atoms, sims):
     """An isomorphic copy: variables renamed, atoms and literals shuffled,
     literal sides swapped at random."""
-    names = sorted({t.name for a in atoms for t in a.args if is_var(t)})
+    names = sorted({t.name for a in atoms for t in a.args})
     targets = [f"y{i}" for i in range(len(names))]
     rng.shuffle(targets)
     sub = {Var(n): Var(t) for n, t in zip(names, targets)}
@@ -300,7 +307,8 @@ def relabelled(rng: random.Random, atoms, sims):
 
 def perturbed(rng: random.Random, atoms, sims):
     """A relabelled copy with one argument or one literal domain changed,
-    which may or may not stay isomorphic."""
+    which may or may not stay isomorphic.  A literal whose variable no atom
+    holds any more is dropped."""
     atoms, sims = relabelled(rng, atoms, sims)
     if sims and rng.random() < 0.3:
         index = rng.randrange(len(sims))
@@ -309,12 +317,13 @@ def perturbed(rng: random.Random, atoms, sims):
         return atoms, sims[:index] + (lit,) + sims[index + 1:]
     index = rng.randrange(len(atoms))
     atom = atoms[index]
-    terms = sorted({t for a in atoms for t in a.args if is_var(t)}, key=lambda v: v.name)
+    terms = sorted({t for a in atoms for t in a.args}, key=lambda v: v.name)
     pos = rng.randrange(len(atom.args))
     args = list(atom.args)
-    args[pos] = rng.choice(terms + _CONSTANTS)
-    atom = QueryAtom(atom.relation, tuple(args))
-    return atoms[:index] + (atom,) + atoms[index + 1:], sims
+    args[pos] = rng.choice(terms)
+    atoms = atoms[:index] + (QueryAtom(atom.relation, tuple(args)),) + atoms[index + 1:]
+    held = {t for a in atoms for t in a.args}
+    return atoms, tuple(lit for lit in sims if {lit.left, lit.right} <= held)
 
 
 def check_body(rng: random.Random, body) -> tuple[str | None, list[bool]]:
@@ -324,15 +333,15 @@ def check_body(rng: random.Random, body) -> tuple[str | None, list[bool]]:
     the first disagreement, as text with the bodies (None when there is
     none), and whether each copy is isomorphic."""
     key = canonical_key(*body)
-    if _Body(*body).key() != key:
+    if _Body(*numbered(*body)).key() != key:
         return f"key differs from canonical_key on\n  {_show(*body)}", []
     isomorphic = []
     for copy in (relabelled, perturbed):
         other = copy(rng, *body)
         other_key = canonical_key(*other)
-        if _Body(*other).key() != other_key:
+        if _Body(*numbered(*other)).key() != other_key:
             return f"key differs from canonical_key on\n  {_show(*other)}", isomorphic
-        verdict = _Body(*other).isomorphic_to(_Body(*body))
+        verdict = _Body(*numbered(*other)).isomorphic_to(_Body(*numbered(*body)))
         if verdict != (other_key == key):
             return (
                 f"isomorphism test says {verdict} where the keys are "
@@ -344,14 +353,8 @@ def check_body(rng: random.Random, body) -> tuple[str | None, list[bool]]:
 
 
 def _show(atoms, sims) -> str:
-    def term(t):
-        return t.name if is_var(t) else repr(t)
-
-    text = [f"{a.relation}({', '.join(term(t) for t in a.args)})" for a in atoms]
-    text += [
-        f"{term(lit.left)} {f'~{lit.domain}~' if lit.domain else '~'} {term(lit.right)}"
-        for lit in sims
-    ]
+    text = [f"{a.relation}({', '.join(t.name for t in a.args)})" for a in atoms]
+    text += [f"{lit.left.name} ~{lit.domain}~ {lit.right.name}" for lit in sims]
     return ", ".join(text)
 
 
@@ -368,7 +371,7 @@ def _scan(argv=None) -> int:
     def checked_key(atoms, sims):
         key = canonical_key(atoms, sims)
         embeddings.append(atoms)
-        if _Body(atoms, sims).key() != key:
+        if _Body(*numbered(atoms, sims)).key() != key:
             wrong.append(_show(atoms, sims))
         return key
 

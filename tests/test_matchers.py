@@ -9,13 +9,16 @@ classifier's keys, isomorphism verdicts and queries must agree with.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mdclean.chase import ChaseEngine
-from mdclean.classify import _Body, sfai_queries
+from mdclean.classify import _Body, _embeddings, interaction_pairs, sfai_queries
 from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
@@ -100,11 +103,20 @@ def test_interaction_queries_match_the_permutation_keys_over_the_population(popu
         nonlocal keyed
         keyed += 1
         key = naive_match.canonical_key(atoms, sims)
-        assert _Body(atoms, sims).key() == key, (atoms, sims)
+        assert _Body(*naive_match.numbered(atoms, sims)).key() == key, (atoms, sims)
         return key
 
     for s in population:
         rules = validate_mds(s.mds, s.schema)
+        by_name = {rule.md.name: rule for rule in rules}
+        for pair in interaction_pairs(rules):
+            for atoms, sims in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, s.schema):
+                held = {term for _, terms in atoms for term in terms}
+                assert all({left, right} <= held for _, left, right in sims), (
+                    "a literal reads a variable no atom of its embedding holds",
+                    atoms,
+                    sims,
+                )
         expected = naive_match.sfai_queries_by_key(rules, s.schema, checked_key)
         assert sfai_queries(rules, s.schema) == expected, s.describe()
     assert keyed > 7000
@@ -125,7 +137,10 @@ def test_keys_and_isomorphism_match_the_permutation_keys_on_random_bodies():
     assert any(len(atoms) == 7 for atoms, _ in bodies)
     # copies of an atom with its private variables renamed apart are twins
     assert sum(
-        any(_Body(*body)._twin(i, j) for i, j in itertools.combinations(range(len(body[0])), 2))
+        any(
+            _Body(*naive_match.numbered(*body))._twin(i, j)
+            for i, j in itertools.combinations(range(len(body[0])), 2)
+        )
         for body in bodies
     ) > 30
 
@@ -137,14 +152,29 @@ def test_the_search_follows_one_of_each_set_of_twin_atoms():
     x = Var("x")
     atoms = tuple(QueryAtom("R", (Var(f"t{i}"), x, Var(f"y{i}"))) for i in range(6))
     sims = tuple(SimLiteral(x, Var(f"y{i}"), "d") for i in range(6))
-    body = _Body(atoms, sims)
+    body = _Body(*naive_match.numbered(atoms, sims))
 
     def least(depth, entries):
         return min(entry for (entry, _), _ in entries)
 
     assert sum(1 for _ in body._leaves(least)) == 1
     assert body.key() == naive_match.canonical_key(atoms, sims)
-    assert _Body(*naive_match.relabelled(random.Random(1), atoms, sims)).isomorphic_to(body)
+    copy = naive_match.relabelled(random.Random(1), atoms, sims)
+    assert _Body(*naive_match.numbered(*copy)).isomorphic_to(body)
+
+
+def test_the_oracle_scan_runs_as_a_module():
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"}
+    done = subprocess.run(
+        [sys.executable, "-m", "naive_match", "--draws", "5", "--bodies", "10"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "5 draws, 40 embeddings: keys and queries agree",
+        "10 random bodies: keys and isomorphism verdicts agree (14 isomorphic copies, 6 not)",
+    ]
 
 
 def test_steps_match_the_pair_loop_along_chase_paths_of_the_population(population):

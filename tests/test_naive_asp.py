@@ -1,5 +1,8 @@
 """The general program's stable models, enumerated by `naive_asp`, against the chase."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from mdclean.model import (
     collect_active_values,
 )
 
+import naive_asp
 from naive_asp import ShiftedProgram, clean_projections, endpoint_sets
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -97,3 +101,23 @@ def test_oracle_enumerates_minimal_models_and_applies_constraints():
 def test_oracle_refuses_a_head_cycle():
     with pytest.raises(ValueError, match="positive cycle"):
         ShiftedProgram("p(x). a(X) | b(X) :- p(X). a(X) :- b(X). b(X) :- a(X).")
+
+
+SCAN_ARGS = ["--draws", "30", "--max-tuples", "3", "--timeout", "5"]
+
+
+def test_the_oracle_scan_runs_as_a_module():
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"}
+    done = subprocess.run(
+        [sys.executable, "-m", "naive_asp", *SCAN_ARGS],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["agree=13 mismatch=0 timeout=0 larger=17"]
+
+
+def test_the_oracle_scan_fails_on_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(naive_asp, "clean_projections", lambda models, relations: set())
+    assert naive_asp._scan(SCAN_ARGS) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "agree=0 mismatch=13 timeout=0 larger=17"
