@@ -215,54 +215,8 @@ class Program:
         """The compiled body of one rule, reading `delta_occurrence` first."""
         key = (index, delta_occurrence)
         if key not in self._plans:
-            rule = self.rules[index]
-            order = self._make_plan(rule, delta_occurrence)
-            if order is None:
-                raise UnsafeRule(f"rule {format_rule_ast(rule)!r} cannot be safely evaluated")
-            self._plans[key] = _Plan(rule, order, self.builtins)
+            self._plans[key] = _Plan(self.rules[index], delta_occurrence, self.builtins)
         return self._plans[key]
-
-    def _make_plan(self, rule: Rule, first: int | None) -> list[int] | None:
-        """The order the body runs in, or None when the rule is unsafe.
-
-        A literal whose needed variables are bound runs as soon as they are;
-        otherwise the first positive literal sharing a bound variable, else
-        the first positive literal, is scanned next.
-        """
-        body = rule.body
-        lit_vars = [_var_names(lit.args) for lit in body]
-        # what a negated or built-in literal needs bound before it can run
-        needs: dict[int, set[str]] = {}
-        for i, lit in enumerate(body):
-            if lit.negated:
-                needs[i] = lit_vars[i]
-            elif lit.pred in self.builtins:
-                needs[i] = _var_names(lit.args[:2])
-        order: list[int] = []
-        bound: set[str] = set()
-        remaining = list(range(len(body)))
-        if first is not None:
-            order.append(first)
-            remaining.remove(first)
-            bound |= lit_vars[first]
-        while remaining:
-            pick = next((i for i in remaining if i in needs and needs[i] <= bound), None)
-            if pick is None:
-                positives = [i for i in remaining if i not in needs]
-                if not positives:
-                    return None
-                sharing = [i for i in positives if lit_vars[i] & bound]
-                pick = sharing[0] if sharing else positives[0]
-            order.append(pick)
-            remaining.remove(pick)
-            bound |= lit_vars[pick]
-        if not _var_names(rule.head.args) <= bound:
-            return None
-        return order
-
-
-def _var_names(args: Sequence[Term]) -> set[str]:
-    return {a.name for a in args if isinstance(a, Var)}
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +224,13 @@ def _var_names(args: Sequence[Term]) -> set[str]:
 
 
 def stratify(program: Program) -> list[list[str]]:
-    """Predicate strata, bottom first; negation must point strictly down."""
+    """Predicate strata, bottom first; negation must point strictly down.
+
+    Levels rise by relaxation, each predicate recording the dependency that
+    last raised it.  If they still rise after |preds| + 1 rounds, following
+    those records back |preds| steps from the last predicate raised lands on
+    a cycle through a negation, which the error names.
+    """
     preds = sorted(program.all_preds())
     edges: list[tuple[str, str, bool]] = []
     for rule in program.rules:
@@ -279,47 +239,28 @@ def stratify(program: Program) -> list[list[str]]:
                 continue
             edges.append((rule.head.pred, lit.pred, lit.negated))
     level = {p: 0 for p in preds}
+    raised_by: dict[str, str] = {}
     for _ in range(len(preds) + 1):
-        changed = False
+        raised = None
         for head, dep, negated in edges:
             need = level[dep] + (1 if negated else 0)
             if level[head] < need:
                 level[head] = need
-                changed = True
-        if not changed:
+                raised_by[head] = dep
+                raised = head
+        if raised is None:
             break
     else:
-        cycle = _find_negative_cycle(preds, edges)
+        for _ in preds:
+            raised = raised_by[raised]
+        cycle = [raised, raised_by[raised]]
+        while cycle[-1] != raised:
+            cycle.append(raised_by[cycle[-1]])
         raise NotStratifiable(f"negation cycle through {' -> '.join(cycle)}")
     by_level: dict[int, list[str]] = {}
     for p in preds:
         by_level.setdefault(level[p], []).append(p)
     return [sorted(by_level[lv]) for lv in sorted(by_level)]
-
-
-def _find_negative_cycle(preds, edges) -> list[str]:
-    adjacency: dict[str, list[tuple[str, bool]]] = {}
-    for head, dep, negated in edges:
-        adjacency.setdefault(head, []).append((dep, negated))
-
-    def walk(start: str) -> list[str] | None:
-        stack = [(start, [start], False)]
-        while stack:
-            node, path, has_neg = stack.pop()
-            for dep, negated in adjacency.get(node, ()):
-                neg = has_neg or negated
-                if dep == start and neg:
-                    return path + [dep]
-                if dep in path:
-                    continue
-                stack.append((dep, path + [dep], neg))
-        return None
-
-    for p in sorted(preds):
-        found = walk(p)
-        if found:
-            return found
-    return ["<unknown>"]
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +437,18 @@ def _getter(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 
 class _Plan:
-    """A rule body in evaluation order, compiled to operations on slots.
+    """A rule body compiled to operations on slots, in the order it runs.
 
     Each variable and each constant of the rule owns one slot of a list;
     constants are written into theirs once, so every argument is a slot
-    index.  The body splits into levels.  Level 0 holds the operations that
-    need no scan; each further level scans one positive literal that has free
+    index.  The literals are ordered as they are compiled: `first` (a body
+    index, or None) runs first; then a negated or built-in literal runs as
+    soon as its inputs are bound, and otherwise the first positive literal
+    sharing a bound variable is scanned, else the first positive literal.  A
+    rule is unsafe when no literal can run or a head variable stays unbound.
+
+    The body splits into levels.  Level 0 holds the operations that need no
+    scan; each further level scans one positive literal that has free
     positions, binds the free ones, and then runs the operations its bindings
     made ready: `!=`, the other built-ins, and membership probes of fully
     bound literals, negated or not.  A scan reads a hash index on its bound
@@ -509,7 +456,7 @@ class _Plan:
     built-in with keys compares with a bound slot; else every tuple.
     """
 
-    def __init__(self, rule: Rule, order: Sequence[int], builtins: Mapping[str, Builtin]):
+    def __init__(self, rule: Rule, first: int | None, builtins: Mapping[str, Builtin]):
         # slots by variable name and by constant, kept apart
         slot_of: tuple[dict[str, int], dict[str, int]] = ({}, {})
         self.initial: list[str | None] = []
@@ -529,10 +476,30 @@ class _Plan:
                 out.append(s)
             return out
 
+        body = rule.body
+        args_of = [slots(lit.args) for lit in body]
+        # the variables of each literal (a constant's slot is bound from the start)
+        variables = [{s for s in args if self.initial[s] is None} for args in args_of]
+        # what a negated or built-in literal needs bound before it can run
+        needs = {
+            i: set(args[:2] if body[i].pred in builtins else args)
+            for i, args in enumerate(args_of)
+            if body[i].negated or body[i].pred in builtins
+        }
+        remaining = list(range(len(body)))
+
+        def next_literal() -> int | None:
+            if first in remaining:
+                return first
+            ready = [i for i in remaining if i in needs and needs[i] <= bound]
+            positives = [i for i in remaining if i not in needs]
+            sharing = [i for i in positives if not bound.isdisjoint(variables[i])]
+            return (ready + sharing + positives + [None])[0]
+
         # the slots that built-ins with blocking keys compare, with the keys
         blockers = [
-            (*slots(lit.args[:2]), builtins[lit.pred].keys)
-            for lit in rule.body
+            (*args[:2], builtins[lit.pred].keys)
+            for lit, args in zip(body, args_of)
             if lit.pred in builtins and builtins[lit.pred].keys is not None
         ]
 
@@ -554,9 +521,9 @@ class _Plan:
         # keys); a scan through blocking keys holds the position whose keys
         # index a stored tuple and the slot whose keys probe the index
         self.levels: list[tuple[tuple, list[tuple]]] = [((None, None, None, (), (), None), [])]
-        for i in order:
-            lit = rule.body[i]
-            args = slots(lit.args)
+        while (i := next_literal()) is not None:
+            remaining.remove(i)
+            lit, args = body[i], args_of[i]
             ops = self.levels[-1][1]
             if lit.pred in builtins:
                 handler = builtins[lit.pred]
@@ -591,7 +558,10 @@ class _Plan:
                     bound.add(s)
             scan = (read, index_key, slot_key, tuple(binds), tuple(equal), keys)
             self.levels.append((scan, []))
-        self.head = _getter(slots(rule.head.args))
+        head = slots(rule.head.args)
+        if remaining or not bound.issuperset(head):
+            raise UnsafeRule(f"rule {format_rule_ast(rule)!r} cannot be safely evaluated")
+        self.head = _getter(head)
 
 
 def _holds(ops: list[tuple], slots: list, rels: list) -> bool:

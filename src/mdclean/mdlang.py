@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 from .datalog import NEQ, Lexer, Literal, Token, value_pred
 from .errors import ParseError, ValidationError
-from .model import MatchingFunction, Schema
+from .model import MatchingFunction, Schema, read_text
 from .terms import Var
 
 _KEYWORDS = {"md", "lead"}
@@ -281,7 +281,7 @@ def parse_mds(text: str) -> MDSet:
 
 
 def load_mds(path: str | Path) -> MDSet:
-    return parse_mds(Path(path).read_text(encoding="utf-8"))
+    return parse_mds(read_text(path))
 
 
 # ---------------------------------------------------------------------------

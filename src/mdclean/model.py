@@ -42,6 +42,13 @@ def token_canonical(toks: frozenset[str]) -> str:
 # declaration files
 
 
+def read_text(path: str | Path, newline: str | None = None) -> str:
+    """An input file's text, decoded as UTF-8 after a byte-order mark if one
+    leads it; `newline` is `open`'s, by default reading every line end as `\\n`."""
+    with open(path, encoding="utf-8-sig", newline=newline) as file:
+        return file.read()
+
+
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """Each non-blank line with its number, `#` comment cut and stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -182,7 +189,7 @@ class Schema:
 
     @classmethod
     def load(cls, path: str | Path) -> "Schema":
-        return cls.parse(Path(path).read_text(encoding="utf-8"))
+        return cls.parse(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +301,7 @@ class Instance:
                 continue
             rel = schema.relation(rel_name)
             try:
-                text = path.read_bytes().decode("utf-8")
+                text = read_text(path, newline="")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: {exc}") from None
             reader = csv.reader(io.StringIO(text, newline=""))
@@ -323,7 +330,7 @@ class Instance:
         if path.is_dir():
             return cls.from_csv_dir(schema, path)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from None
         return cls.from_json_dict(schema, data)
@@ -443,7 +450,7 @@ class SimilarityRelation:
 
     @classmethod
     def load(cls, path: str | Path) -> "SimilarityRelation":
-        return cls.parse(Path(path).read_text(encoding="utf-8"))
+        return cls.parse(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +542,7 @@ class MatchingFunction:
 
     @classmethod
     def load(cls, path: str | Path) -> "MatchingFunction":
-        return cls.parse(Path(path).read_text(encoding="utf-8"))
+        return cls.parse(read_text(path))
 
 
 class _TableDomain:

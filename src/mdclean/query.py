@@ -20,7 +20,7 @@ from typing import AbstractSet, Sequence
 
 from .datalog import NEQ, Literal, Program, Rule, evaluate, value_builtins, value_pred
 from .errors import EmptyCleanSet, ParseError, UnknownDomain, ValidationError
-from .model import Instance, Schema, SimilarityRelation
+from .model import Instance, Schema, SimilarityRelation, read_text
 from .terms import Term, Var, is_var
 
 
@@ -237,7 +237,7 @@ def _parse_head(text: str) -> tuple[str, list[str]]:
     if "(" not in text:
         if not text:
             raise ParseError("query head missing")
-        return text, []
+        return _unquoted(text, "query name"), []
     if not text.endswith(")"):
         raise ParseError(f"malformed query head {text!r}")
     name, inner = text[:-1].split("(", 1)
@@ -246,14 +246,14 @@ def _parse_head(text: str) -> tuple[str, list[str]]:
     for arg in args:
         if not _is_var_name(arg):
             raise ParseError(f"query head argument {arg!r} must be a variable")
-    return name, args
+    return _unquoted(name, "query name"), args
 
 
 def _parse_atom(chunk: str) -> QueryAtom:
     if "(" not in chunk or not chunk.endswith(")"):
         raise ParseError(f"malformed atom {chunk!r}")
     rel, inner = chunk[:-1].split("(", 1)
-    rel = rel.strip()
+    rel = _unquoted(rel.strip(), "relation name")
     args = tuple(_parse_term(a.strip()) for a in _split_top(inner, ","))
     if not args:
         raise ParseError(f"atom {rel!r} needs at least the identifier argument")
@@ -264,7 +264,7 @@ def _parse_sim(parts: list[str]) -> SimLiteral:
     """A similarity from its literal's pieces between `~`s outside quotes and
     parentheses: `left ~ right`, or `left ~dom~ right` whose right side keeps
     any further `~`."""
-    dom = parts[1].strip() if len(parts) > 2 else None
+    dom = _unquoted(parts[1].strip(), "domain") if len(parts) > 2 else None
     right = "~".join(parts[1:] if dom is None else parts[2:])
     return SimLiteral(_parse_term(parts[0].strip()), _parse_term(right.strip()), dom)
 
@@ -272,8 +272,9 @@ def _parse_sim(parts: list[str]) -> SimLiteral:
 def _parse_term(text: str) -> Term:
     if not text:
         raise ParseError("empty term")
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+    if len(text) >= 2 and text[0] == text[-1] == '"' and '"' not in text[1:-1]:
         return text[1:-1]
+    _unquoted(text, "term")
     if _is_var_name(text):
         return Var(text)
     return text
@@ -282,16 +283,17 @@ def _parse_term(text: str) -> Term:
 def _split_top(text: str, sep: str) -> list[str]:
     """The pieces of `text` between the `sep` characters that are outside
     parentheses and quotes, with each `#` comment outside quotes dropped up
-    to its line's end; the text after the last `sep` is the last piece."""
-    parts, piece, depth, in_quote, in_comment = [], [], 0, False, False
-    for ch in text:
+    to its line's end; the text after the last `sep` is the last piece.  A
+    quote left open is refused, placed where it opens."""
+    parts, piece, depth, quote, in_comment = [], [], 0, None, False
+    for at, ch in enumerate(text):
         if in_comment:
             if ch != "\n":
                 continue
             in_comment = False
         elif ch == '"':
-            in_quote = not in_quote
-        elif in_quote:
+            quote = at if quote is None else None
+        elif quote is not None:
             pass
         elif ch == "#":
             in_comment = True
@@ -305,9 +307,19 @@ def _split_top(text: str, sep: str) -> list[str]:
             piece = []
             continue
         piece.append(ch)
+    if quote is not None:
+        line_start = text.rfind("\n", 0, quote) + 1
+        raise ParseError("unterminated quote", text.count("\n", 0, quote) + 1, quote - line_start + 1)
     parts.append("".join(piece))
     return parts
 
 
+def _unquoted(text: str, what: str) -> str:
+    """`text`, refused when it holds a quote: one may only open and close a term."""
+    if '"' in text:
+        raise ParseError(f"stray quote in {what} {text!r}")
+    return text
+
+
 def load_queries(path: str | Path) -> list[ConjunctiveQuery]:
-    return parse_queries(Path(path).read_text(encoding="utf-8"))
+    return parse_queries(read_text(path))

@@ -306,6 +306,14 @@ def test_answer_reads_a_hash_inside_a_quoted_constant(tmp_path, capsys):
     assert (code, out) == (0, "q1(t1)\n"), err
 
 
+def test_answer_refuses_a_quote_inside_a_constant(tmp_path, capsys):
+    query = tmp_path / "queries.txt"
+    query.write_text('q(X) :- R(T, X, "a""b").\n')
+    code, out, err = run(capsys, ["answer", *fixture_args("convergent"), "--query", str(query)])
+    assert (code, out) == (1, "")
+    assert err == f"""error: ParseError: {query}: stray quote in term '"a""b"'\n"""
+
+
 def test_answer_reads_a_tilde_or_parenthesis_inside_a_quoted_left_constant(tmp_path, capsys):
     args = fixture_args("convergent")
     outputs = []
@@ -752,6 +760,22 @@ def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, option, fi
     if file == "R.csv":
         # a CSV of an instance directory is named, as its other errors are
         assert err.startswith(f"error: ParseError: {blamed}: {path}: "), err
+
+
+@pytest.mark.parametrize("instance", ["R.csv", "instance.json"])
+def test_inputs_that_start_with_a_byte_order_mark_read_as_without_it(tmp_path, capsys, instance):
+    d = tmp_path / "divergent"
+    shutil.copytree(FIXTURES / "divergent", d)
+    rows = [{"tid": f"t{i}", "A": f"a{i}", "B": f"b{i}"} for i in (1, 2, 3)]
+    (d / "instance.json").write_text(json.dumps({"R": rows}))
+    for path in d.iterdir():
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    args = [*dir_args(d), "--query", str(d / "queries.txt")]
+    args[args.index("--instance") + 1] = str(d if instance == "R.csv" else d / instance)
+    for command, golden in (("classify", "divergent.classify.txt"), ("answer", "divergent.answer.txt")):
+        code, out, err = run(capsys, [command, *args])
+        assert (code, err) == (0, ""), err
+        assert out == (GOLDEN / golden).read_text()
 
 
 @pytest.mark.parametrize("command", [

@@ -6,6 +6,10 @@ from pathlib import Path
 import pytest
 
 from mdclean.datalog import (
+    _COMPUTE,
+    _MEMBER,
+    _NEQ,
+    _TEST,
     Database,
     Literal,
     Program,
@@ -279,6 +283,99 @@ def test_unsafe_rules_rejected():
         parse_program("q(a). p(X) :- q(X), X != Y.")
 
 
+# -- planning --------------------------------------------------------------
+
+
+OP_NAMES = {_NEQ: "neq", _TEST: "test", _COMPUTE: "compute", _MEMBER: "member"}
+
+# per rule shape and first read (None: a full run): the body literals in the
+# order they are read, and per level the operations run after its scan
+READ_ORDERS = [
+    # `!=` waits for both sides, after the scan that binds the second
+    (
+        "p(X, Y) :- a(X), X != Y, b(Y), c(X, Y).",
+        {
+            None: ([0, 3, 2], [[], [], ["neq", "member"]]),
+            0: ([0, 3, 2], [[], [], ["neq", "member"]]),
+            2: ([2, 3, 0], [[], [], ["neq", "member"]]),
+            3: ([3, 0, 2], [[], ["neq", "member", "member"]]),
+        },
+    ),
+    # `mf_domb` binds Z, so c(Z, W) shares a bound variable before b(W) does
+    (
+        "p(X, W) :- a(X, Y), b(W), c(Z, W), mf_domb(X, Y, Z).",
+        {
+            None: ([0, 2, 1], [[], ["compute"], ["member"]]),
+            0: ([0, 2, 1], [[], ["compute"], ["member"]]),
+            1: ([1, 2, 0], [[], [], [], ["compute"]]),
+            2: ([2, 1, 0], [[], ["member"], ["compute"]]),
+        },
+    ),
+    # the negated literal waits for Y
+    (
+        "p(X) :- a(X), not c(X, Y), b(Y), d(X).",
+        {
+            None: ([0, 3, 2, 1], [[], ["member"], ["member"]]),
+            0: ([0, 3, 2, 1], [[], ["member"], ["member"]]),
+            2: ([2, 0, 1, 3], [[], [], ["member", "member"]]),
+            3: ([3, 0, 2, 1], [[], ["member"], ["member"]]),
+        },
+    ),
+    # b(Y) is reached through the blocking keys of `sim_domb`, yet read last
+    (
+        "p(X, Y) :- a(X), c(Z), b(Y), sim_domb(X, Y).",
+        {
+            None: ([0, 1, 2], [[], [], [], ["test"]]),
+            0: ([0, 1, 2], [[], [], [], ["test"]]),
+            1: ([1, 0, 2], [[], [], [], ["test"]]),
+            2: ([2, 0, 1], [[], [], ["test"], []]),
+        },
+    ),
+    # constants bind no variable, so b(c2, Y) shares none with a(X, c1)
+    (
+        "p(X) :- a(X, c1), b(c2, Y), c(Y, X).",
+        {
+            None: ([0, 2, 1], [[], [], ["member"]]),
+            0: ([0, 2, 1], [[], [], ["member"]]),
+            1: ([1, 2, 0], [[], [], ["member"]]),
+            2: ([2, 0, 1], [[], ["member", "member"]]),
+        },
+    ),
+    # a variable repeated inside one literal
+    (
+        "p(X) :- a(X, X), b(Y, Y), c(X, Y).",
+        {
+            None: ([0, 2, 1], [[], [], ["member"]]),
+            0: ([0, 2, 1], [[], [], ["member"]]),
+            1: ([1, 2, 0], [[], [], ["member"]]),
+            2: ([2, 0, 1], [[], ["member", "member"]]),
+        },
+    ),
+    # no literal shares a variable with a(X), so b(Y) is next in body order
+    (
+        "p(X, Y) :- a(X), b(Y), c(Y, Z), d(Z).",
+        {
+            None: ([0, 1, 2, 3], [[], [], [], ["member"]]),
+            0: ([0, 1, 2, 3], [[], [], [], ["member"]]),
+            1: ([1, 2, 3, 0], [[], [], ["member"], []]),
+            2: ([2, 1, 3, 0], [[], ["member", "member"], []]),
+            3: ([3, 2, 1, 0], [[], [], ["member"], []]),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", READ_ORDERS, ids=[text for text, _ in READ_ORDERS])
+def test_a_body_reads_its_literals_in_the_planned_order(text, expected):
+    sim, smf = chain_env()
+    program = parse_program(text, value_builtins(VALUE_USES, sim, smf))
+    found = {}
+    for first in expected:
+        plan = program.plan(0, first)
+        found[first] = (plan.reads, [[OP_NAMES[op[0]] for op in ops] for _, ops in plan.levels])
+    assert found == expected
+
+
 # -- stratification --------------------------------------------------------
 
 
@@ -298,14 +395,69 @@ def test_stratify_facts_only():
     assert stratify(parse_program("e(a).")) == [["e"]]
 
 
-def test_not_stratifiable():
-    program = parse_program("q(a). p(X) :- q(X), not p(X).")
+def dependencies(program):
+    """The (head, body predicate, negated) edges of a program's rules."""
+    return {
+        (rule.head.pred, lit.pred, lit.negated)
+        for rule in program.rules
+        for lit in rule.body
+        if lit.pred not in program.builtins
+    }
+
+
+def named_cycle(program):
+    """The predicates `stratify` names in its error, first and last alike."""
     with pytest.raises(NotStratifiable) as exc:
         stratify(program)
-    assert "p" in str(exc.value)
+    prefix = "negation cycle through "
+    assert str(exc.value).startswith(prefix)
+    return str(exc.value)[len(prefix):].split(" -> ")
+
+
+def assert_negation_cycle(program, cycle):
+    """`cycle` is a closed walk of dependency edges through a negated one."""
+    edges = dependencies(program)
+    steps = list(zip(cycle, cycle[1:]))
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1], cycle
+    assert all((a, b, False) in edges or (a, b, True) in edges for a, b in steps), cycle
+    assert any((a, b, True) in edges for a, b in steps), cycle
+
+
+def test_not_stratifiable():
+    assert named_cycle(parse_program("q(a). p(X) :- q(X), not p(X).")) == ["p", "p"]
     win = parse_program("move(a, b). win(X) :- move(X, Y), not win(Y).")
-    with pytest.raises(NotStratifiable):
-        stratify(win)
+    assert named_cycle(win) == ["win", "win"]
+    program = parse_program("a(k). b(X) :- a(X), not c(X). c(X) :- a(X), d(X). d(X) :- b(X).")
+    cycle = named_cycle(program)
+    assert_negation_cycle(program, cycle)
+    assert cycle[:-1] in (["b", "c", "d"], ["c", "d", "b"], ["d", "b", "c"])
+
+
+def test_strata_are_the_levels_of_the_dependencies_and_a_back_edge_breaks_them():
+    sim, smf = chain_env()
+    builtins = value_builtins(VALUE_USES, sim, smf)
+    for seed in range(200):
+        rng = random.Random(seed)
+        rules, facts = random_program(rng, with_builtins=seed % 2 == 1)
+        program = Program(rules, builtins)
+        level = {p: i for i, stratum in enumerate(stratify(program)) for p in stratum}
+        assert sorted(level) == sorted(program.all_preds())
+        edges = dependencies(program)
+        for pred in level:
+            needs = [level[dep] + negated for head, dep, negated in edges if head == pred]
+            assert level[pred] == max([0, *needs]), f"seed {seed}: {pred}"
+        # a chain of positive rules from the first predicate to the last, and
+        # the last reading the first under negation
+        arity = {p: len(next(iter(ts))) for p, ts in facts.items()}
+        for rule in rules:
+            for lit in (rule.head, *rule.body):
+                arity.setdefault(lit.pred, len(lit.args))
+        chain = rng.sample(["i0", "i1", "i2"], rng.randint(1, 3))
+        atom = {p: Literal(p, (X,) * arity.get(p, 1)) for p in chain + ["e0"]}
+        back = [Rule((atom[a],), (atom[b],)) for a, b in zip(chain, chain[1:])]
+        back.append(Rule((atom[chain[-1]],), (atom["e0"], Literal(chain[0], atom[chain[0]].args, True))))
+        broken = Program(rules + back, builtins)
+        assert_negation_cycle(broken, named_cycle(broken))
 
 
 # -- evaluation ------------------------------------------------------------

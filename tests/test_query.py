@@ -68,6 +68,34 @@ def test_similarity_reads_quoted_tildes_and_parentheses_as_constants():
     assert parse_query('q(T) :- R(T, X, "a~b").').atoms[0].args[2] == "a~b"
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        # the quote after `"a"` opens a constant that the line never closes
+        ('R(T, X, "a"b")', 'line 1, column 21: unterminated quote'),
+        ('R(T, X, "ab)', "line 1, column 17: unterminated quote"),
+        ('R(T, X, "a""b")', """stray quote in term '"a""b"'"""),
+        ('R(T, X, a"b"c)', """stray quote in term 'a"b"c'"""),
+        ('R(T, X, "a" b)', """stray quote in term '"a" b'"""),
+        ('R(T, X, Y), Y ~domb~ "b" ~ c', """stray quote in term '"b" ~ c'"""),
+        ('R(T, X, Y), Y ~"domb"~ b', """stray quote in domain '"domb"'"""),
+        ('"R"(T, X, Y)', """stray quote in relation name '"R"'"""),
+    ],
+)
+def test_a_quote_may_only_open_and_close_a_constant(literal, message):
+    with pytest.raises(ParseError) as err:
+        parse_query(f"q(X) :- {literal}.")
+    assert str(err.value) == message
+
+
+def test_an_unterminated_quote_is_placed_where_it_opens():
+    with pytest.raises(ParseError) as err:
+        parse_queries('# "a comment may hold a quote\nq1(X) :- R(T, X, Y).\nq2(X) :- R(T, X, "b).\n')
+    assert (err.value.line, err.value.column) == (3, 18)
+    with pytest.raises(ParseError, match="stray quote in query name"):
+        parse_query('"q"(X) :- R(T, X, Y).')
+
+
 def test_eval_simple_selection():
     d = inst({"t1": ("a1", "b12"), "t2": ("a2", "b12"), "t3": ("a3", "b3")})
     sim = SimilarityRelation()
