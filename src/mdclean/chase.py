@@ -31,7 +31,7 @@ from typing import Callable
 
 from .datalog import Database, Literal, Program, Rule, evaluate, value_builtins
 from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
-from .mdlang import BoundMD, MDSet, md_body, validate_mds, var_name
+from .mdlang import BoundMD, md_body, var_name
 from .model import Instance, SaturatedMatchingFunction, Schema, SimilarityRelation
 from .query import instance_facts, relation_pred
 from .terms import Var
@@ -126,13 +126,11 @@ class ChaseEngine:
     def __init__(
         self,
         schema: Schema,
-        mds: MDSet,
+        rules: list[BoundMD],
         sim: SimilarityRelation,
         smf: SaturatedMatchingFunction,
     ):
-        rules = validate_mds(mds, schema)
         self.schema = schema
-        self.mds = mds
         self.sim = sim
         self.smf = smf
         self._rules = {rule.md.name: rule for rule in rules}
@@ -260,7 +258,7 @@ class ChaseEngine:
         step_limit: int = DEFAULT_STEP_LIMIT,
     ) -> ChaseResult:
         """One stable instance, following the rule priority drawn from `seed`."""
-        names = rule_priority(self.mds.names(), seed)
+        names = rule_priority(list(self._rules), seed)
         priority = {name: rank for rank, name in enumerate(names)}
 
         def least(steps: list[EnforcementStep]) -> list[EnforcementStep]:

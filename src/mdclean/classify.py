@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .mdlang import BoundMD, MDSet, validate_mds
+from .mdlang import BoundMD
 from .model import (
     Instance,
     SaturatedMatchingFunction,
@@ -430,13 +430,12 @@ def is_sfai(
 
 
 def classify(
-    mds: MDSet,
+    rules: list[BoundMD],
     schema: Schema,
     instance: Instance,
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
 ) -> Classification:
-    rules = validate_mds(mds, schema)
     pairs = tuple(interaction_pairs(rules))
     preserving, counterexample = is_similarity_preserving(rules, sim, smf)
     sfai, checks = is_sfai(rules, schema, instance, sim)

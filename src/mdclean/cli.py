@@ -18,7 +18,7 @@ from .chase import DEFAULT_STEP_LIMIT, ChaseEngine, check_step_limit
 from .classify import Verdict, classify
 from .codegen import emit_general_asp, emit_residual_datalog, evaluate_residual
 from .errors import MdcleanError, ParseError, UnknownDomain, ValidationError
-from .mdlang import MDSet, load_mds, validate_mds
+from .mdlang import BoundMD, MatchingDependency, load_mds, validate_mds
 from .model import (
     Instance,
     MatchingFunction,
@@ -61,13 +61,13 @@ class Inputs:
         with _blame(self.args.instance):
             return Instance.load(self.schema, self.args.instance)
 
-    def mds(self) -> MDSet:
+    def mds(self) -> list[MatchingDependency]:
         with _blame(self.args.mds):
             return load_mds(self.args.mds)
 
-    def check_mds(self, mds: MDSet, mf: MatchingFunction | None) -> None:
+    def check_mds(self, mds: list[MatchingDependency], mf: MatchingFunction) -> list[BoundMD]:
         with _blame(self.args.mds):
-            validate_mds(mds, self.schema, mf)
+            return validate_mds(mds, self.schema, mf)
 
     def sim(self) -> SimilarityRelation:
         if self.args.sim is None:
@@ -108,8 +108,7 @@ class Inputs:
         mds = self.mds()
         sim = self.sim()
         mf = self.mf()
-        self.check_mds(mds, mf)
-        return instance, mds, sim, self.saturated(instance, sim, mf)
+        return instance, self.check_mds(mds, mf), sim, self.saturated(instance, sim, mf)
 
 
 def _instance_lines(instance: Instance) -> list[str]:
@@ -135,21 +134,20 @@ def _render(args, payload, text_lines) -> str:
 def cmd_validate(args) -> str:
     inputs = Inputs(args)
     checked = {"schema": f"{len(inputs.schema.relation_names())} relations"}
-    instance = sim = mf = None
+    instance = sim = None
     if args.instance is not None:
         instance = inputs.instance()
         checked["instance"] = f"{instance.total_tuples()} tuples"
     if args.sim is not None:
         sim = inputs.sim()
         checked["sim"] = f"domains {', '.join(sim.declared_domains()) or '(none)'}"
+    # without --mf the rules are bound against no matching function, as every command binds them
+    mf = inputs.mf()
     if args.mf is not None:
-        mf = inputs.mf()
         inputs.saturated(instance, sim, mf)
         checked["mf"] = f"domains {', '.join(mf.declared_domains()) or '(none)'}"
     if args.mds is not None:
-        mds = inputs.mds()
-        inputs.check_mds(mds, mf)
-        checked["mds"] = f"{len(mds)} rules"
+        checked["mds"] = f"{len(inputs.check_mds(inputs.mds(), mf))} rules"
     if args.query is not None:
         checked["query"] = f"{len(inputs.queries())} queries"
     lines = [f"{kind}: ok ({detail})" for kind, detail in checked.items()]
@@ -158,8 +156,8 @@ def cmd_validate(args) -> str:
 
 def cmd_classify(args) -> str:
     inputs = Inputs(args)
-    instance, mds, sim, smf = inputs.setting()
-    report = classify(mds, inputs.schema, instance, sim, smf)
+    instance, rules, sim, smf = inputs.setting()
+    report = classify(rules, inputs.schema, instance, sim, smf)
     payload = report.to_json_dict()
     lines = [f"verdict: {payload['verdict']}"]
     for pair in payload["interaction_pairs"]:
@@ -172,8 +170,8 @@ def cmd_classify(args) -> str:
 
 def cmd_chase(args) -> str:
     inputs = Inputs(args)
-    instance, mds, sim, smf = inputs.setting()
-    engine = ChaseEngine(inputs.schema, mds, sim, smf)
+    instance, rules, sim, smf = inputs.setting()
+    engine = ChaseEngine(inputs.schema, rules, sim, smf)
     if args.all:
         result = engine.chase_all(instance, step_limit=args.step_limit)
     else:
@@ -192,40 +190,39 @@ def cmd_chase(args) -> str:
 
 def cmd_emit_asp(args) -> str:
     inputs = Inputs(args)
-    instance, mds, sim, smf = inputs.setting()
-    return emit_general_asp(inputs.schema, instance, mds, sim, smf).text()
-
-
-def _residual(inputs):
-    instance, mds, sim, smf = inputs.setting()
-    verdict = classify(mds, inputs.schema, instance, sim, smf)
-    return emit_residual_datalog(inputs.schema, instance, mds, sim, smf, verdict)
+    instance, rules, sim, smf = inputs.setting()
+    return emit_general_asp(inputs.schema, instance, rules, sim, smf).text()
 
 
 def cmd_emit_datalog(args) -> str:
-    return _residual(Inputs(args)).text()
+    inputs = Inputs(args)
+    instance, rules, sim, smf = inputs.setting()
+    verdict = classify(rules, inputs.schema, instance, sim, smf)
+    return emit_residual_datalog(inputs.schema, instance, rules, sim, smf, verdict).text()
 
 
 def cmd_solve(args) -> str:
     inputs = Inputs(args)
-    clean = evaluate_residual(_residual(inputs))
-    instance = Instance(inputs.schema, clean)
-    return _render(args, instance.to_json_dict(), _instance_lines(instance))
+    instance, rules, sim, smf = inputs.setting()
+    verdict = classify(rules, inputs.schema, instance, sim, smf)
+    residual = emit_residual_datalog(inputs.schema, instance, rules, sim, smf, verdict)
+    clean = evaluate_residual(residual, ChaseEngine(inputs.schema, rules, sim, smf))
+    return _render(args, clean.to_json_dict(), _instance_lines(clean))
 
 
 def cmd_answer(args) -> str:
     inputs = Inputs(args)
-    instance, mds, sim, smf = inputs.setting()
+    instance, rules, sim, smf = inputs.setting()
     queries = inputs.queries()
     # the residual route runs no chase, so it would never check the budget
     check_step_limit(args.step_limit)
-    verdict = classify(mds, inputs.schema, instance, sim, smf)
+    verdict = classify(rules, inputs.schema, instance, sim, smf)
+    engine = ChaseEngine(inputs.schema, rules, sim, smf)
     if verdict.verdict is Verdict.GENERAL:
-        engine = ChaseEngine(inputs.schema, mds, sim, smf)
         clean_instances = list(engine.chase_all(instance, step_limit=args.step_limit).instances)
     else:
-        residual = emit_residual_datalog(inputs.schema, instance, mds, sim, smf, verdict)
-        clean_instances = [Instance(inputs.schema, evaluate_residual(residual))]
+        residual = emit_residual_datalog(inputs.schema, instance, rules, sim, smf, verdict)
+        clean_instances = [evaluate_residual(residual, engine)]
     payload = []
     lines = []
     for query in queries:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .chase import ChaseEngine
 from .classify import Classification, Verdict
 from .datalog import (
     NEQ,
@@ -46,7 +45,7 @@ from .datalog import (
     value_pred,
 )
 from .errors import NotSci, ValidationError
-from .mdlang import BoundMD, MDAtom, MDSet, md_body, validate_mds, var_name
+from .mdlang import BoundMD, MDAtom, md_body, var_name
 from .model import (
     Instance,
     Relation,
@@ -120,8 +119,6 @@ class AspText:
 class ResidualProgram:
     program: Program
     clean_predicates: tuple[tuple[str, str], ...]
-    # checks that the evaluated instance is stable under the rules
-    engine: ChaseEngine
     # the text's statements, built when called: evaluation needs no value table
     statements: Callable[[], list[AspStatement]]
 
@@ -311,7 +308,7 @@ def _value_tables(
 
 
 def _check_predicates(
-    schema: Schema, mds: MDSet, written, uses, relation_pred, general: bool
+    schema: Schema, rules: list[BoundMD], written, uses, relation_pred, general: bool
 ) -> None:
     """Refuse a program in which two roles would share one predicate.
 
@@ -324,11 +321,10 @@ def _check_predicates(
     roles = [(relation_pred(rel), f"the tuples of relation {rel!r}") for rel in rels]
     roles += [(_clean_pred(rel), f"the clean relation of {rel!r}") for rel in rels]
     roles += [(_oldversion_pred(rel), f"the superseded versions of {rel!r}") for rel in written]
-    roles += [(f"match_{_pred(md.name)}", f"the matches of rule {md.name!r}") for md in mds]
+    names = [rule.md.name for rule in rules]
+    roles += [(f"match_{_pred(n)}", f"the matches of rule {n!r}") for n in names]
     if general:
-        roles += [
-            (f"notmatch_{_pred(md.name)}", f"the non-matches of rule {md.name!r}") for md in mds
-        ]
+        roles += [(f"notmatch_{_pred(n)}", f"the non-matches of rule {n!r}") for n in names]
         roles.append(("prec", "the matching order"))
     roles += [(value_pred(k, dom), f"the {k} built-in of domain {dom!r}") for k, dom in uses]
     owner: dict[str, str] = {}
@@ -358,12 +354,11 @@ def _collect_rules(schema: Schema, written, relation_pred) -> list[AspStatement]
 def emit_general_asp(
     schema: Schema,
     instance: Instance,
-    mds: MDSet,
+    rules: list[BoundMD],
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
 ) -> AspText:
     """The disjunctive cleaning program; its stable models project onto clean instances."""
-    rules = validate_mds(mds, schema)
     for rule in rules:
         dom = rule.rhs_domain
         if not smf.has_mf(dom):
@@ -373,7 +368,7 @@ def emit_general_asp(
     written = _written_positions(rules)
     active = collect_active_values(schema, instance, sim)
     uses = _value_uses(rules, schema, smf, sorted(written), active)
-    _check_predicates(schema, mds, written, uses, _version_pred, general=True)
+    _check_predicates(schema, rules, written, uses, _version_pred, general=True)
     statements = _version_facts(schema, instance, _version_pred)
     statements += _value_tables(uses, value_builtins(uses, sim, smf), smf, active)
 
@@ -481,7 +476,7 @@ def _prec_recording(
 def emit_residual_datalog(
     schema: Schema,
     instance: Instance,
-    mds: MDSet,
+    rules: list[BoundMD],
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
     classification: Classification,
@@ -492,12 +487,10 @@ def emit_residual_datalog(
             "rule set and instance classify as general; the residual rewriting "
             "is only sound for converging combinations"
         )
-    engine = ChaseEngine(schema, mds, sim, smf)
-    rules = validate_mds(mds, schema)
     written = _written_positions(rules)
     active = collect_active_values(schema, instance, sim)
     uses = _value_uses(rules, schema, smf, sorted(written), active)
-    _check_predicates(schema, mds, written, uses, _pred, general=False)
+    _check_predicates(schema, rules, written, uses, _pred, general=False)
     version_facts = _version_facts(schema, instance, _pred)
     derived = []
     for rule in rules:
@@ -517,13 +510,14 @@ def emit_residual_datalog(
     def statements() -> list[AspStatement]:
         return [*version_facts, *_value_tables(uses, builtins, smf, active), *derived]
 
-    return ResidualProgram(program, clean_preds, engine, statements)
+    return ResidualProgram(program, clean_preds, statements)
 
 
-def evaluate_residual(residual: ResidualProgram) -> dict[str, dict[str, tuple[str, ...]]]:
-    """Clean tuples per relation, keyed by tuple identifier.
+def evaluate_residual(residual: ResidualProgram, engine) -> Instance:
+    """The clean instance the residual program computes.
 
-    The result must be stable under the rules.  A merge the matching function
+    It must be stable under the rules of `engine`, a `chase.ChaseEngine` over
+    the rules the program was emitted from.  A merge the matching function
     leaves undefined raises `UndefinedMatch`, as the chase does; any other
     step that still applies raises `NotSci`.
     """
@@ -539,7 +533,6 @@ def evaluate_residual(residual: ResidualProgram) -> dict[str, dict[str, tuple[st
                     "the combination was not actually convergent"
                 )
         out[rel_name] = rows
-    engine = residual.engine
     clean = Instance(engine.schema, out)
     steps = engine.applicable_steps(clean)
     for step in steps:
@@ -550,4 +543,4 @@ def evaluate_residual(residual: ResidualProgram) -> dict[str, dict[str, tuple[st
             "the residual program's result is not stable under the rules; "
             "the combination was not actually convergent"
         )
-    return out
+    return clean

@@ -14,7 +14,7 @@ names one attribute variable from each leading atom.
 
 `validate_mds` checks a rule set against a schema and returns each rule bound
 to it (`BoundMD`): the positions it writes, its domains and its attribute
-sets, resolved once for the chase, the classifier and the program emitters.
+sets, resolved once by the caller for the chase, the classifier and the emitters.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from .datalog import NEQ, Lexer, Literal, Token, value_pred
 from .errors import ParseError, ValidationError
@@ -97,37 +97,15 @@ class MatchingDependency:
         return list(seen)
 
 
-class MDSet:
-    """An ordered collection of matching dependencies with unique names."""
-
-    def __init__(self, mds: Iterator[MatchingDependency] | list[MatchingDependency]):
-        self.mds: list[MatchingDependency] = []
-        self.by_name: dict[str, MatchingDependency] = {}
-        for md in mds:
-            if md.name in self.by_name:
-                raise ValidationError(f"duplicate rule name {md.name!r}")
-            self.mds.append(md)
-            self.by_name[md.name] = md
-
-    def __iter__(self) -> Iterator[MatchingDependency]:
-        return iter(self.mds)
-
-    def __len__(self) -> int:
-        return len(self.mds)
-
-    def names(self) -> list[str]:
-        return [md.name for md in self.mds]
-
-
 class _Parser(Lexer):
     def ident(self, what: str) -> Token:
         return self.expect("ident", what=what)
 
-    def parse_file(self) -> MDSet:
+    def parse_file(self) -> list[MatchingDependency]:
         mds = []
         while self.peek().kind != "eof":
             mds.append(self.parse_md())
-        return MDSet(mds)
+        return mds
 
     def parse_md(self) -> MatchingDependency:
         kw = self.ident("'md'")
@@ -276,11 +254,11 @@ def _check_structure(md: MatchingDependency, name_tok: Token) -> None:
         )
 
 
-def parse_mds(text: str) -> MDSet:
+def parse_mds(text: str) -> list[MatchingDependency]:
     return _Parser(text, _TOKEN_RE).parse_file()
 
 
-def load_mds(path: str | Path) -> MDSet:
+def load_mds(path: str | Path) -> list[MatchingDependency]:
     return parse_mds(read_text(path))
 
 
@@ -371,9 +349,13 @@ def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
     return BoundMD(md, lead, rhs, d0, tuple(sim_domains), compared, alhs, arhs)
 
 
-def validate_mds(mds: MDSet, schema: Schema, mf: MatchingFunction | None = None) -> list[BoundMD]:
-    """Schema (and optionally matching-function) conformance for a rule set;
-    returns the rules bound to the schema, in rule order."""
+def validate_mds(mds: list[MatchingDependency], schema: Schema,
+                 mf: MatchingFunction | None = None) -> list[BoundMD]:
+    """Unique names, then schema (and optionally matching-function) conformance
+    for a rule set; returns the rules bound to the schema, in rule order."""
+    for i, md in enumerate(mds):
+        if any(md.name == other.name for other in mds[:i]):
+            raise ValidationError(f"duplicate rule name {md.name!r}")
     bound = []
     for md in mds:
         rule = _bind(md, schema)

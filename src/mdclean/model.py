@@ -270,7 +270,7 @@ class Instance:
             if not isinstance(rows, list):
                 raise ValidationError(f"{rel_name}: rows must be a list")
             out_rows: dict[str, tuple[str, ...]] = {}
-            for row in rows:
+            for number, row in enumerate(rows, start=1):
                 if not isinstance(row, Mapping):
                     raise ValidationError(f"{rel_name}: each row must be an object")
                 if TID_ATTR not in row:
@@ -281,7 +281,13 @@ class Instance:
                 missing = set(rel.attrs) - set(row)
                 if missing:
                     raise ValidationError(f"{rel_name}: missing fields {sorted(missing)}")
-                _add_row(out_rows, str(row[TID_ATTR]), tuple(str(row[a]) for a in rel.attrs))
+                for attr in (TID_ATTR, *rel.attrs):
+                    if not isinstance(row[attr], str):
+                        raise ValidationError(
+                            f"{rel_name}: row {number}: field {attr!r} must be a string, "
+                            f"got {json.dumps(row[attr])}"
+                        )
+                _add_row(out_rows, row[TID_ATTR], tuple(row[a] for a in rel.attrs))
             tuples[rel_name] = out_rows
         return cls(schema, tuples)
 

@@ -356,8 +356,8 @@ def _scan(argv=None) -> int:
         if sum(1 for _ in s.instance.iter_tuples()) > args.max_tuples:
             counts["larger"] += 1
             continue
-        endpoints = ChaseEngine(s.schema, s.mds, s.sim, s.smf).chase_all(s.instance).instances
-        text = emit_general_asp(s.schema, s.instance, s.mds, s.sim, s.smf).text()
+        endpoints = ChaseEngine(s.schema, s.rules, s.sim, s.smf).chase_all(s.instance).instances
+        text = emit_general_asp(s.schema, s.instance, s.rules, s.sim, s.smf).text()
         try:
             models = ShiftedProgram(text).stable_models(time.monotonic() + args.timeout)
         except SearchLimit:

@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from mdclean.mdlang import MDSet, parse_mds, validate_mds
+from mdclean.mdlang import BoundMD, MatchingDependency, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -55,7 +55,8 @@ _A_POOL = ["a1", "a2", "a3", "a4"]
 class Setting:
     schema: Schema
     instance: Instance
-    mds: MDSet
+    mds: list[MatchingDependency]
+    rules: list[BoundMD]
     sim: SimilarityRelation
     smf: "object"
     mds_text: str
@@ -137,6 +138,6 @@ def random_setting(rng: random.Random) -> Setting:
         mf = MatchingFunction({"domb": union_table()})
     else:
         mf = MatchingFunction(builtins={"domb": flavor})
-    validate_mds(mds, schema, mf)
+    rules = validate_mds(mds, schema, mf)
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return Setting(schema, instance, mds, sim, smf, mds_text, sim_pairs, flavor)
+    return Setting(schema, instance, mds, rules, sim, smf, mds_text, sim_pairs, flavor)

@@ -52,18 +52,18 @@ class Fixture:
         self.dir = d
         self.schema = Schema.load(d / "schema.txt")
         self.instance = Instance.load(self.schema, d)
-        self.mds = load_mds(d / "mds.txt")
         self.sim = SimilarityRelation.load(d / "sim.txt")
         self.mf = MatchingFunction.load(d / "mf.txt")
+        self.rules = validate_mds(load_mds(d / "mds.txt"), self.schema, self.mf)
         self.smf = self.mf.saturate(
             collect_active_values(self.schema, self.instance, self.sim, self.mf)
         )
 
     def report(self):
-        return classify(self.mds, self.schema, self.instance, self.sim, self.smf)
+        return classify(self.rules, self.schema, self.instance, self.sim, self.smf)
 
     def engine(self) -> ChaseEngine:
-        return ChaseEngine(self.schema, self.mds, self.sim, self.smf)
+        return ChaseEngine(self.schema, self.rules, self.sim, self.smf)
 
 
 def tuple_sets(instances):
@@ -96,8 +96,8 @@ def test_converging_rules_classify_sfai_and_residual_matches_chase():
     report = fx.report()
     assert report.verdict is Verdict.SFAI
     assert report.queries and all(not q.satisfied for q in report.queries)
-    residual = emit_residual_datalog(fx.schema, fx.instance, fx.mds, fx.sim, fx.smf, report)
-    clean = evaluate_residual(residual)
+    residual = emit_residual_datalog(fx.schema, fx.instance, fx.rules, fx.sim, fx.smf, report)
+    clean = evaluate_residual(residual, fx.engine())
     expected = {
         "R": {
             "t1": ("a1", "b12"),
@@ -106,7 +106,7 @@ def test_converging_rules_classify_sfai_and_residual_matches_chase():
             "t4": ("a4", "b34"),
         }
     }
-    assert clean == expected
+    assert clean.tuples == expected
     result = fx.engine().chase_all(fx.instance)
     assert len(result.instances) == 1
     assert by_relation(result.instances[0]) == expected
@@ -121,7 +121,7 @@ md to_b: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;
 
 def test_interaction_pairs_for_chained_and_crossed_rules_are_exact():
     fx = Fixture("divergent")
-    assert interaction_pairs(validate_mds(fx.mds, fx.schema)) == [
+    assert interaction_pairs(fx.rules) == [
         InteractionPair("md1", "md2", "R", "B"),
         InteractionPair("md2", "md2", "R", "B"),
     ]
@@ -138,13 +138,14 @@ def test_residual_program_equals_chase_on_converging_random_settings():
     checked = 0
     for _ in range(SOAK_DRAWS):
         s = random_setting(rng)
-        report = classify(s.mds, s.schema, s.instance, s.sim, s.smf)
+        report = classify(s.rules, s.schema, s.instance, s.sim, s.smf)
         if report.verdict is Verdict.GENERAL:
             continue
-        result = ChaseEngine(s.schema, s.mds, s.sim, s.smf).chase_all(s.instance)
+        engine = ChaseEngine(s.schema, s.rules, s.sim, s.smf)
+        result = engine.chase_all(s.instance)
         assert len(result.instances) == 1, s.describe()
-        residual = emit_residual_datalog(s.schema, s.instance, s.mds, s.sim, s.smf, report)
-        clean = evaluate_residual(residual)
+        residual = emit_residual_datalog(s.schema, s.instance, s.rules, s.sim, s.smf, report)
+        clean = evaluate_residual(residual, engine).tuples
         assert clean == by_relation(result.instances[0]), s.describe()
         # the text, its value tables read as facts, computes the same instance
         reparsed = parse_program(residual.text())
@@ -166,8 +167,8 @@ def test_clean_instance_count_follows_the_verdict():
     multi = 0
     for _ in range(SOAK_DRAWS):
         s = random_setting(rng)
-        report = classify(s.mds, s.schema, s.instance, s.sim, s.smf)
-        result = ChaseEngine(s.schema, s.mds, s.sim, s.smf).chase_all(s.instance)
+        report = classify(s.rules, s.schema, s.instance, s.sim, s.smf)
+        result = ChaseEngine(s.schema, s.rules, s.sim, s.smf).chase_all(s.instance)
         if report.verdict is not Verdict.GENERAL:
             assert len(result.instances) == 1, s.describe()
         if len(result.instances) > 1:
@@ -208,7 +209,7 @@ def test_datalog_engine_agrees_with_the_naive_reference():
     with pytest.raises(NotStratifiable):
         stratify(parse_program("q(a). p(X) :- q(X), not p(X)."))
     fx = Fixture("convergent")
-    residual = emit_residual_datalog(fx.schema, fx.instance, fx.mds, fx.sim, fx.smf, fx.report())
+    residual = emit_residual_datalog(fx.schema, fx.instance, fx.rules, fx.sim, fx.smf, fx.report())
     strata = stratify(residual.program)
     assert len(strata) == 2
     assert strata[1] == ["r_clean"]
@@ -217,13 +218,13 @@ def test_datalog_engine_agrees_with_the_naive_reference():
 def test_author_blocks_merge_iff_their_papers_share_a_block():
     fx = Fixture("bibliography")
     report = fx.report()
-    residual = emit_residual_datalog(fx.schema, fx.instance, fx.mds, fx.sim, fx.smf, report)
-    clean = evaluate_residual(residual)
+    residual = emit_residual_datalog(fx.schema, fx.instance, fx.rules, fx.sim, fx.smf, report)
+    clean = evaluate_residual(residual, fx.engine())
     expected = json.loads((fx.dir / "expected_clean.json").read_text())
-    assert Instance(fx.schema, clean).to_json_dict() == expected
+    assert clean.to_json_dict() == expected
     result = fx.engine().chase_all(fx.instance)
     assert len(result.instances) == 1
-    assert by_relation(result.instances[0]) == clean
+    assert by_relation(result.instances[0]) == clean.tuples
 
     # moving the second paper into the first paper's block satisfies the
     # context join for the jones pair, so their blocks must now merge too
@@ -232,7 +233,7 @@ def test_author_blocks_merge_iff_their_papers_share_a_block():
     variant = Instance(fx.schema, rows)
     active = collect_active_values(fx.schema, variant, fx.sim, fx.mf)
     smf = fx.mf.saturate(active)
-    moved = ChaseEngine(fx.schema, fx.mds, fx.sim, smf).chase_all(variant)
+    moved = ChaseEngine(fx.schema, fx.rules, fx.sim, smf).chase_all(variant)
     assert len(moved.instances) == 1
     assert by_relation(moved.instances[0]) == {
         "Author": {
@@ -250,7 +251,7 @@ def test_author_blocks_merge_iff_their_papers_share_a_block():
 
 def test_emitted_asp_census_reparses_and_is_byte_stable():
     fx = Fixture("divergent")
-    asp = emit_general_asp(fx.schema, fx.instance, fx.mds, fx.sim, fx.smf)
+    asp = emit_general_asp(fx.schema, fx.instance, fx.rules, fx.sim, fx.smf)
     census = {k: v for k, v in asp.counts().items() if not k.endswith("-fact")}
     assert census == {
         "disjunctive": 2,
@@ -265,7 +266,7 @@ def test_emitted_asp_census_reparses_and_is_byte_stable():
     }
     assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
     again = Fixture("divergent")
-    assert emit_general_asp(again.schema, again.instance, again.mds, again.sim, again.smf).text() == asp.text()
+    assert emit_general_asp(again.schema, again.instance, again.rules, again.sim, again.smf).text() == asp.text()
 
 
 def test_certain_answers_over_the_diverging_clean_pair():

@@ -17,7 +17,7 @@ from mdclean.errors import (
     UndefinedMatch,
     ValidationError,
 )
-from mdclean.mdlang import load_mds, parse_mds
+from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -49,12 +49,12 @@ MF_TABLE = {
 
 def engine(sim_pairs, rows, mf_table=None, rules=TWO_RULES, engine_class=ChaseEngine):
     schema = Schema.parse("R(A: doma, B: domb)")
-    mds = parse_mds(rules)
+    bound = validate_mds(parse_mds(rules), schema)
     sim = SimilarityRelation(sim_pairs)
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return engine_class(schema, mds, sim, smf), instance
+    return engine_class(schema, bound, sim, smf), instance
 
 
 def interacting():
@@ -195,8 +195,7 @@ def test_chase_all_is_exploration_order_independent():
             return list(reversed(super()._steps(layout, state, db)))
 
     eng, inst = interacting()
-    schema, mds, sim, smf = eng.schema, eng.mds, eng.sim, eng.smf
-    rev = ReversedEngine(schema, mds, sim, smf)
+    rev = ReversedEngine(eng.schema, list(eng._rules.values()), eng.sim, eng.smf)
     canonical = {i.canonical_key() for i in eng.chase_all(inst).instances}
     reversed_keys = {i.canonical_key() for i in rev.chase_all(inst).instances}
     assert canonical == reversed_keys
@@ -252,12 +251,14 @@ def test_chase_one_never_closes_token_union_values(monkeypatch):
 
     monkeypatch.setattr(model, "_token_union_closure", closure)
     schema = Schema.parse("R(A: grp, B: toks)")
-    mds = parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~grp~ x2 -> y1 := y2;")
+    rules = validate_mds(
+        parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~grp~ x2 -> y1 := y2;"), schema
+    )
     sim = SimilarityRelation()
     instance = Instance(schema, {"R": {"t1": ("g", "a b"), "t2": ("g", "b c"), "t3": ("h", "d")}})
     mf = MatchingFunction(builtins={"toks": "token-union"})
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    result = ChaseEngine(schema, mds, sim, smf).chase_one(instance)
+    result = ChaseEngine(schema, rules, sim, smf).chase_one(instance)
     assert by_tid(result.instances[0]) == {
         "t1": ("g", "a b c"), "t2": ("g", "a b c"), "t3": ("h", "d"),
     }
@@ -297,14 +298,16 @@ def test_the_step_budget_alone_bounds_chase_all():
     # tuples sharing an `A` value form one block, in which the value-min
     # merges of `B` can happen in any order
     schema = Schema.parse("R(A: doma, B: domb)")
-    mds = parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
+    rules = validate_mds(
+        parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;"), schema
+    )
     sim, mf = SimilarityRelation({}), MatchingFunction(builtins={"domb": "value-min"})
 
     def chase_all(blocks):
         rows = {f"t{i:02}": (f"a{block}", f"b{i:02}") for i, block in enumerate(blocks)}
         instance = Instance(schema, {"R": rows})
         smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-        return ChaseEngine(schema, mds, sim, smf).chase_all(instance)
+        return ChaseEngine(schema, rules, sim, smf).chase_all(instance)
 
     # 13 tuples with no step between them
     assert len(chase_all(range(13)).instances) == 1
@@ -336,12 +339,12 @@ def test_relational_context_join_gates_enforcement():
         "Author(Name: name, PTitle: title, ABlock: blk)\n"
         "Paper(PTitle: title, Venue: venue, PBlock: blk)\n"
     )
-    mds = parse_mds(
+    rules = validate_mds(parse_mds(
         "md coblock: lead Author(t1; x1, y1, bl1), Paper(t3; p1, z1, bl4),"
         " lead Author(t2; x2, y2, bl2), Paper(t4; p2, z2, bl4),"
         " x1 ~name~ x2, y1 ~title~ y2, y1 ~title~ p1, y2 ~title~ p2"
         " -> bl1 := bl2;"
-    )
+    ), schema)
     sim = SimilarityRelation(
         {
             "name": [("j smith", "john smith"), ("a jones", "anne jones")],
@@ -372,7 +375,7 @@ def test_relational_context_join_gates_enforcement():
     )
     mf = MatchingFunction({"blk": [("k1", "k2", "k12"), ("k3", "k4", "k34")]})
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    eng = ChaseEngine(schema, mds, sim, smf)
+    eng = ChaseEngine(schema, rules, sim, smf)
 
     steps = eng.applicable_steps(instance)
     # the smiths share one paper, hence one block; the joneses' papers differ
@@ -431,7 +434,7 @@ class AgendaOracle(ChaseEngine):
 
 def chase_every_way(eng, instance) -> None:
     """`chase_one` under every rule order, and `chase_all`."""
-    for seed in range(math.factorial(len(eng.mds.names()))):
+    for seed in range(math.factorial(len(eng._rules))):
         eng.chase_one(instance, seed=seed)
     eng.chase_all(instance)
 
@@ -443,7 +446,7 @@ def fixture_engine(name):
     sim = SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return AgendaOracle(schema, load_mds(d / "mds.txt"), sim, smf), instance
+    return AgendaOracle(schema, validate_mds(load_mds(d / "mds.txt"), schema), sim, smf), instance
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
@@ -459,7 +462,7 @@ def test_agenda_equals_discovery_from_scratch_over_the_population():
     visited = 0
     for _ in range(745):
         s = random_setting(rng)
-        eng = AgendaOracle(s.schema, s.mds, s.sim, s.smf)
+        eng = AgendaOracle(s.schema, s.rules, s.sim, s.smf)
         chase_every_way(eng, s.instance)
         visited += eng.visited
     assert visited > 10000
@@ -485,11 +488,11 @@ def test_agenda_lists_context_witnesses_and_undefined_merges():
 def test_agenda_drops_rows_whose_context_tuple_is_rewritten():
     # `ms` moves s1 off the value that made it `mr`'s context witness
     schema = Schema.parse("R(A: doma, B: domb)\nS(A: doma, C: domc)")
-    mds = parse_mds(
+    rules = validate_mds(parse_mds(
         "md mr: lead R(t1; x1, y1), lead R(t2; x2, y2), S(t3; x1, c3), x1 ~doma~ x2"
         " -> y1 := y2;\n"
         "md ms: lead S(t1; u1, c1), lead S(t2; u2, c2), c1 ~domc~ c2 -> u1 := u2;"
-    )
+    ), schema)
     sim = SimilarityRelation({"doma": [("a3", "a2")], "domc": [("c1", "c2")]})
     instance = Instance(schema, {
         "R": {"r1": ("a3", "b3"), "r2": ("a2", "b2")},
@@ -497,7 +500,7 @@ def test_agenda_drops_rows_whose_context_tuple_is_rewritten():
     })
     mf = MatchingFunction(builtins={"doma": "value-min", "domb": "value-min"})
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    eng = AgendaOracle(schema, mds, sim, smf)
+    eng = AgendaOracle(schema, rules, sim, smf)
     assert [(s.md, s.context_tids) for s in eng.applicable_steps(instance)] == [
         ("mr", ("s1",)), ("ms", ()),
     ]
@@ -557,7 +560,7 @@ def test_chase_one_probes_grow_less_than_cubically(monkeypatch):
     monkeypatch.setattr(SimilarityRelation, "similar", counted)
     for authors in (32, 64):
         schema, instance, sim, smf = coauthor(authors)
-        eng = ChaseEngine(schema, parse_mds(COAUTHOR_RULE), sim, smf)
+        eng = ChaseEngine(schema, validate_mds(parse_mds(COAUTHOR_RULE), schema), sim, smf)
         probes.append(0)
         result = eng.chase_one(instance)
         assert len(result.sequences[0]) == authors // 2
@@ -579,7 +582,7 @@ def test_similarity_partners_are_reached_through_blocking_keys(monkeypatch):
 
     monkeypatch.setattr(SimilarityRelation, "similar", counted)
     schema, instance, sim, smf = coauthor(64)
-    eng = ChaseEngine(schema, parse_mds(COAUTHOR_RULE), sim, smf)
+    eng = ChaseEngine(schema, validate_mds(parse_mds(COAUTHOR_RULE), schema), sim, smf)
     assert len(eng.applicable_steps(instance)) == 32
     assert probes[0] < 64 ** 2
     probes[0] = 0

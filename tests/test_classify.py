@@ -45,11 +45,11 @@ def r_schema():
 
 def setting(sim_pairs, rows, rules=TWO_RULES, mf_table=None):
     schema = r_schema()
-    mds = parse_mds(rules)
+    bound = validate_mds(parse_mds(rules), schema)
     sim = SimilarityRelation(sim_pairs)
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
-    return schema, mds, instance, sim, mf.saturate(collect_active_values(schema, instance, sim, mf))
+    return schema, bound, instance, sim, mf.saturate(collect_active_values(schema, instance, sim, mf))
 
 
 def interacting_setting():
@@ -114,8 +114,8 @@ def test_isomorphic_embeddings_collapse_within_a_pair_only():
 
 
 def test_interaction_query_satisfied_on_chained_instance():
-    schema, mds, instance, sim, smf = interacting_setting()
-    sfai, checks = is_sfai(validate_mds(mds, schema), schema, instance, sim)
+    schema, rules, instance, sim, smf = interacting_setting()
+    sfai, checks = is_sfai(rules, schema, instance, sim)
     assert not sfai
     by_name = {c.query.name: c for c in checks}
     first = by_name["md1__md2__R_B"]
@@ -126,8 +126,8 @@ def test_interaction_query_satisfied_on_chained_instance():
 
 
 def test_interaction_queries_unsatisfied_on_separated_instance():
-    schema, mds, instance, sim, smf = sfai_setting()
-    sfai, checks = is_sfai(validate_mds(mds, schema), schema, instance, sim)
+    schema, rules, instance, sim, smf = sfai_setting()
+    sfai, checks = is_sfai(rules, schema, instance, sim)
     assert sfai
     assert all(not c.satisfied for c in checks)
 
@@ -135,22 +135,22 @@ def test_interaction_queries_unsatisfied_on_separated_instance():
 def test_interaction_queries_respect_distinct_identifiers():
     # with b2 ~ b2 reflexivity a two-tuple binding would satisfy the chained
     # query; distinctness of the three identifiers must prevent that
-    schema, mds, instance, sim, smf = setting(
+    schema, rules, instance, sim, smf = setting(
         {"doma": [("a1", "a2")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
     )
-    sfai, checks = is_sfai(validate_mds(mds, schema), schema, instance, sim)
+    sfai, checks = is_sfai(rules, schema, instance, sim)
     assert sfai
     relaxed = [
         type(q)(q.name, q.head, q.atoms, q.sims, distinct_tids=False)
-        for q in sfai_queries(validate_mds(mds, schema), schema)
+        for q in sfai_queries(rules, schema)
     ]
     assert any(eval_cq(instance, q, sim) for q in relaxed)
 
 
 def test_similarity_preservation_fails_for_plain_tables():
-    schema, mds, instance, sim, smf = interacting_setting()
-    preserving, cex = is_similarity_preserving(validate_mds(mds, schema), sim, smf)
+    schema, rules, instance, sim, smf = interacting_setting()
+    preserving, cex = is_similarity_preserving(rules, sim, smf)
     assert not preserving
     dom, a, a2, a3, merged = cex
     assert dom == "domb"
@@ -162,23 +162,23 @@ def test_similarity_preservation_fails_for_plain_tables():
 def test_similarity_preservation_includes_reflexive_pairs():
     # no declared pairs at all: a ~ a still requires a ~ m(a, a''),
     # which a plain table immediately breaks
-    schema, mds, instance, sim, smf = setting(
+    schema, rules, instance, sim, smf = setting(
         {},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
     )
-    preserving, cex = is_similarity_preserving(validate_mds(mds, schema), sim, smf)
+    preserving, cex = is_similarity_preserving(rules, sim, smf)
     assert not preserving
     dom, a, a2, a3, merged = cex
     assert a == a2  # reflexive pair is the earliest counterexample
 
 
 def test_similarity_preservation_trivial_when_nothing_merges():
-    schema, mds, instance, sim, smf = setting(
+    schema, rules, instance, sim, smf = setting(
         {},
         {"t1": ("a1", "b1")},
         mf_table={"domb": []},
     )
-    preserving, cex = is_similarity_preserving(validate_mds(mds, schema), sim, smf)
+    preserving, cex = is_similarity_preserving(rules, sim, smf)
     assert preserving and cex is None
 
 
@@ -195,33 +195,34 @@ def test_token_union_with_token_overlap_preserves_similarity():
     )
     mf = MatchingFunction(builtins={"toks": "token-union"})
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    preserving, cex = is_similarity_preserving(validate_mds(mds, schema), sim, smf)
+    rules = validate_mds(mds, schema)
+    preserving, cex = is_similarity_preserving(rules, sim, smf)
     assert preserving, cex
-    result = classify(mds, schema, instance, sim, smf)
+    result = classify(rules, schema, instance, sim, smf)
     assert result.verdict is Verdict.SIMILARITY_PRESERVING
     assert result.pairs  # interacting, but safely so
 
 
 def test_classify_verdicts():
-    schema, mds, instance, sim, smf = interacting_setting()
-    assert classify(mds, schema, instance, sim, smf).verdict is Verdict.GENERAL
+    schema, rules, instance, sim, smf = interacting_setting()
+    assert classify(rules, schema, instance, sim, smf).verdict is Verdict.GENERAL
 
-    schema, mds, instance, sim, smf = sfai_setting()
-    result = classify(mds, schema, instance, sim, smf)
+    schema, rules, instance, sim, smf = sfai_setting()
+    result = classify(rules, schema, instance, sim, smf)
     assert result.verdict is Verdict.SFAI
     assert len(result.queries) == 2
 
     only_md1 = parse_mds("md md1: R(t1; x1, y1), R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
     schema2, _, instance2, sim2, smf2 = interacting_setting()
-    result2 = classify(only_md1, schema2, instance2, sim2, smf2)
+    result2 = classify(validate_mds(only_md1, schema2), schema2, instance2, sim2, smf2)
     assert result2.verdict is Verdict.NON_INTERACTING
     assert result2.pairs == ()
     assert result2.queries == ()
 
 
 def test_classification_json_report():
-    schema, mds, instance, sim, smf = interacting_setting()
-    report = classify(mds, schema, instance, sim, smf).to_json_dict()
+    schema, rules, instance, sim, smf = interacting_setting()
+    report = classify(rules, schema, instance, sim, smf).to_json_dict()
     assert report["verdict"] == "general"
     assert report["interaction_pairs"] == [
         {"writer": "md1", "reader": "md2", "attribute": "R[B]"},
@@ -233,8 +234,8 @@ def test_classification_json_report():
     assert "witness" not in report["queries"][1]
     assert "preservation_counterexample" in report
 
-    schema, mds, instance, sim, smf = sfai_setting()
-    report = classify(mds, schema, instance, sim, smf).to_json_dict()
+    schema, rules, instance, sim, smf = sfai_setting()
+    report = classify(rules, schema, instance, sim, smf).to_json_dict()
     assert report["verdict"] == "sfai"
     assert all(not q["satisfied"] for q in report["queries"])
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mdclean import codegen
+from mdclean import chase, classify, cli, codegen, mdlang
 from mdclean.cli import main
 from mdclean.datalog import Literal, parse_asp, parse_program
 
@@ -414,6 +414,70 @@ def test_every_command_refuses_an_undeclared_domain_like_validate(
         assert code == 1, command
         assert out == ""
         assert err.startswith(f"error: {error}: {path}: "), (command, err)
+
+
+def test_every_command_refuses_rules_without_a_matching_function_like_validate(capsys):
+    # with no --mf no domain has a matching function, so a rule that writes one is refused
+    d = FIXTURES / "convergent"
+    args = dir_args(d)
+    at = args.index("--mf")
+    del args[at:at + 2]
+    query = ["--query", str(FIXTURES / "divergent" / "queries.txt")]
+    expected = (
+        f"error: ValidationError: {d / 'mds.txt'}: "
+        "rule 'md1': right-hand domain 'domb' has no matching function\n"
+    )
+    for command in [["validate"], *READERS]:
+        code, out, err = run(capsys, [*command, *args, *query])
+        assert (code, out, err) == (1, "", expected), command
+
+
+@pytest.mark.parametrize(
+    "command, engines",
+    [
+        (["validate"], 0), (["classify"], 0), (["chase", "--one"], 1), (["chase", "--all"], 1),
+        (["emit-asp"], 0), (["emit-datalog"], 0), (["solve"], 1), (["answer"], 1),
+    ],
+    ids=["validate", "classify", "chase-one", "chase-all", "emit-asp", "emit-datalog", "solve",
+         "answer"],
+)
+def test_every_command_binds_its_rules_once(monkeypatch, capsys, command, engines):
+    # every layer takes the bound rules; only the chase, `solve`'s stability
+    # check and `answer` build a chase engine
+    calls = {"binds": 0, "engines": 0}
+    bind = mdlang.validate_mds
+
+    def counted_bind(*args, **kwargs):
+        calls["binds"] += 1
+        return bind(*args, **kwargs)
+
+    for module in (mdlang, cli, chase, classify, codegen):
+        if hasattr(module, "validate_mds"):
+            monkeypatch.setattr(module, "validate_mds", counted_bind)
+    build = chase.ChaseEngine.__init__
+
+    def counted_build(self, *args, **kwargs):
+        calls["engines"] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(chase.ChaseEngine, "__init__", counted_build)
+    query = ["--query", str(FIXTURES / "divergent" / "queries.txt")]
+    code, _, _ = run(capsys, [*command, *fixture_args("convergent"), *query])
+    assert code == 0
+    assert calls == {"binds": 1, "engines": engines}
+
+
+def test_a_repeated_rule_name_is_refused(tmp_path, capsys):
+    d = tmp_path / "convergent"
+    shutil.copytree(FIXTURES / "convergent", d)
+    rule = "md m1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;\n"
+    path = d / "mds.txt"
+    path.write_text(rule + rule)
+    args = dir_args(d)
+    for command in (["chase"], ["validate"]):
+        code, out, err = run(capsys, [*command, *args])
+        assert (code, out) == (1, ""), command
+        assert err == f"error: ValidationError: {path}: duplicate rule name 'm1'\n"
 
 
 @pytest.mark.parametrize(

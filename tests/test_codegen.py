@@ -1,6 +1,5 @@
 """Emission of the disjunctive cleaning program and its stratified residual."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,7 @@ from mdclean.classify import Verdict, classify
 from mdclean.codegen import emit_general_asp, emit_residual_datalog, evaluate_residual
 from mdclean.datalog import evaluate, parse_asp, parse_program, stratify
 from mdclean.errors import NotSci, UndefinedMatch, ValidationError
-from mdclean.mdlang import load_mds, parse_mds
+from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -39,12 +38,12 @@ MF_TABLE = {
 
 def setting(sim_pairs, rows, rules=TWO_RULES, mf_table=None):
     schema = Schema.parse("R(A: doma, B: domb)")
-    mds = parse_mds(rules)
+    bound = validate_mds(parse_mds(rules), schema)
     sim = SimilarityRelation(sim_pairs)
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return schema, mds, instance, sim, smf
+    return schema, bound, instance, sim, smf
 
 
 def divergent_setting():
@@ -66,12 +65,12 @@ def biblio_setting():
         "Author(Name: name, PTitle: title, ABlock: blk)\n"
         "Paper(PTitle: title, Venue: venue, PBlock: blk)\n"
     )
-    mds = parse_mds(
+    rules = validate_mds(parse_mds(
         "md coblock: lead Author(t1; x1, y1, bl1), Paper(t3; p1, z1, bl4),"
         " lead Author(t2; x2, y2, bl2), Paper(t4; p2, z2, bl4),"
         " x1 ~name~ x2, y1 ~title~ y2, y1 ~title~ p1, y2 ~title~ p2"
         " -> bl1 := bl2;"
-    )
+    ), schema)
     sim = SimilarityRelation(
         {
             "name": [("j smith", "john smith")],
@@ -94,12 +93,12 @@ def biblio_setting():
     )
     mf = MatchingFunction({"blk": [("k1", "k2", "k12")]})
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return schema, mds, instance, sim, smf
+    return schema, rules, instance, sim, smf
 
 
 def emitted(setting_fn=divergent_setting):
-    schema, mds, instance, sim, smf = setting_fn()
-    return emit_general_asp(schema, instance, mds, sim, smf)
+    schema, rules, instance, sim, smf = setting_fn()
+    return emit_general_asp(schema, instance, rules, sim, smf)
 
 
 def body_preds(rule):
@@ -127,8 +126,8 @@ def test_general_statement_counts():
 
 
 def test_general_fact_tables():
-    schema, mds, instance, sim, smf = divergent_setting()
-    asp = emit_general_asp(schema, instance, mds, sim, smf)
+    schema, rules, instance, sim, smf = divergent_setting()
+    asp = emit_general_asp(schema, instance, rules, sim, smf)
     text = asp.text()
     assert "r_v(t1, a1, b1)." in text
     values = smf.values("domb")
@@ -217,24 +216,24 @@ def test_general_prec_rules_share_one_tuple_id():
 
 
 def test_general_reparses_and_is_byte_stable():
-    schema, mds, instance, sim, smf = divergent_setting()
-    one = emit_general_asp(schema, instance, mds, sim, smf)
-    two = emit_general_asp(schema, instance, mds, sim, smf)
+    schema, rules, instance, sim, smf = divergent_setting()
+    one = emit_general_asp(schema, instance, rules, sim, smf)
+    two = emit_general_asp(schema, instance, rules, sim, smf)
     assert one.text() == two.text()
     assert parse_asp(one.text()) == [st.ast for st in one.statements]
 
 
 def test_general_empty_rule_set_is_facts_plus_collection():
-    schema, mds, instance, sim, smf = setting({}, {"t1": ("a1", "b1")}, rules="")
-    asp = emit_general_asp(schema, instance, mds, sim, smf)
+    schema, rules, instance, sim, smf = setting({}, {"t1": ("a1", "b1")}, rules="")
+    asp = emit_general_asp(schema, instance, rules, sim, smf)
     assert set(asp.counts()) == {"version-fact", "collect"}
     collect = parse_asp(asp.of_kind("collect")[0].text)[0]
     assert not any(lit.negated for lit in collect.body)
 
 
 def test_general_relational_rule_keeps_context_join():
-    schema, mds, instance, sim, smf = biblio_setting()
-    asp = emit_general_asp(schema, instance, mds, sim, smf)
+    schema, rules, instance, sim, smf = biblio_setting()
+    asp = emit_general_asp(schema, instance, rules, sim, smf)
     rule = parse_asp(asp.of_kind("disjunctive")[0].text)[0]
     preds = body_preds(rule)
     assert preds.count("author_v") == 2
@@ -247,24 +246,24 @@ def test_general_relational_rule_keeps_context_join():
 
 
 def test_general_rejects_rule_without_merge_function():
-    schema, mds, instance, sim, smf = setting(
+    schema, rules, instance, sim, smf = setting(
         {"domb": [("b1", "b2")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
         rules="md swap: lead R(t1; x1, y1), lead R(t2; x2, y2), y1 ~domb~ y2 -> x1 := x2;",
     )
     with pytest.raises(ValidationError) as err:
-        emit_general_asp(schema, instance, mds, sim, smf)
+        emit_general_asp(schema, instance, rules, sim, smf)
     assert "no matching function" in str(err.value)
 
 
 def test_general_rejects_unsaturated_merge_tables():
-    schema, mds, instance, sim, _ = setting(
+    schema, rules, instance, sim, _ = setting(
         {"doma": [("a1", "a2")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b9")},
     )
     bare = MatchingFunction(MF_TABLE).saturate()  # b9 never folded in
     with pytest.raises(ValidationError) as err:
-        emit_general_asp(schema, instance, mds, sim, bare)
+        emit_general_asp(schema, instance, rules, sim, bare)
     assert "not saturated" in str(err.value)
 
 
@@ -273,15 +272,23 @@ def test_general_rejects_unsaturated_merge_tables():
 
 
 def residual(setting_fn):
-    schema, mds, instance, sim, smf = setting_fn()
-    verdict = classify(mds, schema, instance, sim, smf)
-    return emit_residual_datalog(schema, instance, mds, sim, smf, verdict)
+    schema, rules, instance, sim, smf = setting_fn()
+    verdict = classify(rules, schema, instance, sim, smf)
+    return emit_residual_datalog(schema, instance, rules, sim, smf, verdict)
+
+
+def clean_of(setting_fn, rp=None):
+    """The clean instance of the residual program `rp` (by default the
+    setting's), checked against the chase engine of the setting's rules."""
+    schema, rules, instance, sim, smf = setting_fn()
+    rp = rp or residual(setting_fn)
+    return evaluate_residual(rp, ChaseEngine(schema, rules, sim, smf))
 
 
 def test_residual_matches_exhaustive_chase_on_convergent_input():
-    schema, mds, instance, sim, smf = convergent_setting()
-    rp = residual(convergent_setting)
-    clean = evaluate_residual(rp)
+    schema, rules, instance, sim, smf = convergent_setting()
+    engine = ChaseEngine(schema, rules, sim, smf)
+    clean = evaluate_residual(residual(convergent_setting), engine).tuples
     assert clean == {
         "R": {
             "t1": ("a1", "b12"),
@@ -290,7 +297,6 @@ def test_residual_matches_exhaustive_chase_on_convergent_input():
             "t4": ("a4", "b34"),
         }
     }
-    engine = ChaseEngine(schema, mds, sim, smf)
     result = engine.chase_all(instance)
     assert len(result.instances) == 1
     assert clean["R"] == dict(result.instances[0].tuples["R"])
@@ -315,7 +321,7 @@ def test_residual_program_shape_and_strata():
 
 def test_residual_relational_rule_evaluates_with_context():
     rp = residual(biblio_setting)
-    clean = evaluate_residual(rp)
+    clean = clean_of(biblio_setting, rp).tuples
     assert clean["Author"] == {
         "a1": ("j smith", "er overview", "k12"),
         "a2": ("john smith", "er survey", "k12"),
@@ -336,16 +342,16 @@ def test_residual_single_rule_on_chained_values():
             rules="md md1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;",
         )
 
-    clean = evaluate_residual(residual(one_rule))
+    clean = clean_of(one_rule).tuples
     assert clean["R"] == {"t1": ("a1", "b12"), "t2": ("a2", "b12"), "t3": ("a3", "b3")}
 
 
 def test_residual_refuses_divergent_combination():
-    schema, mds, instance, sim, smf = divergent_setting()
-    verdict = classify(mds, schema, instance, sim, smf)
+    schema, rules, instance, sim, smf = divergent_setting()
+    verdict = classify(rules, schema, instance, sim, smf)
     assert verdict.verdict is Verdict.GENERAL
     with pytest.raises(NotSci):
-        emit_residual_datalog(schema, instance, mds, sim, smf, verdict)
+        emit_residual_datalog(schema, instance, rules, sim, smf, verdict)
 
 
 def test_residual_is_byte_stable_and_lists_clean_predicates():
@@ -367,9 +373,8 @@ def test_evaluate_residual_detects_incomparable_versions():
             mf_table={"domb": [("b1", "b2", "b12"), ("b1", "b4", "b14")]},
         )
 
-    rp = residual(gapped)
     with pytest.raises(ValidationError) as err:
-        evaluate_residual(rp)
+        clean_of(gapped)
     assert "two versions" in str(err.value)
 
 
@@ -383,24 +388,23 @@ def test_evaluate_residual_refuses_an_undefined_merge():
             mf_table=table,
         )
 
-    schema, mds, instance, sim, smf = unmergeable()
+    schema, rules, instance, sim, smf = unmergeable()
     with pytest.raises(UndefinedMatch):
-        ChaseEngine(schema, mds, sim, smf).chase_one(instance)
-    rp = residual(unmergeable)
+        ChaseEngine(schema, rules, sim, smf).chase_one(instance)
     with pytest.raises(UndefinedMatch) as err:
-        evaluate_residual(rp)
+        clean_of(unmergeable)
     assert err.value.pair == ("b3", "b4")
 
 
 def test_evaluate_residual_refuses_an_unstable_result():
     # the program of an empty rule set copies the input, which the two rules
     # still change; checked against the engine of those rules it is refused
-    schema, mds, instance, sim, smf = convergent_setting()
-    rp = residual(lambda: (schema, parse_mds(""), instance, sim, smf))
-    assert evaluate_residual(rp) == {"R": dict(instance.tuples["R"])}
-    unstable = dataclasses.replace(rp, engine=ChaseEngine(schema, mds, sim, smf))
+    schema, rules, instance, sim, smf = convergent_setting()
+    rp = residual(lambda: (schema, [], instance, sim, smf))
+    copied = evaluate_residual(rp, ChaseEngine(schema, [], sim, smf))
+    assert copied.tuples == {"R": dict(instance.tuples["R"])}
     with pytest.raises(NotSci) as err:
-        evaluate_residual(unstable)
+        evaluate_residual(rp, ChaseEngine(schema, rules, sim, smf))
     assert "not stable" in str(err.value)
 
 
@@ -409,16 +413,16 @@ def test_fixture_programs_reparse_to_their_statements_value_tables_included(name
     d = FIXTURES / name
     schema = Schema.load(d / "schema.txt")
     instance = Instance.load(schema, d)
-    mds = load_mds(d / "mds.txt")
     sim = SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
+    rules = validate_mds(load_mds(d / "mds.txt"), schema, mf)
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    asp = emit_general_asp(schema, instance, mds, sim, smf)
+    asp = emit_general_asp(schema, instance, rules, sim, smf)
     assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
-    report = classify(mds, schema, instance, sim, smf)
+    report = classify(rules, schema, instance, sim, smf)
     if report.verdict is Verdict.GENERAL:
         return
-    rp = emit_residual_datalog(schema, instance, mds, sim, smf, report)
+    rp = emit_residual_datalog(schema, instance, rules, sim, smf, report)
     statements = rp.statements()
     assert any(st.kind.endswith("-fact") and st.kind != "version-fact" for st in statements)
     assert parse_asp(rp.text()) == [st.ast for st in statements]
@@ -431,8 +435,8 @@ def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
             {"t1": ("a\\1", "b1"), "t2": ('a "2"', "b2"), "t3": ("A3", "b3"), "t4": ("_a4", "b4")},
         )
 
-    schema, mds, instance, sim, smf = escaped()
-    asp = emit_general_asp(schema, instance, mds, sim, smf)
+    schema, rules, instance, sim, smf = escaped()
+    asp = emit_general_asp(schema, instance, rules, sim, smf)
     assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
     rp = residual(escaped)
     reparsed = parse_program(rp.text())
@@ -440,7 +444,7 @@ def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
     # the text, its value tables read as facts, computes the same instance
     plain = {p: ts for p, ts in reparsed.facts.items() if p not in rp.program.builtins}
     assert plain == rp.program.facts
-    clean = evaluate_residual(rp)
+    clean = clean_of(escaped, rp).tuples
     assert clean["R"]["t1"] == ("a\\1", "b12")
     rows = {(tid, *vals) for tid, vals in clean["R"].items()}
     assert evaluate(reparsed).get("r_clean") == rows

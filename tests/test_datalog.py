@@ -28,7 +28,7 @@ from mdclean.errors import (
     ValidationError,
 )
 from mdclean.chase import ChaseEngine
-from mdclean.mdlang import load_mds, parse_mds
+from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import MatchingFunction, Schema, SimilarityRelation
 from mdclean.terms import Compound, Var
 
@@ -643,7 +643,8 @@ def test_a_similarity_literal_tests_only_the_candidates_its_keys_reach(monkeypat
 def test_the_step_rule_reaches_the_second_leading_tuple_through_blocking_keys():
     d = FIXTURES / "bibliography"
     schema, sim = Schema.load(d / "schema.txt"), SimilarityRelation.load(d / "sim.txt")
-    engine = ChaseEngine(schema, load_mds(d / "mds.txt"), sim, MatchingFunction.load(d / "mf.txt").saturate())
+    rules = validate_mds(load_mds(d / "mds.txt"), schema)
+    engine = ChaseEngine(schema, rules, sim, MatchingFunction.load(d / "mf.txt").saturate())
     program = engine._program
     plan = program.plan(0, None)
     reads = [program.rules[0].body[i].pred for i in plan.reads]

@@ -65,7 +65,7 @@ def all_answers(query: ConjunctiveQuery) -> ConjunctiveQuery:
 def check_steps(eng: ChaseEngine, instance: Instance) -> list:
     steps = eng.applicable_steps(instance)
     assert steps == naive_match.applicable_steps(
-        eng.schema, eng.mds, eng.sim, eng.smf, instance
+        eng.schema, [rule.md for rule in eng._rules.values()], eng.sim, eng.smf, instance
     )
     return steps
 
@@ -180,7 +180,7 @@ def test_the_oracle_scan_runs_as_a_module():
 def test_steps_match_the_pair_loop_along_chase_paths_of_the_population(population):
     states = 0
     for s in population:
-        eng = ChaseEngine(s.schema, s.mds, s.sim, s.smf)
+        eng = ChaseEngine(s.schema, s.rules, s.sim, s.smf)
         current = s.instance
         for _ in range(50):
             steps = check_steps(eng, current)
@@ -199,7 +199,7 @@ def bibliography(mds_text=None):
     sim = SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return ChaseEngine(schema, mds, sim, smf), instance
+    return ChaseEngine(schema, validate_mds(mds, schema), sim, smf), instance
 
 
 # one context atom, on the first leading atom only: which orientation of a
@@ -249,7 +249,7 @@ def test_relations_named_like_builtins_and_heads_chase_and_answer():
     sim = SimilarityRelation({"doma": [("a1", "a2")], "domb": [("b1", "b2")]})
     mf = MatchingFunction(builtins={"domb": "value-min"})
     smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    eng = ChaseEngine(schema, mds, sim, smf)
+    eng = ChaseEngine(schema, validate_mds(mds, schema), sim, smf)
     steps = check_steps(eng, instance)
     assert [(s.md, s.lead_tids) for s in steps] == [
         ("step_0", ("t1", "t2")), ("pre", ("t4", "t5")), ("m3", ("t6", "t7")),

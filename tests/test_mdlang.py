@@ -36,8 +36,8 @@ def bib_schema():
 
 def test_parse_two_classical_rules():
     mds = parse_mds(TWO_RULES)
-    assert mds.names() == ["md1", "md2"]
-    md1 = mds.by_name["md1"]
+    assert [md.name for md in mds] == ["md1", "md2"]
+    md1 = mds[0]
     assert [a.relation for a in md1.atoms] == ["R", "R"]
     assert all(a.leading for a in md1.atoms)
     assert md1.similarities[0].domain == "doma"
@@ -46,14 +46,14 @@ def test_parse_two_classical_rules():
 
 
 def test_lead_markers_optional_for_two_atoms():
-    mds = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ x2 -> y1 := y2;")
-    assert all(a.leading for a in mds.by_name["m"].atoms)
-    assert mds.by_name["m"].similarities[0].domain is None
+    (md,) = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ x2 -> y1 := y2;")
+    assert all(a.leading for a in md.atoms)
+    assert md.similarities[0].domain is None
 
 
 def test_parse_relational_rule_with_context():
-    mds = parse_mds(RELATIONAL)
-    md = mds.by_name["coblock"]
+    (md,) = parse_mds(RELATIONAL)
+    assert md.name == "coblock"
     lead1, lead2 = md.leading_atoms()
     assert (lead1.tid_var, lead2.tid_var) == ("t1", "t2")
     assert [a.relation for a in md.context_atoms()] == ["Paper", "Paper"]
@@ -83,8 +83,18 @@ def test_exactly_two_lead_markers():
 
 
 def test_duplicate_rule_names_rejected():
-    with pytest.raises(ValidationError):
-        parse_mds("md m: R(t1; x1), R(t2; x2) -> x1 := x2;\nmd m: R(t1; x1), R(t2; x2) -> x1 := x2;")
+    # the parser reads both; binding refuses the repeated name before any rule
+    mds = parse_mds("md m: R(t1; x1), R(t2; x2) -> x1 := x2;\nmd m: R(t1; x1), R(t2; x2) -> x1 := x2;")
+    assert [md.name for md in mds] == ["m", "m"]
+    with pytest.raises(ValidationError, match="^duplicate rule name 'm'$"):
+        validate_mds(mds, r_schema())
+
+
+def test_validate_mds_refuses_a_hand_built_list_that_repeats_a_name():
+    md1, md2 = parse_mds(TWO_RULES)
+    assert validate_mds([md1, md2], r_schema())
+    with pytest.raises(ValidationError, match="^duplicate rule name 'md1'$"):
+        validate_mds([md1, md2, md1], r_schema())
 
 
 def test_tid_variable_cannot_be_an_attribute():
@@ -212,7 +222,7 @@ def test_equality_join_lands_in_alhs():
 def test_two_atoms_without_lead_are_both_leading():
     unmarked = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
     marked = parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
-    assert unmarked.mds == marked.mds
+    assert unmarked == marked
 
 
 def test_atom_constructor_guards():

@@ -405,6 +405,27 @@ def test_instance_csv_and_json_loading(tmp_path):
         Instance.load(schema, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "row, field, spelled",
+    [
+        ('{"tid": "t2", "A": "a2", "B": null}', "B", "null"),
+        ('{"tid": "t2", "A": true, "B": "b2"}', "A", "true"),
+        ('{"tid": "t2", "A": "a2", "B": 1.50}', "B", "1.5"),
+        ('{"tid": "t2", "A": "a2", "B": {"x": [1]}}', "B", '{"x": [1]}'),
+        ('{"tid": 2, "A": "a2", "B": "b2"}', "tid", "2"),
+    ],
+    ids=["null", "true", "number", "object", "tid"],
+)
+def test_a_json_instance_refuses_a_value_that_is_not_a_string(tmp_path, row, field, spelled):
+    # a value that is not a string has no one spelling as a value: refused, not converted
+    schema = Schema.parse("R(A: doma, B: domb)")
+    path = tmp_path / "inst.json"
+    path.write_text('{"R": [{"tid": "t1", "A": "a1", "B": "b1"}, ' + row + "]}")
+    with pytest.raises(ValidationError) as err:
+        Instance.load(schema, path)
+    assert str(err.value) == f"R: row 2: field {field!r} must be a string, got {spelled}"
+
+
 def test_collect_active_values_gathers_all_sources():
     schema = Schema.parse("R(A: doma, B: domb)")
     inst = Instance(schema, {"R": {"t1": ("a1", "b1")}})
