@@ -4,8 +4,9 @@ A step picks two identified tuples matching the leading atoms of a rule
 (plus a context assignment for any further atoms), checks the left-hand
 similarities on current values, and replaces both right-hand values with
 their merge.  Each rule is compiled once to a Datalog step rule over the
-rule's body (`mdlang.md_body`), whose rows name every tuple they read; a
-step's context witness is the least one in tuple identifiers.
+rule's body (`mdlang.md_body`), its similarity a built-in; an engine keeps
+only these rules and the saturated matching function.  A row names every
+tuple it read, and a step's context witness is the least in identifiers.
 
 A chase state is the tuples' value vectors in `Instance.iter_tuples` order.
 `chase_all` and `chase_one` run one exploration over these states, which
@@ -32,7 +33,7 @@ from typing import Callable
 from .datalog import Database, Literal, Program, Rule, evaluate, value_builtins
 from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
 from .mdlang import BoundMD, md_body, var_name
-from .model import Instance, SaturatedMatchingFunction, Schema, SimilarityRelation
+from .model import Instance, SaturatedMatchingFunction, SimilarityRelation
 from .query import instance_facts, relation_pred
 from .terms import Var
 
@@ -99,7 +100,7 @@ class _Layout:
     """The tuples of a chase's start instance, in `iter_tuples` order.
 
     A chase state is the tuple of their value vectors in this order, so
-    states compare and sort as the `canonical_key()`s of their instances do.
+    states compare and sort as the `iter_tuples()` sequences of their instances do.
     """
 
     def __init__(self, instance: Instance):
@@ -123,15 +124,8 @@ class _Layout:
 
 
 class ChaseEngine:
-    def __init__(
-        self,
-        schema: Schema,
-        rules: list[BoundMD],
-        sim: SimilarityRelation,
-        smf: SaturatedMatchingFunction,
-    ):
-        self.schema = schema
-        self.sim = sim
+    def __init__(self, rules: list[BoundMD], sim: SimilarityRelation,
+                 smf: SaturatedMatchingFunction):
         self.smf = smf
         self._rules = {rule.md.name: rule for rule in rules}
         uses = (("sim", dom) for rule in rules for dom in rule.sim_domains)
@@ -247,7 +241,7 @@ class ChaseEngine:
         step_limit: int = DEFAULT_STEP_LIMIT,
     ) -> ChaseResult:
         """All stable endpoints reachable by any enforcement order, sorted by
-        `canonical_key()`.  Every step followed is charged to `step_limit`,
+        `iter_tuples()`.  Every step followed is charged to `step_limit`,
         which is what bounds the enumeration, whatever the instance's size."""
         return self._explore(instance, step_limit, lambda steps: steps)
 
@@ -274,7 +268,7 @@ class ChaseEngine:
     ) -> ChaseResult:
         """The stable endpoints reached from `instance` by following, in each
         state, the steps `follow` picks of its steps, sorted by
-        `canonical_key()`, with one witnessing sequence each.  Every step
+        `iter_tuples()`, with one witnessing sequence each.  Every step
         followed is charged to `step_limit`, which may not be negative."""
         check_step_limit(step_limit)
         budget = step_limit

@@ -31,18 +31,18 @@ from .query import ConjunctiveQuery, certain_answers, load_queries, validate_que
 
 @contextmanager
 def _blame(path):
-    """Prefix an input error raised inside with the file it came from, keeping
-    its class (a file that does not decode is a `ParseError`); with no file,
-    the error passes unchanged."""
+    """Prefix the message of an input error raised inside with the file it came
+    from, in place, so it keeps its class and attributes (a file that does not
+    decode is a `ParseError`); with no file, the error passes unchanged."""
     try:
         yield
     except (MdcleanError, UnicodeDecodeError) as exc:
         if path is None:
             raise
-        cls = exc.__class__ if isinstance(exc, MdcleanError) else ParseError
-        wrapped = cls.__new__(cls)
-        MdcleanError.__init__(wrapped, f"{path}: {exc}")
-        raise wrapped from exc
+        if isinstance(exc, MdcleanError):
+            exc.args = (f"{path}: {exc}",)
+            raise
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 class Inputs:
@@ -92,7 +92,7 @@ class Inputs:
         return [dom for dom in domains if dom not in known]
 
     def saturated(self, instance, sim, mf):
-        active = collect_active_values(self.schema, instance, sim, mf)
+        active = collect_active_values(self.schema, instance, sim)
         with _blame(self.args.mf):
             return mf.saturate(active)
 
@@ -171,7 +171,7 @@ def cmd_classify(args) -> str:
 def cmd_chase(args) -> str:
     inputs = Inputs(args)
     instance, rules, sim, smf = inputs.setting()
-    engine = ChaseEngine(inputs.schema, rules, sim, smf)
+    engine = ChaseEngine(rules, sim, smf)
     if args.all:
         result = engine.chase_all(instance, step_limit=args.step_limit)
     else:
@@ -206,7 +206,7 @@ def cmd_solve(args) -> str:
     instance, rules, sim, smf = inputs.setting()
     verdict = classify(rules, inputs.schema, instance, sim, smf)
     residual = emit_residual_datalog(inputs.schema, instance, rules, sim, smf, verdict)
-    clean = evaluate_residual(residual, ChaseEngine(inputs.schema, rules, sim, smf))
+    clean = evaluate_residual(residual, ChaseEngine(rules, sim, smf))
     return _render(args, clean.to_json_dict(), _instance_lines(clean))
 
 
@@ -217,7 +217,7 @@ def cmd_answer(args) -> str:
     # the residual route runs no chase, so it would never check the budget
     check_step_limit(args.step_limit)
     verdict = classify(rules, inputs.schema, instance, sim, smf)
-    engine = ChaseEngine(inputs.schema, rules, sim, smf)
+    engine = ChaseEngine(rules, sim, smf)
     if verdict.verdict is Verdict.GENERAL:
         clean_instances = list(engine.chase_all(instance, step_limit=args.step_limit).instances)
     else:

@@ -105,20 +105,11 @@ class AspText:
         titles = {st.block: BLOCK_TITLES[st.block] for st in self.statements}
         return _render(self.statements, titles)
 
-    def of_kind(self, kind: str) -> list[AspStatement]:
-        return [st for st in self.statements if st.kind == kind]
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for st in self.statements:
-            out[st.kind] = out.get(st.kind, 0) + 1
-        return out
-
 
 @dataclass(frozen=True)
 class ResidualProgram:
     program: Program
-    clean_predicates: tuple[tuple[str, str], ...]
+    schema: Schema
     # the text's statements, built when called: evaluation needs no value table
     statements: Callable[[], list[AspStatement]]
 
@@ -358,13 +349,8 @@ def emit_general_asp(
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
 ) -> AspText:
-    """The disjunctive cleaning program; its stable models project onto clean instances."""
-    for rule in rules:
-        dom = rule.rhs_domain
-        if not smf.has_mf(dom):
-            raise ValidationError(
-                f"rule {rule.md.name!r} writes domain {dom!r}, which has no matching function"
-            )
+    """The disjunctive cleaning program; its stable models project onto clean
+    instances.  Every domain `rules` write has a matching function (`validate_mds`)."""
     written = _written_positions(rules)
     active = collect_active_values(schema, instance, sim)
     uses = _value_uses(rules, schema, smf, sorted(written), active)
@@ -505,16 +491,15 @@ def emit_residual_datalog(
 
     builtins = value_builtins(uses, sim, smf)
     program = Program([st.ast for st in (*version_facts, *derived)], builtins)
-    clean_preds = tuple((rel, _clean_pred(rel)) for rel in schema.relation_names())
 
     def statements() -> list[AspStatement]:
         return [*version_facts, *_value_tables(uses, builtins, smf, active), *derived]
 
-    return ResidualProgram(program, clean_preds, statements)
+    return ResidualProgram(program, schema, statements)
 
 
 def evaluate_residual(residual: ResidualProgram, engine) -> Instance:
-    """The clean instance the residual program computes.
+    """The clean instance over `residual.schema` that the program computes.
 
     It must be stable under the rules of `engine`, a `chase.ChaseEngine` over
     the rules the program was emitted from.  A merge the matching function
@@ -523,9 +508,9 @@ def evaluate_residual(residual: ResidualProgram, engine) -> Instance:
     """
     model = evaluate(residual.program)
     out: dict[str, dict[str, tuple[str, ...]]] = {}
-    for rel_name, pred in residual.clean_predicates:
+    for rel_name in residual.schema.relation_names():
         rows: dict[str, tuple[str, ...]] = {}
-        for row in sorted(model.get(pred)):
+        for row in sorted(model.get(_clean_pred(rel_name))):
             tid, vals = row[0], row[1:]
             if rows.setdefault(tid, vals) != vals:
                 raise ValidationError(
@@ -533,7 +518,7 @@ def evaluate_residual(residual: ResidualProgram, engine) -> Instance:
                     "the combination was not actually convergent"
                 )
         out[rel_name] = rows
-    clean = Instance(engine.schema, out)
+    clean = Instance(residual.schema, out)
     steps = engine.applicable_steps(clean)
     for step in steps:
         if step.new_value is None:

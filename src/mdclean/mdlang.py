@@ -84,10 +84,6 @@ class MatchingDependency:
     def context_atoms(self) -> tuple[MDAtom, ...]:
         return tuple(a for a in self.atoms if not a.leading)
 
-    def same_relation(self) -> bool:
-        a, b = self.leading_atoms()
-        return a.relation == b.relation
-
     def variables(self) -> list[str]:
         seen: dict[str, None] = {}
         for atom in self.atoms:
@@ -350,16 +346,16 @@ def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
 
 
 def validate_mds(mds: list[MatchingDependency], schema: Schema,
-                 mf: MatchingFunction | None = None) -> list[BoundMD]:
-    """Unique names, then schema (and optionally matching-function) conformance
-    for a rule set; returns the rules bound to the schema, in rule order."""
+                 mf: MatchingFunction) -> list[BoundMD]:
+    """Unique names, then schema conformance and a matching function for each
+    written domain; returns the rules bound to the schema, in rule order."""
     for i, md in enumerate(mds):
         if any(md.name == other.name for other in mds[:i]):
             raise ValidationError(f"duplicate rule name {md.name!r}")
     bound = []
     for md in mds:
         rule = _bind(md, schema)
-        if mf is not None and rule.rhs_domain not in mf.declared_domains():
+        if rule.rhs_domain not in mf.declared_domains():
             raise ValidationError(
                 f"rule {md.name!r}: right-hand domain {rule.rhs_domain!r} has no matching function"
             )

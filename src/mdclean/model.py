@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    ParseError,
-    SemilatticeViolation,
-    UndefinedMatch,
-    ValidationError,
-)
+from .errors import ParseError, SemilatticeViolation, ValidationError
 
 TID_ATTR = "tid"
 
@@ -118,9 +113,6 @@ class Relation:
         except ValueError:
             raise ValidationError(f"relation {self.name} has no attribute {attr!r}") from None
 
-    def domain_of(self, attr: str) -> str:
-        return self.domains[self.position(attr)]
-
 
 def _plain_name(name: str, lineno: int) -> str:
     """`name`, refused when it holds a character of the schema syntax."""
@@ -196,6 +188,16 @@ class Schema:
 # instances
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members, refused when a key repeats (`json` keeps its last value)."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError(f"key {key!r} repeated in one JSON object")
+        out[key] = value
+    return out
+
+
 def _add_row(rows: dict, tid: str, value) -> None:
     """Store `value` under a tuple identifier not used before."""
     if tid in rows:
@@ -234,9 +236,6 @@ class Instance:
         for rel_name in schema.relation_names():
             self.tuples.setdefault(rel_name, {})
 
-    def value_of(self, rel: str, tid: str, attr: str) -> str:
-        return self.tuples[rel][tid][self.schema.relation(rel).position(attr)]
-
     def iter_tuples(self) -> Iterator[tuple[str, str, tuple[str, ...]]]:
         for rel in sorted(self.tuples):
             for tid in sorted(self.tuples[rel]):
@@ -244,9 +243,6 @@ class Instance:
 
     def total_tuples(self) -> int:
         return sum(len(rows) for rows in self.tuples.values())
-
-    def canonical_key(self) -> tuple:
-        return tuple(self.iter_tuples())
 
     def to_json_dict(self) -> dict:
         out: dict[str, list[dict[str, str]]] = {}
@@ -336,7 +332,7 @@ class Instance:
         if path.is_dir():
             return cls.from_csv_dir(schema, path)
         try:
-            data = json.loads(read_text(path))
+            data = json.loads(read_text(path), object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from None
         return cls.from_json_dict(schema, data)
@@ -536,7 +532,7 @@ class MatchingFunction:
         for dom in sorted(self.triples):
             domains[dom] = _saturate_table(dom, self.triples[dom], frozenset(active.get(dom, ())))
         for dom in sorted(self.builtins):
-            domains[dom] = _BuiltinDomain(dom, self.builtins[dom], frozenset(active.get(dom, ())))
+            domains[dom] = _BuiltinDomain(self.builtins[dom], frozenset(active.get(dom, ())))
         return SaturatedMatchingFunction(domains)
 
     @classmethod
@@ -554,8 +550,7 @@ class MatchingFunction:
 class _TableDomain:
     """A saturated table domain: every value is a join of base values."""
 
-    def __init__(self, name: str, generators: dict[str, frozenset[str]]):
-        self.name = name
+    def __init__(self, generators: dict[str, frozenset[str]]):
         self.generators = generators
         self.by_generators = {gens: v for v, gens in generators.items()}
         self.value_set = frozenset(generators)
@@ -627,15 +622,14 @@ def _saturate_table(
                 f"domain {domain!r}: m({a}, {b}) = {c} is not reproduced by the "
                 f"completed table (join resolves to {named!r})"
             )
-    return _TableDomain(domain, gens)
+    return _TableDomain(gens)
 
 
 class _BuiltinDomain:
     """A built-in matching rule.  Its values are closed over the active values
     only when first asked for, since merging and ordering never need them."""
 
-    def __init__(self, name: str, rule: str, active: frozenset[str]):
-        self.name = name
+    def __init__(self, rule: str, active: frozenset[str]):
         self.match, self.precedes, self._close = MF_RULES[rule]
         self.active = active
         self._values: frozenset[str] | None = None
@@ -668,12 +662,6 @@ class SaturatedMatchingFunction:
             return None
         return dom.match(a, b)
 
-    def match(self, domain: str, a: str, b: str) -> str:
-        result = self.try_match(domain, a, b)
-        if result is None:
-            raise UndefinedMatch(domain, a, b)
-        return result
-
     def precedes(self, domain: str, a: str, b: str) -> bool:
         dom = self._domains.get(domain)
         if dom is None:
@@ -689,9 +677,9 @@ def collect_active_values(
     schema: Schema,
     instance: Instance | None = None,
     sim: SimilarityRelation | None = None,
-    mf: MatchingFunction | None = None,
 ) -> dict[str, set[str]]:
-    """Values mentioned per domain, across instance, similarity, and MF tables."""
+    """Values mentioned per domain, across instance and similarity pairs; a
+    matching function's tables add their own values when it is saturated."""
     active: dict[str, set[str]] = {}
     if instance is not None:
         for rel_name, rows in instance.tuples.items():
@@ -703,8 +691,4 @@ def collect_active_values(
         for dom in sim.declared_domains():
             for a, b in sim.declared_pairs(dom):
                 active.setdefault(dom, set()).update((a, b))
-    if mf is not None:
-        for dom, triples in mf.triples.items():
-            for a, b, c in triples:
-                active.setdefault(dom, set()).update((a, b, c))
     return active

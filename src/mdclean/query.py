@@ -193,13 +193,6 @@ def _is_var_name(text: str) -> bool:
     return bool(text) and (text[0].isupper() or text[0] == "_")
 
 
-def parse_query(text: str) -> ConjunctiveQuery:
-    queries = parse_queries(text)
-    if len(queries) != 1:
-        raise ParseError(f"expected exactly one query, found {len(queries)}")
-    return queries[0]
-
-
 def parse_queries(text: str) -> list[ConjunctiveQuery]:
     *statements, rest = _split_top("\n".join(text.splitlines()), ".")
     if rest.strip():
@@ -254,9 +247,8 @@ def _parse_atom(chunk: str) -> QueryAtom:
         raise ParseError(f"malformed atom {chunk!r}")
     rel, inner = chunk[:-1].split("(", 1)
     rel = _unquoted(rel.strip(), "relation name")
+    # `_split_top` yields at least one piece, and `_parse_term` refuses an empty one
     args = tuple(_parse_term(a.strip()) for a in _split_top(inner, ","))
-    if not args:
-        raise ParseError(f"atom {rel!r} needs at least the identifier argument")
     return QueryAtom(rel, args)
 
 

@@ -356,7 +356,7 @@ def _scan(argv=None) -> int:
         if sum(1 for _ in s.instance.iter_tuples()) > args.max_tuples:
             counts["larger"] += 1
             continue
-        endpoints = ChaseEngine(s.schema, s.rules, s.sim, s.smf).chase_all(s.instance).instances
+        endpoints = ChaseEngine(s.rules, s.sim, s.smf).chase_all(s.instance).instances
         text = emit_general_asp(s.schema, s.instance, s.rules, s.sim, s.smf).text()
         try:
             models = ShiftedProgram(text).stable_models(time.monotonic() + args.timeout)

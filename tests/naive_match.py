@@ -30,7 +30,6 @@ from typing import Iterator
 
 from mdclean.chase import EnforcementStep
 from mdclean.classify import _Body, _embeddings, _readable_query, interaction_pairs, sfai_queries
-from mdclean.mdlang import validate_mds
 from mdclean.query import QueryAtom, SimLiteral, resolve_sim_domain
 from mdclean.terms import Var, is_var
 
@@ -116,7 +115,7 @@ def applicable_steps(schema, mds, sim, smf, instance) -> list[EnforcementStep]:
         rows1 = instance.tuples.get(lead1.relation, {})
         for tid0 in sorted(rows0):
             for tid1 in sorted(rows1):
-                if md.same_relation() and tid0 == tid1:
+                if lead0.relation == lead1.relation and tid0 == tid1:
                     continue
                 step = _try_pair(schema, md, sim, smf, instance, tid0, tid1)
                 if step is not None:
@@ -141,7 +140,7 @@ def _try_pair(schema, md, sim, smf, instance, tid0, tid1):
     v1 = instance.tuples[lead1.relation][tid1][p1]
     if v0 == v1:
         return None
-    if md.same_relation() and p0 == p1 and tid1 < tid0:
+    if lead0.relation == lead1.relation and p0 == p1 and tid1 < tid0:
         tid0, tid1 = tid1, tid0
         v0, v1 = v1, v0
     merged = smf.try_match(schema.relation(lead0.relation).domains[p0], v0, v1)
@@ -377,7 +376,7 @@ def _scan(argv=None) -> int:
 
     for draw in range(args.draws):
         s = random_setting(rng)
-        rules = validate_mds(s.mds, s.schema)
+        rules = s.rules
         expected = sfai_queries_by_key(rules, s.schema, checked_key)
         if wrong:
             print(f"draw {draw}: key differs from canonical_key on\n  {wrong[0]}")

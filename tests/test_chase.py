@@ -49,18 +49,19 @@ MF_TABLE = {
 
 def engine(sim_pairs, rows, mf_table=None, rules=TWO_RULES, engine_class=ChaseEngine):
     schema = Schema.parse("R(A: doma, B: domb)")
-    bound = validate_mds(parse_mds(rules), schema)
     sim = SimilarityRelation(sim_pairs)
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
-    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return engine_class(schema, bound, sim, smf), instance
+    bound = validate_mds(parse_mds(rules), schema, mf)
+    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    return engine_class(bound, sim, smf), instance
 
 
-def interacting():
+def interacting(engine_class=ChaseEngine):
     return engine(
         {"doma": [("a1", "a2")], "domb": [("b2", "b3")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2"), "t3": ("a3", "b3")},
+        engine_class=engine_class,
     )
 
 
@@ -195,9 +196,9 @@ def test_chase_all_is_exploration_order_independent():
             return list(reversed(super()._steps(layout, state, db)))
 
     eng, inst = interacting()
-    rev = ReversedEngine(eng.schema, list(eng._rules.values()), eng.sim, eng.smf)
-    canonical = {i.canonical_key() for i in eng.chase_all(inst).instances}
-    reversed_keys = {i.canonical_key() for i in rev.chase_all(inst).instances}
+    rev, _ = interacting(ReversedEngine)
+    canonical = {tuple(i.iter_tuples()) for i in eng.chase_all(inst).instances}
+    reversed_keys = {tuple(i.iter_tuples()) for i in rev.chase_all(inst).instances}
     assert canonical == reversed_keys
 
 
@@ -251,14 +252,13 @@ def test_chase_one_never_closes_token_union_values(monkeypatch):
 
     monkeypatch.setattr(model, "_token_union_closure", closure)
     schema = Schema.parse("R(A: grp, B: toks)")
-    rules = validate_mds(
-        parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~grp~ x2 -> y1 := y2;"), schema
-    )
+    mf = MatchingFunction(builtins={"toks": "token-union"})
+    md = "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~grp~ x2 -> y1 := y2;"
+    rules = validate_mds(parse_mds(md), schema, mf)
     sim = SimilarityRelation()
     instance = Instance(schema, {"R": {"t1": ("g", "a b"), "t2": ("g", "b c"), "t3": ("h", "d")}})
-    mf = MatchingFunction(builtins={"toks": "token-union"})
-    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    result = ChaseEngine(schema, rules, sim, smf).chase_one(instance)
+    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    result = ChaseEngine(rules, sim, smf).chase_one(instance)
     assert by_tid(result.instances[0]) == {
         "t1": ("g", "a b c"), "t2": ("g", "a b c"), "t3": ("h", "d"),
     }
@@ -298,16 +298,15 @@ def test_the_step_budget_alone_bounds_chase_all():
     # tuples sharing an `A` value form one block, in which the value-min
     # merges of `B` can happen in any order
     schema = Schema.parse("R(A: doma, B: domb)")
-    rules = validate_mds(
-        parse_mds("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;"), schema
-    )
     sim, mf = SimilarityRelation({}), MatchingFunction(builtins={"domb": "value-min"})
+    md = "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;"
+    rules = validate_mds(parse_mds(md), schema, mf)
 
     def chase_all(blocks):
         rows = {f"t{i:02}": (f"a{block}", f"b{i:02}") for i, block in enumerate(blocks)}
         instance = Instance(schema, {"R": rows})
-        smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-        return ChaseEngine(schema, rules, sim, smf).chase_all(instance)
+        smf = mf.saturate(collect_active_values(schema, instance, sim))
+        return ChaseEngine(rules, sim, smf).chase_all(instance)
 
     # 13 tuples with no step between them
     assert len(chase_all(range(13)).instances) == 1
@@ -344,7 +343,7 @@ def test_relational_context_join_gates_enforcement():
         " lead Author(t2; x2, y2, bl2), Paper(t4; p2, z2, bl4),"
         " x1 ~name~ x2, y1 ~title~ y2, y1 ~title~ p1, y2 ~title~ p2"
         " -> bl1 := bl2;"
-    ), schema)
+    ), schema, MatchingFunction(builtins={"blk": "value-min"}))
     sim = SimilarityRelation(
         {
             "name": [("j smith", "john smith"), ("a jones", "anne jones")],
@@ -374,8 +373,8 @@ def test_relational_context_join_gates_enforcement():
         },
     )
     mf = MatchingFunction({"blk": [("k1", "k2", "k12"), ("k3", "k4", "k34")]})
-    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    eng = ChaseEngine(schema, rules, sim, smf)
+    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    eng = ChaseEngine(rules, sim, smf)
 
     steps = eng.applicable_steps(instance)
     # the smiths share one paper, hence one block; the joneses' papers differ
@@ -384,18 +383,15 @@ def test_relational_context_join_gates_enforcement():
     ]
     result = eng.chase_all(instance)
     assert len(result.instances) == 1
-    clean = result.instances[0]
-    assert clean.value_of("Author", "a1", "ABlock") == "k12"
-    assert clean.value_of("Author", "a2", "ABlock") == "k12"
-    assert clean.value_of("Author", "a3", "ABlock") == "k3"
-    assert clean.value_of("Author", "a4", "ABlock") == "k4"
+    blocks = {tid: vals[2] for tid, vals in result.instances[0].tuples["Author"].items()}
+    assert blocks == {"a1": "k12", "a2": "k12", "a3": "k3", "a4": "k4"}
 
     # moving the second paper into the first block enables the second merge
     moved = with_p2_in_first_block(instance)
     result2 = eng.chase_all(moved)
     assert len(result2.instances) == 1
-    assert result2.instances[0].value_of("Author", "a3", "ABlock") == "k34"
-    assert result2.instances[0].value_of("Author", "a4", "ABlock") == "k34"
+    moved_blocks = result2.instances[0].tuples["Author"]
+    assert moved_blocks["a3"][2] == moved_blocks["a4"][2] == "k34"
 
 
 def test_step_json_shape():
@@ -445,8 +441,8 @@ def fixture_engine(name):
     instance = Instance.load(schema, d)
     sim = SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
-    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return AgendaOracle(schema, validate_mds(load_mds(d / "mds.txt"), schema), sim, smf), instance
+    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    return AgendaOracle(validate_mds(load_mds(d / "mds.txt"), schema, mf), sim, smf), instance
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
@@ -462,7 +458,7 @@ def test_agenda_equals_discovery_from_scratch_over_the_population():
     visited = 0
     for _ in range(745):
         s = random_setting(rng)
-        eng = AgendaOracle(s.schema, s.rules, s.sim, s.smf)
+        eng = AgendaOracle(s.rules, s.sim, s.smf)
         chase_every_way(eng, s.instance)
         visited += eng.visited
     assert visited > 10000
@@ -488,19 +484,19 @@ def test_agenda_lists_context_witnesses_and_undefined_merges():
 def test_agenda_drops_rows_whose_context_tuple_is_rewritten():
     # `ms` moves s1 off the value that made it `mr`'s context witness
     schema = Schema.parse("R(A: doma, B: domb)\nS(A: doma, C: domc)")
+    mf = MatchingFunction(builtins={"doma": "value-min", "domb": "value-min"})
     rules = validate_mds(parse_mds(
         "md mr: lead R(t1; x1, y1), lead R(t2; x2, y2), S(t3; x1, c3), x1 ~doma~ x2"
         " -> y1 := y2;\n"
         "md ms: lead S(t1; u1, c1), lead S(t2; u2, c2), c1 ~domc~ c2 -> u1 := u2;"
-    ), schema)
+    ), schema, mf)
     sim = SimilarityRelation({"doma": [("a3", "a2")], "domc": [("c1", "c2")]})
     instance = Instance(schema, {
         "R": {"r1": ("a3", "b3"), "r2": ("a2", "b2")},
         "S": {"s1": ("a3", "c1"), "s2": ("a1", "c2")},
     })
-    mf = MatchingFunction(builtins={"doma": "value-min", "domb": "value-min"})
-    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    eng = AgendaOracle(schema, rules, sim, smf)
+    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    eng = AgendaOracle(rules, sim, smf)
     assert [(s.md, s.context_tids) for s in eng.applicable_steps(instance)] == [
         ("mr", ("s1",)), ("ms", ()),
     ]
@@ -545,8 +541,8 @@ def coauthor(authors):
     instance = Instance(schema, {"Author": authors_rows, "Paper": papers})
     sim = SimilarityRelation(builtins={"name": "token-overlap", "title": "token-overlap"})
     mf = MatchingFunction(builtins={"blk": "value-min"})
-    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    return schema, instance, sim, smf
+    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    return instance, validate_mds(parse_mds(COAUTHOR_RULE), schema, mf), sim, smf
 
 
 def test_chase_one_probes_grow_less_than_cubically(monkeypatch):
@@ -559,8 +555,8 @@ def test_chase_one_probes_grow_less_than_cubically(monkeypatch):
 
     monkeypatch.setattr(SimilarityRelation, "similar", counted)
     for authors in (32, 64):
-        schema, instance, sim, smf = coauthor(authors)
-        eng = ChaseEngine(schema, validate_mds(parse_mds(COAUTHOR_RULE), schema), sim, smf)
+        instance, rules, sim, smf = coauthor(authors)
+        eng = ChaseEngine(rules, sim, smf)
         probes.append(0)
         result = eng.chase_one(instance)
         assert len(result.sequences[0]) == authors // 2
@@ -581,8 +577,8 @@ def test_similarity_partners_are_reached_through_blocking_keys(monkeypatch):
         return similar(self, domain, a, b)
 
     monkeypatch.setattr(SimilarityRelation, "similar", counted)
-    schema, instance, sim, smf = coauthor(64)
-    eng = ChaseEngine(schema, validate_mds(parse_mds(COAUTHOR_RULE), schema), sim, smf)
+    instance, rules, sim, smf = coauthor(64)
+    eng = ChaseEngine(rules, sim, smf)
     assert len(eng.applicable_steps(instance)) == 32
     assert probes[0] < 64 ** 2
     probes[0] = 0

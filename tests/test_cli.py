@@ -1,5 +1,6 @@
 """End-to-end command-line runs over the committed fixtures."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from mdclean import chase, classify, cli, codegen, mdlang
 from mdclean.cli import main
 from mdclean.datalog import Literal, parse_asp, parse_program
+from mdclean.errors import ParseError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -864,3 +866,131 @@ def test_inputs_and_outputs_are_utf8_whatever_the_locale(tmp_path, command):
     if "--out" in command:
         assert out.read_text(encoding="utf-8") == (GOLDEN / "convergent.emit-datalog.txt").read_text(
             encoding="utf-8")
+
+
+# -- refusals of malformed input ---------------------------------------------
+
+
+def validate_refuses(capsys, args, message):
+    """`validate` on `args` prints nothing, exits 1 and writes `message` as its error."""
+    schema = str(FIXTURES / "convergent" / "schema.txt")
+    code, out, err = run(capsys, ["validate", "--schema", schema, *args])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("mx m1: R(t1; x1, y1), R(t2; x2, y2) -> y1 := y2;",
+     "ParseError: {}: line 1, column 1: expected 'md', found 'mx'"),
+    ("md m: lead x1 ~ x2 -> y1 := y2;",
+     "ParseError: {}: line 1, column 12: 'lead' must be followed by an atom"),
+    ("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ -> y1 := y2;",
+     "ParseError: {}: line 1, column 42: expected variable or domain, found '->'"),
+    ("md m: R(t1; x1, y1) -> y1 := y1;",
+     "ParseError: {}: line 1, column 4: rule 'm' needs two leading atoms"),
+    ("md m: R(t1; x1, y1), R(t1; x2, y2) -> y1 := y2;",
+     "ParseError: {}: line 1, column 4: rule 'm': identifier variables must be distinct"),
+    ("md m: R(t1; x1, y1), R(t2; t1, y2) -> y1 := y2;",
+     "ParseError: {}: line 1, column 4: rule 'm': 't1' is used both as identifier and attribute"),
+    ("md m: R(t1; x1, y1), R(t2; x2, y2) -> y1 := y1;",
+     "ParseError: {}: line 1, column 4: rule 'm': right-hand side must name two distinct variables"),
+    ("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), R(t3; x3, y2) -> y1 := y2;",
+     "ValidationError: {}: rule 'm': right-hand variable 'y2' also occurs in a context atom"),
+    ("md m: R(t1; y1, y1), R(t2; x2, y2) -> y1 := y2;",
+     "ValidationError: {}: rule 'm': right-hand variable 'y1' must occur exactly once among the "
+     "leading atoms' attributes"),
+    ("md m: R(t1; x1, y1), R(t2; X1, y2), x1 ~ X1 -> y1 := y2;",
+     "ValidationError: {}: rule 'm': variables 'x1' and 'X1' differ only by case"),
+    ("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ x2 -> y1 := x2;",
+     "ValidationError: {}: rule 'm': right-hand attributes live in different domains "
+     "('domb' vs 'doma')"),
+], ids=["keyword", "lead", "similarity", "one-atom", "tids", "tid-attribute", "one-variable",
+        "context", "twice", "case", "domains"])
+def test_validate_refuses_a_malformed_rule(tmp_path, capsys, rule, message):
+    path = tmp_path / "mds.txt"
+    path.write_text(rule + "\n")
+    mf = str(FIXTURES / "convergent" / "mf.txt")
+    validate_refuses(capsys, ["--mds", str(path), "--mf", mf], message.format(path))
+
+
+@pytest.mark.parametrize("query, message", [
+    ("q(X) R(T, X, Y).", "missing ':-' in 'q(X) R(T, X, Y).'"),
+    ("q(X) :- R(T, X, Y), .", "empty literal in query body"),
+    (" :- R(T, X, Y).", "query head missing"),
+    ("q(X) Y :- R(T, X, Y).", "malformed query head 'q(X) Y'"),
+    ("q(x) :- R(T, x, Y).", "query head argument 'x' must be a variable"),
+    ("q(X) :- R.", "malformed atom 'R'"),
+    ("q(X) :- R().", "empty term"),
+    ("q(X) :- R(T, X, ).", "empty term"),
+], ids=["no-arrow", "empty-literal", "no-head", "head", "head-constant", "atom", "no-arguments",
+        "empty-argument"])
+def test_validate_refuses_a_malformed_query(tmp_path, capsys, query, message):
+    path = tmp_path / "queries.txt"
+    path.write_text(query + "\n")
+    validate_refuses(capsys, ["--query", str(path)], f"ParseError: {path}: {message}")
+
+
+def test_a_query_head_without_parentheses_is_a_boolean_query(tmp_path, capsys):
+    path = tmp_path / "queries.txt"
+    path.write_text("q :- R(T, X, b12).\n")
+    code, out, err = run(capsys, ["answer", *fixture_args("convergent"), "--query", str(path),
+                                  "--format", "text"])
+    assert (code, out, err) == (0, "q()\n", "")
+
+
+@pytest.mark.parametrize("option, file, text, message", [
+    ("--instance", "instance.json", '{"R": [{"A": "a1", "B": "b1"}]}',
+     "ValidationError: {arg}: R: row without 'tid' field"),
+    ("--instance", "instance.json", '{"R": [{"tid": "t1", "A": "a1", "B": "b1", "C": "c1"}]}',
+     "ValidationError: {arg}: R: unknown fields ['C']"),
+    ("--instance", "instance.json", '{"R": [{"tid": "t1", "A": "a1"}]}',
+     "ValidationError: {arg}: R: missing fields ['B']"),
+    ("--instance", "csv/R.csv", "", "ValidationError: {arg}: {file}: empty file"),
+    ("--instance", "csv/R.csv", "tid,A,B\nt1,a1\n",
+     "ValidationError: {arg}: {file}:2: expected 3 fields"),
+    ("--mf", "mf.txt", "domb: m(p, q) = r\ndomb: m(q, r) = p\ndomb: m(r, p) = q\n",
+     "SemilatticeViolation: {arg}: domain 'domb': value 'p' is defined only in terms of other "
+     "defined values (cyclic table)"),
+], ids=["no-tid", "unknown-field", "missing-field", "empty-csv", "short-row", "cyclic-table"])
+def test_validate_refuses_a_malformed_instance_or_table(
+    tmp_path, capsys, option, file, text, message
+):
+    path = tmp_path / file
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)
+    arg = path.parent if file.endswith(".csv") else path
+    validate_refuses(capsys, [option, str(arg)], message.format(arg=arg, file=path))
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"R": [{"tid": "t1", "A": "a1", "B": "b1"}], "R": [{"tid": "t2", "A": "a2", "B": "b2"}]}', "R"),
+    ('{"R": [{"tid": "t1", "A": "a1", "B": "b1", "B": "b9"}]}', "B"),
+], ids=["relation", "field"])
+def test_a_key_repeated_in_a_json_instance_is_refused(tmp_path, capsys, text, key):
+    # `json` alone keeps a repeated key's last value: a relation's rows or a field's value would go
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    args = fixture_args("convergent")
+    args[args.index("--instance") + 1] = str(path)
+    for command in (["validate"], ["chase", "--one"]):
+        code, out, err = run(capsys, [*command, *args])
+        assert (code, out) == (1, ""), command
+        assert err == f"error: ValidationError: {path}: key {key!r} repeated in one JSON object\n"
+
+
+def test_without_sim_only_equal_values_are_similar(capsys):
+    args = fixture_args("convergent")
+    at = args.index("--sim")
+    del args[at:at + 2]
+    code, out, err = run(capsys, ["solve", *args, "--format", "text"])
+    rows = (FIXTURES / "convergent" / "R.csv").read_text().splitlines()[1:]
+    assert (code, err) == (0, "")
+    assert out == "".join(f"R({row.replace(',', ', ')})\n" for row in rows)
+
+
+def test_an_input_error_keeps_its_attributes_when_its_file_is_named(tmp_path):
+    schema = tmp_path / "schema.txt"
+    schema.write_text("R(A: d\n")
+    with pytest.raises(ParseError) as err:
+        cli.Inputs(argparse.Namespace(schema=str(schema)))
+    assert (err.value.line, err.value.column) == (1, None)
+    assert str(err.value) == f"{schema}: line 1: expected `Name(attr: domain, ...)`"

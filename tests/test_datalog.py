@@ -166,6 +166,8 @@ def test_parse_errors():
         (parse_asp, "p(a).\nq(b) :- $.", 2, 9),
         (parse_asp, "p(a).\n  X :- a.", 2, 3),
         (parse_asp, "p(a) :- not q(a), r(a)\n", 2, 1),
+        # negation reads only in a body
+        (parse_asp, "p(a).\n not q(X) :- p(X).", 2, 2),
     ],
 )
 def test_parse_errors_carry_line_and_column(parse, text, line, column):
@@ -204,6 +206,10 @@ X = Var("X")
         (Rule((Literal("p", ("a",), negated=True),)), "rule head cannot be negated"),
         # a built-in computes its rows, so a fact of one would be ignored
         (Rule((Literal("sim_doma", ("x", "y")),)), "rule head 'sim_doma' is a built-in"),
+        (
+            Rule((Literal("p", (X,)),), (Literal("c", (X,)), Literal("c", (Compound("f", (X,)),)))),
+            "^function terms are not supported in evaluated programs$",
+        ),
     ],
 )
 def test_a_program_built_from_statements_refuses_what_it_cannot_evaluate(statement, message):
@@ -643,8 +649,8 @@ def test_a_similarity_literal_tests_only_the_candidates_its_keys_reach(monkeypat
 def test_the_step_rule_reaches_the_second_leading_tuple_through_blocking_keys():
     d = FIXTURES / "bibliography"
     schema, sim = Schema.load(d / "schema.txt"), SimilarityRelation.load(d / "sim.txt")
-    rules = validate_mds(load_mds(d / "mds.txt"), schema)
-    engine = ChaseEngine(schema, rules, sim, MatchingFunction.load(d / "mf.txt").saturate())
+    mf = MatchingFunction.load(d / "mf.txt")
+    engine = ChaseEngine(validate_mds(load_mds(d / "mds.txt"), schema, mf), sim, mf.saturate())
     program = engine._program
     plan = program.plan(0, None)
     reads = [program.rules[0].body[i].pred for i in plan.reads]

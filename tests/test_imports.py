@@ -1,15 +1,22 @@
-"""No module of the package imports a name that it never references.
+"""No module of the package imports a name that it never references, and
+every public function or method it defines is named outside its definition.
 
 `__init__.py` is skipped, since its imports are the package's re-exports, and
-so is `from __future__ import ...`.
+so is `from __future__ import ...`.  A function or method counts as named
+when its name occurs, as a word, somewhere in the package, in `bench/` or in
+README.md beyond its definitions; one that only tests name is state the
+program does not consume.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mdclean"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mdclean"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -52,3 +59,53 @@ def test_the_check_sees_an_unused_import():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Iterator"]
+
+
+def unnamed_functions(sources: list[str], texts: list[str]) -> list[str]:
+    """The public functions and methods defined at the top level of `sources`
+    or in their classes whose name occurs, as a word, in `sources` and
+    `texts` no more often than it is defined, sorted."""
+    defined: Counter = Counter()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef)):
+                defined.update(
+                    d.name for d in node.body
+                    if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
+                )
+    words = Counter(w for text in (*sources, *texts) for w in re.findall(r"\w+", text))
+    return sorted(name for name, count in defined.items() if words[name] <= count)
+
+
+def test_every_public_function_is_named_by_the_program_or_its_readme():
+    sources = [(PACKAGE / module).read_text(encoding="utf-8") for module in MODULES]
+    texts = [(PACKAGE / "__init__.py").read_text(encoding="utf-8")]
+    texts += [path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert unnamed_functions(sources, texts) == []
+
+
+def test_the_check_sees_a_function_only_its_definition_names():
+    source = (
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def unused():\n"
+        "    def inner():\n"
+        "        pass\n"
+        "class C:\n"
+        "    def read(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "    def load(self):\n"
+        "        pass\n"
+        "class D:\n"
+        "    def load(self):\n"
+        "        pass\n"
+    )
+    # `used` is named in the README, `read` in a bench script, and `load` is
+    # named by no more than its two definitions
+    texts = ["Call `used()`.", "C().read()"]
+    assert unnamed_functions([source], texts) == ["load", "unused"]

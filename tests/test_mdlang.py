@@ -23,6 +23,10 @@ md coblock:
 """
 
 
+# a matching function on every domain these tests' rules write
+WRITES = MatchingFunction(builtins=dict.fromkeys(["doma", "domb", "blk", "e"], "value-min"))
+
+
 def r_schema():
     return Schema.parse("R(A: doma, B: domb)")
 
@@ -42,7 +46,6 @@ def test_parse_two_classical_rules():
     assert all(a.leading for a in md1.atoms)
     assert md1.similarities[0].domain == "doma"
     assert (md1.rhs_left, md1.rhs_right) == ("y1", "y2")
-    assert md1.same_relation()
 
 
 def test_lead_markers_optional_for_two_atoms():
@@ -87,14 +90,14 @@ def test_duplicate_rule_names_rejected():
     mds = parse_mds("md m: R(t1; x1), R(t2; x2) -> x1 := x2;\nmd m: R(t1; x1), R(t2; x2) -> x1 := x2;")
     assert [md.name for md in mds] == ["m", "m"]
     with pytest.raises(ValidationError, match="^duplicate rule name 'm'$"):
-        validate_mds(mds, r_schema())
+        validate_mds(mds, r_schema(), WRITES)
 
 
 def test_validate_mds_refuses_a_hand_built_list_that_repeats_a_name():
     md1, md2 = parse_mds(TWO_RULES)
-    assert validate_mds([md1, md2], r_schema())
+    assert validate_mds([md1, md2], r_schema(), WRITES)
     with pytest.raises(ValidationError, match="^duplicate rule name 'md1'$"):
-        validate_mds([md1, md2, md1], r_schema())
+        validate_mds([md1, md2, md1], r_schema(), WRITES)
 
 
 def test_tid_variable_cannot_be_an_attribute():
@@ -131,14 +134,15 @@ def test_similarity_over_unknown_variable_rejected():
 def test_validate_against_schema_checks_arity_and_domains():
     schema = r_schema()
     mds = parse_mds(TWO_RULES)
-    validate_mds(mds, schema)
+    validate_mds(mds, schema, WRITES)
     with pytest.raises(ValidationError):
-        validate_mds(parse_mds("md m: R(t1; x1), R(t2; x2) -> x1 := x2;"), schema)
+        validate_mds(parse_mds("md m: R(t1; x1), R(t2; x2) -> x1 := x2;"), schema, WRITES)
     # joining attributes from different domains through one variable
     with pytest.raises(ValidationError):
         validate_mds(
             parse_mds("md m: R(t1; x1, y1), R(t2; y1, y2), x1 ~ y2 -> x1 := y2;"),
             schema,
+            WRITES,
         )
 
 
@@ -152,7 +156,7 @@ def test_validate_requires_mf_on_written_domain():
 
 def test_rhs_domain_and_targets():
     schema = r_schema()
-    md1, _ = validate_mds(parse_mds(TWO_RULES), schema)
+    md1, _ = validate_mds(parse_mds(TWO_RULES), schema, WRITES)
     assert md1.rhs_domain == "domb"
     assert md1.lead == md1.md.leading_atoms()
     assert md1.rhs == (1, 1)
@@ -161,7 +165,9 @@ def test_rhs_domain_and_targets():
     # relations written at different positions: positions in leading order
     schema = Schema.parse("R(A: doma, B: domb)\nS(C: domb, D: doma)")
     (cross,) = validate_mds(
-        parse_mds("md m: lead R(t1; x1, y1), lead S(t2; y2, x2), x1 ~ x2 -> y2 := y1;"), schema
+        parse_mds("md m: lead R(t1; x1, y1), lead S(t2; y2, x2), x1 ~ x2 -> y2 := y1;"),
+        schema,
+        WRITES,
     )
     assert cross.rhs == (1, 0)
     assert cross.rhs_domain == "domb"
@@ -172,19 +178,21 @@ def test_rhs_domain_and_targets():
 def test_sim_domain_resolution_and_mismatch():
     schema = r_schema()
     (rule,) = validate_mds(
-        parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ x2, y1 ~domb~ y2 -> y1 := y2;"), schema
+        parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ x2, y1 ~domb~ y2 -> y1 := y2;"),
+        schema,
+        WRITES,
     )
     assert rule.sim_domains == ("doma", "domb")
     bad = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ y2 -> y1 := y2;")
     with pytest.raises(ValidationError, match="mixes domains"):
-        validate_mds(bad, schema)
+        validate_mds(bad, schema, WRITES)
     wrong = parse_mds("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~domb~ x2 -> y1 := y2;")
     with pytest.raises(ValidationError, match="mixes domains"):
-        validate_mds(wrong, schema)
+        validate_mds(wrong, schema, WRITES)
 
 
 def test_alhs_arhs_classical():
-    md1, md2 = validate_mds(parse_mds(TWO_RULES), r_schema())
+    md1, md2 = validate_mds(parse_mds(TWO_RULES), r_schema(), WRITES)
     assert md1.alhs == {("R", "A")}
     assert md1.arhs == {("R", "B")}
     assert md2.alhs == {("R", "B")}
@@ -192,7 +200,7 @@ def test_alhs_arhs_classical():
 
 
 def test_alhs_arhs_relational_with_joins():
-    (rule,) = validate_mds(parse_mds(RELATIONAL), bib_schema())
+    (rule,) = validate_mds(parse_mds(RELATIONAL), bib_schema(), WRITES)
     # the similarity variables, and bl4 for its equality join
     assert rule.compared == {"x1", "x2", "y1", "y2", "p1", "p2", "bl4"}
     assert rule.alhs == {
@@ -206,7 +214,7 @@ def test_alhs_arhs_relational_with_joins():
 
 def test_identifier_attributes_never_appear_in_attribute_sets():
     schema = bib_schema()
-    (rule,) = validate_mds(parse_mds(RELATIONAL), schema)
+    (rule,) = validate_mds(parse_mds(RELATIONAL), schema, WRITES)
     for rel, attr in rule.alhs | rule.arhs:
         assert attr != "tid"
         assert attr in schema.relation(rel).attrs
@@ -214,7 +222,8 @@ def test_identifier_attributes_never_appear_in_attribute_sets():
 
 def test_equality_join_lands_in_alhs():
     schema = Schema.parse("R(A: d, B: e)\nS(C: d, E: e)")
-    (rule,) = validate_mds(parse_mds("md m: lead R(t1; x, y1), lead S(t2; x, y2) -> y1 := y2;"), schema)
+    mds = parse_mds("md m: lead R(t1; x, y1), lead S(t2; x, y2) -> y1 := y2;")
+    (rule,) = validate_mds(mds, schema, WRITES)
     assert rule.compared == {"x"}
     assert rule.alhs == {("R", "A"), ("S", "C")}
 

