@@ -420,25 +420,24 @@ class Classification:
 
 
 def is_sfai(
-    rules: list[BoundMD], schema: Schema, instance: Instance, sim: SimilarityRelation
+    instance: Instance, rules: list[BoundMD], sim: SimilarityRelation
 ) -> tuple[bool, list[QueryCheck]]:
     """True when every interaction query is unsatisfied on the instance."""
     checks = []
-    for query in sfai_queries(rules, schema):
+    for query in sfai_queries(rules, instance.schema):
         checks.append(QueryCheck(query, find_witness(instance, query, sim)))
     return all(not c.satisfied for c in checks), checks
 
 
 def classify(
-    rules: list[BoundMD],
-    schema: Schema,
     instance: Instance,
+    rules: list[BoundMD],
     sim: SimilarityRelation,
     smf: SaturatedMatchingFunction,
 ) -> Classification:
     pairs = tuple(interaction_pairs(rules))
     preserving, counterexample = is_similarity_preserving(rules, sim, smf)
-    sfai, checks = is_sfai(rules, schema, instance, sim)
+    sfai, checks = is_sfai(instance, rules, sim)
     if not pairs:
         verdict = Verdict.NON_INTERACTING
     elif preserving:

@@ -92,7 +92,7 @@ class Inputs:
         return [dom for dom in domains if dom not in known]
 
     def saturated(self, instance, sim, mf):
-        active = collect_active_values(self.schema, instance, sim)
+        active = collect_active_values(instance, sim)
         with _blame(self.args.mf):
             return mf.saturate(active)
 
@@ -155,10 +155,7 @@ def cmd_validate(args) -> str:
 
 
 def cmd_classify(args) -> str:
-    inputs = Inputs(args)
-    instance, rules, sim, smf = inputs.setting()
-    report = classify(rules, inputs.schema, instance, sim, smf)
-    payload = report.to_json_dict()
+    payload = classify(*Inputs(args).setting()).to_json_dict()
     lines = [f"verdict: {payload['verdict']}"]
     for pair in payload["interaction_pairs"]:
         lines.append(f"pair: {pair['writer']} writes {pair['attribute']} read by {pair['reader']}")
@@ -169,8 +166,7 @@ def cmd_classify(args) -> str:
 
 
 def cmd_chase(args) -> str:
-    inputs = Inputs(args)
-    instance, rules, sim, smf = inputs.setting()
+    instance, rules, sim, smf = Inputs(args).setting()
     engine = ChaseEngine(rules, sim, smf)
     if args.all:
         result = engine.chase_all(instance, step_limit=args.step_limit)
@@ -189,39 +185,35 @@ def cmd_chase(args) -> str:
 
 
 def cmd_emit_asp(args) -> str:
-    inputs = Inputs(args)
-    instance, rules, sim, smf = inputs.setting()
-    return emit_general_asp(inputs.schema, instance, rules, sim, smf).text()
+    return emit_general_asp(*Inputs(args).setting()).text()
 
 
 def cmd_emit_datalog(args) -> str:
-    inputs = Inputs(args)
-    instance, rules, sim, smf = inputs.setting()
-    verdict = classify(rules, inputs.schema, instance, sim, smf)
-    return emit_residual_datalog(inputs.schema, instance, rules, sim, smf, verdict).text()
+    setting = Inputs(args).setting()
+    return emit_residual_datalog(*setting, classify(*setting)).text()
 
 
 def cmd_solve(args) -> str:
-    inputs = Inputs(args)
-    instance, rules, sim, smf = inputs.setting()
-    verdict = classify(rules, inputs.schema, instance, sim, smf)
-    residual = emit_residual_datalog(inputs.schema, instance, rules, sim, smf, verdict)
+    setting = Inputs(args).setting()
+    _, rules, sim, smf = setting
+    residual = emit_residual_datalog(*setting, classify(*setting))
     clean = evaluate_residual(residual, ChaseEngine(rules, sim, smf))
     return _render(args, clean.to_json_dict(), _instance_lines(clean))
 
 
 def cmd_answer(args) -> str:
     inputs = Inputs(args)
-    instance, rules, sim, smf = inputs.setting()
+    setting = inputs.setting()
+    instance, rules, sim, smf = setting
     queries = inputs.queries()
     # the residual route runs no chase, so it would never check the budget
     check_step_limit(args.step_limit)
-    verdict = classify(rules, inputs.schema, instance, sim, smf)
+    verdict = classify(*setting)
     engine = ChaseEngine(rules, sim, smf)
     if verdict.verdict is Verdict.GENERAL:
         clean_instances = list(engine.chase_all(instance, step_limit=args.step_limit).instances)
     else:
-        residual = emit_residual_datalog(inputs.schema, instance, rules, sim, smf, verdict)
+        residual = emit_residual_datalog(*setting, verdict)
         clean_instances = [evaluate_residual(residual, engine)]
     payload = []
     lines = []

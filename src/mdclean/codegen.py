@@ -238,10 +238,10 @@ def _oldversion_rules(
     ]
 
 
-def _version_facts(schema: Schema, instance: Instance, relation_pred) -> list[AspStatement]:
+def _version_facts(instance: Instance, relation_pred) -> list[AspStatement]:
     """Block 1: one fact per input tuple."""
     out = []
-    for rel_name in schema.relation_names():
+    for rel_name in instance.schema.relation_names():
         pred = relation_pred(rel_name)
         rows = instance.tuples[rel_name]
         for tid in sorted(rows):
@@ -343,7 +343,6 @@ def _collect_rules(schema: Schema, written, relation_pred) -> list[AspStatement]
 
 
 def emit_general_asp(
-    schema: Schema,
     instance: Instance,
     rules: list[BoundMD],
     sim: SimilarityRelation,
@@ -351,11 +350,12 @@ def emit_general_asp(
 ) -> AspText:
     """The disjunctive cleaning program; its stable models project onto clean
     instances.  Every domain `rules` write has a matching function (`validate_mds`)."""
+    schema = instance.schema
     written = _written_positions(rules)
-    active = collect_active_values(schema, instance, sim)
+    active = collect_active_values(instance, sim)
     uses = _value_uses(rules, schema, smf, sorted(written), active)
     _check_predicates(schema, rules, written, uses, _version_pred, general=True)
-    statements = _version_facts(schema, instance, _version_pred)
+    statements = _version_facts(instance, _version_pred)
     statements += _value_tables(uses, value_builtins(uses, sim, smf), smf, active)
 
     for rule in rules:
@@ -460,7 +460,6 @@ def _prec_recording(
 
 
 def emit_residual_datalog(
-    schema: Schema,
     instance: Instance,
     rules: list[BoundMD],
     sim: SimilarityRelation,
@@ -473,11 +472,12 @@ def emit_residual_datalog(
             "rule set and instance classify as general; the residual rewriting "
             "is only sound for converging combinations"
         )
+    schema = instance.schema
     written = _written_positions(rules)
-    active = collect_active_values(schema, instance, sim)
+    active = collect_active_values(instance, sim)
     uses = _value_uses(rules, schema, smf, sorted(written), active)
     _check_predicates(schema, rules, written, uses, _pred, general=False)
-    version_facts = _version_facts(schema, instance, _pred)
+    version_facts = _version_facts(instance, _pred)
     derived = []
     for rule in rules:
         head = _lit(f"match_{_pred(rule.md.name)}", _match_args(rule))

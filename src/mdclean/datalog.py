@@ -115,7 +115,7 @@ def value_pred(kind: str, domain: str) -> str:
 
 def value_builtins(
     uses: Iterable[tuple[str, str]],
-    sim: SimilarityRelation | None = None,
+    sim: SimilarityRelation,
     smf: SaturatedMatchingFunction | None = None,
 ) -> dict[str, Builtin]:
     """`!=` and the value relation of each (kind, domain) in `uses`.

@@ -225,6 +225,8 @@ class Instance:
             rel = schema.relation(rel_name)
             rows: dict[str, tuple[str, ...]] = {}
             for tid, vals in tuples[rel_name].items():
+                if not tid:
+                    raise ValidationError(f"{rel_name}: empty tuple identifier")
                 vec = tuple(str(v) for v in vals)
                 if len(vec) != rel.arity:
                     raise ValidationError(
@@ -525,9 +527,9 @@ class MatchingFunction:
     def declared_domains(self) -> list[str]:
         return sorted(set(self.triples) | set(self.builtins))
 
-    def saturate(self, active: Mapping[str, Iterable[str]] | None = None) -> "SaturatedMatchingFunction":
+    def saturate(self, active: Mapping[str, Iterable[str]]) -> "SaturatedMatchingFunction":
         """Complete every declared domain over the given active values."""
-        active = {dom: set(vals) for dom, vals in (active or {}).items()}
+        active = {dom: set(vals) for dom, vals in active.items()}
         domains: dict[str, _TableDomain | _BuiltinDomain] = {}
         for dom in sorted(self.triples):
             domains[dom] = _saturate_table(dom, self.triples[dom], frozenset(active.get(dom, ())))
@@ -674,16 +676,14 @@ class SaturatedMatchingFunction:
 
 
 def collect_active_values(
-    schema: Schema,
-    instance: Instance | None = None,
-    sim: SimilarityRelation | None = None,
+    instance: Instance | None, sim: SimilarityRelation | None
 ) -> dict[str, set[str]]:
     """Values mentioned per domain, across instance and similarity pairs; a
     matching function's tables add their own values when it is saturated."""
     active: dict[str, set[str]] = {}
     if instance is not None:
         for rel_name, rows in instance.tuples.items():
-            rel = schema.relation(rel_name)
+            rel = instance.schema.relation(rel_name)
             for vals in rows.values():
                 for dom, val in zip(rel.domains, vals):
                     active.setdefault(dom, set()).add(val)

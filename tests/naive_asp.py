@@ -357,7 +357,7 @@ def _scan(argv=None) -> int:
             counts["larger"] += 1
             continue
         endpoints = ChaseEngine(s.rules, s.sim, s.smf).chase_all(s.instance).instances
-        text = emit_general_asp(s.schema, s.instance, s.rules, s.sim, s.smf).text()
+        text = emit_general_asp(s.instance, s.rules, s.sim, s.smf).text()
         try:
             models = ShiftedProgram(text).stable_models(time.monotonic() + args.timeout)
         except SearchLimit:

@@ -139,5 +139,5 @@ def random_setting(rng: random.Random) -> Setting:
     else:
         mf = MatchingFunction(builtins={"domb": flavor})
     rules = validate_mds(mds, schema, mf)
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     return Setting(schema, instance, mds, rules, sim, smf, mds_text, sim_pairs, flavor)

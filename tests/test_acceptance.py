@@ -57,11 +57,11 @@ class Fixture:
         self.mf = MatchingFunction.load(d / "mf.txt")
         self.rules = validate_mds(load_mds(d / "mds.txt"), self.schema, self.mf)
         self.smf = self.mf.saturate(
-            collect_active_values(self.schema, self.instance, self.sim)
+            collect_active_values(self.instance, self.sim)
         )
 
     def report(self):
-        return classify(self.rules, self.schema, self.instance, self.sim, self.smf)
+        return classify(self.instance, self.rules, self.sim, self.smf)
 
     def engine(self) -> ChaseEngine:
         return ChaseEngine(self.rules, self.sim, self.smf)
@@ -97,7 +97,7 @@ def test_converging_rules_classify_sfai_and_residual_matches_chase():
     report = fx.report()
     assert report.verdict is Verdict.SFAI
     assert report.queries and all(not q.satisfied for q in report.queries)
-    residual = emit_residual_datalog(fx.schema, fx.instance, fx.rules, fx.sim, fx.smf, report)
+    residual = emit_residual_datalog(fx.instance, fx.rules, fx.sim, fx.smf, report)
     clean = evaluate_residual(residual, fx.engine())
     expected = {
         "R": {
@@ -140,13 +140,13 @@ def test_residual_program_equals_chase_on_converging_random_settings():
     checked = 0
     for _ in range(SOAK_DRAWS):
         s = random_setting(rng)
-        report = classify(s.rules, s.schema, s.instance, s.sim, s.smf)
+        report = classify(s.instance, s.rules, s.sim, s.smf)
         if report.verdict is Verdict.GENERAL:
             continue
         engine = ChaseEngine(s.rules, s.sim, s.smf)
         result = engine.chase_all(s.instance)
         assert len(result.instances) == 1, s.describe()
-        residual = emit_residual_datalog(s.schema, s.instance, s.rules, s.sim, s.smf, report)
+        residual = emit_residual_datalog(s.instance, s.rules, s.sim, s.smf, report)
         clean = evaluate_residual(residual, engine).tuples
         assert clean == by_relation(result.instances[0]), s.describe()
         # the text, its value tables read as facts, computes the same instance
@@ -169,7 +169,7 @@ def test_clean_instance_count_follows_the_verdict():
     multi = 0
     for _ in range(SOAK_DRAWS):
         s = random_setting(rng)
-        report = classify(s.rules, s.schema, s.instance, s.sim, s.smf)
+        report = classify(s.instance, s.rules, s.sim, s.smf)
         result = ChaseEngine(s.rules, s.sim, s.smf).chase_all(s.instance)
         if report.verdict is not Verdict.GENERAL:
             assert len(result.instances) == 1, s.describe()
@@ -181,7 +181,7 @@ def test_clean_instance_count_follows_the_verdict():
 
 
 def test_merge_table_is_a_join_semilattice():
-    smf = MatchingFunction.load(FIXTURES / "divergent" / "mf.txt").saturate()
+    smf = MatchingFunction.load(FIXTURES / "divergent" / "mf.txt").saturate({})
     values = sorted(smf.values("domb"))
     assert {"b1", "b2", "b3", "b4", "b12", "b23", "b123", "b34"} <= set(values)
     for a in values:
@@ -196,12 +196,12 @@ def test_merge_table_is_a_join_semilattice():
     # absorption is derived, not declared
     assert smf.try_match("domb", "b1", "b12") == "b12"
     with pytest.raises(SemilatticeViolation):
-        MatchingFunction({"domb": [("b1", "b2", "b12"), ("b2", "b1", "b21")]}).saturate()
+        MatchingFunction({"domb": [("b1", "b2", "b12"), ("b2", "b1", "b21")]}).saturate({})
 
 
 def test_datalog_engine_agrees_with_the_naive_reference():
     sim = SimilarityRelation({"doma": [("a1", "a2")], "domb": [("b1", "b2"), ("b2", "b3")]})
-    smf = MatchingFunction.load(FIXTURES / "divergent" / "mf.txt").saturate()
+    smf = MatchingFunction.load(FIXTURES / "divergent" / "mf.txt").saturate({})
     for seed in range(100):
         rng = random.Random(5000 + seed)
         rules, facts = random_program(rng, with_builtins=seed % 2 == 1)
@@ -211,7 +211,7 @@ def test_datalog_engine_agrees_with_the_naive_reference():
     with pytest.raises(NotStratifiable):
         stratify(parse_program("q(a). p(X) :- q(X), not p(X)."))
     fx = Fixture("convergent")
-    residual = emit_residual_datalog(fx.schema, fx.instance, fx.rules, fx.sim, fx.smf, fx.report())
+    residual = emit_residual_datalog(fx.instance, fx.rules, fx.sim, fx.smf, fx.report())
     strata = stratify(residual.program)
     assert len(strata) == 2
     assert strata[1] == ["r_clean"]
@@ -220,7 +220,7 @@ def test_datalog_engine_agrees_with_the_naive_reference():
 def test_author_blocks_merge_iff_their_papers_share_a_block():
     fx = Fixture("bibliography")
     report = fx.report()
-    residual = emit_residual_datalog(fx.schema, fx.instance, fx.rules, fx.sim, fx.smf, report)
+    residual = emit_residual_datalog(fx.instance, fx.rules, fx.sim, fx.smf, report)
     clean = evaluate_residual(residual, fx.engine())
     expected = json.loads((fx.dir / "expected_clean.json").read_text())
     assert clean.to_json_dict() == expected
@@ -233,7 +233,7 @@ def test_author_blocks_merge_iff_their_papers_share_a_block():
     rows = {rel: dict(r) for rel, r in fx.instance.tuples.items()}
     rows["Paper"]["p2"] = ("entity matching", "v2", "pb1")
     variant = Instance(fx.schema, rows)
-    active = collect_active_values(fx.schema, variant, fx.sim)
+    active = collect_active_values(variant, fx.sim)
     smf = fx.mf.saturate(active)
     moved = ChaseEngine(fx.rules, fx.sim, smf).chase_all(variant)
     assert len(moved.instances) == 1
@@ -253,7 +253,7 @@ def test_author_blocks_merge_iff_their_papers_share_a_block():
 
 def test_emitted_asp_census_reparses_and_is_byte_stable():
     fx = Fixture("divergent")
-    asp = emit_general_asp(fx.schema, fx.instance, fx.rules, fx.sim, fx.smf)
+    asp = emit_general_asp(fx.instance, fx.rules, fx.sim, fx.smf)
     census = Counter(st.kind for st in asp.statements if not st.kind.endswith("-fact"))
     assert census == {
         "disjunctive": 2,
@@ -268,7 +268,7 @@ def test_emitted_asp_census_reparses_and_is_byte_stable():
     }
     assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
     again = Fixture("divergent")
-    assert emit_general_asp(again.schema, again.instance, again.rules, again.sim, again.smf).text() == asp.text()
+    assert emit_general_asp(again.instance, again.rules, again.sim, again.smf).text() == asp.text()
 
 
 def test_certain_answers_over_the_diverging_clean_pair():

@@ -53,7 +53,7 @@ def engine(sim_pairs, rows, mf_table=None, rules=TWO_RULES, engine_class=ChaseEn
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
     bound = validate_mds(parse_mds(rules), schema, mf)
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     return engine_class(bound, sim, smf), instance
 
 
@@ -257,7 +257,7 @@ def test_chase_one_never_closes_token_union_values(monkeypatch):
     rules = validate_mds(parse_mds(md), schema, mf)
     sim = SimilarityRelation()
     instance = Instance(schema, {"R": {"t1": ("g", "a b"), "t2": ("g", "b c"), "t3": ("h", "d")}})
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     result = ChaseEngine(rules, sim, smf).chase_one(instance)
     assert by_tid(result.instances[0]) == {
         "t1": ("g", "a b c"), "t2": ("g", "a b c"), "t3": ("h", "d"),
@@ -305,7 +305,7 @@ def test_the_step_budget_alone_bounds_chase_all():
     def chase_all(blocks):
         rows = {f"t{i:02}": (f"a{block}", f"b{i:02}") for i, block in enumerate(blocks)}
         instance = Instance(schema, {"R": rows})
-        smf = mf.saturate(collect_active_values(schema, instance, sim))
+        smf = mf.saturate(collect_active_values(instance, sim))
         return ChaseEngine(rules, sim, smf).chase_all(instance)
 
     # 13 tuples with no step between them
@@ -373,7 +373,7 @@ def test_relational_context_join_gates_enforcement():
         },
     )
     mf = MatchingFunction({"blk": [("k1", "k2", "k12"), ("k3", "k4", "k34")]})
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     eng = ChaseEngine(rules, sim, smf)
 
     steps = eng.applicable_steps(instance)
@@ -441,7 +441,7 @@ def fixture_engine(name):
     instance = Instance.load(schema, d)
     sim = SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     return AgendaOracle(validate_mds(load_mds(d / "mds.txt"), schema, mf), sim, smf), instance
 
 
@@ -495,7 +495,7 @@ def test_agenda_drops_rows_whose_context_tuple_is_rewritten():
         "R": {"r1": ("a3", "b3"), "r2": ("a2", "b2")},
         "S": {"s1": ("a3", "c1"), "s2": ("a1", "c2")},
     })
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     eng = AgendaOracle(rules, sim, smf)
     assert [(s.md, s.context_tids) for s in eng.applicable_steps(instance)] == [
         ("mr", ("s1",)), ("ms", ()),
@@ -541,7 +541,7 @@ def coauthor(authors):
     instance = Instance(schema, {"Author": authors_rows, "Paper": papers})
     sim = SimilarityRelation(builtins={"name": "token-overlap", "title": "token-overlap"})
     mf = MatchingFunction(builtins={"blk": "value-min"})
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     return instance, validate_mds(parse_mds(COAUTHOR_RULE), schema, mf), sim, smf
 
 

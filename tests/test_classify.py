@@ -53,7 +53,7 @@ def setting(sim_pairs, rows, rules=TWO_RULES, mf_table=None):
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
     bound = validate_mds(parse_mds(rules), schema, mf)
-    return schema, bound, instance, sim, mf.saturate(collect_active_values(schema, instance, sim))
+    return schema, bound, instance, sim, mf.saturate(collect_active_values(instance, sim))
 
 
 def interacting_setting():
@@ -120,7 +120,7 @@ def test_isomorphic_embeddings_collapse_within_a_pair_only():
 
 def test_interaction_query_satisfied_on_chained_instance():
     schema, rules, instance, sim, smf = interacting_setting()
-    sfai, checks = is_sfai(rules, schema, instance, sim)
+    sfai, checks = is_sfai(instance, rules, sim)
     assert not sfai
     by_name = {c.query.name: c for c in checks}
     first = by_name["md1__md2__R_B"]
@@ -132,7 +132,7 @@ def test_interaction_query_satisfied_on_chained_instance():
 
 def test_interaction_queries_unsatisfied_on_separated_instance():
     schema, rules, instance, sim, smf = sfai_setting()
-    sfai, checks = is_sfai(rules, schema, instance, sim)
+    sfai, checks = is_sfai(instance, rules, sim)
     assert sfai
     assert all(not c.satisfied for c in checks)
 
@@ -144,7 +144,7 @@ def test_interaction_queries_respect_distinct_identifiers():
         {"doma": [("a1", "a2")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b2")},
     )
-    sfai, checks = is_sfai(rules, schema, instance, sim)
+    sfai, checks = is_sfai(instance, rules, sim)
     assert sfai
     relaxed = [
         type(q)(q.name, q.head, q.atoms, q.sims, distinct_tids=False)
@@ -199,27 +199,27 @@ def test_token_union_with_token_overlap_preserves_similarity():
         {"R": {"t1": ("a1", "main st"), "t2": ("a2", "main ave"), "t3": ("a3", "elm rd")}},
     )
     mf = MatchingFunction(builtins={"toks": "token-union"})
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     rules = validate_mds(mds, schema, mf)
     preserving, cex = is_similarity_preserving(rules, sim, smf)
     assert preserving, cex
-    result = classify(rules, schema, instance, sim, smf)
+    result = classify(instance, rules, sim, smf)
     assert result.verdict is Verdict.SIMILARITY_PRESERVING
     assert result.pairs  # interacting, but safely so
 
 
 def test_classify_verdicts():
     schema, rules, instance, sim, smf = interacting_setting()
-    assert classify(rules, schema, instance, sim, smf).verdict is Verdict.GENERAL
+    assert classify(instance, rules, sim, smf).verdict is Verdict.GENERAL
 
     schema, rules, instance, sim, smf = sfai_setting()
-    result = classify(rules, schema, instance, sim, smf)
+    result = classify(instance, rules, sim, smf)
     assert result.verdict is Verdict.SFAI
     assert len(result.queries) == 2
 
     only_md1 = parse_mds("md md1: R(t1; x1, y1), R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;")
     schema2, _, instance2, sim2, smf2 = interacting_setting()
-    result2 = classify(validate_mds(only_md1, schema2, WRITES), schema2, instance2, sim2, smf2)
+    result2 = classify(instance2, validate_mds(only_md1, schema2, WRITES), sim2, smf2)
     assert result2.verdict is Verdict.NON_INTERACTING
     assert result2.pairs == ()
     assert result2.queries == ()
@@ -227,7 +227,7 @@ def test_classify_verdicts():
 
 def test_classification_json_report():
     schema, rules, instance, sim, smf = interacting_setting()
-    report = classify(rules, schema, instance, sim, smf).to_json_dict()
+    report = classify(instance, rules, sim, smf).to_json_dict()
     assert report["verdict"] == "general"
     assert report["interaction_pairs"] == [
         {"writer": "md1", "reader": "md2", "attribute": "R[B]"},
@@ -240,7 +240,7 @@ def test_classification_json_report():
     assert "preservation_counterexample" in report
 
     schema, rules, instance, sim, smf = sfai_setting()
-    report = classify(rules, schema, instance, sim, smf).to_json_dict()
+    report = classify(instance, rules, sim, smf).to_json_dict()
     assert report["verdict"] == "sfai"
     assert all(not q["satisfied"] for q in report["queries"])
 

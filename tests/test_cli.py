@@ -944,13 +944,19 @@ def test_a_query_head_without_parentheses_is_a_boolean_query(tmp_path, capsys):
      "ValidationError: {arg}: R: unknown fields ['C']"),
     ("--instance", "instance.json", '{"R": [{"tid": "t1", "A": "a1"}]}',
      "ValidationError: {arg}: R: missing fields ['B']"),
+    # a spreadsheet writes an empty row as `,,`
+    ("--instance", "instance.json", '{"R": [{"tid": "", "A": "a1", "B": "b1"}]}',
+     "ValidationError: {arg}: R: empty tuple identifier"),
+    ("--instance", "csv/R.csv", "tid,A,B\nt1,a1,b1\n,,\n",
+     "ValidationError: {arg}: R: empty tuple identifier"),
     ("--instance", "csv/R.csv", "", "ValidationError: {arg}: {file}: empty file"),
     ("--instance", "csv/R.csv", "tid,A,B\nt1,a1\n",
      "ValidationError: {arg}: {file}:2: expected 3 fields"),
     ("--mf", "mf.txt", "domb: m(p, q) = r\ndomb: m(q, r) = p\ndomb: m(r, p) = q\n",
      "SemilatticeViolation: {arg}: domain 'domb': value 'p' is defined only in terms of other "
      "defined values (cyclic table)"),
-], ids=["no-tid", "unknown-field", "missing-field", "empty-csv", "short-row", "cyclic-table"])
+], ids=["no-tid", "unknown-field", "missing-field", "empty-tid-json", "empty-tid-csv", "empty-csv",
+        "short-row", "cyclic-table"])
 def test_validate_refuses_a_malformed_instance_or_table(
     tmp_path, capsys, option, file, text, message
 ):

@@ -42,7 +42,7 @@ def setting(sim_pairs, rows, rules=TWO_RULES, mf_table=None):
     instance = Instance(schema, {"R": rows})
     mf = MatchingFunction(mf_table if mf_table is not None else MF_TABLE)
     bound = validate_mds(parse_mds(rules), schema, mf)
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     return schema, bound, instance, sim, smf
 
 
@@ -92,13 +92,13 @@ def biblio_setting():
             "Paper": {"p1": ("entity resolution", "v1", "pb1")},
         },
     )
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     return schema, rules, instance, sim, smf
 
 
 def emitted(setting_fn=divergent_setting):
     schema, rules, instance, sim, smf = setting_fn()
-    return emit_general_asp(schema, instance, rules, sim, smf)
+    return emit_general_asp(instance, rules, sim, smf)
 
 
 def census(asp):
@@ -135,7 +135,7 @@ def test_general_statement_counts():
 
 def test_general_fact_tables():
     schema, rules, instance, sim, smf = divergent_setting()
-    asp = emit_general_asp(schema, instance, rules, sim, smf)
+    asp = emit_general_asp(instance, rules, sim, smf)
     text = asp.text()
     assert "r_v(t1, a1, b1)." in text
     values = smf.values("domb")
@@ -225,15 +225,15 @@ def test_general_prec_rules_share_one_tuple_id():
 
 def test_general_reparses_and_is_byte_stable():
     schema, rules, instance, sim, smf = divergent_setting()
-    one = emit_general_asp(schema, instance, rules, sim, smf)
-    two = emit_general_asp(schema, instance, rules, sim, smf)
+    one = emit_general_asp(instance, rules, sim, smf)
+    two = emit_general_asp(instance, rules, sim, smf)
     assert one.text() == two.text()
     assert parse_asp(one.text()) == [st.ast for st in one.statements]
 
 
 def test_general_empty_rule_set_is_facts_plus_collection():
     schema, rules, instance, sim, smf = setting({}, {"t1": ("a1", "b1")}, rules="")
-    asp = emit_general_asp(schema, instance, rules, sim, smf)
+    asp = emit_general_asp(instance, rules, sim, smf)
     assert set(census(asp)) == {"version-fact", "collect"}
     collect = parse_asp(census(asp)["collect"][0].text)[0]
     assert not any(lit.negated for lit in collect.body)
@@ -241,7 +241,7 @@ def test_general_empty_rule_set_is_facts_plus_collection():
 
 def test_general_relational_rule_keeps_context_join():
     schema, rules, instance, sim, smf = biblio_setting()
-    asp = emit_general_asp(schema, instance, rules, sim, smf)
+    asp = emit_general_asp(instance, rules, sim, smf)
     rule = parse_asp(census(asp)["disjunctive"][0].text)[0]
     preds = body_preds(rule)
     assert preds.count("author_v") == 2
@@ -258,9 +258,9 @@ def test_general_rejects_unsaturated_merge_tables():
         {"doma": [("a1", "a2")]},
         {"t1": ("a1", "b1"), "t2": ("a2", "b9")},
     )
-    bare = MatchingFunction(MF_TABLE).saturate()  # b9 never folded in
+    bare = MatchingFunction(MF_TABLE).saturate({})  # b9 never folded in
     with pytest.raises(ValidationError) as err:
-        emit_general_asp(schema, instance, rules, sim, bare)
+        emit_general_asp(instance, rules, sim, bare)
     assert "not saturated" in str(err.value)
 
 
@@ -270,8 +270,8 @@ def test_general_rejects_unsaturated_merge_tables():
 
 def residual(setting_fn):
     schema, rules, instance, sim, smf = setting_fn()
-    verdict = classify(rules, schema, instance, sim, smf)
-    return emit_residual_datalog(schema, instance, rules, sim, smf, verdict)
+    verdict = classify(instance, rules, sim, smf)
+    return emit_residual_datalog(instance, rules, sim, smf, verdict)
 
 
 def clean_of(setting_fn, rp=None):
@@ -345,10 +345,10 @@ def test_residual_single_rule_on_chained_values():
 
 def test_residual_refuses_divergent_combination():
     schema, rules, instance, sim, smf = divergent_setting()
-    verdict = classify(rules, schema, instance, sim, smf)
+    verdict = classify(instance, rules, sim, smf)
     assert verdict.verdict is Verdict.GENERAL
     with pytest.raises(NotSci):
-        emit_residual_datalog(schema, instance, rules, sim, smf, verdict)
+        emit_residual_datalog(instance, rules, sim, smf, verdict)
 
 
 def test_residual_is_byte_stable_and_lists_clean_predicates():
@@ -414,13 +414,13 @@ def test_fixture_programs_reparse_to_their_statements_value_tables_included(name
     sim = SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
     rules = validate_mds(load_mds(d / "mds.txt"), schema, mf)
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
-    asp = emit_general_asp(schema, instance, rules, sim, smf)
+    smf = mf.saturate(collect_active_values(instance, sim))
+    asp = emit_general_asp(instance, rules, sim, smf)
     assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
-    report = classify(rules, schema, instance, sim, smf)
+    report = classify(instance, rules, sim, smf)
     if report.verdict is Verdict.GENERAL:
         return
-    rp = emit_residual_datalog(schema, instance, rules, sim, smf, report)
+    rp = emit_residual_datalog(instance, rules, sim, smf, report)
     statements = rp.statements()
     assert any(st.kind.endswith("-fact") and st.kind != "version-fact" for st in statements)
     assert parse_asp(rp.text()) == [st.ast for st in statements]
@@ -434,7 +434,7 @@ def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
         )
 
     schema, rules, instance, sim, smf = escaped()
-    asp = emit_general_asp(schema, instance, rules, sim, smf)
+    asp = emit_general_asp(instance, rules, sim, smf)
     assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
     rp = residual(escaped)
     reparsed = parse_program(rp.text())

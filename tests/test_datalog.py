@@ -50,7 +50,7 @@ CHAIN_MF = MatchingFunction(
 
 def chain_env():
     sim = SimilarityRelation({"domb": [("b1", "b2"), ("b2", "b3")], "doma": [("a1", "a2")]})
-    smf = CHAIN_MF.saturate()
+    smf = CHAIN_MF.saturate({})
     return sim, smf
 
 
@@ -61,7 +61,7 @@ TOKEN_VALUES = ["a1 x", "x a2", "a3", "x", "b y"]
 
 def token_env():
     sim = SimilarityRelation({"doma": [("a3", "b y")]}, {"doma": "token-overlap"})
-    return sim, CHAIN_MF.saturate()
+    return sim, CHAIN_MF.saturate({})
 
 
 def scan_kinds(plan):
@@ -650,7 +650,7 @@ def test_the_step_rule_reaches_the_second_leading_tuple_through_blocking_keys():
     d = FIXTURES / "bibliography"
     schema, sim = Schema.load(d / "schema.txt"), SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
-    engine = ChaseEngine(validate_mds(load_mds(d / "mds.txt"), schema, mf), sim, mf.saturate())
+    engine = ChaseEngine(validate_mds(load_mds(d / "mds.txt"), schema, mf), sim, mf.saturate({}))
     program = engine._program
     plan = program.plan(0, None)
     reads = [program.rules[0].body[i].pred for i in plan.reads]

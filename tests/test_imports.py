@@ -1,5 +1,6 @@
-"""No module of the package imports a name that it never references, and
-every public function or method it defines is named outside its definition.
+"""No module of the package imports a name that it never references, every
+public function or method it defines is named outside its definition, and
+none takes both a `schema` and an `instance`: the instance carries its schema.
 
 `__init__.py` is skipped, since its imports are the package's re-exports, and
 so is `from __future__ import ...`.  A function or method counts as named
@@ -109,3 +110,41 @@ def test_the_check_sees_a_function_only_its_definition_names():
     # named by no more than its two definitions
     texts = ["Call `used()`.", "C().read()"]
     assert unnamed_functions([source], texts) == ["load", "unused"]
+
+
+def schema_and_instance(source: str) -> list[str]:
+    """The public functions and methods defined at the top level of `source`
+    or in its classes that take both a `schema` and an `instance` parameter."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef)):
+            for d in node.body:
+                if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+                    args = d.args
+                    params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                    if {"schema", "instance"} <= params:
+                        out.append(d.name)
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_public_function_takes_a_schema_beside_an_instance(module):
+    assert schema_and_instance((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_schema_beside_an_instance():
+    source = (
+        "def emit(schema, instance, rules):\n"
+        "    def inner(schema, instance):\n"
+        "        pass\n"
+        "def _helper(schema, instance):\n"
+        "    pass\n"
+        "def load(schema, path):\n"
+        "    pass\n"
+        "class C:\n"
+        "    def check(self, rules, *, schema, instance):\n"
+        "        pass\n"
+        "    def read(self, instance):\n"
+        "        pass\n"
+    )
+    assert schema_and_instance(source) == ["emit", "check"]

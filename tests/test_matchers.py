@@ -200,7 +200,7 @@ def bibliography(mds_text=None):
     sim = SimilarityRelation.load(d / "sim.txt")
     # the fixture's blocks, and venues for `ONE_SIDED`'s `by_venue` to write
     mf = MatchingFunction(MatchingFunction.load(d / "mf.txt").triples, {"venue": "value-min"})
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     return ChaseEngine(validate_mds(mds, schema, mf), sim, smf), sim, instance
 
 
@@ -250,7 +250,7 @@ def test_relations_named_like_builtins_and_heads_chase_and_answer():
     })
     sim = SimilarityRelation({"doma": [("a1", "a2")], "domb": [("b1", "b2")]})
     mf = MatchingFunction(builtins={"domb": "value-min"})
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     eng = ChaseEngine(validate_mds(mds, schema, mf), sim, smf)
     steps = check_steps(eng, sim, instance)
     assert [(s.md, s.lead_tids) for s in steps] == [

@@ -81,7 +81,7 @@ def equational_closure(triples):
 
 def test_saturation_contains_all_equationally_forced_merges():
     mf = MatchingFunction(CHAIN_TRIPLES)
-    sat = mf.saturate()
+    sat = mf.saturate({})
     oracle = equational_closure(CHAIN_TRIPLES["domb"])
     for (a, b), c in oracle.items():
         assert sat.try_match("domb", a, b) == c
@@ -89,14 +89,14 @@ def test_saturation_contains_all_equationally_forced_merges():
 
 def test_saturation_matches_oracle_exactly_on_chain_table():
     # On this table the equational closure already reaches every defined pair.
-    sat = MatchingFunction(CHAIN_TRIPLES).saturate()
+    sat = MatchingFunction(CHAIN_TRIPLES).saturate({})
     oracle = equational_closure(CHAIN_TRIPLES["domb"])
     table = {(a, b): c for a, b, c in merge_table(sat, "domb")}
     assert table == oracle
 
 
 def test_saturation_derives_absorbed_and_bridged_pairs():
-    sat = MatchingFunction(CHAIN_TRIPLES).saturate()
+    sat = MatchingFunction(CHAIN_TRIPLES).saturate({})
     assert sat.try_match("domb", "b12", "b3") == "b123"
     assert sat.try_match("domb", "b1", "b12") == "b12"
     assert sat.try_match("domb", "b1", "b23") == "b123"
@@ -105,7 +105,7 @@ def test_saturation_derives_absorbed_and_bridged_pairs():
 
 
 def test_saturation_leaves_unjoinable_pairs_undefined():
-    sat = MatchingFunction(CHAIN_TRIPLES).saturate()
+    sat = MatchingFunction(CHAIN_TRIPLES).saturate({})
     assert sat.try_match("domb", "b1", "b4") is None
     assert sat.try_match("domb", "b12", "b34") is None
 
@@ -113,36 +113,36 @@ def test_saturation_leaves_unjoinable_pairs_undefined():
 def test_saturation_rejects_functional_conflict():
     mf = MatchingFunction({"d": [("a", "b", "c"), ("a", "b", "e")]})
     with pytest.raises(SemilatticeViolation):
-        mf.saturate()
+        mf.saturate({})
 
 
 def test_saturation_rejects_commutativity_conflict():
     mf = MatchingFunction({"d": [("a", "b", "c"), ("b", "a", "e")]})
     with pytest.raises(SemilatticeViolation):
-        mf.saturate()
+        mf.saturate({})
 
 
 def test_saturation_rejects_two_names_for_one_join():
     mf = MatchingFunction({"d": [("a", "b", "c"), ("b", "a", "c"), ("a", "b2", "c")]})
     # c cannot be both a|b and a|b2 unless b and b2 coincide
     with pytest.raises(SemilatticeViolation):
-        mf.saturate()
+        mf.saturate({})
 
 
 def test_saturation_rejects_cyclic_definitions():
     mf = MatchingFunction({"d": [("a", "b", "c"), ("c", "d", "a")]})
     with pytest.raises(SemilatticeViolation):
-        mf.saturate()
+        mf.saturate({})
 
 
 def test_saturation_is_idempotent():
-    sat = MatchingFunction(CHAIN_TRIPLES).saturate()
-    again = MatchingFunction({"domb": merge_table(sat, "domb")}).saturate()
+    sat = MatchingFunction(CHAIN_TRIPLES).saturate({})
+    again = MatchingFunction({"domb": merge_table(sat, "domb")}).saturate({})
     assert merge_table(sat, "domb") == merge_table(again, "domb")
 
 
 def test_saturated_table_satisfies_semilattice_laws():
-    sat = MatchingFunction(CHAIN_TRIPLES).saturate()
+    sat = MatchingFunction(CHAIN_TRIPLES).saturate({})
     vals = sorted(sat.values("domb"))
     for a in vals:
         assert sat.try_match("domb", a, a) == a
@@ -159,7 +159,7 @@ def test_saturated_table_satisfies_semilattice_laws():
 
 
 def test_precedes_is_a_partial_order_matching_the_join():
-    sat = MatchingFunction(CHAIN_TRIPLES).saturate()
+    sat = MatchingFunction(CHAIN_TRIPLES).saturate({})
     vals = sorted(sat.values("domb"))
     for a in vals:
         assert sat.precedes("domb", a, a)
@@ -176,7 +176,7 @@ def test_precedes_is_a_partial_order_matching_the_join():
 
 
 def test_precedes_without_mf_is_equality():
-    sat = MatchingFunction({}).saturate()
+    sat = MatchingFunction({}).saturate({})
     assert sat.precedes("doma", "a1", "a1")
     assert not sat.precedes("doma", "a1", "a2")
 
@@ -224,7 +224,7 @@ def test_random_free_tables_always_saturate_and_respect_laws():
     rng = random.Random(20240817)
     for _ in range(60):
         table, names = random_free_table(rng)
-        sat = MatchingFunction(table).saturate()
+        sat = MatchingFunction(table).saturate({})
         by_name = {v: k for k, v in names.items()}
         for a, b, c in merge_table(sat, "d"):
             assert by_name[a] | by_name[b] == by_name[c]
@@ -401,6 +401,33 @@ def test_instance_csv_and_json_loading(tmp_path):
         Instance.load(schema, tmp_path)
 
 
+def test_a_csv_directory_loads_a_missing_file_empty_and_skips_blank_lines(tmp_path):
+    schema = Schema.parse("R(A: doma, B: domb)\nS(A: doma)")
+    (tmp_path / "R.csv").write_text("tid,A,B\n\nt1,a1,b1\n   \nt2,a2,b2\n\n")
+    inst = Instance.load(schema, tmp_path)
+    assert inst.tuples == {"R": {"t1": ("a1", "b1"), "t2": ("a2", "b2")}, "S": {}}
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Relation("R", ("A", "B"), ("d",)), "relation R: attribute/domain count mismatch"),
+        (lambda: Relation("R", ("A",), ("d",)).position("B"), "relation R has no attribute 'B'"),
+        (lambda: SimilarityRelation(builtins={"d": "nope"}),
+         "unknown similarity built-in 'nope' (expected one of ('exact-equality', 'token-overlap'))"),
+        (lambda: MatchingFunction(builtins={"d": "nope"}),
+         "unknown matching built-in 'nope' "
+         "(expected one of ('token-union', 'value-min', 'value-max'))"),
+        (lambda: Instance(Schema.parse("R(A: d)"), {"R": {"": ("a",)}}), "R: empty tuple identifier"),
+    ],
+    ids=["arity", "position", "sim-builtin", "mf-builtin", "empty-tid"],
+)
+def test_a_library_caller_meets_the_same_refusals(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "row, field, spelled",
     [
@@ -426,7 +453,7 @@ def test_collect_active_values_gathers_all_sources():
     schema = Schema.parse("R(A: doma, B: domb)")
     inst = Instance(schema, {"R": {"t1": ("a1", "b1")}})
     sim = SimilarityRelation({"doma": [("a1", "a2")]})
-    active = collect_active_values(schema, inst, sim)
+    active = collect_active_values(inst, sim)
     assert active == {"doma": {"a1", "a2"}, "domb": {"b1"}}
     # a table's own values join when it is saturated
     smf = MatchingFunction({"domb": [("b1", "b2", "b12")]}).saturate(active)

@@ -37,7 +37,7 @@ def fixture_setting(name, tids=None, rule=None):
         mds = [md for md in mds if md.name == rule]
     sim = SimilarityRelation.load(d / "sim.txt")
     mf = MatchingFunction.load(d / "mf.txt")
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     return schema, instance, validate_mds(mds, schema, mf), sim, smf
 
 
@@ -52,7 +52,7 @@ SETTINGS = {
 @pytest.mark.parametrize("name", SETTINGS)
 def test_stable_models_project_onto_the_chase_endpoints(name):
     schema, instance, rules, sim, smf = fixture_setting(*SETTINGS[name])
-    text = emit_general_asp(schema, instance, rules, sim, smf).text()
+    text = emit_general_asp(instance, rules, sim, smf).text()
     models = ShiftedProgram(text).stable_models()
     endpoints = ChaseEngine(rules, sim, smf).chase_all(instance).instances
     assert clean_projections(models, schema.relation_names()) == endpoint_sets(endpoints)
@@ -72,10 +72,10 @@ def test_stable_models_reach_an_endpoint_only_a_chain_of_matchings_orders():
         "doma: a1 ~ a2\ndoma: a2 ~ a3\ndoma: a3 ~ a4\n"
         "domb: b1 ~ b2\ndomb: b1 ~ b3\ndomb: b1 ~ b4\n"
     )
-    smf = mf.saturate(collect_active_values(schema, instance, sim))
+    smf = mf.saturate(collect_active_values(instance, sim))
     endpoints = ChaseEngine(rules, sim, smf).chase_all(instance).instances
     assert len(endpoints) == 1
-    text = emit_general_asp(schema, instance, rules, sim, smf).text()
+    text = emit_general_asp(instance, rules, sim, smf).text()
     models = ShiftedProgram(text).stable_models()
     assert len(models) == 8
     assert clean_projections(models, schema.relation_names()) == endpoint_sets(endpoints)

@@ -12,6 +12,7 @@ from mdclean.query import (
     eval_cq,
     find_witness,
     parse_queries,
+    validate_query,
 )
 from mdclean.terms import Var
 
@@ -169,6 +170,15 @@ def test_validation_errors():
     # a similarity on a domain the schema lacks, even between two constants
     with pytest.raises(UnknownDomain, match="similarity on unknown domain 'nodom'"):
         eval_cq(d, one_query("q() :- R(T, X, Y), a1 ~nodom~ a1."), SimilarityRelation())
+
+
+def test_validate_query_refuses_a_head_variable_no_atom_binds():
+    # the parser cannot build such a query, so it is built by hand
+    atom = QueryAtom("R", (Var("T"), Var("X"), Var("Y")))
+    query = ConjunctiveQuery("q", (Var("X"), Var("Z")), (atom,))
+    with pytest.raises(ValidationError) as err:
+        validate_query(query, schema())
+    assert str(err.value) == "query 'q': head variable 'Z' not bound by the body"
 
 
 def test_certain_answers_intersect():
