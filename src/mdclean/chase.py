@@ -30,12 +30,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .datalog import Database, Literal, Program, Rule, evaluate, value_builtins
+from .datalog import Database, Literal, Program, Rule, Var, evaluate, value_builtins
 from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
 from .mdlang import BoundMD, md_body, var_name
 from .model import Instance, SaturatedMatchingFunction, SimilarityRelation
 from .query import instance_facts, relation_pred
-from .terms import Var
 
 DEFAULT_STEP_LIMIT = 20000
 

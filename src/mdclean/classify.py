@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .datalog import Var
 from .mdlang import BoundMD
 from .model import (
     Instance,
@@ -27,7 +28,6 @@ from .model import (
     SimilarityRelation,
 )
 from .query import ConjunctiveQuery, QueryAtom, SimLiteral, find_witness
-from .terms import Var
 
 
 class Verdict(enum.Enum):
@@ -80,13 +80,14 @@ def is_similarity_preserving(
     Returns (True, None) or (False, (domain, a, a2, a3, merged)).
     """
     for dom in sorted({rule.rhs_domain for rule in rules}):
+        merge = smf.domain(dom)[0]
         values = sorted(smf.values(dom))
         for a in values:
             for a2 in values:
                 if not sim.similar(dom, a, a2):
                     continue
                 for a3 in values:
-                    merged = smf.try_match(dom, a2, a3)
+                    merged = merge(a2, a3)
                     if merged is not None and not sim.similar(dom, a, merged):
                         return False, (dom, a, a2, a3, merged)
     return True, None

@@ -70,26 +70,21 @@ class Inputs:
             return validate_mds(mds, self.schema, mf)
 
     def sim(self) -> SimilarityRelation:
-        if self.args.sim is None:
-            return SimilarityRelation()
-        with _blame(self.args.sim):
-            sim = SimilarityRelation.load(self.args.sim)
-            for dom in self._unknown(sim.declared_domains()):
-                raise UnknownDomain(f"similarity declared on unknown domain {dom!r}")
-        return sim
+        return self._declarations(SimilarityRelation, self.args.sim, "similarity")
 
     def mf(self) -> MatchingFunction:
-        if self.args.mf is None:
-            return MatchingFunction()
-        with _blame(self.args.mf):
-            mf = MatchingFunction.load(self.args.mf)
-            for dom in self._unknown(mf.declared_domains()):
-                raise ValidationError(f"unknown domain {dom!r}")
-        return mf
+        return self._declarations(MatchingFunction, self.args.mf, "matching function")
 
-    def _unknown(self, domains) -> list[str]:
-        known = self.schema.domains()
-        return [dom for dom in domains if dom not in known]
+    def _declarations(self, cls, path, kind):
+        """`cls` loaded from `path`, empty without one, refused when it
+        declares a domain the schema does not have."""
+        if path is None:
+            return cls()
+        with _blame(path):
+            declared = cls.load(path)
+            for dom in sorted(set(declared.declared_domains()) - self.schema.domains()):
+                raise UnknownDomain(f"{kind} declared on unknown domain {dom!r}")
+        return declared
 
     def saturated(self, instance, sim, mf):
         active = collect_active_values(instance, sim)

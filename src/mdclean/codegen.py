@@ -36,9 +36,11 @@ from .classify import Classification, Verdict
 from .datalog import (
     NEQ,
     Builtin,
+    Compound,
     Literal,
     Program,
     Rule,
+    Var,
     evaluate,
     format_rule_ast,
     value_builtins,
@@ -54,7 +56,6 @@ from .model import (
     SimilarityRelation,
     collect_active_values,
 )
-from .terms import Compound, Var
 
 BLOCK_TITLES = {
     1: "initial tuple versions and value tables",

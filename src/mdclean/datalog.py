@@ -9,6 +9,10 @@ for constants that would otherwise read as variables.  Every statement is a
 `Rule`, a fact being one with no body; disjunctive heads (`a | b :- ...`) and
 headless constraints are parsed for the ASP layer but rejected by `Program`.
 
+A term is a `Var` or a plain string constant.  `Compound` only occurs in
+generated ASP text (order terms built from matched tuples): `Program`
+refuses it, so the evaluator never sees one.
+
 Built-ins are literals computed from their arguments instead of looked up:
 `X != Y`, and per domain `d` the value relations `sim_d(X, Y)` (similarity),
 `pre_d(X, Y)` (the merge order) and `mf_d(X, Y, Z)` (the merge), named by
@@ -35,7 +39,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     NotStratifiable,
@@ -44,9 +48,25 @@ from .errors import (
     ValidationError,
 )
 from .model import SaturatedMatchingFunction, SimilarityRelation
-from .terms import Compound, Term, Var, is_var
 
 NEQ = "!="
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+    def __repr__(self) -> str:
+        return f"Var({self.name})"
+
+
+@dataclass(frozen=True)
+class Compound:
+    functor: str
+    args: tuple["Term", ...]
+
+
+Term = Union[Var, Compound, str]
 
 
 @dataclass(frozen=True)
@@ -121,9 +141,10 @@ def value_builtins(
     """`!=` and the value relation of each (kind, domain) in `uses`.
 
     `sim` tests similarity, with the domain's `SimilarityRelation.keys` as
-    blocking keys, and `pre` the merge order on two values; `mf` computes the
-    merge of its first two arguments into its third.  Two domains whose
-    relations would share a predicate are refused.
+    blocking keys.  `pre` and `mf` are the order and the merge of the
+    domain's `SaturatedMatchingFunction.domain`: `pre` tests two values, `mf`
+    computes the merge of its first two arguments into its third.  Two
+    domains whose relations would share a predicate are refused.
     """
     out = {NEQ: NEQ_BUILTIN}
     owner: dict[str, str] = {}
@@ -132,11 +153,11 @@ def value_builtins(
         if owner.setdefault(name, dom) != dom:
             raise ValidationError(f"domains {owner[name]!r} and {dom!r} share predicate {name!r}")
         if kind == "mf":
-            out[name] = Builtin(name, 3, functools.partial(smf.try_match, dom))
+            out[name] = Builtin(name, 3, smf.domain(dom)[0])
         elif kind == "sim":
             out[name] = Builtin(name, 2, functools.partial(sim.similar, dom), sim.keys(dom))
         else:
-            out[name] = Builtin(name, 2, functools.partial(smf.precedes, dom))
+            out[name] = Builtin(name, 2, smf.domain(dom)[1])
     return out
 
 
@@ -164,7 +185,7 @@ class Program:
                 raise ValidationError(f"rule head {st.head.pred!r} is a built-in")
             if not st.is_fact:
                 self.rules.append(st)
-            elif any(is_var(a) or isinstance(a, Compound) for a in st.head.args):
+            elif any(isinstance(a, (Var, Compound)) for a in st.head.args):
                 raise ValidationError(
                     f"fact {format_literal(st.head)!r} must be ground and function-free"
                 )
@@ -654,7 +675,7 @@ def _name(name: str, pattern: re.Pattern, kind: str) -> str:
 
 
 def format_term(term: Term) -> str:
-    if is_var(term):
+    if isinstance(term, Var):
         return _name(term.name, _VAR_RE, "variable")
     if isinstance(term, Compound):
         inner = ", ".join(format_term(a) for a in term.args)
@@ -822,7 +843,7 @@ def _parse_literal(lexer: Lexer, allow_not: bool) -> Literal:
         return Literal(NEQ, (term, right), negated)
     if isinstance(term, Compound):
         return Literal(term.functor, term.args, negated)
-    if is_var(term):
+    if isinstance(term, Var):
         raise ParseError(
             f"predicate name expected, found variable {term.name!r}", start.line, start.column
         )

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .datalog import NEQ, Lexer, Literal, Token, value_pred
+from .datalog import NEQ, Lexer, Literal, Token, Var, value_pred
 from .errors import ParseError, ValidationError
 from .model import MatchingFunction, Schema, read_text
-from .terms import Var
 
 _KEYWORDS = {"md", "lead"}
 

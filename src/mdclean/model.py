@@ -5,8 +5,9 @@ binary operation that is idempotent, commutative, and associative; a declared
 table is completed ("saturated") by reading every named value as the join of
 the base values it is built from, so that any pair whose join lands on a named
 value gets a result even when no chain of declared equations reaches it.  The
-induced order a <= b iff m(a, b) = b is what the chase and the generated
-programs use to tell old tuple versions from current ones.
+induced order a <= b iff m(a, b) = b tells old tuple versions from current
+ones.  A saturated domain is its merge, its order and its values, the shape
+of a built-in's `MF_RULES` entry; the Datalog built-ins call the first two.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -205,6 +207,11 @@ def _add_row(rows: dict, tid: str, value) -> None:
     rows[tid] = value
 
 
+def _read_row(rows: dict, tid: str, values: Iterable[str]) -> None:
+    """Store a row of either instance format, its identifier and values stripped."""
+    _add_row(rows, tid.strip(), tuple(v.strip() for v in values))
+
+
 class Instance:
     """Identified tuples, each a vector of current values, with an entry for
     every relation of the schema.
@@ -285,7 +292,7 @@ class Instance:
                             f"{rel_name}: row {number}: field {attr!r} must be a string, "
                             f"got {json.dumps(row[attr])}"
                         )
-                _add_row(out_rows, row[TID_ATTR], tuple(row[a] for a in rel.attrs))
+                _read_row(out_rows, row[TID_ATTR], (row[a] for a in rel.attrs))
             tuples[rel_name] = out_rows
         return cls(schema, tuples)
 
@@ -324,7 +331,7 @@ class Instance:
                     continue
                 if len(row) != 1 + rel.arity:
                     raise ValidationError(f"{path}:{lineno}: expected {1 + rel.arity} fields")
-                _add_row(rows, row[0].strip(), tuple(v.strip() for v in row[1:]))
+                _read_row(rows, row[0], row[1:])
             tuples[rel_name] = rows
         return cls(schema, tuples)
 
@@ -484,6 +491,9 @@ MF_RULES: dict[str, tuple[Callable, Callable, Callable]] = {
     "value-max": (max, lambda a, b: a <= b, lambda active: active),
 }
 
+# a domain without a matching function: no merge, equality, no values
+_NO_MATCHING = (lambda a, b: None, operator.eq, frozenset)
+
 
 def _read_equation(rest: str, lineno: int) -> tuple[str, str, str]:
     if not rest.startswith("m(") or "=" not in rest:
@@ -529,12 +539,14 @@ class MatchingFunction:
 
     def saturate(self, active: Mapping[str, Iterable[str]]) -> "SaturatedMatchingFunction":
         """Complete every declared domain over the given active values."""
-        active = {dom: set(vals) for dom, vals in active.items()}
-        domains: dict[str, _TableDomain | _BuiltinDomain] = {}
+        domains: dict[str, tuple[Callable, Callable, Callable]] = {}
         for dom in sorted(self.triples):
             domains[dom] = _saturate_table(dom, self.triples[dom], frozenset(active.get(dom, ())))
         for dom in sorted(self.builtins):
-            domains[dom] = _BuiltinDomain(self.builtins[dom], frozenset(active.get(dom, ())))
+            merge, order, close = MF_RULES[self.builtins[dom]]
+            # closed only when first asked for, since merging and ordering never need them
+            values = functools.cache(functools.partial(close, frozenset(active.get(dom, ()))))
+            domains[dom] = (merge, order, values)
         return SaturatedMatchingFunction(domains)
 
     @classmethod
@@ -549,37 +561,10 @@ class MatchingFunction:
         return cls.parse(read_text(path))
 
 
-class _TableDomain:
-    """A saturated table domain: every value is a join of base values."""
-
-    def __init__(self, generators: dict[str, frozenset[str]]):
-        self.generators = generators
-        self.by_generators = {gens: v for v, gens in generators.items()}
-        self.value_set = frozenset(generators)
-        self._table: dict[tuple[str, str], str | None] = {}
-
-    def match(self, a: str, b: str) -> str | None:
-        key = (a, b)
-        if key in self._table:
-            return self._table[key]
-        ga, gb = self.generators.get(a), self.generators.get(b)
-        result = None if ga is None or gb is None else self.by_generators.get(ga | gb)
-        self._table[key] = result
-        return result
-
-    def precedes(self, a: str, b: str) -> bool:
-        ga, gb = self.generators.get(a), self.generators.get(b)
-        if ga is None or gb is None:
-            return a == b
-        return ga <= gb
-
-    def values(self) -> frozenset[str]:
-        return self.value_set
-
-
 def _saturate_table(
     domain: str, triples: Sequence[tuple[str, str, str]], active: frozenset[str]
-) -> _TableDomain:
+) -> tuple[Callable, Callable, Callable]:
+    """A table's `(merge, order, values)`; every value is a join of base values."""
     declared: dict[tuple[str, str], str] = {}
     for a, b, c in triples:
         for key in ((a, b), (b, a)):
@@ -624,33 +609,36 @@ def _saturate_table(
                 f"domain {domain!r}: m({a}, {b}) = {c} is not reproduced by the "
                 f"completed table (join resolves to {named!r})"
             )
-    return _TableDomain(gens)
 
+    @functools.cache
+    def merge(a: str, b: str) -> str | None:
+        ga, gb = gens.get(a), gens.get(b)
+        return None if ga is None or gb is None else by_gens.get(ga | gb)
 
-class _BuiltinDomain:
-    """A built-in matching rule.  Its values are closed over the active values
-    only when first asked for, since merging and ordering never need them."""
+    def order(a: str, b: str) -> bool:
+        ga, gb = gens.get(a), gens.get(b)
+        if ga is None or gb is None:
+            return a == b
+        return ga <= gb
 
-    def __init__(self, rule: str, active: frozenset[str]):
-        self.match, self.precedes, self._close = MF_RULES[rule]
-        self.active = active
-        self._values: frozenset[str] | None = None
-
-    def values(self) -> frozenset[str]:
-        if self._values is None:
-            self._values = self._close(self.active)
-        return self._values
+    value_set = frozenset(values)
+    return merge, order, lambda: value_set
 
 
 class SaturatedMatchingFunction:
-    """Per-domain matching operations after saturation.
+    """Each declared domain's merge, order and values after saturation.
 
-    Domains with no matching function at all still answer `precedes`: their
-    induced order is plain equality.
+    Domains with no matching function at all still answer: their merge is
+    nowhere defined, their induced order is plain equality and they hold no
+    values.
     """
 
-    def __init__(self, domains: Mapping[str, _TableDomain | _BuiltinDomain]):
+    def __init__(self, domains: Mapping[str, tuple[Callable, Callable, Callable]]):
         self._domains = dict(domains)
+
+    def domain(self, domain: str) -> tuple[Callable, Callable, Callable]:
+        """The domain's `(merge, order, values)`, the shape of an `MF_RULES` entry."""
+        return self._domains.get(domain, _NO_MATCHING)
 
     def domains(self) -> list[str]:
         return sorted(self._domains)
@@ -659,20 +647,13 @@ class SaturatedMatchingFunction:
         return domain in self._domains
 
     def try_match(self, domain: str, a: str, b: str) -> str | None:
-        dom = self._domains.get(domain)
-        if dom is None:
-            return None
-        return dom.match(a, b)
+        return self._domains.get(domain, _NO_MATCHING)[0](a, b)
 
     def precedes(self, domain: str, a: str, b: str) -> bool:
-        dom = self._domains.get(domain)
-        if dom is None:
-            return a == b
-        return dom.precedes(a, b)
+        return self._domains.get(domain, _NO_MATCHING)[1](a, b)
 
     def values(self, domain: str) -> frozenset[str]:
-        dom = self._domains.get(domain)
-        return dom.values() if dom is not None else frozenset()
+        return self._domains.get(domain, _NO_MATCHING)[2]()
 
 
 def collect_active_values(

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Sequence
 
-from .datalog import NEQ, Literal, Program, Rule, evaluate, value_builtins, value_pred
+from .datalog import NEQ, Literal, Program, Rule, Term, Var, evaluate, value_builtins, value_pred
 from .errors import EmptyCleanSet, ParseError, UnknownDomain, ValidationError
 from .model import Instance, Schema, SimilarityRelation, read_text
-from .terms import Term, Var, is_var
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class ConjunctiveQuery:
         seen: dict[Var, None] = {}
         for atom in self.atoms:
             for arg in atom.args:
-                if is_var(arg):
+                if isinstance(arg, Var):
                     seen.setdefault(arg)
         return list(seen)
 
@@ -70,7 +69,7 @@ def validate_query(query: ConjunctiveQuery, schema: Schema) -> list[str]:
             raise ValidationError(f"query {query.name!r}: head variable {v.name!r} not bound by the body")
     for lit in query.sims:
         for term in (lit.left, lit.right):
-            if is_var(term) and term not in body_vars:
+            if isinstance(term, Var) and term not in body_vars:
                 raise ValidationError(
                     f"query {query.name!r}: similarity variable {term.name!r} not bound by an atom"
                 )
@@ -87,7 +86,7 @@ def resolve_sim_domain(query: ConjunctiveQuery, schema: Schema, lit: SimLiteral)
     if lit.domain is not None:
         domains.add(lit.domain)
     for term in (lit.left, lit.right):
-        if not is_var(term):
+        if not isinstance(term, Var):
             continue
         for atom in query.atoms:
             rel = schema.relation(atom.relation)
@@ -104,7 +103,7 @@ def resolve_sim_domain(query: ConjunctiveQuery, schema: Schema, lit: SimLiteral)
 
 
 def _term_text(term: Term) -> str:
-    return term.name if is_var(term) else str(term)
+    return term.name if isinstance(term, Var) else str(term)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +234,10 @@ def _parse_head(text: str) -> tuple[str, list[str]]:
         raise ParseError(f"malformed query head {text!r}")
     name, inner = text[:-1].split("(", 1)
     name = name.strip()
-    args = [a.strip() for a in _split_top(inner, ",") if a.strip()]
+    args = [a.strip() for a in _split_top(inner, ",")] if inner.strip() else []
     for arg in args:
+        if not arg:
+            raise ParseError("empty term")
         if not _is_var_name(arg):
             raise ParseError(f"query head argument {arg!r} must be a variable")
     return _unquoted(name, "query name"), args

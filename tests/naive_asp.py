@@ -41,8 +41,7 @@ from itertools import product
 
 from mdclean.chase import ChaseEngine
 from mdclean.codegen import emit_general_asp
-from mdclean.datalog import NEQ, Literal, Program, Rule, evaluate, parse_asp
-from mdclean.terms import Compound, Var
+from mdclean.datalog import NEQ, Compound, Literal, Program, Rule, Var, evaluate, parse_asp
 
 from population import random_setting
 

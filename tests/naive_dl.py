@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 
-from mdclean.datalog import NEQ, Literal, Rule
-from mdclean.terms import Var, is_var
+from mdclean.datalog import NEQ, Literal, Rule, Var
 
 # the value relations of the random programs' domains, as (kind, domain)
 VALUE_USES = [("sim", "doma"), ("sim", "domb"), ("pre", "domb"), ("mf", "domb")]
@@ -134,7 +133,7 @@ def _derive(rule, db, sim, smf):
     results = set()
 
     def ground(term, binding):
-        if is_var(term):
+        if isinstance(term, Var):
             if term not in binding:
                 raise ValueError(f"unbound {term.name} in {rule.head.pred} body")
             return binding[term]
@@ -163,7 +162,7 @@ def _derive(rule, db, sim, smf):
             if merged is None:
                 return
             out = lit.args[2]
-            if is_var(out) and out not in binding:
+            if isinstance(out, Var) and out not in binding:
                 walk(i + 1, {**binding, out: merged})
             elif ground(out, binding) == merged:
                 walk(i + 1, binding)
@@ -176,7 +175,7 @@ def _derive(rule, db, sim, smf):
                 new = dict(binding)
                 ok = True
                 for arg, val in zip(lit.args, tup):
-                    if is_var(arg):
+                    if isinstance(arg, Var):
                         if new.setdefault(arg, val) != val:
                             ok = False
                             break
@@ -231,7 +230,7 @@ def random_program(rng: random.Random, with_builtins=False, token_values=None):
             for _ in range(arity[name]):
                 term = rng.choice(pool + consts)
                 args.append(term)
-                if is_var(term) and term not in bound:
+                if isinstance(term, Var) and term not in bound:
                     bound.append(term)
             body.append(Literal(name, tuple(args)))
         if with_builtins and bound and rng.random() < 0.5:

@@ -30,8 +30,8 @@ from typing import Iterator
 
 from mdclean.chase import EnforcementStep
 from mdclean.classify import _Body, _embeddings, _readable_query, interaction_pairs, sfai_queries
+from mdclean.datalog import Var
 from mdclean.query import QueryAtom, SimLiteral, resolve_sim_domain
-from mdclean.terms import Var, is_var
 
 from population import random_setting
 
@@ -43,7 +43,7 @@ def bindings(instance, query, sim) -> Iterator[dict]:
     for lit, dom in zip(query.sims, domains):
         stage = 0
         for v in (lit.left, lit.right):
-            if is_var(v):
+            if isinstance(v, Var):
                 for a_idx, atom in enumerate(query.atoms):
                     if v in atom.args:
                         stage = max(stage, a_idx)
@@ -55,7 +55,7 @@ def bindings(instance, query, sim) -> Iterator[dict]:
     tid_terms = list(dict.fromkeys(atom.args[0] for atom in query.atoms))
 
     def value(term, binding):
-        if is_var(term):
+        if isinstance(term, Var):
             return binding.get(term)
         return term
 
@@ -70,7 +70,7 @@ def bindings(instance, query, sim) -> Iterator[dict]:
             new = dict(binding)
             ok = True
             for arg, val in zip(atom.args, vals):
-                if is_var(arg):
+                if isinstance(arg, Var):
                     if new.setdefault(arg, val) != val:
                         ok = False
                         break
@@ -198,7 +198,7 @@ def canonical_key(atoms, sims):
         mapping: dict[Var, str] = {}
 
         def rn(term):
-            if is_var(term):
+            if isinstance(term, Var):
                 if term not in mapping:
                     mapping[term] = f"v{len(mapping)}"
                 return ("var", mapping[term])

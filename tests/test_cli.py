@@ -291,6 +291,18 @@ def test_a_tuple_identifier_repeated_within_a_relation_is_refused(tmp_path, caps
             )
 
 
+def test_a_json_instance_is_read_with_the_spaces_the_csv_reader_strips(tmp_path, capsys):
+    header, *lines = (FIXTURES / "convergent" / "R.csv").read_text().splitlines()
+    rows = [{a: f" {v} " for a, v in zip(header.split(","), line.split(","))} for line in lines]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"R": rows}))
+    args = fixture_args("convergent")
+    expected = run(capsys, ["chase", "--one", *args])
+    args[args.index("--instance") + 1] = str(path)
+    assert expected[0] == 0
+    assert run(capsys, ["chase", "--one", *args]) == expected
+
+
 def test_answer_reads_a_hash_inside_a_quoted_constant(tmp_path, capsys):
     args = write_setting(
         tmp_path,
@@ -397,7 +409,7 @@ READERS = [["classify"], ["chase", "--one"], ["chase", "--all"], ["emit-asp"],
     "file, line, error, commands",
     [
         ("sim.txt", "nodom: q1 ~ q2\n", "UnknownDomain", [["validate"], *READERS]),
-        ("mf.txt", "nodom: m(q1, q2) = q12\n", "ValidationError", [["validate"], *READERS]),
+        ("mf.txt", "nodom: m(q1, q2) = q12\n", "UnknownDomain", [["validate"], *READERS]),
         ("queries.txt", "q1() :- R(T, X, Y), a1 ~nodom~ a1.\n", "UnknownDomain",
          [["validate"], ["answer"]]),
     ],
@@ -921,8 +933,9 @@ def test_validate_refuses_a_malformed_rule(tmp_path, capsys, rule, message):
     ("q(X) :- R.", "malformed atom 'R'"),
     ("q(X) :- R().", "empty term"),
     ("q(X) :- R(T, X, ).", "empty term"),
+    ("q(X,) :- R(T, X, Y).", "empty term"),
 ], ids=["no-arrow", "empty-literal", "no-head", "head", "head-constant", "atom", "no-arguments",
-        "empty-argument"])
+        "empty-argument", "empty-head-argument"])
 def test_validate_refuses_a_malformed_query(tmp_path, capsys, query, message):
     path = tmp_path / "queries.txt"
     path.write_text(query + "\n")
@@ -947,6 +960,9 @@ def test_a_query_head_without_parentheses_is_a_boolean_query(tmp_path, capsys):
     # a spreadsheet writes an empty row as `,,`
     ("--instance", "instance.json", '{"R": [{"tid": "", "A": "a1", "B": "b1"}]}',
      "ValidationError: {arg}: R: empty tuple identifier"),
+    # the JSON reader strips an identifier as the CSV reader does
+    ("--instance", "instance.json", '{"R": [{"tid": " ", "A": "a1", "B": "b1"}]}',
+     "ValidationError: {arg}: R: empty tuple identifier"),
     ("--instance", "csv/R.csv", "tid,A,B\nt1,a1,b1\n,,\n",
      "ValidationError: {arg}: R: empty tuple identifier"),
     ("--instance", "csv/R.csv", "", "ValidationError: {arg}: {file}: empty file"),
@@ -955,8 +971,8 @@ def test_a_query_head_without_parentheses_is_a_boolean_query(tmp_path, capsys):
     ("--mf", "mf.txt", "domb: m(p, q) = r\ndomb: m(q, r) = p\ndomb: m(r, p) = q\n",
      "SemilatticeViolation: {arg}: domain 'domb': value 'p' is defined only in terms of other "
      "defined values (cyclic table)"),
-], ids=["no-tid", "unknown-field", "missing-field", "empty-tid-json", "empty-tid-csv", "empty-csv",
-        "short-row", "cyclic-table"])
+], ids=["no-tid", "unknown-field", "missing-field", "empty-tid-json", "blank-tid-json",
+        "empty-tid-csv", "empty-csv", "short-row", "cyclic-table"])
 def test_validate_refuses_a_malformed_instance_or_table(
     tmp_path, capsys, option, file, text, message
 ):

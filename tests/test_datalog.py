@@ -10,10 +10,12 @@ from mdclean.datalog import (
     _MEMBER,
     _NEQ,
     _TEST,
+    Compound,
     Database,
     Literal,
     Program,
     Rule,
+    Var,
     evaluate,
     format_rule_ast,
     parse_asp,
@@ -30,7 +32,6 @@ from mdclean.errors import (
 from mdclean.chase import ChaseEngine
 from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import MatchingFunction, Schema, SimilarityRelation
-from mdclean.terms import Compound, Var
 
 from naive_dl import VALUE_USES, naive_evaluate, random_program
 
@@ -257,8 +258,10 @@ def test_format_round_trip_is_stable():
     q(a2). q(b).
     p(X, Y) :- q(X), q(Y), X != Y.
     r(X) :- p(X, Y), not q(Y).
+    a. b :- a, not c.
     """
     once = "\n".join(format_rule_ast(rule) for rule in parse_asp(text))
+    assert once.endswith("\na.\nb :- a, not c.")
     assert "\n".join(format_rule_ast(rule) for rule in parse_asp(once)) == once
 
 

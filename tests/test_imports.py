@@ -1,6 +1,8 @@
 """No module of the package imports a name that it never references, every
 public function or method it defines is named outside its definition, and
 none takes both a `schema` and an `instance`: the instance carries its schema.
+Every module of the package and of the tests parses as Python 3.10, the
+oldest version `pyproject.toml` admits.
 
 `__init__.py` is skipped, since its imports are the package's re-exports, and
 so is `from __future__ import ...`.  A function or method counts as named
@@ -49,6 +51,13 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_every_module_parses_as_the_oldest_python_the_package_supports():
+    # pyproject.toml declares requires-python >= 3.10; the tests run on a later version
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_the_check_sees_an_unused_import():

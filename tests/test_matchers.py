@@ -19,6 +19,7 @@ import pytest
 
 from mdclean.chase import ChaseEngine
 from mdclean.classify import _Body, _embeddings, interaction_pairs, sfai_queries
+from mdclean.datalog import Var
 from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
@@ -36,7 +37,6 @@ from mdclean.query import (
     find_witness,
     parse_queries,
 )
-from mdclean.terms import Var
 
 import naive_match
 from fixture_edits import with_p2_in_first_block

@@ -173,12 +173,25 @@ def test_precedes_is_a_partial_order_matching_the_join():
     assert sat.precedes("domb", "b1", "b12")
     assert sat.precedes("domb", "b1", "b123")
     assert not sat.precedes("domb", "b12", "b34")
+    # a value the table does not hold is ordered by equality alone
+    assert sat.precedes("domb", "zz", "zz")
+    assert not sat.precedes("domb", "zz", "b12")
+    assert not sat.precedes("domb", "b1", "zz")
 
 
 def test_precedes_without_mf_is_equality():
-    sat = MatchingFunction({}).saturate({})
+    sat = MatchingFunction({}).saturate({"doma": {"a1", "a2"}})
     assert sat.precedes("doma", "a1", "a1")
     assert not sat.precedes("doma", "a1", "a2")
+    # nor does such a domain merge or hold a value
+    assert sat.try_match("doma", "a1", "a1") is None
+    assert sat.values("doma") == frozenset()
+    assert not sat.has_mf("doma")
+
+
+def test_saturated_domains_are_the_declared_ones_sorted():
+    mf = MatchingFunction({"domb": [("b1", "b2", "b12")]}, {"addr": "token-union"})
+    assert mf.saturate({"doma": {"a1"}}).domains() == ["addr", "domb"]
 
 
 def random_free_table(rng, domain="d"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mdclean.datalog import Var
 from mdclean.errors import EmptyCleanSet, ParseError, UnknownDomain, ValidationError
 from mdclean.model import Instance, Schema, SimilarityRelation
 from mdclean.query import (
@@ -14,7 +15,6 @@ from mdclean.query import (
     parse_queries,
     validate_query,
 )
-from mdclean.terms import Var
 
 
 def schema():
@@ -49,6 +49,10 @@ def test_parse_query_multi_and_errors():
         parse_queries("q(X) :- R(T, X, Y)")  # no final dot
     with pytest.raises(ParseError):
         parse_queries("q(Z) :- R(T, X, Y).")  # unbound head
+    for text in ("q(X,) :- R(T, X, Y).", "q(X,,Y) :- R(T, X, Y).", "q(, X) :- R(T, X, Y)."):
+        with pytest.raises(ParseError, match="^empty term$"):
+            parse_queries(text)
+    assert one_query("q( ) :- R(T, X, Y).").head == one_query("q :- R(T, X, Y).").head == ()
 
 
 def test_quoted_constants_keep_spaces():
