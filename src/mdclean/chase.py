@@ -15,20 +15,29 @@ rule priority.  It memoises states, which keeps `chase_all` exponential in
 the number of reachable value states rather than in step interleavings,
 charges every step it follows to one budget, the one bound on either chase
 however many tuples the instance holds, and builds an `Instance` only for
-each stable endpoint.  It keeps one `datalog.Database` holding the state it
-visits and the step rules' rows over it, evaluated from scratch only at its
-start (as `applicable_steps` does).  Moving to another state rewrites the
-tuples whose values differ, in the manner of delete-and-rederive: their old
-facts and the rows naming them go, and the rows reading their new versions
-come.  `enforce` steps an instance through the exploration's successor
-function.
+each stable endpoint.
+
+The exploration keeps one `datalog.Database` holding the state it visits and
+the step rules' rows over it, and one `_Agenda` holding the steps of those
+rows: per rule, each pair's rows with the least of them cached, and per
+tuple identifier the rows that name it.  The database is evaluated from
+scratch only at its start, and the agenda built from its rows (as
+`applicable_steps` does).  Moving to another state rewrites the tuples whose
+values differ, in the manner of delete-and-rederive: their old facts and the
+rows naming them go, found through the agenda's map, and the rows that
+`evaluate` derives from their new versions, which it reports, come into
+both.  So a move costs what it changes rather than what the state holds, and
+`chase_one` takes the least pair of the first rule in priority order that
+has one and builds only that step, merge included, while `chase_all` lists
+every step in rule order, then by pair.  `enforce` steps an instance through
+the exploration's successor function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 from .datalog import Database, Literal, Program, Rule, Var, evaluate, value_builtins
 from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
@@ -122,10 +131,78 @@ class _Layout:
         return Instance(self.start.schema, tuples)
 
 
+class _Agenda:
+    """The steps of the state a chase's database holds, by rule.
+
+    `rows[k]` maps each pair of leading identifiers of the `k`-th rule to its
+    step rows, and `least[k]` maps the pair to the least of them, whose
+    context is the step's witness.  For a rule whose two orientations write
+    the same cells (`BoundMD.symmetric_write`) the pair is sorted, so both
+    orientations are one step; otherwise each ordered pair is its own.
+    `naming` maps each tuple identifier to the (rule index, pair, row)
+    entries whose rows name it, so the rows a rewrite takes away are found
+    without a scan.
+    """
+
+    def __init__(self, rules: list[BoundMD], heads: list[str]):
+        self.heads = heads
+        self.symmetric = [rule.symmetric_write() for rule in rules]
+        self.rows: list[dict[tuple[str, str], set[tuple[str, ...]]]] = [{} for _ in rules]
+        self.least: list[dict[tuple[str, str], tuple[str, ...]]] = [{} for _ in rules]
+        self.naming: dict[str, set[tuple[int, tuple[str, str], tuple[str, ...]]]] = {}
+
+    def add(self, relations: Mapping[str, Iterable[tuple[str, ...]]]) -> None:
+        """Take in the step rows that `relations` holds under the step heads;
+        each must be new."""
+        naming = self.naming
+        for k, (head, symmetric) in enumerate(zip(self.heads, self.symmetric)):
+            rows, least = self.rows[k], self.least[k]
+            for row in relations.get(head, ()):
+                pair = (row[1], row[0]) if symmetric and row[1] < row[0] else (row[0], row[1])
+                held = rows.get(pair)
+                if held is None:
+                    rows[pair] = {row}
+                    least[pair] = row
+                else:
+                    held.add(row)
+                    if row < least[pair]:
+                        least[pair] = row
+                entry = (k, pair, row)
+                for tid in row[:-2]:
+                    named = naming.get(tid)
+                    if named is None:
+                        naming[tid] = {entry}
+                    else:
+                        named.add(entry)
+
+    def drop(self, tids: Iterable[str]) -> list[list[tuple[str, ...]]]:
+        """Take out the rows that name any of `tids`; returns them by rule."""
+        naming = self.naming
+        gone = set().union(*(naming.pop(tid, ()) for tid in tids))
+        out: list[list[tuple[str, ...]]] = [[] for _ in self.heads]
+        for entry in gone:
+            k, pair, row = entry
+            out[k].append(row)
+            for tid in row[:-2]:
+                named = naming.get(tid)
+                if named is not None:
+                    named.discard(entry)
+                    if not named:
+                        del naming[tid]
+            held = self.rows[k][pair]
+            held.discard(row)
+            if not held:
+                del self.rows[k][pair], self.least[k][pair]
+            elif self.least[k][pair] == row:
+                self.least[k][pair] = min(held)
+        return out
+
+
 class ChaseEngine:
     def __init__(self, rules: list[BoundMD], sim: SimilarityRelation,
                  smf: SaturatedMatchingFunction):
         self.smf = smf
+        self._bound = list(rules)
         self._rules = {rule.md.name: rule for rule in rules}
         uses = (("sim", dom) for rule in rules for dom in rule.sim_domains)
         steps = [_step_rule(rule, i) for i, rule in enumerate(rules)]
@@ -137,49 +214,40 @@ class ChaseEngine:
     def applicable_steps(self, instance: Instance) -> list[EnforcementStep]:
         """Every applicable step, sorted by rule order then leading tuples,
         from the step rules evaluated over `instance` from scratch."""
-        return self._select(evaluate(self._program, instance_facts(instance)))
+        return self._listed(self._agenda(evaluate(self._program, instance_facts(instance))))
 
-    def _select(self, db: Database) -> list[EnforcementStep]:
-        """The steps of the step rules' rows in `db`, sorted by rule order
-        then leading tuples.
+    def _agenda(self, db: Database) -> _Agenda:
+        """The steps of the step rows `db` holds."""
+        agenda = _Agenda(self._bound, self._heads)
+        agenda.add(db.relations)
+        return agenda
 
-        Of the rows for one step the least in (leading identifiers, context
-        identifiers) is kept, so the context is the least witness.  A merge
-        the matching function leaves undefined is listed with `new_value`
-        None and refused only when enforced.
-        """
-        steps = []
-        for md_index, (bound, head) in enumerate(zip(self._rules.values(), self._heads)):
-            # a pair's two orientations are one step only when they write the
-            # same cells; otherwise each ordered pair is its own step
-            symmetric = bound.symmetric_write()
-            chosen: dict[tuple[str, str], tuple[str, ...]] = {}
-            for row in sorted(db.get(head)):
-                pair = (row[0], row[1])
-                if symmetric and pair[1] < pair[0]:
-                    pair = (pair[1], pair[0])
-                chosen.setdefault(pair, row)
-            for pair, row in chosen.items():
-                old = (row[-2], row[-1]) if pair[0] == row[0] else (row[-1], row[-2])
-                merged = self.smf.try_match(bound.rhs_domain, *old)
-                step = EnforcementStep(bound.md.name, pair, row[2:-2], old, merged)
-                steps.append(((md_index, pair), step))
-        steps.sort(key=lambda keyed: keyed[0])
-        return [step for _, step in steps]
+    def _step(self, agenda: _Agenda, k: int, pair: tuple[str, str]) -> EnforcementStep:
+        """The step of the `k`-th rule on `pair`, read off the pair's least
+        row.  A merge the matching function leaves undefined is listed with
+        `new_value` None and refused only when enforced."""
+        bound = self._bound[k]
+        row = agenda.least[k][pair]
+        old = (row[-2], row[-1]) if pair[0] == row[0] else (row[-1], row[-2])
+        merged = self.smf.try_match(bound.rhs_domain, *old)
+        return EnforcementStep(bound.md.name, pair, row[2:-2], old, merged)
 
-    def _steps(self, layout: _Layout, state: tuple, db: Database) -> list[EnforcementStep]:
-        """The steps of `state`, a state of `layout` the chase visits, read
-        off the step rows of `db`, which holds it."""
-        return self._select(db)
+    def _listed(self, agenda: _Agenda) -> list[EnforcementStep]:
+        """Every step of `agenda`, sorted by rule order then leading tuples."""
+        return [
+            self._step(agenda, k, pair)
+            for k, least in enumerate(agenda.least) for pair in sorted(least)
+        ]
 
-    def _move(self, layout: _Layout, db: Database, held: tuple, state: tuple) -> None:
-        """Make `db`, which holds the state `held` and its step rows, hold
-        `state` and its step rows.
+    def _move(self, layout: _Layout, db: Database, agenda: _Agenda,
+              held: tuple, state: tuple) -> None:
+        """Make `db` and `agenda`, which hold the state `held` with its step
+        rows and steps, hold `state` with its own.
 
         The tuples whose values differ lose their old facts and the rows
-        naming them, and the rows reading their new versions are derived.
-        Tuple identifiers are unique across relations, so a row names a tuple
-        only if it read it.
+        naming them, which the agenda finds, and the rows that `evaluate`
+        derives from their new versions join both.  Tuple identifiers are
+        unique across relations, so a row names a tuple only if it read it.
         """
         tids: set[str] = set()
         new_versions: dict[str, list[tuple[str, ...]]] = {}
@@ -188,9 +256,11 @@ class ChaseEngine:
                 tids.add(tid)
                 db.discard(pred, [(tid, *old)])
                 new_versions.setdefault(pred, []).append((tid, *new))
-        for head in self._heads:
-            db.discard(head, [row for row in db.get(head) if not tids.isdisjoint(row[:-2])])
-        evaluate(self._program, new_versions, db)
+        for head, rows in zip(self._heads, agenda.drop(tids)):
+            db.discard(head, rows)
+        added: dict[str, set[tuple[str, ...]]] = {}
+        evaluate(self._program, new_versions, db, added)
+        agenda.add(added)
 
     def _successor(self, layout: _Layout, state: tuple, step: EnforcementStep) -> tuple:
         """The state that enforcing `step` leads to from `state`.
@@ -242,7 +312,7 @@ class ChaseEngine:
         """All stable endpoints reachable by any enforcement order, sorted by
         `iter_tuples()`.  Every step followed is charged to `step_limit`,
         which is what bounds the enumeration, whatever the instance's size."""
-        return self._explore(instance, step_limit, lambda steps: steps)
+        return self._explore(instance, step_limit, self._listed)
 
     def chase_one(
         self,
@@ -251,11 +321,15 @@ class ChaseEngine:
         step_limit: int = DEFAULT_STEP_LIMIT,
     ) -> ChaseResult:
         """One stable instance, following the rule priority drawn from `seed`."""
-        names = rule_priority(list(self._rules), seed)
-        priority = {name: rank for rank, name in enumerate(names)}
+        names = list(self._rules)
+        order = [names.index(name) for name in rule_priority(names, seed)]
 
-        def least(steps: list[EnforcementStep]) -> list[EnforcementStep]:
-            return [min(steps, key=lambda s: (priority.get(s.md, 0), s.lead_tids))]
+        def least(agenda: _Agenda) -> list[EnforcementStep]:
+            # the least pair of the first rule in priority order that has one
+            for k in order:
+                if agenda.least[k]:
+                    return [self._step(agenda, k, min(agenda.least[k]))]
+            return []
 
         return self._explore(instance, step_limit, least)
 
@@ -263,17 +337,20 @@ class ChaseEngine:
         self,
         instance: Instance,
         step_limit: int,
-        follow: Callable[[list[EnforcementStep]], list[EnforcementStep]],
+        follow: Callable[[_Agenda], list[EnforcementStep]],
     ) -> ChaseResult:
         """The stable endpoints reached from `instance` by following, in each
-        state, the steps `follow` picks of its steps, sorted by
-        `iter_tuples()`, with one witnessing sequence each.  Every step
-        followed is charged to `step_limit`, which may not be negative."""
+        state, the steps `follow` picks of its agenda (none in a stable
+        state), sorted by `iter_tuples()`, with one witnessing sequence each.
+        Every step followed is charged to `step_limit`, which may not be
+        negative."""
         check_step_limit(step_limit)
         budget = step_limit
         layout = _Layout(instance)
-        # the state the database holds, with the step rules' rows over it
+        # the state the database holds, with the step rules' rows over it and
+        # the steps of those rows
         db = evaluate(self._program, instance_facts(instance))
+        agenda = self._agenda(db)
         held = layout.vectors
         seen: set[tuple] = set()
         endpoints: dict[tuple, tuple[EnforcementStep, ...]] = {}
@@ -283,13 +360,13 @@ class ChaseEngine:
             if state in seen:
                 continue
             seen.add(state)
-            self._move(layout, db, held, state)
+            self._move(layout, db, agenda, held, state)
             held = state
-            steps = self._steps(layout, state, db)
+            steps = follow(agenda)
             if not steps:
                 endpoints[state] = path
                 continue
-            for step in follow(steps):
+            for step in steps:
                 if budget <= 0:
                     raise StepLimitExceeded(f"chase exceeded {step_limit} enforcement steps")
                 budget -= 1

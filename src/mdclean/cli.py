@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .chase import DEFAULT_STEP_LIMIT, ChaseEngine, check_step_limit
@@ -113,7 +113,54 @@ def _instance_lines(instance: Instance) -> list[str]:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, for a
+    payload of dicts with string keys, lists, strings, ints, booleans and
+    None, written without the pure-Python encoder that `json.dumps` runs
+    when given `indent`."""
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append `value`'s JSON text to `out`, nested at the indent `newline` ends with."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
 
 
 def _render(args, payload, text_lines) -> str:

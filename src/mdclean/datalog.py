@@ -294,14 +294,16 @@ class Database:
     An index is built the first time a scan asks for it, and `add` and
     `discard` keep every index built so far current.  It maps each key to the
     set of tuples under it: a hash index keys a tuple by its values at the
-    positions `key`, a blocking-key index by each of `keys(value)` of its
-    value at the position `key`.  Empty and absent relations compare equal.
+    positions `key` (the bare value for one position, else their tuple), a
+    blocking-key index by each of `keys(value)` of its value at the position
+    `key`.  Empty and absent relations compare equal.
     """
 
     def __init__(self, facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None):
         self._relations: dict[str, set[tuple[str, ...]]] = {}
-        # by predicate, then by (key, keys): (the keys of a tuple, index)
-        self._indexes: dict[str, dict[tuple, tuple[Callable, dict]]] = {}
+        # by predicate, then by (key, keys): (the getter of the indexed
+        # value, keys, index)
+        self._indexes: dict[str, dict[tuple, tuple[Callable, Callable | None, dict]]] = {}
         for pred, ts in (facts or {}).items():
             self.add(pred, ts)
 
@@ -326,8 +328,8 @@ class Database:
         rel = self._relations.setdefault(pred, set())
         new = set(tuples) - rel
         rel |= new
-        for keys_of, index in self._indexes.get(pred, {}).values():
-            _insert(index, keys_of, new)
+        for getter, keys, index in self._indexes.get(pred, {}).values():
+            _insert(index, getter, keys, new)
         return new
 
     def discard(self, pred: str, tuples: Iterable[tuple[str, ...]]) -> None:
@@ -335,9 +337,10 @@ class Database:
         rel = self._relations.get(pred, set())
         gone = rel.intersection(tuples)
         rel -= gone
-        for keys_of, index in self._indexes.get(pred, {}).values():
+        for getter, keys, index in self._indexes.get(pred, {}).values():
             for stored in gone:
-                for key in keys_of(stored):
+                value = getter(stored)
+                for key in (value,) if keys is None else keys(value):
                     bucket = index.get(key)
                     if bucket is not None:
                         bucket.discard(stored)
@@ -352,19 +355,28 @@ class Database:
         built = self._indexes.setdefault(pred, {})
         entry = built.get((key, keys))
         if entry is None:
-            if keys is None:
-                getter = operator.itemgetter(*key)
-                keys_of = lambda stored: (getter(stored),)
+            getter = operator.itemgetter(*key) if keys is None else operator.itemgetter(key)
+            entry = built[key, keys] = getter, keys, {}
+            _insert(entry[2], getter, keys, self.get(pred))
+        return entry[2]
+
+
+def _insert(
+    index: dict, getter: Callable, keys: Callable | None, tuples: Iterable[tuple[str, ...]]
+) -> None:
+    """File each of `tuples` in `index` under the value `getter` reads or,
+    with `keys`, under each of its keys."""
+    if keys is None:
+        for stored in tuples:
+            key = getter(stored)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {stored}
             else:
-                keys_of = lambda stored: keys(stored[key])
-            entry = built[key, keys] = keys_of, {}
-            _insert(entry[1], keys_of, self.get(pred))
-        return entry[1]
-
-
-def _insert(index: dict, keys_of: Callable, tuples: Iterable[tuple[str, ...]]) -> None:
+                bucket.add(stored)
+        return
     for stored in tuples:
-        for key in keys_of(stored):
+        for key in keys(getter(stored)):
             bucket = index.get(key)
             if bucket is None:
                 index[key] = {stored}
@@ -376,6 +388,7 @@ def evaluate(
     program: Program,
     facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None,
     db: Database | None = None,
+    added: dict[str, set[tuple[str, ...]]] | None = None,
 ) -> Database:
     """The minimal model of a stratified program over its own facts and `facts`.
 
@@ -385,16 +398,26 @@ def evaluate(
     `facts` are added to it and only what reads them is derived, by
     semi-naive rounds that start from the facts `db` did not hold, and `db`
     is returned.  A program that negates a literal is refused there, since a
-    new fact could take away what reads it negated.
+    new fact could take away what reads it negated.  With `added`, every
+    fact the call stores that the database did not hold, given or derived,
+    is also put into `added` under its predicate.
     """
     facts = facts or {}
     for pred in facts:
         if pred in program.builtins:
             raise ValidationError(f"built-in {pred!r} has no facts")
+
+    def store(pred: str, tuples: Iterable[tuple[str, ...]]) -> set[tuple[str, ...]]:
+        new = db.add(pred, tuples)
+        if added is not None and new:
+            added.setdefault(pred, set()).update(new)
+        return new
+
     if db is None:
-        db = Database(program.facts)
-        for pred, ts in facts.items():
-            db.add(pred, ts)
+        db = Database()
+        for given in (program.facts, facts):
+            for pred, ts in given.items():
+                store(pred, ts)
         # per stratum, the rules and a first round that runs them in full
         passes = [
             ([i for i, rule in enumerate(program.rules) if rule.head.pred in stratum], None)
@@ -403,7 +426,7 @@ def evaluate(
     else:
         for rule, lit in ((r, lit) for r in program.rules for lit in r.body if lit.negated):
             raise ValidationError(f"rule {format_rule_ast(rule)!r} reads {lit.pred!r} under negation")
-        passes = [(range(len(program.rules)), Database({p: db.add(p, ts) for p, ts in facts.items()}))]
+        passes = [(range(len(program.rules)), Database({p: store(p, ts) for p, ts in facts.items()}))]
     # each round reads what the round before added (a negated literal never
     # reads its own stratum)
     for rule_indices, delta in passes:
@@ -411,7 +434,7 @@ def evaluate(
             fresh = _fire_rules(program, rule_indices, db, delta)
             delta = Database()
             for pred, ts in fresh.items():
-                delta.add(pred, db.add(pred, ts))
+                delta.add(pred, store(pred, ts))
     return db
 
 

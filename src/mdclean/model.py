@@ -649,9 +649,6 @@ class SaturatedMatchingFunction:
     def try_match(self, domain: str, a: str, b: str) -> str | None:
         return self._domains.get(domain, _NO_MATCHING)[0](a, b)
 
-    def precedes(self, domain: str, a: str, b: str) -> bool:
-        return self._domains.get(domain, _NO_MATCHING)[1](a, b)
-
     def values(self, domain: str) -> frozenset[str]:
         return self._domains.get(domain, _NO_MATCHING)[2]()
 

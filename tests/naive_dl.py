@@ -154,7 +154,7 @@ def _derive(rule, db, sim, smf):
                 walk(i + 1, binding)
         elif kind == "pre":
             a, b = (ground(t, binding) for t in lit.args)
-            if smf.precedes(dom, a, b):
+            if smf.domain(dom)[1](a, b):
                 walk(i + 1, binding)
         elif kind == "mf":
             a, b = (ground(t, binding) for t in lit.args[:2])

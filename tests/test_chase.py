@@ -21,6 +21,7 @@ from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
+    SaturatedMatchingFunction,
     Schema,
     SimilarityRelation,
     collect_active_values,
@@ -190,10 +191,10 @@ def test_chase_all_empty_rule_set_returns_input():
 
 
 def test_chase_all_is_exploration_order_independent():
-    # `_steps` hands both chase loops the steps of each state they visit
+    # `_listed` hands `chase_all` the steps of each state it visits
     class ReversedEngine(ChaseEngine):
-        def _steps(self, layout, state, db):
-            return list(reversed(super()._steps(layout, state, db)))
+        def _listed(self, agenda):
+            return list(reversed(super()._listed(agenda)))
 
     eng, inst = interacting()
     rev, _ = interacting(ReversedEngine)
@@ -272,7 +273,7 @@ def test_chase_one_endpoint_is_stable_and_monotone():
     assert eng.applicable_steps(result.instances[0]) == []
     for step in result.sequences[0]:
         for old in step.old_values:
-            assert eng.smf.precedes("domb", old, step.new_value)
+            assert eng.smf.domain("domb")[1](old, step.new_value)
 
 
 def test_step_limit_guard():
@@ -409,29 +410,41 @@ def test_step_json_shape():
 
 
 class AgendaOracle(ChaseEngine):
-    """Checks the chase's database at every state it visits: its `rel_*`
-    relations are exactly that state's tuples, so no old version is left,
-    its other relations are step rule heads, its step rows are those of the
-    step rules evaluated over the state from scratch, and so are its steps."""
+    """Checks the chase's database and agenda at every state it visits: the
+    database's `rel_*` relations are exactly that state's tuples, so no old
+    version is left, its other relations are step rule heads, and its step
+    rows are those of the step rules evaluated over the state from scratch;
+    the agenda is the one built from that evaluation, and so are its steps."""
 
     visited = 0
 
-    def _steps(self, layout, state, db):
+    def _move(self, layout, db, agenda, held, state):
+        super()._move(layout, db, agenda, held, state)
         instance = layout.instance(state)
         facts = {pred: set(ts) for pred, ts in instance_facts(instance).items() if ts}
         assert {pred: db.get(pred) for pred in facts} == facts
         assert db.relations.keys() - facts.keys() <= set(self._heads)
-        assert db == evaluate(self._program, facts)
-        steps = super()._steps(layout, state, db)
-        assert steps == self.applicable_steps(instance)
+        scratch = evaluate(self._program, facts)
+        assert db == scratch
+        assert vars(agenda) == vars(self._agenda(scratch))
+        assert self._listed(agenda) == self.applicable_steps(instance)
         self.visited += 1
-        return steps
 
 
 def chase_every_way(eng, instance) -> None:
-    """`chase_one` under every rule order, and `chase_all`."""
-    for seed in range(math.factorial(len(eng._rules))):
-        eng.chase_one(instance, seed=seed)
+    """`chase_one` under every rule order, checking that each step it takes
+    is the least applicable one under that order, and `chase_all`."""
+    names = list(eng._rules)
+    for seed in range(math.factorial(len(names))):
+        rank = rule_priority(names, seed).index
+        result = eng.chase_one(instance, seed=seed)
+        current = instance
+        for step in result.sequences[0]:
+            steps = eng.applicable_steps(current)
+            assert step == min(steps, key=lambda s: (rank(s.md), s.lead_tids))
+            current = eng.enforce(current, step)
+        assert eng.applicable_steps(current) == []
+        assert by_tid(current) == by_tid(result.instances[0])
     eng.chase_all(instance)
 
 
@@ -506,6 +519,31 @@ def test_agenda_drops_rows_whose_context_tuple_is_rewritten():
         {"r1": ("a3", "b2"), "r2": ("a2", "b2"), "s1": ("a1", "c1"), "s2": ("a1", "c2")},
         {"r1": ("a3", "b3"), "r2": ("a2", "b2"), "s1": ("a1", "c1"), "s2": ("a1", "c2")},
     ]
+
+
+def test_agenda_moves_a_step_to_its_next_context_witness():
+    # `ms` moves s0, `mr`'s least context witness, off its value; s1 still
+    # witnesses the pair, so the step stays with s1 as its witness
+    schema = Schema.parse("R(A: doma, B: domb)\nS(A: doma, C: domc)")
+    mf = MatchingFunction(builtins={"doma": "value-min", "domb": "value-min"})
+    rules = validate_mds(parse_mds(
+        "md mr: lead R(t1; x1, y1), lead R(t2; x2, y2), S(t3; x1, c3), x1 ~doma~ x2"
+        " -> y1 := y2;\n"
+        "md ms: lead S(t1; u1, c1), lead S(t2; u2, c2), c1 ~domc~ c2 -> u1 := u2;"
+    ), schema, mf)
+    sim = SimilarityRelation({"doma": [("a3", "a2")], "domc": [("c1", "c2")]})
+    instance = Instance(schema, {
+        "R": {"r1": ("a3", "b3"), "r2": ("a2", "b2")},
+        "S": {"s0": ("a3", "c1"), "s1": ("a3", "c5"), "s2": ("a1", "c2")},
+    })
+    smf = mf.saturate(collect_active_values(instance, sim))
+    eng = AgendaOracle(rules, sim, smf)
+    mr, ms = eng.applicable_steps(instance)
+    assert (mr.md, mr.context_tids, ms.md, ms.lead_tids) == ("mr", ("s0",), "ms", ("s0", "s2"))
+    after = eng.enforce(instance, ms)
+    assert [(s.md, s.context_tids) for s in eng.applicable_steps(after)] == [("mr", ("s1",))]
+    chase_every_way(eng, instance)
+    assert eng.visited > 3
 
 
 # -- work per step -----------------------------------------------------------
@@ -584,3 +622,34 @@ def test_similarity_partners_are_reached_through_blocking_keys(monkeypatch):
     probes[0] = 0
     assert len(eng.chase_one(instance).sequences[0]) == 32
     assert probes[0] < 8000
+
+
+def test_chase_one_merges_only_the_steps_it_follows():
+    # 16 tuples in 4 blocks of equal keys whose B values are single tokens
+    # of 10, merged by token-union: each state has up to 24 steps, and
+    # building all of them merged every pair of every state
+    schema = Schema.parse("R(A: grp, B: toks)")
+    mf = MatchingFunction(builtins={"toks": "token-union"})
+    md = "md union: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~grp~ x2 -> y1 := y2;"
+    rules = validate_mds(parse_mds(md), schema, mf)
+    sim = SimilarityRelation(builtins={"grp": "exact-equality"})
+    rows = {f"t{j:03d}": (f"k{j % 4}", f"w{j % 10}") for j in range(16)}
+    instance = Instance(schema, {"R": rows})
+    smf = mf.saturate(collect_active_values(instance, sim))
+    merge, order, values = smf.domain("toks")
+    merges = [0]
+
+    def counted(a, b):
+        merges[0] += 1
+        return merge(a, b)
+
+    counting = SaturatedMatchingFunction({"toks": (counted, order, values)})
+    result = ChaseEngine(rules, sim, counting).chase_one(instance)
+    (sequence,) = result.sequences
+    assert merges[0] == len(sequence) > 8
+    union = {}
+    for key, tok in rows.values():
+        union.setdefault(key, set()).add(tok)
+    assert by_tid(result.instances[0]) == {
+        tid: (key, " ".join(sorted(union[key]))) for tid, (key, _) in rows.items()
+    }

@@ -181,6 +181,31 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     assert target.read_text() == stdout_text
 
 
+def test_json_output_is_the_text_json_dumps_writes(capsys):
+    # `cli._json_text` writes it without `json`'s pure-Python encoder
+    checked = 0
+    for d in sorted(FIXTURES.iterdir()):
+        queries = d / "queries.txt"
+        commands = [["validate"], ["classify"], ["chase", "--one"], ["chase", "--all"], ["solve"]]
+        if queries.exists():
+            commands.append(["answer", "--query", str(queries)])
+        for command in commands:
+            code, out, _ = run(capsys, [*command, *dir_args(d)])
+            if code == 0:
+                payload = json.loads(out)
+                assert out == cli._json_text(payload)
+                assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+                checked += 1
+    assert checked >= 25
+    nested = {
+        "b": [], "a": {}, "": None, "n": [0, -7, 12345678901234567890, True, False],
+        "s": ["", "caf\u00e9 \u2603 \U0001f600", "quote \" back \\ tab \t nl \n nul \x00"],
+        "\u00fc": {"z": [[], [{}], {"y": [None]}], "a": "x"},
+    }
+    for payload in ({}, [], None, "", "\u00e9", 0, True, nested, [nested, [nested]]):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_solve_and_answer_refuse_an_undefined_merge_like_the_chase(tmp_path, capsys):
     # without m(b3, b4) the similar pair t3, t4 cannot be merged; the residual
     # program leaves both values alone, which is not a stable instance

@@ -705,7 +705,15 @@ def test_adding_facts_to_a_model_gives_the_model_of_all_the_facts():
             for pred in rng.sample(sorted(arity), 2):
                 new.setdefault(pred, set()).add(tuple(rng.choice(consts) for _ in range(arity[pred])))
             program = Program(rules, value_builtins(VALUE_USES, sim, smf))
-            grown = evaluate(program, new, evaluate(program, kept))
+            # what a call reports it added is the database after it less the one before
+            added = {}
+            model = evaluate(program, kept, added=added)
+            assert added == model.relations, f"seed {seed}"
+            before = {pred: set(ts) for pred, ts in model.relations.items()}
+            added = {}
+            grown = evaluate(program, new, model, added)
+            after = {pred: ts - before.get(pred, set()) for pred, ts in grown.relations.items()}
+            assert added == {pred: ts for pred, ts in after.items() if ts}, f"seed {seed}"
             assert grown == evaluate(program, union(kept, new)), f"seed {seed}"
             assert grown.relations == naive_evaluate(rules, union(kept, new), sim, smf), f"seed {seed}"
     assert recursive > 100

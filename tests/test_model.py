@@ -160,29 +160,30 @@ def test_saturated_table_satisfies_semilattice_laws():
 
 def test_precedes_is_a_partial_order_matching_the_join():
     sat = MatchingFunction(CHAIN_TRIPLES).saturate({})
+    precedes = sat.domain("domb")[1]
     vals = sorted(sat.values("domb"))
     for a in vals:
-        assert sat.precedes("domb", a, a)
+        assert precedes(a, a)
         for b in vals:
-            assert sat.precedes("domb", a, b) == (sat.try_match("domb", a, b) == b)
-            if sat.precedes("domb", a, b) and sat.precedes("domb", b, a):
+            assert precedes(a, b) == (sat.try_match("domb", a, b) == b)
+            if precedes(a, b) and precedes(b, a):
                 assert a == b
             for c in vals:
-                if sat.precedes("domb", a, b) and sat.precedes("domb", b, c):
-                    assert sat.precedes("domb", a, c)
-    assert sat.precedes("domb", "b1", "b12")
-    assert sat.precedes("domb", "b1", "b123")
-    assert not sat.precedes("domb", "b12", "b34")
+                if precedes(a, b) and precedes(b, c):
+                    assert precedes(a, c)
+    assert precedes("b1", "b12")
+    assert precedes("b1", "b123")
+    assert not precedes("b12", "b34")
     # a value the table does not hold is ordered by equality alone
-    assert sat.precedes("domb", "zz", "zz")
-    assert not sat.precedes("domb", "zz", "b12")
-    assert not sat.precedes("domb", "b1", "zz")
+    assert precedes("zz", "zz")
+    assert not precedes("zz", "b12")
+    assert not precedes("b1", "zz")
 
 
 def test_precedes_without_mf_is_equality():
     sat = MatchingFunction({}).saturate({"doma": {"a1", "a2"}})
-    assert sat.precedes("doma", "a1", "a1")
-    assert not sat.precedes("doma", "a1", "a2")
+    assert sat.domain("doma")[1]("a1", "a1")
+    assert not sat.domain("doma")[1]("a1", "a2")
     # nor does such a domain merge or hold a value
     assert sat.try_match("doma", "a1", "a1") is None
     assert sat.values("doma") == frozenset()
@@ -251,8 +252,8 @@ def test_token_union_builtin_merges_by_token_set():
     sat = mf.saturate({"addr": {"25 main st", "main st springfield"}})
     assert sat.try_match("addr", "25 main st", "main st springfield") == "25 main springfield st"
     assert sat.try_match("addr", "x", "x") == "x"
-    assert sat.precedes("addr", "main st", "25 main st")
-    assert not sat.precedes("addr", "25 main st", "main st")
+    assert sat.domain("addr")[1]("main st", "25 main st")
+    assert not sat.domain("addr")[1]("25 main st", "main st")
     assert "25 main springfield st" in sat.values("addr")
     # every union of the active token sets is a value, spelled in token order
     sat = mf.saturate({"addr": {"b a", "c", "d e"}})
@@ -266,9 +267,9 @@ def test_value_min_max_builtins():
     sat = mf.saturate({"lo": {"3", "5"}, "hi": {"3", "5"}})
     assert sat.try_match("lo", "3", "5") == "3"
     assert sat.try_match("hi", "3", "5") == "5"
-    assert sat.precedes("lo", "5", "3")
-    assert sat.precedes("hi", "3", "5")
-    assert not sat.precedes("lo", "3", "5")
+    assert sat.domain("lo")[1]("5", "3")
+    assert sat.domain("hi")[1]("3", "5")
+    assert not sat.domain("lo")[1]("3", "5")
 
 
 def test_builtin_and_table_on_same_domain_rejected():
