@@ -17,20 +17,21 @@ charges every step it follows to one budget, the one bound on either chase
 however many tuples the instance holds, and builds an `Instance` only for
 each stable endpoint.
 
-The exploration keeps one `datalog.Database` holding the state it visits and
-the step rules' rows over it, and one `_Agenda` holding the steps of those
-rows: per rule, each pair's rows with the least of them cached, and per
-tuple identifier the rows that name it.  The database is evaluated from
-scratch only at its start, and the agenda built from its rows (as
-`applicable_steps` does).  Moving to another state rewrites the tuples whose
-values differ, in the manner of delete-and-rederive: their old facts and the
-rows naming them go, found through the agenda's map, and the rows that
-`evaluate` derives from their new versions, which it reports, come into
-both.  So a move costs what it changes rather than what the state holds, and
-`chase_one` takes the least pair of the first rule in priority order that
-has one and builds only that step, merge included, while `chase_all` lists
-every step in rule order, then by pair.  `enforce` steps an instance through
-the exploration's successor function.
+The exploration keeps one `datalog.Database` holding only the tuples of the
+state it visits, and one `_Agenda`, the only store of the step rules' rows
+over it: per rule, each pair's rows with the least of them cached, and per
+tuple identifier the rows that name it.  No step rule reads a step row, so
+one round of `datalog.fire_rules` derives every row: a full round at the
+start (as `applicable_steps` runs it), and then one per move.  Moving to
+another state rewrites the tuples whose values differ, in the manner of
+delete-and-rederive: their old facts and the rows naming them go, found
+through the agenda's map, their new versions come in, and the rows of one
+round reading those versions as its delta join the agenda.  So a move costs
+what it changes rather than what the state holds, and `chase_one` takes the
+least pair of the first rule in priority order that has one and builds only
+that step, merge included, while `chase_all` lists every step in rule order,
+then by pair.  `enforce` steps an instance through the exploration's
+successor function.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .datalog import Database, Literal, Program, Rule, Var, evaluate, value_builtins
+from .datalog import Database, Literal, Program, Rule, Var, fire_rules, value_builtins
 from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
 from .mdlang import BoundMD, md_body, var_name
 from .model import Instance, SaturatedMatchingFunction, SimilarityRelation
@@ -175,14 +176,12 @@ class _Agenda:
                     else:
                         named.add(entry)
 
-    def drop(self, tids: Iterable[str]) -> list[list[tuple[str, ...]]]:
-        """Take out the rows that name any of `tids`; returns them by rule."""
+    def drop(self, tids: Iterable[str]) -> None:
+        """Take out the rows that name any of `tids`."""
         naming = self.naming
         gone = set().union(*(naming.pop(tid, ()) for tid in tids))
-        out: list[list[tuple[str, ...]]] = [[] for _ in self.heads]
         for entry in gone:
             k, pair, row = entry
-            out[k].append(row)
             for tid in row[:-2]:
                 named = naming.get(tid)
                 if named is not None:
@@ -195,7 +194,6 @@ class _Agenda:
                 del self.rows[k][pair], self.least[k][pair]
             elif self.least[k][pair] == row:
                 self.least[k][pair] = min(held)
-        return out
 
 
 class ChaseEngine:
@@ -213,14 +211,17 @@ class ChaseEngine:
 
     def applicable_steps(self, instance: Instance) -> list[EnforcementStep]:
         """Every applicable step, sorted by rule order then leading tuples,
-        from the step rules evaluated over `instance` from scratch."""
-        return self._listed(self._agenda(evaluate(self._program, instance_facts(instance))))
+        from one full round of the step rules over `instance`."""
+        return self._listed(self._start(instance)[1])
 
-    def _agenda(self, db: Database) -> _Agenda:
-        """The steps of the step rows `db` holds."""
+    def _start(self, instance: Instance) -> tuple[Database, _Agenda]:
+        """A database holding the facts of `instance`, and the agenda of the
+        step rows that one round of every step rule in full derives over it.
+        No step rule reads a step row, so that round derives them all."""
+        db = Database(instance_facts(instance))
         agenda = _Agenda(self._bound, self._heads)
-        agenda.add(db.relations)
-        return agenda
+        agenda.add(fire_rules(self._program, range(len(self._heads)), db, None))
+        return db, agenda
 
     def _step(self, agenda: _Agenda, k: int, pair: tuple[str, str]) -> EnforcementStep:
         """The step of the `k`-th rule on `pair`, read off the pair's least
@@ -241,13 +242,15 @@ class ChaseEngine:
 
     def _move(self, layout: _Layout, db: Database, agenda: _Agenda,
               held: tuple, state: tuple) -> None:
-        """Make `db` and `agenda`, which hold the state `held` with its step
-        rows and steps, hold `state` with its own.
+        """Make `db` and `agenda`, which hold the state `held` and its steps,
+        hold `state` and its own.
 
-        The tuples whose values differ lose their old facts and the rows
-        naming them, which the agenda finds, and the rows that `evaluate`
-        derives from their new versions join both.  Tuple identifiers are
-        unique across relations, so a row names a tuple only if it read it.
+        The tuples whose values differ trade their old facts for their new
+        versions, and the agenda drops the rows naming them.  A row names
+        every tuple it read (tuple identifiers are unique across relations),
+        so the rows left read no changed tuple and still hold, and the rows
+        that read a new version are the ones a round reading the new versions
+        as its delta derives.
         """
         tids: set[str] = set()
         new_versions: dict[str, list[tuple[str, ...]]] = {}
@@ -256,11 +259,12 @@ class ChaseEngine:
                 tids.add(tid)
                 db.discard(pred, [(tid, *old)])
                 new_versions.setdefault(pred, []).append((tid, *new))
-        for head, rows in zip(self._heads, agenda.drop(tids)):
-            db.discard(head, rows)
-        added: dict[str, set[tuple[str, ...]]] = {}
-        evaluate(self._program, new_versions, db, added)
-        agenda.add(added)
+        if not tids:
+            return
+        for pred, versions in new_versions.items():
+            db.add(pred, versions)
+        agenda.drop(tids)
+        agenda.add(fire_rules(self._program, range(len(self._heads)), db, Database(new_versions)))
 
     def _successor(self, layout: _Layout, state: tuple, step: EnforcementStep) -> tuple:
         """The state that enforcing `step` leads to from `state`.
@@ -347,10 +351,8 @@ class ChaseEngine:
         check_step_limit(step_limit)
         budget = step_limit
         layout = _Layout(instance)
-        # the state the database holds, with the step rules' rows over it and
-        # the steps of those rows
-        db = evaluate(self._program, instance_facts(instance))
-        agenda = self._agenda(db)
+        # the database holds the state `held`, and the agenda its steps
+        db, agenda = self._start(instance)
         held = layout.vectors
         seen: set[tuple] = set()
         endpoints: dict[tuple, tuple[EnforcementStep, ...]] = {}

@@ -502,10 +502,12 @@ def emit_residual_datalog(
 def evaluate_residual(residual: ResidualProgram, engine) -> Instance:
     """The clean instance over `residual.schema` that the program computes.
 
-    It must be stable under the rules of `engine`, a `chase.ChaseEngine` over
-    the rules the program was emitted from.  A merge the matching function
-    leaves undefined raises `UndefinedMatch`, as the chase does; any other
-    step that still applies raises `NotSci`.
+    A clean relation that keeps two versions of a tuple raises `NotSci`: the
+    rules did not converge on this input.  The instance must also be stable
+    under the rules of `engine`, a `chase.ChaseEngine` over the rules the
+    program was emitted from.  A merge the matching function leaves undefined
+    raises `UndefinedMatch`, as the chase does; any other step that still
+    applies raises `NotSci`.
     """
     model = evaluate(residual.program)
     out: dict[str, dict[str, tuple[str, ...]]] = {}
@@ -514,7 +516,7 @@ def evaluate_residual(residual: ResidualProgram, engine) -> Instance:
         for row in sorted(model.get(_clean_pred(rel_name))):
             tid, vals = row[0], row[1:]
             if rows.setdefault(tid, vals) != vals:
-                raise ValidationError(
+                raise NotSci(
                     f"clean relation {rel_name!r} keeps two versions of {tid!r}; "
                     "the combination was not actually convergent"
                 )

@@ -21,8 +21,10 @@ result argument and has no row where the merge is undefined; everything else
 requires fully bound arguments, so rule bodies must ground them through
 ordinary literals first.
 
-`evaluate` computes a program's model into a `Database`, or adds facts to a
-database that holds one and derives only what reads them.  Bodies are
+`evaluate` computes a program's model into a `Database` from scratch.
+`fire_rules` runs one semi-naive round over a database, in full or reading
+a delta of new facts, and returns the head rows without storing them: a
+caller whose rules read no head keeps those rows itself.  Bodies are
 joined through the database's indexes, each built the first time a scan
 reads it and kept current under `add` and `discard`, so it outlives the
 evaluation that built it: a hash index on the positions a scan shares with
@@ -296,7 +298,7 @@ class Database:
     set of tuples under it: a hash index keys a tuple by its values at the
     positions `key` (the bare value for one position, else their tuple), a
     blocking-key index by each of `keys(value)` of its value at the position
-    `key`.  Empty and absent relations compare equal.
+    `key`.
     """
 
     def __init__(self, facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None):
@@ -314,14 +316,6 @@ class Database:
 
     def get(self, pred: str) -> AbstractSet[tuple[str, ...]]:
         return self._relations.get(pred, _EMPTY)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Database):
-            return NotImplemented
-        return self.relations == other.relations
-
-    def __repr__(self) -> str:
-        return f"Database({self.relations})"
 
     def add(self, pred: str, tuples: Iterable[tuple[str, ...]]) -> set[tuple[str, ...]]:
         """Store `tuples` under `pred`; returns those it did not hold."""
@@ -387,70 +381,50 @@ def _insert(
 def evaluate(
     program: Program,
     facts: Mapping[str, Iterable[tuple[str, ...]]] | None = None,
-    db: Database | None = None,
-    added: dict[str, set[tuple[str, ...]]] | None = None,
 ) -> Database:
     """The minimal model of a stratified program over its own facts and `facts`.
 
-    Without `db`, a new database takes the program's facts and `facts`, and
-    the strata are computed bottom-up, each by semi-naive rounds of which the
-    first runs every rule in full.  `db` must hold such a model already: then
-    `facts` are added to it and only what reads them is derived, by
-    semi-naive rounds that start from the facts `db` did not hold, and `db`
-    is returned.  A program that negates a literal is refused there, since a
-    new fact could take away what reads it negated.  With `added`, every
-    fact the call stores that the database did not hold, given or derived,
-    is also put into `added` under its predicate.
+    A new database takes the program's facts and `facts`, and the strata are
+    computed bottom-up, each by semi-naive rounds of which the first runs
+    every rule of the stratum in full and each later one reads what the round
+    before added (a negated literal never reads its own stratum).
     """
     facts = facts or {}
     for pred in facts:
         if pred in program.builtins:
             raise ValidationError(f"built-in {pred!r} has no facts")
-
-    def store(pred: str, tuples: Iterable[tuple[str, ...]]) -> set[tuple[str, ...]]:
-        new = db.add(pred, tuples)
-        if added is not None and new:
-            added.setdefault(pred, set()).update(new)
-        return new
-
-    if db is None:
-        db = Database()
-        for given in (program.facts, facts):
-            for pred, ts in given.items():
-                store(pred, ts)
-        # per stratum, the rules and a first round that runs them in full
-        passes = [
-            ([i for i, rule in enumerate(program.rules) if rule.head.pred in stratum], None)
-            for stratum in map(set, program.strata)
-        ]
-    else:
-        for rule, lit in ((r, lit) for r in program.rules for lit in r.body if lit.negated):
-            raise ValidationError(f"rule {format_rule_ast(rule)!r} reads {lit.pred!r} under negation")
-        passes = [(range(len(program.rules)), Database({p: store(p, ts) for p, ts in facts.items()}))]
-    # each round reads what the round before added (a negated literal never
-    # reads its own stratum)
-    for rule_indices, delta in passes:
+    db = Database()
+    for given in (program.facts, facts):
+        for pred, ts in given.items():
+            db.add(pred, ts)
+    for stratum in map(set, program.strata):
+        rule_indices = [i for i, rule in enumerate(program.rules) if rule.head.pred in stratum]
+        delta = None
         while delta is None or delta.relations:
-            fresh = _fire_rules(program, rule_indices, db, delta)
-            delta = Database()
-            for pred, ts in fresh.items():
-                delta.add(pred, store(pred, ts))
+            fresh = fire_rules(program, rule_indices, db, delta)
+            delta = Database({pred: db.add(pred, ts) for pred, ts in fresh.items()})
     return db
 
 
-def _fire_rules(
+def fire_rules(
     program: Program,
     rule_indices: Iterable[int],
     db: Database,
     delta: Database | None,
 ) -> dict[str, set[tuple[str, ...]]]:
-    """The head rows of the rules at `rule_indices` over the relations of `db`.
+    """One round: the head rows of the rules at `rule_indices` over the
+    relations of `db`, which it does not change.
 
     With `delta` None every rule runs in full.  Otherwise each rule runs one
     variant per body literal whose relation `delta` holds, reading that
-    literal from `delta` and the others from `db`, so only rows that read a
-    fact of `delta` come out.
+    literal from `delta` and the others from `db`, so exactly the rows that
+    read a fact of `delta` come out when `db` already holds `delta`.  A
+    built-in has no facts, in `delta` as in `evaluate`'s `facts`.
     """
+    if delta is not None:
+        for pred in delta.relations:
+            if pred in program.builtins:
+                raise ValidationError(f"built-in {pred!r} has no facts")
     fresh: dict[str, set[tuple[str, ...]]] = {}
     for i in rule_indices:
         rule = program.rules[i]

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from mdclean import model
-from mdclean.chase import ChaseEngine, EnforcementStep, rule_priority
-from mdclean.datalog import evaluate
+from mdclean import chase, model
+from mdclean.chase import ChaseEngine, EnforcementStep, _Agenda, rule_priority
+from mdclean.datalog import evaluate, fire_rules
 from mdclean.errors import (
     StepLimitExceeded,
     StepNotApplicable,
@@ -411,10 +411,10 @@ def test_step_json_shape():
 
 class AgendaOracle(ChaseEngine):
     """Checks the chase's database and agenda at every state it visits: the
-    database's `rel_*` relations are exactly that state's tuples, so no old
-    version is left, its other relations are step rule heads, and its step
-    rows are those of the step rules evaluated over the state from scratch;
-    the agenda is the one built from that evaluation, and so are its steps."""
+    database holds exactly that state's `rel_*` facts, so no old version and
+    no step row is in it, and the agenda is the one built from the step
+    rules' rows in the model `evaluate` computes over the state from
+    scratch, and so are its steps."""
 
     visited = 0
 
@@ -422,11 +422,10 @@ class AgendaOracle(ChaseEngine):
         super()._move(layout, db, agenda, held, state)
         instance = layout.instance(state)
         facts = {pred: set(ts) for pred, ts in instance_facts(instance).items() if ts}
-        assert {pred: db.get(pred) for pred in facts} == facts
-        assert db.relations.keys() - facts.keys() <= set(self._heads)
-        scratch = evaluate(self._program, facts)
-        assert db == scratch
-        assert vars(agenda) == vars(self._agenda(scratch))
+        assert db.relations == facts
+        scratch = _Agenda(self._bound, self._heads)
+        scratch.add(evaluate(self._program, facts).relations)
+        assert vars(agenda) == vars(scratch)
         assert self._listed(agenda) == self.applicable_steps(instance)
         self.visited += 1
 
@@ -624,10 +623,9 @@ def test_similarity_partners_are_reached_through_blocking_keys(monkeypatch):
     assert probes[0] < 8000
 
 
-def test_chase_one_merges_only_the_steps_it_follows():
-    # 16 tuples in 4 blocks of equal keys whose B values are single tokens
-    # of 10, merged by token-union: each state has up to 24 steps, and
-    # building all of them merged every pair of every state
+def token_union():
+    """16 tuples in 4 blocks of equal keys whose B values are single tokens
+    of 10, merged by token-union: each state has up to 24 steps."""
     schema = Schema.parse("R(A: grp, B: toks)")
     mf = MatchingFunction(builtins={"toks": "token-union"})
     md = "md union: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~grp~ x2 -> y1 := y2;"
@@ -635,7 +633,12 @@ def test_chase_one_merges_only_the_steps_it_follows():
     sim = SimilarityRelation(builtins={"grp": "exact-equality"})
     rows = {f"t{j:03d}": (f"k{j % 4}", f"w{j % 10}") for j in range(16)}
     instance = Instance(schema, {"R": rows})
-    smf = mf.saturate(collect_active_values(instance, sim))
+    return rows, instance, rules, sim, mf.saturate(collect_active_values(instance, sim))
+
+
+def test_chase_one_merges_only_the_steps_it_follows():
+    # building all of a state's steps merged every pair of every state
+    rows, instance, rules, sim, smf = token_union()
     merge, order, values = smf.domain("toks")
     merges = [0]
 
@@ -653,3 +656,18 @@ def test_chase_one_merges_only_the_steps_it_follows():
     assert by_tid(result.instances[0]) == {
         tid: (key, " ".join(sorted(union[key]))) for tid, (key, _) in rows.items()
     }
+
+
+def test_chase_one_runs_one_round_per_step_it_follows_plus_one(monkeypatch):
+    # one round in full at the start, then one per move reading only the
+    # moved tuples' new versions
+    rounds = [0]
+
+    def counted(*args):
+        rounds[0] += 1
+        return fire_rules(*args)
+
+    monkeypatch.setattr(chase, "fire_rules", counted)
+    _, instance, rules, sim, smf = token_union()
+    (sequence,) = ChaseEngine(rules, sim, smf).chase_one(instance).sequences
+    assert rounds[0] == len(sequence) + 1 > 9

@@ -300,6 +300,30 @@ def test_chase_one_needs_only_the_merges_its_order_makes(tmp_path, capsys):
     assert err.startswith("error: UndefinedMatch: ") and err.endswith("('b1', 'b2')\n")
 
 
+def test_solve_and_answer_refuse_two_versions_of_a_tuple_as_not_convergent(tmp_path, capsys):
+    # the classifier answers non-interacting, but t1 merges with t2 and with
+    # t3 into b12 and b13, which never merge: the residual keeps both versions
+    args = write_setting(
+        tmp_path,
+        "R(A: doma, B: domb)\n",
+        {"R": "tid,A,B\nt1,a,b1\nt2,a,b2\nt3,a,b3\n"},
+        "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;\n",
+        "",
+        "domb: m(b1, b2) = b12\ndomb: m(b1, b3) = b13\ndomb: m(b2, b3) = b23\n",
+    )
+    code, out, _ = run(capsys, ["classify", *args])
+    assert (code, json.loads(out)["verdict"]) == (0, "non-interacting")
+    query = tmp_path / "queries.txt"
+    query.write_text("q_b(Y) :- R(T, X, Y).\n")
+    for command in (["solve"], ["answer", "--query", str(query)]):
+        code, out, err = run(capsys, [*command, *args])
+        assert (code, out) == (2, ""), command
+        assert err == (
+            "error: NotSci: clean relation 'R' keeps two versions of 't1'; "
+            "the combination was not actually convergent\n"
+        )
+
+
 def test_a_tuple_identifier_repeated_within_a_relation_is_refused(tmp_path, capsys):
     rows = [{"tid": "t1", "A": "a1", "B": "b1"}, {"tid": "t1", "A": "a1", "B": "b3"}]
     (tmp_path / "instance.json").write_text(json.dumps({"R": rows}))

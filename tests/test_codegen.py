@@ -371,7 +371,7 @@ def test_evaluate_residual_detects_incomparable_versions():
             mf_table={"domb": [("b1", "b2", "b12"), ("b1", "b4", "b14")]},
         )
 
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(NotSci) as err:
         clean_of(gapped)
     assert "two versions" in str(err.value)
 

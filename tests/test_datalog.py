@@ -17,6 +17,7 @@ from mdclean.datalog import (
     Rule,
     Var,
     evaluate,
+    fire_rules,
     format_rule_ast,
     parse_asp,
     parse_program,
@@ -663,35 +664,41 @@ def test_the_step_rule_reaches_the_second_leading_tuple_through_blocking_keys():
     assert scan_kinds(plan) == ["full", "keys", "keys", "hash"]
 
 
-# -- a database that outlives an evaluation ----------------------------------
+# -- one round over a database that holds only facts ------------------------
 
 
 EDB = ("e0", "e1")
 
 
-def positive(rules):
-    """The rules with their negated literals left out, which keeps them safe."""
-    return [Rule(rule.heads, tuple(lit for lit in rule.body if not lit.negated)) for rule in rules]
+def reading_no_head(rules):
+    """The rules with their negated literals left out, which keeps them safe,
+    less those that read a head of the rules: what is left is positive and
+    no rule of it reads a row another derives, as the chase's step rules."""
+    rules = [Rule(rule.heads, tuple(lit for lit in rule.body if not lit.negated)) for rule in rules]
+    heads = {rule.head.pred for rule in rules}
+    return [rule for rule in rules if heads.isdisjoint(lit.pred for lit in rule.body)]
 
 
 def union(*parts):
     out = {}
     for part in parts:
         for pred, ts in part.items():
-            out.setdefault(pred, set()).update(ts)
+            if ts:
+                out.setdefault(pred, set()).update(ts)
     return out
 
 
-def test_adding_facts_to_a_model_gives_the_model_of_all_the_facts():
-    # recursive rules and new facts of derived predicates included
-    recursive = 0
+def test_a_round_over_new_facts_adds_what_they_derive_to_a_round_over_the_old():
+    # new facts of head predicates included, which no rule reads
+    grown_rounds = 0
     for (sim, smf), token_values in ((chain_env(), None), (token_env(), TOKEN_VALUES)):
         for seed in range(200):
             rng = random.Random(5000 + seed)
             with_builtins = seed % 2 == 1
             rules, facts = random_program(rng, with_builtins=with_builtins, token_values=token_values)
-            rules = positive(rules)
-            recursive += any(lit.pred == rule.head.pred for rule in rules for lit in rule.body)
+            rules = reading_no_head(rules)
+            if not rules:
+                continue
             if token_values is not None:
                 consts = token_values
             else:
@@ -705,24 +712,26 @@ def test_adding_facts_to_a_model_gives_the_model_of_all_the_facts():
             for pred in rng.sample(sorted(arity), 2):
                 new.setdefault(pred, set()).add(tuple(rng.choice(consts) for _ in range(arity[pred])))
             program = Program(rules, value_builtins(VALUE_USES, sim, smf))
-            # what a call reports it added is the database after it less the one before
-            added = {}
-            model = evaluate(program, kept, added=added)
-            assert added == model.relations, f"seed {seed}"
-            before = {pred: set(ts) for pred, ts in model.relations.items()}
-            added = {}
-            grown = evaluate(program, new, model, added)
-            after = {pred: ts - before.get(pred, set()) for pred, ts in grown.relations.items()}
-            assert added == {pred: ts for pred, ts in after.items() if ts}, f"seed {seed}"
-            assert grown == evaluate(program, union(kept, new)), f"seed {seed}"
-            assert grown.relations == naive_evaluate(rules, union(kept, new), sim, smf), f"seed {seed}"
-    assert recursive > 100
+            every = range(len(rules))
+            everything = union(kept, new)
+            full = fire_rules(program, every, Database(everything), None)
+            # no rule reads a head, so the model is the facts and one round
+            assert union(everything, full) == naive_evaluate(rules, everything, sim, smf), f"seed {seed}"
+            db = Database(kept)
+            old = fire_rules(program, every, db, None)
+            delta = Database({pred: db.add(pred, ts) for pred, ts in new.items()})
+            grown = fire_rules(program, every, db, delta)
+            assert db.relations == everything, f"seed {seed}"
+            assert union(old, grown) == full, f"seed {seed}"
+            grown_rounds += any(ts - old.get(pred, set()) for pred, ts in grown.items())
+    assert grown_rounds > 100
 
 
-def test_delta_rows_maintain_rows_that_name_their_facts():
+def test_a_round_over_new_versions_restores_the_rows_that_named_the_old():
     # every fact has its own identifier and every head names the identifiers
     # of the facts it read, as the chase's step rows do: then the rows that
-    # read a changed fact are the ones naming it
+    # read a changed fact are the ones naming it, and the database holds only
+    # the facts while the rows are kept apart, as the chase's agenda keeps them
     sim, smf = chain_env()
     values = ["b1", "b2", "b3", "b12"]
     changed_rows = 0
@@ -744,12 +753,13 @@ def test_delta_rows_maintain_rows_that_name_their_facts():
                 body.append(Literal("sim_domb", tuple(rng.sample(bound, 2))))
             rules.append(Rule((Literal(f"h{k}", tuple(ids)),), tuple(body)))
         program = Program(rules, value_builtins(VALUE_USES, sim, smf))
+        every = range(len(rules))
         facts = {"e0": set(), "e1": set()}
         for n in range(rng.randint(2, 8)):
             pred = rng.choice(EDB)
             facts[pred].add((f"id{n}", *(rng.choice(values) for _ in range(1 if pred == "e0" else 2))))
-        db = evaluate(program, facts)
-        before = {rule.head.pred: set(db.get(rule.head.pred)) for rule in rules}
+        db = Database(facts)
+        before = fire_rules(program, every, db, None)
         # rewrite the values of one or two facts, keeping their identifiers
         changed = rng.sample(sorted((pred, t) for pred, ts in facts.items() for t in ts), rng.randint(1, 2))
         names = {t[0] for _, t in changed}
@@ -760,30 +770,26 @@ def test_delta_rows_maintain_rows_that_name_their_facts():
             fresh = (t[0], *(rng.choice(values) for _ in t[1:]))
             facts[pred].add(fresh)
             new.setdefault(pred, set()).add(fresh)
-        for rule in rules:
-            head = rule.head.pred
-            db.discard(head, [row for row in db.get(head) if not names.isdisjoint(row)])
-        evaluate(program, new, db)
-        assert db == evaluate(program, facts), f"seed {seed}"
-        changed_rows += any(db.get(head) != rows for head, rows in before.items())
+        for pred, ts in new.items():
+            db.add(pred, ts)
+        kept = {head: {row for row in rows if names.isdisjoint(row)} for head, rows in before.items()}
+        rows = union(kept, fire_rules(program, every, db, Database(new)))
+        assert db.relations == union(facts), f"seed {seed}"
+        assert rows == fire_rules(program, every, Database(facts), None), f"seed {seed}"
+        assert union(facts, rows) == evaluate(program, facts).relations, f"seed {seed}"
+        changed_rows += rows != before
     assert changed_rows > 30
 
 
-def test_adding_facts_refuses_a_program_that_negates():
-    program = parse_program("p(X) :- e(X, Y), not f(Y).")
-    db = evaluate(program, {"e": {("a", "b")}})
-    with pytest.raises(ValidationError) as info:
-        evaluate(program, {"e": {("b", "c")}}, db)
-    assert str(info.value) == "rule 'p(X) :- e(X, Y), not f(Y).' reads 'f' under negation"
-
-
-def test_delta_rows_refuse_a_builtin_delta():
+def test_evaluate_and_a_round_refuse_facts_of_a_builtin():
     sim, smf = chain_env()
     program = parse_program("p(X) :- e(X, Y), sim_domb(X, Y).", value_builtins(VALUE_USES, sim, smf))
-    for db in (None, evaluate(program)):
-        with pytest.raises(ValidationError, match="built-in 'sim_domb' has no facts"):
-            evaluate(program, {"sim_domb": {("b1", "b2")}}, db)
-    assert evaluate(program, {"e": {("b1", "b2")}}, evaluate(program)).get("p") == {("b1",)}
+    with pytest.raises(ValidationError, match="built-in 'sim_domb' has no facts"):
+        evaluate(program, {"sim_domb": {("b1", "b2")}})
+    db = Database({"e": {("b1", "b2")}})
+    with pytest.raises(ValidationError, match="built-in 'sim_domb' has no facts"):
+        fire_rules(program, [0], db, Database({"sim_domb": {("b1", "b2")}}))
+    assert fire_rules(program, [0], db, Database({"e": {("b1", "b2")}})) == {"p": {("b1",)}}
 
 
 def index_from_scratch(tuples, key, keys):

@@ -1,6 +1,7 @@
-"""No module of the package imports a name that it never references, every
-public function or method it defines is named outside its definition, and
-none takes both a `schema` and an `instance`: the instance carries its schema.
+"""No module of the package imports a name that it never references or a
+`_`-prefixed name of another module, every public function or method it
+defines is named outside its definition, and none takes both a `schema` and
+an `instance`: the instance carries its schema.
 Every module of the package and of the tests parses as Python 3.10, the
 oldest version `pyproject.toml` admits.
 
@@ -69,6 +70,35 @@ def test_the_check_sees_an_unused_import():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Iterator"]
+
+
+def private_imports(source: str) -> list[str]:
+    """The `_`-prefixed names that `source` imports from other modules, in
+    import order: a module's private names are its own."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_a_private_name_of_another(module):
+    assert private_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, _thread\n"
+        "from .datalog import Database, _fire\n"
+        "from .model import _Plan as Plan\n"
+        "def f():\n"
+        "    from .chase import _Agenda\n"
+    )
+    assert private_imports(source) == ["_fire", "_Plan", "_Agenda"]
 
 
 def unnamed_functions(sources: list[str], texts: list[str]) -> list[str]:
