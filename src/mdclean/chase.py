@@ -19,7 +19,7 @@ each stable endpoint.
 
 The exploration keeps one `datalog.Database` holding only the tuples of the
 state it visits, and one `_Agenda`, the only store of the step rules' rows
-over it: per rule, each pair's rows with the least of them cached, and per
+over it: per rule, each pair's rows, whose least gives the step, and per
 tuple identifier the rows that name it.  No step rule reads a step row, so
 one round of `datalog.fire_rules` derives every row: a full round at the
 start (as `applicable_steps` runs it), and then one per move.  Moving to
@@ -136,20 +136,18 @@ class _Agenda:
     """The steps of the state a chase's database holds, by rule.
 
     `rows[k]` maps each pair of leading identifiers of the `k`-th rule to its
-    step rows, and `least[k]` maps the pair to the least of them, whose
-    context is the step's witness.  For a rule whose two orientations write
-    the same cells (`BoundMD.symmetric_write`) the pair is sorted, so both
-    orientations are one step; otherwise each ordered pair is its own.
-    `naming` maps each tuple identifier to the (rule index, pair, row)
-    entries whose rows name it, so the rows a rewrite takes away are found
-    without a scan.
+    step rows; the least of them, read when the step is, has the step's
+    witness as its context.  For a rule whose two orientations write the same
+    cells (`BoundMD.symmetric_write`) the pair is sorted, so both orientations
+    are one step; otherwise each ordered pair is its own.  `naming` maps each
+    tuple identifier to the (rule index, pair, row) entries whose rows name
+    it, so the rows a rewrite takes away are found without a scan.
     """
 
     def __init__(self, rules: list[BoundMD], heads: list[str]):
         self.heads = heads
         self.symmetric = [rule.symmetric_write() for rule in rules]
         self.rows: list[dict[tuple[str, str], set[tuple[str, ...]]]] = [{} for _ in rules]
-        self.least: list[dict[tuple[str, str], tuple[str, ...]]] = [{} for _ in rules]
         self.naming: dict[str, set[tuple[int, tuple[str, str], tuple[str, ...]]]] = {}
 
     def add(self, relations: Mapping[str, Iterable[tuple[str, ...]]]) -> None:
@@ -157,17 +155,10 @@ class _Agenda:
         each must be new."""
         naming = self.naming
         for k, (head, symmetric) in enumerate(zip(self.heads, self.symmetric)):
-            rows, least = self.rows[k], self.least[k]
+            rows = self.rows[k]
             for row in relations.get(head, ()):
                 pair = (row[1], row[0]) if symmetric and row[1] < row[0] else (row[0], row[1])
-                held = rows.get(pair)
-                if held is None:
-                    rows[pair] = {row}
-                    least[pair] = row
-                else:
-                    held.add(row)
-                    if row < least[pair]:
-                        least[pair] = row
+                rows.setdefault(pair, set()).add(row)
                 entry = (k, pair, row)
                 for tid in row[:-2]:
                     named = naming.get(tid)
@@ -191,9 +182,7 @@ class _Agenda:
             held = self.rows[k][pair]
             held.discard(row)
             if not held:
-                del self.rows[k][pair], self.least[k][pair]
-            elif self.least[k][pair] == row:
-                self.least[k][pair] = min(held)
+                del self.rows[k][pair]
 
 
 class ChaseEngine:
@@ -228,7 +217,7 @@ class ChaseEngine:
         row.  A merge the matching function leaves undefined is listed with
         `new_value` None and refused only when enforced."""
         bound = self._bound[k]
-        row = agenda.least[k][pair]
+        row = min(agenda.rows[k][pair])
         old = (row[-2], row[-1]) if pair[0] == row[0] else (row[-1], row[-2])
         merged = self.smf.try_match(bound.rhs_domain, *old)
         return EnforcementStep(bound.md.name, pair, row[2:-2], old, merged)
@@ -237,7 +226,7 @@ class ChaseEngine:
         """Every step of `agenda`, sorted by rule order then leading tuples."""
         return [
             self._step(agenda, k, pair)
-            for k, least in enumerate(agenda.least) for pair in sorted(least)
+            for k, rows in enumerate(agenda.rows) for pair in sorted(rows)
         ]
 
     def _move(self, layout: _Layout, db: Database, agenda: _Agenda,
@@ -331,8 +320,8 @@ class ChaseEngine:
         def least(agenda: _Agenda) -> list[EnforcementStep]:
             # the least pair of the first rule in priority order that has one
             for k in order:
-                if agenda.least[k]:
-                    return [self._step(agenda, k, min(agenda.least[k]))]
+                if agenda.rows[k]:
+                    return [self._step(agenda, k, min(agenda.rows[k]))]
             return []
 
         return self._explore(instance, step_limit, least)

@@ -1,8 +1,9 @@
 """Command-line front end: load the inputs, run one command, write one output.
 
-Exit codes: 0 success, 1 malformed input (syntax or structural validation),
-2 semantic refusal at run time (diverging rule set, undefined merge, limits),
-3 I/O failure.  Outputs depend only on the inputs and --seed, byte for byte.
+Exit codes: 0 success, 1 malformed input (syntax or structural validation,
+or a command line that does not parse), 2 semantic refusal at run time
+(diverging rule set, undefined merge, limits), 3 I/O failure.  Outputs
+depend only on the inputs and --seed, byte for byte.
 """
 
 from __future__ import annotations
@@ -107,9 +108,7 @@ class Inputs:
 
 
 def _instance_lines(instance: Instance) -> list[str]:
-    return [
-        f"{rel}({tid}, {', '.join(vals)})" for rel, tid, vals in instance.iter_tuples()
-    ]
+    return [f"{rel}({', '.join((tid, *vals))})" for rel, tid, vals in instance.iter_tuples()]
 
 
 def _json_text(payload) -> str:
@@ -350,7 +349,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a command line it refuses, after printing the
+        # usage; that is malformed input here, and 2 a semantic refusal
+        return 1 if exc.code == 2 else exc.code
     try:
         text = args.run(args)
         if args.out is not None:

@@ -13,14 +13,14 @@ the rule set converges to one clean instance, the residual form drops the
 disjunction, the `prec` machinery, and all constraints, leaving stratified
 Datalog that computes that instance bottom-up.
 
-Both programs are built as rule ASTs, kept in one ordered list of statements
-tagged with their block; each is a `datalog.Rule`, a fact being a rule with no
-body.  The similarity, merge, and order relations (`sim_<dom>`, `mf_<dom>`,
+Both programs are built as rule ASTs, kept as numbered blocks of
+`datalog.Rule`s filled in block order, a fact being a rule with no body.  The
+similarity, merge, and order relations (`sim_<dom>`, `mf_<dom>`,
 `pre_<dom>`) are built-ins of `datalog.value_builtins`: the residual's
 `Program`, built from its version facts and rules, evaluates them as such,
 and the text renders each as a table of ground facts over its domain's
 values, so a program is self-contained.  Text is rendered from
-the statements through `datalog.format_rule_ast` only for output and never
+the blocks through `datalog.format_rule_ast` only for output and never
 parsed back.  Matchings are reified as `mt(...)` terms holding the two tuple
 versions, which keeps `prec` binary even when rules range over relations of
 different arities.
@@ -76,46 +76,40 @@ RESIDUAL_TITLES = {
 }
 
 
-@dataclass(frozen=True)
-class AspStatement:
-    """One statement of a generated program."""
-
-    block: int
-    kind: str
-    ast: Rule
-
-    @property
-    def text(self) -> str:
-        return format_rule_ast(self.ast)
-
-
-def _render(statements, titles: dict[int, str]) -> str:
+def _render(blocks: dict[int, list[Rule]], titles: dict[int, str]) -> str:
     """One section per block of `titles`, in block order: its `% <block>.
-    <title>` header, then its statements in their order."""
-    sections = {block: [f"% {block}. {title}"] for block, title in sorted(titles.items())}
-    for st in statements:
-        sections[st.block].append(st.text)
-    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
+    <title>` header, then the block's rules in their order."""
+    sections = (
+        [f"% {block}. {title}", *map(format_rule_ast, blocks[block])]
+        for block, title in sorted(titles.items())
+    )
+    return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
 
 
 @dataclass(frozen=True)
 class AspText:
-    statements: tuple[AspStatement, ...]
+    # the rules of each block, in block order; the text heads only those that hold one
+    blocks: dict[int, list[Rule]]
+
+    @property
+    def statements(self) -> list[Rule]:
+        """The program's rules in the order the text writes them."""
+        return [rule for rules in self.blocks.values() for rule in rules]
 
     def text(self) -> str:
-        titles = {st.block: BLOCK_TITLES[st.block] for st in self.statements}
-        return _render(self.statements, titles)
+        titles = {block: BLOCK_TITLES[block] for block, rules in self.blocks.items() if rules}
+        return _render(self.blocks, titles)
 
 
 @dataclass(frozen=True)
 class ResidualProgram:
     program: Program
     schema: Schema
-    # the text's statements, built when called: evaluation needs no value table
-    statements: Callable[[], list[AspStatement]]
+    # the text's blocks, built when called: evaluation needs no value table
+    blocks: Callable[[], dict[int, list[Rule]]]
 
     def text(self) -> str:
-        return _render(self.statements(), RESIDUAL_TITLES)
+        return _render(self.blocks(), RESIDUAL_TITLES)
 
 
 # ---------------------------------------------------------------------------
@@ -189,64 +183,67 @@ def _written_positions(rules: list[BoundMD]) -> dict[str, set[int]]:
 # shared pieces
 
 
-def _insertion_rules(rule: BoundMD, relation_pred) -> list[AspStatement]:
-    """One head per leading atom, writing the merged value over the match."""
-    md, dom = rule.md, rule.rhs_domain
-    taken = {var_name(v) for v in md.variables()}
-    merged = _fresh("Mv", taken)
-    body = (
-        _lit(f"match_{_pred(md.name)}", _match_args(rule)),
-        _lit(value_pred("mf", dom), [var_name(md.rhs_left), var_name(md.rhs_right), merged]),
-    )
-    rules = []
-    for atom, pos in zip(rule.lead, rule.rhs):
-        head_args = _lead_args(atom)
-        head_args[1 + pos] = merged
-        head = _lit(relation_pred(atom.relation), head_args)
-        rules.append(AspStatement(3, "insertion", Rule((head,), body)))
-    return rules
+def _insertion_rules(rules: list[BoundMD], relation_pred) -> list[Rule]:
+    """Block 3: per rule, one head per leading atom, writing the merged value
+    over the match."""
+    out = []
+    for rule in rules:
+        md, dom = rule.md, rule.rhs_domain
+        taken = {var_name(v) for v in md.variables()}
+        merged = _fresh("Mv", taken)
+        body = (
+            _lit(f"match_{_pred(md.name)}", _match_args(rule)),
+            _lit(value_pred("mf", dom), [var_name(md.rhs_left), var_name(md.rhs_right), merged]),
+        )
+        for atom, pos in zip(rule.lead, rule.rhs):
+            head_args = _lead_args(atom)
+            head_args[1 + pos] = merged
+            out.append(Rule((_lit(relation_pred(atom.relation), head_args),), body))
+    return out
 
 
 def _oldversion_rules(
-    rel_name: str,
     schema: Schema,
     smf: SaturatedMatchingFunction,
-    written: set[int],
+    written: dict[str, set[int]],
     relation_pred,
-) -> list[AspStatement]:
-    """Superseded-version rules, one per position a rule can write.
+) -> list[Rule]:
+    """Superseded-version rules, per written relation one per position a rule
+    can write.
 
     The version order compares attribute-wise: positions whose domain has a
     matching function get a `pre_<dom>` literal, the rest share one variable
     (their order is equality).  Versions of a tuple can only differ at
     written positions, so the tuple-inequality guard splits over those.
     """
-    rel = schema.relation(rel_name)
-    tid, *first = _tuple_vars(rel)
-    taken = {tid, *first}
-    second = [
-        _fresh(v + "q", taken) if smf.has_mf(dom) else v for v, dom in zip(first, rel.domains)
-    ]
-    pred = relation_pred(rel_name)
-    body = [_lit(pred, [tid, *first]), _lit(pred, [tid, *second])]
-    for i, dom in enumerate(rel.domains):
-        if smf.has_mf(dom):
-            body.append(_lit(value_pred("pre", dom), [first[i], second[i]]))
-    head = _lit(_oldversion_pred(rel_name), [tid, *first])
-    return [
-        AspStatement(2, "oldversion", Rule((head,), (*body, _neq(first[pos], second[pos]))))
-        for pos in sorted(written)
-    ]
+    out = []
+    for rel_name in sorted(written):
+        rel = schema.relation(rel_name)
+        tid, *first = _tuple_vars(rel)
+        taken = {tid, *first}
+        second = [
+            _fresh(v + "q", taken) if smf.has_mf(dom) else v for v, dom in zip(first, rel.domains)
+        ]
+        pred = relation_pred(rel_name)
+        body = [_lit(pred, [tid, *first]), _lit(pred, [tid, *second])]
+        for i, dom in enumerate(rel.domains):
+            if smf.has_mf(dom):
+                body.append(_lit(value_pred("pre", dom), [first[i], second[i]]))
+        head = _lit(_oldversion_pred(rel_name), [tid, *first])
+        out += [
+            Rule((head,), (*body, _neq(first[pos], second[pos])))
+            for pos in sorted(written[rel_name])
+        ]
+    return out
 
 
-def _version_facts(instance: Instance, relation_pred) -> list[AspStatement]:
+def _version_facts(instance: Instance, relation_pred) -> list[Rule]:
     """Block 1: one fact per input tuple."""
     out = []
     for rel_name in instance.schema.relation_names():
         pred = relation_pred(rel_name)
         rows = instance.tuples[rel_name]
-        for tid in sorted(rows):
-            out.append(AspStatement(1, "version-fact", Rule((Literal(pred, (tid, *rows[tid])),))))
+        out += [Rule((Literal(pred, (tid, *rows[tid])),)) for tid in sorted(rows)]
     return out
 
 
@@ -282,7 +279,7 @@ def _value_tables(
     builtins: dict[str, Builtin],
     smf: SaturatedMatchingFunction,
     active: dict[str, set[str]],
-) -> list[AspStatement]:
+) -> list[Rule]:
     """Block 1's value tables: each used built-in over its domain's values."""
     out = []
     for kind, dom in uses:
@@ -293,9 +290,7 @@ def _value_tables(
             rows = [(a, b) for a in universe for b in universe if fn(a, b)]
         else:
             rows = [(a, b, c) for a in universe for b in universe if (c := fn(a, b)) is not None]
-        out.extend(
-            AspStatement(1, f"{kind}-fact", Rule((Literal(builtin.name, row),))) for row in rows
-        )
+        out += [Rule((Literal(builtin.name, row),)) for row in rows]
     return out
 
 
@@ -326,7 +321,7 @@ def _check_predicates(
             raise ValidationError(f"{other} and {role} share predicate {pred!r}")
 
 
-def _collect_rules(schema: Schema, written, relation_pred) -> list[AspStatement]:
+def _collect_rules(schema: Schema, written, relation_pred) -> list[Rule]:
     """Block 7: the clean relations, read off versions no merge superseded."""
     out = []
     for rel_name in schema.relation_names():
@@ -335,7 +330,7 @@ def _collect_rules(schema: Schema, written, relation_pred) -> list[AspStatement]
         if rel_name in written:
             body.append(_lit(_oldversion_pred(rel_name), args, negated=True))
         head = _lit(_clean_pred(rel_name), args)
-        out.append(AspStatement(7, "collect", Rule((head,), tuple(body))))
+        out.append(Rule((head,), tuple(body)))
     return out
 
 
@@ -356,38 +351,36 @@ def emit_general_asp(
     active = collect_active_values(instance, sim)
     uses = _value_uses(rules, schema, smf, sorted(written), active)
     _check_predicates(schema, rules, written, uses, _version_pred, general=True)
-    statements = _version_facts(instance, _version_pred)
-    statements += _value_tables(uses, value_builtins(uses, sim, smf), smf, active)
+    facts = _version_facts(instance, _version_pred)
+    facts += _value_tables(uses, value_builtins(uses, sim, smf), smf, active)
 
+    choices, vetoes = [], []
     for rule in rules:
         name = _pred(rule.md.name)
         args = _match_args(rule)
         heads = (_lit(f"match_{name}", args), _lit(f"notmatch_{name}", args))
-        body = tuple(md_body(rule, _version_pred))
-        statements.append(AspStatement(2, "disjunctive", Rule(heads, body)))
-    for rel_name in sorted(written):
-        statements.extend(
-            _oldversion_rules(rel_name, schema, smf, written[rel_name], _version_pred)
-        )
-    for rule in rules:
-        body = [_lit(f"notmatch_{_pred(rule.md.name)}", _match_args(rule))]
+        choices.append(Rule(heads, tuple(md_body(rule, _version_pred))))
+        veto = [_lit(f"notmatch_{name}", args)]
         for atom in rule.lead:
-            body.append(_lit(_oldversion_pred(atom.relation), _lead_args(atom), negated=True))
-        statements.append(AspStatement(2, "notmatch-constraint", Rule((), tuple(body))))
+            veto.append(_lit(_oldversion_pred(atom.relation), _lead_args(atom), negated=True))
+        vetoes.append(Rule((), tuple(veto)))
 
-    for rule in rules:
-        statements.extend(_insertion_rules(rule, _version_pred))
-
-    statements.extend(_prec_recording(rules, schema, smf, written))
+    newer, shared = _prec_recording(rules, schema, smf, written)
+    order = []
     if rules:
         antisymmetry = (_lit("prec", ["M1", "M2"]), _lit("prec", ["M2", "M1"]), _neq("M1", "M2"))
-        statements.append(AspStatement(6, "prec-antisymmetry", Rule((), antisymmetry)))
         closure = (_lit("prec", ["M1", "M2"]), _lit("prec", ["M2", "M3"]))
-        transitivity = Rule((_lit("prec", ["M1", "M3"]),), closure)
-        statements.append(AspStatement(6, "prec-transitivity", transitivity))
+        order = [Rule((), antisymmetry), Rule((_lit("prec", ["M1", "M3"]),), closure)]
 
-    statements.extend(_collect_rules(schema, written, _version_pred))
-    return AspText(tuple(sorted(statements, key=lambda st: st.block)))
+    return AspText({
+        1: facts,
+        2: [*choices, *_oldversion_rules(schema, smf, written, _version_pred), *vetoes],
+        3: _insertion_rules(rules, _version_pred),
+        4: newer,
+        5: shared,
+        6: order,
+        7: _collect_rules(schema, written, _version_pred),
+    })
 
 
 def _ordered_pair(rj: BoundMD, rk: BoundMD, lead_j: MDAtom, lead_k: MDAtom, shared):
@@ -416,7 +409,7 @@ def _prec_recording(
     schema: Schema,
     smf: SaturatedMatchingFunction,
     written: dict[str, set[int]],
-) -> list[AspStatement]:
+) -> tuple[list[Rule], list[Rule]]:
     """Blocks 4 and 5: order every two matchings touching a common tuple.
 
     Each ordered rule pair yields up to four positional variants, one per
@@ -427,7 +420,7 @@ def _prec_recording(
     changes the tuple goes last).  Block 6 closes these pairs transitively,
     which orders matchings that share no tuple.
     """
-    out = []
+    newer, shared_version = [], []
     for rj, rk in product(rules, rules):
         for lead_j, (ip, lead_k) in product(rj.lead, enumerate(rk.lead)):
             if lead_j.relation != lead_k.relation:
@@ -440,8 +433,7 @@ def _prec_recording(
             pairs = [(var_name(vj), ren[vk]) for vj, vk in names]
             pre = [_lit(value_pred("pre", doms[pos]), pairs[pos]) for pos in ordered]
             for pos in sorted(written[lead_j.relation]):
-                rule = Rule((head,), (*matches, *pre, _neq(*pairs[pos])))
-                out.append(AspStatement(4, "prec-newer-version", rule))
+                newer.append(Rule((head,), (*matches, *pre, _neq(*pairs[pos]))))
 
             ren, taken, matches, head = _ordered_pair(rj, rk, lead_j, lead_k, range(len(doms)))
             merged = _fresh("Mv", taken)
@@ -452,8 +444,8 @@ def _prec_recording(
                 _lit(value_pred("mf", rk.rhs_domain), [shared, other, merged]),
                 _neq(shared, merged),
             )
-            out.append(AspStatement(5, "prec-shared-version", Rule((head,), body)))
-    return out
+            shared_version.append(Rule((head,), body))
+    return newer, shared_version
 
 
 # ---------------------------------------------------------------------------
@@ -479,24 +471,22 @@ def emit_residual_datalog(
     uses = _value_uses(rules, schema, smf, sorted(written), active)
     _check_predicates(schema, rules, written, uses, _pred, general=False)
     version_facts = _version_facts(instance, _pred)
-    derived = []
+    matches = []
     for rule in rules:
         head = _lit(f"match_{_pred(rule.md.name)}", _match_args(rule))
-        body = tuple(md_body(rule, _pred))
-        derived.append(AspStatement(2, "match", Rule((head,), body)))
-    for rel_name in sorted(written):
-        derived.extend(_oldversion_rules(rel_name, schema, smf, written[rel_name], _pred))
-    for rule in rules:
-        derived.extend(_insertion_rules(rule, _pred))
-    derived.extend(_collect_rules(schema, written, _pred))
-
+        matches.append(Rule((head,), tuple(md_body(rule, _pred))))
+    derived = {
+        2: [*matches, *_oldversion_rules(schema, smf, written, _pred)],
+        3: _insertion_rules(rules, _pred),
+        7: _collect_rules(schema, written, _pred),
+    }
     builtins = value_builtins(uses, sim, smf)
-    program = Program([st.ast for st in (*version_facts, *derived)], builtins)
+    program = Program([*version_facts, *(r for rs in derived.values() for r in rs)], builtins)
 
-    def statements() -> list[AspStatement]:
-        return [*version_facts, *_value_tables(uses, builtins, smf, active), *derived]
+    def blocks() -> dict[int, list[Rule]]:
+        return {1: [*version_facts, *_value_tables(uses, builtins, smf, active)], **derived}
 
-    return ResidualProgram(program, schema, statements)
+    return ResidualProgram(program, schema, blocks)
 
 
 def evaluate_residual(residual: ResidualProgram, engine) -> Instance:

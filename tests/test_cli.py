@@ -1065,3 +1065,40 @@ def test_an_input_error_keeps_its_attributes_when_its_file_is_named(tmp_path):
         cli.Inputs(argparse.Namespace(schema=str(schema)))
     assert (err.value.line, err.value.column) == (1, None)
     assert str(err.value) == f"{schema}: line 1: expected `Name(attr: domain, ...)`"
+
+
+def test_a_relation_without_attributes_prints_its_identifiers_alone(tmp_path, capsys):
+    args = write_setting(
+        tmp_path,
+        "R(A: doma, B: domb)\nS()\n",
+        {"R": "tid,A,B\nt1,a1,b1\nt2,a2,b2\n", "S": "tid\ns1\ns2\n"},
+        "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;\n",
+        "doma: a1 ~ a2\n",
+        "domb: m(b1, b2) = b12\n",
+    )
+    rows = "R(t1, a1, b12)\nR(t2, a2, b12)\nS(s1)\nS(s2)\n"
+    code, out, err = run(capsys, ["solve", "--format", "text", *args])
+    assert (code, out, err) == (0, rows, "")
+    code, out, err = run(capsys, ["chase", "--one", "--format", "text", *args])
+    assert (code, err) == (0, "")
+    assert out == "clean instance 1 (1 steps)\n" + "".join(f"  {row}\n" for row in rows.splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ["chase", "--frobnicate", *fixture_args("convergent")],
+    ["chase", *fixture_args("convergent")[2:]],
+    ["chase", "--step-limit", "x", *fixture_args("convergent")],
+    ["chase", "--all", "--one", *fixture_args("convergent")],
+    [],
+], ids=["unknown-flag", "no-schema", "step-limit-not-a-number", "all-and-one", "no-command"])
+def test_a_command_line_argparse_refuses_is_malformed_input(capsys, argv):
+    # exit 2 is a semantic refusal; a command line that does not parse is malformed input
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: mdclean") and "error: " in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, ["chase", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: mdclean chase")

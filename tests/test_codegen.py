@@ -7,7 +7,7 @@ import pytest
 from mdclean.chase import ChaseEngine
 from mdclean.classify import Verdict, classify
 from mdclean.codegen import emit_general_asp, emit_residual_datalog, evaluate_residual
-from mdclean.datalog import evaluate, parse_asp, parse_program, stratify
+from mdclean.datalog import evaluate, format_rule_ast, parse_asp, parse_program, stratify
 from mdclean.errors import NotSci, UndefinedMatch, ValidationError
 from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
@@ -17,6 +17,8 @@ from mdclean.model import (
     SimilarityRelation,
     collect_active_values,
 )
+
+from program_parts import census
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -101,14 +103,6 @@ def emitted(setting_fn=divergent_setting):
     return emit_general_asp(instance, rules, sim, smf)
 
 
-def census(asp):
-    """The statements of `asp` by kind, in program order."""
-    out = {}
-    for st in asp.statements:
-        out.setdefault(st.kind, []).append(st)
-    return out
-
-
 def body_preds(rule):
     return sorted(lit.pred for lit in rule.body)
 
@@ -119,7 +113,7 @@ def body_preds(rule):
 
 def test_general_statement_counts():
     asp = emitted()
-    counts = {kind: len(statements) for kind, statements in census(asp).items()}
+    counts = {kind: len(rules) for kind, rules in census(asp.blocks).items()}
     assert counts["version-fact"] == 3
     assert counts["disjunctive"] == 2
     assert counts["oldversion"] == 1
@@ -140,7 +134,7 @@ def test_general_fact_tables():
     assert "r_v(t1, a1, b1)." in text
     values = smf.values("domb")
     merges = [(a, b) for a in values for b in values if smf.try_match("domb", a, b) is not None]
-    assert len(census(asp)["mf-fact"]) == len(merges)
+    assert len(census(asp.blocks)["mf-fact"]) == len(merges)
     assert "mf_domb(b1, b2, b12)." in text
     assert "mf_domb(b2, b1, b12)." in text
     assert "pre_domb(b1, b123)." in text
@@ -152,7 +146,7 @@ def test_general_fact_tables():
 
 def test_general_disjunctive_rule_shape():
     asp = emitted()
-    rules = [parse_asp(st.text)[0] for st in census(asp)["disjunctive"]]
+    rules = census(asp.blocks)["disjunctive"]
     first = rules[0]
     assert [h.pred for h in first.heads] == ["match_md1", "notmatch_md1"]
     assert all(len(h.args) == 6 for h in first.heads)
@@ -165,7 +159,7 @@ def test_general_disjunctive_rule_shape():
 
 def test_general_oldversion_collect_and_notmatch():
     asp = emitted()
-    old = parse_asp(census(asp)["oldversion"][0].text)[0]
+    old = census(asp.blocks)["oldversion"][0]
     reads = [lit for lit in old.body if lit.pred == "r_v"]
     assert len(reads) == 2
     assert reads[0].args[0] == reads[1].args[0]  # same tuple id
@@ -173,12 +167,12 @@ def test_general_oldversion_collect_and_notmatch():
     assert reads[0].args[2] != reads[1].args[2]
     assert [lit.pred for lit in old.body if lit.pred.startswith("pre_")] == ["pre_domb"]
 
-    collect = parse_asp(census(asp)["collect"][0].text)[0]
+    collect = census(asp.blocks)["collect"][0]
     assert collect.heads[0].pred == "r_clean"
     negated = [lit for lit in collect.body if lit.negated]
     assert [lit.pred for lit in negated] == ["oldversion_r"]
 
-    veto = parse_asp(census(asp)["notmatch-constraint"][0].text)[0]
+    veto = census(asp.blocks)["notmatch-constraint"][0]
     assert veto.heads == ()
     assert [lit.pred for lit in veto.body] == [
         "notmatch_md1",
@@ -190,7 +184,7 @@ def test_general_oldversion_collect_and_notmatch():
 
 def test_general_insertion_writes_merge_into_both_components():
     asp = emitted()
-    rules = [parse_asp(st.text)[0] for st in census(asp)["insertion"]]
+    rules = census(asp.blocks)["insertion"]
     first_pair = rules[:2]
     for side, rule in enumerate(first_pair):
         assert rule.heads[0].pred == "r_v"
@@ -205,8 +199,7 @@ def test_general_insertion_writes_merge_into_both_components():
 def test_general_prec_rules_share_one_tuple_id():
     asp = emitted()
     for kind in ("prec-newer-version", "prec-shared-version"):
-        for st in census(asp)[kind]:
-            rule = parse_asp(st.text)[0]
+        for rule in census(asp.blocks)[kind]:
             head = rule.heads[0]
             assert head.pred == "prec"
             left, right = head.args
@@ -217,8 +210,8 @@ def test_general_prec_rules_share_one_tuple_id():
                 matches[1].args[0],
                 matches[1].args[3],
             }
-            assert shared, st.text
-    closure = parse_asp(census(asp)["prec-transitivity"][0].text)[0]
+            assert shared, format_rule_ast(rule)
+    closure = census(asp.blocks)["prec-transitivity"][0]
     assert [h.pred for h in closure.heads] == ["prec"]
     assert [(lit.pred, lit.negated) for lit in closure.body] == [("prec", False)] * 2
 
@@ -228,21 +221,21 @@ def test_general_reparses_and_is_byte_stable():
     one = emit_general_asp(instance, rules, sim, smf)
     two = emit_general_asp(instance, rules, sim, smf)
     assert one.text() == two.text()
-    assert parse_asp(one.text()) == [st.ast for st in one.statements]
+    assert parse_asp(one.text()) == one.statements
 
 
 def test_general_empty_rule_set_is_facts_plus_collection():
     schema, rules, instance, sim, smf = setting({}, {"t1": ("a1", "b1")}, rules="")
     asp = emit_general_asp(instance, rules, sim, smf)
-    assert set(census(asp)) == {"version-fact", "collect"}
-    collect = parse_asp(census(asp)["collect"][0].text)[0]
+    assert set(census(asp.blocks)) == {"version-fact", "collect"}
+    collect = census(asp.blocks)["collect"][0]
     assert not any(lit.negated for lit in collect.body)
 
 
 def test_general_relational_rule_keeps_context_join():
     schema, rules, instance, sim, smf = biblio_setting()
     asp = emit_general_asp(instance, rules, sim, smf)
-    rule = parse_asp(census(asp)["disjunctive"][0].text)[0]
+    rule = census(asp.blocks)["disjunctive"][0]
     preds = body_preds(rule)
     assert preds.count("author_v") == 2
     assert preds.count("paper_v") == 2
@@ -416,14 +409,14 @@ def test_fixture_programs_reparse_to_their_statements_value_tables_included(name
     rules = validate_mds(load_mds(d / "mds.txt"), schema, mf)
     smf = mf.saturate(collect_active_values(instance, sim))
     asp = emit_general_asp(instance, rules, sim, smf)
-    assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
+    assert parse_asp(asp.text()) == asp.statements
     report = classify(instance, rules, sim, smf)
     if report.verdict is Verdict.GENERAL:
         return
     rp = emit_residual_datalog(instance, rules, sim, smf, report)
-    statements = rp.statements()
-    assert any(st.kind.endswith("-fact") and st.kind != "version-fact" for st in statements)
-    assert parse_asp(rp.text()) == [st.ast for st in statements]
+    blocks = rp.blocks()
+    assert {"sim-fact", "mf-fact", "pre-fact"} & set(census(blocks))
+    assert parse_asp(rp.text()) == [rule for rules in blocks.values() for rule in rules]
 
 
 def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
@@ -435,7 +428,7 @@ def test_programs_over_escaped_values_reparse_to_the_emitted_asts():
 
     schema, rules, instance, sim, smf = escaped()
     asp = emit_general_asp(instance, rules, sim, smf)
-    assert parse_asp(asp.text()) == [st.ast for st in asp.statements]
+    assert parse_asp(asp.text()) == asp.statements
     rp = residual(escaped)
     reparsed = parse_program(rp.text())
     assert reparsed.rules == rp.program.rules
