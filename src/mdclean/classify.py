@@ -8,15 +8,19 @@ instance at hand (similarity-free attribute intersection).  Anything else is
 reported as the general case, where enforcement order can matter.  The
 checks read the rules as bound to the schema by `mdlang.validate_mds`.
 
-A pair gets one query per isomorphism class of its embeddings.  The classes
-are found by testing each embedding for isomorphism with the first of each
-class so far, and ordered, when there are several, by a canonical key that
-a branch-and-bound search computes; neither enumerates atom permutations.
+A pair gets one query per isomorphism class of its embeddings.  Embeddings
+that twin swaps of the two rules' atoms map onto each other share a class
+without a search.  Any other embedding is tested for isomorphism with the
+first of each class so far, and the classes are ordered, when there are
+several, by a canonical key that a branch-and-bound search computes; neither
+enumerates atom permutations.  `is_sfai` evaluates all the queries as one
+program.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .datalog import Var
@@ -27,7 +31,7 @@ from .model import (
     Schema,
     SimilarityRelation,
 )
-from .query import ConjunctiveQuery, QueryAtom, SimLiteral, find_witness
+from .query import ConjunctiveQuery, QueryAtom, SimLiteral, find_witnesses
 
 
 class Verdict(enum.Enum):
@@ -114,11 +118,13 @@ def sfai_queries(rules: list[BoundMD], schema: Schema) -> list[ConjunctiveQuery]
     by_name = {rule.md.name: rule for rule in rules}
     queries: list[ConjunctiveQuery] = []
     for pair in interaction_pairs(rules):
-        writer = by_name[pair.writer]
-        reader = by_name[pair.reader]
         classes: list[_Body] = []
-        for atoms, sims in _embeddings(writer, reader, pair, schema):
-            body = _Body(atoms, sims)
+        orbits: set[tuple[int, int]] = set()
+        for orbit, embed in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, schema):
+            if orbit in orbits:
+                continue  # twin swaps map it onto an embedding already classed
+            orbits.add(orbit)
+            body = _Body(*embed())
             if not any(body.isomorphic_to(first) for first in classes):
                 classes.append(body)
         if len(classes) > 1:
@@ -132,43 +138,55 @@ def sfai_queries(rules: list[BoundMD], schema: Schema) -> list[ConjunctiveQuery]
 
 def _embeddings(writer, reader, pair, schema):
     """Each written atom of `writer` unified with each occurrence of the
-    shared attribute in `reader`'s body, as atoms `(relation, terms)` and
-    literals `(domain, left, right)` over integer variables: the writer's
-    numbered from 0 in `md.variables()` order, then the reader's.  Variables
-    that meet positionwise become one, so a reader variable that meets two
-    writer variables makes those one too."""
+    shared attribute in `reader`'s body, as its orbit pair and a function
+    that builds it.  It is built as atoms `(relation, terms)` and literals
+    `(domain, left, right)` over integer variables: the writer's numbered
+    from 0 in `md.variables()` order, then the reader's.  Variables that
+    meet positionwise become one, so a reader variable that meets two writer
+    variables makes those one too.
+
+    The orbit pair names the first written atom and the first occurrence
+    that twin swaps (see `_Body`) join each to.  A twin swap maps its rule
+    onto itself, so two embeddings with one orbit pair are isomorphic."""
     attr_pos = schema.relation(pair.relation).position(pair.attribute)
     offset = len(writer.md.variables())
     writer_atoms, writer_sims = _numbered_body(writer, 0)
     reader_atoms, reader_sims = _numbered_body(reader, offset)
     lead_indices = [idx for idx, a in enumerate(writer.md.atoms) if a.leading]
-    written_atoms = [
-        writer_atoms[index]
+    written = [
+        index
         for index, atom, pos in zip(lead_indices, writer.lead, writer.rhs)
         if atom.relation == pair.relation and pos == attr_pos
     ]
-    reader_occurrences = [
+    occurrences = [
         idx
         for idx, atom in enumerate(reader.md.atoms)
         if atom.relation == pair.relation and atom.attr_vars[attr_pos] in reader.compared
     ]
-    for _, written in written_atoms:
-        for occ_index in reader_occurrences:
-            parent: dict[int, int] = {}
+    written_orbit = _Body(writer_atoms, writer_sims).orbits(written)
+    occurrence_orbit = _Body(reader_atoms, reader_sims).orbits(occurrences)
 
-            def find(var: int) -> int:
-                while var in parent:
-                    var = parent[var]
-                return var
+    def embed(w_index, occ_index):
+        parent: dict[int, int] = {}
 
-            for left, right in zip(reader_atoms[occ_index][1], written):
-                left, right = find(left), find(right)
-                if left != right:
-                    parent[left] = right
-            kept = writer_atoms + reader_atoms[:occ_index] + reader_atoms[occ_index + 1:]
-            atoms = tuple((rel, tuple(find(t) for t in terms)) for rel, terms in kept)
-            sims = tuple((dom, find(l), find(r)) for dom, l, r in writer_sims + reader_sims)
-            yield atoms, sims
+        def find(var: int) -> int:
+            while var in parent:
+                var = parent[var]
+            return var
+
+        for left, right in zip(reader_atoms[occ_index][1], writer_atoms[w_index][1]):
+            left, right = find(left), find(right)
+            if left != right:
+                parent[left] = right
+        kept = writer_atoms + reader_atoms[:occ_index] + reader_atoms[occ_index + 1:]
+        atoms = tuple((rel, tuple(find(t) for t in terms)) for rel, terms in kept)
+        sims = tuple((dom, find(l), find(r)) for dom, l, r in writer_sims + reader_sims)
+        return atoms, sims
+
+    for w_index in written:
+        for occ_index in occurrences:
+            orbit = written_orbit[w_index], occurrence_orbit[occ_index]
+            yield orbit, functools.partial(embed, w_index, occ_index)
 
 
 def _numbered_body(rule: BoundMD, offset: int):
@@ -289,6 +307,14 @@ class _Body:
         if (a, b) not in self._twins:
             self._twins[a, b] = self._twins[b, a] = self._swapped_by_own_variables(a, b)
         return self._twins[a, b]
+
+    def orbits(self, indices) -> dict[int, int]:
+        """Each atom of `indices` mapped to the first of them that a chain of
+        twin swaps joins it to."""
+        first: dict[int, int] = {}
+        for i in indices:
+            first[i] = next((first[j] for j in first if self._twin(j, i)), i)
+        return first
 
     def _swapped_by_own_variables(self, a, b) -> bool:
         (rel_a, args_a), (rel_b, args_b) = self.atoms[a], self.atoms[b]
@@ -424,9 +450,9 @@ def is_sfai(
     instance: Instance, rules: list[BoundMD], sim: SimilarityRelation
 ) -> tuple[bool, list[QueryCheck]]:
     """True when every interaction query is unsatisfied on the instance."""
-    checks = []
-    for query in sfai_queries(rules, instance.schema):
-        checks.append(QueryCheck(query, find_witness(instance, query, sim)))
+    queries = sfai_queries(rules, instance.schema)
+    witnesses = find_witnesses(instance, queries, sim)
+    checks = [QueryCheck(query, witness) for query, witness in zip(queries, witnesses)]
     return all(not c.satisfied for c in checks), checks
 
 

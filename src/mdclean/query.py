@@ -7,8 +7,9 @@ atom standing for the tuple identifier:
 
 Identifiers starting with an upper-case letter or underscore are variables;
 everything else (or anything double-quoted) is a constant.  A query is
-evaluated as one Datalog rule over the instance's tuples: the engine that
-runs the cleaning programs finds its answers and its least witness.
+evaluated as one Datalog rule over the instance's tuples, and several
+queries as one program of such rules: the engine that runs the cleaning
+programs finds their answers and least witnesses.
 """
 
 from __future__ import annotations
@@ -126,49 +127,65 @@ def instance_facts(instance: Instance) -> dict[str, list[tuple[str, ...]]]:
     }
 
 
-_ANSWER = "answer"
-
-
 def _answers(
-    instance: Instance, query: ConjunctiveQuery, sim: SimilarityRelation, head: tuple[Term, ...]
-) -> AbstractSet[tuple[str, ...]]:
-    """The `head` tuples of the query's solutions, evaluated as one rule.
+    instance: Instance,
+    queries: Sequence[tuple[ConjunctiveQuery, tuple[Term, ...]]],
+    sim: SimilarityRelation,
+) -> list[AbstractSet[tuple[str, ...]]]:
+    """For each (query, head), the `head` tuples of the query's solutions.
 
-    Its body has the atoms, one `sim_<domain>` literal per similarity and,
-    under `distinct_tids`, a `!=` between every two distinct identifier terms
-    (a variable shared by two atoms is one term).
+    The queries are one program evaluated once, each query one rule with its
+    own head predicate.  A rule's body has the query's atoms, one
+    `sim_<domain>` literal per similarity and, under `distinct_tids`, a `!=`
+    between every two distinct identifier terms (a variable shared by two
+    atoms is one term).
     """
-    domains = validate_query(query, instance.schema)
-    body = [Literal(relation_pred(atom.relation), atom.args) for atom in query.atoms]
-    for lit, dom in zip(query.sims, domains):
-        body.append(Literal(value_pred("sim", dom), (lit.left, lit.right)))
-    if query.distinct_tids:
-        tids = dict.fromkeys(atom.args[0] for atom in query.atoms)
-        body.extend(Literal(NEQ, pair) for pair in itertools.combinations(tids, 2))
-    builtins = value_builtins((("sim", dom) for dom in domains), sim)
-    program = Program([Rule((Literal(_ANSWER, head),), tuple(body))], builtins)
-    return evaluate(program, instance_facts(instance)).get(_ANSWER)
+    if not queries:
+        return []
+    rules, uses = [], []
+    for index, (query, head) in enumerate(queries):
+        domains = validate_query(query, instance.schema)
+        uses.extend(("sim", dom) for dom in domains)
+        body = [Literal(relation_pred(atom.relation), atom.args) for atom in query.atoms]
+        for lit, dom in zip(query.sims, domains):
+            body.append(Literal(value_pred("sim", dom), (lit.left, lit.right)))
+        if query.distinct_tids:
+            tids = dict.fromkeys(atom.args[0] for atom in query.atoms)
+            body.extend(Literal(NEQ, pair) for pair in itertools.combinations(tids, 2))
+        rules.append(Rule((Literal(f"answer_{index}", head),), tuple(body)))
+    model = evaluate(Program(rules, value_builtins(uses, sim)), instance_facts(instance))
+    return [model.get(f"answer_{index}") for index in range(len(rules))]
 
 
 def eval_cq(
     instance: Instance, query: ConjunctiveQuery, sim: SimilarityRelation
 ) -> set[tuple[str, ...]]:
     """Answer tuples of the query on one instance."""
-    return set(_answers(instance, query, sim, query.head))
+    return set(_answers(instance, [(query, query.head)], sim)[0])
+
+
+def find_witnesses(
+    instance: Instance, queries: Sequence[ConjunctiveQuery], sim: SimilarityRelation
+) -> list[dict[str, str] | None]:
+    """Each query's satisfying assignment least in its atom-order
+    identifiers, or None; the queries are evaluated as one program."""
+    heads = [(q, tuple(atom.args[0] for atom in q.atoms) + tuple(q.variables())) for q in queries]
+    witnesses = []
+    for (query, head), rows in zip(heads, _answers(instance, heads, sim)):
+        witness = None
+        if rows:
+            # the identifiers fix every variable, so the least row has the least ones
+            pairs = zip(head[len(query.atoms):], min(rows)[len(query.atoms):])
+            witness = {v.name: val for v, val in sorted(pairs, key=lambda kv: kv[0].name)}
+        witnesses.append(witness)
+    return witnesses
 
 
 def find_witness(
     instance: Instance, query: ConjunctiveQuery, sim: SimilarityRelation
 ) -> dict[str, str] | None:
     """The satisfying assignment least in its atom-order identifiers, or None."""
-    names = query.variables()
-    tids = tuple(atom.args[0] for atom in query.atoms)
-    rows = _answers(instance, query, sim, tids + tuple(names))
-    if not rows:
-        return None
-    # the identifiers fix every variable, so the least row has the least ones
-    values = min(rows)[len(tids):]
-    return {v.name: val for v, val in sorted(zip(names, values), key=lambda kv: kv[0].name)}
+    return find_witnesses(instance, [query], sim)[0]
 
 
 def certain_answers(

@@ -12,8 +12,8 @@ steps, witnesses and merges of `ChaseEngine.applicable_steps`.
 of its atoms and keeps the least; `classify._Body.key` must return the same
 tuple for the body's `numbered` form.  `sfai_queries_by_key` groups each
 pair's embeddings by the key of their query form, and
-`classify.sfai_queries`, which groups them by an isomorphism test, must
-return the same queries.
+`classify.sfai_queries`, which groups them by twin orbits and an
+isomorphism test, must return the same queries.
 
 Run `PYTHONPATH=src:tests python -m naive_match --draws 745 --bodies 10000`
 to compare the classifier's keys, isomorphism verdicts and queries with
@@ -236,7 +236,8 @@ def sfai_queries_by_key(rules, schema, key=canonical_key):
     queries = []
     for pair in interaction_pairs(rules):
         group: dict[tuple, tuple] = {}
-        for merged in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, schema):
+        for _, embed in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, schema):
+            merged = embed()
             query = _readable_query("", *merged)
             group.setdefault(key(query.atoms, query.sims), merged)
         base = f"{pair.writer}__{pair.reader}__{pair.relation}_{pair.attribute}"

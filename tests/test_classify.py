@@ -1,15 +1,20 @@
 """Interaction analysis and single-clean-instance classification."""
 
+from pathlib import Path
+
+from mdclean import query
 from mdclean.classify import (
     InteractionPair,
     Verdict,
+    _Body,
+    _embeddings,
     classify,
     interaction_pairs,
     is_sfai,
     is_similarity_preserving,
     sfai_queries,
 )
-from mdclean.mdlang import parse_mds, validate_mds
+from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -18,6 +23,10 @@ from mdclean.model import (
     collect_active_values,
 )
 from mdclean.query import eval_cq
+
+import naive_match
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 TWO_RULES = """
 md md1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;
@@ -270,3 +279,47 @@ def test_a_reader_variable_that_meets_two_writer_variables_makes_them_one():
     assert "w__r__R_B" in queries
     written = queries["w__r__R_B"].atoms[0]
     assert written.args[1] == written.args[2]
+
+
+def fixture_setting(name):
+    """A fixture's setting `(instance, rules, sim, smf)`."""
+    d = FIXTURES / name
+    schema = Schema.load(d / "schema.txt")
+    instance = Instance.load(schema, d)
+    sim = SimilarityRelation.load(d / "sim.txt")
+    mf = MatchingFunction.load(d / "mf.txt")
+    rules = validate_mds(load_mds(d / "mds.txt"), schema, mf)
+    return instance, rules, sim, mf.saturate(collect_active_values(instance, sim))
+
+
+def test_twin_related_embeddings_share_a_class_without_a_search(monkeypatch):
+    # each rule writes B through either of its two leading atoms, and md2
+    # reads B through either of its two: the atoms of each pair are twins,
+    # so a pair's four embeddings have one orbit pair and one class
+    setting = fixture_setting("convergent")
+    instance, rules = setting[:2]
+    for pair in interaction_pairs(rules):
+        writer, reader = (next(r for r in rules if r.md.name == n) for n in (pair.writer, pair.reader))
+        orbits = [orbit for orbit, _ in _embeddings(writer, reader, pair, instance.schema)]
+        assert len(orbits) == 4 and len(set(orbits)) == 1
+    searches = []
+    search = _Body.isomorphic_to
+    monkeypatch.setattr(_Body, "isomorphic_to", lambda a, b: searches.append(b) or search(a, b))
+    result = classify(*setting)
+    assert searches == []
+    assert [c.query for c in result.queries] == naive_match.sfai_queries_by_key(rules, instance.schema)
+    assert [c.query.name for c in result.queries] == ["md1__md2__R_B", "md2__md2__R_B"]
+
+
+def test_is_sfai_evaluates_its_queries_as_one_program(monkeypatch):
+    calls = []
+    evaluate = query.evaluate
+    monkeypatch.setattr(query, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    instance, rules, sim, _ = fixture_setting("convergent")
+    sfai, checks = is_sfai(instance, rules, sim)
+    assert len(checks) == 2 and len(calls) == 1
+    calls.clear()
+    # no rule reads what another writes: no query, and nothing to evaluate
+    instance, rules, sim, _ = fixture_setting("bibliography")
+    assert is_sfai(instance, rules, sim) == (True, [])
+    assert calls == []

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from mdclean.chase import ChaseEngine
-from mdclean.classify import _Body, _embeddings, interaction_pairs, sfai_queries
+from mdclean.classify import _Body, _embeddings, interaction_pairs, is_sfai, sfai_queries
 from mdclean.datalog import Var
 from mdclean.mdlang import load_mds, parse_mds, validate_mds
 from mdclean.model import (
@@ -86,9 +86,12 @@ def check_every_state(eng: ChaseEngine, sim: SimilarityRelation, instance: Insta
 def test_sfai_queries_match_backtracking_over_the_population(population):
     satisfied = 0
     for s in population:
-        for query in sfai_queries(s.rules, s.schema):
+        queries = sfai_queries(s.rules, s.schema)
+        _, checks = is_sfai(s.instance, s.rules, s.sim)
+        assert [c.query for c in checks] == queries
+        for query, check in zip(queries, checks):
             witness = find_witness(s.instance, query, s.sim)
-            assert witness == naive_match.find_witness(s.instance, query, s.sim), query
+            assert witness == check.witness == naive_match.find_witness(s.instance, query, s.sim), query
             satisfied += witness is not None
             full = all_answers(query)
             assert eval_cq(s.instance, full, s.sim) == naive_match.eval_cq(
@@ -111,7 +114,8 @@ def test_interaction_queries_match_the_permutation_keys_over_the_population(popu
         rules = s.rules
         by_name = {rule.md.name: rule for rule in rules}
         for pair in interaction_pairs(rules):
-            for atoms, sims in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, s.schema):
+            for _, embed in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, s.schema):
+                atoms, sims = embed()
                 held = {term for _, terms in atoms for term in terms}
                 assert all({left, right} <= held for _, left, right in sims), (
                     "a literal reads a variable no atom of its embedding holds",
