@@ -20,10 +20,16 @@ similarity, merge, and order relations (`sim_<dom>`, `mf_<dom>`,
 `Program`, built from its version facts and rules, evaluates them as such,
 and the text renders each as a table of ground facts over its domain's
 values, so a program is self-contained.  Text is rendered from
-the blocks through `datalog.format_rule_ast` only for output and never
-parsed back.  Matchings are reified as `mt(...)` terms holding the two tuple
+the blocks by one `datalog.RuleWriter` only for output and never parsed
+back.  Matchings are reified as `mt(...)` terms holding the two tuple
 versions, which keeps `prec` binary even when rules range over relations of
 different arities.
+
+The order blocks (4 and 5) hold a few rules per pair of leading atoms of
+every ordered rule pair, so they share what depends only on the rules: each
+rule's `match_` literal and `mt(...)` term are built once, and each ordered
+rule pair's renaming apart once; each pair of leading atoms over one
+relation then only overrides the shared positions of that renaming.
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ from .datalog import (
     Literal,
     Program,
     Rule,
+    RuleWriter,
     Var,
     evaluate,
-    format_rule_ast,
     value_builtins,
     value_pred,
 )
@@ -78,9 +84,11 @@ RESIDUAL_TITLES = {
 
 def _render(blocks: dict[int, list[Rule]], titles: dict[int, str]) -> str:
     """One section per block of `titles`, in block order: its `% <block>.
-    <title>` header, then the block's rules in their order."""
+    <title>` header, then the block's rules in their order, all written by
+    one `RuleWriter`."""
+    write = RuleWriter().rule
     sections = (
-        [f"% {block}. {title}", *map(format_rule_ast, blocks[block])]
+        [f"% {block}. {title}", *map(write, blocks[block])]
         for block, title in sorted(titles.items())
     )
     return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
@@ -141,8 +149,12 @@ def _neq(left: str, right: str) -> Literal:
     return Literal(NEQ, (Var(left), Var(right)))
 
 
-def _matching(names) -> Compound:
-    return Compound("mt", tuple(Var(n) for n in names))
+class _Vars(dict):
+    """One `Var` per name."""
+
+    def __missing__(self, name: str) -> Var:
+        var = self[name] = Var(name)
+        return var
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -160,15 +172,12 @@ def _tuple_vars(rel: Relation) -> list[str]:
     return [_fresh("T", taken), *(_fresh(var_name(a), taken) for a in rel.attrs)]
 
 
-def _lead_args(atom: MDAtom, rename=None) -> list[str]:
-    names = [atom.tid_var, *atom.attr_vars]
-    if rename is None:
-        return [var_name(v) for v in names]
-    return [rename[v] for v in names]
+def _lead_args(atom: MDAtom) -> list[str]:
+    return [var_name(v) for v in (atom.tid_var, *atom.attr_vars)]
 
 
-def _match_args(rule: BoundMD, rename=None) -> list[str]:
-    return _lead_args(rule.lead[0], rename) + _lead_args(rule.lead[1], rename)
+def _match_args(rule: BoundMD) -> list[str]:
+    return _lead_args(rule.lead[0]) + _lead_args(rule.lead[1])
 
 
 def _written_positions(rules: list[BoundMD]) -> dict[str, set[int]]:
@@ -383,27 +392,6 @@ def emit_general_asp(
     })
 
 
-def _ordered_pair(rj: BoundMD, rk: BoundMD, lead_j: MDAtom, lead_k: MDAtom, shared):
-    """What an ordering rule for a matching of `rj` before one of `rk` starts from.
-
-    `rk`'s variables are renamed apart from `rj`'s, except that `lead_k`'s
-    identifier and its attributes at the positions `shared` take `lead_j`'s
-    names.  Returns the renaming, the names taken, the two `match_` literals
-    and the `prec` head.
-    """
-    taken = {var_name(v) for v in rj.md.variables()}
-    ren = {v: _fresh(var_name(v) + "q", taken) for v in rk.md.variables()}
-    for pos in shared:
-        ren[lead_k.attr_vars[pos]] = var_name(lead_j.attr_vars[pos])
-    ren[lead_k.tid_var] = var_name(lead_j.tid_var)
-    first, second = _match_args(rj), _match_args(rk, ren)
-    matches = (
-        _lit(f"match_{_pred(rj.md.name)}", first),
-        _lit(f"match_{_pred(rk.md.name)}", second),
-    )
-    return ren, taken, matches, Literal("prec", (_matching(first), _matching(second)))
-
-
 def _prec_recording(
     rules: list[BoundMD],
     schema: Schema,
@@ -419,30 +407,66 @@ def _prec_recording(
     matches first), block 5 matchings sharing one version (the matching that
     changes the tuple goes last).  Block 6 closes these pairs transitively,
     which orders matchings that share no tuple.
+
+    What depends only on the rules is built once: each rule's `match_`
+    literal and `mt(...)` term, and per ordered rule pair `rk`'s variables
+    renamed apart from `rj`'s and the fresh merge variable.  A variant
+    copies that renaming and overrides only the positions its two versions
+    share: the identifier and the unordered positions in block 4, all
+    positions in block 5.  Each name has one `Var`.
     """
+    var = _Vars()
+    # per written relation: the `pre_` predicate of each ordered position,
+    # the unordered positions and the written ones
+    layout = {}
+    for rel_name, positions in written.items():
+        doms = schema.relation(rel_name).domains
+        pres = [(pos, value_pred("pre", dom)) for pos, dom in enumerate(doms) if smf.has_mf(dom)]
+        unordered = [pos for pos, dom in enumerate(doms) if not smf.has_mf(dom)]
+        layout[rel_name] = (pres, unordered, sorted(positions))
+    # per rule: its `match_` literal, its `mt(...)` term, the variables of
+    # each leading atom, and their names in the rule
+    matchings = []
+    for rule in rules:
+        leads = [tuple(map(var.__getitem__, _lead_args(atom))) for atom in rule.lead]
+        args = leads[0] + leads[1]
+        names = [v for atom in rule.lead for v in (atom.tid_var, *atom.attr_vars)]
+        literal = Literal(f"match_{_pred(rule.md.name)}", args)
+        matchings.append((literal, Compound("mt", args), leads, names))
+
     newer, shared_version = [], []
-    for rj, rk in product(rules, rules):
-        for lead_j, (ip, lead_k) in product(rj.lead, enumerate(rk.lead)):
+    for (rj, j), (rk, k) in product(zip(rules, matchings), repeat=2):
+        (match_j, mt_j, leads_j, _), (match_k, _, _, names_k) = j, k
+        taken = {var_name(v) for v in rj.md.variables()}
+        renamed = {v: var[_fresh(var_name(v) + "q", taken)] for v in rk.md.variables()}
+        merged = var[_fresh("Mv", taken)]
+        mf_k = value_pred("mf", rk.rhs_domain)
+        rhs_k = [a.attr_vars[pos] for a, pos in zip(rk.lead, rk.rhs)]
+        lead_pairs = product(zip(rj.lead, leads_j), enumerate(rk.lead))
+        for (lead_j, (tid_j, *attrs_j)), (ip, lead_k) in lead_pairs:
             if lead_j.relation != lead_k.relation:
                 continue
-            doms = schema.relation(lead_j.relation).domains
-            ordered = [pos for pos, dom in enumerate(doms) if smf.has_mf(dom)]
-            unordered = [pos for pos, dom in enumerate(doms) if not smf.has_mf(dom)]
-            ren, _, matches, head = _ordered_pair(rj, rk, lead_j, lead_k, unordered)
-            names = zip(lead_j.attr_vars, lead_k.attr_vars)
-            pairs = [(var_name(vj), ren[vk]) for vj, vk in names]
-            pre = [_lit(value_pred("pre", doms[pos]), pairs[pos]) for pos in ordered]
-            for pos in sorted(written[lead_j.relation]):
-                newer.append(Rule((head,), (*matches, *pre, _neq(*pairs[pos]))))
+            pres, unordered, positions = layout[lead_j.relation]
 
-            ren, taken, matches, head = _ordered_pair(rj, rk, lead_j, lead_k, range(len(doms)))
-            merged = _fresh("Mv", taken)
-            rhs_k = [ren[a.attr_vars[pos]] for a, pos in zip(rk.lead, rk.rhs)]
-            shared, other = rhs_k[ip], rhs_k[1 - ip]
+            ren = renamed | {lead_k.tid_var: tid_j}
+            ren.update((lead_k.attr_vars[pos], attrs_j[pos]) for pos in unordered)
+            second = tuple(map(ren.__getitem__, names_k))
+            matches = (match_j, Literal(match_k.pred, second))
+            head = Literal("prec", (mt_j, Compound("mt", second)))
+            pairs = [(vj, ren[vk]) for vj, vk in zip(attrs_j, lead_k.attr_vars)]
+            pre = [Literal(pred, pairs[pos]) for pos, pred in pres]
+            for pos in positions:
+                newer.append(Rule((head,), (*matches, *pre, Literal(NEQ, pairs[pos]))))
+
+            ren.update((lead_k.attr_vars[pos], attrs_j[pos]) for pos, _ in pres)
+            second = tuple(map(ren.__getitem__, names_k))
+            matches = (match_j, Literal(match_k.pred, second))
+            head = Literal("prec", (mt_j, Compound("mt", second)))
+            shared, other = ren[rhs_k[ip]], ren[rhs_k[1 - ip]]
             body = (
                 *matches,
-                _lit(value_pred("mf", rk.rhs_domain), [shared, other, merged]),
-                _neq(shared, merged),
+                Literal(mf_k, (shared, other, merged)),
+                Literal(NEQ, (shared, merged)),
             )
             shared_version.append(Rule((head,), body))
     return newer, shared_version

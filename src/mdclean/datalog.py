@@ -189,7 +189,7 @@ class Program:
                 self.rules.append(st)
             elif any(isinstance(a, (Var, Compound)) for a in st.head.args):
                 raise ValidationError(
-                    f"fact {format_literal(st.head)!r} must be ground and function-free"
+                    f"fact {RuleWriter().literal(st.head)!r} must be ground and function-free"
                 )
             else:
                 self.facts.setdefault(st.head.pred, set()).add(st.head.args)
@@ -671,38 +671,71 @@ def _name(name: str, pattern: re.Pattern, kind: str) -> str:
     return name
 
 
-def format_term(term: Term) -> str:
-    if isinstance(term, Var):
-        return _name(term.name, _VAR_RE, "variable")
-    if isinstance(term, Compound):
-        inner = ", ".join(format_term(a) for a in term.args)
-        return f"{_name(term.functor, _CONST_RE, 'functor')}({inner})"
-    if _CONST_RE.match(term):
-        return term
-    return '"' + term.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _quoted(constant: str) -> str:
+    if _CONST_RE.match(constant):
+        return constant
+    return '"' + constant.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def format_literal(lit: Literal) -> str:
-    prefix = "not " if lit.negated else ""
-    if lit.pred == NEQ:
-        left, right = lit.args
-        return f"{prefix}{format_term(left)} != {format_term(right)}"
-    pred = _name(lit.pred, _CONST_RE, "predicate")
-    if not lit.args:
-        return prefix + pred
-    args = ", ".join(format_term(a) for a in lit.args)
-    return f"{prefix}{pred}({args})"
+class RuleWriter:
+    """Writes rules as `parse_asp` reads them back, for one text.
+
+    A generated program repeats a few names and values many times, so each
+    distinct predicate, functor and variable name is checked once and each
+    constant formatted once.  A name the parser would not read back is
+    refused where the text first writes it.
+    """
+
+    def __init__(self) -> None:
+        self._plain: set[str] = set()  # checked predicate and functor names
+        self._vars: set[str] = set()
+        self._constants: dict[str, str] = {}
+
+    def _checked(self, name: str, kind: str) -> str:
+        if name not in self._plain:
+            self._plain.add(_name(name, _CONST_RE, kind))
+        return name
+
+    def _joined(self, args: tuple) -> str:
+        return ", ".join(map(self._term, args))
+
+    def _term(self, term: Term) -> str:
+        if isinstance(term, Var):
+            name = term.name
+            if name not in self._vars:
+                self._vars.add(_name(name, _VAR_RE, "variable"))
+            return name
+        if isinstance(term, Compound):
+            inner = self._joined(term.args)
+            return f"{self._checked(term.functor, 'functor')}({inner})"
+        text = self._constants.get(term)
+        if text is None:
+            text = self._constants[term] = _quoted(term)
+        return text
+
+    def literal(self, lit: Literal) -> str:
+        prefix = "not " if lit.negated else ""
+        if lit.pred == NEQ:
+            left, right = lit.args
+            return f"{prefix}{self._term(left)} != {self._term(right)}"
+        pred = self._checked(lit.pred, "predicate")
+        if not lit.args:
+            return prefix + pred
+        return f"{prefix}{pred}({self._joined(lit.args)})"
+
+    def rule(self, rule: Rule) -> str:
+        head_text = " | ".join(map(self.literal, rule.heads))
+        if not rule.body:
+            return f"{head_text}."
+        body_text = ", ".join(map(self.literal, rule.body))
+        if not rule.heads:
+            return f":- {body_text}."
+        return f"{head_text} :- {body_text}."
 
 
 def format_rule_ast(rule: Rule) -> str:
     """One statement, as `parse_asp` reads it back."""
-    head_text = " | ".join(format_literal(h) for h in rule.heads)
-    if not rule.body:
-        return f"{head_text}."
-    body_text = ", ".join(format_literal(lit) for lit in rule.body)
-    if not rule.heads:
-        return f":- {body_text}."
-    return f"{head_text} :- {body_text}."
+    return RuleWriter().rule(rule)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -635,6 +635,32 @@ def test_unreadable_names_refuse_emission_but_solve_answers(tmp_path, capsys):
     assert out == (GOLDEN / "convergent.solve.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "schema, relation, asp_pred, datalog_pred",
+    [
+        # the version facts of `R-1` come first, before the `pre_dom-a` table
+        ("R-1(A: dom-a, B: domb)\nS(A: dom-a, B: domb)\n", "R-1", "r-1_v", "r-1"),
+        ("S(A: dom-a, B: domb)\n", "S", "pre_dom-a", "pre_dom-a"),
+    ],
+    ids=["relation-and-domain", "domain"],
+)
+def test_emission_names_the_first_unspellable_predicate_in_text_order(
+    tmp_path, capsys, schema, relation, asp_pred, datalog_pred
+):
+    rows = {relation: "tid,A,B\nt1,a1,b1\nt2,a2,b2\n", "S": "tid,A,B\ns1,a1,b1\ns2,a2,b2\n"}
+    args = write_setting(
+        tmp_path,
+        schema,
+        rows,
+        "md m1: lead S(t1; x1, y1), lead S(t2; x2, y2), y1 ~domb~ y2 -> y1 := y2;\n",
+        "domb: b1 ~ b2\n",
+        "domb: builtin value-min\ndom-a: builtin value-min\n",
+    )
+    for command, pred in (("emit-asp", asp_pred), ("emit-datalog", datalog_pred)):
+        message = f"predicate {pred!r} cannot be written as a Datalog predicate"
+        assert run(capsys, [command, *args]) == (1, "", f"error: ValidationError: {message}\n")
+
+
 def test_a_similarity_value_may_begin_with_builtin(tmp_path, capsys):
     # a line holding `~` declares a pair, whatever its first value spells
     args = write_setting(

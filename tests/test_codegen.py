@@ -1,5 +1,9 @@
 """Emission of the disjunctive cleaning program and its stratified residual."""
 
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,10 +22,13 @@ from mdclean.model import (
     collect_active_values,
 )
 
+import naive_order
+from population import random_setting
 from program_parts import census
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir())
 
 TWO_RULES = """
 md md1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;
@@ -216,6 +223,58 @@ def test_general_prec_rules_share_one_tuple_id():
     assert [(lit.pred, lit.negated) for lit in closure.body] == [("prec", False)] * 2
 
 
+def fixture_inputs(name):
+    """A fixture's instance, bound rules, similarity and saturated merges."""
+    d = FIXTURES / name
+    schema = Schema.load(d / "schema.txt")
+    instance = Instance.load(schema, d)
+    sim = SimilarityRelation.load(d / "sim.txt")
+    mf = MatchingFunction.load(d / "mf.txt")
+    rules = validate_mds(load_mds(d / "mds.txt"), schema, mf)
+    return instance, rules, sim, mf.saturate(collect_active_values(instance, sim))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_order_blocks_equal_the_per_combination_builder_on_the_fixtures(name):
+    assert naive_order.disagreement(*fixture_inputs(name)) is None
+
+
+def test_order_blocks_equal_the_per_combination_builder_when_rules_spell_generated_names():
+    # `mv` and `y1q` spell the merge variable and a renamed-apart name
+    rules = (
+        "md m1: lead R(t1; mv, y1), lead R(t2; mvq, y2), mv ~doma~ mvq -> y1 := y2;\n"
+        "md m2: lead R(t1; x1, y1q), lead R(t2; x2, y2), y1q ~domb~ y2 -> y1q := y2;\n"
+    )
+    schema, bound, instance, sim, smf = setting(
+        {"doma": [("a1", "a2")], "domb": [("b2", "b3")]},
+        {"t1": ("a1", "b1"), "t2": ("a2", "b2"), "t3": ("a3", "b3")},
+        rules,
+    )
+    blocks = emit_general_asp(instance, bound, sim, smf).blocks
+    assert any("Mvq" in format_rule_ast(rule) for rule in blocks[5])
+    assert naive_order.disagreement(instance, bound, sim, smf) is None
+
+
+def test_order_blocks_equal_the_per_combination_builder_over_the_population():
+    # every other draw of the acceptance population, to stay under two seconds
+    rng = random.Random(20260823)
+    draws = [random_setting(rng) for _ in range(745)][::2]
+    assert sum(len(s.rules) > 1 for s in draws) > 150
+    for i, s in enumerate(draws):
+        found = naive_order.disagreement(s.instance, s.rules, s.sim, s.smf)
+        assert found is None, f"draw {2 * i}: {found}\n{s.describe()}"
+
+
+def test_the_order_oracle_scan_runs_as_a_module():
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"}
+    done = subprocess.run(
+        [sys.executable, "-m", "naive_order", "--draws", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "5 draws agree\n", "")
+
+
 def test_general_reparses_and_is_byte_stable():
     schema, rules, instance, sim, smf = divergent_setting()
     one = emit_general_asp(instance, rules, sim, smf)
@@ -399,15 +458,9 @@ def test_evaluate_residual_refuses_an_unstable_result():
     assert "not stable" in str(err.value)
 
 
-@pytest.mark.parametrize("name", ["bibliography", "convergent", "crossrel", "divergent", "reversed"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_programs_reparse_to_their_statements_value_tables_included(name):
-    d = FIXTURES / name
-    schema = Schema.load(d / "schema.txt")
-    instance = Instance.load(schema, d)
-    sim = SimilarityRelation.load(d / "sim.txt")
-    mf = MatchingFunction.load(d / "mf.txt")
-    rules = validate_mds(load_mds(d / "mds.txt"), schema, mf)
-    smf = mf.saturate(collect_active_values(instance, sim))
+    instance, rules, sim, smf = fixture_inputs(name)
     asp = emit_general_asp(instance, rules, sim, smf)
     assert parse_asp(asp.text()) == asp.statements
     report = classify(instance, rules, sim, smf)

@@ -55,6 +55,11 @@ CASES = [
             ("solve", "solve", ["--format", "text"]),
         )
     ),
+    # three rules over a three-attribute relation, two writing one position
+    # and one another, a column whose domain has no matching function, and
+    # a rule across two relations; the verdict is general, so no residual
+    ("mixed.emit-asp.txt", "emit-asp", "mixed", False, []),
+    ("mixed.classify.txt", "classify", "mixed", False, []),
 ]
 
 

@@ -127,6 +127,52 @@ def test_interaction_queries_match_the_permutation_keys_over_the_population(popu
     assert keyed > 7000
 
 
+ASYMMETRIC_SCHEMA = Schema.parse("R(A: doma, B: domb)\nP(C: doma, D: domb)")
+
+
+def asymmetric_rule(rng: random.Random, name: str) -> str:
+    """A rule over R whose leading atoms are mostly no twins: a context atom
+    joins one of them, a similarity reads one of them with the context
+    atom's value, or a similarity compares one of them with itself."""
+    atoms = ["lead R(t1; x1, y1)", "lead R(t2; x2, y2)"]
+    sims = [sim for sim in ("x1 ~doma~ x2", "y1 ~domb~ y2") if rng.random() < 0.6]
+    joined = rng.choice(["x1", "x2", None])
+    if joined:
+        atoms.append(f"P(t3; {joined}, w)")
+        if rng.random() < 0.5:
+            sims.append(f"w ~domb~ {rng.choice(['y1', 'y2'])}")
+    elif rng.random() < 0.5:
+        sims.append("x1 ~doma~ x1")
+    return f"md {name}: {', '.join(atoms + (sims or ['y1 ~domb~ y2']))} -> y1 := y2;"
+
+
+def test_interaction_queries_match_the_permutation_keys_when_leading_atoms_are_no_twins(
+    monkeypatch,
+):
+    # the population's leading atoms are twins, so each pair's embeddings
+    # fall into one orbit and no body is searched; here they fall into
+    # several, and only the isomorphism search tells which are one class
+    searches = 0
+    search = _Body.isomorphic_to
+
+    def counted(self, other):
+        nonlocal searches
+        searches += 1
+        return search(self, other)
+
+    monkeypatch.setattr(_Body, "isomorphic_to", counted)
+    mf = MatchingFunction(builtins={"domb": "value-min"})
+    rng = random.Random(20261020)
+    several = 0
+    for _ in range(20):
+        text = "\n".join(asymmetric_rule(rng, f"m{k}") for k in range(rng.randint(1, 2)))
+        rules = validate_mds(parse_mds(text), ASYMMETRIC_SCHEMA, mf)
+        queries = sfai_queries(rules, ASYMMETRIC_SCHEMA)
+        assert queries == naive_match.sfai_queries_by_key(rules, ASYMMETRIC_SCHEMA), text
+        several += any(query.name.endswith("_2") for query in queries)
+    assert searches > 50 and several > 5
+
+
 def test_keys_and_isomorphism_match_the_permutation_keys_on_random_bodies():
     rng = random.Random(20261019)
     bodies = [naive_match.random_body(rng, 5) for _ in range(150)]
