@@ -37,8 +37,7 @@ successor function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .datalog import Database, Literal, Program, Rule, Var, fire_rules, value_builtins
 from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
@@ -55,8 +54,7 @@ def check_step_limit(step_limit: int) -> None:
         raise ValidationError(f"step limit must not be negative, got {step_limit}")
 
 
-@dataclass(frozen=True)
-class EnforcementStep:
+class EnforcementStep(NamedTuple):
     """One applicable enforcement, identified by rule and leading tuples.
 
     For rules whose leading atoms share a relation and write one position,
@@ -85,8 +83,7 @@ class EnforcementStep:
         return out
 
 
-@dataclass(frozen=True)
-class ChaseResult:
+class ChaseResult(NamedTuple):
     """Stable endpoints with one witnessing step sequence each."""
 
     instances: tuple[Instance, ...]
@@ -191,6 +188,8 @@ class ChaseEngine:
         self.smf = smf
         self._bound = list(rules)
         self._rules = {rule.md.name: rule for rule in rules}
+        # the name and written domain of each rule, which each of its steps reads
+        self._named = [(rule.md.name, rule.rhs_domain) for rule in rules]
         uses = (("sim", dom) for rule in rules for dom in rule.sim_domains)
         steps = [_step_rule(rule, i) for i, rule in enumerate(rules)]
         self._program = Program(steps, value_builtins(uses, sim))
@@ -216,11 +215,10 @@ class ChaseEngine:
         """The step of the `k`-th rule on `pair`, read off the pair's least
         row.  A merge the matching function leaves undefined is listed with
         `new_value` None and refused only when enforced."""
-        bound = self._bound[k]
+        name, domain = self._named[k]
         row = min(agenda.rows[k][pair])
         old = (row[-2], row[-1]) if pair[0] == row[0] else (row[-1], row[-2])
-        merged = self.smf.try_match(bound.rhs_domain, *old)
-        return EnforcementStep(bound.md.name, pair, row[2:-2], old, merged)
+        return EnforcementStep(name, pair, row[2:-2], old, self.smf.try_match(domain, *old))
 
     def _listed(self, agenda: _Agenda) -> list[EnforcementStep]:
         """Every step of `agenda`, sorted by rule order then leading tuples."""
@@ -261,20 +259,19 @@ class ChaseEngine:
         A step whose values moved on or already agree is not applicable, and
         one whose merge is undefined raises `UndefinedMatch`.
         """
-        bound = self._rules[step.md]
-        i, j = (layout.position[tid] for tid in step.lead_tids)
+        md, lead_tids, _, old_values, new = step
+        bound = self._rules[md]
+        tid0, tid1 = lead_tids
+        i, j = layout.position[tid0], layout.position[tid1]
         p0, p1 = bound.rhs
         v0, v1 = state[i][p0], state[j][p1]
-        if (v0, v1) != step.old_values:
+        if (v0, v1) != old_values:
             raise StepNotApplicable(
-                f"step {step.md} on {step.lead_tids}: values are now ({v0!r}, {v1!r}), "
-                f"expected {step.old_values}"
+                f"step {md} on {lead_tids}: values are now ({v0!r}, {v1!r}), "
+                f"expected {old_values}"
             )
         if v0 == v1:
-            raise StepNotApplicable(
-                f"step {step.md} on {step.lead_tids}: values already agree on {v0!r}"
-            )
-        new = step.new_value
+            raise StepNotApplicable(f"step {md} on {lead_tids}: values already agree on {v0!r}")
         if new is None:
             raise UndefinedMatch(bound.rhs_domain, v0, v1)
         out = list(state)

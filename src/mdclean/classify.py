@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .datalog import Var
 from .mdlang import BoundMD
@@ -41,8 +41,7 @@ class Verdict(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class InteractionPair:
+class InteractionPair(NamedTuple):
     writer: str
     reader: str
     relation: str
@@ -405,8 +404,7 @@ def _readable_query(name: str, atoms, sims) -> ConjunctiveQuery:
 # overall classification
 
 
-@dataclass(frozen=True)
-class QueryCheck:
+class QueryCheck(NamedTuple):
     query: ConjunctiveQuery
     witness: dict[str, str] | None
 
@@ -421,8 +419,7 @@ class QueryCheck:
         return out
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: Verdict
     pairs: tuple[InteractionPair, ...]
     queries: tuple[QueryCheck, ...]

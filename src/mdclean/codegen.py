@@ -34,9 +34,8 @@ relation then only overrides the shared positions of that renaming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .classify import Classification, Verdict
 from .datalog import (
@@ -94,8 +93,7 @@ def _render(blocks: dict[int, list[Rule]], titles: dict[int, str]) -> str:
     return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
 
 
-@dataclass(frozen=True)
-class AspText:
+class AspText(NamedTuple):
     # the rules of each block, in block order; the text heads only those that hold one
     blocks: dict[int, list[Rule]]
 
@@ -109,8 +107,7 @@ class AspText:
         return _render(self.blocks, titles)
 
 
-@dataclass(frozen=True)
-class ResidualProgram:
+class ResidualProgram(NamedTuple):
     program: Program
     schema: Schema
     # the text's blocks, built when called: evaluation needs no value table
@@ -292,14 +289,13 @@ def _value_tables(
     """Block 1's value tables: each used built-in over its domain's values."""
     out = []
     for kind, dom in uses:
-        builtin = builtins[value_pred(kind, dom)]
-        fn = builtin.fn
+        name, arity, fn, _ = builtins[value_pred(kind, dom)]
         universe = sorted(smf.values(dom) | active.get(dom, set()))
-        if builtin.arity == 2:
+        if arity == 2:
             rows = [(a, b) for a in universe for b in universe if fn(a, b)]
         else:
             rows = [(a, b, c) for a in universe for b in universe if (c := fn(a, b)) is not None]
-        out += [Rule((Literal(builtin.name, row),)) for row in rows]
+        out += [Rule((Literal(name, row),)) for row in rows]
     return out
 
 
@@ -443,24 +439,26 @@ def _prec_recording(
         mf_k = value_pred("mf", rk.rhs_domain)
         rhs_k = [a.attr_vars[pos] for a, pos in zip(rk.lead, rk.rhs)]
         lead_pairs = product(zip(rj.lead, leads_j), enumerate(rk.lead))
+        pred_k = match_k.pred
         for (lead_j, (tid_j, *attrs_j)), (ip, lead_k) in lead_pairs:
-            if lead_j.relation != lead_k.relation:
+            relation, tid_k, attrs_k, _ = lead_k
+            if lead_j.relation != relation:
                 continue
-            pres, unordered, positions = layout[lead_j.relation]
+            pres, unordered, positions = layout[relation]
 
-            ren = renamed | {lead_k.tid_var: tid_j}
-            ren.update((lead_k.attr_vars[pos], attrs_j[pos]) for pos in unordered)
+            ren = renamed | {tid_k: tid_j}
+            ren.update((attrs_k[pos], attrs_j[pos]) for pos in unordered)
             second = tuple(map(ren.__getitem__, names_k))
-            matches = (match_j, Literal(match_k.pred, second))
+            matches = (match_j, Literal(pred_k, second))
             head = Literal("prec", (mt_j, Compound("mt", second)))
-            pairs = [(vj, ren[vk]) for vj, vk in zip(attrs_j, lead_k.attr_vars)]
+            pairs = [(vj, ren[vk]) for vj, vk in zip(attrs_j, attrs_k)]
             pre = [Literal(pred, pairs[pos]) for pos, pred in pres]
             for pos in positions:
                 newer.append(Rule((head,), (*matches, *pre, Literal(NEQ, pairs[pos]))))
 
-            ren.update((lead_k.attr_vars[pos], attrs_j[pos]) for pos, _ in pres)
+            ren.update((attrs_k[pos], attrs_j[pos]) for pos, _ in pres)
             second = tuple(map(ren.__getitem__, names_k))
-            matches = (match_j, Literal(match_k.pred, second))
+            matches = (match_j, Literal(pred_k, second))
             head = Literal("prec", (mt_j, Compound("mt", second)))
             shared, other = ren[rhs_k[ip]], ren[rhs_k[1 - ip]]
             body = (

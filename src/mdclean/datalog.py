@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -54,16 +53,14 @@ from .model import SaturatedMatchingFunction, SimilarityRelation
 NEQ = "!="
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True)
-class Compound:
+class Compound(NamedTuple):
     functor: str
     args: tuple["Term", ...]
 
@@ -71,15 +68,13 @@ class Compound:
 Term = Union[Var, Compound, str]
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     pred: str
     args: tuple[Term, ...]
     negated: bool = False
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A statement as written: a rule, a fact (one head, no body), a
     disjunctive rule (several heads) or a constraint (no head)."""
 
@@ -89,9 +84,10 @@ class Rule:
     @property
     def head(self) -> Literal:
         """The one head; a constraint or a disjunction has none."""
-        if len(self.heads) != 1:
+        heads = self.heads
+        if len(heads) != 1:
             raise ValidationError(f"{format_rule_ast(self)!r} does not have exactly one head")
-        return self.heads[0]
+        return heads[0]
 
     @property
     def is_constraint(self) -> bool:
@@ -106,8 +102,7 @@ class Rule:
 # built-ins
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(NamedTuple):
     """A literal computed from its arguments instead of looked up.
 
     Its first two arguments must be bound before the literal runs; `fn` is
@@ -179,20 +174,23 @@ class Program:
         for st in statements:
             if st.is_constraint:
                 raise ValidationError("constraints are not part of the Datalog layer")
-            if len(st.heads) > 1:
+            heads = st.heads
+            if len(heads) > 1:
                 raise ValidationError("disjunctive heads are not part of the Datalog layer")
-            if st.head.negated:
+            head = heads[0]
+            pred, args = head.pred, head.args
+            if head.negated:
                 raise ValidationError("rule head cannot be negated")
-            if st.head.pred in self.builtins:
-                raise ValidationError(f"rule head {st.head.pred!r} is a built-in")
+            if pred in self.builtins:
+                raise ValidationError(f"rule head {pred!r} is a built-in")
             if not st.is_fact:
                 self.rules.append(st)
-            elif any(isinstance(a, (Var, Compound)) for a in st.head.args):
+            elif any(isinstance(a, (Var, Compound)) for a in args):
                 raise ValidationError(
-                    f"fact {RuleWriter().literal(st.head)!r} must be ground and function-free"
+                    f"fact {RuleWriter().literal(head)!r} must be ground and function-free"
                 )
             else:
-                self.facts.setdefault(st.head.pred, set()).add(st.head.args)
+                self.facts.setdefault(pred, set()).add(args)
         self._plans: dict[tuple[int, int | None], _Plan] = {}
         self._strata: list[list[str]] | None = None
         self._validate()
@@ -219,16 +217,16 @@ class Program:
                 if arities.setdefault(pred, len(t)) != len(t):
                     raise ValidationError(f"predicate {pred!r} used with mixed arities")
         for rule in self.rules:
-            for lit in (rule.head, *rule.body):
-                if arities.setdefault(lit.pred, len(lit.args)) != len(lit.args):
-                    raise ValidationError(f"predicate {lit.pred!r} used with mixed arities")
-                for arg in lit.args:
+            for pred, args, negated in (rule.head, *rule.body):
+                if arities.setdefault(pred, len(args)) != len(args):
+                    raise ValidationError(f"predicate {pred!r} used with mixed arities")
+                for arg in args:
                     if isinstance(arg, Compound):
                         raise ValidationError(
                             "function terms are not supported in evaluated programs"
                         )
-                if lit.negated and lit.pred in self.builtins:
-                    raise ValidationError(f"built-in {lit.pred!r} cannot be negated")
+                if negated and pred in self.builtins:
+                    raise ValidationError(f"built-in {pred!r} cannot be negated")
         for index in range(len(self.rules)):
             self.plan(index, None)
 
@@ -475,21 +473,21 @@ class _Plan:
     """
 
     def __init__(self, rule: Rule, first: int | None, builtins: Mapping[str, Builtin]):
-        # slots by variable name and by constant, kept apart
-        slot_of: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        # slots by variable and by constant (a `Var` never equals a string)
+        slot_of: dict[Term, int] = {}
         self.initial: list[str | None] = []
         bound: set[int] = set()
 
         def slots(args: Sequence[Term]) -> list[int]:
             out = []
             for term in args:
-                var = isinstance(term, Var)
-                key = term.name if var else term
-                s = slot_of[var].get(key)
+                s = slot_of.get(term)
                 if s is None:
-                    s = slot_of[var][key] = len(self.initial)
-                    self.initial.append(None if var else term)
-                    if not var:
+                    s = slot_of[term] = len(self.initial)
+                    if isinstance(term, Var):
+                        self.initial.append(None)
+                    else:
+                        self.initial.append(term)
                         bound.add(s)
                 out.append(s)
             return out
@@ -541,10 +539,10 @@ class _Plan:
         self.levels: list[tuple[tuple, list[tuple]]] = [((None, None, None, (), (), None), [])]
         while (i := next_literal()) is not None:
             remaining.remove(i)
-            lit, args = body[i], args_of[i]
+            (pred, _, negated), args = body[i], args_of[i]
             ops = self.levels[-1][1]
-            if lit.pred in builtins:
-                handler = builtins[lit.pred]
+            if pred in builtins:
+                handler = builtins[pred]
                 if handler is NEQ_BUILTIN:
                     ops.append((_NEQ, args[0], args[1]))
                     continue
@@ -558,10 +556,10 @@ class _Plan:
                 continue
             read = len(self.reads)
             self.reads.append(i)
-            self.preds.append(lit.pred)
+            self.preds.append(pred)
             keyed = [p for p, s in enumerate(args) if s in bound]
-            if lit.negated or len(keyed) == len(args):
-                ops.append((_MEMBER, read, _getter(args), lit.negated))
+            if negated or len(keyed) == len(args):
+                ops.append((_MEMBER, read, _getter(args), negated))
                 continue
             if keyed:
                 index_key = tuple(keyed)
@@ -688,8 +686,9 @@ class RuleWriter:
 
     def __init__(self) -> None:
         self._plain: set[str] = set()  # checked predicate and functor names
-        self._vars: set[str] = set()
-        self._constants: dict[str, str] = {}
+        # the text of each variable and constant written so far (a `Var`
+        # never equals a string)
+        self._texts: dict[Var | str, str] = {}
 
     def _checked(self, name: str, kind: str) -> str:
         if name not in self._plain:
@@ -700,35 +699,37 @@ class RuleWriter:
         return ", ".join(map(self._term, args))
 
     def _term(self, term: Term) -> str:
+        text = self._texts.get(term)
+        if text is not None:
+            return text
         if isinstance(term, Var):
-            name = term.name
-            if name not in self._vars:
-                self._vars.add(_name(name, _VAR_RE, "variable"))
-            return name
-        if isinstance(term, Compound):
+            text = _name(term.name, _VAR_RE, "variable")
+        elif isinstance(term, Compound):
             inner = self._joined(term.args)
             return f"{self._checked(term.functor, 'functor')}({inner})"
-        text = self._constants.get(term)
-        if text is None:
-            text = self._constants[term] = _quoted(term)
+        else:
+            text = _quoted(term)
+        self._texts[term] = text
         return text
 
     def literal(self, lit: Literal) -> str:
-        prefix = "not " if lit.negated else ""
-        if lit.pred == NEQ:
-            left, right = lit.args
+        pred, args, negated = lit
+        prefix = "not " if negated else ""
+        if pred == NEQ:
+            left, right = args
             return f"{prefix}{self._term(left)} != {self._term(right)}"
-        pred = self._checked(lit.pred, "predicate")
-        if not lit.args:
+        pred = self._checked(pred, "predicate")
+        if not args:
             return prefix + pred
-        return f"{prefix}{pred}({self._joined(lit.args)})"
+        return f"{prefix}{pred}({self._joined(args)})"
 
     def rule(self, rule: Rule) -> str:
-        head_text = " | ".join(map(self.literal, rule.heads))
-        if not rule.body:
+        heads, body = rule
+        head_text = " | ".join(map(self.literal, heads))
+        if not body:
             return f"{head_text}."
-        body_text = ", ".join(map(self.literal, rule.body))
-        if not rule.heads:
+        body_text = ", ".join(map(self.literal, body))
+        if not heads:
             return f":- {body_text}."
         return f"{head_text} :- {body_text}."
 

@@ -20,9 +20,8 @@ sets, resolved once by the caller for the chase, the classifier and the emitters
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .datalog import NEQ, Lexer, Literal, Token, Var, value_pred
 from .errors import ParseError, ValidationError
@@ -46,30 +45,20 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class MDAtom:
+class MDAtom(NamedTuple):
     relation: str
     tid_var: str
     attr_vars: tuple[str, ...]
     leading: bool
 
-    def __post_init__(self) -> None:
-        if self.tid_var in self.attr_vars:
-            raise ValidationError(
-                f"atom {self.relation}: identifier variable {self.tid_var!r} reused "
-                "as an attribute variable"
-            )
 
-
-@dataclass(frozen=True)
-class SimilarityConstraint:
+class SimilarityConstraint(NamedTuple):
     left: str
     right: str
     domain: str | None = None
 
 
-@dataclass(frozen=True)
-class MatchingDependency:
+class MatchingDependency(NamedTuple):
     name: str
     atoms: tuple[MDAtom, ...]
     similarities: tuple[SimilarityConstraint, ...]
@@ -158,10 +147,13 @@ class _Parser(Lexer):
             self.next()
             attr_vars.append(self.ident("attribute variable").text)
         close = self.expect("punct", ")")
-        try:
-            return MDAtom(rel_tok.text, tid, tuple(attr_vars), leading)
-        except ValidationError as exc:
-            raise ParseError(str(exc), close.line, close.column) from exc
+        if tid in attr_vars:
+            raise ParseError(
+                f"atom {rel_tok.text}: identifier variable {tid!r} reused as an attribute variable",
+                close.line,
+                close.column,
+            )
+        return MDAtom(rel_tok.text, tid, tuple(attr_vars), leading)
 
     def _finish(self, name_tok, atoms, sims, left, right) -> MatchingDependency:
         if len(atoms) < 2:
@@ -261,8 +253,7 @@ def load_mds(path: str | Path) -> list[MatchingDependency]:
 # schema-aware validation: rules bound to the schema
 
 
-@dataclass(frozen=True)
-class BoundMD:
+class BoundMD(NamedTuple):
     """A rule bound to the schema it was validated against.
 
     `lead` are its leading atoms and `rhs` the position each of them writes,
@@ -293,14 +284,15 @@ def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
     # every attribute occurrence of each variable, as (relation, attribute, domain)
     occurrences: dict[str, list[tuple[str, str, str]]] = {}
     for atom in md.atoms:
-        rel = schema.relation(atom.relation)
-        if len(atom.attr_vars) != rel.arity:
+        relation, attr_vars = atom.relation, atom.attr_vars
+        rel = schema.relation(relation)
+        if len(attr_vars) != rel.arity:
             raise ValidationError(
-                f"rule {md.name!r}: atom {atom.relation} has {len(atom.attr_vars)} "
+                f"rule {md.name!r}: atom {relation} has {len(attr_vars)} "
                 f"attribute variables, schema says {rel.arity}"
             )
-        for v, attr, dom in zip(atom.attr_vars, rel.attrs, rel.domains):
-            occurrences.setdefault(v, []).append((atom.relation, attr, dom))
+        for v, attr, dom in zip(attr_vars, rel.attrs, rel.domains):
+            occurrences.setdefault(v, []).append((relation, attr, dom))
     lowered = {}
     for v in md.variables():
         other = lowered.setdefault(v.lower(), v)

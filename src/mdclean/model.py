@@ -17,9 +17,8 @@ import functools
 import io
 import json
 import operator
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, SemilatticeViolation, ValidationError
 
@@ -82,27 +81,31 @@ def _read_domains(cls, text: str, kind: str, rules: Mapping, is_entry, read_entr
 # schema
 
 
-@dataclass(frozen=True)
-class Relation:
+class _RelationFields(NamedTuple):
+    name: str
+    attrs: tuple[str, ...]
+    domains: tuple[str, ...]
+
+
+class Relation(_RelationFields):
     """A relation name with its non-identifier attributes and their domains.
 
     The tuple identifier occupies an implicit first position named `tid` and
     has no domain; it never takes part in similarity or matching.
     """
 
-    name: str
-    attrs: tuple[str, ...]
-    domains: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, attrs: tuple[str, ...], domains: tuple[str, ...]):
+        if not name:
             raise ValidationError("relation name must be non-empty")
-        if len(self.attrs) != len(self.domains):
-            raise ValidationError(f"relation {self.name}: attribute/domain count mismatch")
-        if len(set(self.attrs)) != len(self.attrs):
-            raise ValidationError(f"relation {self.name}: duplicate attribute name")
-        if TID_ATTR in self.attrs:
-            raise ValidationError(f"relation {self.name}: {TID_ATTR!r} is reserved for the identifier column")
+        if len(attrs) != len(domains):
+            raise ValidationError(f"relation {name}: attribute/domain count mismatch")
+        if len(set(attrs)) != len(attrs):
+            raise ValidationError(f"relation {name}: duplicate attribute name")
+        if TID_ATTR in attrs:
+            raise ValidationError(f"relation {name}: {TID_ATTR!r} is reserved for the identifier column")
+        return super().__new__(cls, name, attrs, domains)
 
     @property
     def arity(self) -> int:

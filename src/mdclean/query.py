@@ -15,30 +15,26 @@ programs finds their answers and least witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 from .datalog import NEQ, Literal, Program, Rule, Term, Var, evaluate, value_builtins, value_pred
 from .errors import EmptyCleanSet, ParseError, UnknownDomain, ValidationError
 from .model import Instance, Schema, SimilarityRelation, read_text
 
 
-@dataclass(frozen=True)
-class QueryAtom:
+class QueryAtom(NamedTuple):
     relation: str
     args: tuple[Term, ...]  # identifier first, then attribute terms
 
 
-@dataclass(frozen=True)
-class SimLiteral:
+class SimLiteral(NamedTuple):
     left: Term
     right: Term
     domain: str | None = None
 
 
-@dataclass(frozen=True)
-class ConjunctiveQuery:
+class ConjunctiveQuery(NamedTuple):
     name: str
     head: tuple[Var, ...]
     atoms: tuple[QueryAtom, ...]

@@ -984,6 +984,9 @@ def validate_refuses(capsys, args, message):
      "ParseError: {}: line 1, column 4: rule 'm': identifier variables must be distinct"),
     ("md m: R(t1; x1, y1), R(t2; t1, y2) -> y1 := y2;",
      "ParseError: {}: line 1, column 4: rule 'm': 't1' is used both as identifier and attribute"),
+    ("md m: lead R(t1; t1, y1), lead R(t2; x2, y2), y1 ~domb~ y2 -> y1 := y2;",
+     "ParseError: {}: line 1, column 24: atom R: identifier variable 't1' reused as an attribute "
+     "variable"),
     ("md m: R(t1; x1, y1), R(t2; x2, y2) -> y1 := y1;",
      "ParseError: {}: line 1, column 4: rule 'm': right-hand side must name two distinct variables"),
     ("md m: lead R(t1; x1, y1), lead R(t2; x2, y2), R(t3; x3, y2) -> y1 := y2;",
@@ -996,8 +999,8 @@ def validate_refuses(capsys, args, message):
     ("md m: R(t1; x1, y1), R(t2; x2, y2), x1 ~ x2 -> y1 := x2;",
      "ValidationError: {}: rule 'm': right-hand attributes live in different domains "
      "('domb' vs 'doma')"),
-], ids=["keyword", "lead", "similarity", "one-atom", "tids", "tid-attribute", "one-variable",
-        "context", "twice", "case", "domains"])
+], ids=["keyword", "lead", "similarity", "one-atom", "tids", "tid-attribute", "reused",
+        "one-variable", "context", "twice", "case", "domains"])
 def test_validate_refuses_a_malformed_rule(tmp_path, capsys, rule, message):
     path = tmp_path / "mds.txt"
     path.write_text(rule + "\n")

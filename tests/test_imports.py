@@ -1,9 +1,11 @@
-"""No module of the package imports a name that it never references or a
-`_`-prefixed name of another module, every public function or method it
-defines is named outside its definition, and none takes both a `schema` and
-an `instance`: the instance carries its schema.
+"""No module of the package imports a name that it never references, a
+`_`-prefixed name of another module or `dataclasses`, every public function or
+method it defines is named outside its definition, and none takes both a
+`schema` and an `instance`: the instance carries its schema.
 Every module of the package and of the tests parses as Python 3.10, the
-oldest version `pyproject.toml` admits.
+oldest version `pyproject.toml` admits.  A fresh interpreter that imports
+`mdclean.cli` loads neither `dataclasses` nor `inspect`: each CLI command is
+one process and pays for every module its start-up loads.
 
 `__init__.py` is skipped, since its imports are the package's re-exports, and
 so is `from __future__ import ...`.  A function or method counts as named
@@ -13,7 +15,10 @@ program does not consume.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -99,6 +104,54 @@ def test_the_check_sees_a_private_import():
         "    from .chase import _Agenda\n"
     )
     assert private_imports(source) == ["_fire", "_Plan", "_Agenda"]
+
+
+def imported_modules(source: str) -> list[str]:
+    """The modules that `source` imports, absolute or relative, in import order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append("." * node.level + (node.module or ""))
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    # importing it loads `inspect`, `ast`, `dis` and `tokenize`, and each
+    # decorated class execs generated source: start-up every command pays
+    modules = imported_modules((PACKAGE / module).read_text(encoding="utf-8"))
+    assert [m for m in modules if m.split(".")[0] == "dataclasses"] == []
+
+
+def test_the_check_sees_a_dataclasses_import():
+    source = (
+        "import os, dataclasses\n"
+        "from .datalog import Var\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+    )
+    assert imported_modules(source) == ["os", "dataclasses", ".datalog", "dataclasses"]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the modules `site` preloads are in both snapshots, so only the ones
+    # importing the package loads are left
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mdclean.cli\n"
+        "print(mdclean.cli.__file__)\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve().parent == PACKAGE.resolve()
+    assert "mdclean.chase" in loaded.split()
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded.split())
 
 
 def unnamed_functions(sources: list[str], texts: list[str]) -> list[str]:

@@ -3,7 +3,7 @@
 import pytest
 
 from mdclean.errors import ParseError, ValidationError
-from mdclean.mdlang import MDAtom, parse_mds, validate_mds
+from mdclean.mdlang import parse_mds, validate_mds
 from mdclean.model import MatchingFunction, Schema
 
 TWO_RULES = """
@@ -234,6 +234,9 @@ def test_two_atoms_without_lead_are_both_leading():
     assert unmarked == marked
 
 
-def test_atom_constructor_guards():
-    with pytest.raises(ValidationError):
-        MDAtom("R", "t", ("t", "x"), True)
+def test_an_atom_reusing_its_identifier_is_refused_at_parse():
+    with pytest.raises(ParseError) as err:
+        parse_mds("md m:\n  lead R(t; t, x), lead R(t2; x2, y2) -> x := y2;")
+    assert (err.value.line, err.value.column) == (2, 17)
+    assert str(err.value) == (
+        "line 2, column 17: atom R: identifier variable 't' reused as an attribute variable")
