@@ -40,19 +40,17 @@ import math
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .datalog import Database, Literal, Program, Rule, Var, fire_rules, value_builtins
-from .errors import StepLimitExceeded, StepNotApplicable, UndefinedMatch, ValidationError
+from .errors import (
+    DEFAULT_STEP_LIMIT,
+    StepLimitExceeded,
+    StepNotApplicable,
+    UndefinedMatch,
+    ValidationError,
+    check_step_limit,
+)
 from .mdlang import BoundMD, md_body, var_name
 from .model import Instance, SaturatedMatchingFunction, SimilarityRelation
 from .query import instance_facts, relation_pred
-
-DEFAULT_STEP_LIMIT = 20000
-
-
-def check_step_limit(step_limit: int) -> None:
-    """Refuse a negative step budget as invalid input."""
-    if step_limit < 0:
-        raise ValidationError(f"step limit must not be negative, got {step_limit}")
-
 
 class EnforcementStep(NamedTuple):
     """One applicable enforcement, identified by rule and leading tuples.

@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .chase import DEFAULT_STEP_LIMIT, ChaseEngine, check_step_limit
-from .classify import Verdict, classify
-from .codegen import emit_general_asp, emit_residual_datalog, evaluate_residual
-from .errors import MdcleanError, ParseError, UnknownDomain, ValidationError
-from .mdlang import BoundMD, MatchingDependency, load_mds, validate_mds
+from .errors import (
+    DEFAULT_STEP_LIMIT,
+    MdcleanError,
+    ParseError,
+    UnknownDomain,
+    ValidationError,
+    check_step_limit,
+)
 from .model import (
     Instance,
     MatchingFunction,
@@ -27,7 +32,41 @@ from .model import (
     SimilarityRelation,
     collect_active_values,
 )
-from .query import ConjunctiveQuery, certain_answers, load_queries, validate_query
+
+if TYPE_CHECKING:
+    from .mdlang import BoundMD, MatchingDependency
+    from .query import ConjunctiveQuery
+
+# The names of the other layers that the commands call, by the module that
+# defines them.  A module is imported the first time one of its names is read
+# as an attribute of this module, through `__getattr__`, so each command loads
+# only the layers it runs.  The commands read these names through `_cli`, this
+# module, so that one replaced on it, as a tracer does, is the one they call.
+_LAYER_NAMES = {
+    "ChaseEngine": "chase",
+    "Verdict": "classify",
+    "classify": "classify",
+    "emit_general_asp": "codegen",
+    "emit_residual_datalog": "codegen",
+    "evaluate_residual": "codegen",
+    "load_mds": "mdlang",
+    "validate_mds": "mdlang",
+    "certain_answers": "query",
+    "load_queries": "query",
+    "validate_query": "query",
+}
+
+
+def __getattr__(name):
+    """The name `name` of another layer, imported on first use and then bound here."""
+    if name not in _LAYER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = importlib.import_module(f"{__package__}.{_LAYER_NAMES[name]}")
+    value = globals()[name] = getattr(layer, name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 @contextmanager
@@ -64,11 +103,11 @@ class Inputs:
 
     def mds(self) -> list[MatchingDependency]:
         with _blame(self.args.mds):
-            return load_mds(self.args.mds)
+            return _cli.load_mds(self.args.mds)
 
     def check_mds(self, mds: list[MatchingDependency], mf: MatchingFunction) -> list[BoundMD]:
         with _blame(self.args.mds):
-            return validate_mds(mds, self.schema, mf)
+            return _cli.validate_mds(mds, self.schema, mf)
 
     def sim(self) -> SimilarityRelation:
         return self._declarations(SimilarityRelation, self.args.sim, "similarity")
@@ -94,9 +133,9 @@ class Inputs:
 
     def queries(self) -> list[ConjunctiveQuery]:
         with _blame(self.args.query):
-            queries = load_queries(self.args.query)
+            queries = _cli.load_queries(self.args.query)
             for query in queries:
-                validate_query(query, self.schema)
+                _cli.validate_query(query, self.schema)
         return queries
 
     def setting(self):
@@ -196,7 +235,7 @@ def cmd_validate(args) -> str:
 
 
 def cmd_classify(args) -> str:
-    payload = classify(*Inputs(args).setting()).to_json_dict()
+    payload = _cli.classify(*Inputs(args).setting()).to_json_dict()
     lines = [f"verdict: {payload['verdict']}"]
     for pair in payload["interaction_pairs"]:
         lines.append(f"pair: {pair['writer']} writes {pair['attribute']} read by {pair['reader']}")
@@ -208,7 +247,7 @@ def cmd_classify(args) -> str:
 
 def cmd_chase(args) -> str:
     instance, rules, sim, smf = Inputs(args).setting()
-    engine = ChaseEngine(rules, sim, smf)
+    engine = _cli.ChaseEngine(rules, sim, smf)
     if args.all:
         result = engine.chase_all(instance, step_limit=args.step_limit)
     else:
@@ -226,19 +265,19 @@ def cmd_chase(args) -> str:
 
 
 def cmd_emit_asp(args) -> str:
-    return emit_general_asp(*Inputs(args).setting()).text()
+    return _cli.emit_general_asp(*Inputs(args).setting()).text()
 
 
 def cmd_emit_datalog(args) -> str:
     setting = Inputs(args).setting()
-    return emit_residual_datalog(*setting, classify(*setting)).text()
+    return _cli.emit_residual_datalog(*setting, _cli.classify(*setting)).text()
 
 
 def cmd_solve(args) -> str:
     setting = Inputs(args).setting()
     _, rules, sim, smf = setting
-    residual = emit_residual_datalog(*setting, classify(*setting))
-    clean = evaluate_residual(residual, ChaseEngine(rules, sim, smf))
+    residual = _cli.emit_residual_datalog(*setting, _cli.classify(*setting))
+    clean = _cli.evaluate_residual(residual, _cli.ChaseEngine(rules, sim, smf))
     return _render(args, clean.to_json_dict(), _instance_lines(clean))
 
 
@@ -249,17 +288,17 @@ def cmd_answer(args) -> str:
     queries = inputs.queries()
     # the residual route runs no chase, so it would never check the budget
     check_step_limit(args.step_limit)
-    verdict = classify(*setting)
-    engine = ChaseEngine(rules, sim, smf)
-    if verdict.verdict is Verdict.GENERAL:
+    verdict = _cli.classify(*setting)
+    engine = _cli.ChaseEngine(rules, sim, smf)
+    if verdict.verdict is _cli.Verdict.GENERAL:
         clean_instances = list(engine.chase_all(instance, step_limit=args.step_limit).instances)
     else:
-        residual = emit_residual_datalog(*setting, verdict)
-        clean_instances = [evaluate_residual(residual, engine)]
+        residual = _cli.emit_residual_datalog(*setting, verdict)
+        clean_instances = [_cli.evaluate_residual(residual, engine)]
     payload = []
     lines = []
     for query in queries:
-        answers = sorted(certain_answers(clean_instances, query, sim))
+        answers = sorted(_cli.certain_answers(clean_instances, query, sim))
         payload.append({"query": query.name, "answers": [list(a) for a in answers]})
         if answers:
             lines.extend(f"{query.name}({', '.join(a)})" for a in answers)

@@ -191,6 +191,10 @@ class Program:
                 )
             else:
                 self.facts.setdefault(pred, set()).add(args)
+        # per rule, its head's predicate and its body literals' by position,
+        # which every round of `fire_rules` reads
+        self._head_preds = [rule.heads[0].pred for rule in self.rules]
+        self._body_preds = [tuple(enumerate(lit.pred for lit in rule.body)) for rule in self.rules]
         self._plans: dict[tuple[int, int | None], _Plan] = {}
         self._strata: list[list[str]] | None = None
         self._validate()
@@ -396,7 +400,7 @@ def evaluate(
         for pred, ts in given.items():
             db.add(pred, ts)
     for stratum in map(set, program.strata):
-        rule_indices = [i for i, rule in enumerate(program.rules) if rule.head.pred in stratum]
+        rule_indices = [i for i, pred in enumerate(program._head_preds) if pred in stratum]
         delta = None
         while delta is None or delta.relations:
             fresh = fire_rules(program, rule_indices, db, delta)
@@ -424,17 +428,17 @@ def fire_rules(
             if pred in program.builtins:
                 raise ValidationError(f"built-in {pred!r} has no facts")
     fresh: dict[str, set[tuple[str, ...]]] = {}
+    head_preds, body_preds = program._head_preds, program._body_preds
     for i in rule_indices:
-        rule = program.rules[i]
         if delta is None:
             reads = [None]
         else:
-            reads = [occ for occ, lit in enumerate(rule.body) if delta.get(lit.pred)]
+            reads = [occ for occ, pred in body_preds[i] if delta.get(pred)]
         for occ in reads:
             plan = program.plan(i, occ)
             derived = _fire(plan, [delta if j == occ else db for j in plan.reads])
             if derived:
-                fresh.setdefault(rule.head.pred, set()).update(derived)
+                fresh.setdefault(head_preds[i], set()).update(derived)
     return fresh
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the chase's step budget,
+which the command line reads without loading the chase."""
 
 from __future__ import annotations
 
@@ -50,6 +51,15 @@ class StepNotApplicable(MdcleanError):
 
 class StepLimitExceeded(MdcleanError):
     """The chase gave up after the configured number of enforcement steps."""
+
+
+DEFAULT_STEP_LIMIT = 20000
+
+
+def check_step_limit(step_limit: int) -> None:
+    """Refuse a negative step budget as invalid input."""
+    if step_limit < 0:
+        raise ValidationError(f"step limit must not be negative, got {step_limit}")
 
 
 class NotSci(MdcleanError):

@@ -12,7 +12,6 @@ of a built-in's `MF_RULES` entry; the Datalog built-ins call the first two.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
@@ -305,6 +304,8 @@ class Instance:
 
         A CSV file named after no relation is refused, as a JSON key is.
         """
+        import csv  # here, its one use, so that a command reading no CSV never loads it
+
         directory = Path(directory)
         for path in sorted(directory.glob("*.csv")):
             schema.relation(path.stem)

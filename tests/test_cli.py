@@ -1137,3 +1137,27 @@ def test_help_exits_zero(capsys):
     code, out, err = run(capsys, ["chase", "--help"])
     assert (code, err) == (0, "")
     assert out.startswith("usage: mdclean chase")
+
+
+@pytest.mark.parametrize("command", ["chase", "answer"])
+def test_the_step_limit_help_names_the_default_budget(capsys, command):
+    code, out, err = run(capsys, [command, "--help"])
+    assert (code, err) == (0, "")
+    # argparse wraps the help to the terminal's width
+    assert "abort after this many enforcement steps (default 20000)" in " ".join(out.split())
+
+
+def test_a_chase_without_a_step_limit_stops_after_20000_steps(tmp_path, capsys):
+    # five tuples whose values all merge by token union: enumerating the
+    # orders of their merges follows more than 20,000 steps
+    args = write_setting(
+        tmp_path,
+        "R(A: d, B: e)\n",
+        {"R": "tid,A,B\n" + "".join(f"t{i},a,b{i}\n" for i in range(1, 6))},
+        "md m: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~d~ x2 -> y1 := y2;\n",
+        "d: builtin exact-equality\n",
+        "e: builtin token-union\n",
+    )
+    code, out, err = run(capsys, ["chase", "--all", *args])
+    assert (code, out) == (2, "")
+    assert err == "error: StepLimitExceeded: chase exceeded 20000 enforcement steps\n"

@@ -3,9 +3,10 @@
 method it defines is named outside its definition, and none takes both a
 `schema` and an `instance`: the instance carries its schema.
 Every module of the package and of the tests parses as Python 3.10, the
-oldest version `pyproject.toml` admits.  A fresh interpreter that imports
-`mdclean.cli` loads neither `dataclasses` nor `inspect`: each CLI command is
-one process and pays for every module its start-up loads.
+oldest version `pyproject.toml` admits.  Each CLI command, run in a fresh
+interpreter, loads the modules of the layers it runs and no other module of
+the package, and neither `dataclasses` nor `inspect`: each command is one
+process and pays for every module its start-up loads.
 
 `__init__.py` is skipped, since its imports are the package's re-exports, and
 so is `from __future__ import ...`.  A function or method counts as named
@@ -23,6 +24,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from fixture_edits import FIXTURES, fixture_args
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mdclean"
@@ -135,22 +138,53 @@ def test_the_check_sees_a_dataclasses_import():
     assert imported_modules(source) == ["os", "dataclasses", ".datalog", "dataclasses"]
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # the modules `site` preloads are in both snapshots, so only the ones
-    # importing the package loads are left
+QUERY = ["--query", str(FIXTURES / "divergent" / "queries.txt")]
+# `import mdclean.cli` loads these and no other module of the package
+CLI = {"mdclean", "mdclean.cli", "mdclean.errors", "mdclean.model"}
+# reading the rules and the queries adds their parsers
+READERS = CLI | {"mdclean.datalog", "mdclean.mdlang", "mdclean.query"}
+EVERY = {"mdclean"} | {
+    f"mdclean.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__")
+}
+LOADS = {
+    "validate-schema": (["validate", "--schema", str(FIXTURES / "convergent" / "schema.txt")], CLI),
+    "validate": (["validate", *fixture_args("convergent"), *QUERY], READERS),
+    "classify": (["classify", *fixture_args("convergent")], READERS | {"mdclean.classify"}),
+    "chase": (["chase", "--all", *fixture_args("convergent")], READERS | {"mdclean.chase"}),
+    "emit-asp": (["emit-asp", *fixture_args("convergent")],
+                 READERS | {"mdclean.classify", "mdclean.codegen"}),
+    "emit-datalog": (["emit-datalog", *fixture_args("convergent")],
+                     READERS | {"mdclean.classify", "mdclean.codegen"}),
+    "solve": (["solve", *fixture_args("convergent")], EVERY),
+    "answer": (["answer", *fixture_args("convergent"), *QUERY], EVERY),
+    # a diverging setting is answered by chasing, without a residual program
+    "answer-diverging": (["answer", *fixture_args("divergent"), *QUERY], EVERY - {"mdclean.codegen"}),
+}
+
+
+@pytest.mark.parametrize("command", LOADS)
+def test_each_command_loads_only_the_layers_it_runs(command):
+    # each CLI command is one process and pays for every module it loads;
+    # `answer` and `solve` load them all, so no module of the package may
+    # bring in `dataclasses` or `inspect`.  The modules `site` preloads are
+    # in both snapshots, so only the ones the command loads are left.
+    argv, expected = LOADS[command]
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import mdclean.cli\n"
-        "print(mdclean.cli.__file__)\n"
+        "code = mdclean.cli.main(sys.argv[1:])\n"
+        "print(code, mdclean.cli.__file__)\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
-    where, loaded = proc.stdout.splitlines()
-    assert Path(where).resolve().parent == PACKAGE.resolve()
-    assert "mdclean.chase" in loaded.split()
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", os.devnull],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          check=True)
+    status, loaded = proc.stdout.splitlines()
+    exit_code, where = status.split()
+    assert (exit_code, Path(where).resolve().parent) == ("0", PACKAGE.resolve()), proc.stderr
+    assert {m for m in loaded.split() if m.split(".")[0] == "mdclean"} == expected
     assert {"dataclasses", "inspect"}.isdisjoint(loaded.split())
 
 
