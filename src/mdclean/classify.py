@@ -80,11 +80,26 @@ def is_similarity_preserving(
     (they include the domain's active values), including every reflexive
     pair, since similarity itself is reflexive.  A written domain without a
     matching function merges nothing, so it yields no counterexample.
-    Returns (True, None) or (False, (domain, a, a2, a3, merged)).
+    Returns (True, None) or (False, (domain, a, a2, a3, merged)), the least
+    counterexample in sorted value order: a token-union domain's values are
+    read in that order only as far as the search gets, and one whose
+    similarity is `token-overlap` alone, over values that all hold a token,
+    preserves it without a search, since a ~ a' then shares a token with a'
+    and a union keeps every token of a'.
     """
     for dom in sorted({rule.rhs_domain for rule in rules}):
         merge = smf.domain(dom)[0]
-        values = sorted(smf.values(dom))
+        values = smf.values(dom)
+        # a frozenset, or a token-union domain's `unions.TokenUnions`, which
+        # `classify` does not import, so that only such a domain loads it
+        if isinstance(values, frozenset):
+            values = sorted(values)
+        elif sim.builtins.get(dom) == "token-overlap" and not (
+            sim.declared_pairs(dom) or values.token_free
+        ):
+            continue
+        else:
+            values = _ReadAsNeeded(values)
         for a in values:
             for a2 in values:
                 if not sim.similar(dom, a, a2):
@@ -94,6 +109,26 @@ def is_similarity_preserving(
                     if merged is not None and not sim.similar(dom, a, merged):
                         return False, (dom, a, a2, a3, merged)
     return True, None
+
+
+class _ReadAsNeeded:
+    """An iterable's items, which every pass reads in order; each is taken
+    from it only when the first pass reaches it."""
+
+    def __init__(self, items):
+        self._items, self._read = iter(items), []
+
+    def __iter__(self):
+        index = 0
+        while index < len(self._read) or self._more():
+            yield self._read[index]
+            index += 1
+
+    def _more(self) -> bool:
+        for item in self._items:
+            self._read.append(item)
+            return True
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,8 @@ relation then only overrides the shared positions of that renaming.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .classify import Classification, Verdict
 from .datalog import (
     NEQ,
     Builtin,
@@ -61,6 +60,9 @@ from .model import (
     SimilarityRelation,
     collect_active_values,
 )
+
+if TYPE_CHECKING:
+    from .classify import Classification
 
 BLOCK_TITLES = {
     1: "initial tuple versions and value tables",
@@ -269,11 +271,12 @@ def _value_uses(
     domains = {dom for rel in written_rels for dom in schema.relation(rel).domains}
     pre_domains = sorted(dom for dom in domains if smf.has_mf(dom))
     for dom in sorted(set(mf_domains) | set(pre_domains)):
-        missing = active.get(dom, set()) - smf.values(dom)
+        values = smf.values(dom)
+        missing = sorted(v for v in active.get(dom, ()) if v not in values)
         if missing:
             raise ValidationError(
                 f"matching function for domain {dom!r} was not saturated over the "
-                f"instance values; missing {sorted(missing)}"
+                f"instance values; missing {missing}"
             )
     sim_domains = sorted({dom for rule in rules for dom in rule.sim_domains})
     kinds = (("mf", mf_domains), ("pre", pre_domains), ("sim", sim_domains))
@@ -290,7 +293,7 @@ def _value_tables(
     out = []
     for kind, dom in uses:
         name, arity, fn, _ = builtins[value_pred(kind, dom)]
-        universe = sorted(smf.values(dom) | active.get(dom, set()))
+        universe = sorted({*smf.values(dom), *active.get(dom, ())})
         if arity == 2:
             rows = [(a, b) for a in universe for b in universe if fn(a, b)]
         else:
@@ -482,6 +485,9 @@ def emit_residual_datalog(
     classification: Classification,
 ) -> ResidualProgram:
     """The non-disjunctive rewriting; only sound when the chase converges."""
+    # imported here, so that `emit-asp`, which never classifies, never loads it
+    from .classify import Verdict
+
     if classification.verdict is Verdict.GENERAL:
         raise NotSci(
             "rule set and instance classify as general; the residual rewriting "

@@ -17,9 +17,12 @@ import io
 import json
 import operator
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, SemilatticeViolation, ValidationError
+
+if TYPE_CHECKING:
+    from .unions import TokenUnions
 
 TID_ATTR = "tid"
 
@@ -420,6 +423,7 @@ class SimilarityRelation:
             bucket = self._pairs.setdefault(dom, set())
             for a, b in dom_pairs:
                 bucket.add(frozenset((str(a), str(b))))
+        self.builtins: dict[str, str] = dict(builtins or {})
         self._builtins: dict[str, Callable[[str, str], bool] | None] = {}
         self._rule_keys: dict[str, Callable[[str], Iterable[str]]] = {}
         self._keys: dict[str, _Keys] = {}
@@ -472,13 +476,11 @@ class SimilarityRelation:
 # matching functions
 
 
-def _token_union_closure(active: frozenset[str]) -> frozenset[str]:
-    """The active values and the spelling of every union of their token sets."""
-    # each set joins every union of the sets before it
-    closed: set[frozenset[str]] = set()
-    for toks in {tokens(v) for v in active}:
-        closed |= {toks} | {toks | other for other in closed}
-    return active | frozenset(token_canonical(s) for s in closed)
+def _token_unions(active: frozenset[str]) -> TokenUnions:
+    # imported on first use, so that `import mdclean.cli` does not compile it
+    from .unions import TokenUnions
+
+    return TokenUnions(active)
 
 
 # each matching built-in: its merge, its order, and its values given the active ones
@@ -489,7 +491,7 @@ MF_RULES: dict[str, tuple[Callable, Callable, Callable]] = {
     "token-union": (
         lambda a, b: token_canonical(tokens(a) | tokens(b)),
         lambda a, b: tokens(a) <= tokens(b),
-        lambda active: _token_union_closure(active),  # read at call time, so it can be stubbed
+        _token_unions,
     ),
     "value-min": (min, lambda a, b: b <= a, lambda active: active),
     "value-max": (max, lambda a, b: a <= b, lambda active: active),
@@ -547,9 +549,9 @@ class MatchingFunction:
         for dom in sorted(self.triples):
             domains[dom] = _saturate_table(dom, self.triples[dom], frozenset(active.get(dom, ())))
         for dom in sorted(self.builtins):
-            merge, order, close = MF_RULES[self.builtins[dom]]
-            # closed only when first asked for, since merging and ordering never need them
-            values = functools.cache(functools.partial(close, frozenset(active.get(dom, ()))))
+            merge, order, values_of = MF_RULES[self.builtins[dom]]
+            # built only when first asked for, since merging and ordering never need them
+            values = functools.cache(functools.partial(values_of, frozenset(active.get(dom, ()))))
             domains[dom] = (merge, order, values)
         return SaturatedMatchingFunction(domains)
 
@@ -653,7 +655,7 @@ class SaturatedMatchingFunction:
     def try_match(self, domain: str, a: str, b: str) -> str | None:
         return self._domains.get(domain, _NO_MATCHING)[0](a, b)
 
-    def values(self, domain: str) -> frozenset[str]:
+    def values(self, domain: str) -> frozenset[str] | TokenUnions:
         return self._domains.get(domain, _NO_MATCHING)[2]()
 
 

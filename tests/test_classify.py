@@ -1,7 +1,5 @@
 """Interaction analysis and single-clean-instance classification."""
 
-from pathlib import Path
-
 from mdclean import query
 from mdclean.classify import (
     InteractionPair,
@@ -14,7 +12,7 @@ from mdclean.classify import (
     is_similarity_preserving,
     sfai_queries,
 )
-from mdclean.mdlang import load_mds, parse_mds, validate_mds
+from mdclean.mdlang import parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -25,8 +23,7 @@ from mdclean.model import (
 from mdclean.query import eval_cq
 
 import naive_match
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from fixture_edits import fixture_setting
 
 TWO_RULES = """
 md md1: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~doma~ x2 -> y1 := y2;
@@ -279,17 +276,6 @@ def test_a_reader_variable_that_meets_two_writer_variables_makes_them_one():
     assert "w__r__R_B" in queries
     written = queries["w__r__R_B"].atoms[0]
     assert written.args[1] == written.args[2]
-
-
-def fixture_setting(name):
-    """A fixture's setting `(instance, rules, sim, smf)`."""
-    d = FIXTURES / name
-    schema = Schema.load(d / "schema.txt")
-    instance = Instance.load(schema, d)
-    sim = SimilarityRelation.load(d / "sim.txt")
-    mf = MatchingFunction.load(d / "mf.txt")
-    rules = validate_mds(load_mds(d / "mds.txt"), schema, mf)
-    return instance, rules, sim, mf.saturate(collect_active_values(instance, sim))
 
 
 def test_twin_related_embeddings_share_a_class_without_a_search(monkeypatch):
