@@ -7,6 +7,10 @@ their merge.  Each rule is compiled once to a Datalog step rule over the
 rule's body (`mdlang.md_body`), its similarity a built-in; an engine keeps
 only these rules and the saturated matching function.  A row names every
 tuple it read, and a step's context witness is the least in identifiers.
+The step rule of a rule whose body maps onto itself when its leading atoms
+swap (`BoundMD.swap_symmetric`) also requires `T1 < T2`: each of its rows
+has a mirror with the leading tuples swapped, so it derives one orientation
+of each match, the one holding the pair's least row, and no step changes.
 
 A chase state is the tuples' value vectors in `Instance.iter_tuples` order.
 `chase_all` and `chase_one` run one exploration over these states, which
@@ -37,9 +41,10 @@ successor function.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .datalog import Database, Literal, Program, Rule, Var, fire_rules, value_builtins
+from .datalog import Builtin, Database, Literal, Program, Rule, Var, fire_rules, value_builtins
 from .errors import (
     DEFAULT_STEP_LIMIT,
     StepLimitExceeded,
@@ -56,7 +61,8 @@ class EnforcementStep(NamedTuple):
     """One applicable enforcement, identified by rule and leading tuples.
 
     For rules whose leading atoms share a relation and write one position,
-    the pair is stored in sorted order.  `context_tids` is the least context
+    the pair is stored in sorted order, the order a swap-symmetric rule's
+    step rule derives its rows in.  `context_tids` is the least context
     witness, in context atom order, of the least orientation of the pair
     that matches; `old_values` follow the leading order here.  `new_value`
     is None when the matching function leaves the merge undefined, and
@@ -88,16 +94,31 @@ class ChaseResult(NamedTuple):
     sequences: tuple[tuple[EnforcementStep, ...], ...]
 
 
+# the order of tuple identifiers, in which `_Agenda` sorts a pair
+_LESS = Builtin("<", 2, operator.lt)
+
+
 def _step_rule(bound: BoundMD, index: int) -> Rule:
     """The step rule of the `index`-th rule.  It derives
     `step_<index>(T1, T2, C1..Ck, V1, V2)`: the two leading identifiers, the
     context identifiers in atom order, and the two current right-hand values,
-    for every match of the rule's body (`md_body`)."""
+    for every match of the rule's body (`md_body`).
+
+    A swap-symmetric rule (`BoundMD.swap_symmetric`) also requires `T1 < T2`,
+    right after the leading atoms, so that the planner tests it before any
+    similarity.  Every match of its body has a mirror that swaps the leading
+    tuples and values and renames the context, so the guard keeps, of each
+    pair, exactly the rows that start with its smaller identifier, which
+    hold its least row; the rows it drops change no step.
+    """
     (lead0, lead1), (p0, p1) = bound.lead, bound.rhs
     names = [lead0.tid_var, lead1.tid_var, *(a.tid_var for a in bound.md.context_atoms())]
     names += [lead0.attr_vars[p0], lead1.attr_vars[p1]]
     head = Literal(f"step_{index}", tuple(Var(var_name(v)) for v in names))
-    return Rule((head,), tuple(md_body(bound, relation_pred)))
+    body = md_body(bound, relation_pred)
+    if bound.swap_symmetric():
+        body.insert(2, Literal(_LESS.name, head.args[:2]))
+    return Rule((head,), tuple(body))
 
 
 class _Layout:
@@ -134,14 +155,16 @@ class _Agenda:
     step rows; the least of them, read when the step is, has the step's
     witness as its context.  For a rule whose two orientations write the same
     cells (`BoundMD.symmetric_write`) the pair is sorted, so both orientations
-    are one step; otherwise each ordered pair is its own.  `naming` maps each
+    are one step; otherwise each ordered pair is its own.  A swap-symmetric
+    rule's step rule derives only rows whose pair is already sorted
+    (`_step_rule`), so those are taken as they come.  `naming` maps each
     tuple identifier to the (rule index, pair, row) entries whose rows name
     it, so the rows a rewrite takes away are found without a scan.
     """
 
     def __init__(self, rules: list[BoundMD], heads: list[str]):
         self.heads = heads
-        self.symmetric = [rule.symmetric_write() for rule in rules]
+        self.sorts = [rule.symmetric_write() and not rule.swap_symmetric() for rule in rules]
         self.rows: list[dict[tuple[str, str], set[tuple[str, ...]]]] = [{} for _ in rules]
         self.naming: dict[str, set[tuple[int, tuple[str, str], tuple[str, ...]]]] = {}
 
@@ -149,10 +172,10 @@ class _Agenda:
         """Take in the step rows that `relations` holds under the step heads;
         each must be new."""
         naming = self.naming
-        for k, (head, symmetric) in enumerate(zip(self.heads, self.symmetric)):
+        for k, (head, sorts) in enumerate(zip(self.heads, self.sorts)):
             rows = self.rows[k]
             for row in relations.get(head, ()):
-                pair = (row[1], row[0]) if symmetric and row[1] < row[0] else (row[0], row[1])
+                pair = (row[1], row[0]) if sorts and row[1] < row[0] else (row[0], row[1])
                 rows.setdefault(pair, set()).add(row)
                 entry = (k, pair, row)
                 for tid in row[:-2]:
@@ -190,7 +213,7 @@ class ChaseEngine:
         self._named = [(rule.md.name, rule.rhs_domain) for rule in rules]
         uses = (("sim", dom) for rule in rules for dom in rule.sim_domains)
         steps = [_step_rule(rule, i) for i, rule in enumerate(rules)]
-        self._program = Program(steps, value_builtins(uses, sim))
+        self._program = Program(steps, {**value_builtins(uses, sim), _LESS.name: _LESS})
         self._heads = [step.head.pred for step in steps]
 
     # -- step discovery ----------------------------------------------------

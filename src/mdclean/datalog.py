@@ -456,6 +456,25 @@ def _getter(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
     return operator.itemgetter(*idx) if idx else (lambda seq: ())
 
 
+def _next_literal(remaining: list[int], needs: dict[int, set[int]],
+                  variables: list[set[int]], bound: set[int]) -> int | None:
+    """The body literal a plan places next, of the `remaining` ones in body
+    order: the first negated or built-in literal whose `needs` are bound,
+    else the first positive literal sharing a bound variable, else the first
+    positive literal; None when no literal can run."""
+    sharing = positive = None
+    for i in remaining:
+        need = needs.get(i)
+        if need is None:
+            if positive is None:
+                positive = i
+            if sharing is None and not bound.isdisjoint(variables[i]):
+                sharing = i
+        elif need <= bound:
+            return i
+    return positive if sharing is None else sharing
+
+
 class _Plan:
     """A rule body compiled to operations on slots, in the order it runs.
 
@@ -508,14 +527,6 @@ class _Plan:
         }
         remaining = list(range(len(body)))
 
-        def next_literal() -> int | None:
-            if first in remaining:
-                return first
-            ready = [i for i in remaining if i in needs and needs[i] <= bound]
-            positives = [i for i in remaining if i not in needs]
-            sharing = [i for i in positives if not bound.isdisjoint(variables[i])]
-            return (ready + sharing + positives + [None])[0]
-
         # the slots that built-ins with blocking keys compare, with the keys
         blockers = [
             (*args[:2], builtins[lit.pred].keys)
@@ -541,7 +552,10 @@ class _Plan:
         # keys); a scan through blocking keys holds the position whose keys
         # index a stored tuple and the slot whose keys probe the index
         self.levels: list[tuple[tuple, list[tuple]]] = [((None, None, None, (), (), None), [])]
-        while (i := next_literal()) is not None:
+        while True:
+            i = first if first in remaining else _next_literal(remaining, needs, variables, bound)
+            if i is None:
+                break
             remaining.remove(i)
             (pred, _, negated), args = body[i], args_of[i]
             ops = self.levels[-1][1]

@@ -261,7 +261,8 @@ class BoundMD(NamedTuple):
     `sim_domains` the domain of each similarity, in rule order.  `compared`
     are the attribute variables the left-hand side compares, through a
     similarity or an equality join, and `alhs` their (relation, attribute)
-    pairs; `arhs` are the ones the rule writes.
+    pairs; `arhs` are the ones the rule writes.  `symmetric_write` and
+    `swap_symmetric` say how the rule's two orientations relate.
     """
 
     md: MatchingDependency
@@ -277,6 +278,15 @@ class BoundMD(NamedTuple):
         """Whether both orientations of a pair write the same cells: the
         leading atoms share a relation and write one position."""
         return self.lead[0].relation == self.lead[1].relation and self.rhs[0] == self.rhs[1]
+
+    def swap_symmetric(self) -> bool:
+        """Whether the rule writes symmetrically and swapping its leading
+        atoms, position by position, extends through a bijection of the
+        context atoms to a renaming that maps the body onto itself,
+        similarities included: then every match of the body has a mirror
+        that swaps the leading tuples and values.  Only the chase asks, so
+        binding does not search a rule's context for every command."""
+        return self.symmetric_write() and _swaps_onto_itself(self.md, self.lead, self.sim_domains)
 
 
 def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
@@ -334,6 +344,77 @@ def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
     rhs = tuple(atom.attr_vars.index(v) for atom, v in zip(lead, rhs_vars))
     arhs = frozenset((rel, attr) for rel, attr, _ in written)
     return BoundMD(md, lead, rhs, d0, tuple(sim_domains), compared, alhs, arhs)
+
+
+def _swaps_onto_itself(md: MatchingDependency, lead: tuple[MDAtom, MDAtom],
+                       sim_domains: tuple[str, ...]) -> bool:
+    """Whether swapping the leading atoms, position by position, is a
+    consistent renaming that extends to the context atoms, each onto a
+    distinct one, and maps the similarities, each read either way round and
+    with its domain, onto themselves.
+
+    The renaming is extended one context atom at a time, onto an unused
+    atom of the same relation whose arguments agree with it so far, and
+    undone where no later atom fits.  The atom with the fewest such images
+    goes next, and a branch fails as soon as a similarity whose variables
+    are all renamed maps outside the set.
+    """
+    mapping: dict[str, str] = {}
+    for a, b in zip((lead[0].tid_var, *lead[0].attr_vars), (lead[1].tid_var, *lead[1].attr_vars)):
+        if mapping.setdefault(a, b) != b or mapping.setdefault(b, a) != a:
+            return False
+    sims = [(dom, sc.left, sc.right) for sc, dom in zip(md.similarities, sim_domains)]
+    either_way = {*sims, *((dom, b, a) for dom, a, b in sims)}
+    context = [(a.relation, (a.tid_var, *a.attr_vars)) for a in md.atoms if not a.leading]
+    if not context:  # the swap renames every variable
+        return all((dom, mapping[a], mapping[b]) in either_way for dom, a, b in sims)
+    free = set(range(len(context)))
+
+    def extend(todo: set[int]) -> bool:
+        for dom, a, b in sims:
+            x, y = mapping.get(a), mapping.get(b)
+            if x is not None and y is not None and (dom, x, y) not in either_way:
+                return False
+        if not todo:
+            return True
+        best = None
+        for i in todo:
+            relation, args = context[i]
+            images = [
+                (j, new) for j in free
+                if context[j][0] == relation
+                and (new := _extension(mapping, args, context[j][1])) is not None
+            ]
+            if best is None or len(images) < len(best[1]):
+                best = i, images
+                if len(images) < 2:
+                    break
+        i, images = best
+        for j, new in images:
+            mapping.update(new)
+            free.remove(j)
+            if extend(todo - {i}):
+                return True
+            free.add(j)
+            for x in new:
+                del mapping[x]
+        return False
+
+    return extend(set(free))
+
+
+def _extension(mapping: dict[str, str], src: tuple[str, ...],
+               dst: tuple[str, ...]) -> dict[str, str] | None:
+    """The bindings `mapping` needs to map the arguments `src` onto `dst`
+    position by position, or None if it cannot."""
+    new: dict[str, str] = {}
+    for x, y in zip(src, dst):
+        bound = mapping.get(x, new.get(x))
+        if bound is None:
+            new[x] = y
+        elif bound != y:
+            return None
+    return new
 
 
 def validate_mds(mds: list[MatchingDependency], schema: Schema,

@@ -15,10 +15,14 @@ pair's embeddings by the key of their query form, and
 `classify.sfai_queries`, which groups them by twin orbits and an
 isomorphism test, must return the same queries.
 
+`swap_symmetric` decides `BoundMD.swap_symmetric` by trying every
+bijection of a rule's context atoms onto themselves, with no pruning.
+
 Run `PYTHONPATH=src:tests python -m naive_match --draws 745 --bodies 10000`
 to compare the classifier's keys, isomorphism verdicts and queries with
-these on the acceptance population and on random bodies; it prints the
-first disagreement.
+these on the acceptance population and on random bodies, and
+`BoundMD.swap_symmetric` with `swap_symmetric` on random rules; it prints
+the first disagreement.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from typing import Iterator
 from mdclean.chase import EnforcementStep
 from mdclean.classify import _Body, _embeddings, _readable_query, interaction_pairs, sfai_queries
 from mdclean.datalog import Var
+from mdclean.mdlang import parse_mds, validate_mds
+from mdclean.model import MatchingFunction, Schema
 from mdclean.query import QueryAtom, SimLiteral, resolve_sim_domain
 
 from population import random_setting
@@ -189,6 +195,87 @@ def _match_context(schema, md, sim, instance, binding):
         return None
 
     return extend(0, binding, ())
+
+
+def swap_symmetric(rule) -> bool:
+    """Whether the rule writes symmetrically and, for some bijection of its
+    context atoms onto context atoms, the variable map that sends each atom
+    position by position onto its image, the leading atoms onto each other,
+    is consistent and maps the set of its similarities, each a domain and a
+    set of variables, onto itself."""
+    if not rule.symmetric_write():
+        return False
+    lead0, lead1 = rule.lead
+    context = rule.md.context_atoms()
+    sims = {(dom, frozenset((sc.left, sc.right))) for sc, dom in zip(rule.md.similarities, rule.sim_domains)}
+    for perm in itertools.permutations(context):
+        mapping: dict[str, str] = {}
+        pairs = zip((lead0, lead1, *context), (lead1, lead0, *perm))
+        if all(
+            src.relation == dst.relation
+            and all(
+                mapping.setdefault(x, y) == y
+                for x, y in zip((src.tid_var, *src.attr_vars), (dst.tid_var, *dst.attr_vars))
+            )
+            for src, dst in pairs
+        ) and {(dom, frozenset(mapping[v] for v in pair)) for dom, pair in sims} == sims:
+            return True
+    return False
+
+
+# random rules: two `R` leading atoms writing `C`, their context over `P` and
+# `S`, and similarities over `d`, most of them with the mirror that swapping
+# the leading atoms asks for
+RULE_SCHEMA = Schema.parse("R(A: d, B: d, C: e)\nP(A: d, B: d)\nS(A: d, C: e)")
+RULE_MF = MatchingFunction(builtins={"e": "value-min"})
+
+
+def random_rule(rng: random.Random, max_context: int = 4):
+    """One random rule bound to `RULE_SCHEMA`.  Its `d` variables are each
+    leading atom's own (`x` for the first, `z` for the second), shared by
+    both (`s`) or a context atom's own (`c`, and `S`'s `e` variables are
+    all its own); a mirror renames `x` and `z` into each other and a context
+    atom's own variables apart, and some mirrors get an argument changed."""
+    fresh = itertools.count(1)
+
+    def swapped(v: str) -> str:
+        return {"x": "z", "z": "x"}.get(v[0], v[0]) + v[1:]
+
+    def pick(side: str) -> str:
+        return rng.choice([f"{side}{rng.randint(1, 3)}", f"s{rng.randint(1, 2)}"])
+
+    def own(rel: str) -> str:
+        return f"{'c' if rel == 'P' else 'e'}{next(fresh)}"
+
+    lead0 = [pick("x"), pick("x")]
+    lead1 = [swapped(v) for v in lead0]
+    if rng.random() < 0.3:
+        lead1[rng.randrange(2)] = pick("z")
+    context = []
+    for _ in range(rng.randint(0, max_context)):
+        rel = rng.choice(["P", "S"])
+        args = [pick("x"), pick("x") if rel == "P" and rng.random() < 0.5 else own(rel)]
+        context.append((rel, args))
+        if rng.random() < 0.7:
+            mirror = [own(rel) if v[0] in "ce" else swapped(v) for v in args]
+            if rng.random() < 0.2:
+                mirror[0] = pick("z")
+            context.append((rel, mirror))
+    context = context[:max_context]
+    atoms = [f"lead R(t1; {lead0[0]}, {lead0[1]}, y1)", f"lead R(t2; {lead1[0]}, {lead1[1]}, y2)"]
+    atoms += [f"{rel}(t{i + 3}; {a}, {b})" for i, (rel, (a, b)) in enumerate(context)]
+    d_vars = sorted({*lead0, *lead1, *(v for _, args in context for v in args if v[0] != "e")})
+    sims = []
+    for _ in range(rng.randint(0, 3)):
+        left, right = rng.choice(d_vars), rng.choice(d_vars)
+        sims.append((left, right))
+        mirror = (swapped(left), swapped(right))
+        if rng.random() < 0.7 and set(mirror) <= set(d_vars):
+            sims.append(mirror[::rng.choice((1, -1))])
+    rng.shuffle(atoms)
+    body = ", ".join(atoms + [f"{a} ~d~ {b}" for a, b in sims])
+    (rule,) = validate_mds(parse_mds(f"md m: {body} -> y1 := y2;"), RULE_SCHEMA, RULE_MF)
+    return rule
 
 
 def canonical_key(atoms, sims):
@@ -398,6 +485,19 @@ def _scan(argv=None) -> int:
     print(
         f"{args.bodies} random bodies: keys and isomorphism verdicts agree "
         f"({isomorphic[True]} isomorphic copies, {isomorphic[False]} not)"
+    )
+    rng = random.Random(args.seed)
+    symmetric = {True: 0, False: 0}
+    for count in range(args.bodies):
+        rule = random_rule(rng)
+        expected = swap_symmetric(rule)
+        if rule.swap_symmetric() != expected:
+            print(f"rule {count}: swap symmetry is {rule.swap_symmetric()}, by brute force {expected}, on\n  {rule.md}")
+            return 1
+        symmetric[expected] += 1
+    print(
+        f"{args.bodies} random rules: swap symmetry agrees with brute force "
+        f"({symmetric[True]} symmetric, {symmetric[False]} not)"
     )
     return 0
 

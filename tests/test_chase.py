@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import time
 from pathlib import Path
@@ -10,14 +11,14 @@ import pytest
 
 from mdclean import chase, unions
 from mdclean.chase import ChaseEngine, EnforcementStep, _Agenda, rule_priority
-from mdclean.datalog import evaluate, fire_rules
+from mdclean.datalog import _TEST, Database, Program, Rule, evaluate, fire_rules
 from mdclean.errors import (
     StepLimitExceeded,
     StepNotApplicable,
     UndefinedMatch,
     ValidationError,
 )
-from mdclean.mdlang import load_mds, parse_mds, validate_mds
+from mdclean.mdlang import load_mds, md_body, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -26,9 +27,9 @@ from mdclean.model import (
     SimilarityRelation,
     collect_active_values,
 )
-from mdclean.query import instance_facts
+from mdclean.query import instance_facts, relation_pred
 
-from fixture_edits import with_p2_in_first_block
+from fixture_edits import fixture_setting, with_p2_in_first_block
 from population import random_setting
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -404,6 +405,37 @@ def test_step_json_shape():
         "new": "b12",
         "context": ["p1"],
     }
+
+
+# -- the step rule of a swap-symmetric rule ---------------------------------
+
+
+def test_a_swap_symmetric_step_rule_derives_one_orientation_of_each_match():
+    # mirroring a row swaps the leading tuples, the papers (t3 with t4) and
+    # the values, as swapping `coblock`'s leading atoms renames its body
+    instance, (rule,), sim, smf = fixture_setting("bibliography")
+    assert rule.swap_symmetric()
+    program = ChaseEngine([rule], sim, smf)._program
+    unguarded = Program(
+        [Rule(program.rules[0].heads, tuple(md_body(rule, relation_pred)))], program.builtins
+    )
+    for state in (instance, with_p2_in_first_block(instance)):
+        db = Database(instance_facts(state))
+        rows = fire_rules(program, [0], db, None)["step_0"]
+        mirrors = {(t2, t1, c4, c3, v2, v1) for t1, t2, c3, c4, v1, v2 in rows}
+        assert rows and all(row[0] < row[1] for row in rows)
+        assert not rows & mirrors
+        assert rows | mirrors == fire_rules(unguarded, [0], db, None)["step_0"]
+
+
+def test_the_identifier_guard_runs_before_the_similarities():
+    instance, rules, sim, smf = fixture_setting("bibliography")
+    program = ChaseEngine(rules, sim, smf)._program
+    # a full round, and a round reading either leading atom's new versions
+    for first in (None, 0, 1):
+        tests = [op[1] for _, ops in program.plan(0, first).levels for op in ops if op[0] == _TEST]
+        assert tests[0] is operator.lt
+        assert len(tests) == 5 and operator.lt not in tests[1:]
 
 
 # -- the agenda against evaluation from scratch -----------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mdclean import datalog
 from mdclean.datalog import (
     _COMPUTE,
     _MEMBER,
@@ -384,6 +385,45 @@ def test_a_body_reads_its_literals_in_the_planned_order(text, expected):
         plan = program.plan(0, first)
         found[first] = (plan.reads, [[OP_NAMES[op[0]] for op in ops] for _, ops in plan.levels])
     assert found == expected
+
+
+def test_the_next_literal_is_the_one_the_list_formula_picks(monkeypatch):
+    # the first ready negated or built-in literal, else the first positive
+    # literal sharing a bound variable, else the first positive literal
+    def by_lists(remaining, needs, variables, bound):
+        ready = [i for i in remaining if i in needs and needs[i] <= bound]
+        positives = [i for i in remaining if i not in needs]
+        sharing = [i for i in positives if not bound.isdisjoint(variables[i])]
+        return (ready + sharing + positives + [None])[0]
+
+    # how often each rule of the formula decides
+    decided = {"built-in or negated": 0, "sharing, not first": 0, "first positive": 0, "none": 0}
+    one_pass = datalog._next_literal
+
+    def checked(remaining, needs, variables, bound):
+        pick = one_pass(remaining, needs, variables, bound)
+        assert pick == by_lists(remaining, needs, variables, bound), (remaining, needs, bound)
+        positives = [i for i in remaining if i not in needs]
+        kind = (
+            "none" if pick is None else "built-in or negated" if pick in needs
+            else "first positive" if pick == positives[0] else "sharing, not first"
+        )
+        decided[kind] += 1
+        return pick
+
+    monkeypatch.setattr(datalog, "_next_literal", checked)
+    sim, smf = chain_env()
+    for seed in range(60):
+        rng = random.Random(seed)
+        rules, _ = random_program(rng, with_builtins=seed % 2 == 1)
+        # the same bodies in random order, which are not binding-first
+        rules += [Rule(rule.heads, tuple(rng.sample(rule.body, len(rule.body)))) for rule in rules]
+        program = Program(rules, value_builtins(VALUE_USES, sim, smf))
+        for index, rule in enumerate(program.rules):
+            for first, lit in enumerate(rule.body):
+                if not lit.negated and lit.pred not in program.builtins:
+                    program.plan(index, first)
+    assert min(decided.values()) > 40, decided
 
 
 # -- stratification --------------------------------------------------------

@@ -39,7 +39,7 @@ from mdclean.query import (
 )
 
 import naive_match
-from fixture_edits import with_p2_in_first_block
+from fixture_edits import fixture_setting, with_p2_in_first_block
 from population import random_setting
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -225,6 +225,7 @@ def test_the_oracle_scan_runs_as_a_module():
     assert done.stdout.splitlines() == [
         "5 draws, 40 embeddings: keys and queries agree",
         "10 random bodies: keys and isomorphism verdicts agree (14 isomorphic copies, 6 not)",
+        "10 random rules: swap symmetry agrees with brute force (7 symmetric, 3 not)",
     ]
 
 
@@ -266,6 +267,81 @@ md by_venue: lead Paper(t1; p1, v1, b1), lead Paper(t2; p2, v2, b2),
 """
 
 
+# rules at the edges of swap symmetry, with whether each is swap-symmetric;
+# `r` is the reader of ROADMAP item 1's identity repro (defect B)
+EDGE_SCHEMA = "R(A: d, B: d, C: e, D: f)\nS(A: d, C: e)\nP(A: d, B: d)"
+EDGE_RULES = {
+    # a similarity on one side only, and with its mirror written the other
+    # way round and without its domain
+    "md one_side: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2),"
+    " a1 ~d~ a2, a1 ~d~ b1 -> c1 := c2;": False,
+    "md both_sides: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2),"
+    " a1 ~d~ b1, b2 ~ a2 -> c1 := c2;": True,
+    # a similarity across the leading atoms whose mirror is missing, and two
+    # in different domains on different sides
+    "md crossed: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2),"
+    " a1 ~d~ b2, u1 ~f~ u2 -> c1 := c2;": False,
+    "md two_domains: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2),"
+    " a1 ~d~ b1, u2 ~f~ u2 -> c1 := c2;": False,
+    # a variable repeated in one leading atom, with a similarity the swap
+    # maps onto itself or not, and in both
+    "md r: lead R(t1; x1, x1, z1, v1), lead R(t2; x2, y2, z2, v2), x1 ~d~ x2 -> z1 := z2;": False,
+    "md r_by_f: lead R(t1; x1, x1, z1, v1), lead R(t2; x2, y2, z2, v2), v1 ~f~ v2"
+    " -> z1 := z2;": False,
+    "md repeated: lead R(t1; x1, x1, z1, v1), lead R(t2; x2, x2, z2, v2), x1 ~d~ x2"
+    " -> z1 := z2;": True,
+    # a context atom both leading atoms join: alone, with its mirror, and
+    # through a variable they share, which it maps onto itself
+    "md joined: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2), P(t3; a1, a2),"
+    " u1 ~f~ u2 -> c1 := c2;": False,
+    "md joined_both: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2), P(t3; a1, a2),"
+    " P(t4; a2, a1), u1 ~f~ u2 -> c1 := c2;": True,
+    "md shared: lead R(t1; w, b1, c1, u1), lead R(t2; w, b2, c2, u2), S(t3; w, e3),"
+    " u1 ~f~ u2 -> c1 := c2;": True,
+    # two relations, and two written positions
+    "md across: lead R(t1; a1, b1, c1, u1), lead S(t2; a2, c2), a1 ~d~ a2 -> c1 := c2;": False,
+    "md two_positions: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2),"
+    " u1 ~f~ u2 -> a1 := b2;": False,
+}
+
+
+def edge_setting():
+    schema = Schema.parse(EDGE_SCHEMA)
+    mf = MatchingFunction(builtins={"d": "value-min", "e": "value-min", "f": "value-min"})
+    rules = validate_mds(parse_mds("\n".join(EDGE_RULES)), schema, mf)
+    instance = Instance(schema, {
+        "R": {"r1": ("a", "c", "c1", "f1"), "r2": ("b", "b", "c2", "f2"), "r3": ("a", "a", "c3", "f1")},
+        "S": {"s1": ("a", "c5"), "s2": ("b", "c6")},
+        "P": {"p1": ("a", "b"), "p2": ("b", "a")},
+    })
+    # `c` is similar to nothing else, so which orientation of a pair
+    # matches `one_side` or `r` depends on which tuple comes first
+    sim = SimilarityRelation({"d": [("a", "b")], "f": [("f1", "f2")]})
+    return rules, sim, mf.saturate(collect_active_values(instance, sim)), instance
+
+
+def test_swap_symmetry_is_the_brute_force_one(population):
+    rules = [rule for s in population for rule in s.rules]
+    for name in sorted(p.name for p in FIXTURES.iterdir()):
+        rules += fixture_setting(name)[1]
+    eng, _, _ = bibliography(ONE_SIDED)
+    rules += eng._bound
+    edges, _, _, _ = edge_setting()
+    rules += edges
+    for rule in rules:
+        assert rule.swap_symmetric() == naive_match.swap_symmetric(rule), rule.md
+    assert [rule.swap_symmetric() for rule in edges] == list(EDGE_RULES.values())
+    assert [rule.swap_symmetric() for rule in eng._bound] == [False, True]
+    # the bench's rules, `coblock` (the bibliography fixture's) and `union`
+    by_name = {rule.md.name: rule for rule in rules}
+    assert by_name["coblock"].swap_symmetric()
+    (union,) = validate_mds(
+        parse_mds("md union: lead R(t1; x1, y1), lead R(t2; x2, y2), x1 ~grp~ x2 -> y1 := y2;"),
+        Schema.parse("R(A: grp, B: toks)"), MatchingFunction(builtins={"toks": "token-union"}),
+    )
+    assert union.swap_symmetric() and naive_match.swap_symmetric(union)
+
+
 def test_steps_match_the_pair_loop_on_context_atoms():
     eng, sim, instance = bibliography()
     assert check_every_state(eng, sim, instance) == 2
@@ -278,6 +354,11 @@ def test_steps_match_the_pair_loop_on_context_atoms():
         (s.md, s.lead_tids, s.context_tids) for s in steps
     ]
     assert check_every_state(eng, sim, instance) > 1
+
+    rules, sim, smf, instance = edge_setting()
+    eng = ChaseEngine(rules, sim, smf)
+    assert {step.md for step in check_steps(eng, sim, instance)} == {rule.md.name for rule in rules}
+    assert check_every_state(eng, sim, instance) > 100
 
 
 def test_relations_named_like_builtins_and_heads_chase_and_answer():
