@@ -7,10 +7,10 @@ their merge.  Each rule is compiled once to a Datalog step rule over the
 rule's body (`mdlang.md_body`), its similarity a built-in; an engine keeps
 only these rules and the saturated matching function.  A row names every
 tuple it read, and a step's context witness is the least in identifiers.
-The step rule of a rule whose body maps onto itself when its leading atoms
-swap (`BoundMD.swap_symmetric`) also requires `T1 < T2`: each of its rows
-has a mirror with the leading tuples swapped, so it derives one orientation
-of each match, the one holding the pair's least row, and no step changes.
+The step rule of a rule that maps onto itself with its leading atoms
+exchanged (`BoundMD.swap_symmetric`, asked once per rule) also requires
+`T1 < T2`: each of its rows has a mirror with the leading tuples swapped, so
+it derives one orientation of each match, the least row's, and no step changes.
 
 A chase state is the tuples' value vectors in `Instance.iter_tuples` order.
 `chase_all` and `chase_one` run one exploration over these states, which
@@ -98,15 +98,15 @@ class ChaseResult(NamedTuple):
 _LESS = Builtin("<", 2, operator.lt)
 
 
-def _step_rule(bound: BoundMD, index: int) -> Rule:
+def _step_rule(bound: BoundMD, index: int, guarded: bool) -> Rule:
     """The step rule of the `index`-th rule.  It derives
     `step_<index>(T1, T2, C1..Ck, V1, V2)`: the two leading identifiers, the
     context identifiers in atom order, and the two current right-hand values,
     for every match of the rule's body (`md_body`).
 
-    A swap-symmetric rule (`BoundMD.swap_symmetric`) also requires `T1 < T2`,
-    right after the leading atoms, so that the planner tests it before any
-    similarity.  Every match of its body has a mirror that swaps the leading
+    With `guarded`, for a swap-symmetric rule (`BoundMD.swap_symmetric`), it
+    also requires `T1 < T2` right after the leading atoms, so that the
+    planner tests it before any similarity.  Every match of its body has a mirror that swaps the leading
     tuples and values and renames the context, so the guard keeps, of each
     pair, exactly the rows that start with its smaller identifier, which
     hold its least row; the rows it drops change no step.
@@ -116,7 +116,7 @@ def _step_rule(bound: BoundMD, index: int) -> Rule:
     names += [lead0.attr_vars[p0], lead1.attr_vars[p1]]
     head = Literal(f"step_{index}", tuple(Var(var_name(v)) for v in names))
     body = md_body(bound, relation_pred)
-    if bound.swap_symmetric():
+    if guarded:
         body.insert(2, Literal(_LESS.name, head.args[:2]))
     return Rule((head,), tuple(body))
 
@@ -155,17 +155,16 @@ class _Agenda:
     step rows; the least of them, read when the step is, has the step's
     witness as its context.  For a rule whose two orientations write the same
     cells (`BoundMD.symmetric_write`) the pair is sorted, so both orientations
-    are one step; otherwise each ordered pair is its own.  A swap-symmetric
-    rule's step rule derives only rows whose pair is already sorted
-    (`_step_rule`), so those are taken as they come.  `naming` maps each
-    tuple identifier to the (rule index, pair, row) entries whose rows name
-    it, so the rows a rewrite takes away are found without a scan.
+    are one step; otherwise each ordered pair is its own.  `sorts[k]` says
+    whether the agenda sorts them: a swap-symmetric rule's step rule derives
+    only sorted pairs (`_step_rule`), which are taken as they come.  `naming`
+    maps each tuple identifier to the (rule index, pair, row) entries whose
+    rows name it, so the rows a rewrite takes away are found without a scan.
     """
 
-    def __init__(self, rules: list[BoundMD], heads: list[str]):
-        self.heads = heads
-        self.sorts = [rule.symmetric_write() and not rule.swap_symmetric() for rule in rules]
-        self.rows: list[dict[tuple[str, str], set[tuple[str, ...]]]] = [{} for _ in rules]
+    def __init__(self, sorts: list[bool], heads: list[str]):
+        self.heads, self.sorts = heads, sorts
+        self.rows: list[dict[tuple[str, str], set[tuple[str, ...]]]] = [{} for _ in sorts]
         self.naming: dict[str, set[tuple[int, tuple[str, str], tuple[str, ...]]]] = {}
 
     def add(self, relations: Mapping[str, Iterable[tuple[str, ...]]]) -> None:
@@ -207,12 +206,13 @@ class ChaseEngine:
     def __init__(self, rules: list[BoundMD], sim: SimilarityRelation,
                  smf: SaturatedMatchingFunction):
         self.smf = smf
-        self._bound = list(rules)
         self._rules = {rule.md.name: rule for rule in rules}
         # the name and written domain of each rule, which each of its steps reads
         self._named = [(rule.md.name, rule.rhs_domain) for rule in rules]
         uses = (("sim", dom) for rule in rules for dom in rule.sim_domains)
-        steps = [_step_rule(rule, i) for i, rule in enumerate(rules)]
+        guarded = [rule.swap_symmetric() for rule in rules]
+        self._sorts = [rule.symmetric_write() and not g for rule, g in zip(rules, guarded)]
+        steps = [_step_rule(rule, i, g) for i, (rule, g) in enumerate(zip(rules, guarded))]
         self._program = Program(steps, {**value_builtins(uses, sim), _LESS.name: _LESS})
         self._heads = [step.head.pred for step in steps]
 
@@ -228,7 +228,7 @@ class ChaseEngine:
         step rows that one round of every step rule in full derives over it.
         No step rule reads a step row, so that round derives them all."""
         db = Database(instance_facts(instance))
-        agenda = _Agenda(self._bound, self._heads)
+        agenda = _Agenda(self._sorts, self._heads)
         agenda.add(fire_rules(self._program, range(len(self._heads)), db, None))
         return db, agenda
 

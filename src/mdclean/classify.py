@@ -9,12 +9,12 @@ reported as the general case, where enforcement order can matter.  The
 checks read the rules as bound to the schema by `mdlang.validate_mds`.
 
 A pair gets one query per isomorphism class of its embeddings.  Embeddings
-that twin swaps of the two rules' atoms map onto each other share a class
-without a search.  Any other embedding is tested for isomorphism with the
-first of each class so far, and the classes are ordered, when there are
-several, by a canonical key that a branch-and-bound search computes; neither
-enumerates atom permutations.  `is_sfai` evaluates all the queries as one
-program.
+that renamings of the two rules onto themselves (`BoundMD.orbits`) map onto
+each other share a class without a search.  Any other embedding is tested
+for isomorphism with the first of each class so far, and the classes are
+ordered, when there are several, by a canonical key that a branch-and-bound
+search computes; neither enumerates atom permutations.  `is_sfai` evaluates
+all the queries as one program.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def sfai_queries(rules: list[BoundMD], schema: Schema) -> list[ConjunctiveQuery]
         orbits: set[tuple[int, int]] = set()
         for orbit, embed in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, schema):
             if orbit in orbits:
-                continue  # twin swaps map it onto an embedding already classed
+                continue  # the rules' symmetry maps it onto one already classed
             orbits.add(orbit)
             body = _Body(*embed())
             if not any(body.isomorphic_to(first) for first in classes):
@@ -173,19 +173,18 @@ def sfai_queries(rules: list[BoundMD], schema: Schema) -> list[ConjunctiveQuery]
 def _embeddings(writer, reader, pair, schema):
     """Each written atom of `writer` unified with each occurrence of the
     shared attribute in `reader`'s body, as its orbit pair and a function
-    that builds it.  It is built as atoms `(relation, terms)` and literals
-    `(domain, left, right)` over integer variables: the writer's numbered
-    from 0 in `md.variables()` order, then the reader's.  Variables that
+    that builds it.  It is built from the two rules' `numbered_body`s, the
+    writer's variables numbered from 0 and then the reader's.  Variables that
     meet positionwise become one, so a reader variable that meets two writer
     variables makes those one too.
 
     The orbit pair names the first written atom and the first occurrence
-    that twin swaps (see `_Body`) join each to.  A twin swap maps its rule
+    that each rule's `orbits` join each to.  Those renamings map their rule
     onto itself, so two embeddings with one orbit pair are isomorphic."""
     attr_pos = schema.relation(pair.relation).position(pair.attribute)
     offset = len(writer.md.variables())
-    writer_atoms, writer_sims = _numbered_body(writer, 0)
-    reader_atoms, reader_sims = _numbered_body(reader, offset)
+    writer_atoms, writer_sims = writer.numbered_body(0)
+    reader_atoms, reader_sims = reader.numbered_body(offset)
     lead_indices = [idx for idx, a in enumerate(writer.md.atoms) if a.leading]
     written = [
         index
@@ -197,8 +196,8 @@ def _embeddings(writer, reader, pair, schema):
         for idx, atom in enumerate(reader.md.atoms)
         if atom.relation == pair.relation and atom.attr_vars[attr_pos] in reader.compared
     ]
-    written_orbit = _Body(writer_atoms, writer_sims).orbits(written)
-    occurrence_orbit = _Body(reader_atoms, reader_sims).orbits(occurrences)
+    written_orbit = writer.orbits(written)
+    occurrence_orbit = reader.orbits(occurrences)
 
     def embed(w_index, occ_index):
         parent: dict[int, int] = {}
@@ -223,15 +222,6 @@ def _embeddings(writer, reader, pair, schema):
             yield orbit, functools.partial(embed, w_index, occ_index)
 
 
-def _numbered_body(rule: BoundMD, offset: int):
-    """The rule body's atoms and literals, its variables numbered from `offset`."""
-    md = rule.md
-    ids = {var: offset + k for k, var in enumerate(md.variables())}
-    atoms = [(a.relation, tuple(ids[v] for v in (a.tid_var, *a.attr_vars))) for a in md.atoms]
-    sims = [(dom, ids[sc.left], ids[sc.right]) for sc, dom in zip(md.similarities, rule.sim_domains)]
-    return atoms, sims
-
-
 class _Body:
     """An embedding's atoms and similarity literals, searched for orderings.
 
@@ -253,7 +243,9 @@ class _Body:
     twins: two atoms of one relation that a swap of their own variables
     exchanges while it maps the similarity literals onto themselves lead to
     equal serialisations (McKay & Piperno, "Practical graph isomorphism,
-    II", 2014, prune automorphic branches the same way).
+    II", 2014, prune automorphic branches the same way).  A twin swap fixes
+    every other atom, so it keeps the ordering so far, which a renaming that
+    also moves other atoms, as `BoundMD.orbits` allows, need not.
 
     A body is given in `_embeddings`' form: atoms `(relation, terms)` and
     literals `(domain, left, right)`, every term a variable numbered by a
@@ -341,14 +333,6 @@ class _Body:
         if (a, b) not in self._twins:
             self._twins[a, b] = self._twins[b, a] = self._swapped_by_own_variables(a, b)
         return self._twins[a, b]
-
-    def orbits(self, indices) -> dict[int, int]:
-        """Each atom of `indices` mapped to the first of them that a chain of
-        twin swaps joins it to."""
-        first: dict[int, int] = {}
-        for i in indices:
-            first[i] = next((first[j] for j in first if self._twin(j, i)), i)
-        return first
 
     def _swapped_by_own_variables(self, a, b) -> bool:
         (rel_a, args_a), (rel_b, args_b) = self.atoms[a], self.atoms[b]

@@ -262,7 +262,8 @@ class BoundMD(NamedTuple):
     are the attribute variables the left-hand side compares, through a
     similarity or an equality join, and `alhs` their (relation, attribute)
     pairs; `arhs` are the ones the rule writes.  `symmetric_write` and
-    `swap_symmetric` say how the rule's two orientations relate.
+    `swap_symmetric` say how the rule's two orientations relate, and
+    `orbits` which of its atoms a renaming of the rule onto itself exchanges.
     """
 
     md: MatchingDependency
@@ -280,13 +281,33 @@ class BoundMD(NamedTuple):
         return self.lead[0].relation == self.lead[1].relation and self.rhs[0] == self.rhs[1]
 
     def swap_symmetric(self) -> bool:
-        """Whether the rule writes symmetrically and swapping its leading
-        atoms, position by position, extends through a bijection of the
-        context atoms to a renaming that maps the body onto itself,
-        similarities included: then every match of the body has a mirror
-        that swaps the leading tuples and values.  Only the chase asks, so
-        binding does not search a rule's context for every command."""
-        return self.symmetric_write() and _swaps_onto_itself(self.md, self.lead, self.sim_domains)
+        """Whether the rule writes symmetrically and a renaming of the rule
+        onto itself exchanges its leading atoms (`orbits`): then every match
+        of the body has a mirror that swaps the leading tuples and values."""
+        first, second = (i for i, atom in enumerate(self.md.atoms) if atom.leading)
+        return self.symmetric_write() and self.orbits((first, second))[second] == first
+
+    def numbered_body(self, offset: int):
+        """The body's atoms `(relation, terms)` and literals `(domain, left,
+        right)`, its variables numbered from `offset` in `md.variables()`
+        order; a literal the rule repeats, either way round, is listed once."""
+        ids = {var: offset + k for k, var in enumerate(self.md.variables())}
+        atoms = [(a.relation, tuple(ids[v] for v in (a.tid_var, *a.attr_vars))) for a in self.md.atoms]
+        sims: dict[tuple, tuple[str, int, int]] = {}
+        for sc, dom in zip(self.md.similarities, self.sim_domains):
+            left, right = ids[sc.left], ids[sc.right]
+            sims.setdefault((dom, frozenset((left, right))), (dom, left, right))
+        return atoms, list(sims.values())
+
+    def orbits(self, indices) -> dict[int, int]:
+        """Each body atom of `indices` mapped to the first of them that a
+        chain of renamings of the rule onto itself, each exchanging two of
+        them, joins it to: the one search for the rule's symmetry."""
+        atoms, sims = self.numbered_body(0)
+        first: dict[int, int] = {}
+        for i in indices:
+            first[i] = next((first[j] for j in first if _exchanges(atoms, sims, j, i)), i)
+        return first
 
 
 def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
@@ -346,44 +367,39 @@ def _bind(md: MatchingDependency, schema: Schema) -> BoundMD:
     return BoundMD(md, lead, rhs, d0, tuple(sim_domains), compared, alhs, arhs)
 
 
-def _swaps_onto_itself(md: MatchingDependency, lead: tuple[MDAtom, MDAtom],
-                       sim_domains: tuple[str, ...]) -> bool:
-    """Whether swapping the leading atoms, position by position, is a
-    consistent renaming that extends to the context atoms, each onto a
-    distinct one, and maps the similarities, each read either way round and
-    with its domain, onto themselves.
-
-    The renaming is extended one context atom at a time, onto an unused
-    atom of the same relation whose arguments agree with it so far, and
-    undone where no later atom fits.  The atom with the fewest such images
-    goes next, and a branch fails as soon as a similarity whose variables
-    are all renamed maps outside the set.
-    """
-    mapping: dict[str, str] = {}
-    for a, b in zip((lead[0].tid_var, *lead[0].attr_vars), (lead[1].tid_var, *lead[1].attr_vars)):
-        if mapping.setdefault(a, b) != b or mapping.setdefault(b, a) != a:
+def _exchanges(atoms, sims, a: int, b: int) -> bool:
+    """Whether a renaming maps the body `atoms`, `sims` (`BoundMD.numbered_body`)
+    onto itself with atoms `a` and `b` exchanged position by position, every
+    other atom onto a distinct one and the literals, read either way round,
+    onto themselves.  It is extended one other atom at a time, onto an unused
+    atom of the same relation whose arguments agree with it so far, and is
+    undone where no later atom fits; the atom with the fewest such images
+    goes next, and a branch fails once a literal with both variables renamed
+    maps outside the set."""
+    (rel_a, args_a), (rel_b, args_b) = atoms[a], atoms[b]
+    if rel_a != rel_b:
+        return False
+    mapping: dict[int, int] = {}
+    for x, y in zip(args_a, args_b):
+        if mapping.setdefault(x, y) != y or mapping.setdefault(y, x) != x:
             return False
-    sims = [(dom, sc.left, sc.right) for sc, dom in zip(md.similarities, sim_domains)]
-    either_way = {*sims, *((dom, b, a) for dom, a, b in sims)}
-    context = [(a.relation, (a.tid_var, *a.attr_vars)) for a in md.atoms if not a.leading]
-    if not context:  # the swap renames every variable
-        return all((dom, mapping[a], mapping[b]) in either_way for dom, a, b in sims)
-    free = set(range(len(context)))
+    either_way = {*sims, *((dom, y, x) for dom, x, y in sims)}
+    free = set(range(len(atoms))) - {a, b}
 
     def extend(todo: set[int]) -> bool:
-        for dom, a, b in sims:
-            x, y = mapping.get(a), mapping.get(b)
+        for dom, left, right in sims:
+            x, y = mapping.get(left), mapping.get(right)
             if x is not None and y is not None and (dom, x, y) not in either_way:
                 return False
         if not todo:
             return True
         best = None
         for i in todo:
-            relation, args = context[i]
+            relation, args = atoms[i]
             images = [
                 (j, new) for j in free
-                if context[j][0] == relation
-                and (new := _extension(mapping, args, context[j][1])) is not None
+                if atoms[j][0] == relation
+                and (new := _extension(mapping, args, atoms[j][1])) is not None
             ]
             if best is None or len(images) < len(best[1]):
                 best = i, images
@@ -403,11 +419,11 @@ def _swaps_onto_itself(md: MatchingDependency, lead: tuple[MDAtom, MDAtom],
     return extend(set(free))
 
 
-def _extension(mapping: dict[str, str], src: tuple[str, ...],
-               dst: tuple[str, ...]) -> dict[str, str] | None:
+def _extension(mapping: dict[int, int], src: tuple[int, ...],
+               dst: tuple[int, ...]) -> dict[int, int] | None:
     """The bindings `mapping` needs to map the arguments `src` onto `dst`
     position by position, or None if it cannot."""
-    new: dict[str, str] = {}
+    new: dict[int, int] = {}
     for x, y in zip(src, dst):
         bound = mapping.get(x, new.get(x))
         if bound is None:

@@ -18,7 +18,7 @@ from mdclean.errors import (
     UndefinedMatch,
     ValidationError,
 )
-from mdclean.mdlang import load_mds, md_body, parse_mds, validate_mds
+from mdclean.mdlang import BoundMD, load_mds, md_body, parse_mds, validate_mds
 from mdclean.model import (
     Instance,
     MatchingFunction,
@@ -428,6 +428,20 @@ def test_a_swap_symmetric_step_rule_derives_one_orientation_of_each_match():
         assert rows | mirrors == fire_rules(unguarded, [0], db, None)["step_0"]
 
 
+def test_an_engine_asks_each_rule_for_its_swap_symmetry_once(monkeypatch):
+    asked = []
+    swap_symmetric = BoundMD.swap_symmetric
+    monkeypatch.setattr(BoundMD, "swap_symmetric", lambda rule: asked.append(rule.md.name) or swap_symmetric(rule))
+    instance, rules, sim, smf = fixture_setting("convergent")
+    eng = ChaseEngine(rules, sim, smf)
+    assert asked == ["md1", "md2"]
+    steps = eng.applicable_steps(instance)
+    eng.enforce(instance, steps[0])
+    eng.chase_one(instance, seed=1)
+    eng.chase_all(instance)
+    assert asked == ["md1", "md2"]
+
+
 def test_the_identifier_guard_runs_before_the_similarities():
     instance, rules, sim, smf = fixture_setting("bibliography")
     program = ChaseEngine(rules, sim, smf)._program
@@ -455,7 +469,7 @@ class AgendaOracle(ChaseEngine):
         instance = layout.instance(state)
         facts = {pred: set(ts) for pred, ts in instance_facts(instance).items() if ts}
         assert db.relations == facts
-        scratch = _Agenda(self._bound, self._heads)
+        scratch = _Agenda(self._sorts, self._heads)
         scratch.add(evaluate(self._program, facts).relations)
         assert vars(agenda) == vars(scratch)
         assert self._listed(agenda) == self.applicable_steps(instance)

@@ -280,7 +280,7 @@ def test_a_reader_variable_that_meets_two_writer_variables_makes_them_one():
 
 def test_twin_related_embeddings_share_a_class_without_a_search(monkeypatch):
     # each rule writes B through either of its two leading atoms, and md2
-    # reads B through either of its two: the atoms of each pair are twins,
+    # reads B through either of its two: each rule's swap exchanges them,
     # so a pair's four embeddings have one orbit pair and one class
     setting = fixture_setting("convergent")
     instance, rules = setting[:2]

@@ -788,9 +788,9 @@ def test_classify_queries_a_reader_atom_that_repeats_a_variable(tmp_path, capsys
 
 def test_classify_numbers_a_pairs_query_classes_in_key_order(tmp_path, capsys, monkeypatch):
     # each pair's embeddings fall into two isomorphism classes; the classes'
-    # queries are suffixed in the order of their least serialisations.  `r`'s
-    # leading atoms are not twins, so the isomorphism search tells its
-    # occurrences apart
+    # queries are suffixed in the order of their least serialisations.  No
+    # renaming of `r` exchanges its leading atoms, so the isomorphism search
+    # tells its occurrences apart
     args = write_setting(
         tmp_path,
         "R(A: doma, B: domb, C: domb)\n",
@@ -816,6 +816,24 @@ def test_classify_numbers_a_pairs_query_classes_in_key_order(tmp_path, capsys, m
         "query r__w__R_A_1: unsatisfied\n"
         "query r__w__R_A_2: satisfied\n"
     )
+
+
+@pytest.mark.parametrize("repeat", ["c1 ~ y1, ", "y1 ~ c1, ", ""])
+def test_a_repeated_similarity_leaves_one_query_class(tmp_path, capsys, repeat):
+    # the rule requires `c1 ~ y1` once however often it lists it, so the
+    # leading swap maps it onto itself and its self-pair has one class
+    args = write_setting(
+        tmp_path,
+        "R(A: d, B: e, C: e)\n",
+        {"R": "tid,A,B,C\nt1,a,b1,b2\nt2,a,b3,b1\nt3,a,b2,b3\n"},
+        "md a: lead R(t1; x1, y1, c1), lead R(t2; x2, y2, c2),"
+        f" c1 ~ y1, {repeat}c2 ~ y2 -> c1 := c2;\n",
+        "e: b1 ~ b2\ne: b2 ~ b3\n",
+        "e: builtin value-min\n",
+    )
+    code, out, err = run(capsys, ["classify", "--format", "text", *args])
+    assert (code, err) == (0, "")
+    assert out == "verdict: sfai\npair: a writes R[C] read by a\nquery a__a__R_C: unsatisfied\n"
 
 
 def context_family_args(tmp_path, j):
@@ -856,6 +874,23 @@ def test_classify_reads_many_context_atoms_without_a_factorial_search(tmp_path, 
     assert [q["name"] for q in payload["queries"]] == names
     if j == 3:
         assert hashlib.sha256(done.stdout).hexdigest() == CONTEXT_3_CLASSIFY
+
+
+@pytest.mark.parametrize("j, classes, searches", [(3, 3, 5), (4, 1, 0), (5, 3, 5), (6, 1, 0)])
+def test_classify_reads_the_context_familys_lead_symmetry(tmp_path, capsys, monkeypatch,
+                                                         j, classes, searches):
+    # at even j, swapping the leading Author atoms extends through a
+    # bijection of the Paper atoms (paper k onto paper k ± 1), though no twin
+    # swap exchanges them: the leads share an orbit and no search runs
+    searched = []
+    search = classify._Body.isomorphic_to
+    monkeypatch.setattr(classify._Body, "isomorphic_to", lambda a, b: searched.append(b) or search(a, b))
+    code, out, err = run(capsys, ["classify", "--format", "text", *context_family_args(tmp_path, j)])
+    assert (code, err) == (0, "")
+    assert len(searched) == searches
+    base = "ctx__ctx__Author_PTitle"
+    names = [base] if classes == 1 else [f"{base}_{k}" for k in range(1, classes + 1)]
+    assert [line.split()[1][:-1] for line in out.splitlines() if line.startswith("query")] == names
 
 
 def test_every_command_prints_a_relation_the_instance_omits(tmp_path, capsys):

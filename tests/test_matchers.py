@@ -131,9 +131,10 @@ ASYMMETRIC_SCHEMA = Schema.parse("R(A: doma, B: domb)\nP(C: doma, D: domb)")
 
 
 def asymmetric_rule(rng: random.Random, name: str) -> str:
-    """A rule over R whose leading atoms are mostly no twins: a context atom
-    joins one of them, a similarity reads one of them with the context
-    atom's value, or a similarity compares one of them with itself."""
+    """A rule over R whose leading atoms no renaming of it mostly exchanges
+    (`BoundMD.orbits`): a context atom joins one of them, a similarity reads
+    one of them with the context atom's value, or a similarity compares one
+    of them with itself."""
     atoms = ["lead R(t1; x1, y1)", "lead R(t2; x2, y2)"]
     sims = [sim for sim in ("x1 ~doma~ x2", "y1 ~domb~ y2") if rng.random() < 0.6]
     joined = rng.choice(["x1", "x2", None])
@@ -149,7 +150,7 @@ def asymmetric_rule(rng: random.Random, name: str) -> str:
 def test_interaction_queries_match_the_permutation_keys_when_leading_atoms_are_no_twins(
     monkeypatch,
 ):
-    # the population's leading atoms are twins, so each pair's embeddings
+    # the population's leading atoms are exchanged, so each pair's embeddings
     # fall into one orbit and no body is searched; here they fall into
     # several, and only the isomorphism search tells which are one class
     searches = 0
@@ -171,6 +172,19 @@ def test_interaction_queries_match_the_permutation_keys_when_leading_atoms_are_n
         assert queries == naive_match.sfai_queries_by_key(rules, ASYMMETRIC_SCHEMA), text
         several += any(query.name.endswith("_2") for query in queries)
     assert searches > 50 and several > 5
+
+
+@pytest.mark.parametrize("repeat", ["c1 ~ y1", "y1 ~ c1"])
+def test_a_repeated_literal_is_listed_once_in_each_embedding(repeat):
+    # the rules' symmetry reads the literals as a set; were the repeat kept,
+    # the embeddings would differ in multiplicity and the permutation keys
+    # would tell three classes apart where the orbits see one
+    schema = Schema.parse("R(A: d, B: e, C: e)")
+    text = f"md a: lead R(t1; x1, y1, c1), lead R(t2; x2, y2, c2), c1 ~ y1, {repeat}, c2 ~ y2 -> c1 := c2;"
+    rules = validate_mds(parse_mds(text), schema, MatchingFunction(builtins={"e": "value-min"}))
+    queries = sfai_queries(rules, schema)
+    assert queries == naive_match.sfai_queries_by_key(rules, schema)
+    assert [(q.name, len(q.sims)) for q in queries] == [("a__a__R_C", 4)]
 
 
 def test_keys_and_isomorphism_match_the_permutation_keys_on_random_bodies():
@@ -225,7 +239,7 @@ def test_the_oracle_scan_runs_as_a_module():
     assert done.stdout.splitlines() == [
         "5 draws, 40 embeddings: keys and queries agree",
         "10 random bodies: keys and isomorphism verdicts agree (14 isomorphic copies, 6 not)",
-        "10 random rules: swap symmetry agrees with brute force (7 symmetric, 3 not)",
+        "10 random rules: swap symmetry and orbits agree with brute force (7 symmetric, 3 not)",
     ]
 
 
@@ -277,6 +291,10 @@ EDGE_RULES = {
     " a1 ~d~ a2, a1 ~d~ b1 -> c1 := c2;": False,
     "md both_sides: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2),"
     " a1 ~d~ b1, b2 ~ a2 -> c1 := c2;": True,
+    # a similarity repeated, once the other way round, on one side only:
+    # the rule requires each once, so the swap maps the set onto itself
+    "md repeats: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2),"
+    " a1 ~d~ b1, b1 ~d~ a1, a2 ~d~ b2 -> c1 := c2;": True,
     # a similarity across the leading atoms whose mirror is missing, and two
     # in different domains on different sides
     "md crossed: lead R(t1; a1, b1, c1, u1), lead R(t2; a2, b2, c2, u2),"
@@ -325,13 +343,22 @@ def test_swap_symmetry_is_the_brute_force_one(population):
     for name in sorted(p.name for p in FIXTURES.iterdir()):
         rules += fixture_setting(name)[1]
     eng, _, _ = bibliography(ONE_SIDED)
-    rules += eng._bound
+    rules += eng._rules.values()
     edges, _, _, _ = edge_setting()
     rules += edges
+    rng = random.Random(3)
+    rules += [naive_match.random_rule(rng) for _ in range(300)]
+    exchanged = 0
     for rule in rules:
         assert rule.swap_symmetric() == naive_match.swap_symmetric(rule), rule.md
+        for a, b in itertools.combinations(range(len(rule.md.atoms)), 2):
+            expected = naive_match.exchanges(rule, a, b)
+            assert rule.orbits((a, b)) == {a: a, b: a if expected else b}, (rule.md, a, b)
+            exchanged += expected and not rule.md.atoms[a].leading
+    # context atoms that a renaming exchanges
+    assert exchanged > 100
     assert [rule.swap_symmetric() for rule in edges] == list(EDGE_RULES.values())
-    assert [rule.swap_symmetric() for rule in eng._bound] == [False, True]
+    assert [rule.swap_symmetric() for rule in eng._rules.values()] == [False, True]
     # the bench's rules, `coblock` (the bibliography fixture's) and `union`
     by_name = {rule.md.name: rule for rule in rules}
     assert by_name["coblock"].swap_symmetric()
