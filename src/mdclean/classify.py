@@ -10,11 +10,11 @@ checks read the rules as bound to the schema by `mdlang.validate_mds`.
 
 A pair gets one query per isomorphism class of its embeddings.  Embeddings
 that renamings of the two rules onto themselves (`BoundMD.orbits`) map onto
-each other share a class without a search.  Any other embedding is tested
-for isomorphism with the first of each class so far, and the classes are
-ordered, when there are several, by a canonical key that a branch-and-bound
-search computes; neither enumerates atom permutations.  `is_sfai` evaluates
-all the queries as one program.
+each other share a class without a search.  When a pair has several
+embeddings left, each gets a canonical key, which a branch-and-bound search
+computes without enumerating atom permutations; embeddings with equal keys
+share a class, and the classes are ordered by key.  `is_sfai` evaluates all
+the queries as one program.
 """
 
 from __future__ import annotations
@@ -144,43 +144,47 @@ def sfai_queries(rules: list[BoundMD], schema: Schema) -> list[ConjunctiveQuery]
     query asks whether the combined body can match with pairwise-distinct
     identifiers.  Embeddings equal up to renaming and the order of atoms and
     literals form one class, which the first of them stands for; distinct
-    pairs keep their own queries even when isomorphic across pairs.  A pair
-    with one class names its query `<writer>__<reader>__<relation>_<attr>`;
-    with several, the names take the suffixes `_1`, `_2`, ... in the order
-    of the classes' canonical keys (see `_Body`).
+    pairs keep their own queries even when isomorphic across pairs.  An
+    embedding whose orbit pair an earlier one has joins that one's class
+    unbuilt (see `_embeddings`); the rest are grouped by their canonical keys
+    (see `_Body`), computed only when two or more are left.  A pair with one
+    class names its query `<writer>__<reader>__<relation>_<attr>`; with
+    several, the names take the suffixes `_1`, `_2`, ... in the order of the
+    classes' keys.
     """
     by_name = {rule.md.name: rule for rule in rules}
     queries: list[ConjunctiveQuery] = []
     for pair in interaction_pairs(rules):
-        classes: list[_Body] = []
+        bodies: list[tuple] = []
         orbits: set[tuple[int, int]] = set()
         for orbit, embed in _embeddings(by_name[pair.writer], by_name[pair.reader], pair, schema):
-            if orbit in orbits:
-                continue  # the rules' symmetry maps it onto one already classed
-            orbits.add(orbit)
-            body = _Body(*embed())
-            if not any(body.isomorphic_to(first) for first in classes):
-                classes.append(body)
-        if len(classes) > 1:
-            classes.sort(key=_Body.key)
+            if orbit not in orbits:  # else the rules' symmetry maps it onto one kept
+                orbits.add(orbit)
+                bodies.append(embed())
+        if len(bodies) > 1:
+            classes: dict[tuple, tuple] = {}
+            for body in bodies:
+                classes.setdefault(_Body(*body).key(), body)
+            bodies = [classes[key] for key in sorted(classes)]
         base = f"{pair.writer}__{pair.reader}__{pair.relation}_{pair.attribute}"
-        for index, body in enumerate(classes):
-            name = base if len(classes) == 1 else f"{base}_{index + 1}"
-            queries.append(_readable_query(name, body.atoms, body.sims))
+        for index, (atoms, sims) in enumerate(bodies):
+            name = base if len(bodies) == 1 else f"{base}_{index + 1}"
+            queries.append(_readable_query(name, atoms, sims))
     return queries
 
 
 def _embeddings(writer, reader, pair, schema):
     """Each written atom of `writer` unified with each occurrence of the
     shared attribute in `reader`'s body, as its orbit pair and a function
-    that builds it.  It is built from the two rules' `numbered_body`s, the
+    that builds it as `(atoms, sims)` in `_Body`'s form.  It is built from the two rules' `numbered_body`s, the
     writer's variables numbered from 0 and then the reader's.  Variables that
     meet positionwise become one, so a reader variable that meets two writer
     variables makes those one too.
 
     The orbit pair names the first written atom and the first occurrence
     that each rule's `orbits` join each to.  Those renamings map their rule
-    onto itself, so two embeddings with one orbit pair are isomorphic."""
+    onto itself, so two embeddings with one orbit pair are isomorphic, and
+    only the first of them need be built."""
     attr_pos = schema.relation(pair.relation).position(pair.attribute)
     offset = len(writer.md.variables())
     writer_atoms, writer_sims = writer.numbered_body(0)
@@ -223,7 +227,8 @@ def _embeddings(writer, reader, pair, schema):
 
 
 class _Body:
-    """An embedding's atoms and similarity literals, searched for orderings.
+    """An embedding's atoms and similarity literals, searched for its
+    canonical key.
 
     The canonical key of a body is its least serialisation over all orderings
     of its atoms: the atoms in order, each as its relation and arguments,
@@ -231,21 +236,19 @@ class _Body:
     sorted similarity literals under that renaming.  Names compare as
     strings, so `v10` sorts before `v2`.  Since every variable of a literal
     is held by an atom, two bodies are isomorphic exactly when their keys
-    are equal, and exactly when one has an ordering whose serialisation is
-    the other's in its own order.
+    are equal.
 
-    Both questions are answered by one depth-first search that grows an
-    ordering one atom at a time and follows only the atoms whose
-    serialisation under the renaming so far is the least (for the key, by
-    branch and bound) or is the target's next atom (for the test, which
-    also leaves an ordering once it names both sides of a similarity
-    literal the target lacks).  Of tied atoms it tries one of each pair of
-    twins: two atoms of one relation that a swap of their own variables
-    exchanges while it maps the similarity literals onto themselves lead to
-    equal serialisations (McKay & Piperno, "Practical graph isomorphism,
-    II", 2014, prune automorphic branches the same way).  A twin swap fixes
-    every other atom, so it keeps the ordering so far, which a renaming that
-    also moves other atoms, as `BoundMD.orbits` allows, need not.
+    One depth-first search computes it, by branch and bound: it grows an
+    ordering one atom at a time, follows only the atoms whose serialisation
+    under the renaming so far is the least, and leaves an ordering once its
+    atoms serialise above the least found.  Of tied atoms it tries one of
+    each pair of twins: two atoms of one relation that a swap of their own
+    variables exchanges while it maps the similarity literals onto themselves
+    lead to equal serialisations (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014, prune automorphic branches the same way).  A twin
+    swap fixes every other atom, so it keeps the ordering so far, which a
+    renaming that also moves other atoms, as `BoundMD.orbits` allows, need
+    not.
 
     A body is given in `_embeddings`' form: atoms `(relation, terms)` and
     literals `(domain, left, right)`, every term a variable numbered by a
@@ -256,13 +259,8 @@ class _Body:
         self.atoms, self.sims = atoms, sims
         self._count = 1 + max(t for _, terms in atoms for t in terms)  # renaming size
         self._names = [("var", f"v{k}") for k in range(self._count)]
-        self._sims_of: dict[int, list[tuple]] = {}
-        for sim in sims:
-            for term in {sim[1], sim[2]}:
-                self._sims_of.setdefault(term, []).append(sim)
         self._holders: dict[int, set[int]] | None = None
         self._twins: dict[tuple[int, int], bool] = {}
-        self._own: tuple | None = None
 
     def _entry(self, index, rename, count):
         """Atom `index` serialised under `rename`, and the names its new
@@ -277,22 +275,17 @@ class _Body:
             out.append(self._names[k])
         return (relation, tuple(out)), fresh
 
-    def _sim_entry(self, sim, rename):
-        """A similarity literal serialised under `rename`, or None while one
-        of its variables is unnamed."""
-        dom, left, right = sim
-        if rename[left] < 0 or rename[right] < 0:
-            return None
-        return dom, tuple(sorted((self._names[rename[left]], self._names[rename[right]])))
-
     def _sim_part(self, rename):
-        return tuple(sorted(self._sim_entry(sim, rename) for sim in self.sims))
+        """The sorted literals under `rename`, which names every variable."""
+        names = self._names
+        return tuple(sorted(
+            (dom, tuple(sorted((names[rename[l]], names[rename[r]])))) for dom, l, r in self.sims
+        ))
 
-    def _leaves(self, pick, sims=None):
+    def _leaves(self, pick):
         """Depth-first, the renamings of the orderings whose atom at each
         depth serialises as `pick(depth, entries)` (None prunes), where
-        `entries` are the remaining atoms' serialisations; with `sims`, only
-        orderings whose named literals all lie in it."""
+        `entries` are the remaining atoms' serialisations."""
 
         def walk(depth, remaining, rename, count):
             if not remaining:
@@ -310,22 +303,10 @@ class _Body:
                     new = list(rename)
                     for var, k in fresh.items():
                         new[var] = k
-                    if sims is not None and self._strays(new, fresh, sims):
-                        continue
                 rest = tuple(j for j in remaining if j != i)
                 yield from walk(depth + 1, rest, new, count + len(fresh))
 
         return walk(0, tuple(range(len(self.atoms))), [-1] * self._count, 0)
-
-    def _strays(self, rename, fresh, sims) -> bool:
-        """Whether a literal reading a variable of `fresh` is named in full
-        under `rename` and lies outside `sims`."""
-        for var in fresh:
-            for sim in self._sims_of.get(var, ()):
-                entry = self._sim_entry(sim, rename)
-                if entry is not None and entry not in sims:
-                    return True
-        return False
 
     def _twin(self, a, b) -> bool:
         """Whether swapping the variables that only atoms `a` and `b` hold
@@ -379,26 +360,6 @@ class _Body:
             if best[0] is None or sim_part < best[0]:
                 best[0] = sim_part
         return tuple(part), best[0]
-
-    def serialisation(self) -> tuple:
-        """The serialisation in the body's own atom order."""
-        if self._own is None:
-            rename, count, part = [-1] * self._count, 0, []
-            for index in range(len(self.atoms)):
-                entry, fresh = self._entry(index, rename, count)
-                for var, k in fresh.items():
-                    rename[var] = k
-                count += len(fresh)
-                part.append(entry)
-            self._own = (tuple(part), self._sim_part(rename))
-        return self._own
-
-    def isomorphic_to(self, other: "_Body") -> bool:
-        if (len(self.atoms), len(self.sims)) != (len(other.atoms), len(other.sims)):
-            return False
-        atom_part, sim_part = other.serialisation()
-        leaves = self._leaves(lambda depth, entries: atom_part[depth], set(sim_part))
-        return any(self._sim_part(rename) == sim_part for rename in leaves)
 
 
 def _readable_query(name: str, atoms, sims) -> ConjunctiveQuery:

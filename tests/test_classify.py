@@ -281,18 +281,19 @@ def test_a_reader_variable_that_meets_two_writer_variables_makes_them_one():
 def test_twin_related_embeddings_share_a_class_without_a_search(monkeypatch):
     # each rule writes B through either of its two leading atoms, and md2
     # reads B through either of its two: each rule's swap exchanges them,
-    # so a pair's four embeddings have one orbit pair and one class
+    # so a pair's four embeddings have one orbit pair and one class, which
+    # needs no key and so no `_Body`
     setting = fixture_setting("convergent")
     instance, rules = setting[:2]
     for pair in interaction_pairs(rules):
         writer, reader = (next(r for r in rules if r.md.name == n) for n in (pair.writer, pair.reader))
         orbits = [orbit for orbit, _ in _embeddings(writer, reader, pair, instance.schema)]
         assert len(orbits) == 4 and len(set(orbits)) == 1
-    searches = []
-    search = _Body.isomorphic_to
-    monkeypatch.setattr(_Body, "isomorphic_to", lambda a, b: searches.append(b) or search(a, b))
+    built = []
+    init = _Body.__init__
+    monkeypatch.setattr(_Body, "__init__", lambda body, *args: built.append(args) or init(body, *args))
     result = classify(*setting)
-    assert searches == []
+    assert built == []
     assert [c.query for c in result.queries] == naive_match.sfai_queries_by_key(rules, instance.schema)
     assert [c.query.name for c in result.queries] == ["md1__md2__R_B", "md2__md2__R_B"]
 

@@ -789,8 +789,8 @@ def test_classify_queries_a_reader_atom_that_repeats_a_variable(tmp_path, capsys
 def test_classify_numbers_a_pairs_query_classes_in_key_order(tmp_path, capsys, monkeypatch):
     # each pair's embeddings fall into two isomorphism classes; the classes'
     # queries are suffixed in the order of their least serialisations.  No
-    # renaming of `r` exchanges its leading atoms, so the isomorphism search
-    # tells its occurrences apart
+    # renaming of `r` exchanges its leading atoms, so the canonical keys tell
+    # its occurrences apart
     args = write_setting(
         tmp_path,
         "R(A: doma, B: domb, C: domb)\n",
@@ -801,12 +801,12 @@ def test_classify_numbers_a_pairs_query_classes_in_key_order(tmp_path, capsys, m
         "doma: a1 ~ a2\ndomb: b1 ~ b2\n",
         "doma: builtin value-min\ndomb: builtin value-min\n",
     )
-    searches = []
-    search = classify._Body.isomorphic_to
-    monkeypatch.setattr(classify._Body, "isomorphic_to", lambda a, b: searches.append(b) or search(a, b))
+    keyed = []
+    key = classify._Body.key
+    monkeypatch.setattr(classify._Body, "key", lambda body: keyed.append(body) or key(body))
     code, out, err = run(capsys, ["classify", "--format", "text", *args])
     assert (code, err) == (0, "")
-    assert searches
+    assert len(keyed) == 4  # two embeddings per pair
     assert out == (
         "verdict: general\n"
         "pair: w writes R[B] read by r\n"
@@ -876,18 +876,18 @@ def test_classify_reads_many_context_atoms_without_a_factorial_search(tmp_path, 
         assert hashlib.sha256(done.stdout).hexdigest() == CONTEXT_3_CLASSIFY
 
 
-@pytest.mark.parametrize("j, classes, searches", [(3, 3, 5), (4, 1, 0), (5, 3, 5), (6, 1, 0)])
+@pytest.mark.parametrize("j, classes, keys", [(3, 3, 4), (4, 1, 0), (5, 3, 4), (6, 1, 0)])
 def test_classify_reads_the_context_familys_lead_symmetry(tmp_path, capsys, monkeypatch,
-                                                         j, classes, searches):
+                                                         j, classes, keys):
     # at even j, swapping the leading Author atoms extends through a
     # bijection of the Paper atoms (paper k onto paper k ± 1), though no twin
-    # swap exchanges them: the leads share an orbit and no search runs
-    searched = []
-    search = classify._Body.isomorphic_to
-    monkeypatch.setattr(classify._Body, "isomorphic_to", lambda a, b: searched.append(b) or search(a, b))
+    # swap exchanges them: the leads share an orbit and no key is computed
+    keyed = []
+    key = classify._Body.key
+    monkeypatch.setattr(classify._Body, "key", lambda body: keyed.append(body) or key(body))
     code, out, err = run(capsys, ["classify", "--format", "text", *context_family_args(tmp_path, j)])
     assert (code, err) == (0, "")
-    assert len(searched) == searches
+    assert len(keyed) == keys
     base = "ctx__ctx__Author_PTitle"
     names = [base] if classes == 1 else [f"{base}_{k}" for k in range(1, classes + 1)]
     assert [line.split()[1][:-1] for line in out.splitlines() if line.startswith("query")] == names
